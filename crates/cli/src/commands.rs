@@ -147,6 +147,15 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
                 (*cycles).max(1_000)
             };
             let drained = net.drain(budget);
+            if !drained {
+                // Stderr only: the report counts these flits as undelivered,
+                // and stdout stays byte-stable.
+                eprintln!(
+                    "warning: drain timed out after its {budget}-cycle budget with {} flit(s) \
+                     still in flight — --diagnose names the holders",
+                    net.in_flight()
+                );
+            }
             let report = net.report();
 
             let mut out = String::new();

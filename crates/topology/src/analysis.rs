@@ -4,9 +4,13 @@
 //! `2·√N`), router count/area, locality (neighbours cross a single 3×3
 //! router) and — citing Lee's SoC keynote — on power even without link
 //! power-reduction tricks. This module computes those metrics exactly over
-//! a given port count.
+//! a given port count. Uniform-traffic averages come from closed-form pair
+//! counts (per link in a tree), never from walking the `N(N−1)` port pairs.
 
-use crate::{AreaModel, Floorplan, MeshTopology, PortId, RouterClass, TopologyError, TreeTopology};
+use crate::{
+    AreaModel, Floorplan, LinkId, MeshTopology, NodeId, PortId, RouterClass, TopologyError,
+    TreeTopology,
+};
 use icnoc_units::{Millimeters, Picojoules, SquareMillimeters};
 use serde::{Deserialize, Serialize};
 
@@ -22,37 +26,55 @@ pub const ROUTER_ENERGY_PER_MM2: f64 = 200.0;
 /// activity at the paper's 0.2 pF/mm and 1 V = 0.8 pJ/(flit·mm).
 pub const WIRE_ENERGY_PER_MM: f64 = 0.8;
 
+/// Ordered port pairs whose route crosses each link. Link `c → parent(c)`
+/// separates the `s` ports under `c` from the other `N − s`, so exactly
+/// `2·s·(N − s)` ordered pairs cross it — the link's load under uniform
+/// all-to-all traffic.
+fn link_crossings(tree: &TreeTopology) -> impl Iterator<Item = (LinkId, usize)> + '_ {
+    let mut under = vec![0usize; tree.node_count()];
+    for leaf in tree.leaves() {
+        under[leaf.index()] = 1;
+    }
+    // Breadth-first ids put every parent before its children, so a
+    // reverse pass completes each subtree before adding it to its parent.
+    for i in (1..tree.node_count()).rev() {
+        let parent = tree
+            .parent(NodeId(i as u32))
+            .expect("only the root lacks a parent");
+        under[parent.index()] += under[i];
+    }
+    let n = tree.num_ports();
+    tree.links().map(move |link| {
+        let s = under[link.index()];
+        (link, 2 * s * (n - s))
+    })
+}
+
 /// Average hops over all ordered distinct port pairs (uniform random
 /// traffic) in a tree.
+///
+/// Summed per link rather than per pair: a route's routers are its links
+/// minus one, so `Σ hops = Σ_links 2·s(N−s) − N(N−1)`, an exact integer.
 #[must_use]
 pub fn tree_average_hops(tree: &TreeTopology) -> f64 {
     let n = tree.num_ports();
-    let mut total = 0usize;
-    for a in tree.ports() {
-        for b in tree.ports() {
-            if a != b {
-                total += tree.hops(a, b).expect("ports are in range");
-            }
-        }
-    }
-    total as f64 / (n * (n - 1)) as f64
+    let pairs = n * (n - 1);
+    let crossings: usize = link_crossings(tree).map(|(_, c)| c).sum();
+    (crossings - pairs) as f64 / pairs as f64
 }
 
 /// Average hops over all ordered distinct port pairs in a mesh.
+///
+/// Over ordered column pairs `Σ|x₁ − x₂| = (s³ − s)/3` for side `s`; each
+/// recurs for `s²` row choices and rows contribute the same again. Every
+/// distinct pair also counts its source router.
 #[must_use]
 pub fn mesh_average_hops(mesh: &MeshTopology) -> f64 {
+    let s = mesh.side();
     let n = mesh.num_ports();
-    let mut total = 0usize;
-    for a in 0..n {
-        for b in 0..n {
-            if a != b {
-                total += mesh
-                    .hops(PortId(a as u32), PortId(b as u32))
-                    .expect("ports are in range");
-            }
-        }
-    }
-    total as f64 / (n * (n - 1)) as f64
+    let pairs = n * (n - 1);
+    let manhattan = 2 * s * s * ((s * s * s - s) / 3);
+    (manhattan + pairs) as f64 / pairs as f64
 }
 
 /// Average hops between tile-local port pairs `(2i, 2i+1)` — the paper's
@@ -70,21 +92,13 @@ pub fn tree_neighbor_hops(tree: &TreeTopology) -> f64 {
 }
 
 /// Average wire length traversed per flit under uniform traffic, using the
-/// floorplan's link lengths.
+/// floorplan's link lengths: `Σ_links 2·s(N−s)·len(link)` over the pairs.
 #[must_use]
 pub fn tree_average_wire_length(tree: &TreeTopology, plan: &Floorplan) -> Millimeters {
     let n = tree.num_ports();
-    let mut total = Millimeters::ZERO;
-    for a in tree.ports() {
-        for b in tree.ports() {
-            if a != b {
-                let path = tree.route(a, b).expect("ports are in range");
-                for link in path.links(tree) {
-                    total += plan.link_length(link);
-                }
-            }
-        }
-    }
+    let total: Millimeters = link_crossings(tree)
+        .map(|(link, c)| plan.link_length(link) * c as f64)
+        .sum();
     total / (n * (n - 1)) as f64
 }
 
@@ -200,6 +214,97 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The all-pairs route walk `tree_average_hops` and
+    /// `tree_average_wire_length` replace: average hops, and the average
+    /// wire length under each plan, each summed pair by pair in port order.
+    fn all_pairs_walk(tree: &TreeTopology, plans: &[Floorplan]) -> (f64, Vec<Millimeters>) {
+        let n = tree.num_ports();
+        let mut hops = 0usize;
+        let mut wire = vec![Millimeters::ZERO; plans.len()];
+        for a in tree.ports() {
+            for b in tree.ports() {
+                if a != b {
+                    let path = tree.route(a, b).expect("ports are in range");
+                    hops += path.router_hops();
+                    for link in path.links(tree) {
+                        for (total, plan) in wire.iter_mut().zip(plans) {
+                            *total += plan.link_length(link);
+                        }
+                    }
+                }
+            }
+        }
+        let pairs = (n * (n - 1)) as f64;
+        (
+            hops as f64 / pairs,
+            wire.into_iter().map(|total| total / pairs).collect(),
+        )
+    }
+
+    /// The all-pairs loop `mesh_average_hops` replaces.
+    fn all_pairs_mesh_hops(mesh: &MeshTopology) -> f64 {
+        let n = mesh.num_ports();
+        let mut total = 0usize;
+        for a in 0..n {
+            for b in 0..n {
+                if a != b {
+                    total += mesh
+                        .hops(PortId(a as u32), PortId(b as u32))
+                        .expect("ports are in range");
+                }
+            }
+        }
+        total as f64 / (n * (n - 1)) as f64
+    }
+
+    #[test]
+    fn mesh_average_hops_matches_all_pairs_oracle() {
+        for side in 2..=40 {
+            let mesh = MeshTopology::new(side * side).expect("square");
+            assert_eq!(
+                mesh_average_hops(&mesh).to_bits(),
+                all_pairs_mesh_hops(&mesh).to_bits(),
+                "side {side}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Per-link sums equal the all-pairs walks: hop totals are exact
+        /// integers, and every H-tree link on a 5, 10 or 20 mm die is a
+        /// dyadic fraction of the edge, so those wire sums are exact too.
+        /// Any other edge may differ only by the walk's rounding.
+        #[test]
+        fn tree_averages_match_all_pairs_oracle(
+            binary_depth in 1u32..11, quad_depth in 1u32..6, edge in 0.5f64..50.0
+        ) {
+            let trees = [
+                TreeTopology::binary(1 << binary_depth).expect("power of 2"),
+                TreeTopology::quad(1 << (2 * quad_depth)).expect("power of 4"),
+            ];
+            for tree in &trees {
+                let plans: Vec<Floorplan> = [5.0, 10.0, 20.0, edge]
+                    .into_iter()
+                    .map(|e| Floorplan::h_tree(tree, Millimeters::new(e), Millimeters::new(e)))
+                    .collect();
+                let (hops, wire) = all_pairs_walk(tree, &plans);
+                prop_assert_eq!(tree_average_hops(tree).to_bits(), hops.to_bits());
+                for (plan, oracle) in plans[..3].iter().zip(&wire) {
+                    prop_assert_eq!(
+                        tree_average_wire_length(tree, plan).value().to_bits(),
+                        oracle.value().to_bits()
+                    );
+                }
+                let fast = tree_average_wire_length(tree, &plans[3]).value();
+                let oracle = wire[3].value();
+                prop_assert!((fast - oracle).abs() <= 1e-9 * oracle, "{fast} vs {oracle}");
+            }
+        }
+    }
 
     #[test]
     fn neighbor_traffic_crosses_one_router_in_binary_tree() {

@@ -432,11 +432,21 @@ impl TreeTopology {
 
     /// Router hops between two ports (routers traversed by a packet).
     ///
+    /// Every leaf sits at [`depth`](Self::depth), so a route climbs
+    /// `depth − d` links to its lowest common ancestor at depth `d` and
+    /// descends as many: `2·(depth − d) − 1` routers, 0 for a self-route.
+    ///
     /// # Errors
     ///
     /// Returns [`TopologyError::PortOutOfRange`] for unknown ports.
     pub fn hops(&self, from: PortId, to: PortId) -> Result<usize, TopologyError> {
-        Ok(self.route(from, to)?.router_hops())
+        let src = self.leaf(from)?;
+        let dst = self.leaf(to)?;
+        if src == dst {
+            return Ok(0);
+        }
+        let lca = self.lowest_common_ancestor(src, dst);
+        Ok(2 * (self.depth - self.node_depth(lca)) as usize - 1)
     }
 
     /// Worst-case router hops: `2·depth − 1` (`2·log_k N − 1`), through the
@@ -547,6 +557,9 @@ mod tests {
         let path = t.route(PortId(3), PortId(3)).expect("valid port");
         assert_eq!(path.router_hops(), 0);
         assert_eq!(path.nodes().len(), 1);
+        assert_eq!(t.hops(PortId(3), PortId(3)), Ok(0));
+        assert!(t.hops(PortId(8), PortId(0)).is_err());
+        assert!(t.hops(PortId(0), PortId(8)).is_err());
     }
 
     #[test]
@@ -618,6 +631,26 @@ mod tests {
                 for &n in &path.nodes()[1..path.nodes().len() - 1] {
                     prop_assert!(t.is_router(n));
                 }
+            }
+        }
+
+        /// The closed-form hop count equals the routed path's router
+        /// count, for both tree kinds.
+        #[test]
+        fn hops_match_routed_path(
+            binary_depth in 1u32..10, quad_depth in 1u32..5, a in any::<u32>(), b in any::<u32>()
+        ) {
+            let trees = [
+                TreeTopology::binary(1 << binary_depth).expect("power of 2"),
+                TreeTopology::quad(1 << (2 * quad_depth)).expect("power of 4"),
+            ];
+            for t in &trees {
+                let n = t.num_ports() as u32;
+                let (a, b) = (PortId(a % n), PortId(b % n));
+                prop_assert_eq!(
+                    t.hops(a, b).expect("valid"),
+                    t.route(a, b).expect("valid").router_hops()
+                );
             }
         }
 
