@@ -101,8 +101,9 @@ pub enum Command {
         faults: Option<FaultSpec>,
         /// Stepping kernel (`event` default; `dense` is the oracle).
         kernel: SimKernel,
-        /// Speculate-and-replay window bound for the parallel kernel
-        /// (`--speculate [K]`).
+        /// Ignored and always `None`: the parser has no `--speculate`
+        /// flag. Kept only so the `benchmark/` package builds unchanged;
+        /// the next change to that package deletes it.
         speculate: Option<u32>,
         /// Attach the kernel profiler and print the per-shard summary
         /// table after the report.
@@ -129,9 +130,6 @@ pub enum Command {
         tiles: Option<(usize, u64)>,
         /// Stepping kernel (`event` default; `dense` is the oracle).
         kernel: SimKernel,
-        /// Speculate-and-replay window bound for the parallel kernel
-        /// (`--speculate [K]`).
-        speculate: Option<u32>,
         /// Write a Chrome trace-event JSON timeline here.
         chrome_trace: Option<String>,
     },
@@ -222,8 +220,9 @@ pub enum Command {
         /// Attach the kernel profiler to every executed job, adding
         /// `perf` telemetry to the sweep output.
         profile: bool,
-        /// Speculate-and-replay window bound for parallel-kernel jobs
-        /// (`--speculate [K]`).
+        /// Ignored and always `None`: the parser has no `--speculate`
+        /// flag. Kept only so the `benchmark/` package builds unchanged;
+        /// the next change to that package deletes it.
         speculate: Option<u32>,
         /// Submit the grid to a running `icnoc serve` daemon at this
         /// address instead of executing locally. Execution flags
@@ -264,9 +263,9 @@ pub enum Command {
         spec: FaultSpec,
         /// Stepping kernel (`event` default; `dense` is the oracle).
         kernel: SimKernel,
-        /// Speculate-and-replay window bound for the parallel kernel
-        /// (`--speculate [K]`). A faulted run falls back to the dense
-        /// loop, where this has no effect.
+        /// Ignored and always `None`: the parser has no `--speculate`
+        /// flag. Kept only so the `benchmark/` package builds unchanged;
+        /// the next change to that package deletes it.
         speculate: Option<u32>,
     },
     /// Print usage.
@@ -312,7 +311,6 @@ impl Cli {
             },
             "sim" => {
                 let kernel = flags.take_kernel()?;
-                let speculate = flags.take_speculate(kernel)?;
                 Command::Sim {
                     build: flags.build_opts()?,
                     pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
@@ -330,14 +328,13 @@ impl Cli {
                         None => None,
                     },
                     kernel,
-                    speculate,
+                    speculate: None,
                     profile: flags.take_bool("profile")?,
                     chrome_trace: flags.take_opt_string("chrome-trace"),
                 }
             }
             "profile" => {
                 let kernel = flags.take_kernel()?;
-                let speculate = flags.take_speculate(kernel)?;
                 Command::Profile {
                     build: flags.build_opts()?,
                     pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
@@ -349,7 +346,6 @@ impl Cli {
                         None => None,
                     },
                     kernel,
-                    speculate,
                     chrome_trace: flags.take_opt_string("chrome-trace"),
                 }
             }
@@ -425,32 +421,19 @@ impl Cli {
                 let cache_dir = flags.take_opt_string("cache-dir");
                 let resume = flags.take_bool("resume")?;
                 let profile = flags.take_bool("profile")?;
-                let speculate_flag = flags.take_opt_string("speculate");
                 if server.is_some()
                     && (jobs_flag.is_some()
                         || workers.is_some()
                         || cache_dir.is_some()
                         || resume
-                        || profile
-                        || speculate_flag.is_some())
+                        || profile)
                 {
                     return Err(CliError(
                         "--server delegates execution to the daemon; --jobs, --workers, \
-                         --cache-dir, --resume, --profile and --speculate do not apply"
+                         --cache-dir, --resume and --profile do not apply"
                             .to_owned(),
                     ));
                 }
-                let speculate = match speculate_flag {
-                    None => None,
-                    Some(v) => {
-                        if workers.is_none() {
-                            return Err(CliError(
-                                "--speculate requires --workers (the parallel kernel)".to_owned(),
-                            ));
-                        }
-                        parse_speculate_value(&v)?
-                    }
-                };
                 if server.is_none() && priority != 0 {
                     return Err(CliError("--priority requires --server".to_owned()));
                 }
@@ -463,7 +446,7 @@ impl Cli {
                     out: flags.take_string("out", "BENCH_explore.json"),
                     quiet: flags.take_bool("quiet")?,
                     profile,
-                    speculate,
+                    speculate: None,
                     server,
                     priority,
                 }
@@ -484,20 +467,16 @@ impl Cli {
                     queue_limit,
                 }
             }
-            "faults" => {
-                let kernel = flags.take_kernel()?;
-                let speculate = flags.take_speculate(kernel)?;
-                Command::Faults {
-                    build: flags.build_opts()?,
-                    pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
-                    cycles: flags.take_u64("cycles", 10_000)?,
-                    seed: flags.take_u64("seed", 42)?,
-                    packet_len: flags.take_usize("packet-len", 1)? as u32,
-                    spec: parse_fault_spec(&flags.take_string("spec", "soak"))?,
-                    kernel,
-                    speculate,
-                }
-            }
+            "faults" => Command::Faults {
+                kernel: flags.take_kernel()?,
+                build: flags.build_opts()?,
+                pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
+                cycles: flags.take_u64("cycles", 10_000)?,
+                seed: flags.take_u64("seed", 42)?,
+                packet_len: flags.take_usize("packet-len", 1)? as u32,
+                spec: parse_fault_spec(&flags.take_string("spec", "soak"))?,
+                speculate: None,
+            },
             "help" | "--help" | "-h" => Command::Help,
             other => return Err(CliError(format!("unknown subcommand {other:?}; try help"))),
         };
@@ -633,21 +612,6 @@ pub fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
     Ok(FaultSpec { rates, window })
 }
 
-/// Parses an explicit `--speculate` value: `on`/`true` (including the bare
-/// switch) mean the default window bound, `off`/`false` disable, an
-/// integer is an explicit `K` (clamped to at least 1).
-fn parse_speculate_value(v: &str) -> Result<Option<u32>, CliError> {
-    match v {
-        "true" | "on" | "yes" => Ok(Some(icnoc_sim::DEFAULT_SPECULATION_K)),
-        "false" | "off" | "no" => Ok(None),
-        other => other.parse::<u32>().map(|k| Some(k.max(1))).map_err(|_| {
-            CliError(format!(
-                "--speculate expects an integer window bound or on/off, got {other:?}"
-            ))
-        }),
-    }
-}
-
 fn parse_tiles(spec: &str) -> Result<(usize, u64), CliError> {
     let (a, b) = spec
         .split_once(':')
@@ -732,23 +696,6 @@ impl Flags {
                 }
             }
         }
-    }
-
-    /// Resolves `--speculate` for a parallel-capable subcommand: the bare
-    /// switch (or `on`/`true`) selects the default window bound
-    /// [`DEFAULT_SPECULATION_K`], `off`/`false` disables, and an integer
-    /// is an explicit `K` (clamped to at least 1); absent means off.
-    /// Passing the flag on a sequential kernel is a usage error.
-    fn take_speculate(&mut self, kernel: SimKernel) -> Result<Option<u32>, CliError> {
-        let Some(v) = self.take_opt_string("speculate") else {
-            return Ok(None);
-        };
-        if !matches!(kernel, SimKernel::Parallel { .. }) {
-            return Err(CliError(
-                "--speculate requires --kernel parallel".to_owned(),
-            ));
-        }
-        parse_speculate_value(&v)
     }
 
     fn take_bool(&mut self, name: &str) -> Result<bool, CliError> {
@@ -861,6 +808,32 @@ mod tests {
         assert!(Cli::parse(["frobnicate"]).is_err());
         assert!(Cli::parse(["info", "--ports"]).is_err()); // missing value
         assert!(Cli::parse(["info", "--kind", "ring"]).is_err());
+    }
+
+    #[test]
+    fn every_subcommand_names_an_unknown_flag() {
+        const SUBCOMMANDS: [&str; 12] = [
+            "info", "verify", "sim", "profile", "stats", "trace", "yield", "fig7", "explore",
+            "serve", "faults", "help",
+        ];
+        // `--speculate` is a removed flag: bare and with a value, it is as
+        // unknown on the subcommands that once took it as anywhere else.
+        let tails: [&[&str]; 4] = [
+            &["--speculate"],
+            &["--speculate", "4"],
+            &["--speculate", "off"],
+            &["--bogus", "1"],
+        ];
+        for sub in SUBCOMMANDS {
+            for tail in tails {
+                let flag = tail[0].trim_start_matches("--");
+                assert_eq!(
+                    Cli::parse(std::iter::once(sub).chain(tail.iter().copied())),
+                    Err(CliError(format!("unknown flag --{flag}"))),
+                    "{sub} {tail:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,20 +22,18 @@ USAGE:
   icnoc sim    [build opts] [--pattern uniform:0.2] [--cycles 2000] [--seed 42]
                [--packet-len 1] [--tiles OUTSTANDING:SERVICE] [--vcd out.vcd]
                [--diagnose] [--faults SPEC] [--kernel event|dense|parallel] [--workers N]
-               [--speculate [K]] [--profile] [--chrome-trace trace.json]
+               [--profile] [--chrome-trace trace.json]
   icnoc profile [build opts] [--pattern uniform:0.2] [--cycles 2000] [--seed 42]
                [--packet-len 1] [--tiles OUTSTANDING:SERVICE]
-               [--kernel event|dense|parallel] [--workers N] [--speculate [K]]
-               [--chrome-trace trace.json]
+               [--kernel event|dense|parallel] [--workers N] [--chrome-trace trace.json]
   icnoc stats  [build opts] [sim opts] [--format json|csv] [--out stats.json]
   icnoc trace  [build opts] [sim opts] [--capacity 4096] [--limit 40] [--vcd out.vcd]
   icnoc faults [build opts] [--pattern uniform:0.2] [--cycles 10000] [--seed 42]
                [--packet-len 1] [--spec soak] [--kernel event|dense|parallel] [--workers N]
-               [--speculate [K]]
   icnoc yield  [build opts] [--variation 0.2] [--sigma 0.05] [--samples 200] [--seed 42]
   icnoc fig7   [--max-mm 3.0] [--step-mm 0.1]
   icnoc explore [--grid SPEC] [--jobs 1] [--workers N] [--cache-dir DIR] [--resume]
-               [--out BENCH_explore.json] [--quiet] [--profile] [--speculate [K]]
+               [--out BENCH_explore.json] [--quiet] [--profile]
                [--server ADDR] [--priority N]
   icnoc serve  [--addr 127.0.0.1:7070] [--state-dir DIR] [--workers 2]
                [--queue-limit 256]
@@ -54,11 +52,7 @@ KERNEL:   event (default, activity-list stepping), dense (full scan, the
           seed. explore --workers N simulates each job with the parallel
           kernel at N workers without changing results or cache keys.
           A fault plan runs the dense loop under every kernel; trace
-          sinks (stats, trace) keep parallel runs on the event loop.
-          --speculate [K] lets the parallel kernel run cut-crossing ticks
-          optimistically in windows of up to K ticks (default 16),
-          rolling back and replaying invalidated windows — committed
-          results stay bit-identical
+          sinks (stats, trace) keep parallel runs on the event loop
 PROFILE:  sim --profile (or the profile subcommand) attaches the kernel
           profiler: per-shard step/wake counters, a load-imbalance ratio
           and the barrier-overhead fraction. --chrome-trace FILE writes a
@@ -115,13 +109,12 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             diagnose,
             faults,
             kernel,
-            speculate,
+            speculate: _,
             profile,
             chrome_trace,
         } => {
             let sys = build_system(build)?;
             let mut net = build_network(&sys, pattern, *tiles, *seed, *packet_len, *kernel);
-            net.set_speculation(*speculate);
             if let Some(spec) = faults {
                 net.enable_faults(fault_plan(&sys, spec, *seed));
             }
@@ -221,12 +214,10 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             packet_len,
             tiles,
             kernel,
-            speculate,
             chrome_trace,
         } => {
             let sys = build_system(build)?;
             let mut net = build_network(&sys, pattern, *tiles, *seed, *packet_len, *kernel);
-            net.set_speculation(*speculate);
             net.enable_profiling();
             warn_fallback(&net);
             net.run_cycles(*cycles);
@@ -384,11 +375,10 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             packet_len,
             spec,
             kernel,
-            speculate,
+            speculate: _,
         } => {
             let sys = build_system(build)?;
             let mut net = build_network(&sys, pattern, None, *seed, *packet_len, *kernel);
-            net.set_speculation(*speculate);
             net.enable_faults(fault_plan(&sys, spec, *seed));
             warn_fallback(&net);
             net.run_cycles(*cycles);
@@ -435,7 +425,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             out,
             quiet,
             profile,
-            speculate,
+            speculate: _,
             server,
             priority,
         } => {
@@ -473,7 +463,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
                 cache,
                 kernel,
                 profile: *profile,
-                speculate: *speculate,
             };
             let quiet = *quiet;
             let (analysis, stats) = run_sweep(&spec, &opts, |done, total| {

@@ -466,7 +466,7 @@ mod tests {
             salt.contains(&format!("sim_schema={}", SimReport::SCHEMA_VERSION)),
             "{salt}"
         );
-        assert!(salt.contains("sim_schema=5"), "{salt}");
+        assert!(salt.contains("sim_schema=6"), "{salt}");
         assert!(
             salt.contains(&format!(
                 "recovery_schema={}",

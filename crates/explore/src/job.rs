@@ -60,9 +60,6 @@ pub struct JobPerf {
     /// Fraction of worker wall time spent at barriers (0.0 when
     /// unavailable).
     pub barrier_fraction: f64,
-    /// Speculate-and-replay commit rate (committed windows / attempted
-    /// windows); `None` when speculation is off or never attempted.
-    pub speculation_commit_rate: Option<f64>,
 }
 
 /// Builds, verifies and simulates one grid point.
@@ -85,7 +82,7 @@ pub fn run_job(config: &JobConfig) -> Result<JobOutcome, GridError> {
 /// [`SimKernel`]. The kernel is an **execution** option, not part of the
 /// job identity: every kernel produces bit-identical reports, so outcomes
 /// keep the same [`JobConfig::stable_hash`] and remain cache-compatible
-/// whichever kernel computed them. Speculate-and-replay stays off.
+/// whichever kernel computed them.
 ///
 /// # Errors
 ///
@@ -94,11 +91,14 @@ pub fn run_job_with_kernel(config: &JobConfig, kernel: SimKernel) -> Result<JobO
     run_job_with_options(config, kernel, false, None)
 }
 
-/// Like [`run_job_with_kernel`], with per-job kernel profiling and an
-/// explicit speculate-and-replay window bound as opt-ins. Neither changes
-/// simulation results — the outcome merely gains a [`JobPerf`] summary
-/// (which cache writers strip, keeping cache contents kernel- and
-/// profiling-invariant).
+/// Like [`run_job_with_kernel`], with per-job kernel profiling as an
+/// opt-in. Profiling does not change simulation results — the outcome
+/// merely gains a [`JobPerf`] summary (which cache writers strip, keeping
+/// cache contents kernel- and profiling-invariant).
+///
+/// The fourth parameter is ignored: speculate-and-replay no longer
+/// exists. It is kept only so the `benchmark/` package builds unchanged;
+/// the next change to that package deletes it.
 ///
 /// # Errors
 ///
@@ -107,7 +107,7 @@ pub fn run_job_with_options(
     config: &JobConfig,
     kernel: SimKernel,
     profile: bool,
-    speculate: Option<u32>,
+    _speculate: Option<u32>,
 ) -> Result<JobOutcome, GridError> {
     let corner = config
         .system
@@ -148,7 +148,6 @@ pub fn run_job_with_options(
             let report: SimReport = {
                 let patterns = vec![pattern; system.tree().num_ports()];
                 let mut net = system.network_with_kernel(&patterns, hash, kernel);
-                net.set_speculation(speculate);
                 if profile {
                     net.enable_profiling();
                 }
@@ -180,7 +179,6 @@ pub fn run_job_with_options(
                     fallback: p.fallback.map(|c| c.label().to_owned()),
                     load_imbalance: p.load_imbalance(),
                     barrier_fraction: p.barrier_fraction().unwrap_or(0.0),
-                    speculation_commit_rate: p.speculation.and_then(|s| s.commit_rate()),
                 }),
                 wall_ms: 0,
             }
@@ -268,13 +266,6 @@ impl JobOutcome {
                     (
                         "barrier_fraction".into(),
                         JsonValue::Num(p.barrier_fraction),
-                    ),
-                    (
-                        "speculation_commit_rate".into(),
-                        match p.speculation_commit_rate {
-                            Some(rate) => JsonValue::Num(rate),
-                            None => JsonValue::Null,
-                        },
                     ),
                 ]),
             ));

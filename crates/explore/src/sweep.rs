@@ -29,11 +29,6 @@ pub struct SweepOptions {
     /// option: the telemetry is stripped before caching, so cache
     /// contents stay profiling-invariant.
     pub profile: bool,
-    /// Speculate-and-replay window bound for parallel-kernel jobs
-    /// (`--speculate`). Another execution option:
-    /// committed speculative state is bit-identical, so outcomes and
-    /// cache keys are speculation-invariant.
-    pub speculate: Option<u32>,
 }
 
 /// Where a sweep's outcomes came from.
@@ -137,9 +132,8 @@ where
         opts.jobs,
         |k| {
             let index = pending[k];
-            let outcome =
-                run_job_with_options(&jobs[index], opts.kernel, opts.profile, opts.speculate)
-                    .map_err(|e| e.to_string())?;
+            let outcome = run_job_with_options(&jobs[index], opts.kernel, opts.profile, None)
+                .map_err(|e| e.to_string())?;
             if let Some(cache) = &opts.cache {
                 // A failed store degrades to "uncached", not an error:
                 // the sweep's results do not depend on the cache. The
@@ -230,7 +224,6 @@ mod tests {
                 cache: None,
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -241,7 +234,6 @@ mod tests {
                 cache: None,
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -264,7 +256,6 @@ mod tests {
                 cache: None,
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -275,7 +266,6 @@ mod tests {
                 cache: None,
                 kernel: SimKernel::Parallel { workers: 2 },
                 profile: false,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -299,7 +289,6 @@ mod tests {
                 cache: Some(open()),
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -316,7 +305,6 @@ mod tests {
                 cache: Some(open()),
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -340,7 +328,6 @@ mod tests {
                 cache: None,
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |event| {
                 if let SweepEvent::Result {
@@ -382,7 +369,6 @@ mod tests {
                 cache: Some(open()),
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -395,7 +381,6 @@ mod tests {
                 cache: Some(open()),
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |event| {
                 if let SweepEvent::Result { index, cached, .. } = event {
@@ -447,7 +432,6 @@ mod tests {
                 cache: None,
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -458,7 +442,6 @@ mod tests {
                 cache: None,
                 kernel: SimKernel::default(),
                 profile: true,
-                speculate: None,
             },
             |_, _| {},
         );
@@ -489,7 +472,6 @@ mod tests {
                 cache: None,
                 kernel: SimKernel::default(),
                 profile: false,
-                speculate: None,
             },
             |done, total| {
                 assert_eq!(total, 2);

@@ -51,10 +51,8 @@ pub use element::{Arbitration, ElementId, MeshDirection, RouteFilter, SinkMode};
 pub use fault::{DfsConfig, FaultCounts, FaultKind, FaultPlan, FaultRates, RecoveryReport};
 pub use flit::{Flit, FlitKind};
 pub use label::{LabelId, LabelTable};
-pub use network::{DrainTimeout, Network, SimKernel, DEFAULT_SPECULATION_K};
-pub use profile::{
-    EpochSample, FallbackCause, PerfReport, PerfWall, ShardCounters, SpecStats, WorkerProfile,
-};
+pub use network::{DrainTimeout, Network, SimKernel};
+pub use profile::{EpochSample, FallbackCause, PerfReport, PerfWall, ShardCounters, WorkerProfile};
 pub use report::{LatencyHistogram, LatencyStats, ReportDigest, SimReport};
 pub use trace::{
     CountersSink, DropCause, ElementCounters, ElementUtilisation, FlowLatency, ObservabilityReport,

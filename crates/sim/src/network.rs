@@ -4,9 +4,7 @@ use crate::element::{Element, Kind, SinkState, SourceState, TileRole, TileState}
 use crate::fault::{ArrivalVerdict, CaptureEffect, ClockTopology, FaultState};
 use crate::label::LabelTable;
 use crate::parallel::{self, ParState};
-use crate::profile::{
-    FallbackCause, KernelProfiler, PerfReport, PerfWall, ShardCounters, SpecStats,
-};
+use crate::profile::{FallbackCause, KernelProfiler, PerfReport, PerfWall, ShardCounters};
 use crate::report::Scoreboard;
 use crate::trace::{
     CountersSink, DropCause, RingBufferSink, TraceEvent, TraceEventKind, TraceSink,
@@ -88,10 +86,6 @@ impl SimKernel {
     }
 }
 
-/// Default speculate-and-replay window bound `K` used when speculation is
-/// requested without an explicit size (a bare `--speculate`).
-pub const DEFAULT_SPECULATION_K: u32 = 16;
-
 /// A per-polarity activity list: one bit per element, drained in ascending
 /// element-index order (matching the dense kernel's iteration order, which
 /// scoreboard accounting and the trace stream depend on).
@@ -165,10 +159,6 @@ pub struct Network {
     /// Builder-provided subtree id per element, steering the parallel
     /// shard cut (set by the tree builder; contiguous ranges otherwise).
     shard_hints: Option<Vec<u32>>,
-    /// Maximum speculate-and-replay window size `K`
-    /// ([`set_speculation`](Self::set_speculation)); `None` keeps
-    /// lookahead-0 windows on the synchronized mailbox-tick path.
-    speculate: Option<u32>,
     /// Clock-distribution topology (per-element and per-port clock
     /// domains plus the active backend), set by tree builders. Handed to
     /// the fault layer when a plan attaches, so clock-domain faults can
@@ -214,7 +204,6 @@ impl Network {
             pinned: Vec::new(),
             par: None,
             shard_hints: None,
-            speculate: None,
             clock_domains: None,
             element_steps: 0,
             prof: None,
@@ -306,43 +295,11 @@ impl Network {
         }
     }
 
-    /// Enables speculate-and-replay on the parallel kernel with a maximum
-    /// window of `max_k` ticks (`Some(0)` is clamped to 1), or disables
-    /// it with `None`. When the coordinator would otherwise plan a
-    /// lookahead-0 synchronized mailbox tick, shards instead run up to
-    /// `K` ticks optimistically and roll back + replay if any cross-cut
-    /// effect invalidates the window; committed state stays bit-identical
-    /// to the sequential event kernel (see `parallel` module docs). A
-    /// no-op on the sequential kernels and on single-shard cuts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network has already been stepped: the speculation
-    /// state is built alongside the shard cut on first use.
-    #[track_caller]
-    pub fn set_speculation(&mut self, max_k: Option<u32>) {
-        assert_eq!(self.tick, 0, "configure speculation before stepping");
-        assert!(
-            self.par.is_none(),
-            "configure speculation before the parallel shard state is built"
-        );
-        self.speculate = max_k;
-    }
-
-    /// The configured speculate-and-replay window bound, if any.
-    #[must_use]
-    pub fn speculation(&self) -> Option<u32> {
-        self.speculate
-    }
-
-    /// Deterministic speculate-and-replay outcome counters, once the
-    /// parallel kernel has stepped with speculation enabled. `None` when
-    /// speculation is off, inapplicable (sequential kernel, single shard,
-    /// no boundary frontier) or the network has not stepped yet.
-    #[must_use]
-    pub fn speculation_stats(&self) -> Option<SpecStats> {
-        self.par.as_ref().and_then(ParState::speculation_stats)
-    }
+    /// Ignored: speculate-and-replay no longer exists, and the parallel
+    /// kernel always runs its conservative lookahead windows. Kept only so
+    /// the `benchmark/` package builds unchanged; the next change to that
+    /// package deletes it.
+    pub fn set_speculation(&mut self, _max_k: Option<u32>) {}
 
     /// Attaches a fault-injection and recovery plan. Call after
     /// [`finalize`](Self::finalize): per-element rate overrides resolve
@@ -720,7 +677,6 @@ impl Network {
                 requested,
                 &self.armed,
                 self.shard_hints.as_deref(),
-                self.speculate,
             );
             if let Some(prof) = &mut self.prof {
                 par.enable_profiling();
@@ -1830,7 +1786,6 @@ impl Network {
                 workers: par.workers() as u32,
                 epochs: prof.epochs,
                 fallback: self.fallback_cause(),
-                speculation: par.speculation_stats(),
                 shards: par
                     .shard_elements()
                     .iter()
@@ -1864,7 +1819,6 @@ impl Network {
                 workers: 1,
                 epochs: prof.epochs,
                 fallback: self.fallback_cause(),
-                speculation: None,
                 shards: vec![ShardCounters {
                     worker: 0,
                     elements: self.elements.len() as u64,

@@ -47,32 +47,6 @@
 //!   (their `visit_done` stamps), not for the whole fleet — PALS-style
 //!   neighbour signalling rather than a global rendezvous.
 //!
-//! * **Speculate-and-replay windows.** When the lookahead collapses to 0
-//!   (armed traffic sits right at the shard cut — the regime mirror and
-//!   uniform workloads live in), the conservative planner degenerates to
-//!   one synchronised mailbox tick per tick. With speculation enabled
-//!   (`Network::set_speculation`), the coordinator instead publishes a
-//!   `K`-tick **speculative** window run under the frontier assumption
-//!   "no foreign cross-cut effect lands in my shard this window": each
-//!   shard reads foreign boundary neighbours through a coordinator-taken
-//!   snapshot, logs a first-touch undo entry for every element it
-//!   visits, and raises a `crossed` flag instead of mailing if it ever
-//!   produces a cross-shard wake. At the barrier the coordinator commits
-//!   the window iff no shard crossed **and** no frontier element that
-//!   some shard *read through the snapshot* was *written* by its owner
-//!   during the window (per-slot read bits from the snapshot accessors
-//!   intersected with dirty bits from the first-touch undo logs). A
-//!   boundary element its owner churns locally but nobody reads cannot
-//!   invalidate anything, and a read of a never-written slot saw the
-//!   exact lockstep value at every tick — so every effective foreign
-//!   read is provably equal to the synchronised value, with no
-//!   value-compare ABA hazard; see DESIGN.md §5. On invalidation every shard
-//!   rolls back its undo log and the same ticks replay as synchronised
-//!   mailbox ticks, so committed state is bit-identical to the
-//!   sequential event kernel at any worker count and any `K`. An
-//!   adaptive controller doubles `K` on commit and halves it on abort,
-//!   with an exponential cooldown when even `K == 1` keeps aborting.
-//!
 //! Determinism is preserved exactly: inside a batched window no
 //! cross-shard interaction exists (enforced by a tripwire assert on the
 //! mailbox path), and mailbox ticks replay the original two-phase
@@ -84,12 +58,13 @@
 //!
 //! Fault plans and trace sinks serialise on shared order-dependent state
 //! (one fault RNG stream, one event stream), so a network with either
-//! attached transparently falls back to the sequential event kernel — the
-//! parallel path never trades determinism for speed.
+//! attached never builds a `ParState`: a fault plan runs the dense loop
+//! (as it does under every kernel), trace sinks alone run the sequential
+//! event loop — the parallel path never trades determinism for speed.
 
 use crate::element::{Arbitration, Element, Kind, RouteFilter, TileRole};
 use crate::network::ReadySet;
-use crate::profile::{CoreProf, EpochSample, SpecStats};
+use crate::profile::{CoreProf, EpochSample};
 use crate::report::Scoreboard;
 use crate::{ElementId, Flit, TrafficPhase};
 use icnoc_clock::ClockGatingStats;
@@ -151,116 +126,6 @@ pub(crate) struct ParState {
     arrivals: Vec<Vec<Arrival>>,
     /// Scratch for the per-window arrival sort.
     arrival_scratch: Vec<Arrival>,
-    /// Speculate-and-replay state; `None` when speculation is off, the
-    /// plan has a single shard, or no cut edges exist.
-    spec: Option<SpecState>,
-}
-
-/// Speculate-and-replay state: the adaptive window controller with its
-/// deterministic outcome counters, plus the boundary-frontier snapshot
-/// the coordinator refreshes before each speculative window.
-#[derive(Debug, Clone)]
-struct SpecState {
-    ctrl: SpecCtrl,
-    /// Element index → frontier slot (`NONE_U32` off the frontier). The
-    /// frontier is exactly the boundary set (`dist == 0`): every foreign
-    /// neighbour a visit can read has a foreign neighbour itself.
-    slot_of: Vec<u32>,
-    /// Frontier slot → element index, ascending.
-    idx: Vec<u32>,
-    /// Window-start copy of the frontier's `out` column.
-    snap_out: Vec<Option<Flit>>,
-    /// Window-start copy of the frontier's `acc` column.
-    snap_acc: Vec<u32>,
-    /// Per-slot "some shard read this snapshot entry" bits, set by the
-    /// snapshot accessors during speculative visits.
-    read_bits: AtomicBits,
-    /// Per-slot "the owner wrote this frontier element" bits, folded
-    /// from each shard's first-touch undo log at window end.
-    dirty_bits: AtomicBits,
-}
-
-/// A bitmap whose words are individually atomic, so workers can OR bits
-/// concurrently without owning the map. `Clone` copies the current
-/// values — the maps only carry meaning inside one speculative window
-/// (the coordinator clears them before each one), so a cloned network
-/// starts indistinguishable from a fresh one.
-#[derive(Debug, Default)]
-struct AtomicBits(Vec<AtomicU64>);
-
-impl AtomicBits {
-    fn with_bit_count(bits: usize) -> Self {
-        Self((0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
-    }
-}
-
-impl Clone for AtomicBits {
-    fn clone(&self) -> Self {
-        Self(
-            self.0
-                .iter()
-                .map(|w| AtomicU64::new(w.load(Ordering::Relaxed)))
-                .collect(),
-        )
-    }
-}
-
-/// Longest cooldown (in lookahead-0 mailbox ticks) the abort backoff
-/// reaches before it stops doubling.
-const MAX_SPEC_COOLDOWN: u32 = 64;
-
-/// The adaptive speculation controller. Every transition is a pure
-/// function of the deterministic commit/abort history, so window sizes —
-/// and therefore the counters below — are identical on every run of the
-/// same configuration at the same worker count.
-#[derive(Debug, Clone)]
-struct SpecCtrl {
-    /// Upper bound on the speculative window size (the configured `K`).
-    max_k: u32,
-    /// Next speculative window size.
-    k: u32,
-    /// Remaining lookahead-0 ticks to run conservatively before probing
-    /// again (entered when `k == 1` keeps aborting).
-    cooldown: u32,
-    /// Length the next cooldown will have; doubles on consecutive
-    /// `k == 1` aborts, resets to 1 on any commit.
-    cooldown_len: u32,
-    /// Deterministic outcome counters, surfaced in the perf report.
-    stats: SpecStats,
-}
-
-impl SpecCtrl {
-    fn new(max_k: u32) -> Self {
-        Self {
-            max_k: max_k.max(1),
-            k: 1,
-            cooldown: 0,
-            cooldown_len: 1,
-            stats: SpecStats::default(),
-        }
-    }
-
-    /// A speculative window of `ticks` committed: grow the window and
-    /// disarm the abort backoff.
-    fn on_commit(&mut self, ticks: u64) {
-        self.stats.commits += 1;
-        self.stats.committed_ticks += ticks;
-        self.k = self.k.saturating_mul(2).min(self.max_k);
-        self.cooldown_len = 1;
-    }
-
-    /// A speculative window of `ticks` was invalidated and will replay:
-    /// shrink the window, and once even single-tick probes abort, back
-    /// off exponentially before probing again.
-    fn on_abort(&mut self, ticks: u64) {
-        self.stats.aborts += 1;
-        self.stats.replayed_ticks += ticks;
-        if self.k == 1 {
-            self.cooldown = self.cooldown_len;
-            self.cooldown_len = self.cooldown_len.saturating_mul(2).min(MAX_SPEC_COOLDOWN);
-        }
-        self.k = (self.k / 2).max(1);
-    }
 }
 
 /// One worker's slice of the activity-list kernel.
@@ -282,70 +147,6 @@ pub(crate) struct ShardCore {
     /// Per-epoch wall profiling, worker-owned during batches. `None`
     /// unless [`Network::enable_profiling`](crate::Network) was called.
     pub(crate) prof: Option<CoreProf>,
-    /// This shard's speculative checkpoint (empty unless a speculative
-    /// window is in flight or awaiting its outcome).
-    save: SpecSave,
-    /// Deferred profiling marks of the in-flight speculative window,
-    /// recorded once the outcome (commit or replay) is known.
-    spec_pending: Option<SpecPending>,
-}
-
-/// One shard's speculative checkpoint: a first-touch undo log over the
-/// shard's own dense columns, deep clones of touched stateful endpoints
-/// (sources and tiles carry RNGs, cursors and queues in the `Element`),
-/// the ready-set words of both parities, the arrival-buffer watermark
-/// and the deterministic counters — everything a visit can mutate.
-/// Visits only ever write the visited element's own state (neighbour
-/// access is read-only, see the step functions), so this log is a
-/// complete checkpoint.
-#[derive(Debug, Clone, Default)]
-struct SpecSave {
-    /// Whether a checkpoint is armed (speculative window in flight or
-    /// awaiting its outcome at the next published window).
-    active: bool,
-    /// Whether this shard produced a cross-cut wake this window.
-    crossed: bool,
-    /// First-touch bitmap over the full element space.
-    touched: Vec<u64>,
-    /// Window-start columns of each first-touched element, in touch
-    /// order.
-    undo: Vec<UndoEntry>,
-    /// Window-start clones of first-touched sources and tiles.
-    elems: Vec<(u32, Element)>,
-    /// Window-start ready-set words, both parities.
-    ready: [Vec<u64>; 2],
-    /// Arrival-buffer length at window start.
-    arrivals_mark: usize,
-    /// Counter values at window start.
-    steps: u64,
-    wakes_sent: u64,
-    wakes_received: u64,
-}
-
-/// One element's dense handshake columns at window start.
-#[derive(Debug, Clone)]
-struct UndoEntry {
-    i: u32,
-    out: Option<Flit>,
-    acc: u32,
-    lock: u32,
-    rr: u32,
-    enabled: u32,
-}
-
-/// Profiling marks of a speculative window, held until the outcome is
-/// known: a commit records one `ticks = K` sample from these marks; an
-/// abort records a zero-tick, zero-step "wasted attempt" sample (the
-/// rollback restores the counters) ahead of the replay's own sample.
-#[derive(Debug, Clone, Copy)]
-struct SpecPending {
-    counters0: (u64, u64, u64),
-    tick: u64,
-    ticks: u64,
-    t0: Instant,
-    t1: Instant,
-    t2: Instant,
-    t3: Instant,
 }
 
 impl ParState {
@@ -357,7 +158,6 @@ impl ParState {
         workers: usize,
         armed: &[ReadySet; 2],
         hints: Option<&[u32]>,
-        speculate: Option<u32>,
     ) -> Self {
         let n = elements.len();
         debug_assert!(n < NONE_U32 as usize, "element space fits u32 encoding");
@@ -383,8 +183,6 @@ impl ParState {
                 wakes_sent: 0,
                 wakes_received: 0,
                 prof: None,
-                save: SpecSave::default(),
-                spec_pending: None,
             };
             workers
         ];
@@ -398,26 +196,6 @@ impl ParState {
                 }
             }
         }
-        // Speculation only matters when a cut exists: with one shard (or
-        // no cut edges) the planner never produces a lookahead-0 window.
-        let spec = speculate.and_then(|max_k| {
-            (workers > 1 && dist.contains(&0)).then(|| {
-                let idx: Vec<u32> = (0..n as u32).filter(|&i| dist[i as usize] == 0).collect();
-                let mut slot_of = vec![NONE_U32; n];
-                for (slot, &i) in idx.iter().enumerate() {
-                    slot_of[i as usize] = slot as u32;
-                }
-                SpecState {
-                    ctrl: SpecCtrl::new(max_k),
-                    slot_of,
-                    snap_out: vec![None; idx.len()],
-                    snap_acc: vec![NONE_U32; idx.len()],
-                    read_bits: AtomicBits::with_bit_count(idx.len()),
-                    dirty_bits: AtomicBits::with_bit_count(idx.len()),
-                    idx,
-                }
-            })
-        });
         Self {
             workers,
             shard_of,
@@ -430,14 +208,7 @@ impl ParState {
             mail: vec![Vec::new(); workers * workers],
             arrivals: vec![Vec::new(); workers],
             arrival_scratch: Vec::new(),
-            spec,
         }
-    }
-
-    /// The deterministic speculation outcome counters, when speculation
-    /// is active.
-    pub(crate) fn speculation_stats(&self) -> Option<SpecStats> {
-        self.spec.as_ref().map(|s| s.ctrl.stats)
     }
 
     /// Registers element `i` into its owning shard's parity-`p` ready set
@@ -690,11 +461,6 @@ impl ShardActivity {
     }
 }
 
-/// Extra bit OR-ed into the packed activity word when the shard produced
-/// a cross-cut wake during a speculative window. [`ShardActivity::unpack`]
-/// masks it off, so the summary fold is unaffected.
-const ACTIVITY_CROSSED: u64 = 1 << 33;
-
 /// Decides the next window from the fleet-wide activity summary. With
 /// nothing armed anywhere no visit can ever happen, so the rest of the
 /// batch is one window. Otherwise: minimum distance `0` forces a single
@@ -848,164 +614,6 @@ impl<'a> SoaView<'a> {
     }
 }
 
-/// The batch-shared view over the frontier snapshot: the slot maps are
-/// immutable, the snapshot columns are written by the coordinator between
-/// windows and read by every worker during speculative windows. The two
-/// bitmaps are atomic: workers OR read bits as they consume snapshot
-/// slots and dirty bits as they fold their undo logs at window end; the
-/// coordinator clears both before each speculative window and intersects
-/// them at the barrier.
-#[derive(Clone, Copy)]
-struct SpecShared<'a> {
-    slot_of: &'a [u32],
-    idx: &'a [u32],
-    out: SharedSlice<'a, Option<Flit>>,
-    acc: SharedSlice<'a, u32>,
-    read: &'a [AtomicU64],
-    dirty: &'a [AtomicU64],
-}
-
-impl SpecShared<'_> {
-    /// Marks frontier slot `slot` as read through the snapshot. Relaxed
-    /// is enough: the coordinator only inspects the bits after every
-    /// worker's `SeqCst` done-publication for the window.
-    #[inline]
-    fn mark_read(&self, slot: u32) {
-        self.read[slot as usize >> 6].fetch_or(1 << (slot & 63), Ordering::Relaxed);
-    }
-
-    /// Marks frontier slot `slot` as written by its owning shard.
-    #[inline]
-    fn mark_dirty(&self, slot: u32) {
-        self.dirty[slot as usize >> 6].fetch_or(1 << (slot & 63), Ordering::Relaxed);
-    }
-}
-
-/// How a step reads a neighbour's handshake fields: directly from the
-/// live columns (lockstep modes), or redirected through the frontier
-/// snapshot for foreign elements (speculative windows, where a live
-/// foreign read would race the owner's speculative writes). Generic so
-/// the lockstep hot path monomorphises to the plain loads it had before
-/// speculation existed.
-trait NeighborRead: Copy {
-    /// Whether this read mode belongs to a speculative window. Drives
-    /// first-touch checkpointing and cross-wake trapping in the visit
-    /// loop, monomorphised away on the lockstep path.
-    const SPEC: bool;
-    /// # Safety
-    /// `j` must be a graph neighbour of an element the calling worker
-    /// owns this tick: frozen opposite-parity state in lockstep modes,
-    /// snapshot-backed when foreign in speculative mode.
-    unsafe fn out(self, view: SoaView<'_>, j: usize) -> Option<Flit>;
-    /// # Safety
-    /// As [`NeighborRead::out`].
-    unsafe fn acc(self, view: SoaView<'_>, j: usize) -> u32;
-}
-
-/// Lockstep neighbour reads: straight from the live columns.
-#[derive(Clone, Copy)]
-struct DirectRead;
-
-impl NeighborRead for DirectRead {
-    const SPEC: bool = false;
-
-    #[inline]
-    unsafe fn out(self, view: SoaView<'_>, j: usize) -> Option<Flit> {
-        // SAFETY: per the trait contract.
-        *unsafe { view.out.get(j) }
-    }
-
-    #[inline]
-    unsafe fn acc(self, view: SoaView<'_>, j: usize) -> u32 {
-        // SAFETY: per the trait contract.
-        *unsafe { view.acc.get(j) }
-    }
-}
-
-/// Speculative neighbour reads: local elements from the live columns,
-/// foreign elements from the window-start frontier snapshot. Every
-/// foreign neighbour of a visited element is itself a boundary element,
-/// so it always has a snapshot slot.
-#[derive(Clone, Copy)]
-struct SnapshotRead<'a> {
-    spec: SpecShared<'a>,
-    shard_of: &'a [u16],
-    w: u16,
-}
-
-impl NeighborRead for SnapshotRead<'_> {
-    const SPEC: bool = true;
-
-    #[inline]
-    unsafe fn out(self, view: SoaView<'_>, j: usize) -> Option<Flit> {
-        if self.shard_of[j] == self.w {
-            // SAFETY: local neighbours follow the lockstep discipline.
-            *unsafe { view.out.get(j) }
-        } else {
-            let slot = self.spec.slot_of[j];
-            debug_assert_ne!(slot, NONE_U32, "foreign neighbour off the frontier");
-            self.spec.mark_read(slot);
-            // SAFETY: snapshot slots are frozen while workers speculate.
-            *unsafe { self.spec.out.get(slot as usize) }
-        }
-    }
-
-    #[inline]
-    unsafe fn acc(self, view: SoaView<'_>, j: usize) -> u32 {
-        if self.shard_of[j] == self.w {
-            // SAFETY: local neighbours follow the lockstep discipline.
-            *unsafe { view.acc.get(j) }
-        } else {
-            let slot = self.spec.slot_of[j];
-            debug_assert_ne!(slot, NONE_U32, "foreign neighbour off the frontier");
-            self.spec.mark_read(slot);
-            // SAFETY: snapshot slots are frozen while workers speculate.
-            *unsafe { self.spec.acc.get(slot as usize) }
-        }
-    }
-}
-
-/// Copies the frontier's live `out`/`acc` columns into the snapshot
-/// buffers and clears both conflict bitmaps, ahead of publishing a
-/// speculative window.
-///
-/// # Safety
-/// All workers must be quiescent (between windows): the coordinator owns
-/// every element and every snapshot slot.
-unsafe fn refresh_frontier(spec: SpecShared<'_>, view: SoaView<'_>) {
-    for (slot, &j) in spec.idx.iter().enumerate() {
-        let j = j as usize;
-        // SAFETY: per the function contract.
-        unsafe {
-            *spec.out.get_mut(slot) = *view.out.get(j);
-            *spec.acc.get_mut(slot) = *view.acc.get(j);
-        }
-    }
-    for word in spec.read.iter().chain(spec.dirty) {
-        word.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Whether any frontier slot was both read through the snapshot by some
-/// shard and written by its owner this window — the silent half of the
-/// invalidation check. A boundary element its owner churns locally but
-/// nobody reads cannot invalidate anything (its evolution is pure
-/// shard-local lockstep), and a snapshot read of a never-written slot
-/// returned the exact synchronised value at every tick of the window —
-/// so the intersection being empty makes every effective foreign read
-/// provably equal to the lockstep value. Dirty means *written at all*
-/// (first-touch undo log), not "differs at the barrier", so a mid-window
-/// change that reverts (ABA) still aborts. Only meaningful when no shard
-/// crossed: the early-out hint can truncate a shard's window — and its
-/// bitmap contributions — nondeterministically, but the hint is only
-/// ever raised by a crossing, which aborts before the bitmaps are read.
-fn frontier_conflict(spec: SpecShared<'_>) -> bool {
-    spec.read
-        .iter()
-        .zip(spec.dirty)
-        .any(|(r, d)| r.load(Ordering::Relaxed) & d.load(Ordering::Relaxed) != 0)
-}
-
 /// A shared view over a slice of `Vec`s, each in its own cell — the
 /// mailbox matrix and the arrival buffers. Ownership rotates by phase:
 /// during visits worker `w` owns mailbox row `w` and arrival buffer `w`;
@@ -1071,20 +679,12 @@ struct SyncShared {
     /// Monotonic serial of the currently published window.
     serial: AtomicU64,
     /// Tick offset (from the batch base) of the current window's first
-    /// tick. Published so workers never track tick positions locally —
-    /// a replay window simply re-publishes the aborted window's base.
+    /// tick. Published so workers never track tick positions locally.
     base: AtomicU64,
     /// Tick count of the current window.
     ticks: AtomicU64,
-    /// [`FLAG_MAILBOX`] | [`FLAG_STOP`] | [`FLAG_SPECULATE`] |
-    /// [`FLAG_REPLAY`].
+    /// [`FLAG_MAILBOX`] | [`FLAG_STOP`].
     flags: AtomicU64,
-    /// Cooperative early-out hint during speculative windows: set by the
-    /// first shard that crosses the cut, checked by every shard between
-    /// speculative ticks. Purely an optimisation — the commit decision
-    /// is made from the deterministic per-shard `crossed` flags and the
-    /// frontier compare at the barrier, never from this flag.
-    spec_abort: AtomicBool,
     /// Per-worker slots.
     peers: Vec<PadPeer>,
 }
@@ -1093,12 +693,6 @@ struct SyncShared {
 const FLAG_MAILBOX: u64 = 1;
 /// The batch is over; workers exit.
 const FLAG_STOP: u64 = 2;
-/// Speculative window: checkpoint, snapshot-backed foreign reads, abort
-/// on any cross-cut wake.
-const FLAG_SPECULATE: u64 = 4;
-/// Replay window: roll back the aborted speculative window, then rerun
-/// the same ticks as per-tick synchronised mailbox ticks.
-const FLAG_REPLAY: u64 = 8;
 
 impl SyncShared {
     fn new(workers: usize) -> Self {
@@ -1118,7 +712,6 @@ impl SyncShared {
             base: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
             flags: AtomicU64::new(0),
-            spec_abort: AtomicBool::new(false),
             peers,
         }
     }
@@ -1215,8 +808,6 @@ struct WindowCtx<'a> {
     num_ports: u32,
     base_tick: u64,
     workers: usize,
-    /// Frontier snapshot view, present when speculation is configured.
-    spec: Option<SpecShared<'a>>,
 }
 
 /// Runs up to `max_ticks` half-cycles across all workers, returning the
@@ -1243,32 +834,6 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     let arrival_scratch = &mut par.arrival_scratch;
     let dist: &[u32] = &par.dist;
     let cut_peers: &[Vec<usize>] = &par.cut_peers;
-    // Split the speculation state: the snapshot becomes a shared view
-    // every worker reads during speculative windows, the controller
-    // stays exclusively with the coordinator.
-    let (spec_shared, spec_ctrl) = match par.spec.as_mut() {
-        Some(SpecState {
-            ctrl,
-            slot_of,
-            idx,
-            snap_out,
-            snap_acc,
-            read_bits,
-            dirty_bits,
-        }) => (
-            Some(SpecShared {
-                slot_of: slot_of.as_slice(),
-                idx: idx.as_slice(),
-                out: SharedSlice::new(snap_out),
-                acc: SharedSlice::new(snap_acc),
-                read: read_bits.0.as_slice(),
-                dirty: dirty_bits.0.as_slice(),
-            }),
-            Some(ctrl),
-        ),
-        None => (None, None),
-    };
-    let mut spec_ctrl = spec_ctrl;
     let wctx = WindowCtx {
         shared,
         view,
@@ -1281,7 +846,6 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         num_ports,
         base_tick,
         workers,
-        spec: spec_shared,
     };
 
     let sync = SyncShared::new(workers);
@@ -1321,27 +885,6 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                     sync.wait_until(w, || sync.serial.load(Ordering::SeqCst) > seen);
                     seen += 1;
                     let (base, ticks, flags) = sync.window();
-                    // Resolve the previous speculative window first: a
-                    // replay flag means it was invalidated (roll back,
-                    // then rerun it synchronised); any other window —
-                    // including stop — means the coordinator committed
-                    // it at the barrier.
-                    if core.save.active {
-                        if flags & FLAG_REPLAY != 0 {
-                            // SAFETY: the coordinator published a new
-                            // window, so it is done reading shard state;
-                            // this worker owns its shard again.
-                            unsafe { spec_rollback(wctx, w, core) };
-                            if let Some(p) = core.spec_pending.take() {
-                                record_pending(core, p, batch_base, EpochSample::SPEC_ABORT);
-                            }
-                        } else {
-                            spec_commit(core);
-                            if let Some(p) = core.spec_pending.take() {
-                                record_pending(core, p, batch_base, EpochSample::SPEC_COMMIT);
-                            }
-                        }
-                    }
                     if flags & FLAG_STOP != 0 {
                         break;
                     }
@@ -1359,43 +902,23 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                         &mut phases,
                         profiling,
                     );
-                    let mut packed = activity.pack();
-                    if flags & FLAG_SPECULATE != 0 && core.save.crossed {
-                        packed |= ACTIVITY_CROSSED;
-                    }
                     let peer = &sync.peers[w].0;
-                    peer.activity.store(packed, Ordering::SeqCst);
+                    peer.activity.store(activity.pack(), Ordering::SeqCst);
                     peer.done.store(seen, Ordering::SeqCst);
                     sync.wake(0);
-                    if let (Some(t0), Some(t1), Some((t2, bs, bf))) = (t0, t1, prof_marks) {
-                        if flags & FLAG_SPECULATE != 0 {
-                            // The outcome is unknown until the next
-                            // window arrives: hold the marks.
-                            core.spec_pending = Some(SpecPending {
-                                counters0,
-                                tick: base_tick + base,
-                                ticks,
-                                t0,
-                                t1,
-                                t2,
-                                t3: Instant::now(),
-                            });
-                        } else {
-                            record_epoch_at(
-                                core,
-                                counters0,
-                                base_tick + base,
-                                ticks,
-                                batch_base,
-                                t0,
-                                t1,
-                                t2,
-                                Instant::now(),
-                                bs,
-                                bf,
-                                spec_flag(flags),
-                            );
-                        }
+                    if let (Some(t0), Some(t1), Some((t2, blocked))) = (t0, t1, prof_marks) {
+                        record_epoch_at(
+                            core,
+                            counters0,
+                            base_tick + base,
+                            ticks,
+                            batch_base,
+                            t0,
+                            t1,
+                            t2,
+                            Instant::now(),
+                            blocked,
+                        );
                     }
                 }
             });
@@ -1409,7 +932,6 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         let mut phases = 0u64;
         let mut k = 0u64;
         let mut activity_next = init_activity;
-        let mut replay_ticks: Option<u64> = None;
         // SAFETY: all workers are parked before the first window, so the
         // coordinator may read every element.
         let mut stop =
@@ -1421,37 +943,8 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                 sync.publish(serial, k, 0, FLAG_STOP);
                 break;
             }
-            let (ticks, flags) = if let Some(rt) = replay_ticks.take() {
-                // The previous speculative window was invalidated:
-                // rerun the same ticks, from the same base, as per-tick
-                // synchronised mailbox ticks.
-                (rt, FLAG_REPLAY)
-            } else {
-                let (mut ticks, mailbox) =
-                    plan_window(activity_next, max_ticks - k, stop_when_drained);
-                let mut flags = if mailbox { FLAG_MAILBOX } else { 0 };
-                // A lookahead-0 mailbox tick is the regime speculation
-                // exists for. Drain mode never speculates: the drain
-                // check must see committed state at every tick boundary.
-                if mailbox && !stop_when_drained {
-                    if let Some(ctrl) = spec_ctrl.as_deref_mut() {
-                        if ctrl.cooldown > 0 {
-                            ctrl.cooldown -= 1;
-                        } else {
-                            let spec = spec_shared.expect("controller implies snapshot state");
-                            // SAFETY: every worker reported done on the
-                            // previous serial — all quiescent; the
-                            // coordinator owns the live columns and the
-                            // snapshot.
-                            unsafe { refresh_frontier(spec, view) };
-                            sync.spec_abort.store(false, Ordering::SeqCst);
-                            ticks = u64::from(ctrl.k).min(max_ticks - k);
-                            flags = FLAG_SPECULATE;
-                        }
-                    }
-                }
-                (ticks, flags)
-            };
+            let (ticks, mailbox) = plan_window(activity_next, max_ticks - k, stop_when_drained);
+            let flags = if mailbox { FLAG_MAILBOX } else { 0 };
             sync.publish(serial, k, ticks, flags);
             let t1 = profiling.then(Instant::now);
             let counters0 = (
@@ -1479,48 +972,6 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             // All workers are now parked on the next serial: the
             // coordinator owns every arrival buffer and may read all
             // element state.
-            if flags & FLAG_SPECULATE != 0 {
-                let crossed = coordinator_core.save.crossed
-                    || (1..workers).any(|w| {
-                        sync.peers[w].0.activity.load(Ordering::SeqCst) & ACTIVITY_CROSSED != 0
-                    });
-                let spec = spec_shared.expect("speculative window implies snapshot state");
-                let ctrl = spec_ctrl
-                    .as_deref_mut()
-                    .expect("speculative window implies controller");
-                // Short-circuit order matters for determinism: the
-                // conflict bitmaps are only consulted when no shard
-                // crossed, i.e. when no shard can have early-outed on
-                // the abort hint (which would truncate its read/dirty
-                // contributions nondeterministically).
-                if crossed || frontier_conflict(spec) {
-                    ctrl.on_abort(ticks);
-                    // Roll back shard 0 now; workers roll back when
-                    // they see the replay flag. `k` does not advance.
-                    // SAFETY: quiescent; the coordinator owns shard 0.
-                    unsafe { spec_rollback(wctx, 0, coordinator_core) };
-                    replay_ticks = Some(ticks);
-                    if let (Some(t0), Some(t1), Some((t2, _, _))) = (t0, t1, prof_marks) {
-                        record_epoch_at(
-                            coordinator_core,
-                            counters0,
-                            base_tick + k,
-                            0,
-                            batch_base,
-                            t0,
-                            t1,
-                            t2,
-                            Instant::now(),
-                            0,
-                            wait_ns,
-                            EpochSample::SPEC_ABORT,
-                        );
-                    }
-                    continue;
-                }
-                ctrl.on_commit(ticks);
-                spec_commit(coordinator_core);
-            }
             arrival_scratch.clear();
             for buf in 0..workers {
                 // SAFETY: arrival buffers belong to the coordinator
@@ -1547,7 +998,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                 k >= max_ticks || (stop_when_drained && nothing_in_flight(shared, view, wctx.topo));
             // The coordinator's flush phase includes the arrival fold and
             // stop evaluation above, so its sample is recorded last.
-            if let (Some(t0), Some(t1), Some((t2, bs, bf))) = (t0, t1, prof_marks) {
+            if let (Some(t0), Some(t1), Some((t2, blocked))) = (t0, t1, prof_marks) {
                 record_epoch_at(
                     coordinator_core,
                     counters0,
@@ -1558,9 +1009,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                     t1,
                     t2,
                     Instant::now(),
-                    bs,
-                    bf + wait_ns,
-                    spec_flag(flags),
+                    blocked + wait_ns,
                 );
             }
         }
@@ -1569,27 +1018,17 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     executed
 }
 
-/// Executes one published window for one shard. Three shapes:
-///
-/// * **Batched / mailbox** (no speculation flag): `ticks` back-to-back
-///   visit phases; a mailbox window ends with the per-edge `visit_done`
-///   exchange and mailbox merge with this shard's cut peers (the
-///   coordinator's done-wait is the merge barrier before the next
-///   window's visits).
-/// * **Speculative** (`FLAG_SPECULATE`): arm the checkpoint, then visit
-///   with snapshot-backed foreign reads, bailing out as soon as this
-///   shard — or, via the shared hint, any shard — crosses the cut.
-/// * **Replay** (`FLAG_REPLAY`): per-tick synchronised mailbox ticks
-///   under one serial, with **two** rendezvous per tick (visits done,
-///   then merges done) — a peer must not start tick `t + 1`'s visits,
-///   which push into this shard's mailbox column, before this shard
-///   merged tick `t`.
+/// Executes one published window for one shard: `ticks` back-to-back
+/// visit phases. A mailbox window (`FLAG_MAILBOX`) then ends with the
+/// per-edge `visit_done` exchange and the mailbox merge with this shard's
+/// cut peers (the coordinator's done-wait is the merge barrier before
+/// the next window's visits).
 ///
 /// The `phases` counter numbers rendezvous points monotonically; every
 /// worker processes the identical window sequence, so the counters stay
 /// in lockstep without carrying serials. Returns the shard's post-window
 /// activity summary and, when profiling, `(visit-phase end mark, ns
-/// blocked on peers before it, ns blocked after)`.
+/// blocked on peers after it)`.
 #[allow(clippy::too_many_arguments)]
 fn run_window(
     ctx: WindowCtx<'_>,
@@ -1602,8 +1041,17 @@ fn run_window(
     sync: &SyncShared,
     phases: &mut u64,
     profiling: bool,
-) -> (ShardActivity, Option<(Instant, u64, u64)>) {
-    let rendezvous = |phase: u64, blocked: &mut u64| {
+) -> (ShardActivity, Option<(Instant, u64)>) {
+    let mailbox = flags & FLAG_MAILBOX != 0;
+    for dt in 0..ticks {
+        let tick = ctx.base_tick + base + dt;
+        visit_tick(ctx, tick, (tick % 2) as usize, w, core, mailbox);
+    }
+    let t2 = profiling.then(Instant::now);
+    let mut blocked = 0u64;
+    if mailbox {
+        *phases += 1;
+        let phase = *phases;
         sync.peers[w].0.visit_done.store(phase, Ordering::SeqCst);
         for &v in cut_peers {
             sync.wake(v);
@@ -1615,81 +1063,12 @@ fn run_window(
             });
         }
         if let Some(tw) = tw {
-            *blocked += dur_ns(tw, Instant::now());
+            blocked = dur_ns(tw, Instant::now());
         }
-    };
-    if flags & FLAG_SPECULATE != 0 {
-        spec_begin(ctx, w, core);
-        let r = SnapshotRead {
-            spec: ctx.spec.expect("speculative window without snapshot state"),
-            shard_of: ctx.shard_of,
-            w: w as u16,
-        };
-        for dt in 0..ticks {
-            // Early-out is only a latency hint: a shard can stop early
-            // solely on windows some shard already doomed to abort, so
-            // committed state and the outcome counters stay exact.
-            if core.save.crossed || sync.spec_abort.load(Ordering::SeqCst) {
-                break;
-            }
-            let tick = ctx.base_tick + base + dt;
-            visit_tick(ctx, tick, (tick % 2) as usize, w, core, false, r);
-        }
-        if core.save.crossed {
-            sync.spec_abort.store(true, Ordering::SeqCst);
-        }
-        // Publish which of this shard's frontier elements the window may
-        // have written: the first-touch undo log is exactly the set of
-        // visited (hence possibly-mutated) elements. The coordinator
-        // reads the bits only after this worker's done-publication.
-        for e in &core.save.undo {
-            let slot = r.spec.slot_of[e.i as usize];
-            if slot != NONE_U32 {
-                r.spec.mark_dirty(slot);
-            }
-        }
-        let t2 = profiling.then(Instant::now);
-        return (ready_activity(core, ctx.dist), t2.map(|t| (t, 0, 0)));
-    }
-    if flags & FLAG_REPLAY != 0 {
-        let mut blocked = 0u64;
-        // Each worker rolls back its shard *after* the replay window was
-        // published, so without a barrier a fast peer's first replay
-        // visit could read this shard's boundary columns mid-restore —
-        // harmless for single-tick windows (speculation only mutated the
-        // replayed parity, which no cross-shard read touches), but a
-        // `K >= 2` window mutated both parities. One rendezvous before
-        // the first visit keeps every peer's rollback writes ahead of
-        // any replay read.
-        *phases += 1;
-        rendezvous(*phases, &mut blocked);
-        for dt in 0..ticks {
-            let tick = ctx.base_tick + base + dt;
-            let p = (tick % 2) as usize;
-            visit_tick(ctx, tick, p, w, core, true, DirectRead);
-            *phases += 1;
-            rendezvous(*phases, &mut blocked);
-            merge_shard(ctx.mail, w, ctx.workers, p, core, cut_peers);
-            *phases += 1;
-            rendezvous(*phases, &mut blocked);
-        }
-        let t2 = profiling.then(Instant::now);
-        return (ready_activity(core, ctx.dist), t2.map(|t| (t, blocked, 0)));
-    }
-    let mailbox = flags & FLAG_MAILBOX != 0;
-    for dt in 0..ticks {
-        let tick = ctx.base_tick + base + dt;
-        visit_tick(ctx, tick, (tick % 2) as usize, w, core, mailbox, DirectRead);
-    }
-    let t2 = profiling.then(Instant::now);
-    let mut blocked = 0u64;
-    if mailbox {
         let p = ((ctx.base_tick + base) % 2) as usize;
-        *phases += 1;
-        rendezvous(*phases, &mut blocked);
         merge_shard(ctx.mail, w, ctx.workers, p, core, cut_peers);
     }
-    (ready_activity(core, ctx.dist), t2.map(|t| (t, 0, blocked)))
+    (ready_activity(core, ctx.dist), t2.map(|t| (t, blocked)))
 }
 
 /// Nanoseconds from `a` to `b` (saturating to zero if reordered).
@@ -1701,10 +1080,9 @@ fn dur_ns(a: Instant, b: Instant) -> u64 {
 /// Folds one profiled window into a worker's [`CoreProf`]: counter
 /// deltas since `counters0`, the window's tick span, and the phase times
 /// (`t0` wait start, `t1` window acquired, `t2` visits done, `t_end`
-/// window fully processed). Peer-wait time is split by where it
-/// occurred — `blocked_step` inside the visit loop (replay rendezvous),
-/// `blocked_flush` after it (mailbox merge, coordinator done-wait) —
-/// and all of it lands in `barrier_ns`.
+/// window fully processed). `blocked` is the peer-wait time after the
+/// visits (mailbox merge, coordinator done-wait); it moves from the flush
+/// phase into `barrier_ns`.
 #[allow(clippy::too_many_arguments)]
 fn record_epoch_at(
     core: &mut ShardCore,
@@ -1716,9 +1094,7 @@ fn record_epoch_at(
     t1: Instant,
     t2: Instant,
     t_end: Instant,
-    blocked_step: u64,
-    blocked_flush: u64,
-    spec: u8,
+    blocked: u64,
 ) {
     let (steps0, sent0, recv0) = counters0;
     let steps = core.steps - steps0;
@@ -1733,51 +1109,10 @@ fn record_epoch_at(
         wakes_sent,
         wakes_received,
         start_ns,
-        step_ns: dur_ns(t1, t2).saturating_sub(blocked_step),
-        flush_ns: dur_ns(t2, t_end).saturating_sub(blocked_flush),
-        barrier_ns: dur_ns(t0, t1) + blocked_step + blocked_flush,
-        spec,
+        step_ns: dur_ns(t1, t2),
+        flush_ns: dur_ns(t2, t_end).saturating_sub(blocked),
+        barrier_ns: dur_ns(t0, t1) + blocked,
     });
-}
-
-/// Records a held speculative-window sample once its outcome is known.
-/// A commit keeps the window's tick span — the counters still hold the
-/// committed work, so the deltas are real. An abort records a zero-tick
-/// wasted attempt: the rollback restored the counters, so the deltas
-/// vanish and the profiler's tick/step conservation invariants hold.
-fn record_pending(core: &mut ShardCore, p: SpecPending, batch_base: Instant, tag: u8) {
-    let ticks = if tag == EpochSample::SPEC_ABORT {
-        0
-    } else {
-        p.ticks
-    };
-    record_epoch_at(
-        core,
-        p.counters0,
-        p.tick,
-        ticks,
-        batch_base,
-        p.t0,
-        p.t1,
-        p.t2,
-        p.t3,
-        0,
-        0,
-        tag,
-    );
-}
-
-/// The [`EpochSample::spec`] tag a window's flags map to. Speculative
-/// windows only reach this through the coordinator's commit path (and
-/// through [`record_pending`]); aborted ones are tagged explicitly.
-fn spec_flag(flags: u64) -> u8 {
-    if flags & FLAG_SPECULATE != 0 {
-        EpochSample::SPEC_COMMIT
-    } else if flags & FLAG_REPLAY != 0 {
-        EpochSample::SPEC_REPLAY
-    } else {
-        0
-    }
 }
 
 /// Whether no element holds a flit and no tile queues a response — the
@@ -1801,18 +1136,17 @@ fn nothing_in_flight(shared: SharedElements<'_>, view: SoaView<'_>, topo: &SoaTo
 /// The visit phase of one tick for one shard: drain the parity-`p` ready
 /// set in ascending element order, stepping each element and re-arming
 /// exactly as the sequential event kernel does (conservative mode is
-/// never active here — fault plans and trace sinks force the sequential
-/// fallback before a `ParState` is ever built). With `allow_cross`
-/// false (a batched window), the lookahead guarantee makes cross-shard
-/// wakes impossible; a tripwire assert enforces it.
-fn visit_tick<R: NeighborRead>(
+/// never active here — a fault plan runs the dense loop and trace sinks
+/// the sequential event loop, so neither ever reaches a `ParState`).
+/// With `allow_cross` false (a batched window), the lookahead guarantee
+/// makes cross-shard wakes impossible; a tripwire assert enforces it.
+fn visit_tick(
     ctx: WindowCtx<'_>,
     tick: u64,
     p: usize,
     w: usize,
     core: &mut ShardCore,
     allow_cross: bool,
-    r: R,
 ) {
     let WindowCtx {
         shared,
@@ -1833,27 +1167,21 @@ fn visit_tick<R: NeighborRead>(
             let i = (word << 6) | bits.trailing_zeros() as usize;
             bits &= bits - 1;
             core.steps += 1;
-            if R::SPEC {
-                // SAFETY: `i` is owned by this worker; the checkpoint
-                // reads only `i`'s own columns and element.
-                unsafe { spec_touch(shared, view, topo.kind[i], &mut core.save, i) };
-            }
             // SAFETY: `i` is in shard `w` with parity `p` — this worker
             // is its unique owner for this tick, and all its neighbour
-            // reads touch frozen opposite-parity state (or the frontier
-            // snapshot in speculative mode).
+            // reads touch frozen opposite-parity state.
             let before = unsafe { *view.out.get(i) };
             let stay_kind = match topo.kind[i] {
                 K_STAGE => {
                     // SAFETY: as above.
-                    unsafe { soa_step_stage(view, topo, i, r) };
+                    unsafe { soa_step_stage(view, topo, i) };
                     false
                 }
                 K_SOURCE => {
                     // SAFETY: as above.
                     let el = unsafe { shared.get_mut(i) };
                     // SAFETY: as above.
-                    unsafe { soa_step_source(view, topo, el, i, tick, num_ports, r) }
+                    unsafe { soa_step_source(view, topo, el, i, tick, num_ports) }
                 }
                 K_SINK => {
                     // SAFETY: as above; sinks only read their element.
@@ -1862,7 +1190,7 @@ fn visit_tick<R: NeighborRead>(
                     // during the visit phase.
                     let buf = unsafe { arrivals.get_mut(w) };
                     // SAFETY: as above.
-                    unsafe { soa_step_sink(view, topo, el, i, tick, buf, r) }
+                    unsafe { soa_step_sink(view, topo, el, i, tick, buf) }
                 }
                 _ => {
                     // SAFETY: as above.
@@ -1870,7 +1198,7 @@ fn visit_tick<R: NeighborRead>(
                     // SAFETY: as above.
                     let buf = unsafe { arrivals.get_mut(w) };
                     // SAFETY: as above.
-                    unsafe { soa_step_tile(view, topo, el, i, tick, num_ports, buf, r) }
+                    unsafe { soa_step_tile(view, topo, el, i, tick, num_ports, buf) }
                 }
             };
             soa_rearm(
@@ -1887,7 +1215,6 @@ fn visit_tick<R: NeighborRead>(
                 core,
                 mail,
                 allow_cross,
-                R::SPEC,
             );
         }
     }
@@ -1919,140 +1246,11 @@ fn merge_shard(
     }
 }
 
-/// Arms shard `w`'s speculative checkpoint at the start of a
-/// speculative window: zeroed first-touch bitmap, snapshots of the
-/// ready-set words of both parities, the arrival-buffer watermark and
-/// the deterministic counters. Column and element state is captured
-/// lazily, on first touch, by [`spec_touch`].
-fn spec_begin(ctx: WindowCtx<'_>, w: usize, core: &mut ShardCore) {
-    let ShardCore {
-        ready,
-        save,
-        steps,
-        wakes_sent,
-        wakes_received,
-        ..
-    } = core;
-    debug_assert!(
-        !save.active && save.undo.is_empty() && save.elems.is_empty(),
-        "speculative window armed over an unresolved checkpoint"
-    );
-    save.touched.clear();
-    save.touched.resize(ctx.shard_of.len().div_ceil(64), 0);
-    for (saved, live) in save.ready.iter_mut().zip(ready.iter()) {
-        saved.clear();
-        saved.extend_from_slice(&live.words);
-    }
-    // SAFETY: arrival buffer `w` belongs to this worker for the window.
-    save.arrivals_mark = unsafe { ctx.arrivals.get_mut(w) }.len();
-    save.steps = *steps;
-    save.wakes_sent = *wakes_sent;
-    save.wakes_received = *wakes_received;
-    save.crossed = false;
-    save.active = true;
-}
-
-/// Discards a committed window's checkpoint. The speculative state *is*
-/// the committed state; only the undo material is dropped.
-fn spec_commit(core: &mut ShardCore) {
-    let save = &mut core.save;
-    debug_assert!(save.active, "commit without an armed checkpoint");
-    save.undo.clear();
-    save.elems.clear();
-    save.active = false;
-}
-
-/// Restores shard `w` to its window-start checkpoint: every
-/// first-touched element's columns and (for sources and tiles) its
-/// `Element`, the ready-set words of both parities, the arrival buffer
-/// and the deterministic counters.
-///
-/// # Safety
-/// The caller must own shard `w`'s elements and columns: its own
-/// published window, or the coordinator while all workers are quiescent.
-unsafe fn spec_rollback(ctx: WindowCtx<'_>, w: usize, core: &mut ShardCore) {
-    let ShardCore {
-        ready,
-        save,
-        steps,
-        wakes_sent,
-        wakes_received,
-        ..
-    } = core;
-    debug_assert!(save.active, "rollback without an armed checkpoint");
-    for e in save.undo.drain(..) {
-        let i = e.i as usize;
-        // SAFETY: per the function contract, `i` is in shard `w`.
-        unsafe {
-            *ctx.view.out.get_mut(i) = e.out;
-            *ctx.view.acc.get_mut(i) = e.acc;
-            *ctx.view.lock.get_mut(i) = e.lock;
-            *ctx.view.rr.get_mut(i) = e.rr;
-            *ctx.view.enabled.get_mut(i) = e.enabled;
-        }
-    }
-    for (i, el) in save.elems.drain(..) {
-        // SAFETY: as above.
-        unsafe {
-            *ctx.shared.get_mut(i as usize) = el;
-        }
-    }
-    for (live, saved) in ready.iter_mut().zip(save.ready.iter()) {
-        live.words.copy_from_slice(saved);
-    }
-    // SAFETY: arrival buffer `w` belongs to the rolling-back owner.
-    unsafe { ctx.arrivals.get_mut(w) }.truncate(save.arrivals_mark);
-    *steps = save.steps;
-    *wakes_sent = save.wakes_sent;
-    *wakes_received = save.wakes_received;
-    save.active = false;
-}
-
-/// First-touch capture of element `i` ahead of a speculative visit: the
-/// five dense columns always, plus a deep `Element` clone for the
-/// stateful endpoint kinds (sources and tiles mutate RNGs, cursors and
-/// queues inside the element; sinks and stages do not touch theirs).
-/// Visits only mutate the visited element (neighbour access is
-/// read-only), so the union of these captures is a complete checkpoint.
-///
-/// # Safety
-/// The caller must own element `i` this tick.
-unsafe fn spec_touch(
-    shared: SharedElements<'_>,
-    view: SoaView<'_>,
-    kind: u8,
-    save: &mut SpecSave,
-    i: usize,
-) {
-    let word = i >> 6;
-    let bit = 1u64 << (i & 63);
-    if save.touched[word] & bit != 0 {
-        return;
-    }
-    save.touched[word] |= bit;
-    // SAFETY: per the function contract (all reads are of `i` itself).
-    unsafe {
-        save.undo.push(UndoEntry {
-            i: i as u32,
-            out: *view.out.get(i),
-            acc: *view.acc.get(i),
-            lock: *view.lock.get(i),
-            rr: *view.rr.get(i),
-            enabled: *view.enabled.get(i),
-        });
-        if kind == K_SOURCE || kind == K_TILE {
-            save.elems.push((i as u32, shared.get(i).clone()));
-        }
-    }
-}
-
 /// Post-visit re-arm, mirroring `Network::rearm_after_visit` with
 /// `conservative == false`; cross-shard wakes go through the mailboxes.
 /// `stay_kind` carries the kind-specific stay conditions computed during
 /// the step (source still emitting, tile presenting or queueing, sink
-/// seeing an upstream offer). In speculative mode a cross-shard wake is
-/// trapped into the shard's `crossed` flag instead of mailed — the
-/// window aborts and the replay re-sends it.
+/// seeing an upstream offer).
 #[allow(clippy::too_many_arguments)]
 fn soa_rearm(
     view: SoaView<'_>,
@@ -2068,7 +1266,6 @@ fn soa_rearm(
     core: &mut ShardCore,
     mail: SharedVecs<'_, u32>,
     allow_cross: bool,
-    speculating: bool,
 ) {
     // SAFETY: `i` belongs to this worker this tick.
     let out = unsafe { *view.out.get(i) };
@@ -2082,9 +1279,6 @@ fn soa_rearm(
         let target = shard_of[idx] as usize;
         if target == w {
             core.ready[p ^ 1].insert(idx);
-        } else if speculating {
-            // The frontier assumption just broke.
-            core.save.crossed = true;
         } else {
             assert!(
                 allow_cross,
@@ -2112,12 +1306,12 @@ fn soa_rearm(
 /// The caller must own element `i` this tick; downstreams are frozen
 /// opposite-parity reads.
 #[inline]
-unsafe fn soa_drained<R: NeighborRead>(view: SoaView<'_>, topo: &SoaTopo, i: usize, r: R) -> bool {
+unsafe fn soa_drained(view: SoaView<'_>, topo: &SoaTopo, i: usize) -> bool {
     // SAFETY: per the function contract.
     unsafe { view.out.get(i) }.is_some()
         && topo.downs(i).iter().any(|&d| {
             // SAFETY: downstreams are neighbour reads.
-            (unsafe { r.acc(view, d as usize) }) == i as u32
+            *unsafe { view.acc.get(d as usize) } == i as u32
         })
 }
 
@@ -2127,15 +1321,10 @@ unsafe fn soa_drained<R: NeighborRead>(view: SoaView<'_>, topo: &SoaTopo, i: usi
 /// # Safety
 /// As [`soa_drained`].
 #[inline]
-unsafe fn soa_first_offer<R: NeighborRead>(
-    view: SoaView<'_>,
-    topo: &SoaTopo,
-    i: usize,
-    r: R,
-) -> (u32, Option<Flit>) {
+unsafe fn soa_first_offer(view: SoaView<'_>, topo: &SoaTopo, i: usize) -> (u32, Option<Flit>) {
     for &u in topo.ups(i) {
         // SAFETY: upstreams are neighbour reads.
-        if let Some(flit) = unsafe { r.out(view, u as usize) } {
+        if let Some(flit) = *unsafe { view.out.get(u as usize) } {
             return (u, Some(flit));
         }
     }
@@ -2147,9 +1336,9 @@ unsafe fn soa_first_offer<R: NeighborRead>(
 ///
 /// # Safety
 /// The caller must own element `i` this tick.
-unsafe fn soa_step_stage<R: NeighborRead>(view: SoaView<'_>, topo: &SoaTopo, i: usize, r: R) {
+unsafe fn soa_step_stage(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
     // SAFETY: per the function contract.
-    let drained = unsafe { soa_drained(view, topo, i, r) };
+    let drained = unsafe { soa_drained(view, topo, i) };
     let ups = topo.ups(i);
     let n = ups.len();
     let mut winner: Option<(usize, Flit)> = None;
@@ -2157,7 +1346,7 @@ unsafe fn soa_step_stage<R: NeighborRead>(view: SoaView<'_>, topo: &SoaTopo, i: 
     let locked = unsafe { *view.lock.get(i) };
     if locked != NONE_U32 {
         // SAFETY: the locked upstream is a neighbour read.
-        if let Some(flit) = unsafe { r.out(view, locked as usize) } {
+        if let Some(flit) = *unsafe { view.out.get(locked as usize) } {
             let slot = ups
                 .iter()
                 .position(|&u| u == locked)
@@ -2174,7 +1363,7 @@ unsafe fn soa_step_stage<R: NeighborRead>(view: SoaView<'_>, topo: &SoaTopo, i: 
             let slot = (start + k) % n;
             let u = ups[slot];
             // SAFETY: upstreams are neighbour reads.
-            if let Some(flit) = unsafe { r.out(view, u as usize) } {
+            if let Some(flit) = *unsafe { view.out.get(u as usize) } {
                 if flit.opens_route() && topo.filter[i].wants(&flit) {
                     winner = Some((slot, flit));
                     break;
@@ -2219,17 +1408,16 @@ unsafe fn soa_step_stage<R: NeighborRead>(view: SoaView<'_>, topo: &SoaTopo, i: 
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
 /// element.
-unsafe fn soa_step_source<R: NeighborRead>(
+unsafe fn soa_step_source(
     view: SoaView<'_>,
     topo: &SoaTopo,
     el: &mut Element,
     i: usize,
     tick: u64,
     num_ports: u32,
-    r: R,
 ) -> bool {
     // SAFETY: per the function contract.
-    let drained = unsafe { soa_drained(view, topo, i, r) };
+    let drained = unsafe { soa_drained(view, topo, i) };
     let cycle = tick / 2;
     // SAFETY: own element.
     let out = unsafe { view.out.get_mut(i) };
@@ -2324,17 +1512,16 @@ unsafe fn soa_step_source<R: NeighborRead>(
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
 /// element.
-unsafe fn soa_step_sink<R: NeighborRead>(
+unsafe fn soa_step_sink(
     view: SoaView<'_>,
     topo: &SoaTopo,
     el: &Element,
     i: usize,
     tick: u64,
     arrivals: &mut Vec<Arrival>,
-    r: R,
 ) -> bool {
     // SAFETY: per the function contract.
-    let (up, offered) = unsafe { soa_first_offer(view, topo, i, r) };
+    let (up, offered) = unsafe { soa_first_offer(view, topo, i) };
     let Kind::Sink(state) = &el.kind else {
         unreachable!("soa_step_sink called on non-sink")
     };
@@ -2362,7 +1549,7 @@ unsafe fn soa_step_sink<R: NeighborRead>(
 /// The caller must own element `i` this tick, and `el` must be `i`'s
 /// element.
 #[allow(clippy::too_many_arguments)]
-unsafe fn soa_step_tile<R: NeighborRead>(
+unsafe fn soa_step_tile(
     view: SoaView<'_>,
     topo: &SoaTopo,
     el: &mut Element,
@@ -2370,12 +1557,11 @@ unsafe fn soa_step_tile<R: NeighborRead>(
     tick: u64,
     num_ports: u32,
     arrivals: &mut Vec<Arrival>,
-    r: R,
 ) -> bool {
     // SAFETY: per the function contract.
-    let drained = unsafe { soa_drained(view, topo, i, r) };
+    let drained = unsafe { soa_drained(view, topo, i) };
     // SAFETY: per the function contract.
-    let (up, offered) = unsafe { soa_first_offer(view, topo, i, r) };
+    let (up, offered) = unsafe { soa_first_offer(view, topo, i) };
     // SAFETY: own element.
     let out = unsafe { view.out.get_mut(i) };
     if drained {
@@ -2643,45 +1829,7 @@ mod tests {
             },
         ] {
             assert_eq!(ShardActivity::unpack(a.pack()), a);
-            // The crossed sideband bit never leaks into the summary.
-            assert_eq!(ShardActivity::unpack(a.pack() | ACTIVITY_CROSSED), a);
         }
-    }
-
-    #[test]
-    fn speculation_controller_adapts() {
-        let mut ctrl = SpecCtrl::new(16);
-        assert_eq!(ctrl.k, 1);
-        // Commits double the window up to the cap.
-        for expect in [2, 4, 8, 16, 16] {
-            ctrl.on_commit(u64::from(ctrl.k));
-            assert_eq!(ctrl.k, expect);
-        }
-        assert_eq!(ctrl.stats.commits, 5);
-        assert_eq!(ctrl.stats.committed_ticks, 1 + 2 + 4 + 8 + 16);
-        assert_eq!(ctrl.cooldown, 0);
-        // Aborts halve it; no cooldown until k bottoms out.
-        for expect in [8, 4, 2, 1] {
-            ctrl.on_abort(u64::from(ctrl.k));
-            assert_eq!(ctrl.k, expect);
-            assert_eq!(ctrl.cooldown, 0);
-        }
-        // Consecutive k == 1 aborts back off exponentially.
-        for expect_cooldown in [1, 2, 4, 8] {
-            ctrl.on_abort(1);
-            assert_eq!(ctrl.k, 1);
-            assert_eq!(ctrl.cooldown, expect_cooldown);
-        }
-        assert_eq!(ctrl.stats.aborts, 8);
-        // A commit disarms the backoff.
-        ctrl.on_commit(1);
-        assert_eq!(ctrl.cooldown_len, 1);
-        assert_eq!(ctrl.k, 2);
-        // The cooldown length saturates at the cap.
-        for _ in 0..20 {
-            ctrl.on_abort(1);
-        }
-        assert!(ctrl.cooldown_len <= MAX_SPEC_COOLDOWN);
     }
 
     #[test]

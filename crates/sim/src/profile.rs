@@ -72,30 +72,6 @@ impl core::fmt::Display for FallbackCause {
     }
 }
 
-/// Deterministic speculate-and-replay outcome counters: pure functions
-/// of the configuration and worker count, bit-identical on every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SpecStats {
-    /// Speculative windows whose frontier assumption held.
-    pub commits: u64,
-    /// Speculative windows invalidated and replayed synchronised.
-    pub aborts: u64,
-    /// Ticks committed out of speculative windows.
-    pub committed_ticks: u64,
-    /// Ticks rolled back and replayed (wasted speculative work).
-    pub replayed_ticks: u64,
-}
-
-impl SpecStats {
-    /// Fraction of speculative windows that committed, or `None` when
-    /// none were attempted.
-    #[must_use]
-    pub fn commit_rate(&self) -> Option<f64> {
-        let attempts = self.commits + self.aborts;
-        (attempts > 0).then(|| self.commits as f64 / attempts as f64)
-    }
-}
-
 /// One retained profiling sample: `ticks` consecutive barrier epochs of
 /// one worker, merged.
 ///
@@ -123,23 +99,11 @@ pub struct EpochSample {
     pub flush_ns: u64,
     /// Wall time spent waiting at the epoch's two barriers.
     pub barrier_ns: u64,
-    /// Speculation tags OR-ed over the merged epochs:
-    /// [`EpochSample::SPEC_COMMIT`] | [`EpochSample::SPEC_REPLAY`] |
-    /// [`EpochSample::SPEC_ABORT`] (0 = plain lockstep epochs only).
-    #[serde(default)]
-    pub spec: u8,
 }
 
 impl EpochSample {
-    /// The sample covers a committed speculative window.
-    pub const SPEC_COMMIT: u8 = 1;
-    /// The sample covers replayed (post-abort, synchronised) ticks.
-    pub const SPEC_REPLAY: u8 = 2;
-    /// The sample is a zero-tick aborted speculative attempt.
-    pub const SPEC_ABORT: u8 = 4;
-
     /// Folds a later sample into this one (sums counters and phase
-    /// times; keeps this sample's start; unions speculation tags).
+    /// times; keeps this sample's start).
     fn merge(&mut self, other: &EpochSample) {
         self.ticks += other.ticks;
         self.steps += other.steps;
@@ -148,7 +112,6 @@ impl EpochSample {
         self.step_ns += other.step_ns;
         self.flush_ns += other.flush_ns;
         self.barrier_ns += other.barrier_ns;
-        self.spec |= other.spec;
     }
 }
 
@@ -242,8 +205,7 @@ impl CoreProf {
     }
 
     /// Records one window's sample — `sample.ticks` epochs at once (a
-    /// multi-tick batched or speculative window contributes a single
-    /// sample; an aborted speculation contributes a zero-tick one);
+    /// multi-tick batched window contributes a single sample);
     /// `start_ns` already absolute against the profiler's time base.
     pub(crate) fn record(&mut self, sample: EpochSample) {
         let p = &mut self.profile;
@@ -322,7 +284,6 @@ impl KernelProfiler {
             step_ns,
             flush_ns: 0,
             barrier_ns: 0,
-            spec: 0,
         });
     }
 }
@@ -368,11 +329,6 @@ pub struct PerfReport {
     pub epochs: u64,
     /// Why a parallel-kernel network ran sequentially, if it did.
     pub fallback: Option<FallbackCause>,
-    /// Deterministic speculate-and-replay outcome counters; `None` when
-    /// speculation is off, inapplicable (single shard, no cut) or the
-    /// kernel is sequential.
-    #[serde(default)]
-    pub speculation: Option<SpecStats>,
     /// Deterministic per-shard counters.
     pub shards: Vec<ShardCounters>,
     /// Wall-clock phase times — nondeterministic, excluded from every
@@ -439,17 +395,6 @@ impl PerfReport {
         );
         if let Some(cause) = self.fallback {
             let _ = writeln!(out, "  sequential fallback: {cause}");
-        }
-        if let Some(spec) = self.speculation {
-            let rate = spec
-                .commit_rate()
-                .map_or_else(|| "n/a".to_string(), |r| format!("{:.1}%", r * 100.0));
-            let _ = writeln!(
-                out,
-                "  speculation: {} commit(s), {} abort(s) (commit rate {rate}), \
-                 {} tick(s) committed, {} replayed",
-                spec.commits, spec.aborts, spec.committed_ticks, spec.replayed_ticks
-            );
         }
         let _ = writeln!(
             out,
@@ -541,22 +486,11 @@ impl PerfReport {
                     // Lay the phases out consecutively from the sample's
                     // start, in their real order within an epoch: the
                     // barrier wait opens the tick, the visit follows, the
-                    // mailbox flush closes it. The visit slice is named
-                    // by the window's speculation outcome so commit /
-                    // replay / abort rows are visible on the timeline.
-                    let step_name = if s.spec & EpochSample::SPEC_ABORT != 0 {
-                        "speculate(aborted)"
-                    } else if s.spec & EpochSample::SPEC_REPLAY != 0 {
-                        "replay"
-                    } else if s.spec & EpochSample::SPEC_COMMIT != 0 {
-                        "speculate"
-                    } else {
-                        "step"
-                    };
+                    // mailbox flush closes it.
                     let mut ts = s.start_ns;
                     for (name, dur) in [
                         ("barrier", s.barrier_ns),
-                        (step_name, s.step_ns),
+                        ("step", s.step_ns),
                         ("flush", s.flush_ns),
                     ] {
                         if dur == 0 {
@@ -601,7 +535,6 @@ mod tests {
             step_ns,
             flush_ns: 5,
             barrier_ns: 10,
-            spec: 0,
         }
     }
 
@@ -651,7 +584,6 @@ mod tests {
             workers: 2,
             epochs: 10,
             fallback: None,
-            speculation: None,
             shards: vec![shard(0, 30), shard(1, 10)],
             wall: Some(PerfWall {
                 workers: vec![wall_worker(0, 75, 25), wall_worker(1, 25, 75)],
@@ -678,7 +610,6 @@ mod tests {
             workers: 1,
             epochs: 2,
             fallback: None,
-            speculation: None,
             shards: vec![ShardCounters {
                 worker: 0,
                 elements: 8,
@@ -707,17 +638,5 @@ mod tests {
         assert_eq!(FallbackCause::FaultPlan.label(), "fault-plan");
         assert_eq!(FallbackCause::TraceSinks.label(), "trace-sinks");
         assert!(FallbackCause::FaultPlan.to_string().contains("fault plan"));
-    }
-
-    #[test]
-    fn spec_stats_commit_rate() {
-        assert_eq!(SpecStats::default().commit_rate(), None);
-        let stats = SpecStats {
-            commits: 3,
-            aborts: 1,
-            committed_ticks: 24,
-            replayed_ticks: 8,
-        };
-        assert!((stats.commit_rate().expect("attempts > 0") - 0.75).abs() < 1e-12);
     }
 }

@@ -346,7 +346,7 @@ impl SimReport {
     /// added, removed or changes meaning, so externally persisted reports
     /// (result caches, artefact files) invalidate instead of being read
     /// back under the wrong layout.
-    pub const SCHEMA_VERSION: u32 = 5;
+    pub const SCHEMA_VERSION: u32 = 6;
 
     /// Folds the full report into the compact [`ReportDigest`] that batch
     /// sweeps persist per job: the headline scalars, without the

@@ -46,7 +46,6 @@ pub struct TreeNetworkConfig {
     event_buffer: Option<usize>,
     faults: Option<FaultPlan>,
     kernel: SimKernel,
-    speculate: Option<u32>,
     profiling: bool,
     clock_backend: ClockBackend,
 }
@@ -84,7 +83,6 @@ impl TreeNetworkConfig {
             event_buffer: None,
             faults: None,
             kernel: SimKernel::default(),
-            speculate: None,
             profiling: false,
             clock_backend: ClockBackend::Forwarded,
         }
@@ -237,16 +235,6 @@ impl TreeNetworkConfig {
         self
     }
 
-    /// Enables speculate-and-replay on the built network's parallel
-    /// kernel with the given maximum window `K` (see
-    /// [`Network::set_speculation`]); `None` (the default) keeps
-    /// lookahead-0 windows synchronized.
-    #[must_use]
-    pub fn with_speculation(mut self, max_k: Option<u32>) -> Self {
-        self.speculate = max_k;
-        self
-    }
-
     /// Attaches the kernel profiler to the built network (see
     /// [`Network::enable_profiling`]): its report gains a `perf` section
     /// with per-shard counters and per-epoch phase timings.
@@ -264,11 +252,9 @@ impl TreeNetworkConfig {
         let event_buffer = self.event_buffer;
         let faults = self.faults.clone();
         let kernel = self.kernel;
-        let speculate = self.speculate;
         let profiling = self.profiling;
         let mut net = Builder::new(self).build();
         net.set_kernel(kernel);
-        net.set_speculation(speculate);
         net.set_packet_length(packet_len);
         if profiling {
             net.enable_profiling();

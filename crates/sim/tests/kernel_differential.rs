@@ -218,21 +218,24 @@ proptest! {
     /// The epoch-batching worst case, fuzzed: mirror traffic sends every
     /// flit through the root cut, so armed elements sit on the shard
     /// boundary almost every tick and the conservative lookahead window
-    /// collapses to single mailbox ticks. Bit-identity must survive the
-    /// collapse at every worker count — and survive the sequential
-    /// fallback when a fault plan rides along.
+    /// collapses to single mailbox ticks. Bit-identity — report, trace
+    /// stream, recovery ledger and element-update count — must survive
+    /// the collapse at every worker count, and survive the dense-loop
+    /// fallback when the full fault soak or the clock soak rides along.
     #[test]
     fn epoch_batching_survives_lookahead_collapse(
         ports_exp in 3u32..6,
         rate in 0.1f64..0.8,
-        faulted in 0u32..2,
+        faulted in 0u32..3,
         seed in any::<u64>(),
         cycles in 50u64..250,
     ) {
         let ports = 1u32 << ports_exp;
         let mut cfg = TreeNetworkConfig::new(binary(ports as usize)).with_seed(seed);
-        if faulted == 1 {
-            cfg = cfg.with_faults(FaultPlan::soak(seed));
+        match faulted {
+            1 => cfg = cfg.with_faults(FaultPlan::soak(seed)),
+            2 => cfg = cfg.with_faults(FaultPlan::new(seed).with_rates(FaultRates::clock_soak())),
+            _ => {}
         }
         for p in 0..ports {
             // Every port talks only to its mirror across the root.
@@ -248,7 +251,7 @@ proptest! {
         let event = run_one(&cfg, SimKernel::EventDriven, cycles);
         for workers in PARALLEL_WORKERS {
             let par = run_one(&cfg, SimKernel::Parallel { workers }, cycles);
-            if faulted == 1 {
+            if faulted != 0 {
                 prop_assert_eq!(
                     par.active_workers(), None,
                     "fault plans must force the sequential fallback"
@@ -270,71 +273,12 @@ proptest! {
                 workers,
                 faulted
             );
-            prop_assert_eq!(event.element_steps(), par.element_steps());
-        }
-    }
-
-    /// Speculate-and-replay, fuzzed across its whole parameter space:
-    /// mirror traffic (the lookahead-0 regime speculation targets) —
-    /// plain, under the full fault soak, and under clock-domain faults —
-    /// must stay bit-identical to the event kernel and to the
-    /// speculation-off parallel run at every worker count and window
-    /// bound `K` ∈ {1, 4, 16}. Faulted runs ride the sequential fallback
-    /// (speculation simply never engages); plain runs commit and replay
-    /// real windows.
-    #[test]
-    fn speculation_is_bit_identical_in_cut_crossing_regimes(
-        ports_exp in 3u32..5,
-        rate in 0.1f64..0.9,
-        k_sel in 0u32..3,
-        faulted in 0u32..3,
-        seed in any::<u64>(),
-        cycles in 50u64..200,
-    ) {
-        let k = [1u32, 4, 16][k_sel as usize];
-        let ports = 1u32 << ports_exp;
-        let mut cfg = TreeNetworkConfig::new(binary(ports as usize)).with_seed(seed);
-        match faulted {
-            1 => cfg = cfg.with_faults(FaultPlan::soak(seed)),
-            2 => cfg = cfg.with_faults(FaultPlan::new(seed).with_rates(FaultRates::clock_soak())),
-            _ => {}
-        }
-        for p in 0..ports {
-            cfg = cfg.with_port_pattern(
-                PortId(p),
-                TrafficPattern::Hotspot {
-                    rate,
-                    target: PortId(ports - 1 - p),
-                    fraction: 1.0,
-                },
-            );
-        }
-        let event = run_one(&cfg, SimKernel::EventDriven, cycles);
-        for workers in PARALLEL_WORKERS {
-            let off = run_one(&cfg, SimKernel::Parallel { workers }, cycles);
-            let on = run_one(
-                &cfg.clone().with_speculation(Some(k)),
-                SimKernel::Parallel { workers },
-                cycles,
-            );
-            prop_assert_eq!(
-                event.report(),
-                on.report(),
-                "speculation diverged from the event kernel at workers={} K={} faulted={}",
-                workers, k, faulted
-            );
-            prop_assert_eq!(
-                off.report(),
-                on.report(),
-                "speculation on/off diverged at workers={} K={} faulted={}",
-                workers, k, faulted
-            );
             prop_assert_eq!(
                 event.event_buffer().map(|b| b.events()),
-                on.event_buffer().map(|b| b.events())
+                par.event_buffer().map(|b| b.events())
             );
-            prop_assert_eq!(event.fault_report(), on.fault_report());
-            prop_assert_eq!(event.element_steps(), on.element_steps());
+            prop_assert_eq!(event.fault_report(), par.fault_report());
+            prop_assert_eq!(event.element_steps(), par.element_steps());
         }
     }
 }
@@ -414,87 +358,6 @@ fn soak1024_is_bit_identical_with_a_balanced_ledger() {
         assert_eq!(event.element_steps(), par.element_steps());
         assert!(par.report().is_correct());
     }
-}
-
-/// Forced invalidation: saturated mirror traffic crosses the root cut on
-/// essentially every tick, so speculative windows are invalidated and
-/// replayed constantly. The replay path must reproduce the synchronized
-/// result exactly — and the outcome counters must show real aborts with
-/// replayed ticks, proving the rollback machinery (not luck) carried the
-/// run.
-#[test]
-fn forced_invalidation_replays_to_the_synchronized_result() {
-    let ports = 16u32;
-    let mut cfg = TreeNetworkConfig::new(binary(ports as usize)).with_seed(29);
-    for p in 0..ports {
-        cfg = cfg.with_port_pattern(
-            PortId(p),
-            TrafficPattern::Hotspot {
-                rate: 1.0,
-                target: PortId(ports - 1 - p),
-                fraction: 1.0,
-            },
-        );
-    }
-    let event = run_one(&cfg, SimKernel::EventDriven, 300);
-    let spec = run_one(
-        &cfg.clone().with_speculation(Some(16)),
-        SimKernel::Parallel { workers: 2 },
-        300,
-    );
-    assert_eq!(
-        spec.active_workers(),
-        Some(2),
-        "the run must actually shard"
-    );
-    let stats = spec
-        .speculation_stats()
-        .expect("speculation configured on a real cut");
-    assert!(
-        stats.aborts > 0 && stats.replayed_ticks > 0,
-        "saturated mirror traffic must force real rollbacks: {stats:?}"
-    );
-    assert_eq!(
-        event.report(),
-        spec.report(),
-        "replayed windows diverged from the synchronized result"
-    );
-    assert_eq!(event.element_steps(), spec.element_steps());
-}
-
-/// The payoff case: sparse cut-crossing traffic leaves most ticks free of
-/// cross-cut wakes, so speculative windows commit — batching what would
-/// otherwise be per-tick synchronized mailbox ticks — while the result
-/// stays bit-identical.
-#[test]
-fn sparse_cut_crossing_traffic_commits_speculative_windows() {
-    let ports = 16u32;
-    let mut cfg = TreeNetworkConfig::new(binary(ports as usize)).with_seed(31);
-    for p in 0..ports {
-        cfg = cfg.with_port_pattern(
-            PortId(p),
-            TrafficPattern::Hotspot {
-                rate: 0.02,
-                target: PortId(ports - 1 - p),
-                fraction: 1.0,
-            },
-        );
-    }
-    let event = run_one(&cfg, SimKernel::EventDriven, 400);
-    let spec = run_one(
-        &cfg.clone().with_speculation(Some(16)),
-        SimKernel::Parallel { workers: 2 },
-        400,
-    );
-    let stats = spec
-        .speculation_stats()
-        .expect("speculation configured on a real cut");
-    assert!(
-        stats.commits > 0 && stats.committed_ticks > 0,
-        "sparse mirror traffic must commit real windows: {stats:?}"
-    );
-    assert_eq!(event.report(), spec.report());
-    assert_eq!(event.element_steps(), spec.element_steps());
 }
 
 /// Order-dependent shared state — the fault RNG and attached trace sinks —
