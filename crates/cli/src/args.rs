@@ -316,7 +316,7 @@ impl Cli {
                     pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
                     cycles: flags.take_u64("cycles", 2_000)?,
                     seed: flags.take_u64("seed", 42)?,
-                    packet_len: flags.take_usize("packet-len", 1)? as u32,
+                    packet_len: flags.take_packet_len()?,
                     tiles: match flags.take_opt_string("tiles") {
                         Some(spec) => Some(parse_tiles(&spec)?),
                         None => None,
@@ -340,7 +340,7 @@ impl Cli {
                     pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
                     cycles: flags.take_u64("cycles", 2_000)?,
                     seed: flags.take_u64("seed", 42)?,
-                    packet_len: flags.take_usize("packet-len", 1)? as u32,
+                    packet_len: flags.take_packet_len()?,
                     tiles: match flags.take_opt_string("tiles") {
                         Some(spec) => Some(parse_tiles(&spec)?),
                         None => None,
@@ -354,7 +354,7 @@ impl Cli {
                 pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
                 cycles: flags.take_u64("cycles", 2_000)?,
                 seed: flags.take_u64("seed", 42)?,
-                packet_len: flags.take_usize("packet-len", 1)? as u32,
+                packet_len: flags.take_packet_len()?,
                 tiles: match flags.take_opt_string("tiles") {
                     Some(spec) => Some(parse_tiles(&spec)?),
                     None => None,
@@ -381,20 +381,26 @@ impl Cli {
                     pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
                     cycles: flags.take_u64("cycles", 200)?,
                     seed: flags.take_u64("seed", 42)?,
-                    packet_len: flags.take_usize("packet-len", 1)? as u32,
+                    packet_len: flags.take_packet_len()?,
                     capacity,
                     limit: flags.take_usize("limit", 40)?,
                     vcd: flags.take_opt_string("vcd"),
                     kernel: flags.take_kernel()?,
                 }
             }
-            "yield" => Command::Yield {
-                build: flags.build_opts()?,
-                variation: flags.take_f64("variation", 0.2)?,
-                sigma: flags.take_f64("sigma", 0.05)?,
-                samples: flags.take_usize("samples", 200)?,
-                seed: flags.take_u64("seed", 42)?,
-            },
+            "yield" => {
+                let samples = flags.take_usize("samples", 200)?;
+                if samples == 0 {
+                    return Err(CliError("--samples must be at least 1".to_owned()));
+                }
+                Command::Yield {
+                    build: flags.build_opts()?,
+                    variation: flags.take_f64("variation", 0.2)?,
+                    sigma: flags.take_f64("sigma", 0.05)?,
+                    samples,
+                    seed: flags.take_u64("seed", 42)?,
+                }
+            }
             "fig7" => Command::Fig7 {
                 max_mm: flags.take_f64("max-mm", 3.0)?,
                 step_mm: flags.take_f64("step-mm", 0.1)?,
@@ -473,7 +479,7 @@ impl Cli {
                 pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
                 cycles: flags.take_u64("cycles", 10_000)?,
                 seed: flags.take_u64("seed", 42)?,
-                packet_len: flags.take_usize("packet-len", 1)? as u32,
+                packet_len: flags.take_packet_len()?,
                 spec: parse_fault_spec(&flags.take_string("spec", "soak"))?,
                 speculate: None,
             },
@@ -677,6 +683,18 @@ impl Flags {
 
     fn take_usize(&mut self, name: &str, default: usize) -> Result<usize, CliError> {
         self.take_u64(name, default as u64).map(|v| v as usize)
+    }
+
+    /// `--packet-len`: flits per packet, at least one (default 1).
+    fn take_packet_len(&mut self) -> Result<u32, CliError> {
+        let len = self.take_u64("packet-len", 1)?;
+        match u32::try_from(len) {
+            Ok(len) if len > 0 => Ok(len),
+            _ => Err(CliError(format!(
+                "--packet-len must be between 1 and {}, got {len}",
+                u32::MAX
+            ))),
+        }
     }
 
     fn take_kernel(&mut self) -> Result<SimKernel, CliError> {
@@ -984,6 +1002,43 @@ mod tests {
         assert_eq!(vcd, None);
         // A zero-capacity ring would panic downstream; reject it here.
         assert!(Cli::parse(["trace", "--capacity", "0"]).is_err());
+    }
+
+    #[test]
+    fn zero_length_packets_are_rejected_on_every_simulating_subcommand() {
+        // A packet needs at least one flit: zero (or a length that
+        // truncates to zero in 32 bits) would panic in the simulator.
+        for sub in ["sim", "stats", "trace", "faults", "profile"] {
+            for len in ["0", "4294967296"] {
+                assert_eq!(
+                    Cli::parse([sub, "--packet-len", len]),
+                    Err(CliError(format!(
+                        "--packet-len must be between 1 and 4294967295, got {len}"
+                    ))),
+                    "{sub} --packet-len {len}"
+                );
+            }
+            let cli = Cli::parse([sub, "--packet-len", "3"]).expect("parses");
+            let packet_len = match cli.command {
+                Command::Sim { packet_len, .. }
+                | Command::Stats { packet_len, .. }
+                | Command::Trace { packet_len, .. }
+                | Command::Faults { packet_len, .. }
+                | Command::Profile { packet_len, .. } => packet_len,
+                other => panic!("{sub} parsed as {other:?}"),
+            };
+            assert_eq!(packet_len, 3, "{sub}");
+        }
+    }
+
+    #[test]
+    fn yield_needs_at_least_one_sample() {
+        assert_eq!(
+            Cli::parse(["yield", "--samples", "0"]),
+            Err(CliError("--samples must be at least 1".to_owned()))
+        );
+        let cli = Cli::parse(["yield", "--samples", "1"]).expect("parses");
+        assert!(matches!(cli.command, Command::Yield { samples: 1, .. }));
     }
 
     #[test]

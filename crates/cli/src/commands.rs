@@ -46,13 +46,14 @@ GRID:     `;`-separated axes of `name=v1,v2,...` (ranges `lo..hi/n`) over kind,
           ports, die, width, freq (GHz), thalf (ps), corner, pattern, cycles,
           soak, seed, clock (forwarded|redundant) —
           e.g. \"freq=0.8..1.2/5;corner=nominal,slow30;soak=1\"
-KERNEL:   event (default, activity-list stepping), dense (full scan, the
-          differential-testing oracle) or parallel (subtree-sharded worker
-          threads; --workers N, 0 = one per core) — all bit-identical per
+KERNEL:   event (default, activity-list stepping on one shard), dense
+          (full scan, the differential-testing oracle) or parallel (the
+          same activity-list step on subtree shards, one worker thread
+          each; --workers N, 0 = one per core) — all bit-identical per
           seed. explore --workers N simulates each job with the parallel
           kernel at N workers without changing results or cache keys.
-          A fault plan runs the dense loop under every kernel; trace
-          sinks (stats, trace) keep parallel runs on the event loop
+          A fault plan or trace sinks (stats, trace) run the dense loop
+          under every kernel
 PROFILE:  sim --profile (or the profile subcommand) attaches the kernel
           profiler: per-shard step/wake counters, a load-imbalance ratio
           and the barrier-overhead fraction. --chrome-trace FILE writes a

@@ -21,36 +21,40 @@ use rand::SeedableRng;
 
 /// Which stepping kernel a [`Network`] uses to evaluate its elements.
 ///
-/// Both kernels implement the exact same half-cycle semantics and produce
-/// **bit-identical** [`SimReport`]s (including trace events, counters and
-/// the recovery ledger) for the same configuration and seed — the dense
-/// kernel is retained as a differential-testing oracle and selected with
-/// `--kernel dense` on the CLI.
+/// There are two stepping loops: the dense scan and the struct-of-arrays
+/// activity-list step of the [`parallel`](crate::parallel) module, run as
+/// one shard (`EventDriven`) or as one shard per worker (`Parallel`).
+/// Every kernel implements the exact same half-cycle semantics and
+/// produces **bit-identical** [`SimReport`]s (including trace events,
+/// counters and the recovery ledger) for the same configuration and
+/// seed — the dense kernel is retained as a differential-testing oracle
+/// and selected with `--kernel dense` on the CLI.
+///
+/// A network with a fault plan or trace sinks attached runs the dense
+/// loop under every kernel: its shared fault RNG is rolled in global
+/// visit order, its timers and clock domains act on elements no
+/// handshake woke, and a held flit emits a `Blocked` trace event on every
+/// edge, so only the full scan reproduces those streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimKernel {
     /// Scan every element on every tick, skipping mismatched polarities —
     /// the straightforward oracle implementation.
     Dense,
-    /// Activity-list stepping: elements register into a per-polarity
-    /// ready-set when a handshake edge can change their state (valid
-    /// asserted, accept freed), and a tick drains only that set — the
-    /// software mirror of the paper's handshake-derived clock gating
-    /// (Section 5). A network with a fault plan attached runs the dense
-    /// loop instead: its shared fault RNG is rolled in global visit
-    /// order, its timers and clock domains act on elements no handshake
-    /// woke, and every shipped fault profile's outage roll keeps every
-    /// stage busy, so the activity list would only add bookkeeping.
+    /// Activity-list stepping on one struct-of-arrays shard: elements
+    /// register into a per-polarity ready-set when a handshake edge can
+    /// change their state (valid asserted, accept freed), and a tick
+    /// drains only that set — the software mirror of the paper's
+    /// handshake-derived clock gating (Section 5).
     #[default]
     EventDriven,
     /// Multi-threaded stepping: the element graph is partitioned into
-    /// per-worker shards along subtree boundaries and each shard runs its
-    /// own activity-list kernel, exchanging cross-shard wakes through
-    /// mailboxes flushed at a two-phase barrier aligned with the clock
-    /// polarity. Reports stay bit-identical to the event kernel at any
-    /// worker count.
-    /// Networks with a fault plan attached fall back to the dense loop,
-    /// networks with only trace sinks to the sequential event kernel
-    /// (their shared RNG/event streams are order-dependent).
+    /// per-worker shards along subtree boundaries and each shard runs the
+    /// event kernel's step on its own thread, exchanging cross-shard
+    /// wakes through mailboxes flushed at a two-phase barrier aligned
+    /// with the clock polarity. Reports and element-visit counts stay
+    /// identical to the event kernel at any worker count.
+    /// [`Network::fallback_cause`] names why a network runs the dense
+    /// loop instead.
     Parallel {
         /// Worker thread count; `0` means auto-detect from the host's
         /// available parallelism.
@@ -86,35 +90,6 @@ impl SimKernel {
     }
 }
 
-/// A per-polarity activity list: one bit per element, drained in ascending
-/// element-index order (matching the dense kernel's iteration order, which
-/// scoreboard accounting and the trace stream depend on).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReadySet {
-    pub(crate) words: Vec<u64>,
-}
-
-impl ReadySet {
-    pub(crate) fn with_element_count(n: usize) -> Self {
-        Self {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn insert(&mut self, i: usize) {
-        self.words[i >> 6] |= 1u64 << (i & 63);
-    }
-}
-
-#[inline]
-fn pol_idx(p: ClockPolarity) -> usize {
-    match p {
-        ClockPolarity::Rising => 0,
-        ClockPolarity::Falling => 1,
-    }
-}
-
 /// A simulated network: an element graph evaluated at half-cycle
 /// resolution.
 ///
@@ -142,19 +117,10 @@ pub struct Network {
     faults: Option<Box<FaultState>>,
     /// Which stepping kernel [`step`](Self::step) runs.
     kernel: SimKernel,
-    /// Event kernel: per-polarity ready-sets (`[Rising, Falling]`).
-    armed: [ReadySet; 2],
-    /// Event kernel: scratch buffer the current tick's agenda is swapped
-    /// into, so same-parity re-arms land on the *next* matching edge.
-    scratch: Vec<u64>,
-    /// Elements re-armed unconditionally: enabled non-silent traffic
-    /// generators (their pattern consumes RNG or follows a schedule every
-    /// cycle).
-    pinned: Vec<bool>,
-    /// Parallel kernel state (shard plan, per-worker ready sets and
-    /// mailboxes), built lazily at the first parallel step. `None` for
-    /// the sequential kernels and for parallel networks forced onto the
-    /// sequential fallback (fault plan or trace sinks attached).
+    /// Activity-list kernel state (shard plan, per-shard ready sets and
+    /// mailboxes), built lazily at the first event or parallel step.
+    /// `None` for the dense kernel and for networks running the dense
+    /// loop because a fault plan or trace sinks are attached.
     par: Option<ParState>,
     /// Builder-provided subtree id per element, steering the parallel
     /// shard cut (set by the tree builder; contiguous ranges otherwise).
@@ -199,9 +165,6 @@ impl Network {
             sinks: Vec::new(),
             faults: None,
             kernel: SimKernel::default(),
-            armed: [ReadySet::default(), ReadySet::default()],
-            scratch: Vec::new(),
-            pinned: Vec::new(),
             par: None,
             shard_hints: None,
             clock_domains: None,
@@ -212,7 +175,7 @@ impl Network {
 
     /// Selects the stepping kernel. Must be called before the first
     /// [`step`](Self::step): the kernels share all element state, but the
-    /// event kernel's ready-sets are only maintained from tick zero.
+    /// activity-list ready-sets are only maintained from tick zero.
     ///
     /// # Panics
     ///
@@ -229,9 +192,10 @@ impl Network {
         self.kernel
     }
 
-    /// The parallel kernel's resolved worker count, once it has taken its
-    /// first step. `None` on the sequential kernels and on parallel
-    /// networks running the sequential fallback.
+    /// The activity-list kernel's resolved worker count, once it has
+    /// taken its first step: `1` on the event kernel. `None` on the dense
+    /// kernel and on networks running the dense loop (fault plan or trace
+    /// sinks attached).
     #[must_use]
     pub fn active_workers(&self) -> Option<usize> {
         self.par.as_ref().map(ParState::workers)
@@ -240,9 +204,10 @@ impl Network {
     /// The parallel kernel's deepest safe lookahead window — the largest
     /// hop distance from any element to the nearest shard-cut boundary,
     /// i.e. the most barrier-free ticks one epoch can ever batch. `None`
-    /// before the first parallel step, on sequential kernels, and when
-    /// the shard plan has no cut edges at all (single worker), in which
-    /// case the window is unbounded.
+    /// before the first activity-list step, on networks running the
+    /// dense loop, and when the shard plan has no cut edges at all (the
+    /// event kernel, or a single worker), in which case only the fold
+    /// interval bounds a window.
     #[must_use]
     pub fn parallel_lookahead(&self) -> Option<u64> {
         self.par.as_ref().and_then(ParState::lookahead)
@@ -250,9 +215,10 @@ impl Network {
 
     /// Total element visits executed so far, across all ticks. The dense
     /// kernel visits every matching-polarity element per tick; the
-    /// event-driven kernel visits only armed elements — on an idle network
-    /// this counter stops advancing entirely. With a fault plan attached
-    /// every kernel runs the dense loop and reports the dense count.
+    /// event-driven and parallel kernels visit only armed elements — on
+    /// an idle network this counter stops advancing entirely. With a
+    /// fault plan or trace sinks attached every kernel runs the dense
+    /// loop and reports the dense count.
     #[must_use]
     pub fn element_steps(&self) -> u64 {
         self.element_steps
@@ -318,7 +284,7 @@ impl Network {
         );
         assert!(
             self.par.is_none(),
-            "attach a fault plan before stepping a parallel-kernel network"
+            "attach a fault plan before stepping an event- or parallel-kernel network"
         );
         let labels = self.element_labels();
         let mut state = Box::new(FaultState::new(plan, &labels));
@@ -345,14 +311,15 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the network has already stepped on the parallel kernel:
-    /// tracing serialises on a single ordered event stream, so it must be
-    /// attached before the first step (forcing the sequential fallback).
+    /// Panics if the network has already stepped on the event or parallel
+    /// kernel: tracing serialises on a single ordered event stream that
+    /// only the dense loop produces, so it must be attached before the
+    /// first step.
     #[track_caller]
     pub fn add_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         assert!(
             self.par.is_none(),
-            "attach trace sinks before stepping a parallel-kernel network"
+            "attach trace sinks before stepping an event- or parallel-kernel network"
         );
         self.sinks.push(sink);
     }
@@ -585,52 +552,7 @@ impl Network {
                     .push(ElementId(i as u32));
             }
         }
-        let n = self.elements.len();
-        self.armed = [
-            ReadySet::with_element_count(n),
-            ReadySet::with_element_count(n),
-        ];
-        self.scratch = vec![0; n.div_ceil(64)];
-        self.pinned = vec![false; n];
-        for i in 0..n {
-            if self.compute_pinned(i) {
-                self.pinned[i] = true;
-                self.arm(i);
-            }
-        }
         self.finalized = true;
-    }
-
-    /// Whether element `i` must be visited on every one of its active
-    /// edges regardless of handshake activity (see [`Network::pinned`]).
-    fn compute_pinned(&self, i: usize) -> bool {
-        match &self.elements[i].kind {
-            // Non-silent generators either consume their per-element RNG
-            // every cycle (stochastic patterns) or act on a cycle schedule
-            // (saturate/bursty/replay) — both need their clock.
-            Kind::Source(s) => s.enabled && !matches!(s.pattern, TrafficPattern::Silent),
-            Kind::Tile(t) => {
-                t.enabled
-                    && matches!(
-                        &t.role,
-                        TileRole::Processor { pattern, .. }
-                            if !matches!(pattern, TrafficPattern::Silent)
-                    )
-            }
-            Kind::Stage | Kind::Sink(_) => false,
-        }
-    }
-
-    /// Registers element `i` into its polarity's ready-set (routed to the
-    /// owning shard once the parallel kernel is active).
-    #[inline]
-    fn arm(&mut self, i: usize) {
-        let p = pol_idx(self.elements[i].polarity);
-        if let Some(par) = &mut self.par {
-            par.arm(i, p);
-        } else {
-            self.armed[p].insert(i);
-        }
     }
 
     /// Sets the per-element subtree hints steering the parallel shard cut
@@ -654,30 +576,26 @@ impl Network {
         self.clock_domains = Some(topology);
     }
 
-    /// Whether this step should take the parallel path, activating the
-    /// shard state on first use. Networks with a fault plan or trace
-    /// sinks stay sequential: both fold into shared state (one fault RNG
-    /// stream, one ordered event stream) whose results depend on global
-    /// visit order.
-    fn parallel_ready(&mut self) -> bool {
-        let SimKernel::Parallel { workers } = self.kernel else {
-            return false;
+    /// Whether this step should take the activity-list path, activating
+    /// the shard state on first use. The event kernel is one shard, the
+    /// parallel kernel one per worker. Networks with a fault plan or
+    /// trace sinks run the dense loop: both fold into shared state (one
+    /// fault RNG stream, one ordered event stream) whose results depend
+    /// on global visit order and on visits no handshake asked for.
+    fn soa_ready(&mut self) -> bool {
+        let requested = match self.kernel {
+            SimKernel::Dense => return false,
+            SimKernel::EventDriven => 1,
+            SimKernel::Parallel { workers: 0 } => {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
+            }
+            SimKernel::Parallel { workers } => workers as usize,
         };
         if self.faults.is_some() || !self.sinks.is_empty() {
             return false;
         }
         if self.par.is_none() {
-            let requested = if workers == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            } else {
-                workers as usize
-            };
-            let mut par = ParState::build(
-                &self.elements,
-                requested,
-                &self.armed,
-                self.shard_hints.as_deref(),
-            );
+            let mut par = ParState::build(&self.elements, requested, self.shard_hints.as_deref());
             if let Some(prof) = &mut self.prof {
                 par.enable_profiling();
                 prof.bind_shards(par.workers());
@@ -687,8 +605,8 @@ impl Network {
         true
     }
 
-    /// Runs `ticks` half-cycles on the parallel kernel. Must only be
-    /// called when [`parallel_ready`](Self::parallel_ready) returned true.
+    /// Runs `ticks` half-cycles on the activity-list kernel. Must only be
+    /// called when [`soa_ready`](Self::soa_ready) returned true.
     fn par_step_batch(&mut self, ticks: u64, stop_when_drained: bool) {
         let par = self.par.as_mut().expect("parallel state active");
         if let Some(prof) = &self.prof {
@@ -706,7 +624,6 @@ impl Network {
             parallel::ParRunCtx {
                 elements: &mut self.elements,
                 scoreboard: &mut self.scoreboard,
-                pinned: &self.pinned,
                 par,
                 num_ports: self.num_ports,
                 base_tick: self.tick,
@@ -731,71 +648,6 @@ impl Network {
             core.steps = 0;
             core.wakes_sent = 0;
             core.wakes_received = 0;
-        }
-    }
-
-    /// Event kernel: after visiting element `i` (whose polarity index is
-    /// `p`), decide whether it stays armed and wake the neighbours its new
-    /// state can affect. `before` is the flit `i` presented pre-visit: a
-    /// drain-and-reinject visit leaves `out_flit` occupied throughout, so
-    /// "newly presented" must compare flit identity, not occupancy.
-    ///
-    /// Invariants this maintains (the correctness core of the kernel):
-    /// * an element that just *captured* wakes the drained upstream (it
-    ///   must observe the drain on its very next edge) and itself stays
-    ///   armed one more edge, so the stale `accepted_from` marker is
-    ///   cleared before the upstream could misread a later presentation
-    ///   as already drained;
-    /// * a *newly presented* flit wakes every downstream (they may
-    ///   capture). A blocked element then sleeps: its state next changes
-    ///   at the drain, and the capture-wake above covers exactly that
-    ///   edge;
-    /// * a sink stays armed while an upstream holds an offer (its accept
-    ///   mode may open on any later cycle), a tile while it presents
-    ///   (its stall counter advances every blocked edge) or has queued
-    ///   responses, a source while mid-worm; pinned elements always;
-    /// * in `conservative` mode (trace sinks attached), every presenting
-    ///   element additionally stays armed and re-wakes its downstreams
-    ///   each edge: dense visits of held flits emit `Blocked` events per
-    ///   edge, so the visit pattern must match the dense oracle exactly,
-    ///   not just reach the same steady state.
-    fn rearm_after_visit(&mut self, i: usize, p: usize, conservative: bool, before: Option<Flit>) {
-        let Self {
-            elements,
-            armed,
-            pinned,
-            ..
-        } = self;
-        let el = &elements[i];
-        let presenting = el.out_flit.is_some();
-        let captured = el.accepted_from;
-        let mut stay = captured.is_some() || pinned[i] || (conservative && presenting);
-        match &el.kind {
-            Kind::Source(s) => stay |= s.emitting.is_some(),
-            Kind::Tile(t) => stay |= presenting || !t.pending.is_empty(),
-            Kind::Sink(_) => {
-                stay |= el
-                    .upstreams
-                    .iter()
-                    .any(|u| elements[u.index()].out_flit.is_some());
-            }
-            Kind::Stage => {}
-        }
-        if stay {
-            armed[p].insert(i);
-        }
-        // Every connection joins opposite clock polarities, so both the
-        // drained upstream and all downstreams live in the other parity's
-        // ready-set.
-        let peers = &mut armed[p ^ 1];
-        if let Some(u) = captured {
-            peers.insert(u.index());
-        }
-        if presenting && (conservative || el.out_flit != before) {
-            for d in &el.downstreams {
-                debug_assert_ne!(elements[d.index()].polarity, el.polarity);
-                peers.insert(d.index());
-            }
         }
     }
 
@@ -827,18 +679,8 @@ impl Network {
                 _ => {}
             }
         }
-        // Keep the event kernel's pin set in sync: a re-enabled generator
-        // must be woken, a disabled one falls asleep on its own once its
-        // in-flight work (held flit, open worm, pending responses) clears.
-        if self.finalized {
-            for i in 0..self.elements.len() {
-                if matches!(self.elements[i].kind, Kind::Source(_) | Kind::Tile(_)) {
-                    self.pinned[i] = self.compute_pinned(i);
-                    if self.pinned[i] {
-                        self.arm(i);
-                    }
-                }
-            }
+        if let Some(par) = &mut self.par {
+            par.repin(&self.elements);
         }
     }
 
@@ -896,7 +738,7 @@ impl Network {
     /// Panics if the network was constructed manually and never finalized.
     pub fn step(&mut self) {
         assert!(self.finalized, "network must be finalized before stepping");
-        if self.parallel_ready() {
+        if self.soa_ready() {
             self.par_step_batch(1, false);
             return;
         }
@@ -914,41 +756,14 @@ impl Network {
         } else {
             ClockPolarity::Falling
         };
-        // A fault plan rolls its one shared RNG on every active edge of
-        // every presenting or outage-prone element, in global visit
-        // order, and its timers and clock domains act on elements no
-        // handshake woke: under any kernel it runs the dense loop.
-        if self.kernel == SimKernel::Dense || self.faults.is_some() {
-            for i in 0..self.elements.len() {
-                if self.elements[i].polarity != parity {
-                    continue;
-                }
-                self.element_steps += 1;
-                self.dispatch(i);
+        // The dense loop: the oracle, and the only loop carrying the
+        // fault and trace hooks.
+        for i in 0..self.elements.len() {
+            if self.elements[i].polarity != parity {
+                continue;
             }
-        } else {
-            // (A parallel kernel reaching this branch is the sequential
-            // fallback: trace sinks are attached.) A held flit emits a
-            // `Blocked` event per edge, which forces the dense visit
-            // pattern onto every presenting element (conservative mode).
-            // Attach sinks before the first step so the mode never
-            // changes mid-run.
-            let conservative = !self.sinks.is_empty();
-            // Swap this parity's agenda out, so re-arms performed during
-            // the drain land on the *next* matching edge.
-            let p = pol_idx(parity);
-            std::mem::swap(&mut self.armed[p].words, &mut self.scratch);
-            for word in 0..self.scratch.len() {
-                let mut bits = std::mem::take(&mut self.scratch[word]);
-                while bits != 0 {
-                    let i = (word << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.element_steps += 1;
-                    let before = self.elements[i].out_flit;
-                    self.dispatch(i);
-                    self.rearm_after_visit(i, p, conservative, before);
-                }
-            }
+            self.element_steps += 1;
+            self.dispatch(i);
         }
         if let Some((t0, steps0)) = seq_start {
             let step_ns = t0.elapsed().as_nanos() as u64;
@@ -1183,7 +998,7 @@ impl Network {
         let tick = self.tick;
         // One active edge per cycle on a fixed parity: the element-local
         // cycle counter is exactly `tick / 2`, derived rather than stored
-        // so elements the event kernel leaves asleep cannot drift.
+        // so elements the activity list leaves asleep cannot drift.
         let cycle = tick / 2;
         let Kind::Source(_) = self.elements[i].kind else {
             unreachable!("step_source called on non-source")
@@ -1566,7 +1381,7 @@ impl Network {
     /// Runs `cycles` full clock cycles (two ticks each) and returns the
     /// cumulative report.
     pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
-        if self.parallel_ready() {
+        if self.soa_ready() {
             // One thread scope for the whole batch: spawn cost amortises
             // over all `2 * cycles` ticks.
             self.par_step_batch(cycles * 2, false);
@@ -1596,10 +1411,10 @@ impl Network {
     /// the stuck elements instead of a bare `false`.
     pub fn drain_or_diagnose(&mut self, max_cycles: u64) -> Result<(), DrainTimeout> {
         self.set_sources_enabled(false);
-        if self.parallel_ready() {
+        if self.soa_ready() {
             // The batch evaluates the drained condition between ticks —
             // the same place this loop checks — so tick counts match the
-            // sequential kernels exactly.
+            // dense loop exactly.
             self.par_step_batch(max_cycles * 2, true);
         } else {
             for _ in 0..max_cycles * 2 {
@@ -1664,7 +1479,7 @@ impl Network {
     /// A stage's complete gating statistics. Only *enabled* edges (flit
     /// captures) are recorded eagerly; every other active edge held the
     /// register, so the gated count is derived from elapsed time. This
-    /// lets the event kernel leave idle stages entirely unvisited —
+    /// lets the activity list leave idle stages entirely unvisited —
     /// mirroring the gated clock, which also costs nothing when idle —
     /// while still reporting numbers identical to the dense oracle.
     fn stage_gating(&self, el: &Element) -> ClockGatingStats {
@@ -1812,8 +1627,9 @@ impl Network {
                         .collect(),
                 }),
             },
-            // Sequential kernels (and the sequential fallback): one
-            // logical worker covering the whole graph.
+            // The dense loop (the dense kernel, and every kernel with a
+            // fault plan or trace sinks): one logical worker covering the
+            // whole graph.
             None => PerfReport {
                 kernel: self.kernel.label().to_owned(),
                 workers: 1,

@@ -1,8 +1,14 @@
-//! The multi-threaded subtree-sharded stepping kernel.
+//! The activity-list stepping kernel: one struct-of-arrays shard for
+//! [`SimKernel::EventDriven`](crate::SimKernel), subtree shards on worker
+//! threads for [`SimKernel::Parallel`](crate::SimKernel).
 //!
-//! [`SimKernel::Parallel`](crate::SimKernel) partitions the element graph
-//! into per-worker shards and runs each shard's activity-list kernel on
-//! its own thread. The alternating-edge protocol makes this safe without
+//! Each element registers into a per-polarity ready set when a handshake
+//! edge can change its state, and a tick visits only that set — the
+//! software mirror of the paper's handshake-derived clock gating
+//! (Section 5). The parallel kernel partitions the element graph into
+//! per-worker shards and runs each shard's visits on its own thread (the
+//! event kernel is the same code with one shard and no cut edges). The
+//! alternating-edge protocol makes this safe without
 //! any per-element locking: every connection joins **opposite** clock
 //! polarities, so within one tick a worker only mutates current-parity
 //! elements of its own shard, and every cross-element read (an upstream's
@@ -37,7 +43,10 @@
 //!   single synchronised mailbox tick. In a tree fabric the cut is the
 //!   root link, so the safe window is exactly the paper's root-link
 //!   latency: idle phases collapse into one long window instead of
-//!   thousands of barrier crossings.
+//!   thousands of barrier crossings. A window with armed elements is
+//!   also capped at [`FOLD_TICKS`], so a shard with no cut at all (the
+//!   event kernel) still folds its deferred arrivals at a fixed interval
+//!   instead of buffering a whole run's deliveries.
 //!
 //! * **Per-edge flags + parking instead of a global spin barrier.**
 //!   Windows are published through a seqlock-free serial counter; each
@@ -57,17 +66,16 @@
 //! scoreboard order bit for bit at any worker count.
 //!
 //! Fault plans and trace sinks serialise on shared order-dependent state
-//! (one fault RNG stream, one event stream), so a network with either
-//! attached never builds a `ParState`: a fault plan runs the dense loop
-//! (as it does under every kernel), trace sinks alone run the sequential
-//! event loop — the parallel path never trades determinism for speed.
+//! (one fault RNG stream, one event stream that reports every blocked
+//! edge), so a network with either attached never builds a `ParState`:
+//! it runs the dense loop under every kernel — the activity list never
+//! trades determinism for speed.
 
 use crate::element::{Arbitration, Element, Kind, RouteFilter, TileRole};
-use crate::network::ReadySet;
 use crate::profile::{CoreProf, EpochSample};
 use crate::report::Scoreboard;
-use crate::{ElementId, Flit, TrafficPhase};
-use icnoc_clock::ClockGatingStats;
+use crate::{ElementId, Flit, TrafficPattern, TrafficPhase};
+use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_topology::PortId;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -90,7 +98,45 @@ const K_TILE: u8 = 3;
 /// "No element" marker in the dense `u32` element-index encoding.
 const NONE_U32: u32 = u32::MAX;
 
-/// Persistent state of the parallel kernel: the shard plan, the dense
+/// The longest window a batch runs while any element is armed. Deferred
+/// arrivals fold into the scoreboard at every window end, so this bounds
+/// the arrival buffers of a shard with no cut edge (the event kernel),
+/// whose lookahead is otherwise unbounded. Multi-worker windows stay far
+/// below it: they are capped by the hop distance to the shard cut.
+const FOLD_TICKS: u64 = 128;
+
+/// A per-polarity activity list: one bit per element, drained in ascending
+/// element-index order (matching the dense kernel's iteration order, which
+/// scoreboard accounting and the trace stream depend on).
+#[derive(Debug, Clone, Default)]
+struct ReadySet {
+    words: Vec<u64>,
+}
+
+impl ReadySet {
+    fn with_element_count(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i >> 6] |= 1u64 << (i & 63);
+    }
+}
+
+/// The ready-set index of a clock polarity: rising edges land on even
+/// ticks, falling edges on odd ones.
+#[inline]
+fn pol_idx(p: ClockPolarity) -> usize {
+    match p {
+        ClockPolarity::Rising => 0,
+        ClockPolarity::Falling => 1,
+    }
+}
+
+/// Persistent state of the activity-list kernel: the shard plan, the dense
 /// SoA mirrors of graph and handshake state, the boundary-distance map
 /// driving lookahead windows, and each worker's ready sets, mailboxes
 /// and arrival buffer. Plain data — worker threads are scoped per batch,
@@ -99,6 +145,8 @@ const NONE_U32: u32 = u32::MAX;
 pub(crate) struct ParState {
     /// Worker count (= shard count).
     workers: usize,
+    /// Elements re-armed after every visit (see [`repin`](Self::repin)).
+    pinned: Vec<bool>,
     /// Shard owning each element.
     shard_of: Vec<u16>,
     /// Immutable dense mirror of the element graph.
@@ -114,7 +162,7 @@ pub(crate) struct ParState {
     cut_peers: Vec<Vec<usize>>,
     /// Largest finite boundary distance: the deepest safe window this
     /// shard cut can ever produce. `None` when no cut edges exist
-    /// (single worker), i.e. the window is unbounded.
+    /// (single shard), i.e. only [`FOLD_TICKS`] bounds the window.
     lookahead: Option<u64>,
     /// Per-worker kernel state.
     cores: Vec<ShardCore>,
@@ -134,7 +182,8 @@ pub(crate) struct ShardCore {
     /// Per-polarity ready sets over the **full** element index space
     /// (only this shard's bits are ever set).
     ready: [ReadySet; 2],
-    /// Agenda swap buffer, as in the sequential event kernel.
+    /// Agenda swap buffer: the current tick's ready set is swapped in
+    /// here, so same-parity re-arms land on the *next* matching edge.
     scratch: Vec<u64>,
     /// Element visits executed by this worker, drained into the
     /// network-wide counter after each batch.
@@ -151,14 +200,11 @@ pub(crate) struct ShardCore {
 
 impl ParState {
     /// Builds the shard plan, the dense graph mirror and the
-    /// boundary-distance map, and seeds per-shard ready sets from the
-    /// sequential kernel's current `armed` bits.
-    pub(crate) fn build(
-        elements: &[Element],
-        workers: usize,
-        armed: &[ReadySet; 2],
-        hints: Option<&[u32]>,
-    ) -> Self {
+    /// boundary-distance map, and arms every pinned element in its shard.
+    /// Built before the first step, when no handshake is in flight, so
+    /// the pinned generators are the only elements that can change state
+    /// on the first edges.
+    pub(crate) fn build(elements: &[Element], workers: usize, hints: Option<&[u32]>) -> Self {
         let n = elements.len();
         debug_assert!(n < NONE_U32 as usize, "element space fits u32 encoding");
         let workers = workers.clamp(1, n.max(1)).min(u16::MAX as usize);
@@ -172,7 +218,7 @@ impl ParState {
             .filter(|&d| d != u32::MAX)
             .max()
             .map(u64::from);
-        let mut cores = vec![
+        let cores = vec![
             ShardCore {
                 ready: [
                     ReadySet::with_element_count(n),
@@ -186,18 +232,9 @@ impl ParState {
             };
             workers
         ];
-        for (p, set) in armed.iter().enumerate() {
-            for (word, &bits) in set.words.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let i = (word << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    cores[shard_of[i] as usize].ready[p].insert(i);
-                }
-            }
-        }
-        Self {
+        let mut par = Self {
             workers,
+            pinned: vec![false; n],
             shard_of,
             topo,
             soa: SoaDyn::default(),
@@ -208,14 +245,36 @@ impl ParState {
             mail: vec![Vec::new(); workers * workers],
             arrivals: vec![Vec::new(); workers],
             arrival_scratch: Vec::new(),
-        }
+        };
+        par.repin(elements);
+        par
     }
 
-    /// Registers element `i` into its owning shard's parity-`p` ready set
-    /// (the parallel-mode form of [`Network::arm`](crate::Network)).
-    pub(crate) fn arm(&mut self, i: usize, p: usize) {
-        let s = self.shard_of[i] as usize;
-        self.cores[s].ready[p].insert(i);
+    /// Re-reads which elements are pinned — enabled non-silent traffic
+    /// generators, whose pattern consumes RNG or follows a schedule every
+    /// cycle — and arms them. Called at build and whenever sources are
+    /// enabled or disabled: a re-enabled generator must be woken, a
+    /// disabled one falls asleep on its own once its in-flight work (held
+    /// flit, open worm, pending responses) clears.
+    pub(crate) fn repin(&mut self, elements: &[Element]) {
+        for (i, el) in elements.iter().enumerate() {
+            self.pinned[i] = match &el.kind {
+                Kind::Source(s) => s.enabled && !matches!(s.pattern, TrafficPattern::Silent),
+                Kind::Tile(t) => {
+                    t.enabled
+                        && matches!(
+                            &t.role,
+                            TileRole::Processor { pattern, .. }
+                                if !matches!(pattern, TrafficPattern::Silent)
+                        )
+                }
+                Kind::Stage | Kind::Sink(_) => false,
+            };
+            if self.pinned[i] {
+                let s = self.shard_of[i] as usize;
+                self.cores[s].ready[pol_idx(el.polarity)].insert(i);
+            }
+        }
     }
 
     /// The number of worker shards.
@@ -224,7 +283,7 @@ impl ParState {
     }
 
     /// The deepest safe batching window the shard cut admits (`None` =
-    /// unbounded: no cut edges exist).
+    /// no cut edges exist, so only [`FOLD_TICKS`] bounds a window).
     pub(crate) fn lookahead(&self) -> Option<u64> {
         self.lookahead
     }
@@ -464,10 +523,11 @@ impl ShardActivity {
 /// Decides the next window from the fleet-wide activity summary. With
 /// nothing armed anywhere no visit can ever happen, so the rest of the
 /// batch is one window. Otherwise: minimum distance `0` forces a single
-/// synchronised mailbox tick; drain mode clamps finite windows to one
-/// tick so the between-tick drain check fires at exactly the sequential
-/// tick boundaries; anything else batches up to `min_dist` barrier-free
-/// ticks (`u32::MAX` — no reachable boundary — batches the remainder).
+/// synchronised mailbox tick; drain mode clamps windows to one tick so
+/// the between-tick drain check fires at exactly the dense loop's tick
+/// boundaries; anything else batches up to `min_dist` barrier-free ticks
+/// and at most [`FOLD_TICKS`] (`u32::MAX` — no reachable boundary —
+/// leaves only the fold interval).
 fn plan_window(activity: ShardActivity, remaining: u64, drain: bool) -> (u64, bool) {
     if !activity.any_armed {
         (remaining, false)
@@ -476,7 +536,8 @@ fn plan_window(activity: ShardActivity, remaining: u64, drain: bool) -> (u64, bo
     } else if drain {
         (1, false)
     } else {
-        (remaining.min(u64::from(activity.min_dist)), false)
+        let window = remaining.min(u64::from(activity.min_dist));
+        (window.min(FOLD_TICKS), false)
     }
 }
 
@@ -787,7 +848,6 @@ impl SyncShared {
 pub(crate) struct ParRunCtx<'a> {
     pub elements: &'a mut [Element],
     pub scoreboard: &'a mut Scoreboard,
-    pub pinned: &'a [bool],
     pub par: &'a mut ParState,
     pub num_ports: u32,
     pub base_tick: u64,
@@ -813,14 +873,13 @@ struct WindowCtx<'a> {
 /// Runs up to `max_ticks` half-cycles across all workers, returning the
 /// number actually executed. With `stop_when_drained`, the batch also
 /// stops before the first tick at which nothing is left in flight —
-/// evaluated between ticks, exactly where the sequential drain loop
-/// checks, so tick counts (and the gating statistics derived from them)
-/// match the event kernel bit for bit.
+/// evaluated between ticks, exactly where the dense drain loop checks,
+/// so tick counts (and the gating statistics derived from them) match
+/// the dense kernel bit for bit.
 pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: bool) -> u64 {
     let ParRunCtx {
         elements,
         scoreboard,
-        pinned,
         par,
         num_ports,
         base_tick,
@@ -841,7 +900,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         mail,
         arrivals,
         shard_of: &par.shard_of,
-        pinned,
+        pinned: &par.pinned,
         dist,
         num_ports,
         base_tick,
@@ -981,8 +1040,8 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             // Each consumer records at most one arrival per tick and
             // each worker appended in (tick, element) order, so sorting
             // by the stamped tick then element index reproduces the
-            // sequential kernel's scoreboard order exactly (keys are
-            // unique; unstable sort is fine).
+            // dense loop's scoreboard order exactly (keys are unique;
+            // unstable sort is fine).
             arrival_scratch.sort_unstable_by_key(|a| (a.0, a.1));
             for (tick, _, flit, port) in arrival_scratch.drain(..) {
                 scoreboard.record_arrival(&flit, tick, port);
@@ -1135,11 +1194,9 @@ fn nothing_in_flight(shared: SharedElements<'_>, view: SoaView<'_>, topo: &SoaTo
 
 /// The visit phase of one tick for one shard: drain the parity-`p` ready
 /// set in ascending element order, stepping each element and re-arming
-/// exactly as the sequential event kernel does (conservative mode is
-/// never active here — a fault plan runs the dense loop and trace sinks
-/// the sequential event loop, so neither ever reaches a `ParState`).
-/// With `allow_cross` false (a batched window), the lookahead guarantee
-/// makes cross-shard wakes impossible; a tripwire assert enforces it.
+/// it and its neighbours (see [`soa_rearm`]). With `allow_cross` false
+/// (a batched window), the lookahead guarantee makes cross-shard wakes
+/// impossible; a tripwire assert enforces it.
 fn visit_tick(
     ctx: WindowCtx<'_>,
     tick: u64,
@@ -1246,11 +1303,30 @@ fn merge_shard(
     }
 }
 
-/// Post-visit re-arm, mirroring `Network::rearm_after_visit` with
-/// `conservative == false`; cross-shard wakes go through the mailboxes.
-/// `stay_kind` carries the kind-specific stay conditions computed during
-/// the step (source still emitting, tile presenting or queueing, sink
-/// seeing an upstream offer).
+/// Post-visit re-arm: decide whether element `i` (parity index `p`) stays
+/// armed and wake the neighbours its new state can affect; cross-shard
+/// wakes go through the mailboxes. `before` is the flit `i` presented
+/// pre-visit: a drain-and-reinject visit leaves `out` occupied
+/// throughout, so "newly presented" must compare flit identity, not
+/// occupancy.
+///
+/// Invariants this maintains (the correctness core of the kernel):
+/// * an element that just *captured* wakes the drained upstream (it
+///   must observe the drain on its very next edge) and itself stays
+///   armed one more edge, so the stale `accepted_from` marker is cleared
+///   before the upstream could misread a later presentation as already
+///   drained;
+/// * a *newly presented* flit wakes every downstream (they may capture).
+///   A blocked element then sleeps: its state next changes at the
+///   drain, and the capture-wake above covers exactly that edge;
+/// * `stay_kind` carries the kind-specific stay conditions computed
+///   during the step: a source while mid-worm, a tile while it presents
+///   (its stall counter advances every blocked edge) or has queued
+///   responses, a sink while an upstream holds an offer (its accept mode
+///   may open on any later cycle); pinned elements always stay.
+///
+/// Every connection joins opposite clock polarities, so both the drained
+/// upstream and all downstreams land in the other parity's ready set.
 #[allow(clippy::too_many_arguments)]
 fn soa_rearm(
     view: SoaView<'_>,
@@ -1331,7 +1407,7 @@ unsafe fn soa_first_offer(view: SoaView<'_>, topo: &SoaTopo, i: usize) -> (u32, 
     (NONE_U32, None)
 }
 
-/// `Network::step_stage` specialised for no faults and no tracing,
+/// The dense loop's stage step specialised for no faults and no tracing,
 /// running entirely on the dense arrays.
 ///
 /// # Safety
@@ -1402,7 +1478,7 @@ unsafe fn soa_step_stage(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
     }
 }
 
-/// `Network::step_source` specialised for no faults and no tracing.
+/// The dense loop's source step specialised for no faults and no tracing.
 /// Returns the kind-specific stay condition (worm still emitting).
 ///
 /// # Safety
@@ -1505,7 +1581,7 @@ unsafe fn soa_step_source(
     state.emitting.is_some()
 }
 
-/// `Network::step_sink` specialised for no faults and no tracing; the
+/// The dense loop's sink step specialised for no faults and no tracing; the
 /// scoreboard arrival is deferred into this worker's buffer. Returns the
 /// kind-specific stay condition (an upstream still presents an offer).
 ///
@@ -1541,7 +1617,7 @@ unsafe fn soa_step_sink(
     offered.is_some()
 }
 
-/// `Network::step_tile` specialised for no faults and no tracing; the
+/// The dense loop's tile step specialised for no faults and no tracing; the
 /// scoreboard arrival is deferred into this worker's buffer. Returns the
 /// kind-specific stay condition (presenting, or responses still queued).
 ///
@@ -1801,6 +1877,18 @@ mod tests {
         // single-step — state changes every tick.
         assert_eq!(plan_window(armed(u32::MAX), 100, false), (100, false));
         assert_eq!(plan_window(armed(u32::MAX), 100, true), (1, false));
+        // Nothing in the lookahead bounds that window, so the fold
+        // interval does: arrivals buffered between scoreboard folds stay
+        // bounded however long the batch. A deep finite lookahead obeys
+        // the same cap.
+        assert_eq!(
+            plan_window(armed(u32::MAX), 120_000, false),
+            (FOLD_TICKS, false)
+        );
+        assert_eq!(
+            plan_window(armed(5_000), 120_000, false),
+            (FOLD_TICKS, false)
+        );
         // Nothing armed anywhere: no visit can occur, so the rest of
         // the batch collapses into one window even in drain mode.
         assert_eq!(plan_window(ShardActivity::IDLE, 100, false), (100, false));

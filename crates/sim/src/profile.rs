@@ -40,8 +40,8 @@ pub enum FallbackCause {
     /// order, so the run takes the dense loop.
     FaultPlan,
     /// One or more [`TraceSink`](crate::TraceSink)s and no fault plan are
-    /// attached: the flit-lifecycle event stream is globally ordered, so
-    /// the run takes the sequential event loop.
+    /// attached: the flit-lifecycle event stream is globally ordered and
+    /// reports every blocked edge, so the run takes the dense loop.
     TraceSinks,
 }
 
@@ -123,7 +123,8 @@ const MAX_SAMPLES: usize = 4096;
 /// timeline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerProfile {
-    /// Worker (= shard) index; the sequential kernels report worker 0.
+    /// Worker (= shard) index; the dense loop and the event kernel
+    /// report worker 0.
     pub worker: u32,
     /// Barrier epochs (ticks) this worker participated in.
     pub epochs: u64,
@@ -240,12 +241,13 @@ impl CoreProf {
 }
 
 /// Network-level profiler state: deterministic per-shard accumulators
-/// plus the sequential kernels' single-worker wall profile. Parallel
+/// plus the dense loop's single-worker wall profile. Activity-list
 /// workers' wall profiles live in their `ShardCore`s (worker-owned during
 /// batches) and are gathered at report time.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KernelProfiler {
-    /// Wall profile of the sequential kernels (dense, event, fallback).
+    /// Wall profile of the dense loop (the dense kernel, and any kernel
+    /// with a fault plan or trace sinks attached).
     pub(crate) seq: CoreProf,
     /// Cumulative element visits per shard (deterministic).
     pub(crate) shard_steps: Vec<u64>,
@@ -268,7 +270,7 @@ impl KernelProfiler {
         self.shard_wakes_received = vec![0; workers];
     }
 
-    /// Records one sequential tick: `steps` element visits taking
+    /// Records one dense-loop tick: `steps` element visits taking
     /// `step_ns` wall time (no flush or barrier phases exist).
     pub(crate) fn record_sequential_tick(&mut self, tick: u64, steps: u64, step_ns: u64) {
         self.epochs += 1;
@@ -310,8 +312,8 @@ pub struct ShardCounters {
 /// the explore crate strips `wall_ms`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PerfWall {
-    /// One wall profile per worker (the sequential kernels report a
-    /// single worker 0).
+    /// One wall profile per worker (the dense loop and the event kernel
+    /// report a single worker 0).
     pub workers: Vec<WorkerProfile>,
 }
 
@@ -321,8 +323,8 @@ pub struct PerfWall {
 pub struct PerfReport {
     /// Stable kernel label (`dense` / `event` / `parallel`).
     pub kernel: String,
-    /// Resolved worker count (1 on the sequential kernels and on the
-    /// sequential fallback).
+    /// Resolved worker count (1 on the dense and event kernels and on
+    /// the sequential fallback).
     pub workers: u32,
     /// Barrier epochs executed — one per half-cycle tick, matching the
     /// polarity flips.

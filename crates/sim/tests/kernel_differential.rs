@@ -1,12 +1,13 @@
 //! Differential tests for the stepping kernels: for any seed and
-//! configuration, the event-driven kernel must produce a **bit-identical**
-//! [`SimReport`] — scoreboard, latency statistics, clock-gating counts,
-//! per-element counters, trace-event stream, and recovery ledger — to the
-//! dense full-scan oracle, while never visiting more elements; and the
-//! parallel subtree-sharded kernel must match the event kernel exactly at
-//! every worker count (1, 2 and 8), including its element-update count.
-//! Plus the tentpole's idleness property: an all-idle network executes
-//! zero element updates per tick.
+//! configuration, the event-driven kernel (one activity-list shard) and
+//! the parallel subtree-sharded kernel at every worker count (1, 2 and 8)
+//! must each produce a **bit-identical** [`SimReport`] — scoreboard,
+//! latency statistics, clock-gating counts, per-element counters,
+//! trace-event stream, and recovery ledger — to the dense full-scan
+//! oracle, the only independent reference, while never visiting more
+//! elements; and the event and parallel kernels must agree on their
+//! element-update count at every worker count. Plus the idleness
+//! property: an all-idle network executes zero element updates per tick.
 
 use icnoc_sim::{
     FaultPlan, FaultRates, Network, SimKernel, SimReport, SinkMode, TrafficPattern,
@@ -33,70 +34,55 @@ fn run_one(cfg: &TreeNetworkConfig, kernel: SimKernel, cycles: u64) -> Network {
     net
 }
 
-/// Builds the same network twice — once per sequential kernel — runs both
-/// through the traffic phase and a drain, and returns them for comparison.
-fn run_pair(cfg: &TreeNetworkConfig, cycles: u64) -> (Network, Network) {
-    (
-        run_one(cfg, SimKernel::Dense, cycles),
-        run_one(cfg, SimKernel::EventDriven, cycles),
-    )
-}
-
-/// Runs the same configuration under the parallel kernel at every worker
-/// count in [`PARALLEL_WORKERS`] and asserts each run is bit-identical to
-/// the event-kernel reference — same report, same trace stream, same
-/// recovery ledger, and the **same** element-update count (the parallel
-/// visit set must match the event kernel's tick by tick).
-fn assert_parallel_matches(cfg: &TreeNetworkConfig, event: &Network, cycles: u64, context: &str) {
-    for workers in PARALLEL_WORKERS {
-        let par = run_one(cfg, SimKernel::Parallel { workers }, cycles);
-        assert_eq!(
-            event.report(),
-            par.report(),
-            "{context}: parallel workers={workers} report diverged"
-        );
-        assert_eq!(
-            event.event_buffer().map(|b| b.events()),
-            par.event_buffer().map(|b| b.events()),
-            "{context}: parallel workers={workers} trace streams diverged"
-        );
-        assert_eq!(
-            event.fault_report(),
-            par.fault_report(),
-            "{context}: parallel workers={workers} recovery ledgers diverged"
-        );
-        assert_eq!(
-            event.element_steps(),
-            par.element_steps(),
-            "{context}: parallel workers={workers} element-update counts diverged"
-        );
-    }
-}
-
-/// The full differential assertion: identical reports, identical trace
-/// streams (when buffered), and the event kernel doing no more work.
-fn assert_identical(dense: &Network, event: &Network, context: &str) {
+/// The full differential assertion against the dense oracle: identical
+/// reports, identical trace streams (when buffered), identical recovery
+/// ledgers, and the kernel under test doing no more work.
+fn assert_identical(dense: &Network, other: &Network, context: &str) {
+    let kernel = other.kernel().label();
     assert_eq!(
         dense.report(),
-        event.report(),
-        "{context}: reports diverged"
+        other.report(),
+        "{context}: {kernel} report diverged from dense"
     );
     assert_eq!(
         dense.event_buffer().map(|b| b.events()),
-        event.event_buffer().map(|b| b.events()),
-        "{context}: trace event streams diverged"
+        other.event_buffer().map(|b| b.events()),
+        "{context}: {kernel} trace event stream diverged from dense"
     );
     assert_eq!(
         dense.fault_report(),
-        event.fault_report(),
-        "{context}: recovery ledgers diverged"
+        other.fault_report(),
+        "{context}: {kernel} recovery ledger diverged from dense"
     );
     assert!(
-        event.element_steps() <= dense.element_steps(),
-        "{context}: event kernel visited {} elements, dense only {}",
-        event.element_steps(),
+        other.element_steps() <= dense.element_steps(),
+        "{context}: {kernel} kernel visited {} elements, dense only {}",
+        other.element_steps(),
         dense.element_steps()
     );
+}
+
+/// Runs the same configuration under the dense oracle, the event kernel
+/// and the parallel kernel at every worker count in [`PARALLEL_WORKERS`],
+/// and asserts every run is bit-identical to dense ([`assert_identical`])
+/// and that the event and parallel kernels execute the **same**
+/// element-update count (the parallel visit set must match the event
+/// kernel's tick by tick). Returns the dense and event runs.
+fn assert_kernels_agree(cfg: &TreeNetworkConfig, cycles: u64, context: &str) -> (Network, Network) {
+    let dense = run_one(cfg, SimKernel::Dense, cycles);
+    let event = run_one(cfg, SimKernel::EventDriven, cycles);
+    assert_identical(&dense, &event, context);
+    for workers in PARALLEL_WORKERS {
+        let par = run_one(cfg, SimKernel::Parallel { workers }, cycles);
+        let context = format!("{context} (workers={workers})");
+        assert_identical(&dense, &par, &context);
+        assert_eq!(
+            event.element_steps(),
+            par.element_steps(),
+            "{context}: element-update counts diverged from the event kernel"
+        );
+    }
+    (dense, event)
 }
 
 /// Decodes the sampled `(selector, rate, burst)` triple into one of the
@@ -123,9 +109,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Open-loop traffic over random patterns, sizes, packet lengths and
-    /// sink modes — with counters (trace sinks: the event loop's
-    /// conservative visits) and without (capture-notification sleeping)
-    /// — is kernel-invariant.
+    /// sink modes — with counters (trace sinks: every kernel runs the
+    /// dense loop) and without (activity-list sleeping) — is
+    /// kernel-invariant.
     #[test]
     fn kernels_agree_on_open_loop_traffic(
         ports_exp in 2u32..5,
@@ -152,9 +138,17 @@ proptest! {
             .with_sink_mode(sink_mode)
             .with_counters(counters == 1)
             .with_seed(seed);
-        let (dense, event) = run_pair(&cfg, cycles);
-        assert_identical(&dense, &event, "open-loop");
-        assert_parallel_matches(&cfg, &event, cycles, "open-loop");
+        let (dense, event) = assert_kernels_agree(&cfg, cycles, "open-loop");
+        if counters == 1 {
+            // Trace sinks select the dense loop whatever the kernel: a
+            // held flit reports a `Blocked` event on every edge, so only
+            // the full scan reproduces the stream.
+            prop_assert_eq!(
+                event.element_steps(),
+                dense.element_steps(),
+                "trace sinks must run the dense loop"
+            );
+        }
     }
 
     /// Closed-loop processor/memory tiles (request/response with service
@@ -174,9 +168,7 @@ proptest! {
                 service_cycles: 3,
             })
             .with_seed(seed);
-        let (dense, event) = run_pair(&cfg, cycles);
-        assert_identical(&dense, &event, "closed-loop");
-        assert_parallel_matches(&cfg, &event, cycles, "closed-loop");
+        assert_kernels_agree(&cfg, cycles, "closed-loop");
     }
 
     /// The fault soak — every fault kind at a nonzero rate, shared fault
@@ -200,11 +192,10 @@ proptest! {
             .with_counters(true)
             .with_faults(plan)
             .with_seed(seed);
-        let (dense, event) = run_pair(&cfg, cycles);
-        assert_identical(&dense, &event, context);
+        let (dense, event) = assert_kernels_agree(&cfg, cycles, context);
         // A fault plan selects the dense loop whatever the kernel, so the
         // event kernel and the parallel kernel's fallback visit exactly
-        // what the dense oracle visits (`assert_parallel_matches` checks
+        // what the dense oracle visits (`assert_kernels_agree` checks
         // every worker count against the event count).
         prop_assert_eq!(
             event.element_steps(),
@@ -212,16 +203,16 @@ proptest! {
             "{}: a fault plan must run the dense loop",
             context
         );
-        assert_parallel_matches(&cfg, &event, cycles, context);
     }
 
     /// The epoch-batching worst case, fuzzed: mirror traffic sends every
     /// flit through the root cut, so armed elements sit on the shard
-    /// boundary almost every tick and the conservative lookahead window
-    /// collapses to single mailbox ticks. Bit-identity — report, trace
-    /// stream, recovery ledger and element-update count — must survive
-    /// the collapse at every worker count, and survive the dense-loop
-    /// fallback when the full fault soak or the clock soak rides along.
+    /// boundary almost every tick and the lookahead window collapses to
+    /// single mailbox ticks. Bit-identity with dense — report, trace
+    /// stream, recovery ledger — and the event kernel's element-update
+    /// count must survive the collapse at every worker count, and survive
+    /// the dense-loop fallback when the full fault soak or the clock soak
+    /// rides along.
     #[test]
     fn epoch_batching_survives_lookahead_collapse(
         ports_exp in 3u32..6,
@@ -248,13 +239,16 @@ proptest! {
                 },
             );
         }
+        let dense = run_one(&cfg, SimKernel::Dense, cycles);
         let event = run_one(&cfg, SimKernel::EventDriven, cycles);
+        prop_assert_eq!(dense.report(), event.report());
+        prop_assert_eq!(dense.fault_report(), event.fault_report());
         for workers in PARALLEL_WORKERS {
             let par = run_one(&cfg, SimKernel::Parallel { workers }, cycles);
             if faulted != 0 {
                 prop_assert_eq!(
                     par.active_workers(), None,
-                    "fault plans must force the sequential fallback"
+                    "fault plans must force the dense-loop fallback"
                 );
             } else if workers > 1 {
                 // A real shard cut exists, so the static lookahead bound
@@ -267,17 +261,17 @@ proptest! {
                 );
             }
             prop_assert_eq!(
-                event.report(),
+                dense.report(),
                 par.report(),
                 "mirror hotspot diverged at workers={} faulted={}",
                 workers,
                 faulted
             );
             prop_assert_eq!(
-                event.event_buffer().map(|b| b.events()),
+                dense.event_buffer().map(|b| b.events()),
                 par.event_buffer().map(|b| b.events())
             );
-            prop_assert_eq!(event.fault_report(), par.fault_report());
+            prop_assert_eq!(dense.fault_report(), par.fault_report());
             prop_assert_eq!(event.element_steps(), par.element_steps());
         }
     }
@@ -305,8 +299,10 @@ fn all_traffic_crossing_the_root_survives_the_shard_cut() {
                 },
             );
         }
+        let dense = run_one(&cfg, SimKernel::Dense, 400);
         let event = run_one(&cfg, SimKernel::EventDriven, 400);
         assert!(event.report().delivered > 0, "mirror traffic must flow");
+        assert_identical(&dense, &event, "root-crossing traffic");
         for workers in PARALLEL_WORKERS {
             let par = run_one(&cfg, SimKernel::Parallel { workers }, 400);
             assert_eq!(
@@ -314,10 +310,10 @@ fn all_traffic_crossing_the_root_survives_the_shard_cut() {
                 Some(workers as usize),
                 "the parallel kernel must actually shard at workers={workers}"
             );
-            assert_eq!(
-                event.report(),
-                par.report(),
-                "root-crossing traffic diverged at workers={workers}"
+            assert_identical(
+                &dense,
+                &par,
+                &format!("root-crossing traffic (workers={workers})"),
             );
             assert_eq!(event.element_steps(), par.element_steps());
         }
@@ -326,16 +322,17 @@ fn all_traffic_crossing_the_root_survives_the_shard_cut() {
 
 /// The soak1024 tier end-to-end: a 1024-port fabric is deep enough that
 /// epoch batching runs dozens of barrier-free ticks per window
-/// (lookahead 30 at two workers), and the run must still be
-/// bit-identical to the event kernel at workers 1 and 4 — with the
-/// conservation ledger balanced: every flit sent is delivered or still
-/// accounted for, none lost, none duplicated.
+/// (lookahead 30 at two workers), and the event kernel and the parallel
+/// kernel at workers 1 and 4 must still be bit-identical to dense — with
+/// the conservation ledger balanced: every flit sent is delivered or
+/// still accounted for, none lost, none duplicated.
 #[test]
 fn soak1024_is_bit_identical_with_a_balanced_ledger() {
     let cycles = 120;
     let cfg = TreeNetworkConfig::new(binary(1024))
         .with_pattern(TrafficPattern::Uniform { rate: 0.3 })
         .with_seed(23);
+    let dense = run_one(&cfg, SimKernel::Dense, cycles);
     let event = run_one(&cfg, SimKernel::EventDriven, cycles);
     let report = event.report();
     assert!(report.delivered > 0, "the soak must move real traffic");
@@ -343,6 +340,7 @@ fn soak1024_is_bit_identical_with_a_balanced_ledger() {
         report.is_correct(),
         "conservation ledger must balance: {report:?}"
     );
+    assert_identical(&dense, &event, "soak1024");
     for workers in [1u32, 4] {
         let par = run_one(&cfg, SimKernel::Parallel { workers }, cycles);
         assert_eq!(
@@ -350,19 +348,15 @@ fn soak1024_is_bit_identical_with_a_balanced_ledger() {
             Some(workers as usize),
             "the 1024-port fabric must shard at workers={workers}"
         );
-        assert_eq!(
-            event.report(),
-            par.report(),
-            "soak1024 diverged at workers={workers}"
-        );
+        assert_identical(&dense, &par, &format!("soak1024 (workers={workers})"));
         assert_eq!(event.element_steps(), par.element_steps());
         assert!(par.report().is_correct());
     }
 }
 
 /// Order-dependent shared state — the fault RNG and attached trace sinks —
-/// forces the parallel kernel onto its sequential fallback, and the
-/// fallback must actually engage (`active_workers` stays `None`).
+/// forces the parallel kernel onto the dense loop, and the fallback must
+/// actually engage (`active_workers` stays `None`).
 #[test]
 fn parallel_kernel_falls_back_on_shared_order_dependent_state() {
     let faulted = run_one(
@@ -373,7 +367,11 @@ fn parallel_kernel_falls_back_on_shared_order_dependent_state() {
         SimKernel::Parallel { workers: 4 },
         200,
     );
-    assert_eq!(faulted.active_workers(), None, "fault plans are sequential");
+    assert_eq!(
+        faulted.active_workers(),
+        None,
+        "fault plans run the dense loop"
+    );
     let traced = run_one(
         &TreeNetworkConfig::new(binary(8))
             .with_pattern(TrafficPattern::Uniform { rate: 0.3 })
@@ -382,7 +380,11 @@ fn parallel_kernel_falls_back_on_shared_order_dependent_state() {
         SimKernel::Parallel { workers: 4 },
         200,
     );
-    assert_eq!(traced.active_workers(), None, "trace sinks are sequential");
+    assert_eq!(
+        traced.active_workers(),
+        None,
+        "trace sinks run the dense loop"
+    );
     // A plain network with no shared state does shard.
     let plain = run_one(
         &TreeNetworkConfig::new(binary(8))
@@ -405,8 +407,12 @@ fn trace_event_streams_are_bit_identical() {
             .with_packet_length(3)
             .with_event_buffer(1 << 14)
             .with_seed(seed);
-        let (dense, event) = run_pair(&cfg, 200);
-        assert_identical(&dense, &event, "traced run");
+        let (dense, event) = assert_kernels_agree(&cfg, 200, "traced run");
+        assert_eq!(
+            event.element_steps(),
+            dense.element_steps(),
+            "an event buffer is a trace sink: it must run the dense loop"
+        );
         assert!(
             dense.event_buffer().is_some_and(|b| !b.events().is_empty()),
             "the spot-check must actually exercise the trace path"
@@ -414,7 +420,7 @@ fn trace_event_streams_are_bit_identical() {
     }
 }
 
-/// The tentpole's idleness claim, exactly: a silent 64-port network — the
+/// The idleness claim, exactly: a silent 64-port network — the
 /// software mirror of a fully clock-gated fabric — executes **zero**
 /// element updates per tick under the event kernel.
 #[test]
