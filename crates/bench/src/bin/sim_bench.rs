@@ -123,9 +123,8 @@ struct Workload {
     pattern: TrafficPattern,
     cycles: u64,
     seed: u64,
-    /// Fault plan attached to every run of this workload (forces the
-    /// parallel kernel onto its sequential fallback — the bit-identity
-    /// and zero-overhead gates must hold there too).
+    /// Fault plan attached to every run of this workload (the
+    /// bit-identity and zero-overhead gates must hold with it too).
     faults: Option<FaultPlan>,
     /// When set, `pattern` is replaced by per-port mirror traffic at
     /// this rate: port `p` sends only to port `ports - 1 - p`, the
@@ -240,8 +239,9 @@ fn workloads() -> Vec<Workload> {
         ports: 64,
         // Mid-rate load with every fault kind armed, clock-domain kinds
         // included: the recovery layer and the per-tick clock state
-        // machine run hot, and every kernel takes the dense loop (a fault
-        // plan selects it), so the event/dense ratio sits near 1.
+        // machine run hot. The event and parallel kernels run their
+        // activity lists in one-tick windows, folding the shards'
+        // recovery logs at every tick boundary.
         pattern: TrafficPattern::Uniform { rate: 0.3 },
         cycles: 2_000,
         seed: 19,

@@ -1094,7 +1094,7 @@ pub fn e16() -> String {
         }
     }
     t.note("identical outage, identical seeds: only the clock backend differs");
-    t.note("every run bit-identical at 1 and 8 parallel workers (sequential fault fallback)");
+    t.note("every run bit-identical at 1 and 8 parallel workers (sharded fault runs)");
     t.render()
 }
 

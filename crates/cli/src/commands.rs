@@ -52,8 +52,8 @@ KERNEL:   event (default, activity-list stepping on one shard), dense
           each; --workers N, 0 = one per core) — all bit-identical per
           seed. explore --workers N simulates each job with the parallel
           kernel at N workers without changing results or cache keys.
-          A fault plan or trace sinks (stats, trace) run the dense loop
-          under every kernel
+          Fault plans (faults, sim --faults) run on every kernel; only
+          trace sinks (stats, trace) run the dense loop under every kernel
 PROFILE:  sim --profile (or the profile subcommand) attaches the kernel
           profiler: per-shard step/wake counters, a load-imbalance ratio
           and the barrier-overhead fraction. --chrome-trace FILE writes a
@@ -434,15 +434,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
                 return explore_remote(addr, grid, *priority, out, *quiet);
             }
             let spec = GridSpec::parse(grid).map_err(|e| CliError(e.to_string()))?;
-            // The parallel kernel cannot host per-job fault injection;
-            // those grid points silently run the sequential fallback, so
-            // name the cause up front (mirrors `sim`/`faults`).
-            if workers.is_some() && spec.resolve().iter().any(|j| j.soak > 0.0) {
-                eprintln!(
-                    "warning: parallel kernel running the sequential fallback \
-                     for soak > 0 grid points: fault-plan"
-                );
-            }
             // `--resume` without an explicit directory caches in the
             // default location, so a rerun picks up where it left off.
             let cache_path = cache_dir
@@ -646,8 +637,8 @@ fn describe_kind(kind: TraceEventKind) -> String {
 }
 
 /// Names the sequential-fallback cause on stderr when the requested
-/// parallel kernel cannot actually run in parallel (fault injection or
-/// trace sinks are attached). Stderr keeps stdout byte-stable for
+/// parallel kernel cannot actually run in parallel (trace sinks are
+/// attached). Stderr keeps stdout byte-stable for
 /// kernel-differential comparisons; silent on genuinely parallel runs
 /// and on the sequential kernels.
 fn warn_fallback(net: &Network) {

@@ -6,7 +6,7 @@ use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_topology::PortId;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Index of an element inside a [`Network`](crate::Network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -236,6 +236,18 @@ pub(crate) struct SinkState {
     pub mode: SinkMode,
 }
 
+/// A port endpoint's own fault state (sources, sinks and tiles in fault
+/// runs; boxed, so every other element pays one pointer).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ElementFaults {
+    /// Retransmissions the recovery layer released for this port's
+    /// injector, in injection order.
+    pub retx: VecDeque<Flit>,
+    /// `(source, sequence)` pairs this port's consumer received cleanly —
+    /// the consumer gate's duplicate filter.
+    pub delivered: HashSet<(u32, u64)>,
+}
+
 /// What an element is.
 #[derive(Debug, Clone)]
 pub(crate) enum Kind {
@@ -271,6 +283,12 @@ pub(crate) struct Element {
     pub accepted_from: Option<ElementId>,
     /// Gating accounting (stages only).
     pub gating: ClockGatingStats,
+    /// Tick at which a register upset erases the held flit (fault runs
+    /// only; `u64::MAX`: never). Drawn when the flit is latched.
+    pub upset_at: u64,
+    /// Endpoint fault state, set on sources, sinks and tiles when a fault
+    /// plan attaches.
+    pub faults: Option<Box<ElementFaults>>,
 }
 
 impl Element {
@@ -288,6 +306,8 @@ impl Element {
             lock: None,
             accepted_from: None,
             gating: ClockGatingStats::new(),
+            upset_at: u64::MAX,
+            faults: None,
         }
     }
 }

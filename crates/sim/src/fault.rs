@@ -10,6 +10,9 @@
 //!    flips, register upsets that erase held flits, stuck/lost handshake
 //!    glitches, and transient element outages, network-wide or per
 //!    element-label prefix, optionally restricted to a tick window.
+//!    Every decision is a pure hash of `(seed, tick, element, draw slot)`
+//!    ([`draw`]), so faults are independent per element and per edge and
+//!    no draw depends on which elements a kernel visits or in what order.
 //! 2. **Detection** — every jitter/spike excursion is evaluated against
 //!    the analytic window from [`icnoc_timing::LinkTiming`] (the
 //!    per-transfer timing guard); out-of-window transfers become explicit
@@ -34,11 +37,11 @@
 use crate::flit::{Flit, FlitKind};
 use icnoc_clock::ClockBackend;
 use icnoc_timing::{Direction, FlipFlopTiming, LinkTiming};
+use icnoc_topology::PortId;
 use icnoc_units::{Gigahertz, Picoseconds};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 /// The kinds of fault the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -61,8 +64,8 @@ pub enum FaultKind {
     /// A glitched-away `valid`: the consumer sees no offer for one edge —
     /// a pure stall the two-phase protocol absorbs.
     LostValid,
-    /// A transient element outage: the element freezes (captures nothing)
-    /// for a configurable number of edges.
+    /// A transient element outage: the stage freezes (captures nothing)
+    /// for one epoch of a configurable number of ticks.
     ElementOutage,
     /// A clock-node outage: an entire clock domain (a root-child subtree
     /// of the distribution tree) loses its clock, so every element in it
@@ -125,13 +128,15 @@ pub struct FaultRates {
     pub skew_spike: f64,
     /// Payload bit flip per stage capture.
     pub bit_corruption: f64,
-    /// Held-flit erasure per stage edge holding a flit.
+    /// Held-flit erasure per stage edge holding a flit (drawn once, as a
+    /// geometric upset tick, when the flit is latched).
     pub flit_drop: f64,
     /// Handshake duplication per drained single-flit transfer.
     pub stuck_valid: f64,
-    /// Lost offer per stage edge with an upstream presenting.
+    /// Lost offer per stage edge where the stage could capture.
     pub lost_valid: f64,
-    /// Outage start per stage edge.
+    /// Outage per stage edge: each epoch of `outage_edges` ticks freezes
+    /// a stage with probability `1 − (1 − outage)^outage_edges`.
     pub outage: f64,
     /// Clock-node outage start per clock domain per edge.
     pub clock_outage: f64,
@@ -268,8 +273,9 @@ impl Default for DfsConfig {
 /// Attach one to a network with
 /// [`Network::enable_faults`](crate::Network::enable_faults) or
 /// [`TreeNetworkConfig::with_faults`](crate::TreeNetworkConfig::with_faults).
-/// The plan owns its own RNG stream, so a zero-rate plan leaves the
-/// simulation bit-identical to an uninstrumented run.
+/// Every fault decision is a pure hash of `(seed, tick, element, draw
+/// slot)`, so a zero-rate plan leaves the simulation bit-identical to an
+/// uninstrumented run, and every kernel draws the same faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     rates: FaultRates,
@@ -283,7 +289,7 @@ pub struct FaultPlan {
     /// Skew-spike magnitude range (sign is random).
     spike_min: Picoseconds,
     spike_max: Picoseconds,
-    /// Edges an element outage lasts.
+    /// Ticks in one element-outage epoch.
     outage_edges: u64,
     /// Edges a rolled clock-node outage lasts.
     clock_outage_edges: u64,
@@ -441,7 +447,7 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the outage duration in edges.
+    /// Sets the element-outage epoch length in ticks.
     #[must_use]
     pub fn with_outage_edges(mut self, edges: u64) -> Self {
         self.outage_edges = edges.max(1);
@@ -481,7 +487,7 @@ impl FaultPlan {
     /// Schedules a deterministic clock-node outage on clock domain
     /// `domain` over ticks `[start, end)`. `end == u64::MAX` models a
     /// permanent outage. Scheduled outages fire regardless of the plan's
-    /// injection window and consume no randomness.
+    /// injection window and draw nothing.
     ///
     /// # Panics
     ///
@@ -540,7 +546,7 @@ impl FaultPlan {
         self.rates
     }
 
-    /// The injector's RNG seed.
+    /// The seed every fault draw hashes.
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
@@ -595,7 +601,7 @@ pub struct FaultCounts {
     pub stuck_valid: u64,
     /// Lost-offer glitches injected.
     pub lost_valid: u64,
-    /// Element outages started.
+    /// Element-outage epochs frozen, one per `(element, epoch)`.
     pub outage: u64,
     /// Clock-node outages started (scheduled + rolled).
     pub clock_outage: u64,
@@ -722,7 +728,11 @@ impl RecoveryReport {
     /// Current layout version of [`RecoveryReport`]. Bump on any field
     /// change so cached ledgers invalidate instead of deserialising
     /// garbage.
-    pub const SCHEMA_VERSION: u32 = 3;
+    ///
+    /// Version 4: every fault is drawn from a pure hash of `(seed, tick,
+    /// element, slot)` and element outages come in fixed epochs, so the
+    /// ledgers of version 3 no longer reproduce.
+    pub const SCHEMA_VERSION: u32 = 4;
 
     /// The conservation law: `injected == absorbed + recovered + lost +
     /// pending`.
@@ -915,8 +925,6 @@ pub(crate) struct CaptureEffect {
     pub flit: Option<Flit>,
     /// A timing-guard violation fired.
     pub violation: bool,
-    /// The violation triggered a DFS backoff.
-    pub backoff: bool,
     /// The latched flit was corrupted.
     pub corrupted: bool,
 }
@@ -926,7 +934,6 @@ impl CaptureEffect {
         Self {
             flit: Some(flit),
             violation: false,
-            backoff: false,
             corrupted: false,
         }
     }
@@ -1011,39 +1018,142 @@ pub(crate) struct ClockTopology {
     pub backend: ClockBackend,
 }
 
-/// Live fault-injection/recovery state attached to a network.
-///
-/// All collections with order-dependent iteration are `BTreeMap`s so that
-/// same-seed runs are bit-identical across processes.
+/// Draw slots: each decision point reads its own independent draw.
+mod slot {
+    pub(super) const OUTAGE: u64 = 0;
+    pub(super) const LOST_VALID: u64 = 1;
+    pub(super) const STUCK_VALID: u64 = 2;
+    pub(super) const FLIT_DROP: u64 = 3;
+    pub(super) const SPIKE: u64 = 4;
+    pub(super) const SPIKE_MAGNITUDE: u64 = 5;
+    pub(super) const SPIKE_SIGN: u64 = 6;
+    pub(super) const JITTER: u64 = 7;
+    pub(super) const JITTER_MAGNITUDE: u64 = 8;
+    pub(super) const METASTABLE: u64 = 9;
+    pub(super) const METASTABLE_BIT: u64 = 10;
+    pub(super) const CORRUPT: u64 = 11;
+    pub(super) const CORRUPT_BIT: u64 = 12;
+    pub(super) const CLOCK_OUTAGE: u64 = 13;
+    pub(super) const PULSE_DROP: u64 = 14;
+    pub(super) const SKEW_DRIFT: u64 = 15;
+}
+
+/// The SplitMix64 finaliser: a bijective avalanche mix of one word.
+#[inline]
+fn mix64(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One fault draw: a pure hash of `(seed, tick, key, slot)`, where `key`
+/// is an element index (or a clock-domain id for the domain slots). No
+/// draw depends on any other, so every kernel reads the same numbers
+/// whichever elements it visits, in whatever order — faults are
+/// independent per element and per edge.
+#[inline]
+pub(crate) fn draw(seed: u64, tick: u64, key: u64, slot: u64) -> u64 {
+    keyed(tick_base(seed, tick), key, slot)
+}
+
+/// The `(seed, tick)` half of [`draw`], shared by every draw of a tick.
+#[inline]
+fn tick_base(seed: u64, tick: u64) -> u64 {
+    mix64(mix64(seed) ^ tick)
+}
+
+/// The `(key, slot)` half of [`draw`].
+#[inline]
+fn keyed(base: u64, key: u64, slot: u64) -> u64 {
+    mix64(base ^ (key << 5 | slot))
+}
+
+/// A draw mapped uniformly onto `[0, 1)` (53 bits).
+#[inline]
+fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Whether a draw fires at probability `rate`. A zero rate never fires.
+#[inline]
+fn fires(h: u64, rate: f64) -> bool {
+    unit(h) < rate
+}
+
+/// A geometric draw: the number of failures before the first success of
+/// a Bernoulli trial with `ln(1 − p) = survive_ln` (`−∞` at `p = 1`,
+/// which always gives zero).
+#[inline]
+fn geometric(h: u64, survive_ln: f64) -> u64 {
+    // `1 − u` lies in (0, 1], so the logarithm is finite or zero.
+    let u = 1.0 - unit(h);
+    (u.ln() / survive_ln).floor() as u64
+}
+
+/// One recovery-layer operation a visit performs. Visits only log these;
+/// the dense loop applies each one at once, the SoA kernel folds its
+/// shards' logs in `(tick, element)` order at the tick boundary — the
+/// same order either way, so the ledger is identical.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FaultOp {
+    /// A fault of this kind was injected.
+    Injected(FaultKind),
+    /// The fault just injected provably did no harm.
+    Absorbed,
+    /// A capture failed the timing guard (feeds the DFS controller).
+    Violation,
+    /// Charge a fault to the flit `(source port, sequence)`.
+    Charge(u32, u64),
+    /// A fresh flit entered the network.
+    Injection(Flit),
+    /// The consumer gate caught a corrupt copy of `(source, sequence)`.
+    Corrupt(u32, u64),
+    /// The consumer gate discarded a duplicate.
+    Duplicate,
+    /// `(source, sequence)` was delivered cleanly.
+    Delivered(u32, u64),
+    /// A queued retransmission of `(source, sequence)` was injected.
+    Retransmitted(u32, u64),
+}
+
+/// The fault state every visit reads: the plan, the per-element rates,
+/// this epoch's element outages, the DFS slowdown at the start of the
+/// tick and the clock-domain states. Only
+/// [`FaultState::begin_step`] writes it, between ticks, so shards read it
+/// without locks.
 #[derive(Debug, Clone)]
-pub(crate) struct FaultState {
+pub(crate) struct FaultCtx {
     plan: FaultPlan,
-    rng: StdRng,
     /// Per-element rates, resolved from the plan's prefix overrides.
     element_rates: Vec<FaultRates>,
-    /// Frozen elements: element index → first tick after the outage.
-    outages: BTreeMap<usize, u64>,
-    dfs: Dfs,
-    /// Un-acknowledged flits keyed by `(source port, sequence)`.
-    outstanding: BTreeMap<(u32, u64), Outstanding>,
-    /// `(source port, sequence)` pairs delivered cleanly (duplicate gate).
-    delivered: HashSet<(u32, u64)>,
-    /// Retransmissions awaiting injection, per source port.
-    ready: BTreeMap<u32, VecDeque<Flit>>,
-    /// Flits written off as lost, with their charged faults — kept so a
-    /// copy that arrives intact *after* the write-off can be reclassified
-    /// as recovered instead of staying a phantom loss.
-    abandoned: BTreeMap<(u32, u64), u64>,
-    /// Timer event queue: `(due tick, outstanding key)` for every pending
-    /// acknowledgement deadline or scheduled retransmission. [`begin_step`]
-    /// pops elapsed entries instead of polling the whole `outstanding`
-    /// map every edge. Entries are validated lazily against the live
-    /// `Outstanding` state, so re-arming simply inserts a fresh timer and
-    /// lets the stale one fizzle on pop.
-    ///
-    /// [`begin_step`]: FaultState::begin_step
-    timers: BTreeSet<(u64, (u32, u64))>,
-    ledger: Ledger,
+    /// Per-element `ln(1 − flit_drop)`, the scale of the geometric upset
+    /// draw.
+    survive_ln: Vec<f64>,
+    /// Stages grouped by their per-epoch freeze probability `q = 1 − (1 −
+    /// outage)^outage_edges`, as `(q, ln(1 − q), members)`.
+    outage_groups: Vec<(f64, f64, Vec<u32>)>,
+    /// Stages the current outage epoch froze, one bit each.
+    outage_bits: Vec<u64>,
+    /// Per clock domain, its elements as a bitset.
+    domain_bits: Vec<Vec<u64>>,
+    /// Elements frozen this tick, one bit each: the outage epoch's stages
+    /// (inside the injection window) and every element of a frozen clock
+    /// domain. Rebuilt only when one of those inputs changes.
+    frozen_now: Vec<u64>,
+    /// The inputs `frozen_now` was last built from: the window state and
+    /// each domain's frozen state.
+    frozen_key: (bool, Vec<bool>),
+    /// Whether any bit of `frozen_now` is set: the per-visit fast path.
+    freezing: bool,
+    /// `(tick, tick_base(seed, tick))` of the current tick, so a visit's
+    /// draws hash only their `(element, slot)` half.
+    base: (u64, u64),
+    /// Whether any clock domain is inside a skew-drift ramp this tick.
+    drifting: bool,
+    /// DFS slowdown at the start of the current tick: every capture of
+    /// the tick is guarded at this frequency.
+    slowdown: f64,
     /// Clock-tree topology, if the network provided one (tree networks
     /// do; hand-built fabrics have no clock domains and clock-domain
     /// rates are inert).
@@ -1052,15 +1162,316 @@ pub(crate) struct FaultState {
     domains: Vec<DomainState>,
 }
 
+impl FaultCtx {
+    fn active(&self, tick: u64) -> bool {
+        self.plan
+            .window
+            .is_none_or(|(start, end)| tick >= start && tick < end)
+    }
+
+    fn rates(&self, element: usize) -> &FaultRates {
+        self.element_rates.get(element).unwrap_or(&self.plan.rates)
+    }
+
+    /// A rate roll of `slot` for element `i` at `tick`. Zero rates never
+    /// hash, so a zero-rate plan costs nothing per visit.
+    #[inline]
+    fn roll(&self, tick: u64, i: usize, slot: u64, rate: f64) -> bool {
+        rate > 0.0 && fires(self.draw(tick, i, slot), rate)
+    }
+
+    #[inline]
+    fn draw(&self, tick: u64, i: usize, slot: u64) -> u64 {
+        let base = if tick == self.base.0 {
+            self.base.1
+        } else {
+            tick_base(self.plan.seed, tick)
+        };
+        keyed(base, i as u64, slot)
+    }
+
+    /// Whether element `i` is frozen this tick: its clock domain is out
+    /// (outage, re-sync hold, dropped pulse) or its outage epoch drew a
+    /// freeze. A frozen element captures nothing and draws nothing.
+    #[inline]
+    pub(crate) fn frozen(&self, i: usize, tick: u64) -> bool {
+        debug_assert_eq!(tick, self.base.0, "frozen state is built per tick");
+        self.freezing && self.frozen_now[i >> 6] & (1u64 << (i & 63)) != 0
+    }
+
+    /// Rebuilds `frozen_now` for `tick` if the window state or a domain's
+    /// frozen state changed (`epoch` forces it: new outage bits).
+    fn refresh_frozen(&mut self, tick: u64, epoch: bool) {
+        let active = self.active(tick);
+        let (was_active, was_frozen) = &self.frozen_key;
+        let same = *was_active == active
+            && was_frozen.len() == self.domains.len()
+            && self
+                .domains
+                .iter()
+                .zip(was_frozen)
+                .all(|(d, &f)| d.frozen(tick) == f);
+        if same && !epoch {
+            return;
+        }
+        let (was_active, was_frozen) = &mut self.frozen_key;
+        *was_active = active;
+        was_frozen.clear();
+        was_frozen.extend(self.domains.iter().map(|d| d.frozen(tick)));
+        if active {
+            self.frozen_now.copy_from_slice(&self.outage_bits);
+        } else {
+            self.frozen_now.fill(0);
+        }
+        for (bits, _) in self
+            .domain_bits
+            .iter()
+            .zip(&*was_frozen)
+            .filter(|(_, &f)| f)
+        {
+            for (word, &b) in self.frozen_now.iter_mut().zip(bits) {
+                *word |= b;
+            }
+        }
+        self.freezing = self.frozen_now.iter().any(|&w| w != 0);
+    }
+
+    /// Whether the drain of `flit` out of element `i` loses its `accept`,
+    /// making the producer re-present (duplicate) it. Restricted to
+    /// standalone flits — duplicating a wormhole fragment would need the
+    /// link-level dedup real hardware does not model here.
+    pub(crate) fn stuck_valid(
+        &self,
+        i: usize,
+        tick: u64,
+        flit: &Flit,
+        log: &mut Vec<FaultOp>,
+    ) -> bool {
+        if !self.active(tick) || !(flit.kind == FlitKind::Single || flit.retry > 0) {
+            return false;
+        }
+        if self.roll(tick, i, slot::STUCK_VALID, self.rates(i).stuck_valid) {
+            log.push(FaultOp::Injected(FaultKind::StuckValid));
+            log.push(FaultOp::Charge(flit.src.0, flit.seq));
+            return true;
+        }
+        false
+    }
+
+    /// Whether element `i`'s incoming `valid` glitches away on an edge
+    /// where it could capture.
+    pub(crate) fn lost_valid(&self, i: usize, tick: u64, log: &mut Vec<FaultOp>) -> bool {
+        if self.active(tick) && self.roll(tick, i, slot::LOST_VALID, self.rates(i).lost_valid) {
+            log.push(FaultOp::Injected(FaultKind::LostValid));
+            // A one-edge stall the handshake absorbs by construction.
+            log.push(FaultOp::Absorbed);
+            return true;
+        }
+        false
+    }
+
+    /// Applies capture-time faults to `flit` being latched by element `i`
+    /// over a link in `direction`: delay excursions (evaluated by the
+    /// timing guard at the slowdown the tick started with) and payload
+    /// upsets.
+    pub(crate) fn on_capture(
+        &self,
+        i: usize,
+        tick: u64,
+        flit: Flit,
+        direction: Direction,
+        log: &mut Vec<FaultOp>,
+    ) -> CaptureEffect {
+        let mut effect = CaptureEffect::clean(flit);
+        if !self.active(tick) {
+            return effect;
+        }
+        let rates = *self.rates(i);
+        let excursion = if let Some(drift) = self.drift_excursion(i, tick) {
+            // An armed skew-drift ramp books one instance per capture it
+            // degrades; the timing guard decides whether each survives.
+            log.push(FaultOp::Injected(FaultKind::SkewDrift));
+            Some(drift)
+        } else if self.roll(tick, i, slot::SPIKE, rates.skew_spike) {
+            log.push(FaultOp::Injected(FaultKind::SkewSpike));
+            let (lo, hi) = (self.plan.spike_min.value(), self.plan.spike_max.value());
+            let magnitude = lo + unit(self.draw(tick, i, slot::SPIKE_MAGNITUDE)) * (hi - lo);
+            let sign = if fires(self.draw(tick, i, slot::SPIKE_SIGN), 0.5) {
+                1.0
+            } else {
+                -1.0
+            };
+            Some(Picoseconds::new(sign * magnitude))
+        } else if self.roll(tick, i, slot::JITTER, rates.link_jitter) {
+            log.push(FaultOp::Injected(FaultKind::LinkJitter));
+            let bound = self.plan.jitter_max.value();
+            let u = unit(self.draw(tick, i, slot::JITTER_MAGNITUDE));
+            Some(Picoseconds::new(bound * (2.0 * u - 1.0)))
+        } else {
+            None
+        };
+        if let Some(excursion) = excursion {
+            let link =
+                LinkTiming::new(self.plan.flip_flop, self.plan.frequency).derated(self.slowdown);
+            let data = (self.plan.data_delay + excursion).max(Picoseconds::ZERO);
+            if link.check(direction, data, self.plan.clock_delay).is_ok() {
+                log.push(FaultOp::Absorbed);
+            } else {
+                effect.violation = true;
+                log.push(FaultOp::Violation);
+                log.push(FaultOp::Charge(flit.src.0, flit.seq));
+                // Metastability resolves unpredictably: half the time
+                // the register latches garbage (corruption), half the
+                // time nothing valid (loss). Heads always corrupt —
+                // losing one would orphan its worm.
+                if flit.kind == FlitKind::Head || fires(self.draw(tick, i, slot::METASTABLE), 0.5) {
+                    let bit = (self.draw(tick, i, slot::METASTABLE_BIT) >> 59) as u32;
+                    effect.flit = Some(flit.with_corrupted_payload(bit));
+                    effect.corrupted = true;
+                } else {
+                    effect.flit = None;
+                }
+                return effect;
+            }
+        }
+        if self.roll(tick, i, slot::CORRUPT, rates.bit_corruption) {
+            log.push(FaultOp::Injected(FaultKind::BitCorruption));
+            let base = effect.flit.unwrap_or(flit);
+            log.push(FaultOp::Charge(base.src.0, base.seq));
+            let bit = (self.draw(tick, i, slot::CORRUPT_BIT) >> 59) as u32;
+            effect.flit = Some(base.with_corrupted_payload(bit));
+            effect.corrupted = true;
+        }
+        effect
+    }
+
+    /// The tick at which a register upset erases `flit`, latched by
+    /// element `i` at `tick`: one geometric draw over the element's own
+    /// edges (every second tick) at the `flit_drop` rate, counting the
+    /// latching edge. `u64::MAX` when the upset never fires: a zero rate,
+    /// a head flit (erasing a worm's head would orphan its bodies), or a
+    /// drawn tick outside the injection window.
+    pub(crate) fn upset_tick(&self, i: usize, tick: u64, flit: &Flit) -> u64 {
+        if self.rates(i).flit_drop <= 0.0 || flit.kind == FlitKind::Head {
+            return u64::MAX;
+        }
+        let scale = self
+            .survive_ln
+            .get(i)
+            .copied()
+            .unwrap_or_else(|| (1.0 - self.plan.rates.flit_drop).ln());
+        let edges = geometric(self.draw(tick, i, slot::FLIT_DROP), scale);
+        let at = tick.saturating_add(edges.saturating_mul(2));
+        if self.active(at) {
+            at
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Logs the register upset that erases `flit`.
+    pub(crate) fn held_drop(flit: &Flit, log: &mut Vec<FaultOp>) {
+        log.push(FaultOp::Injected(FaultKind::FlitDrop));
+        log.push(FaultOp::Charge(flit.src.0, flit.seq));
+    }
+
+    /// The consumer-side gate: CRC/identity check and duplicate filtering
+    /// against the consuming port's own `delivered` set, so the verdict
+    /// is local to the consumer. NACKs and acknowledgements are logged
+    /// for the recovery layer.
+    pub(crate) fn on_arrival(
+        flit: &Flit,
+        port: PortId,
+        delivered: &mut HashSet<(u32, u64)>,
+        log: &mut Vec<FaultOp>,
+    ) -> ArrivalVerdict {
+        if flit.dest != port {
+            // Misroutes are the scoreboard's concern, not the fault gate's.
+            return ArrivalVerdict::Deliver;
+        }
+        let key = (flit.src.0, flit.seq);
+        let integrity_ok =
+            flit.crc_ok() && flit.payload == Flit::expected_payload(flit.src, flit.dest, flit.seq);
+        if !integrity_ok {
+            log.push(FaultOp::Corrupt(key.0, key.1));
+            return ArrivalVerdict::Corrupt;
+        }
+        if !delivered.insert(key) {
+            log.push(FaultOp::Duplicate);
+            return ArrivalVerdict::Duplicate;
+        }
+        log.push(FaultOp::Delivered(key.0, key.1));
+        ArrivalVerdict::Deliver
+    }
+
+    /// The skew excursion an active drift ramp imposes on a capture by
+    /// element `i` this tick: ramps linearly from near zero to the plan's
+    /// peak over the ramp length. `None` when no ramp covers the element.
+    fn drift_excursion(&self, i: usize, tick: u64) -> Option<Picoseconds> {
+        if !self.drifting {
+            return None;
+        }
+        let clock = self.clock.as_ref()?;
+        let d = *clock.elements.get(i)?;
+        if d == u32::MAX {
+            return None;
+        }
+        let st = &self.domains[d as usize];
+        if tick < st.drift_until && tick >= st.drift_start {
+            let ramp = (tick - st.drift_start + 1) as f64 / self.plan.drift_edges as f64;
+            Some(Picoseconds::new(self.plan.drift_max.value() * ramp))
+        } else {
+            None
+        }
+    }
+}
+
+/// Live fault-injection/recovery state attached to a network.
+///
+/// All collections with order-dependent iteration are `BTreeMap`s so that
+/// same-seed runs are bit-identical across processes.
+#[derive(Debug, Clone)]
+pub(crate) struct FaultState {
+    ctx: FaultCtx,
+    dfs: Dfs,
+    /// Un-acknowledged flits keyed by `(source port, sequence)`.
+    outstanding: BTreeMap<(u32, u64), Outstanding>,
+    /// Flits written off as lost, with their charged faults — kept so a
+    /// copy that arrives intact *after* the write-off can be reclassified
+    /// as recovered instead of staying a phantom loss.
+    abandoned: BTreeMap<(u32, u64), u64>,
+    /// Timer event queue: `(due tick, outstanding key)` for every pending
+    /// acknowledgement deadline or scheduled retransmission, as a
+    /// min-heap. [`begin_step`] pops elapsed entries instead of polling
+    /// the whole `outstanding` map every edge. Entries are validated
+    /// lazily against the live `Outstanding` state, so re-arming simply
+    /// pushes a fresh timer and lets the stale one fizzle on pop.
+    ///
+    /// [`begin_step`]: FaultState::begin_step
+    timers: BinaryHeap<Reverse<(u64, (u32, u64))>>,
+    /// Scratch for the keys whose timers fire on one edge.
+    fired: Vec<(u32, u64)>,
+    ledger: Ledger,
+    /// Injecting element (source or tile) of each port, where released
+    /// retransmissions queue (`u32::MAX`: none).
+    injectors: Vec<u32>,
+    /// Retransmissions the last [`begin_step`](Self::begin_step)
+    /// released, as `(injecting element, flit)`, in key order.
+    released: Vec<(u32, Flit)>,
+    /// Scratch log of the dense loop's hooks, applied after each hook.
+    scratch: Vec<FaultOp>,
+}
+
 impl FaultState {
-    /// Builds the live state for a network with the given element labels.
+    /// Builds the live state for a network with the given element labels
+    /// (`stages` marks the elements element outages can freeze).
     ///
     /// # Panics
     ///
     /// Panics if the plan's *nominal* link delays violate timing at its
     /// nominal frequency — faults must be excursions from a working
     /// design, not a broken baseline.
-    pub(crate) fn new(plan: FaultPlan, labels: &[&str]) -> Self {
+    pub(crate) fn new(plan: FaultPlan, labels: &[&str], stages: &[bool]) -> Self {
         let link = LinkTiming::new(plan.flip_flop, plan.frequency);
         for dir in [Direction::Downstream, Direction::Upstream] {
             assert!(
@@ -1069,7 +1480,7 @@ impl FaultState {
                  frequency ({dir:?} fails); fix delays/frequency before injecting faults"
             );
         }
-        let element_rates = labels
+        let element_rates: Vec<FaultRates> = labels
             .iter()
             .map(|label| {
                 plan.overrides
@@ -1078,22 +1489,49 @@ impl FaultState {
                     .map_or(plan.rates, |(_, r)| *r)
             })
             .collect();
-        let rng = StdRng::seed_from_u64(plan.seed ^ 0xFA17);
+        let edges = i32::try_from(plan.outage_edges).unwrap_or(i32::MAX);
+        let mut outage_groups: Vec<(f64, f64, Vec<u32>)> = Vec::new();
+        for (i, (r, &stage)) in element_rates.iter().zip(stages).enumerate() {
+            if !stage || r.outage <= 0.0 {
+                continue;
+            }
+            let q = 1.0 - (1.0 - r.outage).powi(edges);
+            match outage_groups.iter_mut().find(|g| g.0 == q) {
+                Some(group) => group.2.push(i as u32),
+                None => outage_groups.push((q, (1.0 - q).ln(), vec![i as u32])),
+            }
+        }
+        let survive_ln = element_rates
+            .iter()
+            .map(|r| (1.0 - r.flit_drop).ln())
+            .collect();
         let dfs = Dfs::new(plan.dfs);
         Self {
-            plan,
-            rng,
-            element_rates,
-            outages: BTreeMap::new(),
+            ctx: FaultCtx {
+                outage_bits: vec![0; labels.len().div_ceil(64)],
+                domain_bits: Vec::new(),
+                frozen_now: vec![0; labels.len().div_ceil(64)],
+                frozen_key: (false, Vec::new()),
+                freezing: false,
+                base: (u64::MAX, tick_base(plan.seed, u64::MAX)),
+                drifting: false,
+                outage_groups,
+                survive_ln,
+                element_rates,
+                slowdown: dfs.slowdown,
+                clock: None,
+                domains: Vec::new(),
+                plan,
+            },
             dfs,
             outstanding: BTreeMap::new(),
-            delivered: HashSet::new(),
-            ready: BTreeMap::new(),
             abandoned: BTreeMap::new(),
-            timers: BTreeSet::new(),
+            timers: BinaryHeap::new(),
+            fired: Vec::new(),
             ledger: Ledger::default(),
-            clock: None,
-            domains: Vec::new(),
+            injectors: Vec::new(),
+            released: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -1102,71 +1540,134 @@ impl FaultState {
     /// inert (a fabric with no modelled clock tree has no domains to
     /// kill).
     pub(crate) fn set_clock_topology(&mut self, clock: ClockTopology) {
-        self.domains = vec![DomainState::default(); clock.count as usize];
-        self.clock = Some(clock);
+        let words = self.ctx.frozen_now.len();
+        let mut bits = vec![vec![0u64; words]; clock.count as usize];
+        for (i, &d) in clock.elements.iter().enumerate() {
+            if let Some(domain) = bits.get_mut(d as usize) {
+                domain[i >> 6] |= 1u64 << (i & 63);
+            }
+        }
+        self.ctx.domain_bits = bits;
+        self.ctx.domains = vec![DomainState::default(); clock.count as usize];
+        self.ctx.clock = Some(clock);
     }
 
-    /// The clock distribution backend faults are evaluated against.
-    fn clock_backend(&self) -> ClockBackend {
-        self.clock
-            .as_ref()
-            .map_or(ClockBackend::Forwarded, |c| c.backend)
+    /// Records each port's injecting element, where retransmissions for
+    /// that port queue.
+    pub(crate) fn set_injectors(&mut self, injectors: Vec<u32>) {
+        self.injectors = injectors;
     }
 
-    fn active(&self, tick: u64) -> bool {
-        self.plan
-            .window
-            .is_none_or(|(start, end)| tick >= start && tick < end)
+    /// The read-only state visits consult.
+    pub(crate) fn ctx(&self) -> &FaultCtx {
+        &self.ctx
     }
 
-    fn rates(&self, element: usize) -> FaultRates {
-        self.element_rates
-            .get(element)
-            .copied()
-            .unwrap_or(self.plan.rates)
+    /// Runs one dense-loop hook against the context and applies the
+    /// operations it logged at once. Returns the hook's result and
+    /// whether a logged violation made the DFS controller back off.
+    pub(crate) fn hook<R>(
+        &mut self,
+        tick: u64,
+        hook: impl FnOnce(&FaultCtx, &mut Vec<FaultOp>) -> R,
+    ) -> (R, bool) {
+        let mut log = std::mem::take(&mut self.scratch);
+        let result = hook(&self.ctx, &mut log);
+        let mut backoff = false;
+        for op in log.drain(..) {
+            backoff |= self.apply(tick, op);
+        }
+        self.scratch = log;
+        (result, backoff)
     }
 
-    /// A rate roll that consumes randomness only for nonzero rates, so a
-    /// zero-rate plan perturbs nothing — not even the RNG stream.
-    fn roll(&mut self, rate: f64) -> bool {
-        rate > 0.0 && self.rng.gen_bool(rate)
+    /// Applies one logged operation of `tick`. Returns whether it made
+    /// the DFS controller back off.
+    pub(crate) fn apply(&mut self, tick: u64, op: FaultOp) -> bool {
+        match op {
+            FaultOp::Injected(kind) => self.ledger.injected.bump(kind),
+            FaultOp::Absorbed => self.ledger.absorbed += 1,
+            FaultOp::Violation => {
+                self.ledger.violations += 1;
+                return self.dfs.on_violation(tick);
+            }
+            FaultOp::Charge(src, seq) => match self.outstanding.get_mut(&(src, seq)) {
+                Some(entry) => entry.faults += 1,
+                // The flit already resolved (e.g. a stray duplicate copy):
+                // harming it cannot harm the payload.
+                None => self.ledger.absorbed += 1,
+            },
+            FaultOp::Injection(flit) => self.register_injection(&flit, tick),
+            FaultOp::Corrupt(src, seq) => self.nack((src, seq), tick),
+            FaultOp::Duplicate => self.ledger.duplicates_discarded += 1,
+            FaultOp::Delivered(src, seq) => {
+                let key = (src, seq);
+                // The clean delivery acknowledges the flit: every fault
+                // charged to it has been recovered.
+                if let Some(entry) = self.outstanding.remove(&key) {
+                    self.ledger.recovered += entry.faults;
+                } else if let Some(faults) = self.abandoned.remove(&key) {
+                    // A copy the timeout had already written off arrived
+                    // intact after all (it was stalled, not dropped):
+                    // reclassify its charges — the loss was never real.
+                    self.ledger.lost -= faults;
+                    self.ledger.recovered += faults;
+                    self.ledger.flits_abandoned -= 1;
+                }
+            }
+            FaultOp::Retransmitted(src, seq) => {
+                self.ledger.retransmissions += 1;
+                let key = (src, seq);
+                let deadline = tick + self.ctx.plan.timeout_edges;
+                if let Some(entry) = self.outstanding.get_mut(&key) {
+                    // The queue wait may have eaten into the timeout;
+                    // re-arm it from the actual injection tick.
+                    entry.deadline = deadline;
+                    self.arm_timer(key, deadline);
+                }
+            }
+        }
+        false
     }
 
-    fn charge(&mut self, flit: &Flit) {
-        match self.outstanding.get_mut(&(flit.src.0, flit.seq)) {
-            Some(entry) => entry.faults += 1,
-            // The flit already resolved (e.g. a stray duplicate copy):
-            // harming it cannot harm the payload.
-            None => self.ledger.absorbed += 1,
+    /// A corrupt arrival of `key`: schedule its retransmission under the
+    /// backoff policy, or write it off once the retry budget is spent.
+    fn nack(&mut self, key: (u32, u64), tick: u64) {
+        self.ledger.corruptions_detected += 1;
+        let max_retries = self.ctx.plan.max_retries;
+        let Some(entry) = self.outstanding.get(&key) else {
+            return;
+        };
+        if entry.retx_due.is_some() {
+            return;
+        }
+        if entry.attempts >= max_retries {
+            let entry = self.outstanding.remove(&key).expect("present");
+            self.ledger.lost += entry.faults;
+            self.ledger.flits_abandoned += 1;
+            self.abandoned.insert(key, entry.faults);
+        } else {
+            let due = tick + self.backoff_delay(entry.attempts);
+            self.outstanding.get_mut(&key).expect("present").retx_due = Some(due);
+            self.arm_timer(key, due);
         }
     }
 
     fn backoff_delay(&self, attempts: u32) -> u64 {
         // Bounded exponential backoff: base << attempts, saturating well
         // below overflow.
-        self.plan
+        self.ctx
+            .plan
             .backoff_base_edges
             .saturating_mul(1u64 << attempts.min(10))
     }
 
     // ----- clock-domain machinery -----------------------------------------
 
-    /// Whether element `i` sits in a clock domain that is frozen this tick
-    /// (active outage, re-sync hold, or a dropped pulse). Frozen elements
-    /// capture nothing and consume no randomness.
-    pub(crate) fn clock_frozen(&self, i: usize, tick: u64) -> bool {
-        let Some(clock) = &self.clock else {
-            return false;
-        };
-        match clock.elements.get(i) {
-            Some(&d) if d != u32::MAX => self.domains[d as usize].frozen(tick),
-            _ => false,
-        }
-    }
-
     /// The quarantined clock domains, in ascending order.
     pub(crate) fn quarantined_domains(&self) -> Vec<u32> {
-        self.domains
+        self.ctx
+            .domains
             .iter()
             .enumerate()
             .filter(|(_, st)| st.quarantined)
@@ -1179,7 +1680,7 @@ impl FaultState {
     /// `pending` until delivery resolves it), or absorb the fault when the
     /// subtree carries nothing that can be harmed.
     fn charge_clock_fault(&mut self, domain: u32) {
-        let Some(clock) = &self.clock else {
+        let Some(clock) = &self.ctx.clock else {
             self.ledger.absorbed += 1;
             return;
         };
@@ -1198,12 +1699,10 @@ impl FaultState {
     /// `until`. On the redundant-pulse backend a single outage per mask
     /// window is voted away; a second fault inside the window breaks
     /// through and freezes the domain for real.
-    fn inject_clock_outage(&mut self, domain: u32, tick: u64, until: u64) {
+    fn inject_clock_outage(&mut self, domain: u32, tick: u64, until: u64, backend: ClockBackend) {
         self.ledger.injected.bump(FaultKind::ClockOutage);
-        let masked = self.clock_backend() == ClockBackend::Redundant
-            && tick >= self.domains[domain as usize].masked_until;
-        let st = &mut self.domains[domain as usize];
-        if masked {
+        let st = &mut self.ctx.domains[domain as usize];
+        if backend == ClockBackend::Redundant && tick >= st.masked_until {
             st.masked_until = until;
             self.ledger.absorbed += 1;
             self.ledger.clock_faults_masked += 1;
@@ -1215,23 +1714,27 @@ impl FaultState {
     }
 
     /// Runs the per-tick clock-domain machinery: scheduled outage windows,
-    /// seeded rolls (outage / pulse drop / skew drift), the watchdog
-    /// heartbeat, and the outage-end re-sync protocol. Domains are visited
-    /// in ascending id order so the shared RNG stream is deterministic.
+    /// seeded draws (outage / pulse drop / skew drift), the watchdog
+    /// heartbeat, and the outage-end re-sync protocol.
     fn clock_step(&mut self, tick: u64) {
-        let Some(clock) = &self.clock else {
+        let Some(clock) = &self.ctx.clock else {
             return;
         };
         let count = clock.count;
         let backend = clock.backend;
-        let rates = self.plan.rates;
-        let rolling = self.active(tick)
+        let plan = &self.ctx.plan;
+        let rates = plan.rates;
+        let seed = plan.seed;
+        let (watchdog, resync_edges) = (plan.watchdog_threshold, plan.resync_edges);
+        let (outage_edges, drift_edges) = (plan.clock_outage_edges, plan.drift_edges);
+        let rolling = self.ctx.active(tick)
             && (rates.clock_outage > 0.0 || rates.pulse_drop > 0.0 || rates.skew_drift > 0.0);
+        let roll = |d: u32, slot: u64, rate: f64| {
+            rate > 0.0 && fires(draw(seed, tick, u64::from(d), slot), rate)
+        };
         for d in 0..count {
             // 1. Advance the domain state machine.
-            let watchdog = self.plan.watchdog_threshold;
-            let resync_edges = self.plan.resync_edges;
-            let st = &mut self.domains[d as usize];
+            let st = &mut self.ctx.domains[d as usize];
             if st.in_outage && tick >= st.outage_until {
                 // The outage window ended: hold the domain through the
                 // deterministic re-sync before captures resume.
@@ -1255,26 +1758,26 @@ impl FaultState {
                     self.ledger.clock_loss_events += 1;
                 }
             }
-            // 3. Scheduled outage windows (deterministic, no RNG).
-            for k in 0..self.plan.scheduled_clock_outages.len() {
-                let (dom, start, end) = self.plan.scheduled_clock_outages[k];
+            // 3. Scheduled outage windows (deterministic, no draws).
+            for k in 0..self.ctx.plan.scheduled_clock_outages.len() {
+                let (dom, start, end) = self.ctx.plan.scheduled_clock_outages[k];
                 if dom == d && tick == start {
-                    self.inject_clock_outage(d, tick, end);
+                    self.inject_clock_outage(d, tick, end, backend);
                 }
             }
-            // 4. Seeded rolls. A frozen domain rolls nothing: its clock is
-            //    already gone.
-            if !rolling || self.domains[d as usize].frozen(tick) {
+            // 4. Seeded draws. A frozen domain draws nothing: its clock
+            //    is already gone.
+            if !rolling || self.ctx.domains[d as usize].frozen(tick) {
                 continue;
             }
-            if self.roll(rates.clock_outage) {
-                let until = tick.saturating_add(self.plan.clock_outage_edges);
-                self.inject_clock_outage(d, tick, until);
+            if roll(d, slot::CLOCK_OUTAGE, rates.clock_outage) {
+                let until = tick.saturating_add(outage_edges);
+                self.inject_clock_outage(d, tick, until, backend);
             }
-            if self.domains[d as usize].frozen(tick) {
+            if self.ctx.domains[d as usize].frozen(tick) {
                 continue;
             }
-            if self.roll(rates.pulse_drop) {
+            if roll(d, slot::PULSE_DROP, rates.pulse_drop) {
                 self.ledger.injected.bump(FaultKind::PulseDrop);
                 if backend == ClockBackend::Redundant {
                     // Median of three pulse arrivals: one missing pulse is
@@ -1283,11 +1786,11 @@ impl FaultState {
                 } else {
                     // One missing edge: a single-tick stall the two-phase
                     // handshake absorbs by construction.
-                    self.domains[d as usize].frozen_tick = Some(tick);
+                    self.ctx.domains[d as usize].frozen_tick = Some(tick);
                 }
                 self.ledger.absorbed += 1;
             }
-            if self.roll(rates.skew_drift) {
+            if roll(d, slot::SKEW_DRIFT, rates.skew_drift) {
                 if backend == ClockBackend::Redundant {
                     // The median filters one drifting arrival outright.
                     self.ledger.injected.bump(FaultKind::SkewDrift);
@@ -1296,58 +1799,96 @@ impl FaultState {
                 } else {
                     // Arm the ramp; each affected capture books its own
                     // SkewDrift instance against the timing guard.
-                    let st = &mut self.domains[d as usize];
+                    let st = &mut self.ctx.domains[d as usize];
                     st.drift_start = tick;
-                    st.drift_until = tick.saturating_add(self.plan.drift_edges);
+                    st.drift_until = tick.saturating_add(drift_edges);
                 }
             }
         }
     }
 
-    /// The skew excursion an active drift ramp imposes on a capture by
-    /// element `i` this tick: ramps linearly from near zero to the plan's
-    /// peak over the ramp length. `None` when no ramp covers the element.
-    fn drift_excursion(&self, i: usize, tick: u64) -> Option<Picoseconds> {
-        let clock = self.clock.as_ref()?;
-        let d = *clock.elements.get(i)?;
-        if d == u32::MAX {
-            return None;
+    /// Element outages come in fixed epochs of `outage_edges` ticks. At
+    /// the first injection-window tick of each epoch, draws which stages
+    /// the epoch freezes and books each frozen epoch once: an outage only
+    /// stalls, so it is absorbed. Each group of stages sharing a freeze
+    /// probability `q` is walked with geometric gaps — every member is
+    /// frozen independently with probability `q`, at one draw per frozen
+    /// member instead of one per stage.
+    fn outage_epoch(&mut self, tick: u64) -> bool {
+        let ctx = &mut self.ctx;
+        let edges = ctx.plan.outage_edges;
+        let first = ctx.plan.window.map_or(0, |(start, _)| start);
+        if ctx.outage_groups.is_empty()
+            || !ctx.active(tick)
+            || !(tick.is_multiple_of(edges) || tick == first)
+        {
+            return false;
         }
-        let st = &self.domains[d as usize];
-        if tick < st.drift_until && tick >= st.drift_start {
-            let ramp = (tick - st.drift_start + 1) as f64 / self.plan.drift_edges as f64;
-            Some(Picoseconds::new(self.plan.drift_max.value() * ramp))
-        } else {
-            None
+        let epoch = tick / edges;
+        let seed = ctx.plan.seed;
+        let mut frozen = 0u64;
+        ctx.outage_bits.fill(0);
+        for (g, (_, survive_ln, members)) in ctx.outage_groups.iter().enumerate() {
+            let mut next = 0u64;
+            for k in 0u64.. {
+                let key = (g as u64) << 32 | k;
+                next = next
+                    .saturating_add(geometric(draw(seed, epoch, key, slot::OUTAGE), *survive_ln));
+                let Some(&i) = members.get(next as usize) else {
+                    break;
+                };
+                ctx.outage_bits[i as usize >> 6] |= 1u64 << (i & 63);
+                frozen += 1;
+                next += 1;
+            }
         }
+        self.ledger.injected.outage += frozen;
+        self.ledger.absorbed += frozen;
+        true
     }
 
     // ----- per-step hooks -------------------------------------------------
 
     /// Arms the timer queue for `key`'s next scheduled action.
     fn arm_timer(&mut self, key: (u32, u64), due: u64) {
-        self.timers.insert((due, key));
+        self.timers.push(Reverse((due, key)));
     }
 
-    /// Runs the per-edge recovery machinery: DFS creep-up bookkeeping,
-    /// acknowledgement timeouts, and retransmission scheduling. Timer
-    /// wakeups are *enqueued* (a `BTreeSet` keyed by due tick), so an edge
-    /// with nothing due costs one head peek instead of a scan over every
-    /// un-acknowledged flit.
+    /// Runs the per-edge machinery before any visit of `tick`: clock
+    /// domains, outage epochs, DFS creep-up bookkeeping (then freezes the
+    /// tick's slowdown), acknowledgement timeouts, and retransmission
+    /// scheduling. Released retransmissions wait in
+    /// [`released`](Self::released) for the stepping loop to queue at
+    /// their injectors. Timer wakeups are *enqueued* (a `BTreeSet` keyed
+    /// by due tick), so an edge with nothing due costs one head peek
+    /// instead of a scan over every un-acknowledged flit.
     pub(crate) fn begin_step(&mut self, tick: u64) {
         self.clock_step(tick);
+        let epoch = self.outage_epoch(tick);
+        let ctx = &mut self.ctx;
+        ctx.base = (tick, tick_base(ctx.plan.seed, tick));
+        ctx.refresh_frozen(tick, epoch);
+        ctx.drifting = ctx
+            .domains
+            .iter()
+            .any(|d| tick >= d.drift_start && tick < d.drift_until);
         self.dfs.on_edge(tick);
-        if self.timers.first().is_none_or(|&(due, _)| due > tick) {
+        self.ctx.slowdown = self.dfs.slowdown;
+        if self
+            .timers
+            .peek()
+            .is_none_or(|&Reverse((due, _))| due > tick)
+        {
             return;
         }
         // Pop every elapsed timer, dropping stale entries (the flit
         // resolved, or was re-armed to a different due tick since).
-        let mut fired: Vec<(u32, u64)> = Vec::new();
-        while let Some(&(due, key)) = self.timers.first() {
+        let mut fired = std::mem::take(&mut self.fired);
+        while let Some(&Reverse((due, key))) = self.timers.peek() {
             if due > tick {
                 break;
             }
-            self.timers.remove(&(due, key));
+            self.timers.pop();
             let Some(entry) = self.outstanding.get(&key) else {
                 continue;
             };
@@ -1356,209 +1897,57 @@ impl FaultState {
             }
             fired.push(key);
         }
-        // Process in key order — the same order a poll of the
-        // `outstanding` map would walk — so ready-queue contents (and with
-        // them every downstream report) stay bit-identical.
+        // Process in key order, so queue contents (and with them every
+        // downstream report) do not depend on timer order.
         fired.sort_unstable();
         fired.dedup();
-        let max_retries = self.plan.max_retries;
-        let timeout = self.plan.timeout_edges;
-        let base = self.plan.backoff_base_edges;
-        let mut drops_detected = 0u64;
-        let mut retx: Vec<Flit> = Vec::new();
-        let mut abandoned: Vec<(u32, u64)> = Vec::new();
-        let mut rearm: Vec<((u32, u64), u64)> = Vec::new();
-        for key in fired {
+        let max_retries = self.ctx.plan.max_retries;
+        let timeout = self.ctx.plan.timeout_edges;
+        let base = self.ctx.plan.backoff_base_edges;
+        for key in fired.drain(..) {
             let entry = self.outstanding.get_mut(&key).expect("validated above");
             if entry.retx_due.is_some() {
                 // Back-off elapsed: materialise the retransmission.
                 entry.attempts += 1;
                 entry.retx_due = None;
                 entry.deadline = tick + timeout;
-                retx.push(entry.flit.as_retry(entry.attempts.min(255) as u8));
-                rearm.push((key, entry.deadline));
+                let flit = entry.flit.as_retry(entry.attempts.min(255) as u8);
+                let due = entry.deadline;
+                let injector = self
+                    .injectors
+                    .get(key.0 as usize)
+                    .copied()
+                    .unwrap_or(u32::MAX);
+                self.released.push((injector, flit));
+                self.arm_timer(key, due);
             } else {
                 // No acknowledgement: presume the flit dropped.
-                drops_detected += 1;
+                self.ledger.drops_detected += 1;
                 if entry.attempts >= max_retries {
-                    abandoned.push(key);
+                    let entry = self.outstanding.remove(&key).expect("present");
+                    self.ledger.lost += entry.faults;
+                    self.ledger.flits_abandoned += 1;
+                    self.abandoned.insert(key, entry.faults);
                 } else {
                     let delay = base.saturating_mul(1u64 << entry.attempts.min(10));
                     entry.retx_due = Some(tick + delay);
-                    rearm.push((key, tick + delay));
+                    self.arm_timer(key, tick + delay);
                 }
             }
         }
-        for (key, due) in rearm {
-            self.arm_timer(key, due);
-        }
-        self.ledger.drops_detected += drops_detected;
-        for flit in retx {
-            self.ready.entry(flit.src.0).or_default().push_back(flit);
-        }
-        for key in abandoned {
-            if let Some(entry) = self.outstanding.remove(&key) {
-                self.ledger.lost += entry.faults;
-                self.ledger.flits_abandoned += 1;
-                self.abandoned.insert(key, entry.faults);
-            }
-        }
+        self.fired = fired;
     }
 
-    /// Whether element `i` is frozen this edge (possibly starting a new
-    /// outage).
-    pub(crate) fn outage_step(&mut self, i: usize, tick: u64) -> bool {
-        if let Some(&until) = self.outages.get(&i) {
-            if tick < until {
-                return true;
-            }
-            self.outages.remove(&i);
-        }
-        if self.active(tick) {
-            let rate = self.rates(i).outage;
-            if self.roll(rate) {
-                self.outages.insert(i, tick + self.plan.outage_edges);
-                self.ledger.injected.bump(FaultKind::ElementOutage);
-                // An outage only stalls; the protocol holds flits upstream.
-                self.ledger.absorbed += 1;
-                return true;
-            }
-        }
-        false
+    /// Drains the retransmissions the last [`begin_step`](Self::begin_step)
+    /// released, as `(injecting element, flit)`.
+    pub(crate) fn released(&mut self) -> std::vec::Drain<'_, (u32, Flit)> {
+        self.released.drain(..)
     }
-
-    /// Whether element `i`'s incoming `valid` glitches away this edge.
-    pub(crate) fn lost_valid(&mut self, i: usize, tick: u64) -> bool {
-        if !self.active(tick) {
-            return false;
-        }
-        let rate = self.rates(i).lost_valid;
-        if self.roll(rate) {
-            self.ledger.injected.bump(FaultKind::LostValid);
-            // A one-edge stall the handshake absorbs by construction.
-            self.ledger.absorbed += 1;
-            return true;
-        }
-        false
-    }
-
-    /// Whether the drain of `flit` out of element `i` loses its `accept`,
-    /// making the producer re-present (duplicate) it. Restricted to
-    /// standalone flits — duplicating a wormhole fragment would need the
-    /// link-level dedup real hardware does not model here.
-    pub(crate) fn stuck_valid(&mut self, i: usize, tick: u64, flit: &Flit) -> bool {
-        if !self.active(tick) || !(flit.kind == FlitKind::Single || flit.retry > 0) {
-            return false;
-        }
-        let rate = self.rates(i).stuck_valid;
-        if self.roll(rate) {
-            self.ledger.injected.bump(FaultKind::StuckValid);
-            self.charge(flit);
-            return true;
-        }
-        false
-    }
-
-    /// Whether the flit held in element `i`'s register is erased this
-    /// edge. Head flits are exempt: erasing a worm's head would orphan its
-    /// bodies with no route, wedging the fabric beyond what the recovery
-    /// protocol models.
-    pub(crate) fn held_drop(&mut self, i: usize, tick: u64, flit: &Flit) -> bool {
-        if !self.active(tick) || flit.kind == FlitKind::Head {
-            return false;
-        }
-        let rate = self.rates(i).flit_drop;
-        if self.roll(rate) {
-            self.ledger.injected.bump(FaultKind::FlitDrop);
-            self.charge(flit);
-            return true;
-        }
-        false
-    }
-
-    /// Applies capture-time faults to `flit` being latched by element `i`
-    /// over a link in `direction`: delay excursions (evaluated by the
-    /// timing guard at the DFS controller's current frequency) and payload
-    /// upsets.
-    pub(crate) fn on_capture(
-        &mut self,
-        i: usize,
-        tick: u64,
-        flit: Flit,
-        direction: Direction,
-    ) -> CaptureEffect {
-        let mut effect = CaptureEffect::clean(flit);
-        if !self.active(tick) {
-            return effect;
-        }
-        let rates = self.rates(i);
-        let excursion = if let Some(drift) = self.drift_excursion(i, tick) {
-            // An armed skew-drift ramp books one instance per capture it
-            // degrades; the timing guard decides whether each survives.
-            self.ledger.injected.bump(FaultKind::SkewDrift);
-            Some(drift)
-        } else if self.roll(rates.skew_spike) {
-            self.ledger.injected.bump(FaultKind::SkewSpike);
-            let magnitude = self
-                .rng
-                .gen_range(self.plan.spike_min.value()..self.plan.spike_max.value());
-            let sign = if self.rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-            Some(Picoseconds::new(sign * magnitude))
-        } else if self.roll(rates.link_jitter) {
-            self.ledger.injected.bump(FaultKind::LinkJitter);
-            let bound = self.plan.jitter_max.value();
-            let j = if bound > 0.0 {
-                self.rng.gen_range(-bound..bound)
-            } else {
-                0.0
-            };
-            Some(Picoseconds::new(j))
-        } else {
-            None
-        };
-        if let Some(excursion) = excursion {
-            let link = LinkTiming::new(self.plan.flip_flop, self.plan.frequency)
-                .derated(self.dfs.slowdown);
-            let data = (self.plan.data_delay + excursion).max(Picoseconds::ZERO);
-            match link.check(direction, data, self.plan.clock_delay) {
-                Ok(_) => self.ledger.absorbed += 1,
-                Err(_violation) => {
-                    effect.violation = true;
-                    self.ledger.violations += 1;
-                    effect.backoff = self.dfs.on_violation(tick);
-                    self.charge(&flit);
-                    // Metastability resolves unpredictably: half the time
-                    // the register latches garbage (corruption), half the
-                    // time nothing valid (loss). Heads always corrupt —
-                    // losing one would orphan its worm.
-                    if flit.kind == FlitKind::Head || self.rng.gen_bool(0.5) {
-                        let bit = self.rng.gen_range(0u32..32);
-                        effect.flit = Some(flit.with_corrupted_payload(bit));
-                        effect.corrupted = true;
-                    } else {
-                        effect.flit = None;
-                    }
-                    return effect;
-                }
-            }
-        }
-        if self.roll(rates.bit_corruption) {
-            self.ledger.injected.bump(FaultKind::BitCorruption);
-            let base = effect.flit.unwrap_or(flit);
-            self.charge(&base);
-            let bit = self.rng.gen_range(0u32..32);
-            effect.flit = Some(base.with_corrupted_payload(bit));
-            effect.corrupted = true;
-        }
-        effect
-    }
-
-    // ----- endpoint hooks -------------------------------------------------
 
     /// Registers a freshly injected flit with the acknowledgement tracker.
-    pub(crate) fn register_injection(&mut self, flit: &Flit, tick: u64) {
+    fn register_injection(&mut self, flit: &Flit, tick: u64) {
         let key = (flit.src.0, flit.seq);
-        let deadline = tick + self.plan.timeout_edges;
+        let deadline = tick + self.ctx.plan.timeout_edges;
         self.outstanding.insert(
             key,
             Outstanding {
@@ -1572,91 +1961,11 @@ impl FaultState {
         self.arm_timer(key, deadline);
     }
 
-    /// The consumer-side gate: CRC/identity check, duplicate filtering,
-    /// NACK scheduling, and acknowledgement of clean deliveries.
-    pub(crate) fn on_arrival(
-        &mut self,
-        flit: &Flit,
-        tick: u64,
-        port: icnoc_topology::PortId,
-    ) -> ArrivalVerdict {
-        if flit.dest != port {
-            // Misroutes are the scoreboard's concern, not the fault gate's.
-            return ArrivalVerdict::Deliver;
-        }
-        let key = (flit.src.0, flit.seq);
-        let integrity_ok =
-            flit.crc_ok() && flit.payload == Flit::expected_payload(flit.src, flit.dest, flit.seq);
-        if !integrity_ok {
-            self.ledger.corruptions_detected += 1;
-            // NACK: schedule a retransmission under the backoff policy.
-            let delay = self
-                .outstanding
-                .get(&key)
-                .map(|e| self.backoff_delay(e.attempts));
-            if let Some(entry) = self.outstanding.get_mut(&key) {
-                if entry.retx_due.is_none() {
-                    if entry.attempts >= self.plan.max_retries {
-                        let entry = self.outstanding.remove(&key).expect("present");
-                        self.ledger.lost += entry.faults;
-                        self.ledger.flits_abandoned += 1;
-                        self.abandoned.insert(key, entry.faults);
-                    } else {
-                        let due = tick + delay.unwrap_or(0);
-                        entry.retx_due = Some(due);
-                        self.arm_timer(key, due);
-                    }
-                }
-            }
-            return ArrivalVerdict::Corrupt;
-        }
-        if self.delivered.contains(&key) {
-            self.ledger.duplicates_discarded += 1;
-            return ArrivalVerdict::Duplicate;
-        }
-        self.delivered.insert(key);
-        // The clean delivery acknowledges the flit: every fault charged to
-        // it has been recovered.
-        if let Some(entry) = self.outstanding.remove(&key) {
-            self.ledger.recovered += entry.faults;
-        } else if let Some(faults) = self.abandoned.remove(&key) {
-            // A copy the timeout had already written off arrived intact
-            // after all (it was stalled, not dropped): reclassify its
-            // charges — the loss was never real.
-            self.ledger.lost -= faults;
-            self.ledger.recovered += faults;
-            self.ledger.flits_abandoned -= 1;
-        }
-        ArrivalVerdict::Deliver
-    }
-
-    /// Pops the next pending retransmission for `port`'s source, if any,
-    /// resetting its acknowledgement deadline.
-    pub(crate) fn take_retx(&mut self, port: u32, tick: u64) -> Option<Flit> {
-        let queue = self.ready.get_mut(&port)?;
-        let flit = queue.pop_front()?;
-        self.ledger.retransmissions += 1;
-        let key = (flit.src.0, flit.seq);
-        let deadline = tick + self.plan.timeout_edges;
-        if let Some(entry) = self.outstanding.get_mut(&key) {
-            // The queue wait may have eaten into the timeout; re-arm it
-            // from the actual injection tick.
-            entry.deadline = deadline;
-            self.arm_timer(key, deadline);
-        }
-        Some(flit)
-    }
-
-    /// Whether the recovery layer still has work in flight (un-acked
-    /// flits or queued retransmissions) — the drain loop keeps stepping
-    /// while this holds.
+    /// Whether the recovery layer still tracks un-acknowledged flits —
+    /// the drain loop keeps stepping while this holds. (Queued
+    /// retransmissions sit at their injectors and count as in flight.)
     pub(crate) fn recovery_busy(&self) -> bool {
-        !self.outstanding.is_empty() || self.ready.values().any(|q| !q.is_empty())
-    }
-
-    /// Retransmissions queued but not yet injected (counted as in-flight).
-    pub(crate) fn queued_retx(&self) -> u64 {
-        self.ready.values().map(|q| q.len() as u64).sum()
+        !self.outstanding.is_empty()
     }
 
     /// Fault hazards still unresolved (for drain diagnostics).
@@ -1668,14 +1977,6 @@ impl FaultState {
     /// [`Network::diagnose_stall`](crate::Network::diagnose_stall).
     pub(crate) fn stall_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
-        for (port, queue) in &self.ready {
-            if !queue.is_empty() {
-                lines.push(format!(
-                    "p{port} retransmit queue holds {} flit(s)",
-                    queue.len()
-                ));
-            }
-        }
         if !self.outstanding.is_empty() {
             let next = self
                 .outstanding
@@ -1688,7 +1989,7 @@ impl FaultState {
                 self.outstanding.len()
             ));
         }
-        for (d, st) in self.domains.iter().enumerate() {
+        for (d, st) in self.ctx.domains.iter().enumerate() {
             if st.quarantined {
                 lines.push(format!(
                     "clock domain {d} quarantined: watchdog raised ClockLoss after \
@@ -1723,7 +2024,7 @@ impl FaultState {
             backoffs: self.dfs.backoffs,
             creep_ups: self.dfs.creep_ups,
             slowdown: self.dfs.slowdown,
-            effective_ghz: self.plan.frequency.value() / self.dfs.slowdown,
+            effective_ghz: self.ctx.plan.frequency.value() / self.dfs.slowdown,
             dfs_locked: self.dfs.locked,
             last_violation_tick: self.dfs.last_violation,
             clock_loss_events: ledger.clock_loss_events,
@@ -1761,7 +2062,7 @@ mod tests {
     #[test]
     fn plan_defaults_meet_nominal_timing() {
         // The construction assertion must accept the default plan.
-        let state = FaultState::new(FaultPlan::soak(7), &["s0", "s1"]);
+        let state = FaultState::new(FaultPlan::soak(7), &["s0", "s1"], &[true, true]);
         assert!(state.report().conserves());
         assert_eq!(state.report().injected.total(), 0);
     }
@@ -1773,10 +2074,10 @@ mod tests {
             ..FaultRates::ZERO
         };
         let plan = FaultPlan::new(3).with_element_rates("r0.", hot);
-        let state = FaultState::new(plan, &["src0", "r0.mid1", "r1.mid0"]);
-        assert_eq!(state.rates(1).bit_corruption, 0.5);
-        assert_eq!(state.rates(0).bit_corruption, 0.0);
-        assert_eq!(state.rates(2).bit_corruption, 0.0);
+        let state = FaultState::new(plan, &["src0", "r0.mid1", "r1.mid0"], &[false, true, true]);
+        assert_eq!(state.ctx().rates(1).bit_corruption, 0.5);
+        assert_eq!(state.ctx().rates(0).bit_corruption, 0.0);
+        assert_eq!(state.ctx().rates(2).bit_corruption, 0.0);
     }
 
     #[test]
@@ -1853,38 +2154,61 @@ mod tests {
         assert!(!dfs.locked);
     }
 
+    /// Runs the consumer gate of `port` and applies what it logged.
+    fn arrive(
+        state: &mut FaultState,
+        flit: &Flit,
+        tick: u64,
+        port: u32,
+        delivered: &mut HashSet<(u32, u64)>,
+    ) -> ArrivalVerdict {
+        state
+            .hook(tick, |_, log| {
+                FaultCtx::on_arrival(flit, PortId(port), delivered, log)
+            })
+            .0
+    }
+
     #[test]
     fn arrival_gate_acks_nacks_and_dedups() {
         // Backoff base 1 (the minimum): NACKed flits retransmit on the
         // next edge.
-        let mut state = FaultState::new(FaultPlan::new(9).with_retry(64, 1, 5), &[]);
+        let mut state = FaultState::new(FaultPlan::new(9).with_retry(64, 1, 5), &[], &[]);
+        state.set_injectors(vec![7, 8]);
+        let mut delivered = HashSet::new();
         let flit = Flit::new(PortId(0), PortId(1), 4, 0);
-        state.register_injection(&flit, 0);
+        state.apply(0, FaultOp::Injection(flit));
         assert!(state.recovery_busy());
 
         // A corrupt copy is NACKed and discarded.
         let bad = flit.with_corrupted_payload(3);
         assert_eq!(
-            state.on_arrival(&bad, 10, PortId(1)),
+            arrive(&mut state, &bad, 10, 1, &mut delivered),
             ArrivalVerdict::Corrupt
         );
         assert_eq!(state.report().corruptions_detected, 1);
-        // The NACK scheduled a retransmission one backoff edge later.
+        // The NACK scheduled a retransmission one backoff edge later, at
+        // port 0's injector.
         state.begin_step(11);
-        let retx = state.take_retx(0, 11).expect("retransmission queued");
+        let released: Vec<(u32, Flit)> = state.released().collect();
+        let [(injector, retx)] = released[..] else {
+            panic!("one retransmission released: {released:?}");
+        };
+        assert_eq!(injector, 7);
         assert_eq!(retx.seq, 4);
         assert_eq!(retx.retry, 1);
         assert!(retx.crc_ok());
+        state.apply(11, FaultOp::Retransmitted(retx.src.0, retx.seq));
 
         // The clean retransmission delivers and acknowledges.
         assert_eq!(
-            state.on_arrival(&retx, 20, PortId(1)),
+            arrive(&mut state, &retx, 20, 1, &mut delivered),
             ArrivalVerdict::Deliver
         );
         assert!(!state.recovery_busy());
         // A late duplicate of the same sequence is discarded.
         assert_eq!(
-            state.on_arrival(&flit, 30, PortId(1)),
+            arrive(&mut state, &flit, 30, 1, &mut delivered),
             ArrivalVerdict::Duplicate
         );
         let report = state.report();
@@ -1901,16 +2225,18 @@ mod tests {
                 flit_drop: 1.0,
                 ..FaultRates::ZERO
             });
-        let mut state = FaultState::new(plan, &[]);
+        let mut state = FaultState::new(plan, &["s0"], &[true]);
         let flit = Flit::new(PortId(2), PortId(3), 0, 0);
-        state.register_injection(&flit, 0);
-        // Inject a deterministic drop so the eventual loss is attributable.
-        assert!(state.held_drop(0, 0, &flit));
+        state.apply(0, FaultOp::Injection(flit));
+        // At rate 1 the upset fires on the latching edge itself.
+        assert_eq!(state.ctx().upset_tick(0, 0, &flit), 0);
+        state.hook(0, |_, log| FaultCtx::held_drop(&flit, log));
 
         let mut retransmissions = 0;
         for tick in 0..200 {
             state.begin_step(tick);
-            if state.take_retx(2, tick).is_some() {
+            for (_, retx) in state.released().collect::<Vec<_>>() {
+                state.apply(tick, FaultOp::Retransmitted(retx.src.0, retx.seq));
                 retransmissions += 1;
             }
             if !state.recovery_busy() {
@@ -1932,19 +2258,107 @@ mod tests {
 
     #[test]
     fn misroutes_bypass_the_gate() {
-        let mut state = FaultState::new(FaultPlan::new(11), &[]);
+        let mut state = FaultState::new(FaultPlan::new(11), &[], &[]);
         let flit = Flit::new(PortId(0), PortId(1), 0, 0);
         // Arriving at the wrong port: the gate defers to the scoreboard.
         assert_eq!(
-            state.on_arrival(&flit, 0, PortId(2)),
+            arrive(&mut state, &flit, 0, 2, &mut HashSet::new()),
             ArrivalVerdict::Deliver
         );
         assert_eq!(state.report().corruptions_detected, 0);
     }
 
     #[test]
+    fn draws_are_pure_functions_of_their_key() {
+        for key in [
+            (0, 0, 0, 0),
+            (7, 123_456, 42, slot::SPIKE),
+            (u64::MAX, 1, 3, 15),
+        ] {
+            let (seed, tick, element, s) = key;
+            assert_eq!(draw(seed, tick, element, s), draw(seed, tick, element, s));
+        }
+        // Every coordinate of the key moves the draw.
+        let base = draw(1, 2, 3, 4);
+        assert_ne!(base, draw(9, 2, 3, 4));
+        assert_ne!(base, draw(1, 9, 3, 4));
+        assert_ne!(base, draw(1, 2, 9, 4));
+        assert_ne!(base, draw(1, 2, 3, 5));
+    }
+
+    #[test]
+    fn two_slots_of_one_key_are_independent() {
+        // Joint firing of two slots at p = 0.5 must match the product of
+        // the marginals (0.25) within 4σ over many keys.
+        let n = 200_000u64;
+        let (mut a, mut b, mut both) = (0u64, 0u64, 0u64);
+        for tick in 0..n {
+            let x = fires(draw(3, tick, 17, slot::SPIKE), 0.5);
+            let y = fires(draw(3, tick, 17, slot::SPIKE_SIGN), 0.5);
+            a += u64::from(x);
+            b += u64::from(y);
+            both += u64::from(x && y);
+        }
+        let (pa, pb) = (a as f64 / n as f64, b as f64 / n as f64);
+        let expected = pa * pb;
+        let sigma = (expected * (1.0 - expected) / n as f64).sqrt();
+        let joint = both as f64 / n as f64;
+        assert!(
+            (joint - expected).abs() < 4.0 * sigma,
+            "joint {joint} vs product {expected}"
+        );
+    }
+
+    #[test]
+    fn empirical_rates_match_within_four_sigma() {
+        let n = 1_000_000u64;
+        for p in [0.0005, 0.01, 0.5] {
+            let hits = (0..n)
+                .filter(|&k| fires(draw(11, k / 64, k % 64, slot::OUTAGE), p))
+                .count() as f64;
+            let sigma = (n as f64 * p * (1.0 - p)).sqrt();
+            assert!(
+                (hits - n as f64 * p).abs() < 4.0 * sigma,
+                "p={p}: {hits} hits in {n} draws"
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_rate_never_fires() {
+        assert!(!fires(0, 0.0));
+        assert!(!fires(u64::MAX, 0.0));
+        assert!((0..100_000u64).all(|k| !fires(draw(5, k, k, slot::CORRUPT), 0.0)));
+        let state = FaultState::new(FaultPlan::new(5), &["s0"], &[true]);
+        let flit = Flit::new(PortId(0), PortId(1), 0, 0);
+        assert_eq!(state.ctx().upset_tick(0, 10, &flit), u64::MAX);
+    }
+
+    #[test]
+    fn outage_epochs_freeze_whole_epochs_and_book_once() {
+        // Rate 1: every epoch freezes the stage, and each epoch books one
+        // outage however many of its ticks run.
+        let plan = FaultPlan::new(1)
+            .with_outage_edges(4)
+            .with_rates(FaultRates {
+                outage: 1.0,
+                ..FaultRates::ZERO
+            });
+        let mut state = FaultState::new(plan, &["s0", "src0"], &[true, false]);
+        for tick in 0..10 {
+            state.begin_step(tick);
+            assert!(state.ctx().frozen(0, tick));
+            assert!(!state.ctx().frozen(1, tick), "only stages freeze");
+        }
+        // Ticks 0..10 touch epochs 0, 1 and 2.
+        let report = state.report();
+        assert_eq!(report.injected.outage, 3);
+        assert!(report.conserves());
+    }
+
+    #[test]
     fn recovery_report_displays_the_ledger() {
-        let state = FaultState::new(FaultPlan::new(2), &[]);
+        let state = FaultState::new(FaultPlan::new(2), &[], &[]);
         let text = state.report().to_string();
         assert!(text.contains("faults injected"));
         assert!(text.contains("conserves: true"));

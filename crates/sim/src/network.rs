@@ -1,7 +1,7 @@
 //! The element-graph simulator core and the straight-pipeline builder.
 
 use crate::element::{Element, Kind, SinkState, SourceState, TileRole, TileState};
-use crate::fault::{ArrivalVerdict, CaptureEffect, ClockTopology, FaultState};
+use crate::fault::{ArrivalVerdict, CaptureEffect, ClockTopology, FaultCtx, FaultState};
 use crate::label::LabelTable;
 use crate::parallel::{self, ParState};
 use crate::profile::{FallbackCause, KernelProfiler, PerfReport, PerfWall, ShardCounters};
@@ -22,7 +22,7 @@ use rand::SeedableRng;
 /// Which stepping kernel a [`Network`] uses to evaluate its elements.
 ///
 /// There are two stepping loops: the dense scan and the struct-of-arrays
-/// activity-list step of the [`parallel`](crate::parallel) module, run as
+/// activity-list step of the `parallel` module, run as
 /// one shard (`EventDriven`) or as one shard per worker (`Parallel`).
 /// Every kernel implements the exact same half-cycle semantics and
 /// produces **bit-identical** [`SimReport`]s (including trace events,
@@ -30,11 +30,12 @@ use rand::SeedableRng;
 /// seed — the dense kernel is retained as a differential-testing oracle
 /// and selected with `--kernel dense` on the CLI.
 ///
-/// A network with a fault plan or trace sinks attached runs the dense
-/// loop under every kernel: its shared fault RNG is rolled in global
-/// visit order, its timers and clock domains act on elements no
-/// handshake woke, and a held flit emits a `Blocked` trace event on every
-/// edge, so only the full scan reproduces those streams.
+/// Fault plans run on every kernel: each fault is a pure hash of `(seed,
+/// tick, element, slot)`, no fault changes an element no handshake or
+/// timed wake visits, and the recovery layer folds its logged operations
+/// at every tick boundary. Only a network with trace sinks attached runs
+/// the dense loop under every kernel: a held flit emits a `Blocked` trace
+/// event on every edge, so only the full scan reproduces that stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimKernel {
     /// Scan every element on every tick, skipping mismatched polarities —
@@ -120,7 +121,7 @@ pub struct Network {
     /// Activity-list kernel state (shard plan, per-shard ready sets and
     /// mailboxes), built lazily at the first event or parallel step.
     /// `None` for the dense kernel and for networks running the dense
-    /// loop because a fault plan or trace sinks are attached.
+    /// loop because trace sinks are attached.
     par: Option<ParState>,
     /// Builder-provided subtree id per element, steering the parallel
     /// shard cut (set by the tree builder; contiguous ranges otherwise).
@@ -194,8 +195,8 @@ impl Network {
 
     /// The activity-list kernel's resolved worker count, once it has
     /// taken its first step: `1` on the event kernel. `None` on the dense
-    /// kernel and on networks running the dense loop (fault plan or trace
-    /// sinks attached).
+    /// kernel and on networks running the dense loop (trace sinks
+    /// attached).
     #[must_use]
     pub fn active_workers(&self) -> Option<usize> {
         self.par.as_ref().map(ParState::workers)
@@ -216,9 +217,9 @@ impl Network {
     /// Total element visits executed so far, across all ticks. The dense
     /// kernel visits every matching-polarity element per tick; the
     /// event-driven and parallel kernels visit only armed elements — on
-    /// an idle network this counter stops advancing entirely. With a
-    /// fault plan or trace sinks attached every kernel runs the dense
-    /// loop and reports the dense count.
+    /// an idle network this counter stops advancing entirely. With trace
+    /// sinks attached every kernel runs the dense loop and reports the
+    /// dense count.
     #[must_use]
     pub fn element_steps(&self) -> u64 {
         self.element_steps
@@ -249,16 +250,8 @@ impl Network {
     /// Always `None` on the sequential kernels.
     #[must_use]
     pub fn fallback_cause(&self) -> Option<FallbackCause> {
-        if !matches!(self.kernel, SimKernel::Parallel { .. }) {
-            return None;
-        }
-        if self.faults.is_some() {
-            Some(FallbackCause::FaultPlan)
-        } else if !self.sinks.is_empty() {
-            Some(FallbackCause::TraceSinks)
-        } else {
-            None
-        }
+        (matches!(self.kernel, SimKernel::Parallel { .. }) && !self.sinks.is_empty())
+            .then_some(FallbackCause::TraceSinks)
     }
 
     /// Ignored: speculate-and-replay no longer exists, and the parallel
@@ -287,9 +280,30 @@ impl Network {
             "attach a fault plan before stepping an event- or parallel-kernel network"
         );
         let labels = self.element_labels();
-        let mut state = Box::new(FaultState::new(plan, &labels));
+        let stages: Vec<bool> = self
+            .elements
+            .iter()
+            .map(|e| matches!(e.kind, Kind::Stage))
+            .collect();
+        let mut state = Box::new(FaultState::new(plan, &labels, &stages));
         if let Some(topology) = self.clock_domains.clone() {
             state.set_clock_topology(topology);
+        }
+        let mut injectors = vec![u32::MAX; self.num_ports as usize];
+        for (i, el) in self.elements.iter().enumerate() {
+            if let Kind::Source(SourceState { port, .. }) | Kind::Tile(TileState { port, .. }) =
+                &el.kind
+            {
+                if let Some(slot) = injectors.get_mut(port.0 as usize) {
+                    *slot = i as u32;
+                }
+            }
+        }
+        state.set_injectors(injectors);
+        for el in &mut self.elements {
+            if !matches!(el.kind, Kind::Stage) {
+                el.faults = Some(Box::default());
+            }
         }
         self.faults = Some(state);
     }
@@ -578,10 +592,9 @@ impl Network {
 
     /// Whether this step should take the activity-list path, activating
     /// the shard state on first use. The event kernel is one shard, the
-    /// parallel kernel one per worker. Networks with a fault plan or
-    /// trace sinks run the dense loop: both fold into shared state (one
-    /// fault RNG stream, one ordered event stream) whose results depend
-    /// on global visit order and on visits no handshake asked for.
+    /// parallel kernel one per worker. Networks with trace sinks run the
+    /// dense loop: their one ordered event stream reports every blocked
+    /// edge, including edges no handshake visits.
     fn soa_ready(&mut self) -> bool {
         let requested = match self.kernel {
             SimKernel::Dense => return false,
@@ -591,7 +604,7 @@ impl Network {
             }
             SimKernel::Parallel { workers } => workers as usize,
         };
-        if self.faults.is_some() || !self.sinks.is_empty() {
+        if !self.sinks.is_empty() {
             return false;
         }
         if self.par.is_none() {
@@ -625,6 +638,7 @@ impl Network {
                 elements: &mut self.elements,
                 scoreboard: &mut self.scoreboard,
                 par,
+                faults: self.faults.as_deref_mut(),
                 num_ports: self.num_ports,
                 base_tick: self.tick,
             },
@@ -717,18 +731,30 @@ impl Network {
     /// the recovery layer.
     #[must_use]
     pub fn in_flight(&self) -> u64 {
-        let held: u64 = self
-            .elements
+        self.elements
             .iter()
             .map(|e| {
-                let held = u64::from(e.out_flit.is_some());
+                let held = u64::from(e.out_flit.is_some())
+                    + e.faults.as_ref().map_or(0, |f| f.retx.len() as u64);
                 match &e.kind {
                     Kind::Tile(t) => held + t.pending.len() as u64,
                     _ => held,
                 }
             })
-            .sum();
-        held + self.faults.as_ref().map_or(0, |f| f.queued_retx())
+            .sum()
+    }
+
+    /// Queues the retransmissions the recovery layer released this tick
+    /// at their ports' injectors.
+    fn queue_released(elements: &mut [Element], faults: &mut FaultState) {
+        for (injector, flit) in faults.released() {
+            if let Some(gate) = elements
+                .get_mut(injector as usize)
+                .and_then(|e| e.faults.as_mut())
+            {
+                gate.retx.push_back(flit);
+            }
+        }
     }
 
     /// Advances the simulation by one half-cycle (one clock edge).
@@ -747,9 +773,11 @@ impl Network {
             .as_ref()
             .map(|_| (std::time::Instant::now(), self.element_steps));
         if let Some(f) = &mut self.faults {
-            // Per-edge recovery machinery: clock-domain state, DFS
-            // creep-up, ack timeouts, retransmission scheduling.
+            // Per-edge recovery machinery: clock-domain state, outage
+            // epochs, DFS creep-up, ack timeouts, retransmission
+            // scheduling.
             f.begin_step(self.tick);
+            Self::queue_released(&mut self.elements, f);
         }
         let parity = if self.tick.is_multiple_of(2) {
             ClockPolarity::Rising
@@ -799,24 +827,19 @@ impl Network {
     fn step_stage(&mut self, i: usize) {
         let mut faults = self.faults.take();
         let tick = self.tick;
-        // A transient outage freezes the stage: it captures nothing and
-        // presents nothing new. A flit drained on the previous edge is
-        // still gone (the downstream register already holds it).
-        if let Some(f) = faults.as_deref_mut() {
-            // A clock-domain freeze (outage, re-sync hold, dropped pulse)
-            // behaves like a transient outage, but strikes the whole
-            // subtree at once and consumes no per-stage randomness: the
-            // clock is gone, so nothing rolls.
-            if f.clock_frozen(i, tick) || f.outage_step(i, tick) {
-                let drained = self.was_drained(i);
-                let el = &mut self.elements[i];
-                if drained {
-                    el.out_flit = None;
-                }
-                el.accepted_from = None;
-                self.faults = faults;
-                return;
+        // A frozen stage (its clock domain is out, or its outage epoch
+        // drew a freeze) captures nothing and presents nothing new. A flit
+        // drained on the previous edge is still gone (the downstream
+        // register already holds it).
+        if faults.as_deref().is_some_and(|f| f.ctx().frozen(i, tick)) {
+            let drained = self.was_drained(i);
+            let el = &mut self.elements[i];
+            if drained {
+                el.out_flit = None;
             }
+            el.accepted_from = None;
+            self.faults = faults;
+            return;
         }
         let mut drained = self.was_drained(i);
         // A lost `accept`: the stage misses the drain and re-presents a
@@ -824,7 +847,7 @@ impl Network {
         if drained {
             if let Some(f) = faults.as_deref_mut() {
                 let flit = self.elements[i].out_flit.expect("drained implies held");
-                if f.stuck_valid(i, tick, &flit) {
+                if f.hook(tick, |c, log| c.stuck_valid(i, tick, &flit, log)).0 {
                     drained = false;
                 }
             }
@@ -873,38 +896,42 @@ impl Network {
                 }
             }
         }
-        // A glitched-away `valid`: the stage sees no offer this edge.
-        if winner.is_some() {
+        let new_empty = el.out_flit.is_none() || drained;
+        // A glitched-away `valid`: on an edge where it could capture, the
+        // stage sees no offer.
+        if winner.is_some() && new_empty {
             if let Some(f) = faults.as_deref_mut() {
-                if f.lost_valid(i, tick) {
+                if f.hook(tick, |c, log| c.lost_valid(i, tick, log)).0 {
                     winner = None;
                 }
             }
         }
 
         let el = &mut self.elements[i];
-        let new_empty = el.out_flit.is_none() || drained;
         let held = el.out_flit;
         match winner {
             Some((slot, flit)) if new_empty => {
                 let upstream = el.upstreams[slot];
                 // The capture crosses a physical link: evaluate injected
                 // delay excursions against the analytic setup/hold window
-                // at the DFS controller's current frequency. Rising-edge
-                // captures sit on downstream links, falling-edge captures
-                // on upstream ones — the alternating-edge discipline.
+                // at the DFS controller's frequency. Rising-edge captures
+                // sit on downstream links, falling-edge captures on
+                // upstream ones — the alternating-edge discipline.
                 let direction = match el.polarity {
                     ClockPolarity::Rising => Direction::Downstream,
                     ClockPolarity::Falling => Direction::Upstream,
                 };
-                let effect = match faults.as_deref_mut() {
-                    Some(f) => f.on_capture(i, tick, flit, direction),
-                    None => CaptureEffect::clean(flit),
+                let (effect, backoff) = match faults.as_deref_mut() {
+                    Some(f) => f.hook(tick, |c, log| c.on_capture(i, tick, flit, direction, log)),
+                    None => (CaptureEffect::clean(flit), false),
                 };
                 el.accepted_from = Some(upstream);
                 // `None` here means metastability resolved to a lost flit:
                 // the upstream sees its drain, but nothing was latched.
                 el.out_flit = effect.flit;
+                if let (Some(f), Some(latched)) = (faults.as_deref(), effect.flit) {
+                    el.upset_at = f.ctx().upset_tick(i, tick, &latched);
+                }
                 if flit.opens_route() {
                     el.rr_next = (slot + 1) % n.max(1);
                 }
@@ -918,7 +945,7 @@ impl Network {
                     if effect.violation {
                         self.emit(i, TraceEventKind::TimingViolation, flit);
                     }
-                    if effect.backoff {
+                    if backoff {
                         self.emit(i, TraceEventKind::FrequencyBackoff, flit);
                     }
                     match effect.flit {
@@ -953,20 +980,21 @@ impl Network {
                 }
             }
         }
-        // A register upset may erase whatever the stage now holds.
+        // A register upset erases the held flit once its drawn tick
+        // arrives.
         if let Some(f) = faults.as_deref_mut() {
-            if let Some(flit) = self.elements[i].out_flit {
-                if f.held_drop(i, tick, &flit) {
-                    self.elements[i].out_flit = None;
-                    if tracing {
-                        self.emit(
-                            i,
-                            TraceEventKind::Dropped {
-                                cause: DropCause::FaultUpset,
-                            },
-                            flit,
-                        );
-                    }
+            let el = &mut self.elements[i];
+            if let Some(flit) = el.out_flit.filter(|_| tick >= el.upset_at) {
+                el.out_flit = None;
+                f.hook(tick, |_, log| FaultCtx::held_drop(&flit, log));
+                if tracing {
+                    self.emit(
+                        i,
+                        TraceEventKind::Dropped {
+                            cause: DropCause::FaultUpset,
+                        },
+                        flit,
+                    );
                 }
             }
         }
@@ -977,17 +1005,18 @@ impl Network {
         let mut faults = self.faults.take();
         // A source in a clock-dead domain injects nothing and consumes no
         // pattern randomness; queued retransmissions wait for re-sync.
-        if let Some(f) = faults.as_deref_mut() {
-            if f.clock_frozen(i, self.tick) {
-                let drained = self.was_drained(i);
-                let el = &mut self.elements[i];
-                if drained {
-                    el.out_flit = None;
-                }
-                el.accepted_from = None;
-                self.faults = faults;
-                return;
+        if faults
+            .as_deref()
+            .is_some_and(|f| f.ctx().frozen(i, self.tick))
+        {
+            let drained = self.was_drained(i);
+            let el = &mut self.elements[i];
+            if drained {
+                el.out_flit = None;
             }
+            el.accepted_from = None;
+            self.faults = faults;
+            return;
         }
         let drained = self.was_drained(i);
         let tracing = !self.sinks.is_empty();
@@ -1016,11 +1045,9 @@ impl Network {
         // source would release the lock and strand the worm's remaining
         // flits.
         if el.out_flit.is_none() && state.emitting.is_none() {
-            if let Some(f) = faults.as_deref_mut() {
-                if let Some(flit) = f.take_retx(state.port.0, tick) {
-                    el.out_flit = Some(flit);
-                    retransmitted = Some(flit);
-                }
+            if let Some(flit) = el.faults.as_mut().and_then(|f| f.retx.pop_front()) {
+                el.out_flit = Some(flit);
+                retransmitted = Some(flit);
             }
         }
         let out_empty = el.out_flit.is_none();
@@ -1103,10 +1130,7 @@ impl Network {
             }
         }
         if let Some(f) = faults.as_deref_mut() {
-            if let Some(flit) = injected {
-                // Fresh payloads enter the acknowledgement tracker.
-                f.register_injection(&flit, tick);
-            }
+            log_endpoint_ops(f, tick, injected, retransmitted);
         }
         self.faults = faults;
         if tracing {
@@ -1127,12 +1151,10 @@ impl Network {
         let tick = self.tick;
         // A sink in a clock-dead domain captures nothing: its upstream
         // keeps presenting until the domain re-syncs.
-        if let Some(f) = faults.as_deref_mut() {
-            if f.clock_frozen(i, tick) {
-                self.elements[i].accepted_from = None;
-                self.faults = faults;
-                return;
-            }
+        if faults.as_deref().is_some_and(|f| f.ctx().frozen(i, tick)) {
+            self.elements[i].accepted_from = None;
+            self.faults = faults;
+            return;
         }
         // Scan all upstreams (a port with ring shortcuts has several) and
         // consume the first one offering a flit.
@@ -1152,7 +1174,17 @@ impl Network {
                 // never reach the scoreboard — the gate NACKs/acks the
                 // recovery layer instead.
                 let verdict = match faults.as_deref_mut() {
-                    Some(f) => f.on_arrival(&flit, tick, port),
+                    Some(f) => {
+                        let delivered = &mut el
+                            .faults
+                            .as_mut()
+                            .expect("fault runs give every endpoint a fault slot")
+                            .delivered;
+                        f.hook(tick, |_, log| {
+                            FaultCtx::on_arrival(&flit, port, delivered, log)
+                        })
+                        .0
+                    }
                     None => ArrivalVerdict::Deliver,
                 };
                 match verdict {
@@ -1204,17 +1236,15 @@ impl Network {
         let mut faults = self.faults.take();
         let tick = self.tick;
         // A tile in a clock-dead domain neither captures nor injects.
-        if let Some(f) = faults.as_deref_mut() {
-            if f.clock_frozen(i, tick) {
-                let drained = self.was_drained(i);
-                let el = &mut self.elements[i];
-                if drained {
-                    el.out_flit = None;
-                }
-                el.accepted_from = None;
-                self.faults = faults;
-                return;
+        if faults.as_deref().is_some_and(|f| f.ctx().frozen(i, tick)) {
+            let drained = self.was_drained(i);
+            let el = &mut self.elements[i];
+            if drained {
+                el.out_flit = None;
             }
+            el.accepted_from = None;
+            self.faults = faults;
+            return;
         }
         let tracing = !self.sinks.is_empty();
         let mut injected: Option<Flit> = None;
@@ -1250,7 +1280,17 @@ impl Network {
         }
         let offered_flit = arrived;
         let verdict = match (faults.as_deref_mut(), arrived) {
-            (Some(f), Some(flit)) => f.on_arrival(&flit, tick, port),
+            (Some(f), Some(flit)) => {
+                let delivered = &mut el
+                    .faults
+                    .as_mut()
+                    .expect("fault runs give every endpoint a fault slot")
+                    .delivered;
+                f.hook(tick, |_, log| {
+                    FaultCtx::on_arrival(&flit, port, delivered, log)
+                })
+                .0
+            }
             _ => ArrivalVerdict::Deliver,
         };
         if verdict != ArrivalVerdict::Deliver {
@@ -1278,11 +1318,9 @@ impl Network {
         // Output side: a pending retransmission takes the idle slot first
         // (tiles only ever emit standalone flits, so any idle edge works).
         if out_empty {
-            if let Some(f) = faults.as_deref_mut() {
-                if let Some(flit) = f.take_retx(port.0, tick) {
-                    el.out_flit = Some(flit);
-                    retransmitted = Some(flit);
-                }
+            if let Some(flit) = el.faults.as_mut().and_then(|f| f.retx.pop_front()) {
+                el.out_flit = Some(flit);
+                retransmitted = Some(flit);
             }
         }
 
@@ -1345,9 +1383,7 @@ impl Network {
             self.scoreboard.record_arrival(&flit, tick, port);
         }
         if let Some(f) = faults.as_deref_mut() {
-            if let Some(flit) = injected {
-                f.register_injection(&flit, tick);
-            }
+            log_endpoint_ops(f, tick, injected, retransmitted);
         }
         self.faults = faults;
         if tracing {
@@ -1381,7 +1417,7 @@ impl Network {
     /// Runs `cycles` full clock cycles (two ticks each) and returns the
     /// cumulative report.
     pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
-        if self.soa_ready() {
+        if cycles > 0 && self.soa_ready() {
             // One thread scope for the whole batch: spawn cost amortises
             // over all `2 * cycles` ticks.
             self.par_step_batch(cycles * 2, false);
@@ -1411,6 +1447,9 @@ impl Network {
     /// the stuck elements instead of a bare `false`.
     pub fn drain_or_diagnose(&mut self, max_cycles: u64) -> Result<(), DrainTimeout> {
         self.set_sources_enabled(false);
+        if self.drained_idle() {
+            return Ok(());
+        }
         if self.soa_ready() {
             // The batch evaluates the drained condition between ticks —
             // the same place this loop checks — so tick counts match the
@@ -1557,6 +1596,22 @@ impl Network {
                 }
             }
         }
+        let mut queued: Vec<(u32, usize)> = self
+            .elements
+            .iter()
+            .filter_map(|e| {
+                let len = e.faults.as_ref().map_or(0, |f| f.retx.len());
+                match &e.kind {
+                    Kind::Source(s) if len > 0 => Some((s.port.0, len)),
+                    Kind::Tile(t) if len > 0 => Some((t.port.0, len)),
+                    _ => None,
+                }
+            })
+            .collect();
+        queued.sort_unstable();
+        for (port, len) in queued {
+            lines.push(format!("p{port} retransmit queue holds {len} flit(s)"));
+        }
         if let Some(f) = &self.faults {
             lines.extend(f.stall_lines());
         }
@@ -1627,9 +1682,8 @@ impl Network {
                         .collect(),
                 }),
             },
-            // The dense loop (the dense kernel, and every kernel with a
-            // fault plan or trace sinks): one logical worker covering the
-            // whole graph.
+            // The dense loop (the dense kernel, and every kernel with
+            // trace sinks): one logical worker covering the whole graph.
             None => PerfReport {
                 kernel: self.kernel.label().to_owned(),
                 workers: 1,
@@ -1676,6 +1730,26 @@ impl Network {
     #[must_use]
     pub fn latency(&self) -> LatencyStats {
         self.scoreboard.latency
+    }
+}
+
+/// Logs an endpoint visit's recovery-layer operations with the dense
+/// loop's fault state: a queued retransmission re-arms its deadline, and
+/// a fresh payload enters the acknowledgement tracker.
+fn log_endpoint_ops(
+    faults: &mut FaultState,
+    tick: u64,
+    injected: Option<Flit>,
+    retransmitted: Option<Flit>,
+) {
+    if let Some(flit) = retransmitted {
+        faults.apply(
+            tick,
+            crate::fault::FaultOp::Retransmitted(flit.src.0, flit.seq),
+        );
+    }
+    if let Some(flit) = injected {
+        faults.apply(tick, crate::fault::FaultOp::Injection(flit));
     }
 }
 

@@ -65,20 +65,31 @@
 //! arrival per tick, so the fold reproduces the sequential kernel's
 //! scoreboard order bit for bit at any worker count.
 //!
-//! Fault plans and trace sinks serialise on shared order-dependent state
-//! (one fault RNG stream, one event stream that reports every blocked
-//! edge), so a network with either attached never builds a `ParState`:
-//! it runs the dense loop under every kernel — the activity list never
-//! trades determinism for speed.
+//! Fault plans run here at every worker count. Every fault is a pure hash
+//! of `(seed, tick, element, slot)`, and no fault changes an element that
+//! neither a handshake nor a timed wake visits: a frozen element stays
+//! armed until it thaws, a lost offer re-arms its stage, and a held
+//! flit's register upset is drawn when the flit is latched and served by
+//! a timed wake on its shard. Fault runs use one-tick windows. Shards log
+//! their recovery-layer operations stamped with `(tick, element)`; at
+//! each tick boundary the coordinator folds the logs in that order — the
+//! dense loop's order — runs `FaultState::begin_step` for the next tick,
+//! and arms every source or tile whose retransmission it released. Only
+//! trace sinks (one event stream that reports every blocked edge) keep a
+//! network off the activity list: it runs the dense loop under every
+//! kernel.
 
-use crate::element::{Arbitration, Element, Kind, RouteFilter, TileRole};
+use crate::element::{Arbitration, Element, ElementFaults, Kind, RouteFilter, TileRole};
+use crate::fault::{ArrivalVerdict, FaultCtx, FaultOp, FaultState};
 use crate::profile::{CoreProf, EpochSample};
 use crate::report::Scoreboard;
 use crate::{ElementId, Flit, TrafficPattern, TrafficPhase};
 use icnoc_clock::{ClockGatingStats, ClockPolarity};
+use icnoc_timing::Direction;
 use icnoc_topology::PortId;
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::thread::Thread;
@@ -88,6 +99,9 @@ use std::time::Instant;
 /// port)`. The tick stamp lets arrivals from a multi-tick window fold
 /// into the scoreboard in sequential order.
 type Arrival = (u64, u32, Flit, PortId);
+
+/// A recovery-layer operation logged by a shard: `(tick, element, op)`.
+type LoggedOp = (u64, u32, FaultOp);
 
 /// Element-kind tags for the dense dispatch loop.
 const K_STAGE: u8 = 0;
@@ -174,10 +188,21 @@ pub(crate) struct ParState {
     arrivals: Vec<Vec<Arrival>>,
     /// Scratch for the per-window arrival sort.
     arrival_scratch: Vec<Arrival>,
+    /// Per-worker recovery-layer logs of a fault run, folded into the
+    /// fault state at each tick boundary.
+    fault_logs: Vec<Vec<LoggedOp>>,
+    /// Scratch for the per-tick fault-log fold.
+    fault_scratch: Vec<LoggedOp>,
+    /// Per-worker elements the coordinator armed between windows (the
+    /// injectors of released retransmissions).
+    armed: Vec<Vec<u32>>,
 }
 
-/// One worker's slice of the activity-list kernel.
+/// One worker's slice of the activity-list kernel. Cache-line aligned:
+/// adjacent cores in `ParState::cores` belong to different threads, and
+/// each bumps its counters on every visit.
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub(crate) struct ShardCore {
     /// Per-polarity ready sets over the **full** element index space
     /// (only this shard's bits are ever set).
@@ -196,6 +221,18 @@ pub(crate) struct ShardCore {
     /// Per-epoch wall profiling, worker-owned during batches. `None`
     /// unless [`Network::enable_profiling`](crate::Network) was called.
     pub(crate) prof: Option<CoreProf>,
+    /// Fault-run state private to the shard.
+    fx: FaultShard,
+}
+
+/// A shard's private state in a fault run.
+#[derive(Debug, Clone, Default)]
+struct FaultShard {
+    /// Scratch for the operations one hook logs.
+    ops: Vec<FaultOp>,
+    /// Timed wakes `(tick, element)`, earliest first: the upset ticks of
+    /// flits held by sleeping stages.
+    timed: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl ParState {
@@ -229,6 +266,7 @@ impl ParState {
                 wakes_sent: 0,
                 wakes_received: 0,
                 prof: None,
+                fx: FaultShard::default(),
             };
             workers
         ];
@@ -245,6 +283,9 @@ impl ParState {
             mail: vec![Vec::new(); workers * workers],
             arrivals: vec![Vec::new(); workers],
             arrival_scratch: Vec::new(),
+            fault_logs: vec![Vec::new(); workers],
+            fault_scratch: Vec::new(),
+            armed: vec![Vec::new(); workers],
         };
         par.repin(elements);
         par
@@ -331,6 +372,8 @@ impl ParState {
         s.rr.extend(elements.iter().map(|e| e.rr_next as u32));
         s.enabled.clear();
         s.enabled.resize(n, 0);
+        s.upset.clear();
+        s.upset.extend(elements.iter().map(|e| e.upset_at));
     }
 
     /// Stores the dense handshake arrays back into the element graph at
@@ -342,6 +385,7 @@ impl ParState {
             el.accepted_from = unpack_id(self.soa.acc[i]);
             el.lock = unpack_id(self.soa.lock[i]);
             el.rr_next = self.soa.rr[i] as usize;
+            el.upset_at = self.soa.upset[i];
             let enabled = self.soa.enabled[i];
             if enabled != 0 {
                 el.gating
@@ -366,6 +410,8 @@ fn unpack_id(raw: u32) -> Option<ElementId> {
 #[derive(Debug, Clone, Default)]
 struct SoaTopo {
     kind: Vec<u8>,
+    /// Ready-set index of each element's clock polarity.
+    pol: Vec<u8>,
     filter: Vec<RouteFilter>,
     arb: Vec<Arbitration>,
     up_off: Vec<u32>,
@@ -379,6 +425,7 @@ impl SoaTopo {
         let n = elements.len();
         let mut topo = Self {
             kind: Vec::with_capacity(n),
+            pol: Vec::with_capacity(n),
             filter: Vec::with_capacity(n),
             arb: Vec::with_capacity(n),
             up_off: Vec::with_capacity(n + 1),
@@ -395,6 +442,7 @@ impl SoaTopo {
                 Kind::Sink(_) => K_SINK,
                 Kind::Tile(_) => K_TILE,
             });
+            topo.pol.push(pol_idx(el.polarity) as u8);
             topo.filter.push(el.filter);
             topo.arb.push(el.arb);
             topo.up_list.extend(el.upstreams.iter().map(|u| u.0));
@@ -433,6 +481,8 @@ struct SoaDyn {
     rr: Vec<u32>,
     /// Enabled clock edges accumulated this batch (stages only).
     enabled: Vec<u32>,
+    /// `Element::upset_at`.
+    upset: Vec<u64>,
 }
 
 /// Multi-source BFS over the undirected element adjacency from every
@@ -541,8 +591,19 @@ fn plan_window(activity: ShardActivity, remaining: u64, drain: bool) -> (u64, bo
     }
 }
 
-/// Activity summary over a core's armed bits (both parities).
-fn ready_activity(core: &ShardCore, dist: &[u32]) -> ShardActivity {
+/// Activity summary over a core's armed bits (both parities). A lone
+/// shard has no cut, so every distance is infinite and only whether any
+/// bit is armed matters.
+fn ready_activity(core: &ShardCore, dist: &[u32], lone: bool) -> ShardActivity {
+    if lone {
+        return ShardActivity {
+            min_dist: u32::MAX,
+            any_armed: core
+                .ready
+                .iter()
+                .any(|set| set.words.iter().any(|&w| w != 0)),
+        };
+    }
     let mut m = u32::MAX;
     let mut any = false;
     for set in &core.ready {
@@ -661,6 +722,7 @@ struct SoaView<'a> {
     lock: SharedSlice<'a, u32>,
     rr: SharedSlice<'a, u32>,
     enabled: SharedSlice<'a, u32>,
+    upset: SharedSlice<'a, u64>,
 }
 
 impl<'a> SoaView<'a> {
@@ -671,6 +733,7 @@ impl<'a> SoaView<'a> {
             lock: SharedSlice::new(&mut soa.lock),
             rr: SharedSlice::new(&mut soa.rr),
             enabled: SharedSlice::new(&mut soa.enabled),
+            upset: SharedSlice::new(&mut soa.upset),
         }
     }
 }
@@ -708,6 +771,44 @@ impl<'a, T> SharedVecs<'a, T> {
     #[allow(clippy::mut_from_ref)]
     unsafe fn get_mut(&self, idx: usize) -> &mut Vec<T> {
         unsafe { &mut *self.cells[idx].get() }
+    }
+}
+
+/// A shared view of a fault run's [`FaultState`]. Ownership rotates by
+/// phase like the arrival buffers: during visits every worker only reads
+/// its [`FaultCtx`]; between windows, with all workers done, the
+/// coordinator owns it to fold the logs and run the next `begin_step`.
+#[derive(Clone, Copy)]
+struct SharedFault<'a> {
+    cell: &'a UnsafeCell<FaultState>,
+}
+
+// SAFETY: `FaultState` is plain data; the phase discipline above keeps
+// writes exclusive.
+unsafe impl Send for SharedFault<'_> {}
+unsafe impl Sync for SharedFault<'_> {}
+
+impl<'a> SharedFault<'a> {
+    fn new(state: &'a mut FaultState) -> Self {
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`.
+        let cell = unsafe { &*(state as *mut FaultState as *const UnsafeCell<FaultState>) };
+        Self { cell }
+    }
+
+    /// # Safety
+    /// No one may hold the state mutably: a visit phase, or the
+    /// coordinator between windows.
+    #[inline]
+    unsafe fn get(&self) -> &FaultState {
+        unsafe { &*self.cell.get() }
+    }
+
+    /// # Safety
+    /// Only the coordinator between windows, with every worker done.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get_mut(&self) -> &mut FaultState {
+        unsafe { &mut *self.cell.get() }
     }
 }
 
@@ -849,6 +950,7 @@ pub(crate) struct ParRunCtx<'a> {
     pub elements: &'a mut [Element],
     pub scoreboard: &'a mut Scoreboard,
     pub par: &'a mut ParState,
+    pub faults: Option<&'a mut FaultState>,
     pub num_ports: u32,
     pub base_tick: u64,
 }
@@ -862,6 +964,9 @@ struct WindowCtx<'a> {
     topo: &'a SoaTopo,
     mail: SharedVecs<'a, u32>,
     arrivals: SharedVecs<'a, Arrival>,
+    faults: Option<SharedFault<'a>>,
+    fault_logs: SharedVecs<'a, LoggedOp>,
+    armed: SharedVecs<'a, u32>,
     shard_of: &'a [u16],
     pinned: &'a [bool],
     dist: &'a [u32],
@@ -876,11 +981,18 @@ struct WindowCtx<'a> {
 /// evaluated between ticks, exactly where the dense drain loop checks,
 /// so tick counts (and the gating statistics derived from them) match
 /// the dense kernel bit for bit.
+///
+/// A fault run steps one tick per window. Before each tick the
+/// coordinator runs the fault state's `begin_step` and queues the
+/// retransmissions it releases at their injectors, arming them; after
+/// each tick it folds the shards' recovery-layer logs in `(tick,
+/// element)` order.
 pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: bool) -> u64 {
     let ParRunCtx {
         elements,
         scoreboard,
         par,
+        faults,
         num_ports,
         base_tick,
     } = ctx;
@@ -891,6 +1003,10 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     let mail = SharedVecs::new(&mut par.mail);
     let arrivals = SharedVecs::new(&mut par.arrivals);
     let arrival_scratch = &mut par.arrival_scratch;
+    let faults = faults.map(SharedFault::new);
+    let fault_logs = SharedVecs::new(&mut par.fault_logs);
+    let fault_scratch = &mut par.fault_scratch;
+    let armed = SharedVecs::new(&mut par.armed);
     let dist: &[u32] = &par.dist;
     let cut_peers: &[Vec<usize>] = &par.cut_peers;
     let wctx = WindowCtx {
@@ -899,6 +1015,9 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         topo: &par.topo,
         mail,
         arrivals,
+        faults,
+        fault_logs,
+        armed,
         shard_of: &par.shard_of,
         pinned: &par.pinned,
         dist,
@@ -923,7 +1042,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     let init_activity = par
         .cores
         .iter()
-        .map(|core| ready_activity(core, dist))
+        .map(|core| ready_activity(core, dist, workers == 1))
         .fold(ShardActivity::IDLE, ShardActivity::fold);
 
     let mut core_iter = par.cores.iter_mut();
@@ -991,10 +1110,14 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         let mut phases = 0u64;
         let mut k = 0u64;
         let mut activity_next = init_activity;
-        // SAFETY: all workers are parked before the first window, so the
+        // All workers are parked before the first window, so the
         // coordinator may read every element.
-        let mut stop =
-            max_ticks == 0 || (stop_when_drained && nothing_in_flight(shared, view, wctx.topo));
+        let drained = || {
+            // SAFETY: workers are parked whenever this runs.
+            faults.is_none_or(|f| !unsafe { f.get() }.recovery_busy())
+                && nothing_in_flight(shared, view, wctx.topo)
+        };
+        let mut stop = max_ticks == 0 || (stop_when_drained && drained());
         loop {
             let t0 = profiling.then(Instant::now);
             serial += 1;
@@ -1002,7 +1125,33 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                 sync.publish(serial, k, 0, FLAG_STOP);
                 break;
             }
-            let (ticks, mailbox) = plan_window(activity_next, max_ticks - k, stop_when_drained);
+            if let Some(f) = faults {
+                // SAFETY: every worker is done: the coordinator owns the
+                // fault state, every element and every armed list.
+                let f = unsafe { f.get_mut() };
+                f.begin_step(base_tick + k);
+                for (injector, flit) in f.released() {
+                    let i = injector as usize;
+                    if i >= wctx.topo.len() {
+                        continue;
+                    }
+                    // SAFETY: as above.
+                    let Some(gate) = &mut unsafe { shared.get_mut(i) }.faults else {
+                        continue;
+                    };
+                    gate.retx.push_back(flit);
+                    // SAFETY: as above.
+                    unsafe { armed.get_mut(wctx.shard_of[i] as usize) }.push(injector);
+                    activity_next = activity_next.fold(ShardActivity {
+                        min_dist: dist[i],
+                        any_armed: true,
+                    });
+                }
+            }
+            let (mut ticks, mailbox) = plan_window(activity_next, max_ticks - k, stop_when_drained);
+            if faults.is_some() {
+                ticks = ticks.min(1);
+            }
             let flags = if mailbox { FLAG_MAILBOX } else { 0 };
             sync.publish(serial, k, ticks, flags);
             let t1 = profiling.then(Instant::now);
@@ -1046,6 +1195,26 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             for (tick, _, flit, port) in arrival_scratch.drain(..) {
                 scoreboard.record_arrival(&flit, tick, port);
             }
+            if let Some(f) = faults {
+                // The same fold for the recovery layer: each worker logged
+                // in (tick, element) order (so a lone shard's log is already
+                // sorted), and the stable sort keeps each element's
+                // operations in the order its visit made them.
+                fault_scratch.clear();
+                for buf in 0..workers {
+                    // SAFETY: fault logs belong to the coordinator
+                    // between windows.
+                    fault_scratch.append(unsafe { fault_logs.get_mut(buf) });
+                }
+                if workers > 1 {
+                    fault_scratch.sort_by_key(|&(tick, element, _)| (tick, element));
+                }
+                // SAFETY: as above.
+                let f = unsafe { f.get_mut() };
+                for (tick, _, op) in fault_scratch.drain(..) {
+                    f.apply(tick, op);
+                }
+            }
             activity_next = (1..workers).fold(own_activity, |a, w| {
                 a.fold(ShardActivity::unpack(
                     sync.peers[w].0.activity.load(Ordering::SeqCst),
@@ -1053,8 +1222,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             });
             k += ticks;
             executed = k;
-            stop =
-                k >= max_ticks || (stop_when_drained && nothing_in_flight(shared, view, wctx.topo));
+            stop = k >= max_ticks || (stop_when_drained && drained());
             // The coordinator's flush phase includes the arrival fold and
             // stop evaluation above, so its sample is recorded last.
             if let (Some(t0), Some(t1), Some((t2, blocked))) = (t0, t1, prof_marks) {
@@ -1102,9 +1270,36 @@ fn run_window(
     profiling: bool,
 ) -> (ShardActivity, Option<(Instant, u64)>) {
     let mailbox = flags & FLAG_MAILBOX != 0;
+    if ctx.faults.is_some() {
+        // SAFETY: the coordinator filled this list between windows; it
+        // belongs to this worker during the window.
+        for i in unsafe { ctx.armed.get_mut(w) }.drain(..) {
+            let i = i as usize;
+            core.ready[usize::from(ctx.topo.pol[i])].insert(i);
+        }
+    }
     for dt in 0..ticks {
         let tick = ctx.base_tick + base + dt;
         visit_tick(ctx, tick, (tick % 2) as usize, w, core, mailbox);
+    }
+    if ctx.faults.is_some() {
+        // Timed wakes due on the next tick join the ready sets now, so
+        // the activity summary below accounts for them. A wake whose
+        // flit has left, or was replaced by one with a later upset, is
+        // stale and dropped.
+        let next = ctx.base_tick + base + ticks;
+        while let Some(&Reverse((due, i))) = core.fx.timed.peek() {
+            if due > next {
+                break;
+            }
+            core.fx.timed.pop();
+            let i = i as usize;
+            // SAFETY: `i` is in this shard and no visit of it is running.
+            let live = unsafe { *ctx.view.upset.get(i) == due && ctx.view.out.get(i).is_some() };
+            if live {
+                core.ready[usize::from(ctx.topo.pol[i])].insert(i);
+            }
+        }
     }
     let t2 = profiling.then(Instant::now);
     let mut blocked = 0u64;
@@ -1127,7 +1322,10 @@ fn run_window(
         let p = ((ctx.base_tick + base) % 2) as usize;
         merge_shard(ctx.mail, w, ctx.workers, p, core, cut_peers);
     }
-    (ready_activity(core, ctx.dist), t2.map(|t| (t, blocked)))
+    (
+        ready_activity(core, ctx.dist, ctx.workers == 1),
+        t2.map(|t| (t, blocked)),
+    )
 }
 
 /// Nanoseconds from `a` to `b` (saturating to zero if reordered).
@@ -1174,29 +1372,33 @@ fn record_epoch_at(
     });
 }
 
-/// Whether no element holds a flit and no tile queues a response — the
-/// fault-free form of the drain-idle check. Only callable while all
-/// workers are quiescent (before the first window or after all reported
-/// done).
+/// Whether no element holds a flit, no tile queues a response and no
+/// injector queues a retransmission — `Network::in_flight() == 0`. The
+/// dense `out` column is scanned first, so a fabric still holding flits
+/// answers without touching any element. Only callable while all workers
+/// are quiescent (before the first window or after all reported done).
 fn nothing_in_flight(shared: SharedElements<'_>, view: SoaView<'_>, topo: &SoaTopo) -> bool {
-    (0..topo.len()).all(|i| {
-        // SAFETY: no worker is in a visit phase.
-        unsafe { view.out.get(i) }.is_none()
-            && (topo.kind[i] != K_TILE || {
+    // SAFETY: no worker is in a visit phase.
+    (0..topo.len()).all(|i| unsafe { view.out.get(i) }.is_none())
+        && (0..topo.len())
+            .filter(|&i| matches!(topo.kind[i], K_SOURCE | K_TILE))
+            .all(|i| {
                 // SAFETY: as above.
-                match &unsafe { shared.get(i) }.kind {
-                    Kind::Tile(t) => t.pending.is_empty(),
-                    _ => true,
-                }
+                let el = unsafe { shared.get(i) };
+                el.faults.as_ref().is_none_or(|f| f.retx.is_empty())
+                    && match &el.kind {
+                        Kind::Tile(t) => t.pending.is_empty(),
+                        _ => true,
+                    }
             })
-    })
 }
 
 /// The visit phase of one tick for one shard: drain the parity-`p` ready
 /// set in ascending element order, stepping each element and re-arming
 /// it and its neighbours (see [`soa_rearm`]). With `allow_cross` false
 /// (a batched window), the lookahead guarantee makes cross-shard wakes
-/// impossible; a tripwire assert enforces it.
+/// impossible; a tripwire assert enforces it. A fault run steps through
+/// a [`FaultLane`], everything else through [`NoFaults`].
 fn visit_tick(
     ctx: WindowCtx<'_>,
     tick: u64,
@@ -1204,6 +1406,33 @@ fn visit_tick(
     w: usize,
     core: &mut ShardCore,
     allow_cross: bool,
+) {
+    let Some(faults) = ctx.faults else {
+        visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut NoFaults);
+        return;
+    };
+    let mut fx = std::mem::take(&mut core.fx);
+    let mut lane = FaultLane {
+        // SAFETY: the fault state is read-only during visit phases.
+        ctx: unsafe { faults.get() }.ctx(),
+        // SAFETY: fault log `w` belongs to this worker during the visit
+        // phase.
+        log: unsafe { ctx.fault_logs.get_mut(w) },
+        ops: &mut fx.ops,
+        timed: &mut fx.timed,
+    };
+    visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut lane);
+    core.fx = fx;
+}
+
+fn visit_tick_with<H: Hooks>(
+    ctx: WindowCtx<'_>,
+    tick: u64,
+    p: usize,
+    w: usize,
+    core: &mut ShardCore,
+    allow_cross: bool,
+    hooks: &mut H,
 ) {
     let WindowCtx {
         shared,
@@ -1229,25 +1458,22 @@ fn visit_tick(
             // reads touch frozen opposite-parity state.
             let before = unsafe { *view.out.get(i) };
             let stay_kind = match topo.kind[i] {
-                K_STAGE => {
-                    // SAFETY: as above.
-                    unsafe { soa_step_stage(view, topo, i) };
-                    false
-                }
+                // SAFETY: as above.
+                K_STAGE => unsafe { soa_step_stage(view, topo, i, tick, hooks) },
                 K_SOURCE => {
                     // SAFETY: as above.
                     let el = unsafe { shared.get_mut(i) };
                     // SAFETY: as above.
-                    unsafe { soa_step_source(view, topo, el, i, tick, num_ports) }
+                    unsafe { soa_step_source(view, topo, el, i, tick, num_ports, hooks) }
                 }
                 K_SINK => {
-                    // SAFETY: as above; sinks only read their element.
-                    let el = unsafe { shared.get(i) };
+                    // SAFETY: as above.
+                    let el = unsafe { shared.get_mut(i) };
                     // SAFETY: arrival buffer `w` belongs to this worker
                     // during the visit phase.
                     let buf = unsafe { arrivals.get_mut(w) };
                     // SAFETY: as above.
-                    unsafe { soa_step_sink(view, topo, el, i, tick, buf) }
+                    unsafe { soa_step_sink(view, topo, el, i, tick, buf, hooks) }
                 }
                 _ => {
                     // SAFETY: as above.
@@ -1255,7 +1481,7 @@ fn visit_tick(
                     // SAFETY: as above.
                     let buf = unsafe { arrivals.get_mut(w) };
                     // SAFETY: as above.
-                    unsafe { soa_step_tile(view, topo, el, i, tick, num_ports, buf) }
+                    unsafe { soa_step_tile(view, topo, el, i, tick, num_ports, buf, hooks) }
                 }
             };
             soa_rearm(
@@ -1273,6 +1499,172 @@ fn visit_tick(
                 mail,
                 allow_cross,
             );
+        }
+    }
+}
+
+/// The fault hooks of a SoA visit, one per point where the dense loop
+/// consults its fault state. [`NoFaults`] compiles every hook to a
+/// constant, so a fault-free visit is the plain handshake step;
+/// [`FaultLane`] routes them to the run's fault plan.
+trait Hooks {
+    /// Whether hooks can fire at all; guards every fault-only branch.
+    const ON: bool;
+    /// Element `i` is frozen this tick (clock domain or outage epoch).
+    fn frozen(&self, i: usize, tick: u64) -> bool;
+    /// The drain of `flit` out of `i` loses its `accept`.
+    fn stuck_valid(&mut self, i: usize, tick: u64, flit: &Flit) -> bool;
+    /// The offer `i` could capture glitches away.
+    fn lost_valid(&mut self, i: usize, tick: u64) -> bool;
+    /// Capture-time faults: the flit `i` actually latches (`None`:
+    /// metastability resolved to a loss).
+    fn capture(&mut self, i: usize, tick: u64, flit: Flit) -> Option<Flit>;
+    /// `i` latched `flit`: returns the tick its register upset fires.
+    fn latch(&mut self, i: usize, tick: u64, flit: &Flit) -> u64;
+    /// `i` goes to sleep holding a flit whose upset fires at `upset`:
+    /// schedules a timed wake for that tick.
+    fn sleep_holding(&mut self, i: usize, tick: u64, upset: u64);
+    /// A register upset erased `flit` from `i`.
+    fn upset(&mut self, i: usize, tick: u64, flit: &Flit);
+    /// The consumer gate's verdict on `flit` arriving at `port`, whose
+    /// consumer keeps its fault state in `gate`.
+    fn arrival(
+        &mut self,
+        i: usize,
+        tick: u64,
+        flit: &Flit,
+        port: PortId,
+        gate: &mut Option<Box<ElementFaults>>,
+    ) -> ArrivalVerdict;
+    /// An endpoint injected a fresh flit or a queued retransmission.
+    fn endpoint(&mut self, i: usize, tick: u64, injected: Option<Flit>, retx: Option<Flit>);
+}
+
+/// The hooks of a run without a fault plan: every one a constant.
+struct NoFaults;
+
+impl Hooks for NoFaults {
+    const ON: bool = false;
+    #[inline(always)]
+    fn frozen(&self, _: usize, _: u64) -> bool {
+        false
+    }
+    #[inline(always)]
+    fn stuck_valid(&mut self, _: usize, _: u64, _: &Flit) -> bool {
+        false
+    }
+    #[inline(always)]
+    fn lost_valid(&mut self, _: usize, _: u64) -> bool {
+        false
+    }
+    #[inline(always)]
+    fn capture(&mut self, _: usize, _: u64, flit: Flit) -> Option<Flit> {
+        Some(flit)
+    }
+    #[inline(always)]
+    fn latch(&mut self, _: usize, _: u64, _: &Flit) -> u64 {
+        u64::MAX
+    }
+    #[inline(always)]
+    fn sleep_holding(&mut self, _: usize, _: u64, _: u64) {}
+    #[inline(always)]
+    fn upset(&mut self, _: usize, _: u64, _: &Flit) {}
+    #[inline(always)]
+    fn arrival(
+        &mut self,
+        _: usize,
+        _: u64,
+        _: &Flit,
+        _: PortId,
+        _: &mut Option<Box<ElementFaults>>,
+    ) -> ArrivalVerdict {
+        ArrivalVerdict::Deliver
+    }
+    #[inline(always)]
+    fn endpoint(&mut self, _: usize, _: u64, _: Option<Flit>, _: Option<Flit>) {}
+}
+
+/// A shard's fault hooks for one tick: draws come from the read-only
+/// [`FaultCtx`], recovery-layer operations go to the shard's log
+/// (stamped `(tick, element)` for the tick-boundary fold), and upset
+/// ticks become timed wakes on the shard.
+struct FaultLane<'a> {
+    ctx: &'a FaultCtx,
+    log: &'a mut Vec<LoggedOp>,
+    ops: &'a mut Vec<FaultOp>,
+    timed: &'a mut BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl FaultLane<'_> {
+    /// Moves the operations a hook just logged into the shard log.
+    fn stamp(&mut self, tick: u64, i: usize) {
+        self.log
+            .extend(self.ops.drain(..).map(|op| (tick, i as u32, op)));
+    }
+}
+
+impl Hooks for FaultLane<'_> {
+    const ON: bool = true;
+    fn frozen(&self, i: usize, tick: u64) -> bool {
+        self.ctx.frozen(i, tick)
+    }
+    fn stuck_valid(&mut self, i: usize, tick: u64, flit: &Flit) -> bool {
+        let stuck = self.ctx.stuck_valid(i, tick, flit, self.ops);
+        self.stamp(tick, i);
+        stuck
+    }
+    fn lost_valid(&mut self, i: usize, tick: u64) -> bool {
+        let lost = self.ctx.lost_valid(i, tick, self.ops);
+        self.stamp(tick, i);
+        lost
+    }
+    fn capture(&mut self, i: usize, tick: u64, flit: Flit) -> Option<Flit> {
+        // Rising-edge captures (even ticks) sit on downstream links,
+        // falling-edge captures on upstream ones.
+        let direction = if tick.is_multiple_of(2) {
+            Direction::Downstream
+        } else {
+            Direction::Upstream
+        };
+        let effect = self.ctx.on_capture(i, tick, flit, direction, self.ops);
+        self.stamp(tick, i);
+        effect.flit
+    }
+    fn latch(&mut self, i: usize, tick: u64, flit: &Flit) -> u64 {
+        self.ctx.upset_tick(i, tick, flit)
+    }
+    fn sleep_holding(&mut self, i: usize, tick: u64, upset: u64) {
+        if upset != u64::MAX {
+            debug_assert!(upset > tick, "a due upset fires in the visit");
+            self.timed.push(Reverse((upset, i as u32)));
+        }
+    }
+    fn upset(&mut self, i: usize, tick: u64, flit: &Flit) {
+        FaultCtx::held_drop(flit, self.ops);
+        self.stamp(tick, i);
+    }
+    fn arrival(
+        &mut self,
+        i: usize,
+        tick: u64,
+        flit: &Flit,
+        port: PortId,
+        gate: &mut Option<Box<ElementFaults>>,
+    ) -> ArrivalVerdict {
+        let gate = gate
+            .as_mut()
+            .expect("fault runs give every endpoint a fault slot");
+        let verdict = FaultCtx::on_arrival(flit, port, &mut gate.delivered, self.ops);
+        self.stamp(tick, i);
+        verdict
+    }
+    fn endpoint(&mut self, i: usize, tick: u64, injected: Option<Flit>, retx: Option<Flit>) {
+        if let Some(flit) = retx {
+            self.log
+                .push((tick, i as u32, FaultOp::Retransmitted(flit.src.0, flit.seq)));
+        }
+        if let Some(flit) = injected {
+            self.log.push((tick, i as u32, FaultOp::Injection(flit)));
         }
     }
 }
@@ -1328,6 +1720,7 @@ fn merge_shard(
 /// Every connection joins opposite clock polarities, so both the drained
 /// upstream and all downstreams land in the other parity's ready set.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn soa_rearm(
     view: SoaView<'_>,
     topo: &SoaTopo,
@@ -1407,14 +1800,32 @@ unsafe fn soa_first_offer(view: SoaView<'_>, topo: &SoaTopo, i: usize) -> (u32, 
     (NONE_U32, None)
 }
 
-/// The dense loop's stage step specialised for no faults and no tracing,
-/// running entirely on the dense arrays.
+/// The dense loop's stage step on the dense arrays, without tracing. A
+/// frozen stage only observes its drain; hooks that change state no
+/// handshake will revisit — a frozen edge, a lost offer, an upset —
+/// keep the stage armed. Returns that stay condition.
 ///
 /// # Safety
 /// The caller must own element `i` this tick.
-unsafe fn soa_step_stage(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
+unsafe fn soa_step_stage<H: Hooks>(
+    view: SoaView<'_>,
+    topo: &SoaTopo,
+    i: usize,
+    tick: u64,
+    hooks: &mut H,
+) -> bool {
+    if H::ON && hooks.frozen(i, tick) {
+        // SAFETY: per the function contract.
+        unsafe { soa_freeze(view, topo, i) };
+        return true;
+    }
     // SAFETY: per the function contract.
-    let drained = unsafe { soa_drained(view, topo, i) };
+    let mut drained = unsafe { soa_drained(view, topo, i) };
+    if H::ON && drained {
+        // SAFETY: own element.
+        let held = unsafe { *view.out.get(i) }.expect("drained implies held");
+        drained = !hooks.stuck_valid(i, tick, &held);
+    }
     let ups = topo.ups(i);
     let n = ups.len();
     let mut winner: Option<(usize, Flit)> = None;
@@ -1450,13 +1861,19 @@ unsafe fn soa_step_stage(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
     // SAFETY: own element.
     let out = unsafe { view.out.get_mut(i) };
     let new_empty = out.is_none() || drained;
+    let mut stay = false;
+    if H::ON && new_empty && winner.is_some() && hooks.lost_valid(i, tick) {
+        winner = None;
+        stay = true;
+    }
     match winner {
         Some((slot, flit)) if new_empty => {
             let upstream = ups[slot];
-            // SAFETY: own element (all four columns).
+            let latched = hooks.capture(i, tick, flit);
+            // SAFETY: own element (every column).
             unsafe {
                 *view.acc.get_mut(i) = upstream;
-                *out = Some(flit);
+                *out = latched;
                 if flit.opens_route() {
                     *view.rr.get_mut(i) = ((slot + 1) % n.max(1)) as u32;
                 }
@@ -1466,6 +1883,11 @@ unsafe fn soa_step_stage(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
                     upstream
                 };
                 *view.enabled.get_mut(i) += 1;
+                if H::ON {
+                    if let Some(latched) = latched {
+                        *view.upset.get_mut(i) = hooks.latch(i, tick, &latched);
+                    }
+                }
             }
         }
         _ => {
@@ -1476,22 +1898,57 @@ unsafe fn soa_step_stage(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
             unsafe { *view.acc.get_mut(i) = NONE_U32 };
         }
     }
+    if H::ON && out.is_some() {
+        // SAFETY: own element.
+        let upset = unsafe { *view.upset.get(i) };
+        if tick >= upset {
+            let flit = out.take().expect("checked above");
+            hooks.upset(i, tick, &flit);
+            stay = true;
+        } else if !stay && unsafe { *view.acc.get(i) } == NONE_U32 {
+            // Blocked: the stage sleeps holding the flit until a drain
+            // wakes it — or its upset does.
+            hooks.sleep_holding(i, tick, upset);
+        }
+    }
+    stay
 }
 
-/// The dense loop's source step specialised for no faults and no tracing.
-/// Returns the kind-specific stay condition (worm still emitting).
+/// Clears a frozen element's handshake state: it observes its drain,
+/// captures nothing and presents nothing new.
+///
+/// # Safety
+/// The caller must own element `i` this tick.
+unsafe fn soa_freeze(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
+    // SAFETY: per the function contract.
+    unsafe {
+        if soa_drained(view, topo, i) {
+            *view.out.get_mut(i) = None;
+        }
+        *view.acc.get_mut(i) = NONE_U32;
+    }
+}
+
+/// The dense loop's source step without tracing. Returns the
+/// kind-specific stay condition (worm still emitting, or frozen).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
 /// element.
-unsafe fn soa_step_source(
+unsafe fn soa_step_source<H: Hooks>(
     view: SoaView<'_>,
     topo: &SoaTopo,
     el: &mut Element,
     i: usize,
     tick: u64,
     num_ports: u32,
+    hooks: &mut H,
 ) -> bool {
+    if H::ON && hooks.frozen(i, tick) {
+        // SAFETY: per the function contract.
+        unsafe { soa_freeze(view, topo, i) };
+        return true;
+    }
     // SAFETY: per the function contract.
     let drained = unsafe { soa_drained(view, topo, i) };
     let cycle = tick / 2;
@@ -1505,6 +1962,14 @@ unsafe fn soa_step_source(
     let Kind::Source(state) = &mut el.kind else {
         unreachable!("soa_step_source called on non-source")
     };
+    // Retransmissions take the idle slot between packets — never
+    // mid-worm.
+    let mut retransmitted = None;
+    if H::ON && out.is_none() && state.emitting.is_none() {
+        retransmitted = el.faults.as_mut().and_then(|f| f.retx.pop_front());
+        *out = retransmitted;
+    }
+    let mut injected = None;
     if state.enabled || state.emitting.is_some() {
         if out.is_none() {
             if let Some((dest, remaining)) = state.emitting {
@@ -1531,6 +1996,7 @@ unsafe fn soa_step_source(
                     Some((dest, remaining - 1))
                 };
                 *out = Some(flit);
+                injected = Some(flit);
             } else if state.enabled {
                 let crate::element::SourceState {
                     pattern,
@@ -1572,33 +2038,43 @@ unsafe fn soa_step_source(
                     state.next_seq += 1;
                     state.sent += 1;
                     *out = Some(flit);
+                    injected = Some(flit);
                 }
             }
-        } else {
+        } else if retransmitted.is_none() {
             state.stalled_edges += 1;
         }
+    }
+    if H::ON {
+        hooks.endpoint(i, tick, injected, retransmitted);
     }
     state.emitting.is_some()
 }
 
-/// The dense loop's sink step specialised for no faults and no tracing; the
-/// scoreboard arrival is deferred into this worker's buffer. Returns the
-/// kind-specific stay condition (an upstream still presents an offer).
+/// The dense loop's sink step without tracing; the scoreboard arrival
+/// is deferred into this worker's buffer. Returns the kind-specific stay
+/// condition (an upstream still presents an offer, or frozen).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
 /// element.
-unsafe fn soa_step_sink(
+unsafe fn soa_step_sink<H: Hooks>(
     view: SoaView<'_>,
     topo: &SoaTopo,
-    el: &Element,
+    el: &mut Element,
     i: usize,
     tick: u64,
     arrivals: &mut Vec<Arrival>,
+    hooks: &mut H,
 ) -> bool {
+    if H::ON && hooks.frozen(i, tick) {
+        // SAFETY: own element.
+        unsafe { *view.acc.get_mut(i) = NONE_U32 };
+        return true;
+    }
     // SAFETY: per the function contract.
     let (up, offered) = unsafe { soa_first_offer(view, topo, i) };
-    let Kind::Sink(state) = &el.kind else {
+    let Kind::Sink(state) = &mut el.kind else {
         unreachable!("soa_step_sink called on non-sink")
     };
     let accepts = state.mode.accepts(tick / 2);
@@ -1607,7 +2083,11 @@ unsafe fn soa_step_sink(
         (true, Some(flit)) => {
             // SAFETY: own element.
             unsafe { *view.acc.get_mut(i) = up };
-            arrivals.push((tick, i as u32, flit, port));
+            // The consumer gate: corrupt and duplicate flits are consumed
+            // but never reach the scoreboard.
+            if hooks.arrival(i, tick, &flit, port, &mut el.faults) == ArrivalVerdict::Deliver {
+                arrivals.push((tick, i as u32, flit, port));
+            }
         }
         _ => {
             // SAFETY: own element.
@@ -1617,15 +2097,15 @@ unsafe fn soa_step_sink(
     offered.is_some()
 }
 
-/// The dense loop's tile step specialised for no faults and no tracing; the
-/// scoreboard arrival is deferred into this worker's buffer. Returns the
-/// kind-specific stay condition (presenting, or responses still queued).
+/// The dense loop's tile step without tracing; the scoreboard arrival is
+/// deferred into this worker's buffer. Returns the kind-specific stay
+/// condition (presenting, responses still queued, or frozen).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
 /// element.
 #[allow(clippy::too_many_arguments)]
-unsafe fn soa_step_tile(
+unsafe fn soa_step_tile<H: Hooks>(
     view: SoaView<'_>,
     topo: &SoaTopo,
     el: &mut Element,
@@ -1633,7 +2113,13 @@ unsafe fn soa_step_tile(
     tick: u64,
     num_ports: u32,
     arrivals: &mut Vec<Arrival>,
+    hooks: &mut H,
 ) -> bool {
+    if H::ON && hooks.frozen(i, tick) {
+        // SAFETY: per the function contract.
+        unsafe { soa_freeze(view, topo, i) };
+        return true;
+    }
     // SAFETY: per the function contract.
     let drained = unsafe { soa_drained(view, topo, i) };
     // SAFETY: per the function contract.
@@ -1649,11 +2135,15 @@ unsafe fn soa_step_tile(
     };
     let port = state.port;
     let cycle = tick / 2;
-    let arrived = offered;
     // SAFETY: own element.
     unsafe {
         *view.acc.get_mut(i) = if offered.is_some() { up } else { NONE_U32 };
     }
+    // Only flits the consumer gate clears are processed: a memory never
+    // double-serves and a processor never double-counts.
+    let arrived = offered.filter(|flit| {
+        hooks.arrival(i, tick, flit, port, &mut el.faults) == ArrivalVerdict::Deliver
+    });
     if let Some(flit) = arrived {
         match &mut state.role {
             TileRole::Memory { service_cycles } => {
@@ -1671,7 +2161,14 @@ unsafe fn soa_step_tile(
             }
         }
     }
-    if out_empty {
+    // A pending retransmission takes the idle slot first.
+    let mut retransmitted = None;
+    if H::ON && out_empty {
+        retransmitted = el.faults.as_mut().and_then(|f| f.retx.pop_front());
+        *out = retransmitted;
+    }
+    let mut injected = None;
+    if out_empty && retransmitted.is_none() {
         let mut emit = None;
         match &mut state.role {
             TileRole::Memory { .. } => {
@@ -1718,12 +2215,16 @@ unsafe fn soa_step_tile(
                 state.outstanding.entry(dest.0).or_default().push_back(tick);
             }
             *out = Some(flit);
+            injected = Some(flit);
         }
-    } else if state.enabled {
+    } else if !out_empty && state.enabled {
         state.stalled_edges += 1;
     }
     if let Some(flit) = arrived {
         arrivals.push((tick, i as u32, flit, port));
+    }
+    if H::ON {
+        hooks.endpoint(i, tick, injected, retransmitted);
     }
     out.is_some() || !state.pending.is_empty()
 }
@@ -1823,6 +2324,7 @@ mod tests {
         topo.down_off.push(0);
         for i in 0..n {
             topo.kind.push(K_STAGE);
+            topo.pol.push((i % 2) as u8);
             topo.filter.push(RouteFilter::Any);
             topo.arb.push(Arbitration::Priority);
             if i > 0 {

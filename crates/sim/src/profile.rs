@@ -30,18 +30,14 @@ use serde::{Deserialize, Serialize};
 /// Why a [`SimKernel::Parallel`](crate::SimKernel) network is running a
 /// sequential fallback instead of worker threads.
 ///
-/// Both causes serialise the simulation on shared order-dependent state:
-/// a fault plan folds every element visit into one RNG stream, and trace
-/// sinks consume one globally ordered event stream.
+/// The one cause serialises the simulation on shared order-dependent
+/// state: trace sinks consume one globally ordered event stream. (Fault
+/// plans run on the sharded kernel: their draws are order-free hashes.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FallbackCause {
-    /// A [`FaultPlan`](crate::FaultPlan) is attached (trace sinks may be
-    /// too): the shared fault RNG stream is consumed in global visit
-    /// order, so the run takes the dense loop.
-    FaultPlan,
-    /// One or more [`TraceSink`](crate::TraceSink)s and no fault plan are
-    /// attached: the flit-lifecycle event stream is globally ordered and
-    /// reports every blocked edge, so the run takes the dense loop.
+    /// One or more [`TraceSink`](crate::TraceSink)s are attached: the
+    /// flit-lifecycle event stream is globally ordered and reports every
+    /// blocked edge, so the run takes the dense loop.
     TraceSinks,
 }
 
@@ -50,7 +46,6 @@ impl FallbackCause {
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            FallbackCause::FaultPlan => "fault-plan",
             FallbackCause::TraceSinks => "trace-sinks",
         }
     }
@@ -59,12 +54,6 @@ impl FallbackCause {
 impl core::fmt::Display for FallbackCause {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            FallbackCause::FaultPlan => {
-                write!(
-                    f,
-                    "a fault plan is attached (one order-dependent RNG stream)"
-                )
-            }
             FallbackCause::TraceSinks => {
                 write!(f, "trace sinks are attached (one ordered event stream)")
             }
@@ -247,7 +236,7 @@ impl CoreProf {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KernelProfiler {
     /// Wall profile of the dense loop (the dense kernel, and any kernel
-    /// with a fault plan or trace sinks attached).
+    /// with trace sinks attached).
     pub(crate) seq: CoreProf,
     /// Cumulative element visits per shard (deterministic).
     pub(crate) shard_steps: Vec<u64>,
@@ -637,8 +626,9 @@ mod tests {
 
     #[test]
     fn fallback_causes_have_stable_labels() {
-        assert_eq!(FallbackCause::FaultPlan.label(), "fault-plan");
         assert_eq!(FallbackCause::TraceSinks.label(), "trace-sinks");
-        assert!(FallbackCause::FaultPlan.to_string().contains("fault plan"));
+        assert!(FallbackCause::TraceSinks
+            .to_string()
+            .contains("trace sinks"));
     }
 }

@@ -118,8 +118,8 @@ fn permanent_outage_accounts_every_flit() {
 }
 
 /// Clock faults are bit-identical across the event kernel and the
-/// parallel kernel at any worker count (the fault plan forces the
-/// sequential fallback, so this must hold exactly).
+/// parallel kernel at any worker count (the fault plan runs on the
+/// sharded kernel with order-free draws, so this must hold exactly).
 #[test]
 fn clock_faults_are_identical_at_any_worker_count() {
     for backend in [ClockBackend::Forwarded, ClockBackend::Redundant] {

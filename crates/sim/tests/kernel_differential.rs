@@ -9,6 +9,7 @@
 //! element-update count at every worker count. Plus the idleness
 //! property: an all-idle network executes zero element updates per tick.
 
+use icnoc_clock::ClockBackend;
 use icnoc_sim::{
     FaultPlan, FaultRates, Network, SimKernel, SimReport, SinkMode, TrafficPattern,
     TreeNetworkConfig,
@@ -171,38 +172,58 @@ proptest! {
         assert_kernels_agree(&cfg, cycles, "closed-loop");
     }
 
-    /// The fault soak — every fault kind at a nonzero rate, shared fault
-    /// RNG, retransmission timers, DFS frequency backoff — and the clock
-    /// soak (clock-domain outages, dropped pulses, drift ramps on top)
-    /// consume the exact same random stream under every kernel.
+    /// The fault soak — every fault kind at a nonzero rate, hashed
+    /// draws, retransmission timers, DFS frequency backoff — the clock
+    /// soak on both clock backends (clock-domain outages, dropped pulses,
+    /// drift ramps on top), the soak at four times its rates, and a
+    /// windowed spec all run on the activity list at every worker count
+    /// and stay bit-identical to dense, ledger included, while the event
+    /// kernel visits no more elements than dense and the parallel kernel
+    /// exactly as many as the event kernel (`assert_kernels_agree`).
     #[test]
     fn kernels_agree_under_fault_injection(
         seed in any::<u64>(),
         rate in 0.05f64..0.5,
-        clock in 0u32..2,
+        profile in 0u32..5,
         cycles in 100u64..400,
     ) {
-        let (plan, context) = if clock == 1 {
-            (FaultPlan::new(seed).with_rates(FaultRates::clock_soak()), "clock soak")
-        } else {
-            (FaultPlan::soak(seed), "fault soak")
+        let (plan, backend, context) = match profile {
+            0 => (FaultPlan::soak(seed), ClockBackend::Forwarded, "fault soak"),
+            1 => (
+                FaultPlan::new(seed).with_rates(FaultRates::clock_soak()),
+                ClockBackend::Forwarded,
+                "clock soak",
+            ),
+            2 => (
+                FaultPlan::new(seed).with_rates(FaultRates::clock_soak()),
+                ClockBackend::Redundant,
+                "redundant clock soak",
+            ),
+            3 => (
+                FaultPlan::new(seed).with_rates(FaultRates::soak().scaled(4.0)),
+                ClockBackend::Forwarded,
+                "soak*4",
+            ),
+            _ => (
+                FaultPlan::new(seed)
+                    .with_rates(FaultRates::clock_soak())
+                    .with_window(cycles / 2, cycles * 3 / 2),
+                ClockBackend::Forwarded,
+                "windowed clock soak",
+            ),
         };
         let cfg = TreeNetworkConfig::new(binary(16))
             .with_pattern(TrafficPattern::Uniform { rate })
-            .with_counters(true)
             .with_faults(plan)
+            .with_clock_backend(backend)
             .with_seed(seed);
         let (dense, event) = assert_kernels_agree(&cfg, cycles, context);
-        // A fault plan selects the dense loop whatever the kernel, so the
-        // event kernel and the parallel kernel's fallback visit exactly
-        // what the dense oracle visits (`assert_kernels_agree` checks
-        // every worker count against the event count).
-        prop_assert_eq!(
-            event.element_steps(),
-            dense.element_steps(),
-            "{}: a fault plan must run the dense loop",
+        prop_assert!(
+            event.fault_report().is_some_and(|r| r.conserves() && r.pending == 0),
+            "{}: the drained ledger must balance",
             context
         );
+        prop_assert!(dense.fault_report().is_some());
     }
 
     /// The epoch-batching worst case, fuzzed: mirror traffic sends every
@@ -210,9 +231,9 @@ proptest! {
     /// boundary almost every tick and the lookahead window collapses to
     /// single mailbox ticks. Bit-identity with dense — report, trace
     /// stream, recovery ledger — and the event kernel's element-update
-    /// count must survive the collapse at every worker count, and survive
-    /// the dense-loop fallback when the full fault soak or the clock soak
-    /// rides along.
+    /// count must survive the collapse at every worker count, also when
+    /// the full fault soak or the clock soak rides along on the sharded
+    /// kernel.
     #[test]
     fn epoch_batching_survives_lookahead_collapse(
         ports_exp in 3u32..6,
@@ -245,12 +266,12 @@ proptest! {
         prop_assert_eq!(dense.fault_report(), event.fault_report());
         for workers in PARALLEL_WORKERS {
             let par = run_one(&cfg, SimKernel::Parallel { workers }, cycles);
-            if faulted != 0 {
-                prop_assert_eq!(
-                    par.active_workers(), None,
-                    "fault plans must force the dense-loop fallback"
-                );
-            } else if workers > 1 {
+            prop_assert_eq!(
+                par.active_workers(),
+                Some(workers as usize),
+                "fault plans run on the sharded kernel"
+            );
+            if workers > 1 {
                 // A real shard cut exists, so the static lookahead bound
                 // is finite — the collapse under test is the *dynamic*
                 // window shrinking to mailbox ticks, not the bound.
@@ -354,9 +375,10 @@ fn soak1024_is_bit_identical_with_a_balanced_ledger() {
     }
 }
 
-/// Order-dependent shared state — the fault RNG and attached trace sinks —
-/// forces the parallel kernel onto the dense loop, and the fallback must
-/// actually engage (`active_workers` stays `None`).
+/// Order-dependent shared state — attached trace sinks — forces the
+/// parallel kernel onto the dense loop, and the fallback must actually
+/// engage (`active_workers` stays `None`). A fault plan is not such
+/// state: its draws are hashes, so it shards.
 #[test]
 fn parallel_kernel_falls_back_on_shared_order_dependent_state() {
     let faulted = run_one(
@@ -369,9 +391,10 @@ fn parallel_kernel_falls_back_on_shared_order_dependent_state() {
     );
     assert_eq!(
         faulted.active_workers(),
-        None,
-        "fault plans run the dense loop"
+        Some(4),
+        "fault plans run on the sharded kernel"
     );
+    assert_eq!(faulted.fallback_cause(), None);
     let traced = run_one(
         &TreeNetworkConfig::new(binary(8))
             .with_pattern(TrafficPattern::Uniform { rate: 0.3 })
@@ -384,6 +407,10 @@ fn parallel_kernel_falls_back_on_shared_order_dependent_state() {
         traced.active_workers(),
         None,
         "trace sinks run the dense loop"
+    );
+    assert_eq!(
+        traced.fallback_cause(),
+        Some(icnoc_sim::FallbackCause::TraceSinks)
     );
     // A plain network with no shared state does shard.
     let plain = run_one(

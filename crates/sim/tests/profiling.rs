@@ -142,8 +142,8 @@ proptest! {
 
 /// The sequential fallback is visible in the perf section: the report
 /// names the cause, runs one logical worker, and still conserves steps.
-/// A fault plan names itself whether or not trace sinks ride along: it
-/// alone selects the dense loop.
+/// Only trace sinks select the dense loop: a fault-only run shards and
+/// reports no fallback, and faults plus counters name the sinks.
 #[test]
 fn fallback_cause_lands_in_the_perf_section() {
     let base = || {
@@ -152,27 +152,34 @@ fn fallback_cause_lands_in_the_perf_section() {
             .with_seed(3)
             .with_profiling(true)
     };
-    let cases: [(TreeNetworkConfig, &str); 3] = [
-        (base().with_faults(FaultPlan::soak(3)), "fault-plan"),
-        (base().with_counters(true), "trace-sinks"),
+    let cases: [(TreeNetworkConfig, Option<&str>); 3] = [
+        (base().with_faults(FaultPlan::soak(3)), None),
+        (base().with_counters(true), Some("trace-sinks")),
         (
             base().with_faults(FaultPlan::soak(3)).with_counters(true),
-            "fault-plan",
+            Some("trace-sinks"),
         ),
     ];
     for (cfg, expected) in cases {
+        let context = expected.unwrap_or("fault plan");
         let mut net = cfg.with_kernel(SimKernel::Parallel { workers: 4 }).build();
         net.run_cycles(200);
         net.drain(4_000);
-        assert_eq!(net.active_workers(), None, "{expected}: must fall back");
         let perf = net.report().perf.expect("profiled");
         assert_eq!(
             perf.fallback.map(|c| c.label()),
-            Some(expected),
+            expected,
             "fallback cause mislabelled"
         );
-        assert_eq!(perf.workers, 1, "{expected}: fallback is single-worker");
-        assert_conserved(&net, expected);
+        let workers = if expected.is_some() {
+            assert_eq!(net.active_workers(), None, "{context}: must fall back");
+            1
+        } else {
+            assert_eq!(net.active_workers(), Some(4), "{context}: must shard");
+            4
+        };
+        assert_eq!(perf.workers, workers, "{context}: worker count");
+        assert_conserved(&net, context);
     }
     // A plain parallel run reports no fallback, and neither do the
     // sequential kernels (there is nothing to fall back from).
