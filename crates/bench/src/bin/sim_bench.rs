@@ -58,6 +58,10 @@
 //!   regression — the symmetric gate rejects the measurement instead
 //!   of silently recording it. The JSON clamps the field at 0 so a
 //!   committed baseline never stores a nonsensical negative cost;
+//! * with `--baseline`, each workload's `dense_element_steps` and
+//!   `event_element_steps` must equal the committed baseline's exactly:
+//!   both are deterministic, so any change that moves them must
+//!   re-record `BENCH_sim.json`;
 //! * with `--baseline`, each workload's event-vs-dense speedup must stay
 //!   within −20% of the committed baseline (regression fails; an
 //!   improvement beyond +20% warns to refresh the baseline). That ratio
@@ -531,18 +535,31 @@ fn to_json(
     ])
 }
 
-/// Extracts `name -> (speedup, parallel_speedup)` from a baseline
-/// document. `parallel_speedup` is `None` for schema-1 baselines.
-fn baseline_speedups(doc: &JsonValue) -> Vec<(String, f64, Option<f64>)> {
+/// One workload row of a baseline document.
+struct BaselineRow {
+    name: String,
+    speedup: f64,
+    /// `None` for schema-1 baselines.
+    par_speedup: Option<f64>,
+    /// Deterministic `(dense, event)` element visits, gated exactly.
+    steps: [(&'static str, Option<u64>); 2],
+}
+
+/// Extracts every workload row from a baseline document.
+fn baseline_rows(doc: &JsonValue) -> Vec<BaselineRow> {
     doc.get("workloads")
         .and_then(JsonValue::as_arr)
         .map(|arr| {
             arr.iter()
                 .filter_map(|w| {
-                    let name = w.get("name")?.as_str()?.to_owned();
-                    let speedup = w.get("speedup")?.as_f64()?;
-                    let par = w.get("parallel_speedup").and_then(JsonValue::as_f64);
-                    Some((name, speedup, par))
+                    let count = |key| w.get(key).and_then(JsonValue::as_f64).map(|v| v as u64);
+                    Some(BaselineRow {
+                        name: w.get("name")?.as_str()?.to_owned(),
+                        speedup: w.get("speedup")?.as_f64()?,
+                        par_speedup: w.get("parallel_speedup").and_then(JsonValue::as_f64),
+                        steps: ["dense_element_steps", "event_element_steps"]
+                            .map(|key| (key, count(key))),
+                    })
                 })
                 .collect()
         })
@@ -735,7 +752,8 @@ fn main() {
         }
     }
 
-    // Baseline comparison on the hardware-independent speedup ratios.
+    // Baseline comparison: exact on the deterministic visit counts, within
+    // tolerance on the hardware-independent speedup ratios.
     if let Some(path) = &baseline_path {
         match std::fs::read_to_string(path) {
             Ok(text) => match JsonValue::parse(&text) {
@@ -747,14 +765,26 @@ fn main() {
                              worker count — comparing event-vs-dense speedups only"
                         );
                     }
-                    for (name, base, base_par) in baseline_speedups(&doc) {
-                        let Some(m) = results.iter().find(|m| m.name == name) else {
+                    for row in baseline_rows(&doc) {
+                        let name = &row.name;
+                        let Some(m) = results.iter().find(|m| m.name == *name) else {
                             eprintln!("BASELINE WARN: workload {name:?} no longer measured");
                             continue;
                         };
-                        let mut pairs = vec![("speedup", m.speedup(), base)];
+                        let now_steps = [m.dense_steps, m.event_steps];
+                        for ((what, base), now) in row.steps.into_iter().zip(now_steps) {
+                            if let Some(base) = base.filter(|&base| base != now) {
+                                eprintln!(
+                                    "BASELINE FAIL: {name} {what} {now} differs from the exact \
+                                     baseline {base} — re-record BENCH_sim.json if the change \
+                                     is intended"
+                                );
+                                failed = true;
+                            }
+                        }
+                        let mut pairs = vec![("speedup", m.speedup(), row.speedup)];
                         if par_comparable {
-                            if let Some(bp) = base_par {
+                            if let Some(bp) = row.par_speedup {
                                 pairs.push(("parallel_speedup", m.par_speedup, bp));
                             }
                         }

@@ -35,9 +35,12 @@ pub struct Request {
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let mut reader = BufReader::new(stream);
     let mut head = String::new();
+    // One byte past the cap is enough to reject: a client that never
+    // sends a newline cannot make the head grow without bound.
+    let mut capped = (&mut reader).take(MAX_HEAD_BYTES as u64 + 1);
     loop {
         let before = head.len();
-        reader.read_line(&mut head)?;
+        capped.read_line(&mut head)?;
         if head.len() == before {
             return Err(bad("connection closed mid-request"));
         }
@@ -333,5 +336,30 @@ mod tests {
         stream.write_all(huge.as_bytes()).expect("writes");
         stream.flush().expect("flushes");
         server.join().expect("server thread");
+    }
+
+    #[test]
+    fn endless_head_lines_are_rejected_while_the_client_waits() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accepts");
+            // Turns a reader that waits for the newline into a failure
+            // instead of a hung test.
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .expect("sets timeout");
+            read_request(&mut stream).expect_err("an endless head line must fail")
+        });
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .write_all("x".repeat(16 * 1024).as_bytes())
+            .expect("writes");
+        stream.flush().expect("flushes");
+        // `stream` stays open until the server has answered.
+        let err = server.join().expect("server thread");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("too large"), "{err}");
+        drop(stream);
     }
 }

@@ -5,7 +5,19 @@
 //! Each element registers into a per-polarity ready set when a handshake
 //! edge can change its state, and a tick visits only that set — the
 //! software mirror of the paper's handshake-derived clock gating
-//! (Section 5). The parallel kernel partitions the element graph into
+//! (Section 5). Enabled traffic generators are pinned — their pattern
+//! may act on any cycle — except while blocked: on a fault-free run a
+//! source, or a tile with no queued responses, whose visit counts a stall
+//! sleeps like a blocked stage until the drain of its flit wakes it. The
+//! stalls its skipped visits would have counted follow from one stamp,
+//! `asleep_since`: the waking visit adds them, and the end of every batch
+//! settles and re-arms each generator still asleep, so counters are exact
+//! whenever a batch is not running. Fault runs keep generators pinned: a
+//! frozen edge counts no stall, and clock-domain freezes are stateful
+//! (`FaultState::begin_step`), so a skipped tick's freeze cannot be
+//! recomputed at wake-up.
+//!
+//! The parallel kernel partitions the element graph into
 //! per-worker shards and runs each shard's visits on its own thread (the
 //! event kernel is the same code with one shard and no cut edges). The
 //! alternating-edge protocol makes this safe without
@@ -159,7 +171,8 @@ fn pol_idx(p: ClockPolarity) -> usize {
 pub(crate) struct ParState {
     /// Worker count (= shard count).
     workers: usize,
-    /// Elements re-armed after every visit (see [`repin`](Self::repin)).
+    /// Elements re-armed after every visit except a fault-free one that
+    /// counts a stall (see [`repin`](Self::repin) and [`Stay::Stalled`]).
     pinned: Vec<bool>,
     /// Shard owning each element.
     shard_of: Vec<u16>,
@@ -293,10 +306,13 @@ impl ParState {
 
     /// Re-reads which elements are pinned — enabled non-silent traffic
     /// generators, whose pattern consumes RNG or follows a schedule every
-    /// cycle — and arms them. Called at build and whenever sources are
-    /// enabled or disabled: a re-enabled generator must be woken, a
-    /// disabled one falls asleep on its own once its in-flight work (held
-    /// flit, open worm, pending responses) clears.
+    /// cycle — and arms them. A pinned generator still sleeps while its
+    /// flit is blocked on a fault-free run ([`Stay::Stalled`]); batches
+    /// settle such sleepers before returning, so none exists here. Called
+    /// at build and whenever sources are enabled or disabled: a re-enabled
+    /// generator must be woken, a disabled one falls asleep on its own
+    /// once its in-flight work (held flit, open worm, pending responses)
+    /// clears.
     pub(crate) fn repin(&mut self, elements: &[Element]) {
         for (i, el) in elements.iter().enumerate() {
             self.pinned[i] = match &el.kind {
@@ -374,6 +390,7 @@ impl ParState {
         s.enabled.resize(n, 0);
         s.upset.clear();
         s.upset.extend(elements.iter().map(|e| e.upset_at));
+        s.asleep_since.resize(n, AWAKE);
     }
 
     /// Stores the dense handshake arrays back into the element graph at
@@ -392,6 +409,93 @@ impl ParState {
                     .merge(&ClockGatingStats::from_counts(u64::from(enabled), 0));
             }
         }
+    }
+
+    /// Settles every generator still asleep when a batch ends at tick
+    /// `end`: adds the stalls its skipped visits before `end` would have
+    /// counted, clears its stamp and re-arms it, so nothing lazy outlives
+    /// the batch.
+    fn settle_sleepers(&mut self, elements: &mut [Element], end: u64) {
+        for (i, since) in self.soa.asleep_since.iter_mut().enumerate() {
+            if *since == AWAKE {
+                continue;
+            }
+            let skipped = skipped_stalls(std::mem::replace(since, AWAKE), end);
+            match &mut elements[i].kind {
+                Kind::Source(s) => s.stalled_edges += skipped,
+                Kind::Tile(t) => t.stalled_edges += skipped,
+                Kind::Stage | Kind::Sink(_) => unreachable!("only generators sleep stalled"),
+            }
+            let core = &mut self.cores[self.shard_of[i] as usize];
+            core.ready[usize::from(self.topo.pol[i])].insert(i);
+        }
+    }
+}
+
+/// `asleep_since` marker of an element that is not a sleeping generator.
+const AWAKE: u64 = u64::MAX;
+
+/// The stalls a generator that counted one at tick `since` and then slept
+/// would have counted on its own-parity ticks strictly before `tick`. It
+/// holds its flit undrained the whole time: the drain is what wakes it,
+/// and `enabled` only changes between batches.
+#[inline]
+fn skipped_stalls(since: u64, tick: u64) -> u64 {
+    (tick - 1 - since) / 2
+}
+
+/// A visit's own re-arm verdict for [`soa_rearm`], on top of the capture
+/// rule every element shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stay {
+    /// Nothing kind-specific: a pinned generator stays armed, any other
+    /// element sleeps.
+    Pin,
+    /// A kind-specific condition keeps the element armed.
+    Armed,
+    /// A fault-free generator counted a stall and is stamped asleep: it
+    /// sleeps even when pinned, until the drain of its flit wakes it. A
+    /// tile that also consumed a flit this visit stays armed by the
+    /// capture rule; its next visit, one own-parity tick later, then adds
+    /// no skipped stalls.
+    Stalled,
+}
+
+impl From<bool> for Stay {
+    fn from(armed: bool) -> Self {
+        if armed {
+            Self::Armed
+        } else {
+            Self::Pin
+        }
+    }
+}
+
+/// Ends a fault-free generator visit that counted a stall: stamps `i`
+/// asleep at `tick`.
+///
+/// # Safety
+/// The caller must own element `i` this tick.
+#[inline]
+unsafe fn sleep_stalled(view: SoaView<'_>, i: usize, tick: u64) -> Stay {
+    // SAFETY: per the function contract.
+    unsafe { *view.asleep_since.get_mut(i) = tick };
+    Stay::Stalled
+}
+
+/// The stalls a generator skipped while asleep, added when a visit wakes
+/// it at `tick`; clears its stamp.
+///
+/// # Safety
+/// The caller must own element `i` this tick.
+#[inline]
+unsafe fn wake_stalls(view: SoaView<'_>, i: usize, tick: u64) -> u64 {
+    // SAFETY: per the function contract.
+    let since = std::mem::replace(unsafe { view.asleep_since.get_mut(i) }, AWAKE);
+    if since == AWAKE {
+        0
+    } else {
+        skipped_stalls(since, tick)
     }
 }
 
@@ -483,6 +587,10 @@ struct SoaDyn {
     enabled: Vec<u32>,
     /// `Element::upset_at`.
     upset: Vec<u64>,
+    /// The tick a sleeping generator last counted a stall ([`AWAKE`] for
+    /// every other element); see [`skipped_stalls`]. All [`AWAKE`]
+    /// between batches.
+    asleep_since: Vec<u64>,
 }
 
 /// Multi-source BFS over the undirected element adjacency from every
@@ -723,6 +831,7 @@ struct SoaView<'a> {
     rr: SharedSlice<'a, u32>,
     enabled: SharedSlice<'a, u32>,
     upset: SharedSlice<'a, u64>,
+    asleep_since: SharedSlice<'a, u64>,
 }
 
 impl<'a> SoaView<'a> {
@@ -734,6 +843,7 @@ impl<'a> SoaView<'a> {
             rr: SharedSlice::new(&mut soa.rr),
             enabled: SharedSlice::new(&mut soa.enabled),
             upset: SharedSlice::new(&mut soa.upset),
+            asleep_since: SharedSlice::new(&mut soa.asleep_since),
         }
     }
 }
@@ -1241,6 +1351,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             }
         }
     });
+    par.settle_sleepers(elements, base_tick + executed);
     par.store_dyn(elements);
     executed
 }
@@ -1457,9 +1568,9 @@ fn visit_tick_with<H: Hooks>(
             // is its unique owner for this tick, and all its neighbour
             // reads touch frozen opposite-parity state.
             let before = unsafe { *view.out.get(i) };
-            let stay_kind = match topo.kind[i] {
+            let stay = match topo.kind[i] {
                 // SAFETY: as above.
-                K_STAGE => unsafe { soa_step_stage(view, topo, i, tick, hooks) },
+                K_STAGE => Stay::from(unsafe { soa_step_stage(view, topo, i, tick, hooks) }),
                 K_SOURCE => {
                     // SAFETY: as above.
                     let el = unsafe { shared.get_mut(i) };
@@ -1473,7 +1584,7 @@ fn visit_tick_with<H: Hooks>(
                     // during the visit phase.
                     let buf = unsafe { arrivals.get_mut(w) };
                     // SAFETY: as above.
-                    unsafe { soa_step_sink(view, topo, el, i, tick, buf, hooks) }
+                    Stay::from(unsafe { soa_step_sink(view, topo, el, i, tick, buf, hooks) })
                 }
                 _ => {
                     // SAFETY: as above.
@@ -1490,7 +1601,7 @@ fn visit_tick_with<H: Hooks>(
                 i,
                 p,
                 before,
-                stay_kind,
+                stay,
                 pinned,
                 shard_of,
                 w,
@@ -1711,11 +1822,15 @@ fn merge_shard(
 /// * a *newly presented* flit wakes every downstream (they may capture).
 ///   A blocked element then sleeps: its state next changes at the
 ///   drain, and the capture-wake above covers exactly that edge;
-/// * `stay_kind` carries the kind-specific stay conditions computed
-///   during the step: a source while mid-worm, a tile while it presents
-///   (its stall counter advances every blocked edge) or has queued
-///   responses, a sink while an upstream holds an offer (its accept mode
-///   may open on any later cycle); pinned elements always stay.
+/// * `stay` carries the kind-specific stay conditions computed during
+///   the step: a source while mid-worm, a tile while it presents or has
+///   queued responses, a sink while an upstream holds an offer (its
+///   accept mode may open on any later cycle); pinned elements stay
+///   unless the visit counted a stall. A fault-free source, or a tile
+///   with no queued responses, that counted a stall sleeps even when
+///   pinned ([`Stay::Stalled`]): its flit is held until the drain, whose
+///   capture-wake above covers it, and the stalls of the skipped visits
+///   are counted lazily ([`skipped_stalls`]).
 ///
 /// Every connection joins opposite clock polarities, so both the drained
 /// upstream and all downstreams land in the other parity's ready set.
@@ -1727,7 +1842,7 @@ fn soa_rearm(
     i: usize,
     p: usize,
     before: Option<Flit>,
-    stay_kind: bool,
+    stay: Stay,
     pinned: &[bool],
     shard_of: &[u16],
     w: usize,
@@ -1741,7 +1856,12 @@ fn soa_rearm(
     // SAFETY: as above.
     let captured = unsafe { *view.acc.get(i) };
     let presenting = out.is_some();
-    if captured != NONE_U32 || pinned[i] || stay_kind {
+    let armed = match stay {
+        Stay::Pin => pinned[i],
+        Stay::Armed => true,
+        Stay::Stalled => false,
+    };
+    if captured != NONE_U32 || armed {
         core.ready[p].insert(i);
     }
     let wake = |idx: usize, core: &mut ShardCore| {
@@ -1930,7 +2050,9 @@ unsafe fn soa_freeze(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
 }
 
 /// The dense loop's source step without tracing. Returns the
-/// kind-specific stay condition (worm still emitting, or frozen).
+/// kind-specific stay condition (worm still emitting, or frozen); a
+/// fault-free visit that counts a stall sleeps instead (see
+/// [`soa_rearm`]).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
@@ -1943,11 +2065,11 @@ unsafe fn soa_step_source<H: Hooks>(
     tick: u64,
     num_ports: u32,
     hooks: &mut H,
-) -> bool {
+) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
         // SAFETY: per the function contract.
         unsafe { soa_freeze(view, topo, i) };
-        return true;
+        return Stay::Armed;
     }
     // SAFETY: per the function contract.
     let drained = unsafe { soa_drained(view, topo, i) };
@@ -1962,6 +2084,10 @@ unsafe fn soa_step_source<H: Hooks>(
     let Kind::Source(state) = &mut el.kind else {
         unreachable!("soa_step_source called on non-source")
     };
+    if !H::ON {
+        // SAFETY: own element.
+        state.stalled_edges += unsafe { wake_stalls(view, i, tick) };
+    }
     // Retransmissions take the idle slot between packets — never
     // mid-worm.
     let mut retransmitted = None;
@@ -1970,6 +2096,7 @@ unsafe fn soa_step_source<H: Hooks>(
         *out = retransmitted;
     }
     let mut injected = None;
+    let mut stalled = false;
     if state.enabled || state.emitting.is_some() {
         if out.is_none() {
             if let Some((dest, remaining)) = state.emitting {
@@ -2043,12 +2170,16 @@ unsafe fn soa_step_source<H: Hooks>(
             }
         } else if retransmitted.is_none() {
             state.stalled_edges += 1;
+            stalled = true;
         }
     }
     if H::ON {
         hooks.endpoint(i, tick, injected, retransmitted);
+    } else if stalled {
+        // SAFETY: own element.
+        return unsafe { sleep_stalled(view, i, tick) };
     }
-    state.emitting.is_some()
+    Stay::from(state.emitting.is_some())
 }
 
 /// The dense loop's sink step without tracing; the scoreboard arrival
@@ -2099,7 +2230,9 @@ unsafe fn soa_step_sink<H: Hooks>(
 
 /// The dense loop's tile step without tracing; the scoreboard arrival is
 /// deferred into this worker's buffer. Returns the kind-specific stay
-/// condition (presenting, responses still queued, or frozen).
+/// condition (presenting, responses still queued, or frozen); a
+/// fault-free visit that counts a stall with no responses queued sleeps
+/// instead (see [`soa_rearm`]).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
@@ -2114,11 +2247,11 @@ unsafe fn soa_step_tile<H: Hooks>(
     num_ports: u32,
     arrivals: &mut Vec<Arrival>,
     hooks: &mut H,
-) -> bool {
+) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
         // SAFETY: per the function contract.
         unsafe { soa_freeze(view, topo, i) };
-        return true;
+        return Stay::Armed;
     }
     // SAFETY: per the function contract.
     let drained = unsafe { soa_drained(view, topo, i) };
@@ -2133,6 +2266,10 @@ unsafe fn soa_step_tile<H: Hooks>(
     let Kind::Tile(state) = &mut el.kind else {
         unreachable!("soa_step_tile called on non-tile")
     };
+    if !H::ON {
+        // SAFETY: own element.
+        state.stalled_edges += unsafe { wake_stalls(view, i, tick) };
+    }
     let port = state.port;
     let cycle = tick / 2;
     // SAFETY: own element.
@@ -2168,6 +2305,7 @@ unsafe fn soa_step_tile<H: Hooks>(
         *out = retransmitted;
     }
     let mut injected = None;
+    let mut stalled = false;
     if out_empty && retransmitted.is_none() {
         let mut emit = None;
         match &mut state.role {
@@ -2219,14 +2357,18 @@ unsafe fn soa_step_tile<H: Hooks>(
         }
     } else if !out_empty && state.enabled {
         state.stalled_edges += 1;
+        stalled = true;
     }
     if let Some(flit) = arrived {
         arrivals.push((tick, i as u32, flit, port));
     }
     if H::ON {
         hooks.endpoint(i, tick, injected, retransmitted);
+    } else if stalled && state.pending.is_empty() {
+        // SAFETY: own element.
+        return unsafe { sleep_stalled(view, i, tick) };
     }
-    out.is_some() || !state.pending.is_empty()
+    Stay::from(out.is_some() || !state.pending.is_empty())
 }
 
 /// Assigns every element to a shard.

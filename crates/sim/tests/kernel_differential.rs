@@ -375,6 +375,122 @@ fn soak1024_is_bit_identical_with_a_balanced_ledger() {
     }
 }
 
+/// One step of the settlement schedule, applied to every kernel's network.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    Cycles(u64),
+    Ticks(u32),
+    Sources(bool),
+    Drain(u64),
+}
+
+/// A blocked traffic generator sleeps on the activity list and its
+/// skipped stalls are counted lazily, then settled when the batch ends.
+/// Uneven batches, odd-length per-tick stretches (batches that start on
+/// either parity), disabling and re-enabling the sources mid-run, and the
+/// final drain must each leave every counter — `source_stall_edges`
+/// included — exactly where the dense loop has it, under the event
+/// kernel and the parallel kernel at every worker count, with the event
+/// and parallel kernels visiting the same number of elements.
+#[test]
+fn lazily_counted_stalls_settle_at_every_batch_boundary() {
+    let open = |pattern, sink_mode| {
+        TreeNetworkConfig::new(binary(64))
+            .with_pattern(pattern)
+            .with_packet_length(3)
+            .with_sink_mode(sink_mode)
+            .with_seed(11)
+    };
+    let scenarios = [
+        (
+            "saturate",
+            open(TrafficPattern::Saturate, SinkMode::AlwaysAccept),
+        ),
+        (
+            "uniform, throttled sinks",
+            open(
+                TrafficPattern::Uniform { rate: 0.6 },
+                SinkMode::Throttle { period: 3 },
+            ),
+        ),
+        (
+            "uniform, stalled sinks",
+            open(
+                TrafficPattern::Uniform { rate: 0.6 },
+                SinkMode::StallDuring { from: 60, to: 180 },
+            ),
+        ),
+        (
+            "closed-loop tiles",
+            TreeNetworkConfig::new(binary(64))
+                .with_pattern(TrafficPattern::Saturate)
+                .with_tiles(icnoc_sim::TileTraffic {
+                    max_outstanding: 4,
+                    service_cycles: 3,
+                })
+                .with_seed(11),
+        ),
+    ];
+    let schedule = [
+        Drive::Cycles(37),
+        Drive::Ticks(5),
+        Drive::Cycles(113),
+        Drive::Sources(false),
+        Drive::Cycles(29),
+        Drive::Ticks(1),
+        Drive::Sources(true),
+        Drive::Cycles(71),
+        Drive::Ticks(3),
+        Drive::Cycles(200),
+        Drive::Sources(false),
+        Drive::Drain(8_000),
+    ];
+    for (name, cfg) in scenarios {
+        let mut kernels = vec![SimKernel::Dense, SimKernel::EventDriven];
+        kernels.extend(PARALLEL_WORKERS.map(|workers| SimKernel::Parallel { workers }));
+        let mut nets: Vec<Network> = kernels
+            .iter()
+            .map(|&k| cfg.clone().with_kernel(k).build())
+            .collect();
+        for (at, drive) in schedule.iter().enumerate() {
+            for net in &mut nets {
+                match *drive {
+                    Drive::Cycles(cycles) => {
+                        net.run_cycles(cycles);
+                    }
+                    Drive::Ticks(ticks) => (0..ticks).for_each(|_| net.step()),
+                    Drive::Sources(on) => net.set_sources_enabled(on),
+                    Drive::Drain(budget) => assert!(net.drain(budget), "{name}: must drain"),
+                }
+            }
+            let dense = nets[0].report();
+            for (net, kernel) in nets.iter().zip(&kernels).skip(1) {
+                assert_eq!(
+                    dense,
+                    net.report(),
+                    "{name}: {} diverged from dense after {drive:?} (step {at})",
+                    kernel.label()
+                );
+            }
+        }
+        let report = nets[0].report();
+        assert!(
+            report.source_stall_edges > 0,
+            "{name}: the generators must stall"
+        );
+        assert!(report.is_correct(), "{name}: {report:?}");
+        let event_steps = nets[1].element_steps();
+        assert!(event_steps < nets[0].element_steps());
+        for net in &nets[2..] {
+            assert_eq!(
+                net.element_steps(),
+                event_steps,
+                "{name}: parallel element updates diverged from the event kernel"
+            );
+        }
+    }
+}
+
 /// Order-dependent shared state — attached trace sinks — forces the
 /// parallel kernel onto the dense loop, and the fallback must actually
 /// engage (`active_workers` stays `None`). A fault plan is not such
