@@ -48,8 +48,7 @@
 //!   `profiler_overhead`) — wall-derived, machine-specific, and never
 //!   baseline-compared — plus the deterministic `parallel_lookahead`
 //!   (schema 4): the deepest epoch-batching window the shard cut admits,
-//!   `null` when unbounded (single worker) or on the sequential
-//!   fallback;
+//!   `null` when unbounded (single worker);
 //! * profiler-overhead floor: `abs(profiler_overhead)` — the profiled
 //!   run against the median plain parallel rep — must stay under
 //!   [`MAX_PROFILER_OVERHEAD`] on every workload. The sign matters: a
@@ -521,7 +520,7 @@ fn to_json(
                             ),
                             // Schema 4: the epoch-batching lookahead
                             // window — deterministic, `null` when
-                            // unbounded or on the sequential fallback.
+                            // unbounded (single worker).
                             (
                                 "parallel_lookahead".to_owned(),
                                 m.lookahead

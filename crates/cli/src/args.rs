@@ -3,7 +3,7 @@
 
 use icnoc_clock::ClockBackend;
 use icnoc_sim::{FaultRates, SimKernel, TrafficPattern};
-use icnoc_topology::{PortId, TreeKind};
+use icnoc_topology::TreeKind;
 
 /// A parse or validation failure, with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -311,9 +311,10 @@ impl Cli {
             },
             "sim" => {
                 let kernel = flags.take_kernel()?;
+                let build = flags.build_opts()?;
                 Command::Sim {
-                    build: flags.build_opts()?,
-                    pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
+                    pattern: flags.take_pattern(&build)?,
+                    build,
                     cycles: flags.take_u64("cycles", 2_000)?,
                     seed: flags.take_u64("seed", 42)?,
                     packet_len: flags.take_packet_len()?,
@@ -335,9 +336,10 @@ impl Cli {
             }
             "profile" => {
                 let kernel = flags.take_kernel()?;
+                let build = flags.build_opts()?;
                 Command::Profile {
-                    build: flags.build_opts()?,
-                    pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
+                    pattern: flags.take_pattern(&build)?,
+                    build,
                     cycles: flags.take_u64("cycles", 2_000)?,
                     seed: flags.take_u64("seed", 42)?,
                     packet_len: flags.take_packet_len()?,
@@ -349,36 +351,40 @@ impl Cli {
                     chrome_trace: flags.take_opt_string("chrome-trace"),
                 }
             }
-            "stats" => Command::Stats {
-                build: flags.build_opts()?,
-                pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
-                cycles: flags.take_u64("cycles", 2_000)?,
-                seed: flags.take_u64("seed", 42)?,
-                packet_len: flags.take_packet_len()?,
-                tiles: match flags.take_opt_string("tiles") {
-                    Some(spec) => Some(parse_tiles(&spec)?),
-                    None => None,
-                },
-                format: match flags.take_string("format", "json").as_str() {
-                    "json" => StatsFormat::Json,
-                    "csv" => StatsFormat::Csv,
-                    other => {
-                        return Err(CliError(format!(
-                            "--format must be json or csv, got {other:?}"
-                        )))
-                    }
-                },
-                out: flags.take_opt_string("out"),
-                kernel: flags.take_kernel()?,
-            },
+            "stats" => {
+                let build = flags.build_opts()?;
+                Command::Stats {
+                    pattern: flags.take_pattern(&build)?,
+                    build,
+                    cycles: flags.take_u64("cycles", 2_000)?,
+                    seed: flags.take_u64("seed", 42)?,
+                    packet_len: flags.take_packet_len()?,
+                    tiles: match flags.take_opt_string("tiles") {
+                        Some(spec) => Some(parse_tiles(&spec)?),
+                        None => None,
+                    },
+                    format: match flags.take_string("format", "json").as_str() {
+                        "json" => StatsFormat::Json,
+                        "csv" => StatsFormat::Csv,
+                        other => {
+                            return Err(CliError(format!(
+                                "--format must be json or csv, got {other:?}"
+                            )))
+                        }
+                    },
+                    out: flags.take_opt_string("out"),
+                    kernel: flags.take_kernel()?,
+                }
+            }
             "trace" => {
                 let capacity = flags.take_usize("capacity", 4_096)?;
                 if capacity == 0 {
                     return Err(CliError("--capacity must be at least 1".to_owned()));
                 }
+                let build = flags.build_opts()?;
                 Command::Trace {
-                    build: flags.build_opts()?,
-                    pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
+                    pattern: flags.take_pattern(&build)?,
+                    build,
                     cycles: flags.take_u64("cycles", 200)?,
                     seed: flags.take_u64("seed", 42)?,
                     packet_len: flags.take_packet_len()?,
@@ -473,56 +479,25 @@ impl Cli {
                     queue_limit,
                 }
             }
-            "faults" => Command::Faults {
-                kernel: flags.take_kernel()?,
-                build: flags.build_opts()?,
-                pattern: parse_pattern(&flags.take_string("pattern", "uniform:0.2"))?,
-                cycles: flags.take_u64("cycles", 10_000)?,
-                seed: flags.take_u64("seed", 42)?,
-                packet_len: flags.take_packet_len()?,
-                spec: parse_fault_spec(&flags.take_string("spec", "soak"))?,
-                speculate: None,
-            },
+            "faults" => {
+                let kernel = flags.take_kernel()?;
+                let build = flags.build_opts()?;
+                Command::Faults {
+                    kernel,
+                    pattern: flags.take_pattern(&build)?,
+                    build,
+                    cycles: flags.take_u64("cycles", 10_000)?,
+                    seed: flags.take_u64("seed", 42)?,
+                    packet_len: flags.take_packet_len()?,
+                    spec: parse_fault_spec(&flags.take_string("spec", "soak"))?,
+                    speculate: None,
+                }
+            }
             "help" | "--help" | "-h" => Command::Help,
             other => return Err(CliError(format!("unknown subcommand {other:?}; try help"))),
         };
         flags.finish()?;
         Ok(Cli { command })
-    }
-}
-
-/// Parses a traffic-pattern spec:
-/// `uniform:RATE`, `neighbor:RATE`, `saturate`, `silent`,
-/// `hotspot:RATE:TARGET:FRACTION`, `bursty:BURST:IDLE`, `memory:RATE`.
-///
-/// # Errors
-///
-/// Returns a [`CliError`] for unknown pattern names or malformed numbers.
-pub fn parse_pattern(spec: &str) -> Result<TrafficPattern, CliError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let num = |s: &str| -> Result<f64, CliError> {
-        s.parse()
-            .map_err(|_| CliError(format!("bad number {s:?} in pattern {spec:?}")))
-    };
-    match parts.as_slice() {
-        ["saturate"] => Ok(TrafficPattern::Saturate),
-        ["silent"] => Ok(TrafficPattern::Silent),
-        ["uniform", r] => Ok(TrafficPattern::Uniform { rate: num(r)? }),
-        ["neighbor", r] | ["neighbour", r] => Ok(TrafficPattern::Neighbor { rate: num(r)? }),
-        ["memory", r] => Ok(TrafficPattern::RandomMemory { rate: num(r)? }),
-        ["hotspot", r, t, f] => Ok(TrafficPattern::Hotspot {
-            rate: num(r)?,
-            target: PortId(num(t)? as u32),
-            fraction: num(f)?,
-        }),
-        ["bursty", b, i] => Ok(TrafficPattern::Bursty {
-            burst: num(b)? as u32,
-            idle: num(i)? as u32,
-        }),
-        _ => Err(CliError(format!(
-            "unknown pattern {spec:?}; try uniform:0.2, neighbor:0.3, \
-             hotspot:0.3:0:0.5, bursty:10:90, memory:0.2, saturate, silent"
-        ))),
     }
 }
 
@@ -695,6 +670,16 @@ impl Flags {
                 u32::MAX
             ))),
         }
+    }
+
+    /// `--pattern` (default `uniform:0.2`), in the
+    /// [`TrafficPattern::parse`] grammar, with every port it names inside
+    /// the `build` fabric.
+    fn take_pattern(&mut self, build: &BuildOpts) -> Result<TrafficPattern, CliError> {
+        let pattern =
+            TrafficPattern::parse(&self.take_string("pattern", "uniform:0.2")).map_err(CliError)?;
+        pattern.check_ports(build.ports).map_err(CliError)?;
+        Ok(pattern)
     }
 
     fn take_kernel(&mut self) -> Result<SimKernel, CliError> {
@@ -1341,26 +1326,48 @@ mod tests {
 
     #[test]
     fn pattern_specs_round_trip() {
+        let pattern = |spec: &str| match Cli::parse(["sim", "--pattern", spec]) {
+            Ok(Cli {
+                command: Command::Sim { pattern, .. },
+            }) => Ok(pattern),
+            Ok(other) => panic!("not a sim command: {other:?}"),
+            Err(e) => Err(e),
+        };
         assert_eq!(
-            parse_pattern("uniform:0.25").expect("parses"),
+            pattern("uniform:0.25").expect("parses"),
             TrafficPattern::Uniform { rate: 0.25 }
         );
         assert_eq!(
-            parse_pattern("saturate").expect("parses"),
+            pattern("saturate").expect("parses"),
             TrafficPattern::Saturate
         );
         assert_eq!(
-            parse_pattern("bursty:10:90").expect("parses"),
+            pattern("bursty:10:90").expect("parses"),
             TrafficPattern::Bursty {
                 burst: 10,
                 idle: 90
             }
         );
         assert_eq!(
-            parse_pattern("memory:0.1").expect("parses"),
+            pattern("memory:0.1").expect("parses"),
             TrafficPattern::RandomMemory { rate: 0.1 }
         );
-        assert!(parse_pattern("wavy:1").is_err());
-        assert!(parse_pattern("uniform:abc").is_err());
+        assert!(pattern("wavy:1").is_err());
+        assert!(pattern("uniform:abc").is_err());
+        assert!(pattern("uniform:nan").is_err());
+        assert!(pattern("bursty:-1:10").is_err());
+    }
+
+    #[test]
+    fn hotspot_targets_outside_the_fabric_are_rejected() {
+        for sub in ["sim", "profile", "stats", "trace", "faults"] {
+            let spec = "hotspot:0.3:99:0.5";
+            let err = Cli::parse([sub, "--ports", "8", "--pattern", spec]).expect_err(sub);
+            assert_eq!(
+                err.0, "hotspot target 99 is outside the 8-port fabric",
+                "{sub}"
+            );
+            assert!(Cli::parse([sub, "--ports", "128", "--pattern", spec]).is_ok());
+        }
     }
 }

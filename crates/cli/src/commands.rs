@@ -52,8 +52,9 @@ KERNEL:   event (default, activity-list stepping on one shard), dense
           each; --workers N, 0 = one per core) — all bit-identical per
           seed. explore --workers N simulates each job with the parallel
           kernel at N workers without changing results or cache keys.
-          Fault plans (faults, sim --faults) run on every kernel; only
-          trace sinks (stats, trace) run the dense loop under every kernel
+          Fault plans (faults, sim --faults) and trace sinks (stats,
+          trace) run on every kernel; a traced run visits each blocked
+          edge once to report it, never the whole dense scan
 PROFILE:  sim --profile (or the profile subcommand) attaches the kernel
           profiler: per-shard step/wake counters, a load-imbalance ratio
           and the barrier-overhead fraction. --chrome-trace FILE writes a
@@ -122,7 +123,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             if *profile || chrome_trace.is_some() {
                 net.enable_profiling();
             }
-            warn_fallback(&net);
 
             let mut trace = vcd.as_ref().map(|_| VcdTrace::new(&net));
             if let Some(trace) = &mut trace {
@@ -220,7 +220,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             let sys = build_system(build)?;
             let mut net = build_network(&sys, pattern, *tiles, *seed, *packet_len, *kernel);
             net.enable_profiling();
-            warn_fallback(&net);
             net.run_cycles(*cycles);
             net.drain((*cycles).max(1_000));
             let report = net.report();
@@ -381,7 +380,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             let sys = build_system(build)?;
             let mut net = build_network(&sys, pattern, None, *seed, *packet_len, *kernel);
             net.enable_faults(fault_plan(&sys, spec, *seed));
-            warn_fallback(&net);
             net.run_cycles(*cycles);
             let drained = net.drain_or_diagnose((*cycles).max(1_000).saturating_mul(4));
             let report = net.report();
@@ -633,20 +631,6 @@ fn describe_kind(kind: TraceEventKind) -> String {
         TraceEventKind::TimingViolation => "timing-violation".to_owned(),
         TraceEventKind::Retransmitted => "retransmitted".to_owned(),
         TraceEventKind::FrequencyBackoff => "freq-backoff".to_owned(),
-    }
-}
-
-/// Names the sequential-fallback cause on stderr when the requested
-/// parallel kernel cannot actually run in parallel (trace sinks are
-/// attached). Stderr keeps stdout byte-stable for
-/// kernel-differential comparisons; silent on genuinely parallel runs
-/// and on the sequential kernels.
-fn warn_fallback(net: &Network) {
-    if let Some(cause) = net.fallback_cause() {
-        eprintln!(
-            "warning: parallel kernel running the sequential fallback: {} — {cause}",
-            cause.label()
-        );
     }
 }
 

@@ -18,5 +18,5 @@
 mod args;
 mod commands;
 
-pub use args::{parse_pattern, Cli, CliError, Command};
+pub use args::{Cli, CliError, Command};
 pub use commands::run;

@@ -19,7 +19,7 @@
 
 use icnoc::SystemConfig;
 use icnoc_sim::TrafficPattern;
-use icnoc_topology::{PortId, TreeKind};
+use icnoc_topology::TreeKind;
 use icnoc_units::{Gigahertz, Picoseconds};
 
 use crate::json::JsonValue;
@@ -165,11 +165,9 @@ impl GridSpec {
                         .collect::<Result<_, _>>()?;
                 }
                 "pattern" => {
-                    // Validate each spec now so errors surface before any
-                    // jobs run; the text form is what gets hashed.
-                    grid.patterns = split_list(values)
-                        .map(|v| pattern_from_spec(v).map(|_| v.to_owned()))
-                        .collect::<Result<_, _>>()?;
+                    // The text form is what gets hashed; it is validated
+                    // below, against every `ports` value.
+                    grid.patterns = split_list(values).map(str::to_owned).collect();
                 }
                 "cycles" => grid.cycles = parse_ints(name, values)?,
                 "soak" => grid.soak = parse_floats(name, values)?,
@@ -190,6 +188,14 @@ impl GridSpec {
             return Err(GridError(
                 "freq and thalf both set the frequency axis; give one".to_owned(),
             ));
+        }
+        // Validate every pattern now, so errors surface before any jobs
+        // run: a hotspot target must exist at every swept port count.
+        for spec in &grid.patterns {
+            let pattern = TrafficPattern::parse(spec).map_err(GridError)?;
+            for &ports in &grid.ports {
+                pattern.check_ports(ports).map_err(GridError)?;
+            }
         }
         Ok(grid)
     }
@@ -326,48 +332,13 @@ fn parse_num<T: std::str::FromStr>(axis: &str, s: &str) -> Result<T, GridError> 
         .map_err(|_| GridError(format!("bad number {s:?} in {axis} axis")))
 }
 
-/// Parses a traffic-pattern spec (the same grammar as the `icnoc sim
-/// --pattern` flag): `uniform:RATE`, `neighbor:RATE`, `saturate`,
-/// `silent`, `hotspot:RATE:TARGET:FRACTION`, `bursty:BURST:IDLE`,
-/// `memory:RATE`.
-///
-/// # Errors
-///
-/// Returns a [`GridError`] for unknown pattern names or malformed numbers.
-pub fn pattern_from_spec(spec: &str) -> Result<TrafficPattern, GridError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let num = |s: &str| -> Result<f64, GridError> {
-        s.parse()
-            .map_err(|_| GridError(format!("bad number {s:?} in pattern {spec:?}")))
-    };
-    match parts.as_slice() {
-        ["saturate"] => Ok(TrafficPattern::Saturate),
-        ["silent"] => Ok(TrafficPattern::Silent),
-        ["uniform", r] => Ok(TrafficPattern::Uniform { rate: num(r)? }),
-        ["neighbor", r] | ["neighbour", r] => Ok(TrafficPattern::Neighbor { rate: num(r)? }),
-        ["memory", r] => Ok(TrafficPattern::RandomMemory { rate: num(r)? }),
-        ["hotspot", r, t, f] => Ok(TrafficPattern::Hotspot {
-            rate: num(r)?,
-            target: PortId(num(t)? as u32),
-            fraction: num(f)?,
-        }),
-        ["bursty", b, i] => Ok(TrafficPattern::Bursty {
-            burst: num(b)? as u32,
-            idle: num(i)? as u32,
-        }),
-        _ => Err(GridError(format!(
-            "unknown pattern {spec:?}; try uniform:0.2, neighbor:0.3, \
-             hotspot:0.3:0:0.5, bursty:10:90, memory:0.2, saturate, silent"
-        ))),
-    }
-}
-
 /// One fully-resolved job: a system grid point plus its workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobConfig {
     /// The system to build.
     pub system: SystemConfig,
-    /// Traffic-pattern spec (text form; [`pattern_from_spec`] grammar).
+    /// Traffic-pattern spec (text form; [`TrafficPattern::parse`]
+    /// grammar).
     pub pattern: String,
     /// Cycles to simulate before draining.
     pub cycles: u64,
@@ -421,7 +392,7 @@ impl JobConfig {
     /// Returns a [`GridError`] if the stored spec is malformed (possible
     /// only for hand-built configs; [`GridSpec::parse`] validates).
     pub fn traffic(&self) -> Result<TrafficPattern, GridError> {
-        pattern_from_spec(&self.pattern)
+        TrafficPattern::parse(&self.pattern).map_err(GridError)
     }
 
     /// Serialises to a JSON object (field order fixed).
@@ -566,17 +537,29 @@ mod tests {
     #[test]
     fn bad_specs_are_rejected_with_messages() {
         for bad in [
-            "ports",           // no '='
-            "ports=",          // empty values
-            "ports=1.5",       // non-integer on integer axis
-            "bogus=1",         // unknown axis
-            "freq=a..b/3",     // bad range bounds
-            "freq=1..2/0",     // zero samples
-            "kind=ring",       // unknown kind
-            "seed=not-a-seed", // bad seed
+            "ports",               // no '='
+            "ports=",              // empty values
+            "ports=1.5",           // non-integer on integer axis
+            "bogus=1",             // unknown axis
+            "freq=a..b/3",         // bad range bounds
+            "freq=1..2/0",         // zero samples
+            "kind=ring",           // unknown kind
+            "seed=not-a-seed",     // bad seed
+            "pattern=wavy:1",      // unknown pattern
+            "pattern=uniform:nan", // rate outside [0, 1]
         ] {
             assert!(GridSpec::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn hotspot_targets_must_exist_at_every_swept_port_count() {
+        let spec = "pattern=hotspot:0.3:20:0.5";
+        assert!(GridSpec::parse(&format!("{spec};ports=32,64")).is_ok());
+        let err = GridSpec::parse(&format!("{spec};ports=64,16")).expect_err("16 ports");
+        assert_eq!(err.0, "hotspot target 20 is outside the 16-port fabric");
+        // The default 64-port axis holds the target too.
+        assert!(GridSpec::parse(spec).is_ok());
     }
 
     #[test]

@@ -49,12 +49,10 @@ pub struct JobOutcome {
 pub struct JobPerf {
     /// Stable kernel label (`dense` / `event` / `parallel`).
     pub kernel: String,
-    /// Resolved worker count (1 on sequential kernels and the fallback).
+    /// Resolved worker count (1 on the dense and event kernels).
     pub workers: u32,
     /// Barrier epochs (half-cycle ticks) executed.
     pub epochs: u64,
-    /// Sequential-fallback cause label, if the parallel kernel fell back.
-    pub fallback: Option<String>,
     /// Max/mean shard steps (1.0 = perfectly balanced).
     pub load_imbalance: f64,
     /// Fraction of worker wall time spent at barriers (0.0 when
@@ -176,7 +174,6 @@ pub fn run_job_with_options(
                     kernel: p.kernel.clone(),
                     workers: p.workers,
                     epochs: p.epochs,
-                    fallback: p.fallback.map(|c| c.label().to_owned()),
                     load_imbalance: p.load_imbalance(),
                     barrier_fraction: p.barrier_fraction().unwrap_or(0.0),
                 }),
@@ -255,13 +252,6 @@ impl JobOutcome {
                     ("kernel".into(), JsonValue::Str(p.kernel.clone())),
                     ("workers".into(), JsonValue::Num(f64::from(p.workers))),
                     ("epochs".into(), JsonValue::Num(p.epochs as f64)),
-                    (
-                        "fallback".into(),
-                        match &p.fallback {
-                            Some(cause) => JsonValue::Str(cause.clone()),
-                            None => JsonValue::Null,
-                        },
-                    ),
                     ("load_imbalance".into(), JsonValue::Num(p.load_imbalance)),
                     (
                         "barrier_fraction".into(),

@@ -49,7 +49,7 @@ mod sweep;
 
 pub use cache::{CacheClaim, CacheStats, ResultCache, DEFAULT_CACHE_DIR};
 pub use executor::{run_indexed, run_isolated};
-pub use grid::{pattern_from_spec, stable_hash, GridError, GridSpec, JobConfig, AXIS_NAMES};
+pub use grid::{stable_hash, GridError, GridSpec, JobConfig, AXIS_NAMES};
 pub use job::{run_job, run_job_with_kernel, run_job_with_options, JobOutcome, JobPerf, K_SIGMA};
 pub use json::JsonValue;
 pub use pareto::{

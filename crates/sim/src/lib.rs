@@ -52,7 +52,7 @@ pub use fault::{DfsConfig, FaultCounts, FaultKind, FaultPlan, FaultRates, Recove
 pub use flit::{Flit, FlitKind};
 pub use label::{LabelId, LabelTable};
 pub use network::{DrainTimeout, Network, SimKernel};
-pub use profile::{EpochSample, FallbackCause, PerfReport, PerfWall, ShardCounters, WorkerProfile};
+pub use profile::{EpochSample, PerfReport, PerfWall, ShardCounters, WorkerProfile};
 pub use report::{LatencyHistogram, LatencyStats, ReportDigest, SimReport};
 pub use trace::{
     CountersSink, DropCause, ElementCounters, ElementUtilisation, FlowLatency, ObservabilityReport,

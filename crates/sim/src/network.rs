@@ -4,7 +4,7 @@ use crate::element::{Element, Kind, SinkState, SourceState, TileRole, TileState}
 use crate::fault::{ArrivalVerdict, CaptureEffect, ClockTopology, FaultCtx, FaultState};
 use crate::label::LabelTable;
 use crate::parallel::{self, ParState};
-use crate::profile::{FallbackCause, KernelProfiler, PerfReport, PerfWall, ShardCounters};
+use crate::profile::{KernelProfiler, PerfReport, PerfWall, ShardCounters};
 use crate::report::Scoreboard;
 use crate::trace::{
     CountersSink, DropCause, RingBufferSink, TraceEvent, TraceEventKind, TraceSink,
@@ -30,12 +30,14 @@ use rand::SeedableRng;
 /// seed — the dense kernel is retained as a differential-testing oracle
 /// and selected with `--kernel dense` on the CLI.
 ///
-/// Fault plans run on every kernel: each fault is a pure hash of `(seed,
-/// tick, element, slot)`, no fault changes an element no handshake or
-/// timed wake visits, and the recovery layer folds its logged operations
-/// at every tick boundary. Only a network with trace sinks attached runs
-/// the dense loop under every kernel: a held flit emits a `Blocked` trace
-/// event on every edge, so only the full scan reproduces that stream.
+/// Fault plans and trace sinks run on every kernel. Each fault is a pure
+/// hash of `(seed, tick, element, slot)`, no fault changes an element no
+/// handshake or timed wake visits, and the recovery layer folds its
+/// logged operations at every tick boundary. A traced run keeps every
+/// element that holds a blocked flit armed, so each blocked edge is a
+/// visit that emits its `Blocked` event; visits log their events stamped
+/// with `(tick, element)`, and the sinks receive them merged in that
+/// order — the dense loop's order — at every window end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimKernel {
     /// Scan every element on every tick, skipping mismatched polarities —
@@ -54,8 +56,6 @@ pub enum SimKernel {
     /// wakes through mailboxes flushed at a two-phase barrier aligned
     /// with the clock polarity. Reports and element-visit counts stay
     /// identical to the event kernel at any worker count.
-    /// [`Network::fallback_cause`] names why a network runs the dense
-    /// loop instead.
     Parallel {
         /// Worker thread count; `0` means auto-detect from the host's
         /// available parallelism.
@@ -120,8 +120,7 @@ pub struct Network {
     kernel: SimKernel,
     /// Activity-list kernel state (shard plan, per-shard ready sets and
     /// mailboxes), built lazily at the first event or parallel step.
-    /// `None` for the dense kernel and for networks running the dense
-    /// loop because trace sinks are attached.
+    /// `None` for the dense kernel.
     par: Option<ParState>,
     /// Builder-provided subtree id per element, steering the parallel
     /// shard cut (set by the tree builder; contiguous ranges otherwise).
@@ -195,8 +194,7 @@ impl Network {
 
     /// The activity-list kernel's resolved worker count, once it has
     /// taken its first step: `1` on the event kernel. `None` on the dense
-    /// kernel and on networks running the dense loop (trace sinks
-    /// attached).
+    /// kernel.
     #[must_use]
     pub fn active_workers(&self) -> Option<usize> {
         self.par.as_ref().map(ParState::workers)
@@ -205,8 +203,8 @@ impl Network {
     /// The parallel kernel's deepest safe lookahead window — the largest
     /// hop distance from any element to the nearest shard-cut boundary,
     /// i.e. the most barrier-free ticks one epoch can ever batch. `None`
-    /// before the first activity-list step, on networks running the
-    /// dense loop, and when the shard plan has no cut edges at all (the
+    /// before the first activity-list step, on the dense kernel, and when
+    /// the shard plan has no cut edges at all (the
     /// event kernel, or a single worker), in which case only the fold
     /// interval bounds a window.
     #[must_use]
@@ -218,8 +216,8 @@ impl Network {
     /// kernel visits every matching-polarity element per tick; the
     /// event-driven and parallel kernels visit only armed elements — on
     /// an idle network this counter stops advancing entirely. With trace
-    /// sinks attached every kernel runs the dense loop and reports the
-    /// dense count.
+    /// sinks attached they also visit every element holding a blocked
+    /// flit on each of its edges: one extra visit per `Blocked` event.
     #[must_use]
     pub fn element_steps(&self) -> u64 {
         self.element_steps
@@ -243,15 +241,6 @@ impl Network {
     #[must_use]
     pub fn profiling_enabled(&self) -> bool {
         self.prof.is_some()
-    }
-
-    /// Why a [`SimKernel::Parallel`] network is (or would be) running the
-    /// sequential fallback, or `None` when the parallel path is clear.
-    /// Always `None` on the sequential kernels.
-    #[must_use]
-    pub fn fallback_cause(&self) -> Option<FallbackCause> {
-        (matches!(self.kernel, SimKernel::Parallel { .. }) && !self.sinks.is_empty())
-            .then_some(FallbackCause::TraceSinks)
     }
 
     /// Ignored: speculate-and-replay no longer exists, and the parallel
@@ -326,9 +315,9 @@ impl Network {
     /// # Panics
     ///
     /// Panics if the network has already stepped on the event or parallel
-    /// kernel: tracing serialises on a single ordered event stream that
-    /// only the dense loop produces, so it must be attached before the
-    /// first step.
+    /// kernel: a traced run keeps every element holding a blocked flit
+    /// armed from its first step, so the sinks hear about every blocked
+    /// edge.
     #[track_caller]
     pub fn add_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         assert!(
@@ -592,9 +581,7 @@ impl Network {
 
     /// Whether this step should take the activity-list path, activating
     /// the shard state on first use. The event kernel is one shard, the
-    /// parallel kernel one per worker. Networks with trace sinks run the
-    /// dense loop: their one ordered event stream reports every blocked
-    /// edge, including edges no handshake visits.
+    /// parallel kernel one per worker.
     fn soa_ready(&mut self) -> bool {
         let requested = match self.kernel {
             SimKernel::Dense => return false,
@@ -604,9 +591,6 @@ impl Network {
             }
             SimKernel::Parallel { workers } => workers as usize,
         };
-        if !self.sinks.is_empty() {
-            return false;
-        }
         if self.par.is_none() {
             let mut par = ParState::build(&self.elements, requested, self.shard_hints.as_deref());
             if let Some(prof) = &mut self.prof {
@@ -639,6 +623,7 @@ impl Network {
                 scoreboard: &mut self.scoreboard,
                 par,
                 faults: self.faults.as_deref_mut(),
+                sinks: &mut self.sinks,
                 num_ports: self.num_ports,
                 base_tick: self.tick,
             },
@@ -784,8 +769,7 @@ impl Network {
         } else {
             ClockPolarity::Falling
         };
-        // The dense loop: the oracle, and the only loop carrying the
-        // fault and trace hooks.
+        // The dense loop: the oracle.
         for i in 0..self.elements.len() {
             if self.elements[i].polarity != parity {
                 continue;
@@ -1655,7 +1639,7 @@ impl Network {
                 kernel: self.kernel.label().to_owned(),
                 workers: par.workers() as u32,
                 epochs: prof.epochs,
-                fallback: self.fallback_cause(),
+                fallback: None,
                 shards: par
                     .shard_elements()
                     .iter()
@@ -1682,13 +1666,13 @@ impl Network {
                         .collect(),
                 }),
             },
-            // The dense loop (the dense kernel, and every kernel with
-            // trace sinks): one logical worker covering the whole graph.
+            // The dense kernel: one logical worker covering the whole
+            // graph.
             None => PerfReport {
                 kernel: self.kernel.label().to_owned(),
                 workers: 1,
                 epochs: prof.epochs,
-                fallback: self.fallback_cause(),
+                fallback: None,
                 shards: vec![ShardCounters {
                     worker: 0,
                     elements: self.elements.len() as u64,

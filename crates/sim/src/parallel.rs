@@ -6,8 +6,8 @@
 //! edge can change its state, and a tick visits only that set — the
 //! software mirror of the paper's handshake-derived clock gating
 //! (Section 5). Enabled traffic generators are pinned — their pattern
-//! may act on any cycle — except while blocked: on a fault-free run a
-//! source, or a tile with no queued responses, whose visit counts a stall
+//! may act on any cycle — except while blocked: on a fault-free, untraced
+//! run a source, or a tile with no queued responses, whose visit counts a stall
 //! sleeps like a blocked stage until the drain of its flit wakes it. The
 //! stalls its skipped visits would have counted follow from one stamp,
 //! `asleep_since`: the waking visit adds them, and the end of every batch
@@ -15,7 +15,8 @@
 //! whenever a batch is not running. Fault runs keep generators pinned: a
 //! frozen edge counts no stall, and clock-domain freezes are stateful
 //! (`FaultState::begin_step`), so a skipped tick's freeze cannot be
-//! recomputed at wake-up.
+//! recomputed at wake-up. Traced runs keep them pinned too: each stalled
+//! edge emits a `Blocked` event.
 //!
 //! The parallel kernel partitions the element graph into
 //! per-worker shards and runs each shard's visits on its own thread (the
@@ -56,9 +57,10 @@
 //!   root link, so the safe window is exactly the paper's root-link
 //!   latency: idle phases collapse into one long window instead of
 //!   thousands of barrier crossings. A window with armed elements is
-//!   also capped at [`FOLD_TICKS`], so a shard with no cut at all (the
-//!   event kernel) still folds its deferred arrivals at a fixed interval
-//!   instead of buffering a whole run's deliveries.
+//!   also capped at [`FOLD_TICKS`] ([`TRACE_FOLD_TICKS`] on a traced
+//!   run), so a shard with no cut at all (the event kernel) still folds
+//!   its deferred arrivals at a fixed interval instead of buffering a
+//!   whole run's deliveries.
 //!
 //! * **Per-edge flags + parking instead of a global spin barrier.**
 //!   Windows are published through a seqlock-free serial counter; each
@@ -86,15 +88,23 @@
 //! their recovery-layer operations stamped with `(tick, element)`; at
 //! each tick boundary the coordinator folds the logs in that order — the
 //! dense loop's order — runs `FaultState::begin_step` for the next tick,
-//! and arms every source or tile whose retransmission it released. Only
-//! trace sinks (one event stream that reports every blocked edge) keep a
-//! network off the activity list: it runs the dense loop under every
-//! kernel.
+//! and arms every source or tile whose retransmission it released.
+//!
+//! Trace sinks run here too, through a compile-time trace lane on the
+//! visit hooks ([`Hooks::TRACE`]): each visit logs the events the dense
+//! loop emits, at the same points and in the same order, into the same
+//! `(tick, element)`-stamped shard log, and the coordinator merges the
+//! logs into the sinks at every window end. The dense stream reports
+//! every blocked edge, so on a traced run a stage holding a flit stays
+//! armed and a generator that counts a stall keeps its pin: every visit
+//! beyond the untraced run's emits exactly one `Blocked` event, and a
+//! traced run costs untraced visits plus events, never the dense scan.
 
 use crate::element::{Arbitration, Element, ElementFaults, Kind, RouteFilter, TileRole};
-use crate::fault::{ArrivalVerdict, FaultCtx, FaultOp, FaultState};
+use crate::fault::{ArrivalVerdict, CaptureEffect, FaultCtx, FaultOp, FaultState};
 use crate::profile::{CoreProf, EpochSample};
 use crate::report::Scoreboard;
+use crate::trace::{DropCause, TraceEvent, TraceEventKind, TraceSink};
 use crate::{ElementId, Flit, TrafficPattern, TrafficPhase};
 use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_timing::Direction;
@@ -112,8 +122,18 @@ use std::time::Instant;
 /// into the scoreboard in sequential order.
 type Arrival = (u64, u32, Flit, PortId);
 
-/// A recovery-layer operation logged by a shard: `(tick, element, op)`.
-type LoggedOp = (u64, u32, FaultOp);
+/// An entry of a shard's stamped log: `(tick, element, entry)`. The
+/// coordinator folds every shard's log in that order at each window end.
+type Logged = (u64, u32, LogEntry);
+
+/// What a visit logs for the coordinator's fold.
+#[derive(Debug, Clone, Copy)]
+enum LogEntry {
+    /// A recovery-layer operation, applied to the fault state.
+    Op(FaultOp),
+    /// A trace event, recorded by every attached sink.
+    Event(TraceEventKind, Flit),
+}
 
 /// Element-kind tags for the dense dispatch loop.
 const K_STAGE: u8 = 0;
@@ -130,6 +150,11 @@ const NONE_U32: u32 = u32::MAX;
 /// whose lookahead is otherwise unbounded. Multi-worker windows stay far
 /// below it: they are capped by the hop distance to the shard cut.
 const FOLD_TICKS: u64 = 128;
+
+/// The fold interval of a traced run. Its shard logs carry one event per
+/// blocked edge, which at saturating loads is most visits; folding every
+/// few ticks keeps them small and cache-resident (EXPERIMENTS.md E30).
+const TRACE_FOLD_TICKS: u64 = 8;
 
 /// A per-polarity activity list: one bit per element, drained in ascending
 /// element-index order (matching the dense kernel's iteration order, which
@@ -171,8 +196,8 @@ fn pol_idx(p: ClockPolarity) -> usize {
 pub(crate) struct ParState {
     /// Worker count (= shard count).
     workers: usize,
-    /// Elements re-armed after every visit except a fault-free one that
-    /// counts a stall (see [`repin`](Self::repin) and [`Stay::Stalled`]).
+    /// Elements re-armed after every visit except a fault-free, untraced
+    /// one that counts a stall (see [`repin`](Self::repin) and [`Stay::Stalled`]).
     pinned: Vec<bool>,
     /// Shard owning each element.
     shard_of: Vec<u16>,
@@ -201,11 +226,9 @@ pub(crate) struct ParState {
     arrivals: Vec<Vec<Arrival>>,
     /// Scratch for the per-window arrival sort.
     arrival_scratch: Vec<Arrival>,
-    /// Per-worker recovery-layer logs of a fault run, folded into the
-    /// fault state at each tick boundary.
-    fault_logs: Vec<Vec<LoggedOp>>,
-    /// Scratch for the per-tick fault-log fold.
-    fault_scratch: Vec<LoggedOp>,
+    /// Per-worker stamped logs of a fault or traced run, folded into the
+    /// fault state and the trace sinks at each window end.
+    logs: Vec<Vec<Logged>>,
     /// Per-worker elements the coordinator armed between windows (the
     /// injectors of released retransmissions).
     armed: Vec<Vec<u32>>,
@@ -296,8 +319,7 @@ impl ParState {
             mail: vec![Vec::new(); workers * workers],
             arrivals: vec![Vec::new(); workers],
             arrival_scratch: Vec::new(),
-            fault_logs: vec![Vec::new(); workers],
-            fault_scratch: Vec::new(),
+            logs: vec![Vec::new(); workers],
             armed: vec![Vec::new(); workers],
         };
         par.repin(elements);
@@ -307,7 +329,8 @@ impl ParState {
     /// Re-reads which elements are pinned — enabled non-silent traffic
     /// generators, whose pattern consumes RNG or follows a schedule every
     /// cycle — and arms them. A pinned generator still sleeps while its
-    /// flit is blocked on a fault-free run ([`Stay::Stalled`]); batches
+    /// flit is blocked on a fault-free, untraced run ([`Stay::Stalled`]);
+    /// batches
     /// settle such sleepers before returning, so none exists here. Called
     /// at build and whenever sources are enabled or disabled: a re-enabled
     /// generator must be woken, a disabled one falls asleep on its own
@@ -453,7 +476,8 @@ enum Stay {
     Pin,
     /// A kind-specific condition keeps the element armed.
     Armed,
-    /// A fault-free generator counted a stall and is stamped asleep: it
+    /// A fault-free, untraced generator counted a stall and is stamped
+    /// asleep: it
     /// sleeps even when pinned, until the drain of its flit wakes it. A
     /// tile that also consumed a flit this visit stays armed by the
     /// capture rule; its next visit, one own-parity tick later, then adds
@@ -471,8 +495,8 @@ impl From<bool> for Stay {
     }
 }
 
-/// Ends a fault-free generator visit that counted a stall: stamps `i`
-/// asleep at `tick`.
+/// Ends a fault-free, untraced generator visit that counted a stall:
+/// stamps `i` asleep at `tick`.
 ///
 /// # Safety
 /// The caller must own element `i` this tick.
@@ -684,9 +708,10 @@ impl ShardActivity {
 /// synchronised mailbox tick; drain mode clamps windows to one tick so
 /// the between-tick drain check fires at exactly the dense loop's tick
 /// boundaries; anything else batches up to `min_dist` barrier-free ticks
-/// and at most [`FOLD_TICKS`] (`u32::MAX` — no reachable boundary —
-/// leaves only the fold interval).
-fn plan_window(activity: ShardActivity, remaining: u64, drain: bool) -> (u64, bool) {
+/// and at most `fold` ticks ([`FOLD_TICKS`], or [`TRACE_FOLD_TICKS`] on a
+/// traced run; `u32::MAX` — no reachable boundary — leaves only the fold
+/// interval).
+fn plan_window(activity: ShardActivity, remaining: u64, drain: bool, fold: u64) -> (u64, bool) {
     if !activity.any_armed {
         (remaining, false)
     } else if activity.min_dist == 0 {
@@ -695,7 +720,7 @@ fn plan_window(activity: ShardActivity, remaining: u64, drain: bool) -> (u64, bo
         (1, false)
     } else {
         let window = remaining.min(u64::from(activity.min_dist));
-        (window.min(FOLD_TICKS), false)
+        (window.min(fold), false)
     }
 }
 
@@ -882,6 +907,18 @@ impl<'a, T> SharedVecs<'a, T> {
     unsafe fn get_mut(&self, idx: usize) -> &mut Vec<T> {
         unsafe { &mut *self.cells[idx].get() }
     }
+
+    /// # Safety
+    /// The caller must own every cell (the coordinator between windows),
+    /// with no other reference to any of them live.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn all_mut(&self) -> &mut [Vec<T>] {
+        let first = UnsafeCell::raw_get(self.cells.as_ptr());
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
+        // cells are `len` contiguous `Vec<T>`s, and the caller holds every
+        // one exclusively.
+        unsafe { std::slice::from_raw_parts_mut(first, self.cells.len()) }
+    }
 }
 
 /// A shared view of a fault run's [`FaultState`]. Ownership rotates by
@@ -1061,6 +1098,7 @@ pub(crate) struct ParRunCtx<'a> {
     pub scoreboard: &'a mut Scoreboard,
     pub par: &'a mut ParState,
     pub faults: Option<&'a mut FaultState>,
+    pub sinks: &'a mut [Box<dyn TraceSink>],
     pub num_ports: u32,
     pub base_tick: u64,
 }
@@ -1075,7 +1113,9 @@ struct WindowCtx<'a> {
     mail: SharedVecs<'a, u32>,
     arrivals: SharedVecs<'a, Arrival>,
     faults: Option<SharedFault<'a>>,
-    fault_logs: SharedVecs<'a, LoggedOp>,
+    /// Whether trace sinks are attached: visits then log their events.
+    tracing: bool,
+    logs: SharedVecs<'a, Logged>,
     armed: SharedVecs<'a, u32>,
     shard_of: &'a [u16],
     pinned: &'a [bool],
@@ -1094,15 +1134,16 @@ struct WindowCtx<'a> {
 ///
 /// A fault run steps one tick per window. Before each tick the
 /// coordinator runs the fault state's `begin_step` and queues the
-/// retransmissions it releases at their injectors, arming them; after
-/// each tick it folds the shards' recovery-layer logs in `(tick,
-/// element)` order.
+/// retransmissions it releases at their injectors, arming them. After
+/// each window it folds the shards' stamped logs — recovery-layer
+/// operations and trace events — in `(tick, element)` order.
 pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: bool) -> u64 {
     let ParRunCtx {
         elements,
         scoreboard,
         par,
         faults,
+        sinks,
         num_ports,
         base_tick,
     } = ctx;
@@ -1114,8 +1155,8 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     let arrivals = SharedVecs::new(&mut par.arrivals);
     let arrival_scratch = &mut par.arrival_scratch;
     let faults = faults.map(SharedFault::new);
-    let fault_logs = SharedVecs::new(&mut par.fault_logs);
-    let fault_scratch = &mut par.fault_scratch;
+    let tracing = !sinks.is_empty();
+    let logs = SharedVecs::new(&mut par.logs);
     let armed = SharedVecs::new(&mut par.armed);
     let dist: &[u32] = &par.dist;
     let cut_peers: &[Vec<usize>] = &par.cut_peers;
@@ -1126,7 +1167,8 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         mail,
         arrivals,
         faults,
-        fault_logs,
+        tracing,
+        logs,
         armed,
         shard_of: &par.shard_of,
         pinned: &par.pinned,
@@ -1258,7 +1300,13 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                     });
                 }
             }
-            let (mut ticks, mailbox) = plan_window(activity_next, max_ticks - k, stop_when_drained);
+            let fold = if tracing {
+                TRACE_FOLD_TICKS
+            } else {
+                FOLD_TICKS
+            };
+            let (mut ticks, mailbox) =
+                plan_window(activity_next, max_ticks - k, stop_when_drained, fold);
             if faults.is_some() {
                 ticks = ticks.min(1);
             }
@@ -1305,25 +1353,11 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             for (tick, _, flit, port) in arrival_scratch.drain(..) {
                 scoreboard.record_arrival(&flit, tick, port);
             }
-            if let Some(f) = faults {
-                // The same fold for the recovery layer: each worker logged
-                // in (tick, element) order (so a lone shard's log is already
-                // sorted), and the stable sort keeps each element's
-                // operations in the order its visit made them.
-                fault_scratch.clear();
-                for buf in 0..workers {
-                    // SAFETY: fault logs belong to the coordinator
-                    // between windows.
-                    fault_scratch.append(unsafe { fault_logs.get_mut(buf) });
-                }
-                if workers > 1 {
-                    fault_scratch.sort_by_key(|&(tick, element, _)| (tick, element));
-                }
-                // SAFETY: as above.
-                let f = unsafe { f.get_mut() };
-                for (tick, _, op) in fault_scratch.drain(..) {
-                    f.apply(tick, op);
-                }
+            if faults.is_some() || tracing {
+                // SAFETY: the logs and the fault state belong to the
+                // coordinator between windows.
+                let (logs, f) = unsafe { (logs.all_mut(), faults.as_ref().map(|f| f.get_mut())) };
+                fold_logs(logs, f, sinks);
             }
             activity_next = (1..workers).fold(own_activity, |a, w| {
                 a.fold(ShardActivity::unpack(
@@ -1354,6 +1388,69 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     par.settle_sleepers(elements, base_tick + executed);
     par.store_dyn(elements);
     executed
+}
+
+/// Folds one window's shard logs and clears them. Each shard logged in
+/// `(tick, element)` order and no element spans two shards, so merging
+/// the logs by that key — each element's entries kept in the order its
+/// visit made them — reproduces the dense loop's order. Operations go to
+/// the fault state, events to every sink. A violation that makes the DFS
+/// controller back off is decided here, not in the visit, so its
+/// `FrequencyBackoff` event joins the stream right after the capture's
+/// `TimingViolation`, where the dense loop emits it: the capture logs its
+/// `Violation` op before its events.
+fn fold_logs(
+    logs: &mut [Vec<Logged>],
+    mut faults: Option<&mut FaultState>,
+    sinks: &mut [Box<dyn TraceSink>],
+) {
+    let key = |&(tick, element, _): &Logged| (tick, element);
+    let mut record = |event: &TraceEvent| sinks.iter_mut().for_each(|s| s.record(event));
+    let mut rest: Vec<&[Logged]> = logs.iter().map(Vec::as_slice).collect();
+    // Carries a DFS backoff from a capture's `Violation` op to its
+    // `TimingViolation` event.
+    let mut backoff = false;
+    // Each round folds the earliest pending `(tick, element)` run.
+    while let Some((first, w)) = rest
+        .iter()
+        .enumerate()
+        .filter_map(|(w, log)| log.first().map(|e| (key(e), w)))
+        .min()
+    {
+        let run = rest[w].iter().take_while(|e| key(e) == first).count();
+        for &(tick, element, entry) in &rest[w][..run] {
+            match entry {
+                LogEntry::Op(op) => {
+                    let f = faults
+                        .as_deref_mut()
+                        .expect("only fault runs log operations");
+                    backoff |= f.apply(tick, op);
+                }
+                LogEntry::Event(kind, flit) => {
+                    let element = ElementId(element);
+                    record(&TraceEvent {
+                        tick,
+                        element,
+                        kind,
+                        flit,
+                    });
+                    if kind == TraceEventKind::TimingViolation && std::mem::take(&mut backoff) {
+                        let kind = TraceEventKind::FrequencyBackoff;
+                        record(&TraceEvent {
+                            tick,
+                            element,
+                            kind,
+                            flit,
+                        });
+                    }
+                }
+            }
+        }
+        rest[w] = &rest[w][run..];
+    }
+    for log in logs {
+        log.clear();
+    }
 }
 
 /// Executes one published window for one shard: `ticks` back-to-back
@@ -1509,7 +1606,8 @@ fn nothing_in_flight(shared: SharedElements<'_>, view: SoaView<'_>, topo: &SoaTo
 /// it and its neighbours (see [`soa_rearm`]). With `allow_cross` false
 /// (a batched window), the lookahead guarantee makes cross-shard wakes
 /// impossible; a tripwire assert enforces it. A fault run steps through
-/// a [`FaultLane`], everything else through [`NoFaults`].
+/// a [`FaultLane`], a traced fault-free run through a [`TraceLane`], and
+/// everything else through [`NoFaults`].
 fn visit_tick(
     ctx: WindowCtx<'_>,
     tick: u64,
@@ -1518,22 +1616,36 @@ fn visit_tick(
     core: &mut ShardCore,
     allow_cross: bool,
 ) {
-    let Some(faults) = ctx.faults else {
-        visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut NoFaults);
-        return;
-    };
-    let mut fx = std::mem::take(&mut core.fx);
-    let mut lane = FaultLane {
-        // SAFETY: the fault state is read-only during visit phases.
-        ctx: unsafe { faults.get() }.ctx(),
-        // SAFETY: fault log `w` belongs to this worker during the visit
-        // phase.
-        log: unsafe { ctx.fault_logs.get_mut(w) },
-        ops: &mut fx.ops,
-        timed: &mut fx.timed,
-    };
-    visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut lane);
-    core.fx = fx;
+    // SAFETY: log `w` belongs to this worker during the visit phase.
+    let log = unsafe { ctx.logs.get_mut(w) };
+    match (ctx.faults, ctx.tracing) {
+        (None, false) => visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut NoFaults),
+        (None, true) => visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut TraceLane(log)),
+        (Some(faults), tracing) => {
+            let mut fx = std::mem::take(&mut core.fx);
+            // SAFETY: the fault state is read-only during visit phases.
+            let fault_ctx = unsafe { faults.get() }.ctx();
+            let (ops, timed) = (&mut fx.ops, &mut fx.timed);
+            if tracing {
+                let mut lane = FaultLane::<true> {
+                    ctx: fault_ctx,
+                    log,
+                    ops,
+                    timed,
+                };
+                visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut lane);
+            } else {
+                let mut lane = FaultLane::<false> {
+                    ctx: fault_ctx,
+                    log,
+                    ops,
+                    timed,
+                };
+                visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut lane);
+            }
+            core.fx = fx;
+        }
+    }
 }
 
 fn visit_tick_with<H: Hooks>(
@@ -1614,108 +1726,122 @@ fn visit_tick_with<H: Hooks>(
     }
 }
 
-/// The fault hooks of a SoA visit, one per point where the dense loop
-/// consults its fault state. [`NoFaults`] compiles every hook to a
-/// constant, so a fault-free visit is the plain handshake step;
-/// [`FaultLane`] routes them to the run's fault plan.
+/// The hooks of a SoA visit, one per point where the dense loop consults
+/// its fault state or emits a trace event. Every default is the plain
+/// handshake step's constant, so a [`NoFaults`] visit compiles to it;
+/// [`FaultLane`] routes the fault hooks to the run's fault plan, and
+/// [`TraceLane`] (or a traced [`FaultLane`]) logs each event for the
+/// window-end fold.
 trait Hooks {
-    /// Whether hooks can fire at all; guards every fault-only branch.
-    const ON: bool;
-    /// Element `i` is frozen this tick (clock domain or outage epoch).
-    fn frozen(&self, i: usize, tick: u64) -> bool;
-    /// The drain of `flit` out of `i` loses its `accept`.
-    fn stuck_valid(&mut self, i: usize, tick: u64, flit: &Flit) -> bool;
-    /// The offer `i` could capture glitches away.
-    fn lost_valid(&mut self, i: usize, tick: u64) -> bool;
-    /// Capture-time faults: the flit `i` actually latches (`None`:
-    /// metastability resolved to a loss).
-    fn capture(&mut self, i: usize, tick: u64, flit: Flit) -> Option<Flit>;
-    /// `i` latched `flit`: returns the tick its register upset fires.
-    fn latch(&mut self, i: usize, tick: u64, flit: &Flit) -> u64;
-    /// `i` goes to sleep holding a flit whose upset fires at `upset`:
-    /// schedules a timed wake for that tick.
-    fn sleep_holding(&mut self, i: usize, tick: u64, upset: u64);
-    /// A register upset erased `flit` from `i`.
-    fn upset(&mut self, i: usize, tick: u64, flit: &Flit);
-    /// The consumer gate's verdict on `flit` arriving at `port`, whose
-    /// consumer keeps its fault state in `gate`.
-    fn arrival(
-        &mut self,
-        i: usize,
-        tick: u64,
-        flit: &Flit,
-        port: PortId,
-        gate: &mut Option<Box<ElementFaults>>,
-    ) -> ArrivalVerdict;
-    /// An endpoint injected a fresh flit or a queued retransmission.
-    fn endpoint(&mut self, i: usize, tick: u64, injected: Option<Flit>, retx: Option<Flit>);
-}
-
-/// The hooks of a run without a fault plan: every one a constant.
-struct NoFaults;
-
-impl Hooks for NoFaults {
+    /// Whether fault hooks can fire at all; guards every fault-only
+    /// branch.
     const ON: bool = false;
+    /// Whether visits emit trace events; guards every trace-only branch.
+    const TRACE: bool = false;
+    /// Whether a generator that counts a stall sleeps until its drain,
+    /// its stalls counted lazily ([`Stay::Stalled`]). Fault runs keep it
+    /// pinned (a frozen edge counts no stall), and traced runs too: each
+    /// stalled edge emits a `Blocked` event.
+    const LAZY_STALLS: bool = !Self::ON && !Self::TRACE;
+    /// Element `i` is frozen this tick (clock domain or outage epoch).
     #[inline(always)]
-    fn frozen(&self, _: usize, _: u64) -> bool {
+    fn frozen(&self, _i: usize, _tick: u64) -> bool {
         false
     }
+    /// The drain of `flit` out of `i` loses its `accept`.
     #[inline(always)]
-    fn stuck_valid(&mut self, _: usize, _: u64, _: &Flit) -> bool {
+    fn stuck_valid(&mut self, _i: usize, _tick: u64, _flit: &Flit) -> bool {
         false
     }
+    /// The offer `i` could capture glitches away.
     #[inline(always)]
-    fn lost_valid(&mut self, _: usize, _: u64) -> bool {
+    fn lost_valid(&mut self, _i: usize, _tick: u64) -> bool {
         false
     }
+    /// Capture-time faults: the flit `i` actually latches (`None`:
+    /// metastability resolved to a loss), and whether the timing guard
+    /// fired or the payload was corrupted.
     #[inline(always)]
-    fn capture(&mut self, _: usize, _: u64, flit: Flit) -> Option<Flit> {
-        Some(flit)
+    fn capture(&mut self, _i: usize, _tick: u64, flit: Flit) -> CaptureEffect {
+        CaptureEffect::clean(flit)
     }
+    /// `i` latched `flit`: returns the tick its register upset fires.
     #[inline(always)]
-    fn latch(&mut self, _: usize, _: u64, _: &Flit) -> u64 {
+    fn latch(&mut self, _i: usize, _tick: u64, _flit: &Flit) -> u64 {
         u64::MAX
     }
+    /// `i` goes to sleep holding a flit whose upset fires at `upset`:
+    /// schedules a timed wake for that tick.
     #[inline(always)]
-    fn sleep_holding(&mut self, _: usize, _: u64, _: u64) {}
+    fn sleep_holding(&mut self, _i: usize, _tick: u64, _upset: u64) {}
+    /// A register upset erased `flit` from `i`.
     #[inline(always)]
-    fn upset(&mut self, _: usize, _: u64, _: &Flit) {}
+    fn upset(&mut self, _i: usize, _tick: u64, _flit: &Flit) {}
+    /// The consumer gate's verdict on `flit` arriving at `port`, whose
+    /// consumer keeps its fault state in `gate`.
     #[inline(always)]
     fn arrival(
         &mut self,
-        _: usize,
-        _: u64,
-        _: &Flit,
-        _: PortId,
-        _: &mut Option<Box<ElementFaults>>,
+        _i: usize,
+        _tick: u64,
+        _flit: &Flit,
+        _port: PortId,
+        _gate: &mut Option<Box<ElementFaults>>,
     ) -> ArrivalVerdict {
         ArrivalVerdict::Deliver
     }
+    /// An endpoint injected a fresh flit or a queued retransmission.
     #[inline(always)]
-    fn endpoint(&mut self, _: usize, _: u64, _: Option<Flit>, _: Option<Flit>) {}
+    fn endpoint(&mut self, _i: usize, _tick: u64, _injected: Option<Flit>, _retx: Option<Flit>) {}
+    /// `i` emits a trace event about `flit`.
+    #[inline(always)]
+    fn event(&mut self, _i: usize, _tick: u64, _kind: TraceEventKind, _flit: Flit) {}
+}
+
+/// The hooks of a run with neither a fault plan nor trace sinks: every
+/// one a constant.
+struct NoFaults;
+
+impl Hooks for NoFaults {}
+
+/// The hooks of a traced fault-free run: events go to the shard's log,
+/// stamped `(tick, element)` for the window-end fold.
+struct TraceLane<'a>(&'a mut Vec<Logged>);
+
+impl Hooks for TraceLane<'_> {
+    const TRACE: bool = true;
+    #[inline]
+    fn event(&mut self, i: usize, tick: u64, kind: TraceEventKind, flit: Flit) {
+        self.0.push((tick, i as u32, LogEntry::Event(kind, flit)));
+    }
 }
 
 /// A shard's fault hooks for one tick: draws come from the read-only
 /// [`FaultCtx`], recovery-layer operations go to the shard's log
 /// (stamped `(tick, element)` for the tick-boundary fold), and upset
-/// ticks become timed wakes on the shard.
-struct FaultLane<'a> {
+/// ticks become timed wakes on the shard. With `TRACE`, events join the
+/// same log.
+struct FaultLane<'a, const TRACE: bool> {
     ctx: &'a FaultCtx,
-    log: &'a mut Vec<LoggedOp>,
+    log: &'a mut Vec<Logged>,
     ops: &'a mut Vec<FaultOp>,
     timed: &'a mut BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl FaultLane<'_> {
+impl<const TRACE: bool> FaultLane<'_, TRACE> {
     /// Moves the operations a hook just logged into the shard log.
     fn stamp(&mut self, tick: u64, i: usize) {
-        self.log
-            .extend(self.ops.drain(..).map(|op| (tick, i as u32, op)));
+        self.log.extend(
+            self.ops
+                .drain(..)
+                .map(|op| (tick, i as u32, LogEntry::Op(op))),
+        );
     }
 }
 
-impl Hooks for FaultLane<'_> {
+impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
     const ON: bool = true;
+    const TRACE: bool = TRACE;
     fn frozen(&self, i: usize, tick: u64) -> bool {
         self.ctx.frozen(i, tick)
     }
@@ -1729,7 +1855,7 @@ impl Hooks for FaultLane<'_> {
         self.stamp(tick, i);
         lost
     }
-    fn capture(&mut self, i: usize, tick: u64, flit: Flit) -> Option<Flit> {
+    fn capture(&mut self, i: usize, tick: u64, flit: Flit) -> CaptureEffect {
         // Rising-edge captures (even ticks) sit on downstream links,
         // falling-edge captures on upstream ones.
         let direction = if tick.is_multiple_of(2) {
@@ -1739,7 +1865,7 @@ impl Hooks for FaultLane<'_> {
         };
         let effect = self.ctx.on_capture(i, tick, flit, direction, self.ops);
         self.stamp(tick, i);
-        effect.flit
+        effect
     }
     fn latch(&mut self, i: usize, tick: u64, flit: &Flit) -> u64 {
         self.ctx.upset_tick(i, tick, flit)
@@ -1771,13 +1897,29 @@ impl Hooks for FaultLane<'_> {
     }
     fn endpoint(&mut self, i: usize, tick: u64, injected: Option<Flit>, retx: Option<Flit>) {
         if let Some(flit) = retx {
-            self.log
-                .push((tick, i as u32, FaultOp::Retransmitted(flit.src.0, flit.seq)));
+            let op = FaultOp::Retransmitted(flit.src.0, flit.seq);
+            self.log.push((tick, i as u32, LogEntry::Op(op)));
         }
         if let Some(flit) = injected {
-            self.log.push((tick, i as u32, FaultOp::Injection(flit)));
+            let op = FaultOp::Injection(flit);
+            self.log.push((tick, i as u32, LogEntry::Op(op)));
         }
     }
+    fn event(&mut self, i: usize, tick: u64, kind: TraceEventKind, flit: Flit) {
+        self.log.push((tick, i as u32, LogEntry::Event(kind, flit)));
+    }
+}
+
+/// The trace event a consumer emits for an arrival the gate judged
+/// `verdict` at `port`.
+fn arrival_event(verdict: ArrivalVerdict, flit: &Flit, port: PortId) -> TraceEventKind {
+    let cause = match verdict {
+        ArrivalVerdict::Deliver if flit.dest == port => return TraceEventKind::Delivered,
+        ArrivalVerdict::Deliver => DropCause::Misroute,
+        ArrivalVerdict::Corrupt => DropCause::CorruptPayload,
+        ArrivalVerdict::Duplicate => DropCause::Duplicate,
+    };
+    TraceEventKind::Dropped { cause }
 }
 
 /// The merge phase of a mailbox tick: fold the mailbox columns addressed
@@ -1821,13 +1963,15 @@ fn merge_shard(
 ///   drained;
 /// * a *newly presented* flit wakes every downstream (they may capture).
 ///   A blocked element then sleeps: its state next changes at the
-///   drain, and the capture-wake above covers exactly that edge;
+///   drain, and the capture-wake above covers exactly that edge (a
+///   traced run keeps a stage holding a flit armed instead, through
+///   `stay`, so each blocked edge emits its `Blocked` event);
 /// * `stay` carries the kind-specific stay conditions computed during
 ///   the step: a source while mid-worm, a tile while it presents or has
 ///   queued responses, a sink while an upstream holds an offer (its
 ///   accept mode may open on any later cycle); pinned elements stay
-///   unless the visit counted a stall. A fault-free source, or a tile
-///   with no queued responses, that counted a stall sleeps even when
+///   unless the visit counted a stall. A fault-free, untraced source, or
+///   a tile with no queued responses, that counted a stall sleeps even when
 ///   pinned ([`Stay::Stalled`]): its flit is held until the drain, whose
 ///   capture-wake above covers it, and the stalls of the skipped visits
 ///   are counted lazily ([`skipped_stalls`]).
@@ -1920,10 +2064,11 @@ unsafe fn soa_first_offer(view: SoaView<'_>, topo: &SoaTopo, i: usize) -> (u32, 
     (NONE_U32, None)
 }
 
-/// The dense loop's stage step on the dense arrays, without tracing. A
-/// frozen stage only observes its drain; hooks that change state no
-/// handshake will revisit — a frozen edge, a lost offer, an upset —
-/// keep the stage armed. Returns that stay condition.
+/// The dense loop's stage step on the dense arrays. A frozen stage only
+/// observes its drain; hooks that change state no handshake will revisit
+/// — a frozen edge, a lost offer, an upset — keep the stage armed, and
+/// so does a held flit on a traced run, whose every blocked edge emits a
+/// `Blocked` event. Returns that stay condition.
 ///
 /// # Safety
 /// The caller must own element `i` this tick.
@@ -1949,6 +2094,7 @@ unsafe fn soa_step_stage<H: Hooks>(
     let ups = topo.ups(i);
     let n = ups.len();
     let mut winner: Option<(usize, Flit)> = None;
+    let mut contenders = 0u32;
     // SAFETY: own element.
     let locked = unsafe { *view.lock.get(i) };
     if locked != NONE_U32 {
@@ -1972,8 +2118,15 @@ unsafe fn soa_step_stage<H: Hooks>(
             // SAFETY: upstreams are neighbour reads.
             if let Some(flit) = *unsafe { view.out.get(u as usize) } {
                 if flit.opens_route() && topo.filter[i].wants(&flit) {
-                    winner = Some((slot, flit));
-                    break;
+                    if winner.is_none() {
+                        winner = Some((slot, flit));
+                        if !H::TRACE {
+                            break;
+                        }
+                    }
+                    // Tracing only: keep scanning to count the losers of
+                    // this arbitration.
+                    contenders += 1;
                 }
             }
         }
@@ -1989,7 +2142,8 @@ unsafe fn soa_step_stage<H: Hooks>(
     match winner {
         Some((slot, flit)) if new_empty => {
             let upstream = ups[slot];
-            let latched = hooks.capture(i, tick, flit);
+            let effect = hooks.capture(i, tick, flit);
+            let latched = effect.flit;
             // SAFETY: own element (every column).
             unsafe {
                 *view.acc.get_mut(i) = upstream;
@@ -2009,10 +2163,35 @@ unsafe fn soa_step_stage<H: Hooks>(
                     }
                 }
             }
+            if H::TRACE {
+                // A backoff this violation causes is decided in the fold
+                // (see `fold_logs`), which places it after this event.
+                if effect.violation {
+                    hooks.event(i, tick, TraceEventKind::TimingViolation, flit);
+                }
+                match latched {
+                    Some(latched) => {
+                        hooks.event(i, tick, TraceEventKind::HopForwarded, latched);
+                        if effect.corrupted {
+                            hooks.event(i, tick, TraceEventKind::Corrupted, latched);
+                        }
+                        if contenders > 1 {
+                            let kind = TraceEventKind::Arbitrated { contenders };
+                            hooks.event(i, tick, kind, latched);
+                        }
+                    }
+                    None => {
+                        let cause = DropCause::Metastability;
+                        hooks.event(i, tick, TraceEventKind::Dropped { cause }, flit);
+                    }
+                }
+            }
         }
         _ => {
             if drained {
                 *out = None;
+            } else if let Some(held) = out.filter(|_| H::TRACE) {
+                hooks.event(i, tick, TraceEventKind::Blocked, held);
             }
             // SAFETY: own element.
             unsafe { *view.acc.get_mut(i) = NONE_U32 };
@@ -2024,14 +2203,18 @@ unsafe fn soa_step_stage<H: Hooks>(
         if tick >= upset {
             let flit = out.take().expect("checked above");
             hooks.upset(i, tick, &flit);
+            if H::TRACE {
+                let cause = DropCause::FaultUpset;
+                hooks.event(i, tick, TraceEventKind::Dropped { cause }, flit);
+            }
             stay = true;
-        } else if !stay && unsafe { *view.acc.get(i) } == NONE_U32 {
+        } else if !stay && !H::TRACE && unsafe { *view.acc.get(i) } == NONE_U32 {
             // Blocked: the stage sleeps holding the flit until a drain
             // wakes it — or its upset does.
             hooks.sleep_holding(i, tick, upset);
         }
     }
-    stay
+    stay || (H::TRACE && out.is_some())
 }
 
 /// Clears a frozen element's handshake state: it observes its drain,
@@ -2049,9 +2232,9 @@ unsafe fn soa_freeze(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
     }
 }
 
-/// The dense loop's source step without tracing. Returns the
-/// kind-specific stay condition (worm still emitting, or frozen); a
-/// fault-free visit that counts a stall sleeps instead (see
+/// The dense loop's source step. Returns the kind-specific stay
+/// condition (worm still emitting, or frozen); a visit that counts a
+/// stall on a fault-free, untraced run sleeps instead (see
 /// [`soa_rearm`]).
 ///
 /// # Safety
@@ -2084,7 +2267,7 @@ unsafe fn soa_step_source<H: Hooks>(
     let Kind::Source(state) = &mut el.kind else {
         unreachable!("soa_step_source called on non-source")
     };
-    if !H::ON {
+    if H::LAZY_STALLS {
         // SAFETY: own element.
         state.stalled_edges += unsafe { wake_stalls(view, i, tick) };
     }
@@ -2175,16 +2358,43 @@ unsafe fn soa_step_source<H: Hooks>(
     }
     if H::ON {
         hooks.endpoint(i, tick, injected, retransmitted);
-    } else if stalled {
+    }
+    if H::TRACE {
+        emit_endpoint_events(hooks, i, tick, injected, retransmitted, *out, stalled);
+    }
+    if H::LAZY_STALLS && stalled {
         // SAFETY: own element.
         return unsafe { sleep_stalled(view, i, tick) };
     }
     Stay::from(state.emitting.is_some())
 }
 
-/// The dense loop's sink step without tracing; the scoreboard arrival
-/// is deferred into this worker's buffer. Returns the kind-specific stay
-/// condition (an upstream still presents an offer, or frozen).
+/// An endpoint visit's output-side events, in the dense loop's order:
+/// `Injected`, `Retransmitted`, then `Blocked` for a visit that counted
+/// a stall on the flit it still presents.
+fn emit_endpoint_events<H: Hooks>(
+    hooks: &mut H,
+    i: usize,
+    tick: u64,
+    injected: Option<Flit>,
+    retransmitted: Option<Flit>,
+    presented: Option<Flit>,
+    stalled: bool,
+) {
+    if let Some(flit) = injected {
+        hooks.event(i, tick, TraceEventKind::Injected, flit);
+    }
+    if let Some(flit) = retransmitted {
+        hooks.event(i, tick, TraceEventKind::Retransmitted, flit);
+    }
+    if let Some(flit) = presented.filter(|_| stalled) {
+        hooks.event(i, tick, TraceEventKind::Blocked, flit);
+    }
+}
+
+/// The dense loop's sink step; the scoreboard arrival is deferred into
+/// this worker's buffer. Returns the kind-specific stay condition (an
+/// upstream still presents an offer, or frozen).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
@@ -2216,8 +2426,12 @@ unsafe fn soa_step_sink<H: Hooks>(
             unsafe { *view.acc.get_mut(i) = up };
             // The consumer gate: corrupt and duplicate flits are consumed
             // but never reach the scoreboard.
-            if hooks.arrival(i, tick, &flit, port, &mut el.faults) == ArrivalVerdict::Deliver {
+            let verdict = hooks.arrival(i, tick, &flit, port, &mut el.faults);
+            if verdict == ArrivalVerdict::Deliver {
                 arrivals.push((tick, i as u32, flit, port));
+            }
+            if H::TRACE {
+                hooks.event(i, tick, arrival_event(verdict, &flit, port), flit);
             }
         }
         _ => {
@@ -2228,10 +2442,10 @@ unsafe fn soa_step_sink<H: Hooks>(
     offered.is_some()
 }
 
-/// The dense loop's tile step without tracing; the scoreboard arrival is
-/// deferred into this worker's buffer. Returns the kind-specific stay
-/// condition (presenting, responses still queued, or frozen); a
-/// fault-free visit that counts a stall with no responses queued sleeps
+/// The dense loop's tile step; the scoreboard arrival is deferred into
+/// this worker's buffer. Returns the kind-specific stay condition
+/// (presenting, responses still queued, or frozen); a visit that counts
+/// a stall with no responses queued on a fault-free, untraced run sleeps
 /// instead (see [`soa_rearm`]).
 ///
 /// # Safety
@@ -2266,7 +2480,7 @@ unsafe fn soa_step_tile<H: Hooks>(
     let Kind::Tile(state) = &mut el.kind else {
         unreachable!("soa_step_tile called on non-tile")
     };
-    if !H::ON {
+    if H::LAZY_STALLS {
         // SAFETY: own element.
         state.stalled_edges += unsafe { wake_stalls(view, i, tick) };
     }
@@ -2278,9 +2492,8 @@ unsafe fn soa_step_tile<H: Hooks>(
     }
     // Only flits the consumer gate clears are processed: a memory never
     // double-serves and a processor never double-counts.
-    let arrived = offered.filter(|flit| {
-        hooks.arrival(i, tick, flit, port, &mut el.faults) == ArrivalVerdict::Deliver
-    });
+    let verdict = offered.map(|flit| hooks.arrival(i, tick, &flit, port, &mut el.faults));
+    let arrived = offered.filter(|_| verdict == Some(ArrivalVerdict::Deliver));
     if let Some(flit) = arrived {
         match &mut state.role {
             TileRole::Memory { service_cycles } => {
@@ -2364,7 +2577,14 @@ unsafe fn soa_step_tile<H: Hooks>(
     }
     if H::ON {
         hooks.endpoint(i, tick, injected, retransmitted);
-    } else if stalled && state.pending.is_empty() {
+    }
+    if H::TRACE {
+        if let (Some(flit), Some(verdict)) = (offered, verdict) {
+            hooks.event(i, tick, arrival_event(verdict, &flit, port), flit);
+        }
+        emit_endpoint_events(hooks, i, tick, injected, retransmitted, *out, stalled);
+    }
+    if H::LAZY_STALLS && stalled && state.pending.is_empty() {
         // SAFETY: own element.
         return unsafe { sleep_stalled(view, i, tick) };
     }
@@ -2511,36 +2731,41 @@ mod tests {
             min_dist,
             any_armed: true,
         };
+        let plan = |activity, remaining, drain| plan_window(activity, remaining, drain, FOLD_TICKS);
         // Boundary armed: one synchronised mailbox tick.
-        assert_eq!(plan_window(armed(0), 100, false), (1, true));
+        assert_eq!(plan(armed(0), 100, false), (1, true));
         // Finite lookahead: that many barrier-free ticks, clamped.
-        assert_eq!(plan_window(armed(3), 100, false), (3, false));
-        assert_eq!(plan_window(armed(7), 4, false), (4, false));
+        assert_eq!(plan(armed(3), 100, false), (3, false));
+        assert_eq!(plan(armed(7), 4, false), (4, false));
         // Armed but no reachable boundary (e.g. a single shard): the
         // rest of the batch is barrier-free, but drain mode must still
         // single-step — state changes every tick.
-        assert_eq!(plan_window(armed(u32::MAX), 100, false), (100, false));
-        assert_eq!(plan_window(armed(u32::MAX), 100, true), (1, false));
+        assert_eq!(plan(armed(u32::MAX), 100, false), (100, false));
+        assert_eq!(plan(armed(u32::MAX), 100, true), (1, false));
         // Nothing in the lookahead bounds that window, so the fold
         // interval does: arrivals buffered between scoreboard folds stay
         // bounded however long the batch. A deep finite lookahead obeys
         // the same cap.
-        assert_eq!(
-            plan_window(armed(u32::MAX), 120_000, false),
-            (FOLD_TICKS, false)
-        );
-        assert_eq!(
-            plan_window(armed(5_000), 120_000, false),
-            (FOLD_TICKS, false)
-        );
+        assert_eq!(plan(armed(u32::MAX), 120_000, false), (FOLD_TICKS, false));
+        assert_eq!(plan(armed(5_000), 120_000, false), (FOLD_TICKS, false));
         // Nothing armed anywhere: no visit can occur, so the rest of
         // the batch collapses into one window even in drain mode.
-        assert_eq!(plan_window(ShardActivity::IDLE, 100, false), (100, false));
-        assert_eq!(plan_window(ShardActivity::IDLE, 100, true), (100, false));
+        assert_eq!(plan(ShardActivity::IDLE, 100, false), (100, false));
+        assert_eq!(plan(ShardActivity::IDLE, 100, true), (100, false));
         // Drain mode pins finite windows to single ticks so the drain
         // check fires at sequential tick boundaries.
-        assert_eq!(plan_window(armed(3), 100, true), (1, false));
-        assert_eq!(plan_window(armed(0), 100, true), (1, true));
+        assert_eq!(plan(armed(3), 100, true), (1, false));
+        assert_eq!(plan(armed(0), 100, true), (1, true));
+        // A traced run folds its event logs at its own, shorter interval;
+        // an idle traced batch still collapses into one window.
+        assert_eq!(
+            plan_window(armed(u32::MAX), 100, false, TRACE_FOLD_TICKS),
+            (TRACE_FOLD_TICKS, false)
+        );
+        assert_eq!(
+            plan_window(ShardActivity::IDLE, 100, false, TRACE_FOLD_TICKS),
+            (100, false)
+        );
     }
 
     #[test]

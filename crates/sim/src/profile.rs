@@ -27,40 +27,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Why a [`SimKernel::Parallel`](crate::SimKernel) network is running a
-/// sequential fallback instead of worker threads.
-///
-/// The one cause serialises the simulation on shared order-dependent
-/// state: trace sinks consume one globally ordered event stream. (Fault
-/// plans run on the sharded kernel: their draws are order-free hashes.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FallbackCause {
-    /// One or more [`TraceSink`](crate::TraceSink)s are attached: the
-    /// flit-lifecycle event stream is globally ordered and reports every
-    /// blocked edge, so the run takes the dense loop.
-    TraceSinks,
-}
-
-impl FallbackCause {
-    /// A short stable label (for JSON and log lines).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            FallbackCause::TraceSinks => "trace-sinks",
-        }
-    }
-}
-
-impl core::fmt::Display for FallbackCause {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            FallbackCause::TraceSinks => {
-                write!(f, "trace sinks are attached (one ordered event stream)")
-            }
-        }
-    }
-}
-
 /// One retained profiling sample: `ticks` consecutive barrier epochs of
 /// one worker, merged.
 ///
@@ -235,8 +201,7 @@ impl CoreProf {
 /// batches) and are gathered at report time.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KernelProfiler {
-    /// Wall profile of the dense loop (the dense kernel, and any kernel
-    /// with trace sinks attached).
+    /// Wall profile of the dense loop (the dense kernel).
     pub(crate) seq: CoreProf,
     /// Cumulative element visits per shard (deterministic).
     pub(crate) shard_steps: Vec<u64>,
@@ -312,14 +277,15 @@ pub struct PerfWall {
 pub struct PerfReport {
     /// Stable kernel label (`dense` / `event` / `parallel`).
     pub kernel: String,
-    /// Resolved worker count (1 on the dense and event kernels and on
-    /// the sequential fallback).
+    /// Resolved worker count (1 on the dense and event kernels).
     pub workers: u32,
     /// Barrier epochs executed — one per half-cycle tick, matching the
     /// polarity flips.
     pub epochs: u64,
-    /// Why a parallel-kernel network ran sequentially, if it did.
-    pub fallback: Option<FallbackCause>,
+    /// Always `None`: every run steps the kernel it asked for. Kept only
+    /// because the `benchmark/` package reads `fallback.is_some()`; the
+    /// next change to that package deletes it.
+    pub fallback: Option<String>,
     /// Deterministic per-shard counters.
     pub shards: Vec<ShardCounters>,
     /// Wall-clock phase times — nondeterministic, excluded from every
@@ -384,9 +350,6 @@ impl PerfReport {
             self.epochs,
             self.total_steps()
         );
-        if let Some(cause) = self.fallback {
-            let _ = writeln!(out, "  sequential fallback: {cause}");
-        }
         let _ = writeln!(
             out,
             "  {:>5}  {:>8}  {:>12}  {:>10}  {:>10}  {:>9}  {:>9}  {:>10}",
@@ -622,13 +585,5 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes, "{json}");
-    }
-
-    #[test]
-    fn fallback_causes_have_stable_labels() {
-        assert_eq!(FallbackCause::TraceSinks.label(), "trace-sinks");
-        assert!(FallbackCause::TraceSinks
-            .to_string()
-            .contains("trace sinks"));
     }
 }

@@ -1,12 +1,13 @@
 //! Flit-lifecycle observability: event tracing and per-element counters.
 //!
 //! The simulator core stays uninstrumented by default — a network starts
-//! with no trace sinks attached, and every instrumentation site in
-//! [`Network::step`](crate::Network::step) is guarded by an is-empty check
-//! on the sink list, so the disabled path costs one branch per potential
-//! event (the `trace_overhead` bench in `icnoc-bench` holds this to within
-//! noise of the uninstrumented baseline). Attaching a sink turns on a
-//! stream of [`TraceEvent`]s covering a flit's whole life:
+//! with no trace sinks attached. Every instrumentation site in the dense
+//! loop is guarded by an is-empty check on the sink list, so its disabled
+//! path costs one branch per potential event (the `trace_overhead` bench
+//! in `icnoc-bench` holds this to within noise of the uninstrumented
+//! baseline), and the activity-list kernel compiles its trace lane only
+//! into the visits of traced runs. Attaching a sink turns on a stream of
+//! [`TraceEvent`]s covering a flit's whole life:
 //!
 //! * [`Injected`](TraceEventKind::Injected) — a source or tile placed a
 //!   fresh flit into its output register;

@@ -98,6 +98,81 @@ impl TrafficPattern {
         TrafficPattern::Uniform { rate }
     }
 
+    /// Parses a traffic-pattern spec (the CLI `--pattern` and sweep-grid
+    /// grammar): `uniform:RATE`, `neighbor:RATE`, `saturate`, `silent`,
+    /// `hotspot:RATE:TARGET:FRACTION`, `bursty:BURST:IDLE`,
+    /// `memory:RATE`. Rates and fractions lie in `[0, 1]`; a target,
+    /// burst or idle length is a whole number that fits a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for unknown pattern names, malformed numbers, and
+    /// numbers outside their range.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let num = |s: &str| -> Result<f64, String> {
+            s.parse()
+                .map_err(|_| format!("bad number {s:?} in pattern {spec:?}"))
+        };
+        let prob = |s: &str| -> Result<f64, String> {
+            let p = num(s)?;
+            if (0.0..=1.0).contains(&p) {
+                Ok(p)
+            } else {
+                Err(format!("{s:?} in pattern {spec:?} must lie in [0, 1]"))
+            }
+        };
+        let whole = |s: &str| -> Result<u32, String> {
+            let n = num(s)?;
+            if n.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&n) {
+                Ok(n as u32)
+            } else {
+                Err(format!(
+                    "{s:?} in pattern {spec:?} must be a whole number in [0, {}]",
+                    u32::MAX
+                ))
+            }
+        };
+        match spec.split(':').collect::<Vec<_>>().as_slice() {
+            ["saturate"] => Ok(TrafficPattern::Saturate),
+            ["silent"] => Ok(TrafficPattern::Silent),
+            ["uniform", r] => Ok(TrafficPattern::Uniform { rate: prob(r)? }),
+            ["neighbor", r] | ["neighbour", r] => Ok(TrafficPattern::Neighbor { rate: prob(r)? }),
+            ["memory", r] => Ok(TrafficPattern::RandomMemory { rate: prob(r)? }),
+            ["hotspot", r, t, f] => Ok(TrafficPattern::Hotspot {
+                rate: prob(r)?,
+                target: PortId(whole(t)?),
+                fraction: prob(f)?,
+            }),
+            ["bursty", b, i] => Ok(TrafficPattern::Bursty {
+                burst: whole(b)?,
+                idle: whole(i)?,
+            }),
+            _ => Err(format!(
+                "unknown pattern {spec:?}; try uniform:0.2, neighbor:0.3, \
+                 hotspot:0.3:0:0.5, bursty:10:90, memory:0.2, saturate, silent"
+            )),
+        }
+    }
+
+    /// Checks that every port this pattern names exists in a
+    /// `num_ports`-port fabric: a hotspot target outside it would address
+    /// flits no consumer can ever take.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the out-of-range target.
+    pub fn check_ports(&self, num_ports: usize) -> Result<(), String> {
+        match self {
+            TrafficPattern::Hotspot { target, .. } if target.0 as usize >= num_ports => {
+                Err(format!(
+                    "hotspot target {} is outside the {num_ports}-port fabric",
+                    target.0
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Decides this edge's action for the source on `port` of an
     /// `num_ports`-port network, at local cycle `cycle`. `cursor` is the
     /// source's replay position (unused by the stochastic patterns).
@@ -155,7 +230,18 @@ impl TrafficPattern {
                     return TrafficPhase::Idle;
                 }
                 let memories = num_ports / 2;
-                let pick = rng.gen_range(0..memories);
+                // A source on a memory port (an odd id) picks among the
+                // other memories, never itself.
+                let own = (port.0 % 2 == 1 && port.0 / 2 < memories).then_some(port.0 / 2);
+                let choices = memories - u32::from(own.is_some());
+                if choices == 0 {
+                    return TrafficPhase::Idle;
+                }
+                let pick = rng.gen_range(0..choices);
+                let pick = match own {
+                    Some(own) if pick >= own => pick + 1,
+                    _ => pick,
+                };
                 TrafficPhase::Inject(PortId(2 * pick + 1))
             }
             TrafficPattern::Replay { ref schedule } => {
@@ -351,6 +437,36 @@ mod tests {
     }
 
     #[test]
+    fn random_memory_source_on_a_memory_port_never_targets_itself() {
+        let mut r = rng();
+        let p = TrafficPattern::RandomMemory { rate: 1.0 };
+        for port in [1, 3, 7] {
+            let mut seen = [0usize; 8];
+            for cycle in 0..1_000 {
+                let TrafficPhase::Inject(d) = p.decide(PortId(port), 8, cycle, &mut r, &mut 0)
+                else {
+                    panic!("rate 1.0 must inject while another memory exists");
+                };
+                assert_ne!(d, PortId(port), "a memory port must pick another memory");
+                seen[d.0 as usize] += 1;
+            }
+            let memories = [1, 3, 5, 7].iter().filter(|&&m| m != port);
+            assert!(memories.clone().all(|&m| seen[m as usize] > 0), "{seen:?}");
+            assert_eq!(
+                seen.iter().sum::<usize>(),
+                memories.map(|&m| seen[m as usize]).sum()
+            );
+        }
+        // A 2-port fabric has one memory: its own port stays idle.
+        for cycle in 0..100 {
+            assert_eq!(
+                p.decide(PortId(1), 2, cycle, &mut r, &mut 0),
+                TrafficPhase::Idle
+            );
+        }
+    }
+
+    #[test]
     fn hotspot_rate_zero_is_silent() {
         let mut r = rng();
         let p = TrafficPattern::Hotspot {
@@ -375,6 +491,73 @@ mod tests {
                 TrafficPhase::Idle
             );
         }
+    }
+
+    #[test]
+    fn pattern_specs_parse_every_shape() {
+        let ok = |spec: &str| TrafficPattern::parse(spec).expect(spec);
+        assert_eq!(ok("uniform:0.25"), TrafficPattern::Uniform { rate: 0.25 });
+        assert_eq!(ok("saturate"), TrafficPattern::Saturate);
+        assert_eq!(ok("silent"), TrafficPattern::Silent);
+        assert_eq!(ok("neighbour:1"), TrafficPattern::Neighbor { rate: 1.0 });
+        assert_eq!(
+            ok("bursty:10:90"),
+            TrafficPattern::Bursty {
+                burst: 10,
+                idle: 90
+            }
+        );
+        assert_eq!(ok("memory:0.1"), TrafficPattern::RandomMemory { rate: 0.1 });
+        assert_eq!(
+            ok("hotspot:0.3:4:0.5"),
+            TrafficPattern::Hotspot {
+                rate: 0.3,
+                target: PortId(4),
+                fraction: 0.5
+            }
+        );
+        // Whole numbers may be spelled as floats; the grammar is unchanged.
+        assert_eq!(
+            ok("bursty:10.0:0"),
+            TrafficPattern::Bursty { burst: 10, idle: 0 }
+        );
+        let err = TrafficPattern::parse("wavy:1").unwrap_err();
+        assert!(err.starts_with("unknown pattern \"wavy:1\""), "{err}");
+        let err = TrafficPattern::parse("uniform:abc").unwrap_err();
+        assert_eq!(err, "bad number \"abc\" in pattern \"uniform:abc\"");
+    }
+
+    #[test]
+    fn pattern_specs_reject_out_of_range_numbers() {
+        for spec in [
+            "uniform:nan",
+            "uniform:1.5",
+            "uniform:-0.1",
+            "neighbor:inf",
+            "memory:NaN",
+            "hotspot:0.3:0:1.01",
+            "hotspot:nan:0:0.5",
+            "hotspot:0.3:-1:0.5",
+            "hotspot:0.3:2.5:0.5",
+            "hotspot:0.3:4294967296:0.5",
+            "bursty:-1:10",
+            "bursty:10:0.5",
+            "bursty:1e10:10",
+            "bursty:nan:10",
+        ] {
+            let err = TrafficPattern::parse(spec).expect_err(spec);
+            assert!(err.contains(spec), "{spec}: {err}");
+        }
+        assert!(TrafficPattern::parse("hotspot:0.3:4294967295:0.5").is_ok());
+    }
+
+    #[test]
+    fn hotspot_targets_must_exist_in_the_fabric() {
+        let p = TrafficPattern::parse("hotspot:0.3:99:0.5").expect("parses");
+        let err = p.check_ports(8).unwrap_err();
+        assert_eq!(err, "hotspot target 99 is outside the 8-port fabric");
+        assert!(p.check_ports(100).is_ok());
+        assert!(TrafficPattern::Saturate.check_ports(2).is_ok());
     }
 
     #[test]

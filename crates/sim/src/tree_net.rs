@@ -1050,6 +1050,20 @@ mod tests {
     }
 
     #[test]
+    fn random_memory_pattern_on_plain_sources_drains() {
+        // Without tiles every port is a plain source, the odd (memory)
+        // ones included; none may address itself, or its flit wedges.
+        let mut net = TreeNetworkConfig::new(binary(64))
+            .with_pattern(TrafficPattern::RandomMemory { rate: 0.2 })
+            .with_seed(42)
+            .build();
+        net.run_cycles(200);
+        assert!(net.drain(1_000), "memory traffic must drain");
+        let report = net.report();
+        assert!(report.delivered > 0 && report.is_correct(), "{report}");
+    }
+
+    #[test]
     fn ring_shortcut_beats_the_tree_across_the_root() {
         // Ports 7 and 8 of a 16-port binary tree sit in different root
         // subtrees: 7 routers (~10.5 cycles) via the tree, ~3 cycles via

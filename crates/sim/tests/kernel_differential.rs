@@ -11,7 +11,7 @@
 
 use icnoc_clock::ClockBackend;
 use icnoc_sim::{
-    FaultPlan, FaultRates, Network, SimKernel, SimReport, SinkMode, TrafficPattern,
+    FaultPlan, FaultRates, Network, SimKernel, SimReport, SinkMode, TraceEventKind, TrafficPattern,
     TreeNetworkConfig,
 };
 use icnoc_topology::{PortId, TreeTopology};
@@ -110,9 +110,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Open-loop traffic over random patterns, sizes, packet lengths and
-    /// sink modes — with counters (trace sinks: every kernel runs the
-    /// dense loop) and without (activity-list sleeping) — is
-    /// kernel-invariant.
+    /// sink modes — with counters (trace sinks: blocked elements stay
+    /// armed) and without (activity-list sleeping) — is kernel-invariant.
     #[test]
     fn kernels_agree_on_open_loop_traffic(
         ports_exp in 2u32..5,
@@ -139,16 +138,9 @@ proptest! {
             .with_sink_mode(sink_mode)
             .with_counters(counters == 1)
             .with_seed(seed);
-        let (dense, event) = assert_kernels_agree(&cfg, cycles, "open-loop");
+        let (_, event) = assert_kernels_agree(&cfg, cycles, "open-loop");
         if counters == 1 {
-            // Trace sinks select the dense loop whatever the kernel: a
-            // held flit reports a `Blocked` event on every edge, so only
-            // the full scan reproduces the stream.
-            prop_assert_eq!(
-                event.element_steps(),
-                dense.element_steps(),
-                "trace sinks must run the dense loop"
-            );
+            assert_traced_cost_follows_events(&cfg, &event, cycles, "open-loop");
         }
     }
 
@@ -179,12 +171,14 @@ proptest! {
     /// windowed spec all run on the activity list at every worker count
     /// and stay bit-identical to dense, ledger included, while the event
     /// kernel visits no more elements than dense and the parallel kernel
-    /// exactly as many as the event kernel (`assert_kernels_agree`).
+    /// exactly as many as the event kernel (`assert_kernels_agree`),
+    /// with counters (a traced fault run) and without.
     #[test]
     fn kernels_agree_under_fault_injection(
         seed in any::<u64>(),
         rate in 0.05f64..0.5,
         profile in 0u32..5,
+        counters in 0u32..2,
         cycles in 100u64..400,
     ) {
         let (plan, backend, context) = match profile {
@@ -216,6 +210,7 @@ proptest! {
             .with_pattern(TrafficPattern::Uniform { rate })
             .with_faults(plan)
             .with_clock_backend(backend)
+            .with_counters(counters == 1)
             .with_seed(seed);
         let (dense, event) = assert_kernels_agree(&cfg, cycles, context);
         prop_assert!(
@@ -491,75 +486,190 @@ fn lazily_counted_stalls_settle_at_every_batch_boundary() {
     }
 }
 
-/// Order-dependent shared state — attached trace sinks — forces the
-/// parallel kernel onto the dense loop, and the fallback must actually
-/// engage (`active_workers` stays `None`). A fault plan is not such
-/// state: its draws are hashes, so it shards.
+/// Every run steps the SoA kernel: neither a fault plan (hashed draws)
+/// nor trace sinks (a stamped event merge) keep the parallel kernel from
+/// sharding.
 #[test]
-fn parallel_kernel_falls_back_on_shared_order_dependent_state() {
-    let faulted = run_one(
-        &TreeNetworkConfig::new(binary(8))
+fn traced_and_faulted_networks_shard_on_the_parallel_kernel() {
+    let base = || {
+        TreeNetworkConfig::new(binary(8))
             .with_pattern(TrafficPattern::Uniform { rate: 0.3 })
-            .with_faults(FaultPlan::soak(3))
-            .with_seed(3),
-        SimKernel::Parallel { workers: 4 },
-        200,
+            .with_seed(3)
+    };
+    let cases = [
+        ("fault plan", base().with_faults(FaultPlan::soak(3))),
+        ("event buffer", base().with_event_buffer(1 << 10)),
+        (
+            "fault plan and counters",
+            base().with_faults(FaultPlan::soak(3)).with_counters(true),
+        ),
+        ("plain", base()),
+    ];
+    for (context, cfg) in cases {
+        let net = run_one(&cfg, SimKernel::Parallel { workers: 4 }, 200);
+        assert_eq!(net.active_workers(), Some(4), "{context}: must shard");
+    }
+}
+
+/// The cost rule of a traced run: a traced event-kernel run visits at
+/// most what the same run visits untraced plus one element per `Blocked`
+/// event (every extra visit is a blocked edge the sinks must hear about),
+/// and fewer elements than the dense scan.
+fn assert_traced_cost_follows_events(
+    traced_cfg: &TreeNetworkConfig,
+    traced: &Network,
+    cycles: u64,
+    context: &str,
+) {
+    let untraced = run_one(
+        &traced_cfg.clone().with_counters(false),
+        SimKernel::EventDriven,
+        cycles,
     );
-    assert_eq!(
-        faulted.active_workers(),
-        Some(4),
-        "fault plans run on the sharded kernel"
+    let blocked = traced
+        .counters()
+        .expect("a traced run carries counters")
+        .totals()
+        .blocked_edges;
+    assert!(
+        traced.element_steps() <= untraced.element_steps() + blocked,
+        "{context}: traced visits {} exceed untraced {} + blocked edges {blocked}",
+        traced.element_steps(),
+        untraced.element_steps()
     );
-    assert_eq!(faulted.fallback_cause(), None);
-    let traced = run_one(
-        &TreeNetworkConfig::new(binary(8))
-            .with_pattern(TrafficPattern::Uniform { rate: 0.3 })
-            .with_event_buffer(1 << 10)
-            .with_seed(3),
-        SimKernel::Parallel { workers: 4 },
-        200,
-    );
-    assert_eq!(
-        traced.active_workers(),
-        None,
-        "trace sinks run the dense loop"
-    );
-    assert_eq!(
-        traced.fallback_cause(),
-        Some(icnoc_sim::FallbackCause::TraceSinks)
-    );
-    // A plain network with no shared state does shard.
-    let plain = run_one(
-        &TreeNetworkConfig::new(binary(8))
-            .with_pattern(TrafficPattern::Uniform { rate: 0.3 })
-            .with_seed(3),
-        SimKernel::Parallel { workers: 4 },
-        200,
-    );
-    assert_eq!(plain.active_workers(), Some(4));
+}
+
+/// A traced run costs untraced visits plus events, never the dense scan:
+/// open-loop traffic into stalled sinks, closed-loop tiles and the fault
+/// soak.
+#[test]
+fn traced_visits_cost_untraced_visits_plus_blocked_edges() {
+    let base = || {
+        TreeNetworkConfig::new(binary(64))
+            .with_pattern(TrafficPattern::Uniform { rate: 0.5 })
+            .with_counters(true)
+            .with_seed(29)
+    };
+    let cases = [
+        (
+            "stalled sinks",
+            base()
+                .with_packet_length(3)
+                .with_sink_mode(SinkMode::StallDuring { from: 50, to: 150 }),
+        ),
+        (
+            "closed-loop tiles",
+            base().with_tiles(icnoc_sim::TileTraffic {
+                max_outstanding: 4,
+                service_cycles: 3,
+            }),
+        ),
+        ("fault soak", base().with_faults(FaultPlan::soak(29))),
+    ];
+    for (context, cfg) in cases {
+        let dense = run_one(&cfg, SimKernel::Dense, 300);
+        let event = run_one(&cfg, SimKernel::EventDriven, 300);
+        assert_identical(&dense, &event, context);
+        assert!(
+            event
+                .counters()
+                .is_some_and(|c| c.totals().blocked_edges > 0),
+            "{context}: the run must block"
+        );
+        assert!(
+            event.element_steps() < dense.element_steps(),
+            "{context}: a traced run must not cost the dense scan"
+        );
+        assert_traced_cost_follows_events(&cfg, &event, 300, context);
+    }
 }
 
 /// Event streams must match event-by-event, not just in aggregate, when a
 /// ring buffer is attached (a seeded spot-check outside proptest so the
-/// buffer capacity stays deterministic).
+/// buffer capacity stays deterministic). Hotspot worms make merges with
+/// several contenders, so `Arbitrated` events are part of the stream.
 #[test]
 fn trace_event_streams_are_bit_identical() {
-    for seed in [3, 17, 404] {
-        let cfg = TreeNetworkConfig::new(binary(8))
-            .with_pattern(TrafficPattern::Uniform { rate: 0.4 })
-            .with_packet_length(3)
-            .with_event_buffer(1 << 14)
-            .with_seed(seed);
-        let (dense, event) = assert_kernels_agree(&cfg, 200, "traced run");
-        assert_eq!(
-            event.element_steps(),
-            dense.element_steps(),
-            "an event buffer is a trace sink: it must run the dense loop"
-        );
-        assert!(
-            dense.event_buffer().is_some_and(|b| !b.events().is_empty()),
-            "the spot-check must actually exercise the trace path"
-        );
+    let patterns = [
+        TrafficPattern::Uniform { rate: 0.4 },
+        TrafficPattern::Hotspot {
+            rate: 0.6,
+            target: PortId(5),
+            fraction: 0.8,
+        },
+    ];
+    for pattern in patterns {
+        for seed in [3, 17, 404] {
+            let cfg = TreeNetworkConfig::new(binary(8))
+                .with_pattern(pattern.clone())
+                .with_packet_length(3)
+                .with_event_buffer(1 << 14)
+                .with_seed(seed);
+            let (dense, event) = assert_kernels_agree(&cfg, 200, "traced run");
+            assert!(
+                event.element_steps() < dense.element_steps(),
+                "a traced run must not cost the dense scan"
+            );
+            assert!(
+                dense.event_buffer().is_some_and(|b| !b.events().is_empty()),
+                "the spot-check must actually exercise the trace path"
+            );
+            if matches!(pattern, TrafficPattern::Hotspot { .. }) {
+                assert!(
+                    dense
+                        .event_buffer()
+                        .is_some_and(|b| b.events().iter().any(|e| matches!(
+                            e.kind,
+                            TraceEventKind::Arbitrated { contenders } if contenders > 1
+                        ))),
+                    "hotspot worms must contend (seed {seed})"
+                );
+            }
+        }
+    }
+}
+
+/// A traced fault run: the soak and the clock soak on both clock
+/// backends, with an event buffer, are event-for-event identical to
+/// dense at every worker count — including the `FrequencyBackoff` events
+/// the window-end fold decides — and the stream carries the recovery
+/// layer's `TimingViolation`, `FrequencyBackoff` and `Retransmitted`
+/// events.
+#[test]
+fn traced_fault_runs_match_dense_event_for_event() {
+    let cases = [
+        (FaultPlan::soak(7), ClockBackend::Forwarded, "fault soak"),
+        (
+            FaultPlan::new(7).with_rates(FaultRates::clock_soak()),
+            ClockBackend::Forwarded,
+            "clock soak",
+        ),
+        (
+            FaultPlan::new(7).with_rates(FaultRates::clock_soak()),
+            ClockBackend::Redundant,
+            "redundant clock soak",
+        ),
+    ];
+    for (plan, backend, context) in cases {
+        let cfg = TreeNetworkConfig::new(binary(16))
+            .with_pattern(TrafficPattern::Uniform { rate: 0.3 })
+            .with_faults(plan)
+            .with_clock_backend(backend)
+            .with_event_buffer(1 << 20)
+            .with_seed(7);
+        let (dense, _) = assert_kernels_agree(&cfg, 2_000, context);
+        let events = dense.event_buffer().expect("buffered").events();
+        for kind in [
+            TraceEventKind::TimingViolation,
+            TraceEventKind::FrequencyBackoff,
+            TraceEventKind::Retransmitted,
+        ] {
+            assert!(
+                events.iter().any(|e| e.kind == kind),
+                "{context}: no {kind:?} event in {} events",
+                events.len()
+            );
+        }
     }
 }
 

@@ -140,58 +140,41 @@ proptest! {
     }
 }
 
-/// The sequential fallback is visible in the perf section: the report
-/// names the cause, runs one logical worker, and still conserves steps.
-/// Only trace sinks select the dense loop: a fault-only run shards and
-/// reports no fallback, and faults plus counters name the sinks.
+/// No run falls back any more: a fault plan, counters, or both still
+/// shard the parallel kernel, the perf section reports the requested
+/// workers with no fallback, and the per-shard counters are conserved.
+/// The sequential kernels report no fallback either.
 #[test]
-fn fallback_cause_lands_in_the_perf_section() {
+fn traced_and_faulted_runs_shard_in_the_perf_section() {
     let base = || {
         TreeNetworkConfig::new(binary(8))
             .with_pattern(TrafficPattern::Uniform { rate: 0.3 })
             .with_seed(3)
             .with_profiling(true)
     };
-    let cases: [(TreeNetworkConfig, Option<&str>); 3] = [
-        (base().with_faults(FaultPlan::soak(3)), None),
-        (base().with_counters(true), Some("trace-sinks")),
+    let cases = [
+        ("fault plan", base().with_faults(FaultPlan::soak(3))),
+        ("counters", base().with_counters(true)),
         (
+            "fault plan and counters",
             base().with_faults(FaultPlan::soak(3)).with_counters(true),
-            Some("trace-sinks"),
         ),
+        ("plain", base()),
     ];
-    for (cfg, expected) in cases {
-        let context = expected.unwrap_or("fault plan");
+    for (context, cfg) in cases {
         let mut net = cfg.with_kernel(SimKernel::Parallel { workers: 4 }).build();
         net.run_cycles(200);
         net.drain(4_000);
         let perf = net.report().perf.expect("profiled");
-        assert_eq!(
-            perf.fallback.map(|c| c.label()),
-            expected,
-            "fallback cause mislabelled"
-        );
-        let workers = if expected.is_some() {
-            assert_eq!(net.active_workers(), None, "{context}: must fall back");
-            1
-        } else {
-            assert_eq!(net.active_workers(), Some(4), "{context}: must shard");
-            4
-        };
-        assert_eq!(perf.workers, workers, "{context}: worker count");
+        assert_eq!(perf.fallback, None, "{context}: no run falls back");
+        assert_eq!(net.active_workers(), Some(4), "{context}: must shard");
+        assert_eq!(perf.workers, 4, "{context}: worker count");
         assert_conserved(&net, context);
     }
-    // A plain parallel run reports no fallback, and neither do the
-    // sequential kernels (there is nothing to fall back from).
-    let plain = run_one(
-        &base().with_counters(false),
-        SimKernel::Parallel { workers: 4 },
-        200,
-        true,
-    );
-    assert_eq!(plain.report().perf.expect("profiled").fallback, None);
-    let event = run_one(&base(), SimKernel::EventDriven, 200, true);
-    assert_eq!(event.report().perf.expect("profiled").fallback, None);
+    for kernel in [SimKernel::Dense, SimKernel::EventDriven] {
+        let net = run_one(&base().with_counters(true), kernel, 200, true);
+        assert_eq!(net.report().perf.expect("profiled").fallback, None);
+    }
 }
 
 /// The Chrome trace export of a real parallel run is structurally sound:
