@@ -2,7 +2,7 @@
 //! handful of subcommands of `--key value` flags).
 
 use icnoc_clock::ClockBackend;
-use icnoc_sim::{FaultRates, SimKernel, TrafficPattern};
+use icnoc_sim::{FaultRates, SimKernel, TrafficPattern, MAX_CYCLES};
 use icnoc_topology::TreeKind;
 
 /// A parse or validation failure, with a user-facing message.
@@ -315,13 +315,10 @@ impl Cli {
                 Command::Sim {
                     pattern: flags.take_pattern(&build)?,
                     build,
-                    cycles: flags.take_u64("cycles", 2_000)?,
+                    cycles: flags.take_cycles(2_000)?,
                     seed: flags.take_u64("seed", 42)?,
                     packet_len: flags.take_packet_len()?,
-                    tiles: match flags.take_opt_string("tiles") {
-                        Some(spec) => Some(parse_tiles(&spec)?),
-                        None => None,
-                    },
+                    tiles: flags.take_tiles()?,
                     vcd: flags.take_opt_string("vcd"),
                     diagnose: flags.take_bool("diagnose")?,
                     faults: match flags.take_opt_string("faults") {
@@ -340,13 +337,10 @@ impl Cli {
                 Command::Profile {
                     pattern: flags.take_pattern(&build)?,
                     build,
-                    cycles: flags.take_u64("cycles", 2_000)?,
+                    cycles: flags.take_cycles(2_000)?,
                     seed: flags.take_u64("seed", 42)?,
                     packet_len: flags.take_packet_len()?,
-                    tiles: match flags.take_opt_string("tiles") {
-                        Some(spec) => Some(parse_tiles(&spec)?),
-                        None => None,
-                    },
+                    tiles: flags.take_tiles()?,
                     kernel,
                     chrome_trace: flags.take_opt_string("chrome-trace"),
                 }
@@ -356,13 +350,10 @@ impl Cli {
                 Command::Stats {
                     pattern: flags.take_pattern(&build)?,
                     build,
-                    cycles: flags.take_u64("cycles", 2_000)?,
+                    cycles: flags.take_cycles(2_000)?,
                     seed: flags.take_u64("seed", 42)?,
                     packet_len: flags.take_packet_len()?,
-                    tiles: match flags.take_opt_string("tiles") {
-                        Some(spec) => Some(parse_tiles(&spec)?),
-                        None => None,
-                    },
+                    tiles: flags.take_tiles()?,
                     format: match flags.take_string("format", "json").as_str() {
                         "json" => StatsFormat::Json,
                         "csv" => StatsFormat::Csv,
@@ -385,7 +376,7 @@ impl Cli {
                 Command::Trace {
                     pattern: flags.take_pattern(&build)?,
                     build,
-                    cycles: flags.take_u64("cycles", 200)?,
+                    cycles: flags.take_cycles(200)?,
                     seed: flags.take_u64("seed", 42)?,
                     packet_len: flags.take_packet_len()?,
                     capacity,
@@ -486,7 +477,7 @@ impl Cli {
                     kernel,
                     pattern: flags.take_pattern(&build)?,
                     build,
-                    cycles: flags.take_u64("cycles", 10_000)?,
+                    cycles: flags.take_cycles(10_000)?,
                     seed: flags.take_u64("seed", 42)?,
                     packet_len: flags.take_packet_len()?,
                     spec: parse_fault_spec(&flags.take_string("spec", "soak"))?,
@@ -593,18 +584,6 @@ pub fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
     Ok(FaultSpec { rates, window })
 }
 
-fn parse_tiles(spec: &str) -> Result<(usize, u64), CliError> {
-    let (a, b) = spec
-        .split_once(':')
-        .ok_or_else(|| CliError(format!("tiles spec {spec:?} must be OUTSTANDING:SERVICE")))?;
-    Ok((
-        a.parse()
-            .map_err(|_| CliError(format!("bad outstanding count {a:?}")))?,
-        b.parse()
-            .map_err(|_| CliError(format!("bad service cycles {b:?}")))?,
-    ))
-}
-
 /// `--key value` flag multiset with consumption tracking.
 struct Flags(Vec<(String, String)>);
 
@@ -658,6 +637,41 @@ impl Flags {
 
     fn take_usize(&mut self, name: &str, default: usize) -> Result<usize, CliError> {
         self.take_u64(name, default as u64).map(|v| v as usize)
+    }
+
+    /// `--cycles`: a run length whose half-cycle count fits in a `u64`.
+    fn take_cycles(&mut self, default: u64) -> Result<u64, CliError> {
+        let cycles = self.take_u64("cycles", default)?;
+        if cycles > MAX_CYCLES {
+            return Err(CliError(format!(
+                "--cycles must be at most {MAX_CYCLES}, got {cycles}"
+            )));
+        }
+        Ok(cycles)
+    }
+
+    /// `--tiles OUTSTANDING:SERVICE`: closed-loop tiles, each processor
+    /// allowed at least one outstanding request.
+    fn take_tiles(&mut self) -> Result<Option<(usize, u64)>, CliError> {
+        let Some(spec) = self.take_opt_string("tiles") else {
+            return Ok(None);
+        };
+        let (a, b) = spec
+            .split_once(':')
+            .ok_or_else(|| CliError(format!("tiles spec {spec:?} must be OUTSTANDING:SERVICE")))?;
+        let outstanding = match a.parse() {
+            Ok(0) => {
+                return Err(CliError(
+                    "--tiles needs an outstanding count of at least 1".into(),
+                ))
+            }
+            Ok(n) => n,
+            Err(_) => return Err(CliError(format!("bad outstanding count {a:?}"))),
+        };
+        let service = b
+            .parse()
+            .map_err(|_| CliError(format!("bad service cycles {b:?}")))?;
+        Ok(Some((outstanding, service)))
     }
 
     /// `--packet-len`: flits per packet, at least one (default 1).
@@ -1013,6 +1027,31 @@ mod tests {
                 other => panic!("{sub} parsed as {other:?}"),
             };
             assert_eq!(packet_len, 3, "{sub}");
+        }
+    }
+
+    #[test]
+    fn cycle_counts_past_the_tick_range_and_idle_tiles_are_rejected() {
+        for sub in ["sim", "stats", "trace", "faults", "profile"] {
+            assert_eq!(
+                Cli::parse([sub, "--cycles", "9223372036854775808"]),
+                Err(CliError(
+                    "--cycles must be at most 9223372036854775807, got 9223372036854775808"
+                        .to_owned()
+                )),
+                "{sub}"
+            );
+            assert!(Cli::parse([sub, "--cycles", "9223372036854775807"]).is_ok());
+        }
+        for sub in ["sim", "stats", "profile"] {
+            assert_eq!(
+                Cli::parse([sub, "--tiles", "0:3"]),
+                Err(CliError(
+                    "--tiles needs an outstanding count of at least 1".to_owned()
+                )),
+                "{sub}"
+            );
+            assert!(Cli::parse([sub, "--tiles", "4:18446744073709551615"]).is_ok());
         }
     }
 

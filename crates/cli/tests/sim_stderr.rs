@@ -61,3 +61,27 @@ fn clean_drain_keeps_stderr_empty() {
         rendered(&args)
     );
 }
+
+#[test]
+fn out_of_range_runs_exit_2_and_unanswered_tiles_still_end() {
+    for args in [
+        &["sim", "--ports", "8", "--cycles", "9223372036854775808"][..],
+        &["sim", "--ports", "8", "--tiles", "0:3"],
+    ] {
+        assert_eq!(icnoc(args).status.code(), Some(2), "{args:?}");
+    }
+    // Memories whose service latency never elapses: the run ends and the
+    // drain names what is still queued.
+    let out = icnoc(&[
+        "sim",
+        "--ports",
+        "4",
+        "--cycles",
+        "50",
+        "--tiles",
+        "4:18446744073709551615",
+    ]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(stderr.contains("warning: drain timed out"), "{stderr}");
+}

@@ -18,7 +18,7 @@
 //! later execute it.
 
 use icnoc::SystemConfig;
-use icnoc_sim::TrafficPattern;
+use icnoc_sim::{TrafficPattern, MAX_CYCLES};
 use icnoc_topology::TreeKind;
 use icnoc_units::{Gigahertz, Picoseconds};
 
@@ -169,7 +169,14 @@ impl GridSpec {
                     // below, against every `ports` value.
                     grid.patterns = split_list(values).map(str::to_owned).collect();
                 }
-                "cycles" => grid.cycles = parse_ints(name, values)?,
+                "cycles" => {
+                    grid.cycles = parse_ints(name, values)?;
+                    if let Some(&c) = grid.cycles.iter().find(|&&c| c > MAX_CYCLES) {
+                        return Err(GridError(format!(
+                            "cycles value {c} exceeds the longest run, {MAX_CYCLES}"
+                        )));
+                    }
+                }
                 "soak" => grid.soak = parse_floats(name, values)?,
                 "seed" => {
                     grid.seed = values.parse().map_err(|_| {
@@ -471,6 +478,13 @@ pub fn stable_hash(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cycles_past_the_tick_range_are_rejected() {
+        let err = GridSpec::parse("ports=8;cycles=100,9223372036854775808").expect_err("rejects");
+        assert!(err.0.contains("exceeds the longest run"), "{err:?}");
+        assert!(GridSpec::parse("cycles=4611686018427387904").is_ok());
+    }
 
     #[test]
     fn empty_spec_is_the_demonstrator_point() {

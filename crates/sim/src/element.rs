@@ -1,7 +1,7 @@
 //! Network elements: handshake stages, traffic sources and sinks.
 
 use crate::label::LabelId;
-use crate::{Flit, LatencyStats, TrafficPattern};
+use crate::{Flit, FlitKind, LatencyStats, TrafficPattern, TrafficPhase};
 use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_topology::PortId;
 use rand::rngs::StdRng;
@@ -191,6 +191,64 @@ pub(crate) struct SourceState {
     pub trace: Option<Vec<(u64, u32)>>,
 }
 
+impl SourceState {
+    /// The flit this source presents on an edge at `tick` with its
+    /// register free: the next body or tail of an open worm (a started
+    /// worm completes even while draining), else, if enabled, the single
+    /// flit or head its pattern injects. Records the replay trace and
+    /// advances the sequence, packet and sent counters. Always inlined,
+    /// and callers write their register only when it returns a flit: a
+    /// pinned source calls it on every free edge, and without both
+    /// idle-source visits cost 20–49% more (EXPERIMENTS.md E31).
+    #[inline(always)]
+    pub(crate) fn next_flit(&mut self, tick: u64, num_ports: u32) -> Option<Flit> {
+        let (dest, kind) = match self.emitting {
+            Some((dest, 1)) => {
+                self.emitting = None;
+                (dest, FlitKind::Tail)
+            }
+            Some((dest, remaining)) => {
+                self.emitting = Some((dest, remaining - 1));
+                (dest, FlitKind::Body)
+            }
+            None if self.enabled => {
+                // One active edge per cycle on a fixed parity: the
+                // element-local cycle counter is exactly `tick / 2`,
+                // derived rather than stored so elements the activity
+                // list leaves asleep cannot drift.
+                let cycle = tick / 2;
+                let TrafficPhase::Inject(dest) = self.pattern.decide(
+                    self.port,
+                    num_ports,
+                    cycle,
+                    &mut self.rng,
+                    &mut self.cursor,
+                ) else {
+                    return None;
+                };
+                if let Some(trace) = &mut self.trace {
+                    trace.push((cycle, dest.0));
+                }
+                if self.packet_len == 1 {
+                    (dest, FlitKind::Single)
+                } else {
+                    self.emitting = Some((dest, self.packet_len - 1));
+                    (dest, FlitKind::Head)
+                }
+            }
+            None => return None,
+        };
+        let flit = Flit::with_kind(self.port, dest, self.next_seq, self.next_packet, kind, tick);
+        self.next_seq += 1;
+        self.sent += 1;
+        if kind.closes_route() {
+            self.next_packet += 1;
+            self.packets_sent += 1;
+        }
+        Some(flit)
+    }
+}
+
 /// What a closed-loop tile endpoint does.
 #[derive(Debug, Clone)]
 pub(crate) enum TileRole {
@@ -227,6 +285,72 @@ pub(crate) struct TileState {
     pub responses: u64,
     /// Replay-pattern position.
     pub cursor: usize,
+}
+
+impl TileState {
+    /// Processes a flit the consumer gate cleared at `tick`: a memory
+    /// queues one response per packet, due after its service latency; a
+    /// processor closes the round trip of its oldest request to the
+    /// responder.
+    pub(crate) fn consume(&mut self, flit: &Flit, tick: u64) {
+        match self.role {
+            TileRole::Memory { service_cycles } => {
+                if flit.closes_route() {
+                    let ready = (tick / 2).saturating_add(service_cycles);
+                    self.pending.push_back((flit.src, ready));
+                }
+            }
+            TileRole::Processor { .. } => {
+                let queue = self.outstanding.get_mut(&flit.src.0);
+                if let Some(sent_tick) = queue.and_then(VecDeque::pop_front) {
+                    self.round_trip.record(tick.saturating_sub(sent_tick));
+                    self.responses += 1;
+                }
+            }
+        }
+    }
+
+    /// The flit this tile presents on an edge at `tick` with its register
+    /// free: a memory's oldest response whose service latency has passed,
+    /// or, if enabled, a processor's next request within its outstanding
+    /// window. Tiles emit single-flit packets whose id is the sequence
+    /// number. Always inlined, like [`SourceState::next_flit`].
+    #[inline(always)]
+    pub(crate) fn next_flit(&mut self, tick: u64, num_ports: u32) -> Option<Flit> {
+        let cycle = tick / 2;
+        let dest = match &self.role {
+            TileRole::Memory { .. } => {
+                let &(requester, ready) = self.pending.front()?;
+                if cycle < ready {
+                    return None;
+                }
+                self.pending.pop_front();
+                requester
+            }
+            TileRole::Processor {
+                pattern,
+                max_outstanding,
+            } => {
+                let in_flight: usize = self.outstanding.values().map(VecDeque::len).sum();
+                if !self.enabled || in_flight >= *max_outstanding {
+                    return None;
+                }
+                match pattern.decide(self.port, num_ports, cycle, &mut self.rng, &mut self.cursor) {
+                    TrafficPhase::Inject(dest) => {
+                        self.outstanding.entry(dest.0).or_default().push_back(tick);
+                        dest
+                    }
+                    TrafficPhase::Idle => return None,
+                }
+            }
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.sent += 1;
+        self.packets_sent += 1;
+        let flit = Flit::with_kind(self.port, dest, seq, seq, FlitKind::Single, tick);
+        Some(flit)
+    }
 }
 
 /// Mutable state of a sink.
@@ -309,6 +433,17 @@ impl Element {
             upset_at: u64::MAX,
             faults: None,
         }
+    }
+
+    /// Flits queued inside this endpoint, outside its register: a memory
+    /// tile's pending responses and the retransmissions released to it.
+    pub(crate) fn queued(&self) -> u64 {
+        let retx = self.faults.as_ref().map_or(0, |f| f.retx.len());
+        let pending = match &self.kind {
+            Kind::Tile(t) => t.pending.len(),
+            _ => 0,
+        };
+        (retx + pending) as u64
     }
 }
 

@@ -35,6 +35,7 @@
 //! silent ones.
 
 use crate::flit::{Flit, FlitKind};
+use crate::trace::{DropCause, TraceEventKind};
 use icnoc_clock::ClockBackend;
 use icnoc_timing::{Direction, FlipFlopTiming, LinkTiming};
 use icnoc_topology::PortId;
@@ -950,6 +951,18 @@ pub(crate) enum ArrivalVerdict {
     Duplicate,
 }
 
+/// The trace event a consumer emits for an arrival the gate judged
+/// `verdict` at `port`.
+pub(crate) fn arrival_event(verdict: ArrivalVerdict, flit: &Flit, port: PortId) -> TraceEventKind {
+    let cause = match verdict {
+        ArrivalVerdict::Deliver if flit.dest == port => return TraceEventKind::Delivered,
+        ArrivalVerdict::Deliver => DropCause::Misroute,
+        ArrivalVerdict::Corrupt => DropCause::CorruptPayload,
+        ArrivalVerdict::Duplicate => DropCause::Duplicate,
+    };
+    TraceEventKind::Dropped { cause }
+}
+
 /// Internal ledger counters (everything except per-entry state).
 #[derive(Debug, Clone, Copy, Default)]
 struct Ledger {
@@ -1115,6 +1128,24 @@ pub(crate) enum FaultOp {
     Delivered(u32, u64),
     /// A queued retransmission of `(source, sequence)` was injected.
     Retransmitted(u32, u64),
+}
+
+impl FaultOp {
+    /// Logs an endpoint visit's operations, in order: a queued
+    /// retransmission re-arms its deadline, and a fresh payload enters
+    /// the acknowledgement tracker.
+    pub(crate) fn endpoint(
+        injected: Option<Flit>,
+        retransmitted: Option<Flit>,
+        mut log: impl FnMut(FaultOp),
+    ) {
+        if let Some(flit) = retransmitted {
+            log(FaultOp::Retransmitted(flit.src.0, flit.seq));
+        }
+        if let Some(flit) = injected {
+            log(FaultOp::Injection(flit));
+        }
+    }
 }
 
 /// The fault state every visit reads: the plan, the per-element rates,

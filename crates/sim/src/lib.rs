@@ -51,7 +51,7 @@ pub use element::{Arbitration, ElementId, MeshDirection, RouteFilter, SinkMode};
 pub use fault::{DfsConfig, FaultCounts, FaultKind, FaultPlan, FaultRates, RecoveryReport};
 pub use flit::{Flit, FlitKind};
 pub use label::{LabelId, LabelTable};
-pub use network::{DrainTimeout, Network, SimKernel};
+pub use network::{DrainTimeout, Network, SimKernel, MAX_CYCLES};
 pub use profile::{EpochSample, PerfReport, PerfWall, ShardCounters, WorkerProfile};
 pub use report::{LatencyHistogram, LatencyStats, ReportDigest, SimReport};
 pub use trace::{

@@ -1,7 +1,9 @@
 //! The element-graph simulator core and the straight-pipeline builder.
 
 use crate::element::{Element, Kind, SinkState, SourceState, TileRole, TileState};
-use crate::fault::{ArrivalVerdict, CaptureEffect, ClockTopology, FaultCtx, FaultState};
+use crate::fault::{
+    arrival_event, ArrivalVerdict, CaptureEffect, ClockTopology, FaultCtx, FaultOp, FaultState,
+};
 use crate::label::LabelTable;
 use crate::parallel::{self, ParState};
 use crate::profile::{KernelProfiler, PerfReport, PerfWall, ShardCounters};
@@ -11,7 +13,7 @@ use crate::trace::{
 };
 use crate::{
     Arbitration, ElementId, FaultPlan, Flit, LatencyStats, RecoveryReport, RouteFilter, SimReport,
-    SinkMode, TrafficPattern, TrafficPhase,
+    SinkMode, TrafficPattern,
 };
 use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_timing::Direction;
@@ -90,6 +92,10 @@ impl SimKernel {
         }
     }
 }
+
+/// The longest run, in cycles, whose half-cycle tick count fits in a
+/// `u64`. Front ends reject longer runs; [`Network`] saturates.
+pub const MAX_CYCLES: u64 = u64::MAX / 2;
 
 /// A simulated network: an element graph evaluated at half-cycle
 /// resolution.
@@ -718,14 +724,7 @@ impl Network {
     pub fn in_flight(&self) -> u64 {
         self.elements
             .iter()
-            .map(|e| {
-                let held = u64::from(e.out_flit.is_some())
-                    + e.faults.as_ref().map_or(0, |f| f.retx.len() as u64);
-                match &e.kind {
-                    Kind::Tile(t) => held + t.pending.len() as u64,
-                    _ => held,
-                }
-            })
+            .map(|e| u64::from(e.out_flit.is_some()) + e.queued())
             .sum()
     }
 
@@ -1009,20 +1008,13 @@ impl Network {
         let mut blocked: Option<Flit> = None;
         let num_ports = self.num_ports;
         let tick = self.tick;
-        // One active edge per cycle on a fixed parity: the element-local
-        // cycle counter is exactly `tick / 2`, derived rather than stored
-        // so elements the activity list leaves asleep cannot drift.
-        let cycle = tick / 2;
-        let Kind::Source(_) = self.elements[i].kind else {
-            unreachable!("step_source called on non-source")
-        };
         let el = &mut self.elements[i];
         if drained {
             el.out_flit = None;
         }
         el.accepted_from = None;
         let Kind::Source(state) = &mut el.kind else {
-            unreachable!()
+            unreachable!("step_source called on non-source")
         };
         // Retransmissions take the idle slot between packets — never
         // mid-worm: a standalone retry captured by a stage locked on this
@@ -1034,79 +1026,11 @@ impl Network {
                 retransmitted = Some(flit);
             }
         }
-        let out_empty = el.out_flit.is_none();
         if state.enabled || state.emitting.is_some() {
-            if out_empty {
-                // Finish an in-flight packet before consulting the pattern
-                // (a started wormhole must complete even while draining).
-                if let Some((dest, remaining)) = state.emitting {
-                    let kind = if remaining == 1 {
-                        crate::FlitKind::Tail
-                    } else {
-                        crate::FlitKind::Body
-                    };
-                    let flit = Flit::with_kind(
-                        state.port,
-                        dest,
-                        state.next_seq,
-                        state.next_packet,
-                        kind,
-                        tick,
-                    );
-                    state.next_seq += 1;
-                    state.sent += 1;
-                    state.emitting = if remaining == 1 {
-                        state.next_packet += 1;
-                        state.packets_sent += 1;
-                        None
-                    } else {
-                        Some((dest, remaining - 1))
-                    };
+            if el.out_flit.is_none() {
+                if let Some(flit) = state.next_flit(tick, num_ports) {
                     el.out_flit = Some(flit);
                     injected = Some(flit);
-                } else if state.enabled {
-                    let SourceState {
-                        pattern,
-                        port,
-                        rng,
-                        cursor,
-                        ..
-                    } = state;
-                    if let TrafficPhase::Inject(dest) =
-                        pattern.decide(*port, num_ports, cycle, rng, cursor)
-                    {
-                        if let Some(trace) = &mut state.trace {
-                            trace.push((cycle, dest.0));
-                        }
-                        let flit = if state.packet_len == 1 {
-                            let f = Flit::with_kind(
-                                state.port,
-                                dest,
-                                state.next_seq,
-                                state.next_packet,
-                                crate::FlitKind::Single,
-                                tick,
-                            );
-                            state.next_packet += 1;
-                            state.packets_sent += 1;
-                            f
-                        } else {
-                            let f = Flit::with_kind(
-                                state.port,
-                                dest,
-                                state.next_seq,
-                                state.next_packet,
-                                crate::FlitKind::Head,
-                                tick,
-                            );
-                            state.emitting = Some((dest, state.packet_len - 1));
-                            f
-                        };
-                        state.next_seq += 1;
-                        state.sent += 1;
-                        el.out_flit = Some(flit);
-                        injected = Some(flit);
-                    }
                 }
             } else if retransmitted.is_none() {
                 state.stalled_edges += 1;
@@ -1114,7 +1038,9 @@ impl Network {
             }
         }
         if let Some(f) = faults.as_deref_mut() {
-            log_endpoint_ops(f, tick, injected, retransmitted);
+            FaultOp::endpoint(injected, retransmitted, |op| {
+                f.apply(tick, op);
+            });
         }
         self.faults = faults;
         if tracing {
@@ -1171,42 +1097,11 @@ impl Network {
                     }
                     None => ArrivalVerdict::Deliver,
                 };
-                match verdict {
-                    ArrivalVerdict::Deliver => {
-                        self.scoreboard.record_arrival(&flit, tick, port);
-                        if !self.sinks.is_empty() {
-                            let kind = if flit.dest == port {
-                                TraceEventKind::Delivered
-                            } else {
-                                TraceEventKind::Dropped {
-                                    cause: DropCause::Misroute,
-                                }
-                            };
-                            self.emit(i, kind, flit);
-                        }
-                    }
-                    ArrivalVerdict::Corrupt => {
-                        if !self.sinks.is_empty() {
-                            self.emit(
-                                i,
-                                TraceEventKind::Dropped {
-                                    cause: DropCause::CorruptPayload,
-                                },
-                                flit,
-                            );
-                        }
-                    }
-                    ArrivalVerdict::Duplicate => {
-                        if !self.sinks.is_empty() {
-                            self.emit(
-                                i,
-                                TraceEventKind::Dropped {
-                                    cause: DropCause::Duplicate,
-                                },
-                                flit,
-                            );
-                        }
-                    }
+                if verdict == ArrivalVerdict::Deliver {
+                    self.scoreboard.record_arrival(&flit, tick, port);
+                }
+                if !self.sinks.is_empty() {
+                    self.emit(i, arrival_event(verdict, &flit, port), flit);
                 }
             }
             _ => {
@@ -1248,8 +1143,6 @@ impl Network {
             unreachable!("step_tile called on non-tile")
         };
         let port = state.port;
-        // Element-local cycle == tick / 2 (one active edge per cycle).
-        let cycle = tick / 2;
 
         // Consume whatever arrived, but only process flits the
         // consumer-side gate clears: corrupt arrivals are NACKed (the
@@ -1281,22 +1174,7 @@ impl Network {
             arrived = None;
         }
         if let Some(flit) = arrived {
-            match &mut state.role {
-                TileRole::Memory { service_cycles } => {
-                    // Answer once per packet, after the service latency.
-                    if flit.closes_route() {
-                        state.pending.push_back((flit.src, cycle + *service_cycles));
-                    }
-                }
-                TileRole::Processor { .. } => {
-                    if let Some(queue) = state.outstanding.get_mut(&flit.src.0) {
-                        if let Some(sent_tick) = queue.pop_front() {
-                            state.round_trip.record(tick.saturating_sub(sent_tick));
-                            state.responses += 1;
-                        }
-                    }
-                }
-            }
+            state.consume(&flit, tick);
         }
 
         // Output side: a pending retransmission takes the idle slot first
@@ -1310,51 +1188,7 @@ impl Network {
 
         // Produce at most one flit.
         if out_empty && retransmitted.is_none() {
-            let mut emit = None;
-            match &mut state.role {
-                TileRole::Memory { .. } => {
-                    if let Some(&(requester, ready)) = state.pending.front() {
-                        if cycle >= ready {
-                            state.pending.pop_front();
-                            emit = Some(requester);
-                        }
-                    }
-                }
-                TileRole::Processor {
-                    pattern,
-                    max_outstanding,
-                } => {
-                    if state.enabled {
-                        let in_flight: usize = state.outstanding.values().map(|q| q.len()).sum();
-                        if in_flight < *max_outstanding {
-                            if let TrafficPhase::Inject(dest) = pattern.decide(
-                                port,
-                                num_ports,
-                                cycle,
-                                &mut state.rng,
-                                &mut state.cursor,
-                            ) {
-                                emit = Some(dest);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(dest) = emit {
-                let flit = Flit::with_kind(
-                    port,
-                    dest,
-                    state.next_seq,
-                    state.next_seq, // single-flit packets: packet id = seq
-                    crate::FlitKind::Single,
-                    tick,
-                );
-                state.next_seq += 1;
-                state.sent += 1;
-                state.packets_sent += 1;
-                if let TileRole::Processor { .. } = state.role {
-                    state.outstanding.entry(dest.0).or_default().push_back(tick);
-                }
+            if let Some(flit) = state.next_flit(tick, num_ports) {
                 el.out_flit = Some(flit);
                 injected = Some(flit);
             }
@@ -1367,24 +1201,14 @@ impl Network {
             self.scoreboard.record_arrival(&flit, tick, port);
         }
         if let Some(f) = faults.as_deref_mut() {
-            log_endpoint_ops(f, tick, injected, retransmitted);
+            FaultOp::endpoint(injected, retransmitted, |op| {
+                f.apply(tick, op);
+            });
         }
         self.faults = faults;
         if tracing {
             if let Some(flit) = offered_flit {
-                let kind = match verdict {
-                    ArrivalVerdict::Deliver if flit.dest == port => TraceEventKind::Delivered,
-                    ArrivalVerdict::Deliver => TraceEventKind::Dropped {
-                        cause: DropCause::Misroute,
-                    },
-                    ArrivalVerdict::Corrupt => TraceEventKind::Dropped {
-                        cause: DropCause::CorruptPayload,
-                    },
-                    ArrivalVerdict::Duplicate => TraceEventKind::Dropped {
-                        cause: DropCause::Duplicate,
-                    },
-                };
-                self.emit(i, kind, flit);
+                self.emit(i, arrival_event(verdict, &flit, port), flit);
             }
             if let Some(flit) = injected {
                 self.emit(i, TraceEventKind::Injected, flit);
@@ -1399,18 +1223,26 @@ impl Network {
     }
 
     /// Runs `cycles` full clock cycles (two ticks each) and returns the
-    /// cumulative report.
+    /// cumulative report. The tick counter saturates: a run that would
+    /// pass `u64::MAX` stops there.
     pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
-        if cycles > 0 && self.soa_ready() {
+        let ticks = self.ticks_left(cycles);
+        if ticks > 0 && self.soa_ready() {
             // One thread scope for the whole batch: spawn cost amortises
             // over all `2 * cycles` ticks.
-            self.par_step_batch(cycles * 2, false);
+            self.par_step_batch(ticks, false);
         } else {
-            for _ in 0..cycles * 2 {
+            for _ in 0..ticks {
                 self.step();
             }
         }
         self.report()
+    }
+
+    /// The ticks in `cycles` cycles, capped at those left before the
+    /// tick counter would overflow.
+    fn ticks_left(&self, cycles: u64) -> u64 {
+        cycles.saturating_mul(2).min(u64::MAX - self.tick)
     }
 
     /// Whether nothing is left in flight and the recovery layer (if any)
@@ -1438,9 +1270,9 @@ impl Network {
             // The batch evaluates the drained condition between ticks —
             // the same place this loop checks — so tick counts match the
             // dense loop exactly.
-            self.par_step_batch(max_cycles * 2, true);
+            self.par_step_batch(self.ticks_left(max_cycles), true);
         } else {
-            for _ in 0..max_cycles * 2 {
+            for _ in 0..self.ticks_left(max_cycles) {
                 if self.drained_idle() {
                     return Ok(());
                 }
@@ -1717,26 +1549,6 @@ impl Network {
     }
 }
 
-/// Logs an endpoint visit's recovery-layer operations with the dense
-/// loop's fault state: a queued retransmission re-arms its deadline, and
-/// a fresh payload enters the acknowledgement tracker.
-fn log_endpoint_ops(
-    faults: &mut FaultState,
-    tick: u64,
-    injected: Option<Flit>,
-    retransmitted: Option<Flit>,
-) {
-    if let Some(flit) = retransmitted {
-        faults.apply(
-            tick,
-            crate::fault::FaultOp::Retransmitted(flit.src.0, flit.seq),
-        );
-    }
-    if let Some(flit) = injected {
-        faults.apply(tick, crate::fault::FaultOp::Injection(flit));
-    }
-}
-
 /// Why a [`Network::drain_or_diagnose`] call timed out: how much is still
 /// in flight, how much recovery work is unresolved, and which elements
 /// hold what (the [`Network::diagnose_stall`] lines).
@@ -1927,6 +1739,24 @@ mod tests {
         ok.run_cycles(50);
         assert!(ok.drain(50));
         assert!(ok.diagnose_stall().is_empty());
+    }
+
+    #[test]
+    fn cycle_counts_saturate_at_the_tick_limit() {
+        for kernel in [SimKernel::Dense, SimKernel::EventDriven] {
+            // A drain budget whose tick count overflows still drains.
+            let mut net =
+                Network::pipeline(4, TrafficPattern::saturate(), SinkMode::AlwaysAccept, 1);
+            net.set_kernel(kernel);
+            net.run_cycles(50);
+            assert!(net.drain(MAX_CYCLES + 1), "{kernel:?}");
+            // A run past the last tick stops there. One stage: summed
+            // gating counts of several would overflow first.
+            let mut idle = Network::pipeline(1, TrafficPattern::Silent, SinkMode::AlwaysAccept, 1);
+            idle.set_kernel(kernel);
+            idle.tick = u64::MAX - 8;
+            assert_eq!(idle.run_cycles(u64::MAX).cycles, MAX_CYCLES, "{kernel:?}");
+        }
     }
 
     #[test]

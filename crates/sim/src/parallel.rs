@@ -30,6 +30,26 @@
 //! software form of the half-period propagation budget the paper's
 //! handshake enjoys in hardware (Section 5).
 //!
+//! Every structure a batch shares between threads is one
+//! [`SharedSlice`]: a slice whose slots each sit in an `UnsafeCell`,
+//! guarded by no lock. Phase ownership is the aliasing proof behind every
+//! `unsafe` access:
+//!
+//! * **Visit phase** (each tick of a window): the worker owning element
+//!   `i`'s shard is the unique mutator of `i` — its `Element` and its
+//!   slot in every [`SoaDyn`] column — on ticks whose parity matches
+//!   `i`'s polarity. Every other access reads an opposite-parity
+//!   neighbour, frozen for the tick; inside a batched window no element
+//!   with a cross-shard neighbour is visited at all. Worker `w` owns
+//!   mailbox row `w`, arrival buffer `w`, log `w` and armed list `w`. The
+//!   fault state is read-only.
+//! * **Merge phase** (after a mailbox tick's `visit_done` exchange):
+//!   worker `w` owns mailbox column `w`.
+//! * **Between windows** (every worker has reported done and waits on the
+//!   next serial): the coordinator owns every slot. It folds the arrival
+//!   buffers and logs, runs the fault state's `begin_step`, and queues
+//!   released retransmissions into the elements and armed lists.
+//!
 //! Three mechanisms keep the constant factor small:
 //!
 //! * **Struct-of-arrays shard state.** The per-element fields the
@@ -101,11 +121,11 @@
 //! traced run costs untraced visits plus events, never the dense scan.
 
 use crate::element::{Arbitration, Element, ElementFaults, Kind, RouteFilter, TileRole};
-use crate::fault::{ArrivalVerdict, CaptureEffect, FaultCtx, FaultOp, FaultState};
+use crate::fault::{arrival_event, ArrivalVerdict, CaptureEffect, FaultCtx, FaultOp, FaultState};
 use crate::profile::{CoreProf, EpochSample};
 use crate::report::Scoreboard;
 use crate::trace::{DropCause, TraceEvent, TraceEventKind, TraceSink};
-use crate::{ElementId, Flit, TrafficPattern, TrafficPhase};
+use crate::{ElementId, Flit, TrafficPattern};
 use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_timing::Direction;
 use icnoc_topology::PortId;
@@ -762,59 +782,21 @@ fn ready_activity(core: &ShardCore, dist: &[u32], lone: bool) -> ShardActivity {
     }
 }
 
-/// A shared view of the element array. Each element sits in its own
-/// [`UnsafeCell`]; the alternating-edge discipline is the aliasing proof:
-/// a tick's unique mutator of element `i` is the worker owning `i`'s
-/// shard when `i`'s polarity matches the tick parity, and every other
-/// access is a read of an opposite-parity element, frozen for the tick.
-/// During a batched window the discipline is even stronger: no element
-/// with a cross-shard neighbour is visited at all, so every access stays
-/// inside one shard.
-#[derive(Clone, Copy)]
-struct SharedElements<'a> {
-    cells: &'a [UnsafeCell<Element>],
-}
-
-// SAFETY: `Element` is `Send` (plain data + element-local RNG); the
-// per-phase ownership discipline above keeps accesses disjoint.
-unsafe impl Send for SharedElements<'_> {}
-unsafe impl Sync for SharedElements<'_> {}
-
-impl<'a> SharedElements<'a> {
-    fn new(elements: &'a mut [Element]) -> Self {
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`.
-        let cells = unsafe { &*(elements as *mut [Element] as *const [UnsafeCell<Element>]) };
-        Self { cells }
-    }
-
-    /// # Safety
-    /// The caller must be the current tick's unique owner of element `i`
-    /// (matching parity, own shard, visit phase), with no other reference
-    /// to `i` live.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut Element {
-        unsafe { &mut *self.cells[i].get() }
-    }
-
-    /// # Safety
-    /// `i` must not be concurrently mutated: an opposite-parity element
-    /// during the visit phase, or any element while workers are parked
-    /// between windows.
-    #[inline]
-    unsafe fn get(&self, i: usize) -> &Element {
-        unsafe { &*self.cells[i].get() }
-    }
-}
-
-/// A shared view over a dense column, one cell per element, with the
-/// same ownership discipline as [`SharedElements`].
+/// A batch-shared view of a slice, each slot in its own [`UnsafeCell`]:
+/// the element array, every [`SoaDyn`] column, the mailbox matrix, the
+/// arrival buffers, stamped logs and armed lists, and a fault run's
+/// [`FaultState`] as a one-slot slice. Nothing locks a slot; the module
+/// doc's phase-ownership rule says who may touch which slot when, and
+/// each accessor's safety contract is a case of it.
 struct SharedSlice<'a, T> {
     cells: &'a [UnsafeCell<T>],
 }
 
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
+// SAFETY: the phase-ownership rule gives each slot at most one mutator
+// at a time and lets others read only slots no one mutates; workers move
+// and share slots across threads, hence `T: Send + Sync`.
+unsafe impl<T: Send + Sync> Send for SharedSlice<'_, T> {}
+unsafe impl<T: Send + Sync> Sync for SharedSlice<'_, T> {}
 
 impl<T> Clone for SharedSlice<'_, T> {
     fn clone(&self) -> Self {
@@ -831,8 +813,8 @@ impl<'a, T> SharedSlice<'a, T> {
     }
 
     /// # Safety
-    /// The caller must own slot `i` in the current phase (see
-    /// [`SharedElements`]), with no other reference to it live.
+    /// The caller must own slot `i` in the current phase, with no other
+    /// reference to it live.
     #[inline]
     #[allow(clippy::mut_from_ref)]
     unsafe fn get_mut(&self, i: usize) -> &mut T {
@@ -840,10 +822,22 @@ impl<'a, T> SharedSlice<'a, T> {
     }
 
     /// # Safety
-    /// Slot `i` must not be concurrently mutated.
+    /// No one may mutate slot `i` in the current phase.
     #[inline]
     unsafe fn get(&self, i: usize) -> &T {
         unsafe { &*self.cells[i].get() }
+    }
+
+    /// # Safety
+    /// The caller must own every slot (the coordinator between windows),
+    /// with no other reference to any of them live.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn all_mut(&self) -> &mut [T] {
+        let first = UnsafeCell::raw_get(self.cells.as_ptr());
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
+        // cells are `len` contiguous `T`s, and the caller holds every one
+        // exclusively.
+        unsafe { std::slice::from_raw_parts_mut(first, self.cells.len()) }
     }
 }
 
@@ -870,92 +864,6 @@ impl<'a> SoaView<'a> {
             upset: SharedSlice::new(&mut soa.upset),
             asleep_since: SharedSlice::new(&mut soa.asleep_since),
         }
-    }
-}
-
-/// A shared view over a slice of `Vec`s, each in its own cell — the
-/// mailbox matrix and the arrival buffers. Ownership rotates by phase:
-/// during visits worker `w` owns mailbox row `w` and arrival buffer `w`;
-/// during merges worker `w` owns mailbox **column** `w` and the
-/// coordinator owns every arrival buffer once all workers reported done.
-struct SharedVecs<'a, T> {
-    cells: &'a [UnsafeCell<Vec<T>>],
-}
-
-unsafe impl<T: Send> Send for SharedVecs<'_, T> {}
-unsafe impl<T: Send> Sync for SharedVecs<'_, T> {}
-
-impl<T> Clone for SharedVecs<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SharedVecs<'_, T> {}
-
-impl<'a, T> SharedVecs<'a, T> {
-    fn new(vecs: &'a mut [Vec<T>]) -> Self {
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`.
-        let cells = unsafe { &*(vecs as *mut [Vec<T>] as *const [UnsafeCell<Vec<T>>]) };
-        Self { cells }
-    }
-
-    /// # Safety
-    /// The caller must own cell `idx` in the current phase (see the type
-    /// docs), with no other reference to it live.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, idx: usize) -> &mut Vec<T> {
-        unsafe { &mut *self.cells[idx].get() }
-    }
-
-    /// # Safety
-    /// The caller must own every cell (the coordinator between windows),
-    /// with no other reference to any of them live.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn all_mut(&self) -> &mut [Vec<T>] {
-        let first = UnsafeCell::raw_get(self.cells.as_ptr());
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
-        // cells are `len` contiguous `Vec<T>`s, and the caller holds every
-        // one exclusively.
-        unsafe { std::slice::from_raw_parts_mut(first, self.cells.len()) }
-    }
-}
-
-/// A shared view of a fault run's [`FaultState`]. Ownership rotates by
-/// phase like the arrival buffers: during visits every worker only reads
-/// its [`FaultCtx`]; between windows, with all workers done, the
-/// coordinator owns it to fold the logs and run the next `begin_step`.
-#[derive(Clone, Copy)]
-struct SharedFault<'a> {
-    cell: &'a UnsafeCell<FaultState>,
-}
-
-// SAFETY: `FaultState` is plain data; the phase discipline above keeps
-// writes exclusive.
-unsafe impl Send for SharedFault<'_> {}
-unsafe impl Sync for SharedFault<'_> {}
-
-impl<'a> SharedFault<'a> {
-    fn new(state: &'a mut FaultState) -> Self {
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`.
-        let cell = unsafe { &*(state as *mut FaultState as *const UnsafeCell<FaultState>) };
-        Self { cell }
-    }
-
-    /// # Safety
-    /// No one may hold the state mutably: a visit phase, or the
-    /// coordinator between windows.
-    #[inline]
-    unsafe fn get(&self) -> &FaultState {
-        unsafe { &*self.cell.get() }
-    }
-
-    /// # Safety
-    /// Only the coordinator between windows, with every worker done.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self) -> &mut FaultState {
-        unsafe { &mut *self.cell.get() }
     }
 }
 
@@ -1107,16 +1015,17 @@ pub(crate) struct ParRunCtx<'a> {
 /// the per-window call is a single dispatch.
 #[derive(Clone, Copy)]
 struct WindowCtx<'a> {
-    shared: SharedElements<'a>,
+    shared: SharedSlice<'a, Element>,
     view: SoaView<'a>,
     topo: &'a SoaTopo,
-    mail: SharedVecs<'a, u32>,
-    arrivals: SharedVecs<'a, Arrival>,
-    faults: Option<SharedFault<'a>>,
+    mail: SharedSlice<'a, Vec<u32>>,
+    arrivals: SharedSlice<'a, Vec<Arrival>>,
+    /// A fault run's state, as a one-slot slice.
+    faults: Option<SharedSlice<'a, FaultState>>,
     /// Whether trace sinks are attached: visits then log their events.
     tracing: bool,
-    logs: SharedVecs<'a, Logged>,
-    armed: SharedVecs<'a, u32>,
+    logs: SharedSlice<'a, Vec<Logged>>,
+    armed: SharedSlice<'a, Vec<u32>>,
     shard_of: &'a [u16],
     pinned: &'a [bool],
     dist: &'a [u32],
@@ -1149,15 +1058,15 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     } = ctx;
     par.load_dyn(elements);
     let workers = par.workers;
-    let shared = SharedElements::new(elements);
+    let shared = SharedSlice::new(elements);
     let view = SoaView::new(&mut par.soa);
-    let mail = SharedVecs::new(&mut par.mail);
-    let arrivals = SharedVecs::new(&mut par.arrivals);
+    let mail = SharedSlice::new(&mut par.mail);
+    let arrivals = SharedSlice::new(&mut par.arrivals);
     let arrival_scratch = &mut par.arrival_scratch;
-    let faults = faults.map(SharedFault::new);
+    let faults = faults.map(|f| SharedSlice::new(std::slice::from_mut(f)));
     let tracing = !sinks.is_empty();
-    let logs = SharedVecs::new(&mut par.logs);
-    let armed = SharedVecs::new(&mut par.armed);
+    let logs = SharedSlice::new(&mut par.logs);
+    let armed = SharedSlice::new(&mut par.armed);
     let dist: &[u32] = &par.dist;
     let cut_peers: &[Vec<usize>] = &par.cut_peers;
     let wctx = WindowCtx {
@@ -1266,7 +1175,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         // coordinator may read every element.
         let drained = || {
             // SAFETY: workers are parked whenever this runs.
-            faults.is_none_or(|f| !unsafe { f.get() }.recovery_busy())
+            faults.is_none_or(|f| !unsafe { f.get(0) }.recovery_busy())
                 && nothing_in_flight(shared, view, wctx.topo)
         };
         let mut stop = max_ticks == 0 || (stop_when_drained && drained());
@@ -1280,7 +1189,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             if let Some(f) = faults {
                 // SAFETY: every worker is done: the coordinator owns the
                 // fault state, every element and every armed list.
-                let f = unsafe { f.get_mut() };
+                let f = unsafe { f.get_mut(0) };
                 f.begin_step(base_tick + k);
                 for (injector, flit) in f.released() {
                     let i = injector as usize;
@@ -1356,7 +1265,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             if faults.is_some() || tracing {
                 // SAFETY: the logs and the fault state belong to the
                 // coordinator between windows.
-                let (logs, f) = unsafe { (logs.all_mut(), faults.as_ref().map(|f| f.get_mut())) };
+                let (logs, f) = unsafe { (logs.all_mut(), faults.as_ref().map(|f| f.get_mut(0))) };
                 fold_logs(logs, f, sinks);
             }
             activity_next = (1..workers).fold(own_activity, |a, w| {
@@ -1585,20 +1494,13 @@ fn record_epoch_at(
 /// dense `out` column is scanned first, so a fabric still holding flits
 /// answers without touching any element. Only callable while all workers
 /// are quiescent (before the first window or after all reported done).
-fn nothing_in_flight(shared: SharedElements<'_>, view: SoaView<'_>, topo: &SoaTopo) -> bool {
+fn nothing_in_flight(shared: SharedSlice<'_, Element>, view: SoaView<'_>, topo: &SoaTopo) -> bool {
     // SAFETY: no worker is in a visit phase.
     (0..topo.len()).all(|i| unsafe { view.out.get(i) }.is_none())
         && (0..topo.len())
             .filter(|&i| matches!(topo.kind[i], K_SOURCE | K_TILE))
-            .all(|i| {
-                // SAFETY: as above.
-                let el = unsafe { shared.get(i) };
-                el.faults.as_ref().is_none_or(|f| f.retx.is_empty())
-                    && match &el.kind {
-                        Kind::Tile(t) => t.pending.is_empty(),
-                        _ => true,
-                    }
-            })
+            // SAFETY: as above.
+            .all(|i| unsafe { shared.get(i) }.queued() == 0)
 }
 
 /// The visit phase of one tick for one shard: drain the parity-`p` ready
@@ -1624,7 +1526,7 @@ fn visit_tick(
         (Some(faults), tracing) => {
             let mut fx = std::mem::take(&mut core.fx);
             // SAFETY: the fault state is read-only during visit phases.
-            let fault_ctx = unsafe { faults.get() }.ctx();
+            let fault_ctx = unsafe { faults.get(0) }.ctx();
             let (ops, timed) = (&mut fx.ops, &mut fx.timed);
             if tracing {
                 let mut lane = FaultLane::<true> {
@@ -1896,30 +1798,13 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
         verdict
     }
     fn endpoint(&mut self, i: usize, tick: u64, injected: Option<Flit>, retx: Option<Flit>) {
-        if let Some(flit) = retx {
-            let op = FaultOp::Retransmitted(flit.src.0, flit.seq);
+        FaultOp::endpoint(injected, retx, |op| {
             self.log.push((tick, i as u32, LogEntry::Op(op)));
-        }
-        if let Some(flit) = injected {
-            let op = FaultOp::Injection(flit);
-            self.log.push((tick, i as u32, LogEntry::Op(op)));
-        }
+        });
     }
     fn event(&mut self, i: usize, tick: u64, kind: TraceEventKind, flit: Flit) {
         self.log.push((tick, i as u32, LogEntry::Event(kind, flit)));
     }
-}
-
-/// The trace event a consumer emits for an arrival the gate judged
-/// `verdict` at `port`.
-fn arrival_event(verdict: ArrivalVerdict, flit: &Flit, port: PortId) -> TraceEventKind {
-    let cause = match verdict {
-        ArrivalVerdict::Deliver if flit.dest == port => return TraceEventKind::Delivered,
-        ArrivalVerdict::Deliver => DropCause::Misroute,
-        ArrivalVerdict::Corrupt => DropCause::CorruptPayload,
-        ArrivalVerdict::Duplicate => DropCause::Duplicate,
-    };
-    TraceEventKind::Dropped { cause }
 }
 
 /// The merge phase of a mailbox tick: fold the mailbox columns addressed
@@ -1929,7 +1814,7 @@ fn arrival_event(verdict: ArrivalVerdict, flit: &Flit, port: PortId) -> TraceEve
 /// Non-peer mailboxes are provably empty (wakes only target graph
 /// neighbours) and are skipped.
 fn merge_shard(
-    mail: SharedVecs<'_, u32>,
+    mail: SharedSlice<'_, Vec<u32>>,
     w: usize,
     workers: usize,
     p: usize,
@@ -1992,7 +1877,7 @@ fn soa_rearm(
     w: usize,
     workers: usize,
     core: &mut ShardCore,
-    mail: SharedVecs<'_, u32>,
+    mail: SharedSlice<'_, Vec<u32>>,
     allow_cross: bool,
 ) {
     // SAFETY: `i` belongs to this worker this tick.
@@ -2256,7 +2141,6 @@ unsafe fn soa_step_source<H: Hooks>(
     }
     // SAFETY: per the function contract.
     let drained = unsafe { soa_drained(view, topo, i) };
-    let cycle = tick / 2;
     // SAFETY: own element.
     let out = unsafe { view.out.get_mut(i) };
     if drained {
@@ -2282,74 +2166,9 @@ unsafe fn soa_step_source<H: Hooks>(
     let mut stalled = false;
     if state.enabled || state.emitting.is_some() {
         if out.is_none() {
-            if let Some((dest, remaining)) = state.emitting {
-                let kind = if remaining == 1 {
-                    crate::FlitKind::Tail
-                } else {
-                    crate::FlitKind::Body
-                };
-                let flit = Flit::with_kind(
-                    state.port,
-                    dest,
-                    state.next_seq,
-                    state.next_packet,
-                    kind,
-                    tick,
-                );
-                state.next_seq += 1;
-                state.sent += 1;
-                state.emitting = if remaining == 1 {
-                    state.next_packet += 1;
-                    state.packets_sent += 1;
-                    None
-                } else {
-                    Some((dest, remaining - 1))
-                };
+            if let Some(flit) = state.next_flit(tick, num_ports) {
                 *out = Some(flit);
                 injected = Some(flit);
-            } else if state.enabled {
-                let crate::element::SourceState {
-                    pattern,
-                    port,
-                    rng,
-                    cursor,
-                    ..
-                } = state;
-                if let TrafficPhase::Inject(dest) =
-                    pattern.decide(*port, num_ports, cycle, rng, cursor)
-                {
-                    if let Some(trace) = &mut state.trace {
-                        trace.push((cycle, dest.0));
-                    }
-                    let flit = if state.packet_len == 1 {
-                        let f = Flit::with_kind(
-                            state.port,
-                            dest,
-                            state.next_seq,
-                            state.next_packet,
-                            crate::FlitKind::Single,
-                            tick,
-                        );
-                        state.next_packet += 1;
-                        state.packets_sent += 1;
-                        f
-                    } else {
-                        let f = Flit::with_kind(
-                            state.port,
-                            dest,
-                            state.next_seq,
-                            state.next_packet,
-                            crate::FlitKind::Head,
-                            tick,
-                        );
-                        state.emitting = Some((dest, state.packet_len - 1));
-                        f
-                    };
-                    state.next_seq += 1;
-                    state.sent += 1;
-                    *out = Some(flit);
-                    injected = Some(flit);
-                }
             }
         } else if retransmitted.is_none() {
             state.stalled_edges += 1;
@@ -2485,7 +2304,6 @@ unsafe fn soa_step_tile<H: Hooks>(
         state.stalled_edges += unsafe { wake_stalls(view, i, tick) };
     }
     let port = state.port;
-    let cycle = tick / 2;
     // SAFETY: own element.
     unsafe {
         *view.acc.get_mut(i) = if offered.is_some() { up } else { NONE_U32 };
@@ -2495,21 +2313,7 @@ unsafe fn soa_step_tile<H: Hooks>(
     let verdict = offered.map(|flit| hooks.arrival(i, tick, &flit, port, &mut el.faults));
     let arrived = offered.filter(|_| verdict == Some(ArrivalVerdict::Deliver));
     if let Some(flit) = arrived {
-        match &mut state.role {
-            TileRole::Memory { service_cycles } => {
-                if flit.closes_route() {
-                    state.pending.push_back((flit.src, cycle + *service_cycles));
-                }
-            }
-            TileRole::Processor { .. } => {
-                if let Some(queue) = state.outstanding.get_mut(&flit.src.0) {
-                    if let Some(sent_tick) = queue.pop_front() {
-                        state.round_trip.record(tick.saturating_sub(sent_tick));
-                        state.responses += 1;
-                    }
-                }
-            }
-        }
+        state.consume(&flit, tick);
     }
     // A pending retransmission takes the idle slot first.
     let mut retransmitted = None;
@@ -2520,51 +2324,7 @@ unsafe fn soa_step_tile<H: Hooks>(
     let mut injected = None;
     let mut stalled = false;
     if out_empty && retransmitted.is_none() {
-        let mut emit = None;
-        match &mut state.role {
-            TileRole::Memory { .. } => {
-                if let Some(&(requester, ready)) = state.pending.front() {
-                    if cycle >= ready {
-                        state.pending.pop_front();
-                        emit = Some(requester);
-                    }
-                }
-            }
-            TileRole::Processor {
-                pattern,
-                max_outstanding,
-            } => {
-                if state.enabled {
-                    let in_flight: usize = state.outstanding.values().map(|q| q.len()).sum();
-                    if in_flight < *max_outstanding {
-                        if let TrafficPhase::Inject(dest) = pattern.decide(
-                            port,
-                            num_ports,
-                            cycle,
-                            &mut state.rng,
-                            &mut state.cursor,
-                        ) {
-                            emit = Some(dest);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(dest) = emit {
-            let flit = Flit::with_kind(
-                port,
-                dest,
-                state.next_seq,
-                state.next_seq, // single-flit packets: packet id = seq
-                crate::FlitKind::Single,
-                tick,
-            );
-            state.next_seq += 1;
-            state.sent += 1;
-            state.packets_sent += 1;
-            if let TileRole::Processor { .. } = state.role {
-                state.outstanding.entry(dest.0).or_default().push_back(tick);
-            }
+        if let Some(flit) = state.next_flit(tick, num_ports) {
             *out = Some(flit);
             injected = Some(flit);
         }

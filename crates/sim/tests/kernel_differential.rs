@@ -172,13 +172,18 @@ proptest! {
     /// and stay bit-identical to dense, ledger included, while the event
     /// kernel visits no more elements than dense and the parallel kernel
     /// exactly as many as the event kernel (`assert_kernels_agree`),
-    /// with counters (a traced fault run) and without.
+    /// with counters (a traced fault run) and without, on open-loop
+    /// sources sending single flits or worms (retransmissions wait for
+    /// the gap between packets) and on closed-loop tiles (the consumer
+    /// gate decides what a memory serves and a processor counts).
     #[test]
     fn kernels_agree_under_fault_injection(
         seed in any::<u64>(),
         rate in 0.05f64..0.5,
         profile in 0u32..5,
         counters in 0u32..2,
+        tiles in 0u32..2,
+        packet_len in 1u32..4,
         cycles in 100u64..400,
     ) {
         let (plan, backend, context) = match profile {
@@ -206,12 +211,19 @@ proptest! {
                 "windowed clock soak",
             ),
         };
-        let cfg = TreeNetworkConfig::new(binary(16))
+        let mut cfg = TreeNetworkConfig::new(binary(16))
             .with_pattern(TrafficPattern::Uniform { rate })
+            .with_packet_length(packet_len)
             .with_faults(plan)
             .with_clock_backend(backend)
             .with_counters(counters == 1)
             .with_seed(seed);
+        if tiles == 1 {
+            cfg = cfg.with_tiles(icnoc_sim::TileTraffic {
+                max_outstanding: 4,
+                service_cycles: 3,
+            });
+        }
         let (dense, event) = assert_kernels_agree(&cfg, cycles, context);
         prop_assert!(
             event.fault_report().is_some_and(|r| r.conserves() && r.pending == 0),
