@@ -134,12 +134,13 @@ impl JsonValue {
     }
 
     /// Parses a JSON document. Returns `Err` with a short human-readable
-    /// message (byte offset included) on malformed input.
+    /// message (byte offset included) on malformed input, including
+    /// arrays and objects nested more than 128 deep.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -147,6 +148,11 @@ impl JsonValue {
         Ok(value)
     }
 }
+
+/// The deepest nesting of arrays and objects [`JsonValue::parse`]
+/// accepts. The parser recurses once per level, so the cap bounds its
+/// stack use; every document this crate writes nests a few levels deep.
+const MAX_DEPTH: usize = 128;
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
@@ -195,14 +201,20 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_keyword(bytes, pos, "null", JsonValue::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::Str),
+        Some(b'"') => parse_string(text, pos).map(JsonValue::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -212,7 +224,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -234,13 +246,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -271,7 +283,8 @@ fn parse_keyword(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
@@ -309,10 +322,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf-8")?;
-                let c = rest.chars().next().unwrap();
+                // Consume one UTF-8 scalar: `pos` only ever advances over
+                // whole scalars, so it sits on a `char` boundary.
+                let c = text[*pos..].chars().next().expect("a byte remains");
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -373,6 +385,35 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1.2.3", "{} extra"] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_cap() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objects).is_err());
+        // Far deeper than any stack could recurse: an error, not a crash.
+        assert!(JsonValue::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn parses_long_strings_in_linear_time() {
+        let body = "é".repeat(1 << 19);
+        let text = format!("\"{body}\"");
+        assert_eq!(text.len(), (1 << 20) + 2);
+        let start = std::time::Instant::now();
+        assert_eq!(JsonValue::parse(&text), Ok(JsonValue::Str(body)));
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "a 1 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -327,3 +327,33 @@ fn concurrent_executors_race_one_cache_dir_with_one_execution() {
     assert_eq!(outcomes[0], outcomes[1], "both see the same outcome");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_daemon_stays_up() {
+    let dir = scratch("nested");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &RegistryConfig {
+            state_dir: dir.clone(),
+            workers: 1,
+            queue_limit: 8,
+        },
+    )
+    .expect("binds");
+    let addr = server.addr().to_owned();
+    let daemon = std::thread::spawn(move || server.run().expect("runs"));
+
+    let body = "[".repeat(100_000);
+    let response = icnoc_serve::http::client_request(&addr, "POST", "/sweeps", &body, None)
+        .expect("the daemon answers");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("nesting"), "{}", response.body);
+
+    let health = icnoc_serve::http::client_request(&addr, "GET", "/healthz", "", None)
+        .expect("the daemon still answers");
+    assert_eq!(health.status, 200);
+
+    client::shutdown(&addr).expect("stops");
+    daemon.join().expect("daemon joins");
+    let _ = std::fs::remove_dir_all(&dir);
+}

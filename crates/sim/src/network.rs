@@ -137,10 +137,11 @@ pub struct Network {
     /// freeze whole subtrees; also used to attribute stalled holders to a
     /// quarantined domain in [`diagnose_stall`](Self::diagnose_stall).
     clock_domains: Option<ClockTopology>,
-    /// Total element visits executed across all ticks (all kernels).
-    /// Deliberately *not* part of [`SimReport`]: the kernels visit
-    /// different element counts while producing identical reports.
-    element_steps: u64,
+    /// Element visits of the dense loop; the activity-list kernel counts
+    /// its own in its shard cores. Deliberately *not* part of
+    /// [`SimReport`]: the kernels visit different element counts while
+    /// producing identical reports.
+    dense_steps: u64,
     /// Kernel profiler, if [`enable_profiling`](Self::enable_profiling)
     /// was called. Boxed like `faults`: the unprofiled hot path pays one
     /// pointer of state and one branch per tick.
@@ -174,7 +175,7 @@ impl Network {
             par: None,
             shard_hints: None,
             clock_domains: None,
-            element_steps: 0,
+            dense_steps: 0,
             prof: None,
         }
     }
@@ -226,7 +227,7 @@ impl Network {
     /// flit on each of its edges: one extra visit per `Blocked` event.
     #[must_use]
     pub fn element_steps(&self) -> u64 {
-        self.element_steps
+        self.dense_steps + self.par.as_ref().map_or(0, ParState::steps)
     }
 
     /// Switches on the kernel profiler. Must be called before the first
@@ -336,7 +337,7 @@ impl Network {
     /// Attaches a [`CountersSink`], enabling the per-element utilisation
     /// and per-flow latency sections of [`SimReport`].
     pub fn enable_counters(&mut self) {
-        self.add_trace_sink(Box::new(CountersSink::with_ports(self.num_ports)));
+        self.add_trace_sink(Box::new(CountersSink::new()));
     }
 
     /// Attaches a [`RingBufferSink`] retaining the last `capacity` events
@@ -599,9 +600,8 @@ impl Network {
         };
         if self.par.is_none() {
             let mut par = ParState::build(&self.elements, requested, self.shard_hints.as_deref());
-            if let Some(prof) = &mut self.prof {
+            if self.prof.is_some() {
                 par.enable_profiling();
-                prof.bind_shards(par.workers());
             }
             self.par = Some(par);
         }
@@ -637,22 +637,8 @@ impl Network {
             stop_when_drained,
         );
         self.tick += executed;
-        if let Some(prof) = &mut self.prof {
-            prof.epochs += executed;
-            if let Some(t) = batch_start {
-                prof.elapsed_ns += t.elapsed().as_nanos() as u64;
-            }
-        }
-        for (w, core) in par.cores_mut().iter_mut().enumerate() {
-            self.element_steps += core.steps;
-            if let Some(prof) = &mut self.prof {
-                prof.shard_steps[w] += core.steps;
-                prof.shard_wakes_sent[w] += core.wakes_sent;
-                prof.shard_wakes_received[w] += core.wakes_received;
-            }
-            core.steps = 0;
-            core.wakes_sent = 0;
-            core.wakes_received = 0;
+        if let (Some(prof), Some(t)) = (&mut self.prof, batch_start) {
+            prof.elapsed_ns += t.elapsed().as_nanos() as u64;
         }
     }
 
@@ -755,7 +741,7 @@ impl Network {
         let seq_start = self
             .prof
             .as_ref()
-            .map(|_| (std::time::Instant::now(), self.element_steps));
+            .map(|_| (std::time::Instant::now(), self.dense_steps));
         if let Some(f) = &mut self.faults {
             // Per-edge recovery machinery: clock-domain state, outage
             // epochs, DFS creep-up, ack timeouts, retransmission
@@ -773,12 +759,12 @@ impl Network {
             if self.elements[i].polarity != parity {
                 continue;
             }
-            self.element_steps += 1;
+            self.dense_steps += 1;
             self.dispatch(i);
         }
         if let Some((t0, steps0)) = seq_start {
             let step_ns = t0.elapsed().as_nanos() as u64;
-            let steps = self.element_steps - steps0;
+            let steps = self.dense_steps - steps0;
             self.prof
                 .as_mut()
                 .expect("profiling enabled")
@@ -1466,22 +1452,25 @@ impl Network {
             .iter()
             .find_map(|s| s.as_any().downcast_ref::<CountersSink>())
             .map(|c| c.report(self.tick / 2, &self.element_labels()));
+        // `enable_profiling` requires tick 0, so every tick is a profiled
+        // barrier epoch.
         let perf = self.prof.as_ref().map(|prof| match &self.par {
             Some(par) => PerfReport {
                 kernel: self.kernel.label().to_owned(),
                 workers: par.workers() as u32,
-                epochs: prof.epochs,
+                epochs: self.tick,
                 fallback: None,
                 shards: par
                     .shard_elements()
                     .iter()
+                    .zip(par.cores())
                     .enumerate()
-                    .map(|(w, &elements)| ShardCounters {
+                    .map(|(w, (&elements, core))| ShardCounters {
                         worker: w as u32,
                         elements,
-                        steps: prof.shard_steps[w],
-                        wakes_sent: prof.shard_wakes_sent[w],
-                        wakes_received: prof.shard_wakes_received[w],
+                        steps: core.steps,
+                        wakes_sent: core.wakes_sent,
+                        wakes_received: core.wakes_received,
                     })
                     .collect(),
                 wall: Some(PerfWall {
@@ -1503,12 +1492,12 @@ impl Network {
             None => PerfReport {
                 kernel: self.kernel.label().to_owned(),
                 workers: 1,
-                epochs: prof.epochs,
+                epochs: self.tick,
                 fallback: None,
                 shards: vec![ShardCounters {
                     worker: 0,
                     elements: self.elements.len() as u64,
-                    steps: self.element_steps,
+                    steps: self.dense_steps,
                     wakes_sent: 0,
                     wakes_received: 0,
                 }],

@@ -41,14 +41,14 @@
 //!   `i`'s polarity. Every other access reads an opposite-parity
 //!   neighbour, frozen for the tick; inside a batched window no element
 //!   with a cross-shard neighbour is visited at all. Worker `w` owns
-//!   mailbox row `w`, arrival buffer `w`, log `w` and armed list `w`. The
-//!   fault state is read-only.
+//!   mailbox row `w`, log `w` and armed list `w`. The fault state is
+//!   read-only.
 //! * **Merge phase** (after a mailbox tick's `visit_done` exchange):
 //!   worker `w` owns mailbox column `w`.
 //! * **Between windows** (every worker has reported done and waits on the
-//!   next serial): the coordinator owns every slot. It folds the arrival
-//!   buffers and logs, runs the fault state's `begin_step`, and queues
-//!   released retransmissions into the elements and armed lists.
+//!   next serial): the coordinator owns every slot. It folds the logs,
+//!   runs the fault state's `begin_step`, and queues released
+//!   retransmissions into the elements and armed lists.
 //!
 //! Three mechanisms keep the constant factor small:
 //!
@@ -79,8 +79,8 @@
 //!   thousands of barrier crossings. A window with armed elements is
 //!   also capped at [`FOLD_TICKS`] ([`TRACE_FOLD_TICKS`] on a traced
 //!   run), so a shard with no cut at all (the event kernel) still folds
-//!   its deferred arrivals at a fixed interval instead of buffering a
-//!   whole run's deliveries.
+//!   its log at a fixed interval instead of buffering a whole run's
+//!   deliveries.
 //!
 //! * **Per-edge flags + parking instead of a global spin barrier.**
 //!   Windows are published through a seqlock-free serial counter; each
@@ -93,11 +93,12 @@
 //! Determinism is preserved exactly: inside a batched window no
 //! cross-shard interaction exists (enforced by a tripwire assert on the
 //! mailbox path), and mailbox ticks replay the original two-phase
-//! protocol. Sink and tile deliveries are deferred into per-worker
-//! buffers stamped with `(tick, element)` and folded into the scoreboard
-//! in that order at window end — each consumer records at most one
-//! arrival per tick, so the fold reproduces the sequential kernel's
-//! scoreboard order bit for bit at any worker count.
+//! protocol. Every worker keeps one log of `(tick, element)`-stamped
+//! entries — sink and tile deliveries, and on fault or traced runs
+//! recovery-layer operations and trace events — and the coordinator
+//! folds the logs in that order at every window end. Each consumer
+//! records at most one arrival per tick, so the fold reproduces the
+//! sequential kernel's scoreboard order bit for bit at any worker count.
 //!
 //! Fault plans run here at every worker count. Every fault is a pure hash
 //! of `(seed, tick, element, slot)`, and no fault changes an element that
@@ -105,16 +106,16 @@
 //! armed until it thaws, a lost offer re-arms its stage, and a held
 //! flit's register upset is drawn when the flit is latched and served by
 //! a timed wake on its shard. Fault runs use one-tick windows. Shards log
-//! their recovery-layer operations stamped with `(tick, element)`; at
-//! each tick boundary the coordinator folds the logs in that order — the
-//! dense loop's order — runs `FaultState::begin_step` for the next tick,
-//! and arms every source or tile whose retransmission it released.
+//! their recovery-layer operations; at each tick boundary the coordinator
+//! folds the logs — in the dense loop's order — runs
+//! `FaultState::begin_step` for the next tick, and arms every source or
+//! tile whose retransmission it released.
 //!
 //! Trace sinks run here too, through a compile-time trace lane on the
 //! visit hooks ([`Hooks::TRACE`]): each visit logs the events the dense
 //! loop emits, at the same points and in the same order, into the same
-//! `(tick, element)`-stamped shard log, and the coordinator merges the
-//! logs into the sinks at every window end. The dense stream reports
+//! `(tick, element)`-stamped shard log, and the fold hands them to the
+//! sinks. The dense stream reports
 //! every blocked edge, so on a traced run a stage holding a flit stays
 //! armed and a generator that counts a stall keeps its pin: every visit
 //! beyond the untraced run's emits exactly one `Blocked` event, and a
@@ -137,11 +138,6 @@ use std::sync::OnceLock;
 use std::thread::Thread;
 use std::time::Instant;
 
-/// A deferred sink/tile delivery: `(tick, element index, flit, consuming
-/// port)`. The tick stamp lets arrivals from a multi-tick window fold
-/// into the scoreboard in sequential order.
-type Arrival = (u64, u32, Flit, PortId);
-
 /// An entry of a shard's stamped log: `(tick, element, entry)`. The
 /// coordinator folds every shard's log in that order at each window end.
 type Logged = (u64, u32, LogEntry);
@@ -149,6 +145,9 @@ type Logged = (u64, u32, LogEntry);
 /// What a visit logs for the coordinator's fold.
 #[derive(Debug, Clone, Copy)]
 enum LogEntry {
+    /// A flit the consumer gate cleared at a sink or tile, recorded on
+    /// the scoreboard at the consuming port.
+    Arrival(Flit, PortId),
     /// A recovery-layer operation, applied to the fault state.
     Op(FaultOp),
     /// A trace event, recorded by every attached sink.
@@ -164,9 +163,9 @@ const K_TILE: u8 = 3;
 /// "No element" marker in the dense `u32` element-index encoding.
 const NONE_U32: u32 = u32::MAX;
 
-/// The longest window a batch runs while any element is armed. Deferred
-/// arrivals fold into the scoreboard at every window end, so this bounds
-/// the arrival buffers of a shard with no cut edge (the event kernel),
+/// The longest window a batch runs while any element is armed. The shard
+/// logs fold at every window end, so this bounds the log of a shard with
+/// no cut edge (the event kernel),
 /// whose lookahead is otherwise unbounded. Multi-worker windows stay far
 /// below it: they are capped by the hop distance to the shard cut.
 const FOLD_TICKS: u64 = 128;
@@ -210,7 +209,7 @@ fn pol_idx(p: ClockPolarity) -> usize {
 /// Persistent state of the activity-list kernel: the shard plan, the dense
 /// SoA mirrors of graph and handshake state, the boundary-distance map
 /// driving lookahead windows, and each worker's ready sets, mailboxes
-/// and arrival buffer. Plain data — worker threads are scoped per batch,
+/// and log. Plain data — worker threads are scoped per batch,
 /// so the network stays `Clone`.
 #[derive(Debug, Clone)]
 pub(crate) struct ParState {
@@ -241,13 +240,8 @@ pub(crate) struct ParState {
     /// Cross-shard wake mailboxes, row-major: `mail[from * workers + to]`
     /// holds element indices worker `from` wants woken in shard `to`.
     mail: Vec<Vec<u32>>,
-    /// Per-worker deferred arrivals, merged into the scoreboard at each
-    /// window end.
-    arrivals: Vec<Vec<Arrival>>,
-    /// Scratch for the per-window arrival sort.
-    arrival_scratch: Vec<Arrival>,
-    /// Per-worker stamped logs of a fault or traced run, folded into the
-    /// fault state and the trace sinks at each window end.
+    /// Per-worker stamped logs, folded into the scoreboard, the fault
+    /// state and the trace sinks at each window end.
     logs: Vec<Vec<Logged>>,
     /// Per-worker elements the coordinator armed between windows (the
     /// injectors of released retransmissions).
@@ -266,13 +260,13 @@ pub(crate) struct ShardCore {
     /// Agenda swap buffer: the current tick's ready set is swapped in
     /// here, so same-parity re-arms land on the *next* matching edge.
     scratch: Vec<u64>,
-    /// Element visits executed by this worker, drained into the
-    /// network-wide counter after each batch.
+    /// Element visits executed by this worker since the shard plan was
+    /// built.
     pub(crate) steps: u64,
-    /// Cross-shard wakes pushed into mailboxes, drained like `steps`.
+    /// Cross-shard wakes pushed into mailboxes, counted like `steps`.
     pub(crate) wakes_sent: u64,
     /// Cross-shard wakes folded out of this worker's mailbox column,
-    /// drained like `steps`.
+    /// counted like `steps`.
     pub(crate) wakes_received: u64,
     /// Per-epoch wall profiling, worker-owned during batches. `None`
     /// unless [`Network::enable_profiling`](crate::Network) was called.
@@ -337,8 +331,6 @@ impl ParState {
             lookahead,
             cores,
             mail: vec![Vec::new(); workers * workers],
-            arrivals: vec![Vec::new(); workers],
-            arrival_scratch: Vec::new(),
             logs: vec![Vec::new(); workers],
             armed: vec![Vec::new(); workers],
         };
@@ -388,14 +380,20 @@ impl ParState {
         self.lookahead
     }
 
-    /// Per-worker step counters, for draining into the network total.
+    /// The per-worker cores, for anchoring profile timelines.
     pub(crate) fn cores_mut(&mut self) -> &mut [ShardCore] {
         &mut self.cores
     }
 
-    /// Read access to the per-worker cores, for profile snapshots.
+    /// The per-worker cores, for counter and profile snapshots.
     pub(crate) fn cores(&self) -> &[ShardCore] {
         &self.cores
+    }
+
+    /// Element visits executed by every worker since the shard plan was
+    /// built.
+    pub(crate) fn steps(&self) -> u64 {
+        self.cores.iter().map(|c| c.steps).sum()
     }
 
     /// Switches on per-worker wall profiling for every shard.
@@ -784,10 +782,10 @@ fn ready_activity(core: &ShardCore, dist: &[u32], lone: bool) -> ShardActivity {
 
 /// A batch-shared view of a slice, each slot in its own [`UnsafeCell`]:
 /// the element array, every [`SoaDyn`] column, the mailbox matrix, the
-/// arrival buffers, stamped logs and armed lists, and a fault run's
-/// [`FaultState`] as a one-slot slice. Nothing locks a slot; the module
-/// doc's phase-ownership rule says who may touch which slot when, and
-/// each accessor's safety contract is a case of it.
+/// stamped logs and armed lists, and a fault run's [`FaultState`] as a
+/// one-slot slice. Nothing locks a slot; the module doc's
+/// phase-ownership rule says who may touch which slot when, and each
+/// accessor's safety contract is a case of it.
 struct SharedSlice<'a, T> {
     cells: &'a [UnsafeCell<T>],
 }
@@ -1019,7 +1017,6 @@ struct WindowCtx<'a> {
     view: SoaView<'a>,
     topo: &'a SoaTopo,
     mail: SharedSlice<'a, Vec<u32>>,
-    arrivals: SharedSlice<'a, Vec<Arrival>>,
     /// A fault run's state, as a one-slot slice.
     faults: Option<SharedSlice<'a, FaultState>>,
     /// Whether trace sinks are attached: visits then log their events.
@@ -1041,11 +1038,12 @@ struct WindowCtx<'a> {
 /// so tick counts (and the gating statistics derived from them) match
 /// the dense kernel bit for bit.
 ///
-/// A fault run steps one tick per window. Before each tick the
-/// coordinator runs the fault state's `begin_step` and queues the
-/// retransmissions it releases at their injectors, arming them. After
-/// each window it folds the shards' stamped logs — recovery-layer
-/// operations and trace events — in `(tick, element)` order.
+/// After each window the coordinator folds the shards' stamped logs —
+/// deliveries, recovery-layer operations and trace events — in
+/// `(tick, element)` order. A fault run steps one tick per window: before
+/// each tick the coordinator runs the fault state's `begin_step` and
+/// queues the retransmissions it releases at their injectors, arming
+/// them.
 pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: bool) -> u64 {
     let ParRunCtx {
         elements,
@@ -1061,8 +1059,6 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     let shared = SharedSlice::new(elements);
     let view = SoaView::new(&mut par.soa);
     let mail = SharedSlice::new(&mut par.mail);
-    let arrivals = SharedSlice::new(&mut par.arrivals);
-    let arrival_scratch = &mut par.arrival_scratch;
     let faults = faults.map(|f| SharedSlice::new(std::slice::from_mut(f)));
     let tracing = !sinks.is_empty();
     let logs = SharedSlice::new(&mut par.logs);
@@ -1074,7 +1070,6 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         view,
         topo: &par.topo,
         mail,
-        arrivals,
         faults,
         tracing,
         logs,
@@ -1163,9 +1158,9 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             });
         }
         // The coordinating thread is worker 0: it decides and publishes
-        // windows, runs its own shard, then folds deferred arrivals into
-        // the scoreboard and evaluates the stop condition once every
-        // worker has reported done.
+        // windows, runs its own shard, then folds the shard logs and
+        // evaluates the stop condition once every worker has reported
+        // done.
         let profiling = coordinator_core.prof.is_some();
         let mut serial = 0u64;
         let mut phases = 0u64;
@@ -1244,30 +1239,10 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                 sync.wait_until(0, || sync.peers[w].0.done.load(Ordering::SeqCst) >= serial);
             }
             let wait_ns = wait0.map_or(0, |t| dur_ns(t, Instant::now()));
-            // All workers are now parked on the next serial: the
-            // coordinator owns every arrival buffer and may read all
-            // element state.
-            arrival_scratch.clear();
-            for buf in 0..workers {
-                // SAFETY: arrival buffers belong to the coordinator
-                // between windows.
-                arrival_scratch.append(unsafe { arrivals.get_mut(buf) });
-            }
-            // Each consumer records at most one arrival per tick and
-            // each worker appended in (tick, element) order, so sorting
-            // by the stamped tick then element index reproduces the
-            // dense loop's scoreboard order exactly (keys are unique;
-            // unstable sort is fine).
-            arrival_scratch.sort_unstable_by_key(|a| (a.0, a.1));
-            for (tick, _, flit, port) in arrival_scratch.drain(..) {
-                scoreboard.record_arrival(&flit, tick, port);
-            }
-            if faults.is_some() || tracing {
-                // SAFETY: the logs and the fault state belong to the
-                // coordinator between windows.
-                let (logs, f) = unsafe { (logs.all_mut(), faults.as_ref().map(|f| f.get_mut(0))) };
-                fold_logs(logs, f, sinks);
-            }
+            // SAFETY: every worker is done and parked on the next serial:
+            // the coordinator owns the logs and the fault state.
+            let (logs, f) = unsafe { (logs.all_mut(), faults.as_ref().map(|f| f.get_mut(0))) };
+            fold_logs(logs, scoreboard, f, sinks);
             activity_next = (1..workers).fold(own_activity, |a, w| {
                 a.fold(ShardActivity::unpack(
                     sync.peers[w].0.activity.load(Ordering::SeqCst),
@@ -1276,7 +1251,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             k += ticks;
             executed = k;
             stop = k >= max_ticks || (stop_when_drained && drained());
-            // The coordinator's flush phase includes the arrival fold and
+            // The coordinator's flush phase includes the log fold and
             // stop evaluation above, so its sample is recorded last.
             if let (Some(t0), Some(t1), Some((t2, blocked))) = (t0, t1, prof_marks) {
                 record_epoch_at(
@@ -1302,17 +1277,21 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
 /// Folds one window's shard logs and clears them. Each shard logged in
 /// `(tick, element)` order and no element spans two shards, so merging
 /// the logs by that key — each element's entries kept in the order its
-/// visit made them — reproduces the dense loop's order. Operations go to
-/// the fault state, events to every sink. A violation that makes the DFS
-/// controller back off is decided here, not in the visit, so its
-/// `FrequencyBackoff` event joins the stream right after the capture's
-/// `TimingViolation`, where the dense loop emits it: the capture logs its
-/// `Violation` op before its events.
+/// visit made them — reproduces the dense loop's order. Arrivals go to
+/// the scoreboard, operations to the fault state, events to every sink.
+/// A violation that makes the DFS controller back off is decided here,
+/// not in the visit, so its `FrequencyBackoff` event joins the stream
+/// right after the capture's `TimingViolation`, where the dense loop
+/// emits it: the capture logs its `Violation` op before its events.
 fn fold_logs(
     logs: &mut [Vec<Logged>],
+    scoreboard: &mut Scoreboard,
     mut faults: Option<&mut FaultState>,
     sinks: &mut [Box<dyn TraceSink>],
 ) {
+    if logs.iter().all(Vec::is_empty) {
+        return;
+    }
     let key = |&(tick, element, _): &Logged| (tick, element);
     let mut record = |event: &TraceEvent| sinks.iter_mut().for_each(|s| s.record(event));
     let mut rest: Vec<&[Logged]> = logs.iter().map(Vec::as_slice).collect();
@@ -1329,6 +1308,7 @@ fn fold_logs(
         let run = rest[w].iter().take_while(|e| key(e) == first).count();
         for &(tick, element, entry) in &rest[w][..run] {
             match entry {
+                LogEntry::Arrival(flit, port) => scoreboard.record_arrival(&flit, tick, port),
                 LogEntry::Op(op) => {
                     let f = faults
                         .as_deref_mut()
@@ -1508,8 +1488,7 @@ fn nothing_in_flight(shared: SharedSlice<'_, Element>, view: SoaView<'_>, topo: 
 /// it and its neighbours (see [`soa_rearm`]). With `allow_cross` false
 /// (a batched window), the lookahead guarantee makes cross-shard wakes
 /// impossible; a tripwire assert enforces it. A fault run steps through
-/// a [`FaultLane`], a traced fault-free run through a [`TraceLane`], and
-/// everything else through [`NoFaults`].
+/// a [`FaultLane`], everything else through a [`Lane`].
 fn visit_tick(
     ctx: WindowCtx<'_>,
     tick: u64,
@@ -1521,8 +1500,10 @@ fn visit_tick(
     // SAFETY: log `w` belongs to this worker during the visit phase.
     let log = unsafe { ctx.logs.get_mut(w) };
     match (ctx.faults, ctx.tracing) {
-        (None, false) => visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut NoFaults),
-        (None, true) => visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut TraceLane(log)),
+        (None, false) => {
+            visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut Lane::<false>(log))
+        }
+        (None, true) => visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut Lane::<true>(log)),
         (Some(faults), tracing) => {
             let mut fx = std::mem::take(&mut core.fx);
             // SAFETY: the fault state is read-only during visit phases.
@@ -1564,7 +1545,6 @@ fn visit_tick_with<H: Hooks>(
         view,
         topo,
         mail,
-        arrivals,
         shard_of,
         pinned,
         num_ports,
@@ -1594,19 +1574,14 @@ fn visit_tick_with<H: Hooks>(
                 K_SINK => {
                     // SAFETY: as above.
                     let el = unsafe { shared.get_mut(i) };
-                    // SAFETY: arrival buffer `w` belongs to this worker
-                    // during the visit phase.
-                    let buf = unsafe { arrivals.get_mut(w) };
                     // SAFETY: as above.
-                    Stay::from(unsafe { soa_step_sink(view, topo, el, i, tick, buf, hooks) })
+                    Stay::from(unsafe { soa_step_sink(view, topo, el, i, tick, hooks) })
                 }
                 _ => {
                     // SAFETY: as above.
                     let el = unsafe { shared.get_mut(i) };
                     // SAFETY: as above.
-                    let buf = unsafe { arrivals.get_mut(w) };
-                    // SAFETY: as above.
-                    unsafe { soa_step_tile(view, topo, el, i, tick, num_ports, buf, hooks) }
+                    unsafe { soa_step_tile(view, topo, el, i, tick, num_ports, hooks) }
                 }
             };
             soa_rearm(
@@ -1629,11 +1604,11 @@ fn visit_tick_with<H: Hooks>(
 }
 
 /// The hooks of a SoA visit, one per point where the dense loop consults
-/// its fault state or emits a trace event. Every default is the plain
-/// handshake step's constant, so a [`NoFaults`] visit compiles to it;
-/// [`FaultLane`] routes the fault hooks to the run's fault plan, and
-/// [`TraceLane`] (or a traced [`FaultLane`]) logs each event for the
-/// window-end fold.
+/// its fault state, records an arrival or emits a trace event. Every
+/// fault default is the plain handshake step's constant, so an untraced
+/// [`Lane`] visit compiles to that step plus one log push per delivery;
+/// [`FaultLane`] routes the fault hooks to the run's fault plan, and a
+/// traced lane logs each event for the window-end fold.
 trait Hooks {
     /// Whether fault hooks can fire at all; guards every fault-only
     /// branch.
@@ -1645,6 +1620,8 @@ trait Hooks {
     /// pinned (a frozen edge counts no stall), and traced runs too: each
     /// stalled edge emits a `Blocked` event.
     const LAZY_STALLS: bool = !Self::ON && !Self::TRACE;
+    /// The shard's stamped log.
+    fn log(&mut self) -> &mut Vec<Logged>;
     /// Element `i` is frozen this tick (clock domain or outage epoch).
     #[inline(always)]
     fn frozen(&self, _i: usize, _tick: u64) -> bool {
@@ -1695,34 +1672,39 @@ trait Hooks {
     /// An endpoint injected a fresh flit or a queued retransmission.
     #[inline(always)]
     fn endpoint(&mut self, _i: usize, _tick: u64, _injected: Option<Flit>, _retx: Option<Flit>) {}
+    /// The consumer `i` delivers `flit`, cleared by its gate, at `port`.
+    #[inline(always)]
+    fn deliver(&mut self, i: usize, tick: u64, flit: Flit, port: PortId) {
+        self.log()
+            .push((tick, i as u32, LogEntry::Arrival(flit, port)));
+    }
     /// `i` emits a trace event about `flit`.
     #[inline(always)]
-    fn event(&mut self, _i: usize, _tick: u64, _kind: TraceEventKind, _flit: Flit) {}
+    fn event(&mut self, i: usize, tick: u64, kind: TraceEventKind, flit: Flit) {
+        if Self::TRACE {
+            self.log()
+                .push((tick, i as u32, LogEntry::Event(kind, flit)));
+        }
+    }
 }
 
-/// The hooks of a run with neither a fault plan nor trace sinks: every
-/// one a constant.
-struct NoFaults;
+/// The hooks of a fault-free run: deliveries, and with `TRACE` events,
+/// go to the shard's log, stamped `(tick, element)` for the window-end
+/// fold.
+struct Lane<'a, const TRACE: bool>(&'a mut Vec<Logged>);
 
-impl Hooks for NoFaults {}
-
-/// The hooks of a traced fault-free run: events go to the shard's log,
-/// stamped `(tick, element)` for the window-end fold.
-struct TraceLane<'a>(&'a mut Vec<Logged>);
-
-impl Hooks for TraceLane<'_> {
-    const TRACE: bool = true;
-    #[inline]
-    fn event(&mut self, i: usize, tick: u64, kind: TraceEventKind, flit: Flit) {
-        self.0.push((tick, i as u32, LogEntry::Event(kind, flit)));
+impl<const TRACE: bool> Hooks for Lane<'_, TRACE> {
+    const TRACE: bool = TRACE;
+    #[inline(always)]
+    fn log(&mut self) -> &mut Vec<Logged> {
+        self.0
     }
 }
 
 /// A shard's fault hooks for one tick: draws come from the read-only
-/// [`FaultCtx`], recovery-layer operations go to the shard's log
-/// (stamped `(tick, element)` for the tick-boundary fold), and upset
-/// ticks become timed wakes on the shard. With `TRACE`, events join the
-/// same log.
+/// [`FaultCtx`], recovery-layer operations join deliveries in the
+/// shard's log (and with `TRACE`, events), and upset ticks become timed
+/// wakes on the shard.
 struct FaultLane<'a, const TRACE: bool> {
     ctx: &'a FaultCtx,
     log: &'a mut Vec<Logged>,
@@ -1744,6 +1726,9 @@ impl<const TRACE: bool> FaultLane<'_, TRACE> {
 impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
     const ON: bool = true;
     const TRACE: bool = TRACE;
+    fn log(&mut self) -> &mut Vec<Logged> {
+        self.log
+    }
     fn frozen(&self, i: usize, tick: u64) -> bool {
         self.ctx.frozen(i, tick)
     }
@@ -1801,9 +1786,6 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
         FaultOp::endpoint(injected, retx, |op| {
             self.log.push((tick, i as u32, LogEntry::Op(op)));
         });
-    }
-    fn event(&mut self, i: usize, tick: u64, kind: TraceEventKind, flit: Flit) {
-        self.log.push((tick, i as u32, LogEntry::Event(kind, flit)));
     }
 }
 
@@ -2212,7 +2194,7 @@ fn emit_endpoint_events<H: Hooks>(
 }
 
 /// The dense loop's sink step; the scoreboard arrival is deferred into
-/// this worker's buffer. Returns the kind-specific stay condition (an
+/// this worker's log. Returns the kind-specific stay condition (an
 /// upstream still presents an offer, or frozen).
 ///
 /// # Safety
@@ -2224,7 +2206,6 @@ unsafe fn soa_step_sink<H: Hooks>(
     el: &mut Element,
     i: usize,
     tick: u64,
-    arrivals: &mut Vec<Arrival>,
     hooks: &mut H,
 ) -> bool {
     if H::ON && hooks.frozen(i, tick) {
@@ -2247,7 +2228,7 @@ unsafe fn soa_step_sink<H: Hooks>(
             // but never reach the scoreboard.
             let verdict = hooks.arrival(i, tick, &flit, port, &mut el.faults);
             if verdict == ArrivalVerdict::Deliver {
-                arrivals.push((tick, i as u32, flit, port));
+                hooks.deliver(i, tick, flit, port);
             }
             if H::TRACE {
                 hooks.event(i, tick, arrival_event(verdict, &flit, port), flit);
@@ -2262,7 +2243,7 @@ unsafe fn soa_step_sink<H: Hooks>(
 }
 
 /// The dense loop's tile step; the scoreboard arrival is deferred into
-/// this worker's buffer. Returns the kind-specific stay condition
+/// this worker's log. Returns the kind-specific stay condition
 /// (presenting, responses still queued, or frozen); a visit that counts
 /// a stall with no responses queued on a fault-free, untraced run sleeps
 /// instead (see [`soa_rearm`]).
@@ -2270,7 +2251,6 @@ unsafe fn soa_step_sink<H: Hooks>(
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
 /// element.
-#[allow(clippy::too_many_arguments)]
 unsafe fn soa_step_tile<H: Hooks>(
     view: SoaView<'_>,
     topo: &SoaTopo,
@@ -2278,7 +2258,6 @@ unsafe fn soa_step_tile<H: Hooks>(
     i: usize,
     tick: u64,
     num_ports: u32,
-    arrivals: &mut Vec<Arrival>,
     hooks: &mut H,
 ) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
@@ -2333,7 +2312,7 @@ unsafe fn soa_step_tile<H: Hooks>(
         stalled = true;
     }
     if let Some(flit) = arrived {
-        arrivals.push((tick, i as u32, flit, port));
+        hooks.deliver(i, tick, flit, port);
     }
     if H::ON {
         hooks.endpoint(i, tick, injected, retransmitted);
@@ -2503,8 +2482,8 @@ mod tests {
         assert_eq!(plan(armed(u32::MAX), 100, false), (100, false));
         assert_eq!(plan(armed(u32::MAX), 100, true), (1, false));
         // Nothing in the lookahead bounds that window, so the fold
-        // interval does: arrivals buffered between scoreboard folds stay
-        // bounded however long the batch. A deep finite lookahead obeys
+        // interval does: the shard logs stay bounded between folds
+        // however long the batch. A deep finite lookahead obeys
         // the same cap.
         assert_eq!(plan(armed(u32::MAX), 120_000, false), (FOLD_TICKS, false));
         assert_eq!(plan(armed(5_000), 120_000, false), (FOLD_TICKS, false));

@@ -9,8 +9,7 @@
 //!
 //! * **step** — draining the shard's ready set and visiting elements;
 //! * **flush** — folding cross-shard mailboxes and (on the coordinator)
-//!   applying deferred scoreboard arrivals and evaluating the stop
-//!   condition;
+//!   the shard logs, and evaluating the stop condition;
 //! * **barrier** — waiting at the two sense-reversing barriers.
 //!
 //! The aggregate lands in the `perf` section of
@@ -50,7 +49,7 @@ pub struct EpochSample {
     pub start_ns: u64,
     /// Wall time spent visiting elements.
     pub step_ns: u64,
-    /// Wall time spent merging mailboxes / applying deferred arrivals.
+    /// Wall time spent merging mailboxes / folding the shard logs.
     pub flush_ns: u64,
     /// Wall time spent waiting at the epoch's two barriers.
     pub barrier_ns: u64,
@@ -195,39 +194,22 @@ impl CoreProf {
     }
 }
 
-/// Network-level profiler state: deterministic per-shard accumulators
-/// plus the dense loop's single-worker wall profile. Activity-list
-/// workers' wall profiles live in their `ShardCore`s (worker-owned during
-/// batches) and are gathered at report time.
+/// Network-level profiler state: the dense loop's single-worker wall
+/// profile and the wall-clock time base. Activity-list workers' wall
+/// profiles and every deterministic counter live in their `ShardCore`s
+/// (worker-owned during batches) and are gathered at report time.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KernelProfiler {
     /// Wall profile of the dense loop (the dense kernel).
     pub(crate) seq: CoreProf,
-    /// Cumulative element visits per shard (deterministic).
-    pub(crate) shard_steps: Vec<u64>,
-    /// Cumulative cross-shard wakes sent per shard (deterministic).
-    pub(crate) shard_wakes_sent: Vec<u64>,
-    /// Cumulative cross-shard wakes received per shard (deterministic).
-    pub(crate) shard_wakes_received: Vec<u64>,
-    /// Barrier epochs (= ticks) executed while profiling.
-    pub(crate) epochs: u64,
     /// Wall-clock nanoseconds covered by completed batches / ticks.
     pub(crate) elapsed_ns: u64,
 }
 
 impl KernelProfiler {
-    /// Sizes the per-shard accumulators once the parallel kernel resolves
-    /// its worker count.
-    pub(crate) fn bind_shards(&mut self, workers: usize) {
-        self.shard_steps = vec![0; workers];
-        self.shard_wakes_sent = vec![0; workers];
-        self.shard_wakes_received = vec![0; workers];
-    }
-
     /// Records one dense-loop tick: `steps` element visits taking
     /// `step_ns` wall time (no flush or barrier phases exist).
     pub(crate) fn record_sequential_tick(&mut self, tick: u64, steps: u64, step_ns: u64) {
-        self.epochs += 1;
         let start_ns = self.elapsed_ns;
         self.elapsed_ns += step_ns;
         self.seq.record(EpochSample {

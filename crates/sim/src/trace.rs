@@ -314,88 +314,21 @@ impl FlowCounters {
     }
 }
 
-/// Per-flow storage: a dense `ports × ports` matrix when the port count is
-/// known (the network-attached case — every Delivered event then costs an
-/// index instead of a hash), falling back to a hash map for hand-built
-/// sinks.
-#[derive(Debug, Clone)]
-enum FlowMap {
-    /// Cell `src * ports + dest`; `None` until the flow's first delivery.
-    /// Boxed so idle cells cost one pointer, not a full histogram.
-    Dense {
-        ports: u32,
-        cells: Vec<Option<Box<FlowCounters>>>,
-    },
-    /// Unknown port count: hash on the (src, dest) pair.
-    Sparse(HashMap<(u32, u32), FlowCounters>),
-}
-
-impl Default for FlowMap {
-    fn default() -> Self {
-        FlowMap::Sparse(HashMap::new())
-    }
-}
-
-impl FlowMap {
-    fn slot(&mut self, src: u32, dest: u32) -> &mut FlowCounters {
-        match self {
-            FlowMap::Dense { ports, cells } => {
-                let idx = src as usize * *ports as usize + dest as usize;
-                cells[idx].get_or_insert_with(|| Box::new(FlowCounters::new()))
-            }
-            FlowMap::Sparse(map) => map.entry((src, dest)).or_insert_with(FlowCounters::new),
-        }
-    }
-
-    /// Live flows in ascending `(src, dest)` order — the dense layout
-    /// yields it for free, the sparse fallback sorts.
-    fn collect(&self) -> Vec<(u32, u32, &FlowCounters)> {
-        match self {
-            FlowMap::Dense { ports, cells } => cells
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    c.as_deref()
-                        .map(|f| (i as u32 / *ports, i as u32 % *ports, f))
-                })
-                .collect(),
-            FlowMap::Sparse(map) => {
-                let mut v: Vec<_> = map.iter().map(|(&(s, d), f)| (s, d, f)).collect();
-                v.sort_unstable_by_key(|&(s, d, _)| (s, d));
-                v
-            }
-        }
-    }
-}
-
 /// A [`TraceSink`] folding events into per-element counters and per-flow
 /// latency histograms — constant memory, no event log.
 #[derive(Debug, Clone, Default)]
 pub struct CountersSink {
     elements: Vec<ElementCounters>,
-    flows: FlowMap,
+    flows: HashMap<(u32, u32), FlowCounters>,
     totals: TraceTotals,
     drops_by_cause: [u64; DropCause::ALL.len()],
 }
 
 impl CountersSink {
-    /// Creates an empty counters sink with sparse per-flow storage.
+    /// Creates an empty counters sink.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a counters sink for a network of `ports` ports, using the
-    /// dense per-flow matrix.
-    #[must_use]
-    pub fn with_ports(ports: u32) -> Self {
-        Self {
-            flows: FlowMap::Dense {
-                ports,
-                cells: vec![None; ports as usize * ports as usize],
-            },
-            ..Self::default()
-        }
     }
 
     /// Counters of one element (zeroes for untouched elements).
@@ -455,11 +388,11 @@ impl CountersSink {
                 .cmp(&a.counters.active_edges())
                 .then_with(|| a.label.cmp(&b.label))
         });
-        let flows: Vec<FlowLatency> = self
-            .flows
-            .collect()
+        let mut flows: Vec<_> = self.flows.iter().collect();
+        flows.sort_unstable_by_key(|&(&key, _)| key);
+        let flows: Vec<FlowLatency> = flows
             .into_iter()
-            .map(|(src, dest, f)| FlowLatency {
+            .map(|(&(src, dest), f)| FlowLatency {
                 src,
                 dest,
                 delivered: f.stats.count(),
@@ -503,7 +436,10 @@ impl TraceSink for CountersSink {
                 slot.delivered += 1;
                 self.totals.delivered += 1;
                 let latency = event.flit.latency_half_cycles(event.tick);
-                let flow = self.flows.slot(event.flit.src.0, event.flit.dest.0);
+                let flow = self
+                    .flows
+                    .entry((event.flit.src.0, event.flit.dest.0))
+                    .or_insert_with(FlowCounters::new);
                 flow.stats.record(latency);
                 flow.histogram.record(latency);
             }
@@ -813,28 +749,27 @@ mod tests {
     }
 
     #[test]
-    fn dense_flow_matrix_matches_sparse_fold() {
-        let mut dense = CountersSink::with_ports(4);
-        let mut sparse = CountersSink::new();
-        let deliveries = [(0u32, 1u32, 8u64), (3, 0, 12), (0, 1, 20), (2, 2, 6)];
-        for &(src, dest, tick) in &deliveries {
-            let event = TraceEvent {
-                tick,
-                element: ElementId(dest),
-                kind: TraceEventKind::Delivered,
-                flit: Flit::new(PortId(src), PortId(dest), 0, tick - 4),
-            };
-            dense.record(&event);
-            sparse.record(&event);
+    fn flows_report_in_src_dest_order() {
+        fn fold(deliveries: impl Iterator<Item = (u32, u32, u64)>) -> ObservabilityReport {
+            let mut sink = CountersSink::new();
+            for (src, dest, tick) in deliveries {
+                sink.record(&TraceEvent {
+                    tick,
+                    element: ElementId(dest),
+                    kind: TraceEventKind::Delivered,
+                    flit: Flit::new(PortId(src), PortId(dest), 0, tick - 4),
+                });
+            }
+            sink.report(16, &["a", "b", "c", "d"])
         }
-        let labels = ["a", "b", "c", "d"];
-        let d = dense.report(16, &labels);
-        let s = sparse.report(16, &labels);
-        assert_eq!(d.flows, s.flows);
-        // Ascending (src, dest) without any sort on the dense path.
-        let order: Vec<(u32, u32)> = d.flows.iter().map(|f| (f.src, f.dest)).collect();
+        let deliveries = [(0u32, 1u32, 8u64), (3, 0, 12), (0, 1, 20), (2, 2, 6)];
+        let forward = fold(deliveries.into_iter());
+        let backward = fold(deliveries.into_iter().rev());
+        assert_eq!(forward.flows, backward.flows);
+        // Ascending (src, dest), whatever the delivery order.
+        let order: Vec<(u32, u32)> = forward.flows.iter().map(|f| (f.src, f.dest)).collect();
         assert_eq!(order, vec![(0, 1), (2, 2), (3, 0)]);
-        assert_eq!(d.flows[0].delivered, 2);
+        assert_eq!(forward.flows[0].delivered, 2);
     }
 
     #[test]
