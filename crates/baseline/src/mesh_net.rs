@@ -176,8 +176,7 @@ impl SynchronousMesh {
     #[must_use]
     pub fn simulate(&self, pattern: TrafficPattern, cycles: u64, seed: u64) -> SimReport {
         let mut net = self.network(pattern, seed);
-        net.run_cycles(cycles);
-        net.drain(cycles.max(1_000));
+        let _ = net.run_and_drain(cycles);
         net.report()
     }
 

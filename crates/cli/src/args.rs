@@ -112,27 +112,6 @@ pub enum Command {
         /// profiling).
         chrome_trace: Option<String>,
     },
-    /// Profile a simulation: run with the kernel profiler attached and
-    /// print the per-shard breakdown (a focussed alias for
-    /// `sim --profile`).
-    Profile {
-        /// Build options.
-        build: BuildOpts,
-        /// Per-port traffic pattern.
-        pattern: TrafficPattern,
-        /// Cycles to simulate before draining.
-        cycles: u64,
-        /// Master seed.
-        seed: u64,
-        /// Flits per packet.
-        packet_len: u32,
-        /// Closed-loop tiles as `(max_outstanding, service_cycles)`.
-        tiles: Option<(usize, u64)>,
-        /// Stepping kernel (`event` default; `dense` is the oracle).
-        kernel: SimKernel,
-        /// Write a Chrome trace-event JSON timeline here.
-        chrome_trace: Option<String>,
-    },
     /// Run a counter-traced simulation and export per-element utilisation
     /// and per-flow latency percentiles.
     Stats {
@@ -305,11 +284,12 @@ impl Cli {
             "info" => Command::Info(flags.build_opts()?),
             "verify" => Command::Verify {
                 build: flags.build_opts()?,
-                variation: flags.take_f64("variation", 0.0)?,
-                sigma: flags.take_f64("sigma", 0.0)?,
+                variation: flags.take_variation(0.0)?,
+                sigma: flags.take_sigma(0.0)?,
                 top: flags.take_usize("top", 10)?,
             },
-            "sim" => {
+            // `profile` is an alias of `sim --profile`.
+            "sim" | "profile" => {
                 let kernel = flags.take_kernel()?;
                 let build = flags.build_opts()?;
                 Command::Sim {
@@ -327,21 +307,7 @@ impl Cli {
                     },
                     kernel,
                     speculate: None,
-                    profile: flags.take_bool("profile")?,
-                    chrome_trace: flags.take_opt_string("chrome-trace"),
-                }
-            }
-            "profile" => {
-                let kernel = flags.take_kernel()?;
-                let build = flags.build_opts()?;
-                Command::Profile {
-                    pattern: flags.take_pattern(&build)?,
-                    build,
-                    cycles: flags.take_cycles(2_000)?,
-                    seed: flags.take_u64("seed", 42)?,
-                    packet_len: flags.take_packet_len()?,
-                    tiles: flags.take_tiles()?,
-                    kernel,
+                    profile: flags.take_bool("profile")? || sub == "profile",
                     chrome_trace: flags.take_opt_string("chrome-trace"),
                 }
             }
@@ -390,18 +356,32 @@ impl Cli {
                 if samples == 0 {
                     return Err(CliError("--samples must be at least 1".to_owned()));
                 }
+                if samples > YIELD_MAX_SAMPLES {
+                    return Err(CliError(format!(
+                        "--samples must be at most {YIELD_MAX_SAMPLES}"
+                    )));
+                }
                 Command::Yield {
                     build: flags.build_opts()?,
-                    variation: flags.take_f64("variation", 0.2)?,
-                    sigma: flags.take_f64("sigma", 0.05)?,
+                    variation: flags.take_variation(0.2)?,
+                    sigma: flags.take_sigma(0.05)?,
                     samples,
                     seed: flags.take_u64("seed", 42)?,
                 }
             }
-            "fig7" => Command::Fig7 {
-                max_mm: flags.take_f64("max-mm", 3.0)?,
-                step_mm: flags.take_f64("step-mm", 0.1)?,
-            },
+            "fig7" => {
+                let max_mm =
+                    flags.take_f64("max-mm", 3.0, |v| v >= 0.0, "a finite number at least 0")?;
+                let step_mm =
+                    flags.take_f64("step-mm", 0.1, |v| v > 0.0, "a finite number above 0")?;
+                if (max_mm / step_mm).round() >= FIG7_MAX_POINTS as f64 {
+                    return Err(CliError(format!(
+                        "fig7 samples at most {FIG7_MAX_POINTS} points: raise --step-mm \
+                         or lower --max-mm"
+                    )));
+                }
+                Command::Fig7 { max_mm, step_mm }
+            }
             "explore" => {
                 let server = flags.take_opt_string("server");
                 let priority = flags.take_u64("priority", 0)? as u32;
@@ -584,6 +564,13 @@ pub fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
     Ok(FaultSpec { rates, window })
 }
 
+/// The most points `fig7` samples.
+const FIG7_MAX_POINTS: usize = 100_000;
+
+/// The most dies `yield` samples, about four minutes at 64 ports; a huge
+/// count would abort allocating the per-die results.
+const YIELD_MAX_SAMPLES: usize = 10_000_000;
+
 /// `--key value` flag multiset with consumption tracking.
 struct Flags(Vec<(String, String)>);
 
@@ -617,13 +604,38 @@ impl Flags {
             .unwrap_or_else(|| default.to_owned())
     }
 
-    fn take_f64(&mut self, name: &str, default: f64) -> Result<f64, CliError> {
-        match self.take_opt_string(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError(format!("--{name} expects a number, got {v:?}"))),
+    /// `--name`: a finite number for which `valid` holds, the range its
+    /// consumer asserts; `range` names it in the error.
+    fn take_f64(
+        &mut self,
+        name: &str,
+        default: f64,
+        valid: fn(f64) -> bool,
+        range: &str,
+    ) -> Result<f64, CliError> {
+        let Some(v) = self.take_opt_string(name) else {
+            return Ok(default);
+        };
+        match v.parse::<f64>() {
+            Ok(x) if x.is_finite() && valid(x) => Ok(x),
+            Ok(_) => Err(CliError(format!("--{name} must be {range}, got {v:?}"))),
+            Err(_) => Err(CliError(format!("--{name} expects a number, got {v:?}"))),
         }
+    }
+
+    /// `--variation`: a systematic delay shift that keeps delays positive.
+    fn take_variation(&mut self, default: f64) -> Result<f64, CliError> {
+        self.take_f64(
+            "variation",
+            default,
+            |v| v > -1.0,
+            "a finite number above -1",
+        )
+    }
+
+    /// `--sigma`: a random-mismatch standard deviation.
+    fn take_sigma(&mut self, default: f64) -> Result<f64, CliError> {
+        self.take_f64("sigma", default, |v| v >= 0.0, "a finite number at least 0")
     }
 
     fn take_u64(&mut self, name: &str, default: u64) -> Result<u64, CliError> {
@@ -746,8 +758,9 @@ impl Flags {
         Ok(BuildOpts {
             ports: self.take_usize("ports", defaults.ports)?,
             kind,
-            freq: self.take_f64("freq", defaults.freq)?,
-            die: self.take_f64("die", defaults.die)?,
+            // Non-positive values are the builder's `InvalidConfig`.
+            freq: self.take_f64("freq", defaults.freq, |_| true, "a finite number")?,
+            die: self.take_f64("die", defaults.die, |_| true, "a finite number")?,
             width: self.take_usize("width", defaults.width as usize)? as u32,
             clock,
         })
@@ -912,48 +925,27 @@ mod tests {
     }
 
     #[test]
-    fn profile_subcommand_parses_with_defaults() {
-        let cli = Cli::parse([
-            "profile",
-            "--ports",
-            "64",
-            "--kernel",
-            "parallel",
-            "--workers",
-            "4",
-            "--chrome-trace",
-            "out.json",
-        ])
-        .expect("parses");
-        let Command::Profile {
-            build,
-            cycles,
-            seed,
-            kernel,
-            chrome_trace,
-            ..
-        } = cli.command
-        else {
-            panic!("expected profile");
-        };
-        assert_eq!(build.ports, 64);
-        assert_eq!(cycles, 2_000);
-        assert_eq!(seed, 42);
-        assert_eq!(kernel, SimKernel::Parallel { workers: 4 });
-        assert_eq!(chrome_trace.as_deref(), Some("out.json"));
-        // Defaults mirror `sim`: event kernel, no trace file.
-        let cli = Cli::parse(["profile"]).expect("parses");
-        assert!(matches!(
-            cli.command,
-            Command::Profile {
-                kernel: SimKernel::EventDriven,
-                chrome_trace: None,
-                ..
-            }
-        ));
-        // `profile` has no fault or VCD surface.
-        assert!(Cli::parse(["profile", "--faults", "soak"]).is_err());
-        assert!(Cli::parse(["profile", "--vcd", "x.vcd"]).is_err());
+    fn profile_is_sim_with_the_profiler_attached() {
+        for args in [
+            &[][..],
+            &["--ports", "64", "--kernel", "parallel", "--workers", "4"],
+            &["--chrome-trace", "t.json", "--diagnose"],
+            &["--faults", "soak", "--vcd", "x.vcd"],
+        ] {
+            let profile = Cli::parse(["profile"].iter().chain(args).copied());
+            let sim = Cli::parse(["sim", "--profile"].iter().chain(args).copied());
+            assert_eq!(profile, sim, "{args:?}");
+            assert!(matches!(
+                profile,
+                Ok(Cli {
+                    command: Command::Sim { profile: true, .. }
+                })
+            ));
+        }
+        assert_eq!(
+            Cli::parse(["profile", "--teapots"]),
+            Cli::parse(["sim", "--profile", "--teapots"])
+        );
     }
 
     #[test]
@@ -1022,11 +1014,57 @@ mod tests {
                 Command::Sim { packet_len, .. }
                 | Command::Stats { packet_len, .. }
                 | Command::Trace { packet_len, .. }
-                | Command::Faults { packet_len, .. }
-                | Command::Profile { packet_len, .. } => packet_len,
+                | Command::Faults { packet_len, .. } => packet_len,
                 other => panic!("{sub} parsed as {other:?}"),
             };
             assert_eq!(packet_len, 3, "{sub}");
+        }
+    }
+
+    #[test]
+    fn float_flags_outside_their_consumers_ranges_are_rejected() {
+        // Each of these reached a constructor assert (or an unbounded
+        // allocation) before the parser checked its range.
+        let (above_minus_one, at_least_zero, above_zero, finite) = (
+            "must be a finite number above -1, got",
+            "must be a finite number at least 0, got",
+            "must be a finite number above 0, got",
+            "must be a finite number, got",
+        );
+        for (line, rule) in [
+            ("verify --variation -5", above_minus_one),
+            ("verify --variation nan", above_minus_one),
+            ("verify --sigma -1", at_least_zero),
+            ("yield --sigma -1", at_least_zero),
+            ("yield --variation nan", above_minus_one),
+            ("fig7 --step-mm 0", above_zero),
+            ("fig7 --step-mm -1", above_zero),
+            ("fig7 --step-mm nan", above_zero),
+            ("fig7 --max-mm -1", at_least_zero),
+            ("fig7 --max-mm nan", at_least_zero),
+            ("fig7 --max-mm inf", at_least_zero),
+            ("fig7 --max-mm 1e9 --step-mm 1e-9", "at most 100000 points"),
+            ("sim --freq nan", finite),
+            ("sim --die nan", finite),
+            ("sim --die inf", finite),
+            ("info --freq -inf", finite),
+        ] {
+            let err = Cli::parse(line.split(' ')).expect_err(line);
+            let flag = line.split(' ').nth(1).expect("a flag");
+            assert!(
+                err.0.contains(flag) && err.0.contains(rule),
+                "{line}: {err}"
+            );
+        }
+        // Non-positive builds stay the builder's error, and the edges of
+        // each range parse.
+        for line in [
+            "sim --freq -1 --die 0",
+            "verify --variation -0.5 --sigma 0",
+            "fig7 --max-mm 0 --step-mm 1e-9",
+            "fig7 --max-mm 9999.9 --step-mm 0.1",
+        ] {
+            assert!(Cli::parse(line.split(' ')).is_ok(), "{line}");
         }
     }
 
@@ -1063,6 +1101,10 @@ mod tests {
         );
         let cli = Cli::parse(["yield", "--samples", "1"]).expect("parses");
         assert!(matches!(cli.command, Command::Yield { samples: 1, .. }));
+        assert_eq!(
+            Cli::parse(["yield", "--samples", "10000001"]),
+            Err(CliError("--samples must be at most 10000000".to_owned()))
+        );
     }
 
     #[test]

@@ -23,9 +23,7 @@ USAGE:
                [--packet-len 1] [--tiles OUTSTANDING:SERVICE] [--vcd out.vcd]
                [--diagnose] [--faults SPEC] [--kernel event|dense|parallel] [--workers N]
                [--profile] [--chrome-trace trace.json]
-  icnoc profile [build opts] [--pattern uniform:0.2] [--cycles 2000] [--seed 42]
-               [--packet-len 1] [--tiles OUTSTANDING:SERVICE]
-               [--kernel event|dense|parallel] [--workers N] [--chrome-trace trace.json]
+  icnoc profile [build opts] [sim opts]   (an alias of sim --profile)
   icnoc stats  [build opts] [sim opts] [--format json|csv] [--out stats.json]
   icnoc trace  [build opts] [sim opts] [--capacity 4096] [--limit 40] [--vcd out.vcd]
   icnoc faults [build opts] [--pattern uniform:0.2] [--cycles 10000] [--seed 42]
@@ -55,7 +53,7 @@ KERNEL:   event (default, activity-list stepping on one shard), dense
           Fault plans (faults, sim --faults) and trace sinks (stats,
           trace) run on every kernel; a traced run visits each blocked
           edge once to report it, never the whole dense scan
-PROFILE:  sim --profile (or the profile subcommand) attaches the kernel
+PROFILE:  sim --profile (or its alias, profile) attaches the kernel
           profiler: per-shard step/wake counters, a load-imbalance ratio
           and the barrier-overhead fraction. --chrome-trace FILE writes a
           trace-event timeline loadable at ui.perfetto.dev. explore
@@ -124,32 +122,20 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
                 net.enable_profiling();
             }
 
-            let mut trace = vcd.as_ref().map(|_| VcdTrace::new(&net));
-            if let Some(trace) = &mut trace {
-                for _ in 0..(*cycles).min(200) * 2 {
-                    trace.sample(&net);
-                    net.step();
-                }
-            }
-            let already = net.tick() / 2;
-            net.run_cycles(cycles.saturating_sub(already));
-            // Recovery chains (timeout plus bounded backoff per retry)
-            // need a drain budget well beyond the traffic itself.
-            let budget = if faults.is_some() {
-                (*cycles).max(1_000).saturating_mul(4)
-            } else {
-                (*cycles).max(1_000)
-            };
-            let drained = net.drain(budget);
-            if !drained {
+            let trace = vcd
+                .is_some()
+                .then(|| VcdTrace::record(&mut net, (*cycles).min(200)));
+            let drained = net.run_and_drain(*cycles);
+            if let Err(timeout) = &drained {
                 // Stderr only: the report counts these flits as undelivered,
                 // and stdout stays byte-stable.
                 eprintln!(
-                    "warning: drain timed out after its {budget}-cycle budget with {} flit(s) \
+                    "warning: drain timed out after its {}-cycle budget with {} flit(s) \
                      still in flight — --diagnose names the holders",
-                    net.in_flight()
+                    timeout.cycles, timeout.in_flight
                 );
             }
+            let drained = drained.is_ok();
             let report = net.report();
 
             let mut out = String::new();
@@ -207,34 +193,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        Command::Profile {
-            build,
-            pattern,
-            cycles,
-            seed,
-            packet_len,
-            tiles,
-            kernel,
-            chrome_trace,
-        } => {
-            let sys = build_system(build)?;
-            let mut net = build_network(&sys, pattern, *tiles, *seed, *packet_len, *kernel);
-            net.enable_profiling();
-            net.run_cycles(*cycles);
-            net.drain((*cycles).max(1_000));
-            let report = net.report();
-            let perf = report.perf.as_ref().expect("profiling was enabled");
-
-            let mut out = String::new();
-            let _ = writeln!(out, "{report}");
-            let _ = write!(out, "{}", perf.summary());
-            if let Some(path) = chrome_trace {
-                std::fs::write(path, perf.chrome_trace_json())
-                    .map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
-                let _ = write!(out, "\nchrome trace written to {path}");
-            }
-            Ok(out)
-        }
         Command::Stats {
             build,
             pattern,
@@ -249,8 +207,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             let sys = build_system(build)?;
             let mut net = build_network(&sys, pattern, *tiles, *seed, *packet_len, *kernel);
             net.enable_counters();
-            net.run_cycles(*cycles);
-            net.drain((*cycles).max(1_000));
+            let _ = net.run_and_drain(*cycles);
             let report = net.report();
             let obs = report
                 .observability
@@ -288,15 +245,10 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             let mut net = build_network(&sys, pattern, None, *seed, *packet_len, *kernel);
             net.enable_event_buffer(*capacity);
 
-            let mut trace = vcd.as_ref().map(|_| VcdTrace::new(&net));
-            if let Some(trace) = &mut trace {
-                for _ in 0..(*cycles).min(200) * 2 {
-                    trace.sample(&net);
-                    net.step();
-                }
-            }
-            let already = net.tick() / 2;
-            net.run_cycles(cycles.saturating_sub(already));
+            let trace = vcd
+                .is_some()
+                .then(|| VcdTrace::record(&mut net, (*cycles).min(200)));
+            net.run_cycles(cycles.saturating_sub(net.tick() / 2));
 
             let buffer = net.event_buffer().expect("event buffer was enabled");
             let events = buffer.events();
@@ -380,8 +332,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             let sys = build_system(build)?;
             let mut net = build_network(&sys, pattern, None, *seed, *packet_len, *kernel);
             net.enable_faults(fault_plan(&sys, spec, *seed));
-            net.run_cycles(*cycles);
-            let drained = net.drain_or_diagnose((*cycles).max(1_000).saturating_mul(4));
+            let drained = net.run_and_drain(*cycles);
             let report = net.report();
             let recovery = report.recovery.expect("faults were enabled");
 
@@ -1011,6 +962,9 @@ mod tests {
         assert!(err.0.contains("power of 2"), "{err}");
         let err = run_line(&["info", "--freq", "5.0"]).unwrap_err();
         assert!(err.0.contains("exceeds"), "{err}");
+        // A die past a wafer would exhaust memory building link stages.
+        let err = run_line(&["sim", "--ports", "4", "--cycles", "10", "--die", "1e308"]);
+        assert!(err.unwrap_err().0.contains("at most 300 mm"));
     }
 
     #[test]

@@ -12,6 +12,11 @@ use icnoc_topology::{AreaModel, Floorplan, LinkGeometry, TreeKind, TreeTopology}
 use icnoc_units::{Gigahertz, Millimeters, Picoseconds, SquareMillimeters};
 use serde::{Deserialize, Serialize};
 
+/// The largest die edge [`SystemBuilder::build`] accepts (mm): the width
+/// of a 300 mm wafer. The paper's demonstrator is 10 mm; past a wafer the
+/// floorplan's link stages outgrow memory.
+const MAX_DIE_MM: f64 = 300.0;
+
 /// Builder for an IC-NoC [`System`].
 ///
 /// Defaults to the paper's 90 nm technology models; see
@@ -142,13 +147,20 @@ impl SystemBuilder {
     /// * [`SystemError::FrequencyUnreachable`] if no pipeline segment can
     ///   reach the requested clock;
     /// * [`SystemError::RouterTooSlow`] if the routers cannot reach it;
-    /// * [`SystemError::InvalidConfig`] for non-positive die dimensions or
+    /// * [`SystemError::InvalidConfig`] for die dimensions that are not
+    ///   positive or exceed 300 mm (a wafer), a non-positive clock, or
     ///   a zero-width data path.
     pub fn build(self) -> Result<System, SystemError> {
-        if self.die_width.value() <= 0.0 || self.die_height.value() <= 0.0 {
+        let edges = [self.die_width.value(), self.die_height.value()];
+        if edges.iter().any(|&e| e <= 0.0) {
             return Err(SystemError::InvalidConfig(
                 "die dimensions must be positive".into(),
             ));
+        }
+        if edges.iter().any(|&e| e > MAX_DIE_MM) {
+            return Err(SystemError::InvalidConfig(format!(
+                "die dimensions must be at most {MAX_DIE_MM} mm, the width of a wafer"
+            )));
         }
         if self.width_bits == 0 {
             return Err(SystemError::InvalidConfig(
@@ -475,10 +487,8 @@ impl System {
         let patterns = vec![pattern; self.tree.num_ports()];
         let mut net = self.network(&patterns, seed);
         net.enable_faults(plan);
-        net.run_cycles(cycles);
-        // Recovery chains (timeout + bounded backoff, several retries)
-        // outlive a traffic-only drain budget by a wide margin.
-        net.drain(cycles.max(1_000).saturating_mul(4));
+        // A timeout shows in the report as undelivered flits.
+        let _ = net.run_and_drain(cycles);
         net.report()
     }
 
@@ -508,20 +518,7 @@ impl System {
         seed: u64,
         kernel: SimKernel,
     ) -> Network {
-        assert_eq!(
-            patterns.len(),
-            self.tree.num_ports(),
-            "one traffic pattern per port required"
-        );
-        let mut cfg = TreeNetworkConfig::new(self.tree.clone())
-            .with_link_stages_from(&self.plan, self.max_segment)
-            .with_clock_backend(self.clock_backend())
-            .with_seed(seed)
-            .with_kernel(kernel);
-        for (i, p) in patterns.iter().enumerate() {
-            cfg = cfg.with_port_pattern(icnoc_topology::PortId(i as u32), p.clone());
-        }
-        cfg.build()
+        self.build_network(patterns, None, seed, kernel)
     }
 
     /// Simulates `cycles` cycles of `pattern` on every port, drains the
@@ -530,8 +527,7 @@ impl System {
     pub fn simulate(&self, pattern: TrafficPattern, cycles: u64, seed: u64) -> SimReport {
         let patterns = vec![pattern; self.tree.num_ports()];
         let mut net = self.network(&patterns, seed);
-        net.run_cycles(cycles);
-        net.drain(cycles.max(1_000));
+        let _ = net.run_and_drain(cycles);
         net.report()
     }
 
@@ -570,6 +566,19 @@ impl System {
         seed: u64,
         kernel: SimKernel,
     ) -> Network {
+        self.build_network(patterns, Some(tiles), seed, kernel)
+    }
+
+    /// The one tree-network builder: open-loop sources, or closed-loop
+    /// tiles when `tiles` is set.
+    #[track_caller]
+    fn build_network(
+        &self,
+        patterns: &[TrafficPattern],
+        tiles: Option<TileTraffic>,
+        seed: u64,
+        kernel: SimKernel,
+    ) -> Network {
         assert_eq!(
             patterns.len(),
             self.tree.num_ports(),
@@ -578,9 +587,11 @@ impl System {
         let mut cfg = TreeNetworkConfig::new(self.tree.clone())
             .with_link_stages_from(&self.plan, self.max_segment)
             .with_clock_backend(self.clock_backend())
-            .with_tiles(tiles)
             .with_seed(seed)
             .with_kernel(kernel);
+        if let Some(tiles) = tiles {
+            cfg = cfg.with_tiles(tiles);
+        }
         for (i, p) in patterns.iter().enumerate() {
             cfg = cfg.with_port_pattern(icnoc_topology::PortId(i as u32), p.clone());
         }
@@ -600,8 +611,7 @@ impl System {
     ) -> SimReport {
         let patterns = vec![pattern; self.tree.num_ports()];
         let mut net = self.tile_network(&patterns, tiles, seed);
-        net.run_cycles(cycles);
-        net.drain(cycles.max(1_000));
+        let _ = net.run_and_drain(cycles);
         net.report()
     }
 
@@ -740,6 +750,21 @@ mod tests {
                 .build(),
             Err(SystemError::InvalidConfig(_))
         ));
+        // Past a 300 mm wafer the floorplan's link stages would exhaust
+        // memory.
+        for edge in [300.5, 1e6, f64::INFINITY] {
+            let result = SystemBuilder::new(TreeKind::Binary, 4)
+                .die(Millimeters::new(edge), Millimeters::new(10.0))
+                .build();
+            assert!(
+                matches!(result, Err(SystemError::InvalidConfig(_))),
+                "{edge}"
+            );
+        }
+        assert!(SystemBuilder::new(TreeKind::Binary, 4)
+            .die(Millimeters::new(MAX_DIE_MM), Millimeters::new(MAX_DIE_MM))
+            .build()
+            .is_ok());
         assert!(matches!(
             SystemBuilder::new(TreeKind::Binary, 64)
                 .width_bits(0)

@@ -33,6 +33,11 @@ pub const AXIS_NAMES: &[&str] = &[
     "soak", "seed",
 ];
 
+/// The most jobs one grid may resolve to. A sweep runs every job, so this
+/// is far past any useful grid; it bounds what parsing a hostile spec
+/// can allocate.
+const MAX_GRID_JOBS: usize = 100_000;
+
 /// A grid-spec or value parse failure, with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridError(pub String);
@@ -100,7 +105,9 @@ impl GridSpec {
     /// # Errors
     ///
     /// Returns a [`GridError`] for unknown axis names, malformed numbers
-    /// or ranges, empty axes, or a `thalf`/`freq` clash.
+    /// or ranges, empty axes, non-finite floats, a `thalf` at or below 0,
+    /// a negative `soak`, more than 100,000 jobs, or a `thalf`/`freq`
+    /// clash.
     pub fn parse(spec: &str) -> Result<Self, GridError> {
         let mut grid = Self::default();
         let mut saw_freq = false;
@@ -145,7 +152,11 @@ impl GridSpec {
                     // A half-period axis (ps) is sugar for a frequency axis:
                     // T_half is the paper's native timing-budget variable.
                     saw_thalf = true;
-                    grid.freq_ghz = parse_floats(name, values)?
+                    let half_periods = parse_floats(name, values)?;
+                    if let Some(&ps) = half_periods.iter().find(|&&ps| ps <= 0.0) {
+                        return Err(GridError(format!("thalf value {ps} must be positive")));
+                    }
+                    grid.freq_ghz = half_periods
                         .into_iter()
                         .map(|ps| Gigahertz::from_half_period(Picoseconds::new(ps)).value())
                         .collect();
@@ -177,7 +188,12 @@ impl GridSpec {
                         )));
                     }
                 }
-                "soak" => grid.soak = parse_floats(name, values)?,
+                "soak" => {
+                    grid.soak = parse_floats(name, values)?;
+                    if let Some(&s) = grid.soak.iter().find(|&&s| s < 0.0) {
+                        return Err(GridError(format!("soak value {s} must be at least 0")));
+                    }
+                }
                 "seed" => {
                     grid.seed = values.parse().map_err(|_| {
                         GridError(format!("seed expects an integer, got {values:?}"))
@@ -190,6 +206,11 @@ impl GridSpec {
                     )))
                 }
             }
+        }
+        if grid.len() > MAX_GRID_JOBS {
+            return Err(GridError(format!(
+                "the grid resolves to more than {MAX_GRID_JOBS} jobs"
+            )));
         }
         if saw_freq && saw_thalf {
             return Err(GridError(
@@ -207,19 +228,24 @@ impl GridSpec {
         Ok(grid)
     }
 
-    /// The number of jobs this grid resolves to.
+    /// The number of jobs this grid resolves to (saturating at
+    /// `usize::MAX`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.kinds.len()
-            * self.ports.len()
-            * self.die_mm.len()
-            * self.width_bits.len()
-            * self.freq_ghz.len()
-            * self.corners.len()
-            * self.clocks.len()
-            * self.patterns.len()
-            * self.cycles.len()
-            * self.soak.len()
+        [
+            self.kinds.len(),
+            self.ports.len(),
+            self.die_mm.len(),
+            self.width_bits.len(),
+            self.freq_ghz.len(),
+            self.corners.len(),
+            self.clocks.len(),
+            self.patterns.len(),
+            self.cycles.len(),
+            self.soak.len(),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
     }
 
     /// Whether the grid resolves to zero jobs (an axis was emptied).
@@ -285,8 +311,10 @@ fn parse_floats(axis: &str, values: &str) -> Result<Vec<f64>, GridError> {
             let lo: f64 = parse_num(axis, lo)?;
             let hi: f64 = parse_num(axis, hi)?;
             let n: usize = parse_num(axis, n)?;
-            if n == 0 {
-                return Err(GridError(format!("{axis} range {v:?} needs n >= 1")));
+            if n == 0 || n > MAX_GRID_JOBS {
+                return Err(GridError(format!(
+                    "{axis} range {v:?} needs 1 <= n <= {MAX_GRID_JOBS}"
+                )));
             }
             let step = if n == 1 {
                 0.0
@@ -299,6 +327,11 @@ fn parse_floats(axis: &str, values: &str) -> Result<Vec<f64>, GridError> {
         } else {
             out.push(parse_num(axis, v)?);
         }
+    }
+    // A non-finite value (or a range that overflows to one) would panic
+    // inside the job that reads it.
+    if let Some(bad) = out.iter().find(|f| !f.is_finite()) {
+        return Err(GridError(format!("{axis} value {bad} must be finite")));
     }
     Ok(out)
 }
@@ -564,6 +597,44 @@ mod tests {
         ] {
             assert!(GridSpec::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn float_axes_reject_values_their_jobs_would_panic_on() {
+        for (bad, message) in [
+            ("thalf=0", "thalf value 0 must be positive"),
+            ("thalf=-5", "thalf value -5 must be positive"),
+            ("thalf=nan", "thalf value NaN must be finite"),
+            ("freq=nan", "freq value NaN must be finite"),
+            ("freq=0.5..nan/3", "freq value NaN must be finite"),
+            ("freq=-1e308..1e308/3", "freq value NaN must be finite"),
+            ("die=nan", "die value NaN must be finite"),
+            ("die=inf", "die value inf must be finite"),
+            ("soak=inf", "soak value inf must be finite"),
+            ("soak=-1", "soak value -1 must be at least 0"),
+        ] {
+            assert_eq!(
+                GridSpec::parse(bad),
+                Err(GridError(message.to_owned())),
+                "{bad}"
+            );
+        }
+        // A hostile spec cannot make parsing allocate without bound.
+        for huge in [
+            "freq=0.5..1/200000000",
+            "freq=0..1/1000;die=1..2/1000",
+            "freq=0..1/100000;die=1..2/100000;soak=0..1/100000;ports=1..100000/100000",
+        ] {
+            let err = GridSpec::parse(huge).expect_err(huge);
+            assert!(err.0.contains("100000"), "{huge}: {err}");
+        }
+        assert_eq!(
+            GridSpec::parse("freq=0..1/100000").expect("parses").len(),
+            100_000
+        );
+        // Non-positive frequencies and dies stay buildable grid points:
+        // the job records the builder's error as an infeasible row.
+        assert!(GridSpec::parse("freq=0;die=-1,1000;soak=0").is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Executing one grid point: build → verify → simulate → summarise.
 
-use icnoc_sim::{FaultRates, ReportDigest, SimKernel, SimReport};
+use icnoc_sim::{FaultRates, ReportDigest, SimKernel};
 use icnoc_timing::ProcessVariation;
 use icnoc_units::Gigahertz;
 
@@ -140,28 +140,21 @@ pub fn run_job_with_options(
         }
         Ok(system) => {
             let verification = system.verify_under(corner.variation(), K_SIGMA);
-            // Mirror `System::simulate` / `simulate_with_faults` exactly
-            // (same drain budgets) so outcomes stay bit-identical to the
-            // default-kernel path at every grid point.
-            let report: SimReport = {
-                let patterns = vec![pattern; system.tree().num_ports()];
-                let mut net = system.network_with_kernel(&patterns, hash, kernel);
-                if profile {
-                    net.enable_profiling();
-                }
-                if config.soak > 0.0 {
-                    let plan = system
+            let patterns = vec![pattern; system.tree().num_ports()];
+            let mut net = system.network_with_kernel(&patterns, hash, kernel);
+            if profile {
+                net.enable_profiling();
+            }
+            if config.soak > 0.0 {
+                net.enable_faults(
+                    system
                         .fault_plan(hash)
-                        .with_rates(FaultRates::soak().scaled(config.soak));
-                    net.enable_faults(plan);
-                    net.run_cycles(config.cycles);
-                    net.drain(config.cycles.max(1_000).saturating_mul(4));
-                } else {
-                    net.run_cycles(config.cycles);
-                    net.drain(config.cycles.max(1_000));
-                }
-                net.report()
-            };
+                        .with_rates(FaultRates::soak().scaled(config.soak)),
+                );
+            }
+            // A timeout shows in the digest as undelivered flits.
+            let _ = net.run_and_drain(config.cycles);
+            let report = net.report();
             JobOutcome {
                 config: config.clone(),
                 hash,
@@ -414,6 +407,29 @@ mod tests {
         b.wall_ms = 0;
         assert_eq!(a, b);
         assert!(a.digest.expect("simulated").faults_injected > 0);
+    }
+
+    #[test]
+    fn jobs_simulate_exactly_what_the_system_entry_points_do() {
+        // Both paths run `Network::run_and_drain`, so a job's digest is
+        // the one `System::simulate` / `simulate_with_faults` report.
+        for job in GridSpec::parse("ports=16;cycles=300;soak=0,1")
+            .expect("parses")
+            .resolve()
+        {
+            let system = job.system.build().expect("builds");
+            let (pattern, seed) = (job.traffic().expect("parses"), job.stable_hash());
+            let report = if job.soak > 0.0 {
+                let plan = system
+                    .fault_plan(seed)
+                    .with_rates(FaultRates::soak().scaled(job.soak));
+                system.simulate_with_faults(pattern, job.cycles, seed, plan)
+            } else {
+                system.simulate(pattern, job.cycles, seed)
+            };
+            let outcome = run_job(&job).expect("runs");
+            assert_eq!(outcome.digest, Some(report.digest()), "soak={}", job.soak);
+        }
     }
 
     #[test]

@@ -357,3 +357,48 @@ fn deeply_nested_body_is_rejected_and_the_daemon_stays_up() {
     daemon.join().expect("daemon joins");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn grids_whose_jobs_would_panic_are_rejected_and_the_daemon_stays_up() {
+    let dir = scratch("badfloat");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &RegistryConfig {
+            state_dir: dir.clone(),
+            workers: 1,
+            queue_limit: 8,
+        },
+    )
+    .expect("binds");
+    let addr = server.addr().to_owned();
+    let daemon = std::thread::spawn(move || server.run().expect("runs"));
+
+    for (grid, message) in [
+        ("thalf=0;cycles=10", "thalf value 0 must be positive"),
+        ("freq=nan;cycles=10", "freq value NaN must be finite"),
+    ] {
+        let body = format!("{{\"grid\":\"{grid}\"}}");
+        let response = icnoc_serve::http::client_request(&addr, "POST", "/sweeps", &body, None)
+            .expect("the daemon answers");
+        assert_eq!(response.status, 400, "{grid}: {}", response.body);
+        assert!(response.body.contains(message), "{}", response.body);
+    }
+
+    let health = icnoc_serve::http::client_request(&addr, "GET", "/healthz", "", None)
+        .expect("the daemon still answers");
+    assert_eq!(health.status, 200);
+    let stats =
+        icnoc_serve::http::client_request(&addr, "GET", "/stats", "", None).expect("stats answers");
+    let stats = JsonValue::parse(&stats.body).expect("stats is JSON");
+    let failed = stats.get("jobs").and_then(|j| j.get("failed"));
+    assert_eq!(
+        failed.and_then(JsonValue::as_f64),
+        Some(0.0),
+        "{}",
+        stats.to_compact()
+    );
+
+    client::shutdown(&addr).expect("stops");
+    daemon.join().expect("daemon joins");
+    let _ = std::fs::remove_dir_all(&dir);
+}

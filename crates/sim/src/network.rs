@@ -1212,17 +1212,40 @@ impl Network {
     /// cumulative report. The tick counter saturates: a run that would
     /// pass `u64::MAX` stops there.
     pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
-        let ticks = self.ticks_left(cycles);
+        self.advance(self.ticks_left(cycles));
+        self.report()
+    }
+
+    /// The one run recipe every simulate-to-verdict entry point shares:
+    /// runs until `cycles` cycles have elapsed in total (ticks already
+    /// stepped, e.g. a VCD warm-up, count toward them), then drains with
+    /// [`drain_or_diagnose`](Self::drain_or_diagnose). The drain budget
+    /// is `cycles.max(1_000)`, four times that with a fault plan
+    /// attached: recovery chains (timeout plus bounded backoff per retry)
+    /// outlive a traffic-only drain by a wide margin.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`DrainTimeout`] if the network did not drain within
+    /// the budget; the run's statistics stay readable via
+    /// [`report`](Self::report) either way.
+    pub fn run_and_drain(&mut self, cycles: u64) -> Result<(), DrainTimeout> {
+        self.advance(self.ticks_left(cycles.saturating_sub(self.tick / 2)));
+        let recovery = if self.faults_enabled() { 4 } else { 1 };
+        self.drain_or_diagnose(cycles.max(1_000).saturating_mul(recovery))
+    }
+
+    /// Steps `ticks` half-cycle ticks.
+    fn advance(&mut self, ticks: u64) {
         if ticks > 0 && self.soa_ready() {
             // One thread scope for the whole batch: spawn cost amortises
-            // over all `2 * cycles` ticks.
+            // over all the ticks.
             self.par_step_batch(ticks, false);
         } else {
             for _ in 0..ticks {
                 self.step();
             }
         }
-        self.report()
     }
 
     /// The ticks in `cycles` cycles, capped at those left before the
@@ -1728,6 +1751,34 @@ mod tests {
         ok.run_cycles(50);
         assert!(ok.drain(50));
         assert!(ok.diagnose_stall().is_empty());
+    }
+
+    #[test]
+    fn run_and_drain_counts_earlier_ticks_and_sizes_its_budget() {
+        for faults in [false, true] {
+            let mut net = Network::pipeline(
+                4,
+                TrafficPattern::saturate(),
+                SinkMode::StallDuring {
+                    from: 0,
+                    to: u64::MAX,
+                },
+                1,
+            );
+            if faults {
+                net.enable_faults(FaultPlan::new(1));
+            }
+            for _ in 0..20 {
+                net.step();
+            }
+            let timeout = net
+                .run_and_drain(50)
+                .expect_err("a wedged pipeline cannot drain");
+            let budget = if faults { 4_000 } else { 1_000 };
+            assert_eq!(timeout.cycles, budget);
+            // The 10 stepped cycles were part of the 50.
+            assert_eq!(net.tick(), 2 * (50 + budget));
+        }
     }
 
     #[test]

@@ -202,7 +202,9 @@ impl RingBufferSink {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "an event buffer needs capacity");
         Self {
-            buf: Vec::with_capacity(capacity),
+            // Grown as events arrive: a capacity far beyond the run's
+            // event count costs nothing.
+            buf: Vec::new(),
             capacity,
             head: 0,
             overwritten: 0,
@@ -711,6 +713,11 @@ mod tests {
         }
         assert_eq!(sink.len(), 8);
         assert!(sink.buf.capacity() <= 8 * 2, "buffer must stay bounded");
+        // The capacity is a bound, not an up-front allocation.
+        let mut huge = RingBufferSink::new(usize::MAX);
+        huge.record(&ev(0, 0, TraceEventKind::Blocked));
+        assert_eq!(huge.len(), 1);
+        assert!(huge.buf.capacity() < 1_000);
     }
 
     #[test]

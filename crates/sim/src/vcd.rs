@@ -14,11 +14,8 @@ use std::fmt::Write as _;
 /// use icnoc_sim::{Network, SinkMode, TrafficPattern, VcdTrace};
 ///
 /// let mut net = Network::pipeline(4, TrafficPattern::saturate(), SinkMode::AlwaysAccept, 1);
-/// let mut trace = VcdTrace::new(&net);
-/// for _ in 0..16 {
-///     trace.sample(&net);
-///     net.step();
-/// }
+/// let trace = VcdTrace::record(&mut net, 8);
+/// assert_eq!(trace.len(), 16);
 /// let vcd = trace.render(500); // 500 ps per half-cycle at 1 GHz
 /// assert!(vcd.starts_with("$date"));
 /// assert!(vcd.contains("$enddefinitions"));
@@ -41,6 +38,18 @@ impl VcdTrace {
                 .collect(),
             samples: Vec::new(),
         }
+    }
+
+    /// Steps `network` through `cycles` cycles, sampling before every
+    /// tick, and returns the recorded trace.
+    #[must_use]
+    pub fn record(network: &mut Network, cycles: u64) -> Self {
+        let mut trace = Self::new(network);
+        for _ in 0..cycles * 2 {
+            trace.sample(network);
+            network.step();
+        }
+        trace
     }
 
     /// Records the network's current stage occupancy at its current tick.
@@ -145,12 +154,7 @@ mod tests {
             SinkMode::StallDuring { from: 5, to: 10 },
             3,
         );
-        let mut trace = VcdTrace::new(&net);
-        for _ in 0..cycles * 2 {
-            trace.sample(&net);
-            net.step();
-        }
-        trace
+        VcdTrace::record(&mut net, cycles)
     }
 
     #[test]
@@ -176,12 +180,7 @@ mod tests {
     #[test]
     fn only_changes_are_dumped_after_the_first_sample() {
         let mut net = Network::pipeline(4, TrafficPattern::Silent, SinkMode::AlwaysAccept, 1);
-        let mut trace = VcdTrace::new(&net);
-        for _ in 0..10 {
-            trace.sample(&net);
-            net.step();
-        }
-        let vcd = trace.render(500);
+        let vcd = VcdTrace::record(&mut net, 5).render(500);
         // Silent pipeline: only the initial dumpvars block carries values.
         let value_lines = vcd
             .lines()
