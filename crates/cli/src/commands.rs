@@ -965,6 +965,9 @@ mod tests {
         // A die past a wafer would exhaust memory building link stages.
         let err = run_line(&["sim", "--ports", "4", "--cycles", "10", "--die", "1e308"]);
         assert!(err.unwrap_err().0.contains("at most 300 mm"));
+        // So would a port count past the cap.
+        let err = run_line(&["info", "--ports", "1099511627776"]).unwrap_err();
+        assert!(err.0.contains("at most 65536"), "{err}");
     }
 
     #[test]

@@ -17,6 +17,12 @@ use serde::{Deserialize, Serialize};
 /// floorplan's link stages outgrow memory.
 const MAX_DIE_MM: f64 = 300.0;
 
+/// The largest port count [`SystemBuilder::build`] accepts. The paper
+/// stops at 64; a 65,536-port system still builds and simulates in under
+/// 1 GiB, while four times that aborts on allocation under a 2 GB
+/// address-space cap.
+const MAX_PORTS: usize = 65_536;
+
 /// Builder for an IC-NoC [`System`].
 ///
 /// Defaults to the paper's 90 nm technology models; see
@@ -148,8 +154,8 @@ impl SystemBuilder {
     ///   reach the requested clock;
     /// * [`SystemError::RouterTooSlow`] if the routers cannot reach it;
     /// * [`SystemError::InvalidConfig`] for die dimensions that are not
-    ///   positive or exceed 300 mm (a wafer), a non-positive clock, or
-    ///   a zero-width data path.
+    ///   positive or exceed 300 mm (a wafer), more than 65,536 ports, a
+    ///   non-positive clock, or a zero-width data path.
     pub fn build(self) -> Result<System, SystemError> {
         let edges = [self.die_width.value(), self.die_height.value()];
         if edges.iter().any(|&e| e <= 0.0) {
@@ -160,6 +166,12 @@ impl SystemBuilder {
         if edges.iter().any(|&e| e > MAX_DIE_MM) {
             return Err(SystemError::InvalidConfig(format!(
                 "die dimensions must be at most {MAX_DIE_MM} mm, the width of a wafer"
+            )));
+        }
+        if self.ports > MAX_PORTS {
+            return Err(SystemError::InvalidConfig(format!(
+                "port count must be at most {MAX_PORTS}, got {}",
+                self.ports
             )));
         }
         if self.width_bits == 0 {
@@ -765,6 +777,17 @@ mod tests {
             .die(Millimeters::new(MAX_DIE_MM), Millimeters::new(MAX_DIE_MM))
             .build()
             .is_ok());
+        // Past the port cap the element graph would exhaust memory; the
+        // check runs before the topology is built, so any count is cheap.
+        for ports in [2 * MAX_PORTS, 1 << 40, usize::MAX] {
+            assert!(
+                matches!(
+                    SystemBuilder::new(TreeKind::Binary, ports).build(),
+                    Err(SystemError::InvalidConfig(_))
+                ),
+                "{ports}"
+            );
+        }
         assert!(matches!(
             SystemBuilder::new(TreeKind::Binary, 64)
                 .width_bits(0)

@@ -15,18 +15,14 @@
 //! cache miss, never a wrong result — and the mismatch names the first
 //! differing field instead of failing silently.
 //!
-//! The cache also carries the shared-access machinery the sweep service
-//! sits on: [`CacheCounters`] (hit/miss/store/eviction telemetry shared
-//! by every clone of a handle), an optional entry cap with
-//! oldest-first eviction, and an advisory [`CacheClaim`] lock so two
-//! executors racing on one job can agree that exactly one simulates
-//! while the other waits for the stored result.
+//! Every clone of a handle shares one set of [`CacheCounters`]
+//! (hit/miss/store telemetry), so the sweep's executor threads and the
+//! daemon's job workers each report one stream.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use icnoc_sim::{RecoveryReport, SimReport};
 
@@ -34,23 +30,21 @@ use crate::grid::{stable_hash, JobConfig};
 use crate::job::JobOutcome;
 use crate::json::JsonValue;
 
-/// The on-disk cache handle. Cloning shares the counters (and the cap):
-/// every executor holding a clone contributes to one telemetry stream.
+/// The on-disk cache handle. Cloning shares the counters: every
+/// executor holding a clone contributes to one telemetry stream.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     dir: PathBuf,
-    max_entries: Option<usize>,
     counters: Arc<CacheCounters>,
 }
 
-/// Shared hit/miss/store/eviction counters, plus the config-mismatch
+/// Shared hit/miss/store counters, plus the config-mismatch
 /// diagnostics collected by [`ResultCache::load`].
 #[derive(Debug, Default)]
 struct CacheCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
-    evictions: AtomicU64,
     mismatches: Mutex<Vec<String>>,
 }
 
@@ -63,31 +57,11 @@ pub struct CacheStats {
     pub misses: u64,
     /// Outcomes written.
     pub stores: u64,
-    /// Entries removed to respect the entry cap.
-    pub evictions: u64,
 }
 
 impl core::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{} hit(s), {} miss(es), {} eviction(s)",
-            self.hits, self.misses, self.evictions
-        )
-    }
-}
-
-/// An advisory in-flight claim on one job's cache slot (a `.lock` file
-/// created with `create_new`). Dropping the claim releases it. See
-/// [`ResultCache::claim`].
-#[derive(Debug)]
-pub struct CacheClaim {
-    path: PathBuf,
-}
-
-impl Drop for CacheClaim {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        write!(f, "{} hit(s), {} miss(es)", self.hits, self.misses)
     }
 }
 
@@ -105,17 +79,8 @@ impl ResultCache {
         std::fs::create_dir_all(dir)?;
         Ok(Self {
             dir: dir.to_path_buf(),
-            max_entries: None,
             counters: Arc::new(CacheCounters::default()),
         })
-    }
-
-    /// Caps the cache at `max` entries: each store beyond the cap evicts
-    /// the oldest-modified entries (counted in [`CacheStats::evictions`]).
-    #[must_use]
-    pub fn with_max_entries(mut self, max: usize) -> Self {
-        self.max_entries = Some(max.max(1));
-        self
     }
 
     /// The directory this cache stores entries in.
@@ -144,7 +109,6 @@ impl ResultCache {
             hits: self.counters.hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
             stores: self.counters.stores.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
         }
     }
 
@@ -165,7 +129,10 @@ impl ResultCache {
     /// [`take_mismatches`](Self::take_mismatches)).
     #[must_use]
     pub fn load(&self, config: &JobConfig) -> Option<JobOutcome> {
-        let found = self.peek(config);
+        let found = std::fs::read_to_string(self.entry_path(config))
+            .ok()
+            .and_then(|text| JsonValue::parse(&text).ok())
+            .and_then(|json| JobOutcome::from_json(&json).ok());
         match &found {
             Some(outcome) if outcome.config == *config => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -191,13 +158,6 @@ impl ResultCache {
         }
     }
 
-    /// Reads an entry without touching the counters (the polling inside
-    /// [`wait_for`](Self::wait_for) must not inflate the miss count).
-    fn peek(&self, config: &JobConfig) -> Option<JobOutcome> {
-        let text = std::fs::read_to_string(self.entry_path(config)).ok()?;
-        JobOutcome::from_json(&JsonValue::parse(&text).ok()?).ok()
-    }
-
     /// Stores `outcome` under its config's key, atomically (uniquely
     /// named temp file + rename, so concurrent stores of the same key
     /// both land whole — last rename wins with identical contents).
@@ -217,81 +177,7 @@ impl ResultCache {
         std::fs::write(&tmp, outcome.to_json().to_pretty())?;
         std::fs::rename(&tmp, &path)?;
         self.counters.stores.fetch_add(1, Ordering::Relaxed);
-        if let Some(max) = self.max_entries {
-            self.evict_beyond(max, &path);
-        }
         Ok(())
-    }
-
-    /// Removes oldest-modified entries until at most `max` remain. The
-    /// just-written `keep` path is never evicted, so a store always
-    /// leaves its own entry readable.
-    fn evict_beyond(&self, max: usize, keep: &Path) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut aged: Vec<(std::time::SystemTime, PathBuf)> = entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json") && p != keep)
-            .filter_map(|p| {
-                let modified = std::fs::metadata(&p).and_then(|m| m.modified()).ok()?;
-                Some((modified, p))
-            })
-            .collect();
-        // +1 for the protected `keep` entry itself.
-        let total = aged.len() + 1;
-        if total <= max {
-            return;
-        }
-        aged.sort(); // oldest mtime first; path breaks ties deterministically
-        for (_, path) in aged.into_iter().take(total - max) {
-            if std::fs::remove_file(&path).is_ok() {
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Tries to claim the in-flight slot for `config`: returns a
-    /// [`CacheClaim`] when this caller should compute the job, or `None`
-    /// when another executor already holds the claim (then
-    /// [`wait_for`](Self::wait_for) the winner's stored result). The
-    /// claim is advisory — `load`/`store` never require one — and is
-    /// released on drop, including on panic unwind.
-    #[must_use]
-    pub fn claim(&self, config: &JobConfig) -> Option<CacheClaim> {
-        let path = self.entry_path(config).with_extension("lock");
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(_) => Some(CacheClaim { path }),
-            Err(_) => None,
-        }
-    }
-
-    /// Polls [`load`](Self::load) until an entry for `config` appears or
-    /// `timeout` elapses (counters see a single hit or miss, not every
-    /// poll). The claim-loser's half of the [`claim`](Self::claim)
-    /// protocol; a timeout (claim holder crashed) degrades to a miss, so
-    /// the caller re-runs rather than hanging.
-    #[must_use]
-    pub fn wait_for(&self, config: &JobConfig, timeout: Duration) -> Option<JobOutcome> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(outcome) = self.peek(config) {
-                if outcome.config == *config {
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(outcome);
-                }
-            }
-            if Instant::now() >= deadline {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
     }
 }
 
@@ -371,7 +257,6 @@ mod tests {
                 hits: 1,
                 misses: 2,
                 stores: 1,
-                evictions: 0
             }
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -404,48 +289,6 @@ mod tests {
         assert!(mismatches[0].contains("130"), "{}", mismatches[0]);
         // Draining is destructive: a second take sees nothing.
         assert!(cache.take_mismatches().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn entry_cap_evicts_oldest_first_and_counts_it() {
-        let dir = temp_dir("evict");
-        let cache = ResultCache::open(&dir).expect("opens").with_max_entries(2);
-        let jobs = GridSpec::parse("ports=16;cycles=100,101,102")
-            .expect("parses")
-            .resolve();
-        for (i, job) in jobs.iter().enumerate() {
-            let outcome = run_job(job).expect("runs");
-            cache.store(&outcome).expect("stores");
-            // Distinct mtimes so "oldest" is well defined even on coarse
-            // filesystem clocks.
-            if i + 1 < jobs.len() {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-        assert_eq!(cache.stats().evictions, 1);
-        // The first-stored entry went; the newer two survive.
-        assert!(cache.load(&jobs[0]).is_none());
-        assert!(cache.load(&jobs[1]).is_some());
-        assert!(cache.load(&jobs[2]).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn claims_are_exclusive_and_released_on_drop() {
-        let dir = temp_dir("claim");
-        let cache = ResultCache::open(&dir).expect("opens");
-        let job = &GridSpec::parse("ports=16;cycles=140")
-            .expect("parses")
-            .resolve()[0];
-        let first = cache.claim(job).expect("first claim wins");
-        assert!(cache.claim(job).is_none(), "second claim loses");
-        drop(first);
-        let again = cache.claim(job);
-        assert!(again.is_some(), "released claims can be retaken");
-        drop(again);
-        // wait_for times out (nothing stored) and degrades to a miss.
-        assert!(cache.wait_for(job, Duration::from_millis(10)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

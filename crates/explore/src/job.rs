@@ -73,26 +73,18 @@ pub struct JobPerf {
 /// interpreted (unknown corner label or malformed pattern spec) —
 /// conditions [`crate::GridSpec::parse`] has already screened out.
 pub fn run_job(config: &JobConfig) -> Result<JobOutcome, GridError> {
-    run_job_with_kernel(config, SimKernel::default())
+    run_job_with_options(config, SimKernel::default(), false, None)
 }
 
 /// Like [`run_job`], but simulating with an explicit stepping
-/// [`SimKernel`]. The kernel is an **execution** option, not part of the
-/// job identity: every kernel produces bit-identical reports, so outcomes
-/// keep the same [`JobConfig::stable_hash`] and remain cache-compatible
-/// whichever kernel computed them.
-///
-/// # Errors
-///
-/// See [`run_job`].
-pub fn run_job_with_kernel(config: &JobConfig, kernel: SimKernel) -> Result<JobOutcome, GridError> {
-    run_job_with_options(config, kernel, false, None)
-}
-
-/// Like [`run_job_with_kernel`], with per-job kernel profiling as an
-/// opt-in. Profiling does not change simulation results — the outcome
-/// merely gains a [`JobPerf`] summary (which cache writers strip, keeping
-/// cache contents kernel- and profiling-invariant).
+/// [`SimKernel`] and, as an opt-in, per-job kernel profiling. The kernel
+/// is an **execution** option, not part of the job identity: every
+/// kernel produces bit-identical reports, so outcomes keep the same
+/// [`JobConfig::stable_hash`] and remain cache-compatible whichever
+/// kernel computed them. Profiling does not change simulation results
+/// either — the outcome merely gains a [`JobPerf`] summary (which cache
+/// writers strip, keeping cache contents kernel- and
+/// profiling-invariant).
 ///
 /// The fourth parameter is ignored: speculate-and-replay no longer
 /// exists. It is kept only so the `benchmark/` package builds unchanged;
@@ -379,6 +371,20 @@ mod tests {
         let digest = outcome.digest.expect("simulated");
         assert!(digest.correct);
         assert!(digest.delivered > 0);
+    }
+
+    #[test]
+    fn a_port_count_past_the_cap_is_an_unbuildable_point() {
+        // Rejected before any topology is built, so the job neither
+        // allocates a million-port graph nor aborts the sweep.
+        let job = &GridSpec::parse("ports=1048576;cycles=10")
+            .expect("parses")
+            .resolve()[0];
+        let outcome = run_job(job).expect("runs");
+        let err = outcome.build_error.expect("the cap rejects the point");
+        assert!(err.contains("at most 65536"), "{err}");
+        assert!(outcome.digest.is_none());
+        assert!(!outcome.feasible);
     }
 
     #[test]

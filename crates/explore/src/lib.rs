@@ -47,12 +47,12 @@ pub mod json;
 mod pareto;
 mod sweep;
 
-pub use cache::{CacheClaim, CacheStats, ResultCache, DEFAULT_CACHE_DIR};
+pub use cache::{CacheStats, ResultCache, DEFAULT_CACHE_DIR};
 pub use executor::{run_indexed, run_isolated};
 pub use grid::{stable_hash, GridError, GridSpec, JobConfig, AXIS_NAMES};
-pub use job::{run_job, run_job_with_kernel, run_job_with_options, JobOutcome, JobPerf, K_SIGMA};
+pub use job::{run_job, run_job_with_options, JobOutcome, JobPerf, K_SIGMA};
 pub use json::JsonValue;
 pub use pareto::{
     pareto_dominates, pareto_objectives, Analysis, SurfacePoint, ANALYSIS_SCHEMA_VERSION,
 };
-pub use sweep::{run_sweep, run_sweep_with, SweepEvent, SweepOptions, SweepStats};
+pub use sweep::{run_sweep, SweepOptions, SweepStats};

@@ -1,11 +1,9 @@
 //! The top-level sweep driver: grid → cache prescan → executor → cache
 //! fill → analysis.
 //!
-//! [`run_sweep`] is the one-shot batch entry point the CLI uses.
-//! [`run_sweep_with`] is the incremental seam underneath it: an observer
-//! sees every outcome (cached or executed) the moment its slot fills,
-//! which is what lets a resident service stream per-job rows to clients
-//! while the sweep is still running instead of waiting for the fold.
+//! [`run_sweep`] is the one-shot batch entry point the CLI uses. The
+//! `serve` daemon schedules jobs itself and calls [`crate::run_job`],
+//! [`crate::run_isolated`] and the [`ResultCache`] directly.
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::executor::run_indexed;
@@ -48,32 +46,6 @@ pub struct SweepStats {
     pub cache: CacheStats,
 }
 
-/// One observation from a running sweep, delivered to the
-/// [`run_sweep_with`] observer from whichever thread produced it.
-#[derive(Debug)]
-pub enum SweepEvent<'a> {
-    /// A slot filled: job `index` (grid order) resolved to `outcome`,
-    /// either from the cache (`cached`) or by execution. Executed
-    /// outcomes are observed *before* the final fold — this is the
-    /// streaming seam — except synthetic failure outcomes for panicked
-    /// jobs, which are observed during the fold.
-    Result {
-        /// Index into the resolved grid.
-        index: usize,
-        /// The outcome that filled the slot.
-        outcome: &'a JobOutcome,
-        /// Whether the cache (not the executor) answered it.
-        cached: bool,
-    },
-    /// A progress tick: `done` of `total` slots are filled.
-    Progress {
-        /// Slots filled so far (cache hits count all at once, up front).
-        done: usize,
-        /// Total jobs in the grid.
-        total: usize,
-    },
-}
-
 /// Runs `grid` and folds the outcomes.
 ///
 /// Jobs found in the cache are not executed; fresh results are written
@@ -89,22 +61,6 @@ pub fn run_sweep<P>(grid: &GridSpec, opts: &SweepOptions, progress: P) -> (Analy
 where
     P: Fn(usize, usize) + Sync,
 {
-    run_sweep_with(grid, opts, |event| {
-        if let SweepEvent::Progress { done, total } = event {
-            progress(done, total);
-        }
-    })
-}
-
-/// Like [`run_sweep`], but every event — per-job results as they land,
-/// progress ticks — flows through `observe`, from worker threads, while
-/// the sweep runs. This is the incremental seam resident services build
-/// on: results stream out job by job instead of arriving only in the
-/// folded [`Analysis`].
-pub fn run_sweep_with<O>(grid: &GridSpec, opts: &SweepOptions, observe: O) -> (Analysis, SweepStats)
-where
-    O: Fn(SweepEvent<'_>) + Sync,
-{
     let jobs = grid.resolve();
     let total = jobs.len();
     let mut slots: Vec<Option<JobOutcome>> = jobs
@@ -112,19 +68,7 @@ where
         .map(|j| opts.cache.as_ref().and_then(|c| c.load(j)))
         .collect();
     let cached = slots.iter().filter(|s| s.is_some()).count();
-    for (index, slot) in slots.iter().enumerate() {
-        if let Some(outcome) = slot {
-            observe(SweepEvent::Result {
-                index,
-                outcome,
-                cached: true,
-            });
-        }
-    }
-    observe(SweepEvent::Progress {
-        done: cached,
-        total,
-    });
+    progress(cached, total);
 
     let pending: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
     let results = run_indexed(
@@ -145,19 +89,9 @@ where
                 };
                 let _ = cache.store(&stored);
             }
-            observe(SweepEvent::Result {
-                index,
-                outcome: &outcome,
-                cached: false,
-            });
             Ok(outcome)
         },
-        |done, _| {
-            observe(SweepEvent::Progress {
-                done: cached + done,
-                total,
-            });
-        },
+        |done, _| progress(cached + done, total),
     );
 
     let mut executed = 0usize;
@@ -169,13 +103,7 @@ where
             Ok(Ok(outcome)) => outcome,
             Ok(Err(msg)) | Err(msg) => {
                 failed += 1;
-                let outcome = JobOutcome::failed(&jobs[i], &msg);
-                observe(SweepEvent::Result {
-                    index: i,
-                    outcome: &outcome,
-                    cached: false,
-                });
-                outcome
+                JobOutcome::failed(&jobs[i], &msg)
             }
         };
         slots[i] = Some(outcome);
@@ -205,7 +133,6 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     fn strip_wall(text: &str) -> String {
         text.lines()
@@ -318,48 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_result_exactly_once_as_it_lands() {
-        let grid = GridSpec::parse("ports=16;cycles=120;freq=0.9,1.0;soak=0,1").expect("parses");
-        let seen: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
-        let (analysis, _) = run_sweep_with(
-            &grid,
-            &SweepOptions {
-                jobs: 2,
-                cache: None,
-                kernel: SimKernel::default(),
-                profile: false,
-            },
-            |event| {
-                if let SweepEvent::Result {
-                    index,
-                    outcome,
-                    cached,
-                } = event
-                {
-                    assert_eq!(outcome.hash, outcome.config.stable_hash());
-                    seen.lock().expect("lock").push((index, cached));
-                }
-            },
-        );
-        let mut seen = seen.into_inner().expect("lock");
-        seen.sort_unstable();
-        assert_eq!(
-            seen,
-            vec![(0, false), (1, false), (2, false), (3, false)],
-            "each of the 4 jobs observed exactly once, all executed"
-        );
-        assert_eq!(analysis.outcomes.len(), 4);
-    }
-
-    #[test]
-    fn observer_distinguishes_cached_from_executed_results() {
+    fn a_half_warm_cache_answers_one_job_and_executes_the_other() {
         let dir = std::env::temp_dir().join(format!(
             "icnoc-explore-sweep-observe-test-{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        // Warm one of the two jobs, then watch the second run observe one
-        // cached and one executed result.
+        // Warm one of the two jobs; the second run must answer it from
+        // the cache and execute only the other.
         let warm = GridSpec::parse("ports=16;cycles=110;freq=0.9").expect("parses");
         let open = || ResultCache::open(&dir).expect("opens");
         let _ = run_sweep(
@@ -373,8 +266,7 @@ mod tests {
             |_, _| {},
         );
         let grid = GridSpec::parse("ports=16;cycles=110;freq=0.9,1.0").expect("parses");
-        let seen: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
-        let (_, stats) = run_sweep_with(
+        let (_, stats) = run_sweep(
             &grid,
             &SweepOptions {
                 jobs: 2,
@@ -382,15 +274,8 @@ mod tests {
                 kernel: SimKernel::default(),
                 profile: false,
             },
-            |event| {
-                if let SweepEvent::Result { index, cached, .. } = event {
-                    seen.lock().expect("lock").push((index, cached));
-                }
-            },
+            |_, _| {},
         );
-        let mut seen = seen.into_inner().expect("lock");
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, true), (1, false)]);
         assert_eq!(stats.cached, 1);
         assert_eq!(stats.executed, 1);
         let _ = std::fs::remove_dir_all(&dir);

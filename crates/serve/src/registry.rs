@@ -436,7 +436,6 @@ impl Registry {
                     ("hits".into(), JsonValue::Num(cache.hits as f64)),
                     ("misses".into(), JsonValue::Num(cache.misses as f64)),
                     ("stores".into(), JsonValue::Num(cache.stores as f64)),
-                    ("evictions".into(), JsonValue::Num(cache.evictions as f64)),
                 ]),
             ),
             (

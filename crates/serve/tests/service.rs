@@ -3,7 +3,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use icnoc_explore::{run_sweep, GridSpec, JsonValue, ResultCache, SweepOptions};
 use icnoc_serve::{client, Registry, RegistryConfig, Server, SubmitError};
@@ -277,39 +276,28 @@ fn daemon_serves_submit_stream_result_stats_over_tcp() {
 }
 
 #[test]
-fn concurrent_executors_race_one_cache_dir_with_one_execution() {
-    // Satellite: two executors (threads) sharing a cache dir and racing
-    // on the same job must both succeed via the atomic temp+rename
-    // path, with exactly one simulation executed — the claim/wait
-    // protocol decides the winner.
+fn concurrent_stores_of_one_outcome_both_land_whole() {
+    // Two executors sharing a cache dir may store the same job at once
+    // (the daemon's workers and an offline sweep, say). The uniquely
+    // named temp file + rename must let both succeed and leave one whole
+    // entry that loads as a hit.
     let dir = scratch("cache-race");
     let cache = ResultCache::open(&dir).expect("opens");
     let job = GridSpec::parse("ports=16;cycles=250")
         .expect("parses")
         .resolve()[0]
         .clone();
-    let executions = std::sync::atomic::AtomicUsize::new(0);
+    let outcome = icnoc_explore::run_job(&job).expect("runs");
+    let start = std::sync::Barrier::new(2);
 
-    let outcomes: Vec<_> = std::thread::scope(|scope| {
+    let stored: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let cache = cache.clone();
-                let job = job.clone();
-                let executions = &executions;
+                let (outcome, start) = (&outcome, &start);
                 scope.spawn(move || {
-                    if let Some(hit) = cache.load(&job) {
-                        return hit;
-                    }
-                    if let Some(_claim) = cache.claim(&job) {
-                        executions.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        let outcome = icnoc_explore::run_job(&job).expect("runs");
-                        cache.store(&outcome).expect("stores");
-                        outcome
-                    } else {
-                        cache
-                            .wait_for(&job, Duration::from_secs(60))
-                            .expect("the claim winner stores the result")
-                    }
+                    start.wait();
+                    cache.store(outcome)
                 })
             })
             .collect();
@@ -319,12 +307,19 @@ fn concurrent_executors_race_one_cache_dir_with_one_execution() {
             .collect()
     });
 
-    assert_eq!(
-        executions.load(std::sync::atomic::Ordering::SeqCst),
-        1,
-        "exactly one of the racing executors simulates"
-    );
-    assert_eq!(outcomes[0], outcomes[1], "both see the same outcome");
+    for result in stored {
+        result.expect("both racing stores succeed");
+    }
+    assert_eq!(cache.load(&job), Some(outcome), "the entry loads whole");
+    assert_eq!(cache.stats().stores, 2);
+    assert_eq!(cache.stats().hits, 1);
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .expect("lists")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "no temp file survives: {leftovers:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,8 +8,8 @@
 //! 1. **Injection** — a seeded, deterministic [`FaultPlan`] perturbs the
 //!    simulation with link-delay jitter and skew spikes, payload bit
 //!    flips, register upsets that erase held flits, stuck/lost handshake
-//!    glitches, and transient element outages, network-wide or per
-//!    element-label prefix, optionally restricted to a tick window.
+//!    glitches, and transient element outages, at one set of rates for
+//!    every element, optionally restricted to a tick window.
 //!    Every decision is a pure hash of `(seed, tick, element, draw slot)`
 //!    ([`draw`]), so faults are independent per element and per edge and
 //!    no draw depends on which elements a kernel visits or in what order.
@@ -136,8 +136,8 @@ pub struct FaultRates {
     pub stuck_valid: f64,
     /// Lost offer per stage edge where the stage could capture.
     pub lost_valid: f64,
-    /// Outage per stage edge: each epoch of `outage_edges` ticks freezes
-    /// a stage with probability `1 − (1 − outage)^outage_edges`.
+    /// Outage per stage edge: each epoch of 16 ticks freezes a stage with
+    /// probability `1 − (1 − outage)^16`.
     pub outage: f64,
     /// Clock-node outage start per clock domain per edge.
     pub clock_outage: f64,
@@ -240,34 +240,59 @@ impl FaultRates {
 
 /// Configuration of the dynamic-frequency-scaling controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DfsConfig {
+struct DfsConfig {
     /// Timing violations within [`window_edges`](Self::window_edges) that
     /// trigger one backoff step.
-    pub violation_threshold: u32,
+    violation_threshold: u32,
     /// Length of the violation-counting window, in half-cycle edges.
-    pub window_edges: u64,
+    window_edges: u64,
     /// Multiplier applied to the slowdown per backoff step (> 1).
-    pub backoff_factor: f64,
+    backoff_factor: f64,
     /// Ceiling on the slowdown (the floor on frequency).
-    pub max_slowdown: f64,
+    max_slowdown: f64,
     /// Divisor applied when creeping back up after a clean stretch (> 1).
-    pub creep_factor: f64,
+    creep_factor: f64,
     /// Violation-free edges required before a creep-up probe.
-    pub clean_edges: u64,
+    clean_edges: u64,
 }
 
-impl Default for DfsConfig {
-    fn default() -> Self {
-        Self {
-            violation_threshold: 3,
-            window_edges: 512,
-            backoff_factor: 1.3,
-            max_slowdown: 8.0,
-            creep_factor: 1.15,
-            clean_edges: 2000,
-        }
-    }
-}
+/// The DFS controller every plan runs.
+const DFS: DfsConfig = DfsConfig {
+    violation_threshold: 3,
+    window_edges: 512,
+    backoff_factor: 1.3,
+    max_slowdown: 8.0,
+    creep_factor: 1.15,
+    clean_edges: 2000,
+};
+
+/// Peak jitter excursion magnitude (uniform in `±JITTER_MAX_PS`).
+const JITTER_MAX_PS: f64 = 120.0;
+/// Skew-spike magnitude range in ps, `[SPIKE_MIN_PS, SPIKE_MAX_PS)` (the
+/// sign is random).
+const SPIKE_MIN_PS: f64 = 200.0;
+const SPIKE_MAX_PS: f64 = 600.0;
+/// Ticks in one element-outage epoch.
+const OUTAGE_EDGES: u64 = 16;
+/// Edges a rolled clock-node outage lasts.
+const CLOCK_OUTAGE_EDGES: u64 = 64;
+/// Missed heartbeats (frozen edges) before the per-subtree watchdog
+/// raises `ClockLoss` and quarantines the domain.
+const WATCHDOG_THRESHOLD: u64 = 8;
+/// Edges the deterministic re-sync protocol holds a domain frozen after
+/// its outage window ends, before captures resume.
+const RESYNC_EDGES: u64 = 8;
+/// Edges a skew-drift ramp lasts.
+const DRIFT_EDGES: u64 = 256;
+/// Peak skew excursion in ps a drift ramp reaches at its end.
+const DRIFT_MAX_PS: f64 = 300.0;
+/// Edges without acknowledgement before a flit is presumed dropped.
+const TIMEOUT_EDGES: u64 = 512;
+/// Base retransmission delay; doubles per attempt (bounded exponential
+/// backoff).
+const BACKOFF_BASE_EDGES: u64 = 32;
+/// Retransmissions per flit before declaring it an explicit loss.
+const MAX_RETRIES: u32 = 5;
 
 /// A seeded, deterministic fault-injection and recovery configuration.
 ///
@@ -280,30 +305,9 @@ impl Default for DfsConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     rates: FaultRates,
-    /// Per-element overrides, matched by label prefix (first match wins).
-    overrides: Vec<(String, FaultRates)>,
     /// Injection restricted to ticks in `[start, end)`, if set.
     window: Option<(u64, u64)>,
     seed: u64,
-    /// Peak jitter excursion magnitude (uniform in `±jitter_max`).
-    jitter_max: Picoseconds,
-    /// Skew-spike magnitude range (sign is random).
-    spike_min: Picoseconds,
-    spike_max: Picoseconds,
-    /// Ticks in one element-outage epoch.
-    outage_edges: u64,
-    /// Edges a rolled clock-node outage lasts.
-    clock_outage_edges: u64,
-    /// Missed heartbeats (frozen edges) before the per-subtree watchdog
-    /// raises `ClockLoss` and quarantines the domain.
-    watchdog_threshold: u64,
-    /// Edges the deterministic re-sync protocol holds a domain frozen
-    /// after its outage window ends, before captures resume.
-    resync_edges: u64,
-    /// Edges a skew-drift ramp lasts.
-    drift_edges: u64,
-    /// Peak skew excursion a drift ramp reaches at its end.
-    drift_max: Picoseconds,
     /// Deterministic clock-outage windows: `(domain, start, end)` in
     /// half-cycle ticks (`end == u64::MAX` models a permanent outage).
     scheduled_clock_outages: Vec<(u32, u64, u64)>,
@@ -313,14 +317,6 @@ pub struct FaultPlan {
     /// Nominal clock the DFS controller derates.
     frequency: Gigahertz,
     flip_flop: FlipFlopTiming,
-    /// Edges without acknowledgement before a flit is presumed dropped.
-    timeout_edges: u64,
-    /// Base retransmission delay; doubles per attempt (bounded
-    /// exponential backoff).
-    backoff_base_edges: u64,
-    /// Retransmissions per flit before declaring it an explicit loss.
-    max_retries: u32,
-    dfs: DfsConfig,
 }
 
 impl FaultPlan {
@@ -331,27 +327,13 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         Self {
             rates: FaultRates::ZERO,
-            overrides: Vec::new(),
             window: None,
             seed,
-            jitter_max: Picoseconds::new(120.0),
-            spike_min: Picoseconds::new(200.0),
-            spike_max: Picoseconds::new(600.0),
-            outage_edges: 16,
-            clock_outage_edges: 64,
-            watchdog_threshold: 8,
-            resync_edges: 8,
-            drift_edges: 256,
-            drift_max: Picoseconds::new(300.0),
             scheduled_clock_outages: Vec::new(),
             data_delay: Picoseconds::new(150.0),
             clock_delay: Picoseconds::new(150.0),
             frequency: Gigahertz::new(1.0),
             flip_flop: FlipFlopTiming::nominal_90nm(),
-            timeout_edges: 512,
-            backoff_base_edges: 32,
-            max_retries: 5,
-            dfs: DfsConfig::default(),
         }
     }
 
@@ -371,21 +353,6 @@ impl FaultPlan {
     pub fn with_rates(mut self, rates: FaultRates) -> Self {
         rates.validate();
         self.rates = rates;
-        self
-    }
-
-    /// Overrides the rates for elements whose label starts with `prefix`
-    /// (e.g. `"r0."` for the root router, `"l3"` for port 3's link
-    /// stages). Earlier overrides win.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rate is outside `[0, 1]`.
-    #[must_use]
-    #[track_caller]
-    pub fn with_element_rates(mut self, prefix: &str, rates: FaultRates) -> Self {
-        rates.validate();
-        self.overrides.push((prefix.to_owned(), rates));
         self
     }
 
@@ -424,67 +391,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the jitter excursion bound and the spike magnitude range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jitter_max` is negative or the spike range is empty.
-    #[must_use]
-    #[track_caller]
-    pub fn with_excursions(
-        mut self,
-        jitter_max: Picoseconds,
-        spike_min: Picoseconds,
-        spike_max: Picoseconds,
-    ) -> Self {
-        assert!(!jitter_max.is_negative(), "jitter bound must be >= 0");
-        assert!(
-            spike_min.value() < spike_max.value(),
-            "spike range must be non-empty"
-        );
-        self.jitter_max = jitter_max;
-        self.spike_min = spike_min;
-        self.spike_max = spike_max;
-        self
-    }
-
-    /// Sets the element-outage epoch length in ticks.
-    #[must_use]
-    pub fn with_outage_edges(mut self, edges: u64) -> Self {
-        self.outage_edges = edges.max(1);
-        self
-    }
-
-    /// Sets the duration of rolled clock-node outages in edges.
-    #[must_use]
-    pub fn with_clock_outage_edges(mut self, edges: u64) -> Self {
-        self.clock_outage_edges = edges.max(1);
-        self
-    }
-
-    /// Sets the clock watchdog threshold (missed heartbeats before
-    /// `ClockLoss` + quarantine) and the re-sync hold in edges.
-    #[must_use]
-    pub fn with_clock_watchdog(mut self, threshold: u64, resync_edges: u64) -> Self {
-        self.watchdog_threshold = threshold.max(1);
-        self.resync_edges = resync_edges.max(1);
-        self
-    }
-
-    /// Sets the skew-drift ramp length in edges and its peak excursion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drift_max` is negative.
-    #[must_use]
-    #[track_caller]
-    pub fn with_skew_drift(mut self, edges: u64, drift_max: Picoseconds) -> Self {
-        assert!(!drift_max.is_negative(), "drift peak must be >= 0");
-        self.drift_edges = edges.max(1);
-        self.drift_max = drift_max;
-        self
-    }
-
     /// Schedules a deterministic clock-node outage on clock domain
     /// `domain` over ticks `[start, end)`. `end == u64::MAX` models a
     /// permanent outage. Scheduled outages fire regardless of the plan's
@@ -498,46 +404,6 @@ impl FaultPlan {
     pub fn with_clock_outage_window(mut self, domain: u32, start: u64, end: u64) -> Self {
         assert!(start < end, "clock outage window must be non-empty");
         self.scheduled_clock_outages.push((domain, start, end));
-        self
-    }
-
-    /// Sets the retransmission parameters: acknowledgement timeout, base
-    /// backoff delay (doubles per attempt), and the retry budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timeout_edges` is zero.
-    #[must_use]
-    #[track_caller]
-    pub fn with_retry(
-        mut self,
-        timeout_edges: u64,
-        backoff_base_edges: u64,
-        max_retries: u32,
-    ) -> Self {
-        assert!(
-            timeout_edges > 0,
-            "a zero timeout would retransmit everything"
-        );
-        self.timeout_edges = timeout_edges;
-        self.backoff_base_edges = backoff_base_edges.max(1);
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the DFS controller configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both factors exceed 1 and the ceiling is at least 1.
-    #[must_use]
-    #[track_caller]
-    pub fn with_dfs(mut self, dfs: DfsConfig) -> Self {
-        assert!(
-            dfs.backoff_factor > 1.0 && dfs.creep_factor > 1.0 && dfs.max_slowdown >= 1.0,
-            "DFS factors must exceed 1 and the slowdown ceiling must be >= 1"
-        );
-        self.dfs = dfs;
         self
     }
 
@@ -565,8 +431,7 @@ impl FaultPlan {
     /// good — the DFS convergence target.
     #[must_use]
     pub fn worst_case_delta(&self) -> Picoseconds {
-        let excursion = self.spike_max.max(self.jitter_max);
-        self.data_delay + self.clock_delay + excursion
+        self.data_delay + self.clock_delay + max_excursion()
     }
 
     /// Whether a `slowdown` derating is safe against every excursion this
@@ -574,7 +439,7 @@ impl FaultPlan {
     #[must_use]
     pub fn slowdown_is_safe(&self, slowdown: f64) -> bool {
         let link = LinkTiming::new(self.flip_flop, self.frequency).derated(slowdown);
-        let excursion = self.spike_max.max(self.jitter_max);
+        let excursion = max_excursion();
         let down_hi = self.data_delay - self.clock_delay + excursion;
         let down_lo = self.data_delay - self.clock_delay - excursion;
         link.check_delta(Direction::Upstream, self.worst_case_delta())
@@ -584,6 +449,11 @@ impl FaultPlan {
                 .check_delta(Direction::Downstream, down_lo.max(-self.clock_delay))
                 .is_ok()
     }
+}
+
+/// The largest delay excursion a jitter or spike draw can produce.
+fn max_excursion() -> Picoseconds {
+    Picoseconds::new(SPIKE_MAX_PS.max(JITTER_MAX_PS))
 }
 
 /// Injection counts per [`FaultKind`] — the "injected" side of the
@@ -1148,22 +1018,19 @@ impl FaultOp {
     }
 }
 
-/// The fault state every visit reads: the plan, the per-element rates,
-/// this epoch's element outages, the DFS slowdown at the start of the
-/// tick and the clock-domain states. Only
-/// [`FaultState::begin_step`] writes it, between ticks, so shards read it
-/// without locks.
+/// The fault state every visit reads: the plan, this epoch's element
+/// outages, the DFS slowdown at the start of the tick and the
+/// clock-domain states. Only [`FaultState::begin_step`] writes it,
+/// between ticks, so shards read it without locks.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultCtx {
     plan: FaultPlan,
-    /// Per-element rates, resolved from the plan's prefix overrides.
-    element_rates: Vec<FaultRates>,
-    /// Per-element `ln(1 − flit_drop)`, the scale of the geometric upset
-    /// draw.
-    survive_ln: Vec<f64>,
-    /// Stages grouped by their per-epoch freeze probability `q = 1 − (1 −
-    /// outage)^outage_edges`, as `(q, ln(1 − q), members)`.
-    outage_groups: Vec<(f64, f64, Vec<u32>)>,
+    /// `ln(1 − flit_drop)`, the scale of the geometric upset draw.
+    survive_ln: f64,
+    /// The stages an outage epoch can freeze, with `ln(1 − q)` for their
+    /// per-epoch freeze probability `q = 1 − (1 − outage)^OUTAGE_EDGES`.
+    /// No stages at a zero outage rate.
+    outage_stages: (f64, Vec<u32>),
     /// Stages the current outage epoch froze, one bit each.
     outage_bits: Vec<u64>,
     /// Per clock domain, its elements as a bitset.
@@ -1198,10 +1065,6 @@ impl FaultCtx {
         self.plan
             .window
             .is_none_or(|(start, end)| tick >= start && tick < end)
-    }
-
-    fn rates(&self, element: usize) -> &FaultRates {
-        self.element_rates.get(element).unwrap_or(&self.plan.rates)
     }
 
     /// A rate roll of `slot` for element `i` at `tick`. Zero rates never
@@ -1281,7 +1144,7 @@ impl FaultCtx {
         if !self.active(tick) || !(flit.kind == FlitKind::Single || flit.retry > 0) {
             return false;
         }
-        if self.roll(tick, i, slot::STUCK_VALID, self.rates(i).stuck_valid) {
+        if self.roll(tick, i, slot::STUCK_VALID, self.plan.rates.stuck_valid) {
             log.push(FaultOp::Injected(FaultKind::StuckValid));
             log.push(FaultOp::Charge(flit.src.0, flit.seq));
             return true;
@@ -1292,7 +1155,7 @@ impl FaultCtx {
     /// Whether element `i`'s incoming `valid` glitches away on an edge
     /// where it could capture.
     pub(crate) fn lost_valid(&self, i: usize, tick: u64, log: &mut Vec<FaultOp>) -> bool {
-        if self.active(tick) && self.roll(tick, i, slot::LOST_VALID, self.rates(i).lost_valid) {
+        if self.active(tick) && self.roll(tick, i, slot::LOST_VALID, self.plan.rates.lost_valid) {
             log.push(FaultOp::Injected(FaultKind::LostValid));
             // A one-edge stall the handshake absorbs by construction.
             log.push(FaultOp::Absorbed);
@@ -1317,7 +1180,7 @@ impl FaultCtx {
         if !self.active(tick) {
             return effect;
         }
-        let rates = *self.rates(i);
+        let rates = self.plan.rates;
         let excursion = if let Some(drift) = self.drift_excursion(i, tick) {
             // An armed skew-drift ramp books one instance per capture it
             // degrades; the timing guard decides whether each survives.
@@ -1325,8 +1188,8 @@ impl FaultCtx {
             Some(drift)
         } else if self.roll(tick, i, slot::SPIKE, rates.skew_spike) {
             log.push(FaultOp::Injected(FaultKind::SkewSpike));
-            let (lo, hi) = (self.plan.spike_min.value(), self.plan.spike_max.value());
-            let magnitude = lo + unit(self.draw(tick, i, slot::SPIKE_MAGNITUDE)) * (hi - lo);
+            let u = unit(self.draw(tick, i, slot::SPIKE_MAGNITUDE));
+            let magnitude = SPIKE_MIN_PS + u * (SPIKE_MAX_PS - SPIKE_MIN_PS);
             let sign = if fires(self.draw(tick, i, slot::SPIKE_SIGN), 0.5) {
                 1.0
             } else {
@@ -1335,9 +1198,8 @@ impl FaultCtx {
             Some(Picoseconds::new(sign * magnitude))
         } else if self.roll(tick, i, slot::JITTER, rates.link_jitter) {
             log.push(FaultOp::Injected(FaultKind::LinkJitter));
-            let bound = self.plan.jitter_max.value();
             let u = unit(self.draw(tick, i, slot::JITTER_MAGNITUDE));
-            Some(Picoseconds::new(bound * (2.0 * u - 1.0)))
+            Some(Picoseconds::new(JITTER_MAX_PS * (2.0 * u - 1.0)))
         } else {
             None
         };
@@ -1383,15 +1245,10 @@ impl FaultCtx {
     /// a head flit (erasing a worm's head would orphan its bodies), or a
     /// drawn tick outside the injection window.
     pub(crate) fn upset_tick(&self, i: usize, tick: u64, flit: &Flit) -> u64 {
-        if self.rates(i).flit_drop <= 0.0 || flit.kind == FlitKind::Head {
+        if self.plan.rates.flit_drop <= 0.0 || flit.kind == FlitKind::Head {
             return u64::MAX;
         }
-        let scale = self
-            .survive_ln
-            .get(i)
-            .copied()
-            .unwrap_or_else(|| (1.0 - self.plan.rates.flit_drop).ln());
-        let edges = geometric(self.draw(tick, i, slot::FLIT_DROP), scale);
+        let edges = geometric(self.draw(tick, i, slot::FLIT_DROP), self.survive_ln);
         let at = tick.saturating_add(edges.saturating_mul(2));
         if self.active(at) {
             at
@@ -1449,8 +1306,8 @@ impl FaultCtx {
         }
         let st = &self.domains[d as usize];
         if tick < st.drift_until && tick >= st.drift_start {
-            let ramp = (tick - st.drift_start + 1) as f64 / self.plan.drift_edges as f64;
-            Some(Picoseconds::new(self.plan.drift_max.value() * ramp))
+            let ramp = (tick - st.drift_start + 1) as f64 / DRIFT_EDGES as f64;
+            Some(Picoseconds::new(DRIFT_MAX_PS * ramp))
         } else {
             None
         }
@@ -1494,15 +1351,15 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    /// Builds the live state for a network with the given element labels
-    /// (`stages` marks the elements element outages can freeze).
+    /// Builds the live state for a network with one `stages` entry per
+    /// element, marking the elements element outages can freeze.
     ///
     /// # Panics
     ///
     /// Panics if the plan's *nominal* link delays violate timing at its
     /// nominal frequency — faults must be excursions from a working
     /// design, not a broken baseline.
-    pub(crate) fn new(plan: FaultPlan, labels: &[&str], stages: &[bool]) -> Self {
+    pub(crate) fn new(plan: FaultPlan, stages: &[bool]) -> Self {
         let link = LinkTiming::new(plan.flip_flop, plan.frequency);
         for dir in [Direction::Downstream, Direction::Upstream] {
             assert!(
@@ -1511,44 +1368,28 @@ impl FaultState {
                  frequency ({dir:?} fails); fix delays/frequency before injecting faults"
             );
         }
-        let element_rates: Vec<FaultRates> = labels
-            .iter()
-            .map(|label| {
-                plan.overrides
-                    .iter()
-                    .find(|(prefix, _)| label.starts_with(prefix.as_str()))
-                    .map_or(plan.rates, |(_, r)| *r)
-            })
-            .collect();
-        let edges = i32::try_from(plan.outage_edges).unwrap_or(i32::MAX);
-        let mut outage_groups: Vec<(f64, f64, Vec<u32>)> = Vec::new();
-        for (i, (r, &stage)) in element_rates.iter().zip(stages).enumerate() {
-            if !stage || r.outage <= 0.0 {
-                continue;
-            }
-            let q = 1.0 - (1.0 - r.outage).powi(edges);
-            match outage_groups.iter_mut().find(|g| g.0 == q) {
-                Some(group) => group.2.push(i as u32),
-                None => outage_groups.push((q, (1.0 - q).ln(), vec![i as u32])),
-            }
-        }
-        let survive_ln = element_rates
-            .iter()
-            .map(|r| (1.0 - r.flit_drop).ln())
-            .collect();
-        let dfs = Dfs::new(plan.dfs);
+        let outage = plan.rates.outage;
+        let q = 1.0 - (1.0 - outage).powi(OUTAGE_EDGES as i32);
+        let members = if outage > 0.0 {
+            (0..stages.len() as u32)
+                .filter(|&i| stages[i as usize])
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let words = stages.len().div_ceil(64);
+        let dfs = Dfs::new(DFS);
         Self {
             ctx: FaultCtx {
-                outage_bits: vec![0; labels.len().div_ceil(64)],
+                outage_bits: vec![0; words],
                 domain_bits: Vec::new(),
-                frozen_now: vec![0; labels.len().div_ceil(64)],
+                frozen_now: vec![0; words],
                 frozen_key: (false, Vec::new()),
                 freezing: false,
                 base: (u64::MAX, tick_base(plan.seed, u64::MAX)),
                 drifting: false,
-                outage_groups,
-                survive_ln,
-                element_rates,
+                outage_stages: ((1.0 - q).ln(), members),
+                survive_ln: (1.0 - plan.rates.flit_drop).ln(),
                 slowdown: dfs.slowdown,
                 clock: None,
                 domains: Vec::new(),
@@ -1649,7 +1490,7 @@ impl FaultState {
             FaultOp::Retransmitted(src, seq) => {
                 self.ledger.retransmissions += 1;
                 let key = (src, seq);
-                let deadline = tick + self.ctx.plan.timeout_edges;
+                let deadline = tick + TIMEOUT_EDGES;
                 if let Some(entry) = self.outstanding.get_mut(&key) {
                     // The queue wait may have eaten into the timeout;
                     // re-arm it from the actual injection tick.
@@ -1665,32 +1506,32 @@ impl FaultState {
     /// backoff policy, or write it off once the retry budget is spent.
     fn nack(&mut self, key: (u32, u64), tick: u64) {
         self.ledger.corruptions_detected += 1;
-        let max_retries = self.ctx.plan.max_retries;
-        let Some(entry) = self.outstanding.get(&key) else {
-            return;
-        };
-        if entry.retx_due.is_some() {
-            return;
-        }
-        if entry.attempts >= max_retries {
-            let entry = self.outstanding.remove(&key).expect("present");
-            self.ledger.lost += entry.faults;
-            self.ledger.flits_abandoned += 1;
-            self.abandoned.insert(key, entry.faults);
-        } else {
-            let due = tick + self.backoff_delay(entry.attempts);
-            self.outstanding.get_mut(&key).expect("present").retx_due = Some(due);
-            self.arm_timer(key, due);
+        if self
+            .outstanding
+            .get(&key)
+            .is_some_and(|entry| entry.retx_due.is_none())
+        {
+            self.retry_or_abandon(key, tick);
         }
     }
 
-    fn backoff_delay(&self, attempts: u32) -> u64 {
-        // Bounded exponential backoff: base << attempts, saturating well
-        // below overflow.
-        self.ctx
-            .plan
-            .backoff_base_edges
-            .saturating_mul(1u64 << attempts.min(10))
+    /// The one retry decision, for a NACK and a timeout alike: schedule
+    /// the tracked flit `key`'s retransmission after a bounded exponential
+    /// backoff (`BACKOFF_BASE_EDGES << attempts`, saturating well below
+    /// overflow), or write it off once it has spent [`MAX_RETRIES`].
+    fn retry_or_abandon(&mut self, key: (u32, u64), tick: u64) {
+        let entry = self.outstanding.get_mut(&key).expect("tracked");
+        if entry.attempts >= MAX_RETRIES {
+            let faults = entry.faults;
+            self.outstanding.remove(&key);
+            self.ledger.lost += faults;
+            self.ledger.flits_abandoned += 1;
+            self.abandoned.insert(key, faults);
+        } else {
+            let due = tick + BACKOFF_BASE_EDGES.saturating_mul(1u64 << entry.attempts.min(10));
+            entry.retx_due = Some(due);
+            self.arm_timer(key, due);
+        }
     }
 
     // ----- clock-domain machinery -----------------------------------------
@@ -1756,8 +1597,6 @@ impl FaultState {
         let plan = &self.ctx.plan;
         let rates = plan.rates;
         let seed = plan.seed;
-        let (watchdog, resync_edges) = (plan.watchdog_threshold, plan.resync_edges);
-        let (outage_edges, drift_edges) = (plan.clock_outage_edges, plan.drift_edges);
         let rolling = self.ctx.active(tick)
             && (rates.clock_outage > 0.0 || rates.pulse_drop > 0.0 || rates.skew_drift > 0.0);
         let roll = |d: u32, slot: u64, rate: f64| {
@@ -1771,7 +1610,7 @@ impl FaultState {
                 // deterministic re-sync before captures resume.
                 st.in_outage = false;
                 st.resyncing = true;
-                st.resync_until = tick + resync_edges;
+                st.resync_until = tick + RESYNC_EDGES;
             }
             if st.resyncing && tick >= st.resync_until {
                 st.resyncing = false;
@@ -1784,7 +1623,7 @@ impl FaultState {
             //    (one ClockLoss per outage) and quarantined.
             if st.in_outage {
                 st.missed += 1;
-                if !st.quarantined && st.missed >= watchdog {
+                if !st.quarantined && st.missed >= WATCHDOG_THRESHOLD {
                     st.quarantined = true;
                     self.ledger.clock_loss_events += 1;
                 }
@@ -1802,7 +1641,7 @@ impl FaultState {
                 continue;
             }
             if roll(d, slot::CLOCK_OUTAGE, rates.clock_outage) {
-                let until = tick.saturating_add(outage_edges);
+                let until = tick.saturating_add(CLOCK_OUTAGE_EDGES);
                 self.inject_clock_outage(d, tick, until, backend);
             }
             if self.ctx.domains[d as usize].frozen(tick) {
@@ -1832,46 +1671,41 @@ impl FaultState {
                     // SkewDrift instance against the timing guard.
                     let st = &mut self.ctx.domains[d as usize];
                     st.drift_start = tick;
-                    st.drift_until = tick.saturating_add(drift_edges);
+                    st.drift_until = tick.saturating_add(DRIFT_EDGES);
                 }
             }
         }
     }
 
-    /// Element outages come in fixed epochs of `outage_edges` ticks. At
+    /// Element outages come in fixed epochs of [`OUTAGE_EDGES`] ticks. At
     /// the first injection-window tick of each epoch, draws which stages
     /// the epoch freezes and books each frozen epoch once: an outage only
-    /// stalls, so it is absorbed. Each group of stages sharing a freeze
-    /// probability `q` is walked with geometric gaps — every member is
-    /// frozen independently with probability `q`, at one draw per frozen
-    /// member instead of one per stage.
+    /// stalls, so it is absorbed. The stages are walked with geometric
+    /// gaps — every stage is frozen independently with probability `q`,
+    /// at one draw per frozen stage instead of one per stage.
     fn outage_epoch(&mut self, tick: u64) -> bool {
         let ctx = &mut self.ctx;
-        let edges = ctx.plan.outage_edges;
         let first = ctx.plan.window.map_or(0, |(start, _)| start);
-        if ctx.outage_groups.is_empty()
+        let (survive_ln, members) = &ctx.outage_stages;
+        if members.is_empty()
             || !ctx.active(tick)
-            || !(tick.is_multiple_of(edges) || tick == first)
+            || !(tick.is_multiple_of(OUTAGE_EDGES) || tick == first)
         {
             return false;
         }
-        let epoch = tick / edges;
+        let epoch = tick / OUTAGE_EDGES;
         let seed = ctx.plan.seed;
         let mut frozen = 0u64;
         ctx.outage_bits.fill(0);
-        for (g, (_, survive_ln, members)) in ctx.outage_groups.iter().enumerate() {
-            let mut next = 0u64;
-            for k in 0u64.. {
-                let key = (g as u64) << 32 | k;
-                next = next
-                    .saturating_add(geometric(draw(seed, epoch, key, slot::OUTAGE), *survive_ln));
-                let Some(&i) = members.get(next as usize) else {
-                    break;
-                };
-                ctx.outage_bits[i as usize >> 6] |= 1u64 << (i & 63);
-                frozen += 1;
-                next += 1;
-            }
+        let mut next = 0u64;
+        for k in 0u64.. {
+            next = next.saturating_add(geometric(draw(seed, epoch, k, slot::OUTAGE), *survive_ln));
+            let Some(&i) = members.get(next as usize) else {
+                break;
+            };
+            ctx.outage_bits[i as usize >> 6] |= 1u64 << (i & 63);
+            frozen += 1;
+            next += 1;
         }
         self.ledger.injected.outage += frozen;
         self.ledger.absorbed += frozen;
@@ -1932,16 +1766,13 @@ impl FaultState {
         // downstream report) do not depend on timer order.
         fired.sort_unstable();
         fired.dedup();
-        let max_retries = self.ctx.plan.max_retries;
-        let timeout = self.ctx.plan.timeout_edges;
-        let base = self.ctx.plan.backoff_base_edges;
         for key in fired.drain(..) {
             let entry = self.outstanding.get_mut(&key).expect("validated above");
             if entry.retx_due.is_some() {
                 // Back-off elapsed: materialise the retransmission.
                 entry.attempts += 1;
                 entry.retx_due = None;
-                entry.deadline = tick + timeout;
+                entry.deadline = tick + TIMEOUT_EDGES;
                 let flit = entry.flit.as_retry(entry.attempts.min(255) as u8);
                 let due = entry.deadline;
                 let injector = self
@@ -1954,16 +1785,7 @@ impl FaultState {
             } else {
                 // No acknowledgement: presume the flit dropped.
                 self.ledger.drops_detected += 1;
-                if entry.attempts >= max_retries {
-                    let entry = self.outstanding.remove(&key).expect("present");
-                    self.ledger.lost += entry.faults;
-                    self.ledger.flits_abandoned += 1;
-                    self.abandoned.insert(key, entry.faults);
-                } else {
-                    let delay = base.saturating_mul(1u64 << entry.attempts.min(10));
-                    entry.retx_due = Some(tick + delay);
-                    self.arm_timer(key, tick + delay);
-                }
+                self.retry_or_abandon(key, tick);
             }
         }
         self.fired = fired;
@@ -1978,7 +1800,7 @@ impl FaultState {
     /// Registers a freshly injected flit with the acknowledgement tracker.
     fn register_injection(&mut self, flit: &Flit, tick: u64) {
         let key = (flit.src.0, flit.seq);
-        let deadline = tick + self.ctx.plan.timeout_edges;
+        let deadline = tick + TIMEOUT_EDGES;
         self.outstanding.insert(
             key,
             Outstanding {
@@ -2093,22 +1915,9 @@ mod tests {
     #[test]
     fn plan_defaults_meet_nominal_timing() {
         // The construction assertion must accept the default plan.
-        let state = FaultState::new(FaultPlan::soak(7), &["s0", "s1"], &[true, true]);
+        let state = FaultState::new(FaultPlan::soak(7), &[true, true]);
         assert!(state.report().conserves());
         assert_eq!(state.report().injected.total(), 0);
-    }
-
-    #[test]
-    fn element_overrides_resolve_by_prefix() {
-        let hot = FaultRates {
-            bit_corruption: 0.5,
-            ..FaultRates::ZERO
-        };
-        let plan = FaultPlan::new(3).with_element_rates("r0.", hot);
-        let state = FaultState::new(plan, &["src0", "r0.mid1", "r1.mid0"], &[false, true, true]);
-        assert_eq!(state.ctx().rates(1).bit_corruption, 0.5);
-        assert_eq!(state.ctx().rates(0).bit_corruption, 0.0);
-        assert_eq!(state.ctx().rates(2).bit_corruption, 0.0);
     }
 
     #[test]
@@ -2202,9 +2011,7 @@ mod tests {
 
     #[test]
     fn arrival_gate_acks_nacks_and_dedups() {
-        // Backoff base 1 (the minimum): NACKed flits retransmit on the
-        // next edge.
-        let mut state = FaultState::new(FaultPlan::new(9).with_retry(64, 1, 5), &[], &[]);
+        let mut state = FaultState::new(FaultPlan::new(9), &[]);
         state.set_injectors(vec![7, 8]);
         let mut delivered = HashSet::new();
         let flit = Flit::new(PortId(0), PortId(1), 4, 0);
@@ -2218,9 +2025,14 @@ mod tests {
             ArrivalVerdict::Corrupt
         );
         assert_eq!(state.report().corruptions_detected, 1);
-        // The NACK scheduled a retransmission one backoff edge later, at
+        // The NACK scheduled a retransmission one base backoff later, at
         // port 0's injector.
-        state.begin_step(11);
+        let due = 10 + BACKOFF_BASE_EDGES;
+        for tick in 11..due {
+            state.begin_step(tick);
+            assert_eq!(state.released().count(), 0, "backing off at {tick}");
+        }
+        state.begin_step(due);
         let released: Vec<(u32, Flit)> = state.released().collect();
         let [(injector, retx)] = released[..] else {
             panic!("one retransmission released: {released:?}");
@@ -2229,17 +2041,17 @@ mod tests {
         assert_eq!(retx.seq, 4);
         assert_eq!(retx.retry, 1);
         assert!(retx.crc_ok());
-        state.apply(11, FaultOp::Retransmitted(retx.src.0, retx.seq));
+        state.apply(due, FaultOp::Retransmitted(retx.src.0, retx.seq));
 
         // The clean retransmission delivers and acknowledges.
         assert_eq!(
-            arrive(&mut state, &retx, 20, 1, &mut delivered),
+            arrive(&mut state, &retx, due + 10, 1, &mut delivered),
             ArrivalVerdict::Deliver
         );
         assert!(!state.recovery_busy());
         // A late duplicate of the same sequence is discarded.
         assert_eq!(
-            arrive(&mut state, &flit, 30, 1, &mut delivered),
+            arrive(&mut state, &flit, due + 20, 1, &mut delivered),
             ArrivalVerdict::Duplicate
         );
         let report = state.report();
@@ -2250,21 +2062,24 @@ mod tests {
 
     #[test]
     fn timeout_drives_bounded_retries_then_explicit_loss() {
-        let plan = FaultPlan::new(5)
-            .with_retry(10, 2, 2)
-            .with_rates(FaultRates {
-                flit_drop: 1.0,
-                ..FaultRates::ZERO
-            });
-        let mut state = FaultState::new(plan, &["s0"], &[true]);
+        let plan = FaultPlan::new(5).with_rates(FaultRates {
+            flit_drop: 1.0,
+            ..FaultRates::ZERO
+        });
+        let mut state = FaultState::new(plan, &[true]);
         let flit = Flit::new(PortId(2), PortId(3), 0, 0);
         state.apply(0, FaultOp::Injection(flit));
         // At rate 1 the upset fires on the latching edge itself.
         assert_eq!(state.ctx().upset_tick(0, 0, &flit), 0);
         state.hook(0, |_, log| FaultCtx::held_drop(&flit, log));
 
+        // Each attempt waits out the timeout, then its backoff.
+        let budget: u64 = (0..MAX_RETRIES)
+            .map(|a| TIMEOUT_EDGES + (BACKOFF_BASE_EDGES << a))
+            .sum::<u64>()
+            + TIMEOUT_EDGES;
         let mut retransmissions = 0;
-        for tick in 0..200 {
+        for tick in 0..=budget {
             state.begin_step(tick);
             for (_, retx) in state.released().collect::<Vec<_>>() {
                 state.apply(tick, FaultOp::Retransmitted(retx.src.0, retx.seq));
@@ -2274,11 +2089,12 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(retransmissions, 2, "retry budget is respected");
+        assert_eq!(retransmissions, MAX_RETRIES, "retry budget is respected");
         let report = state.report();
         assert_eq!(
-            report.drops_detected, 3,
-            "initial timeout + 2 retry timeouts"
+            report.drops_detected,
+            u64::from(MAX_RETRIES) + 1,
+            "initial timeout + one per retry"
         );
         assert_eq!(report.flits_abandoned, 1);
         assert_eq!(report.lost, 1);
@@ -2289,7 +2105,7 @@ mod tests {
 
     #[test]
     fn misroutes_bypass_the_gate() {
-        let mut state = FaultState::new(FaultPlan::new(11), &[], &[]);
+        let mut state = FaultState::new(FaultPlan::new(11), &[]);
         let flit = Flit::new(PortId(0), PortId(1), 0, 0);
         // Arriving at the wrong port: the gate defers to the scoreboard.
         assert_eq!(
@@ -2360,7 +2176,7 @@ mod tests {
         assert!(!fires(0, 0.0));
         assert!(!fires(u64::MAX, 0.0));
         assert!((0..100_000u64).all(|k| !fires(draw(5, k, k, slot::CORRUPT), 0.0)));
-        let state = FaultState::new(FaultPlan::new(5), &["s0"], &[true]);
+        let state = FaultState::new(FaultPlan::new(5), &[true]);
         let flit = Flit::new(PortId(0), PortId(1), 0, 0);
         assert_eq!(state.ctx().upset_tick(0, 10, &flit), u64::MAX);
     }
@@ -2369,19 +2185,17 @@ mod tests {
     fn outage_epochs_freeze_whole_epochs_and_book_once() {
         // Rate 1: every epoch freezes the stage, and each epoch books one
         // outage however many of its ticks run.
-        let plan = FaultPlan::new(1)
-            .with_outage_edges(4)
-            .with_rates(FaultRates {
-                outage: 1.0,
-                ..FaultRates::ZERO
-            });
-        let mut state = FaultState::new(plan, &["s0", "src0"], &[true, false]);
-        for tick in 0..10 {
+        let plan = FaultPlan::new(1).with_rates(FaultRates {
+            outage: 1.0,
+            ..FaultRates::ZERO
+        });
+        let mut state = FaultState::new(plan, &[true, false]);
+        for tick in 0..2 * OUTAGE_EDGES + 2 {
             state.begin_step(tick);
             assert!(state.ctx().frozen(0, tick));
             assert!(!state.ctx().frozen(1, tick), "only stages freeze");
         }
-        // Ticks 0..10 touch epochs 0, 1 and 2.
+        // The ticks touch epochs 0, 1 and 2.
         let report = state.report();
         assert_eq!(report.injected.outage, 3);
         assert!(report.conserves());
@@ -2389,7 +2203,7 @@ mod tests {
 
     #[test]
     fn recovery_report_displays_the_ledger() {
-        let state = FaultState::new(FaultPlan::new(2), &[], &[]);
+        let state = FaultState::new(FaultPlan::new(2), &[]);
         let text = state.report().to_string();
         assert!(text.contains("faults injected"));
         assert!(text.contains("conserves: true"));

@@ -48,7 +48,7 @@ mod tree_net;
 mod vcd;
 
 pub use element::{Arbitration, ElementId, MeshDirection, RouteFilter, SinkMode};
-pub use fault::{DfsConfig, FaultCounts, FaultKind, FaultPlan, FaultRates, RecoveryReport};
+pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultRates, RecoveryReport};
 pub use flit::{Flit, FlitKind};
 pub use label::{LabelId, LabelTable};
 pub use network::{DrainTimeout, Network, SimKernel, MAX_CYCLES};

@@ -257,8 +257,9 @@ impl Network {
     pub fn set_speculation(&mut self, _max_k: Option<u32>) {}
 
     /// Attaches a fault-injection and recovery plan. Call after
-    /// [`finalize`](Self::finalize): per-element rate overrides resolve
-    /// against the complete element list.
+    /// [`finalize`](Self::finalize): the outage stages, clock domains and
+    /// retransmission injectors resolve against the complete element
+    /// list.
     ///
     /// # Panics
     ///
@@ -269,19 +270,18 @@ impl Network {
     pub fn enable_faults(&mut self, plan: FaultPlan) {
         assert!(
             self.finalized,
-            "enable faults after finalize(): element rates resolve against the full graph"
+            "enable faults after finalize(): fault state resolves against the full graph"
         );
         assert!(
             self.par.is_none(),
             "attach a fault plan before stepping an event- or parallel-kernel network"
         );
-        let labels = self.element_labels();
         let stages: Vec<bool> = self
             .elements
             .iter()
             .map(|e| matches!(e.kind, Kind::Stage))
             .collect();
-        let mut state = Box::new(FaultState::new(plan, &labels, &stages));
+        let mut state = Box::new(FaultState::new(plan, &stages));
         if let Some(topology) = self.clock_domains.clone() {
             state.set_clock_topology(topology);
         }
