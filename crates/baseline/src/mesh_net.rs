@@ -162,7 +162,7 @@ impl SynchronousMesh {
                     );
                 }
                 let port = PortId(r as u32);
-                let src = net.add_source(port, pattern.clone(), rp.inverted(), seed);
+                let src = net.add_source(port, pattern, rp.inverted(), seed);
                 net.connect(src, ins[r][4].expect("local port exists"));
                 let sink = net.add_sink(port, SinkMode::AlwaysAccept, rp.inverted());
                 net.connect(outs[r][4].expect("local port exists"), sink);

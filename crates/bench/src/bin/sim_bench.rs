@@ -339,7 +339,7 @@ fn run_once(w: &Workload, kernel: SimKernel, profile: bool) -> RunOut {
             );
         }
     } else {
-        cfg = cfg.with_pattern(w.pattern.clone());
+        cfg = cfg.with_pattern(w.pattern);
     }
     if let Some(plan) = &w.faults {
         cfg = cfg.with_faults(plan.clone());

@@ -319,7 +319,7 @@ pub fn e6() -> String {
         ("neighbour", TrafficPattern::Neighbor { rate: 0.05 }),
     ];
     for (name, pattern) in workloads {
-        let tr = tree_sys.simulate(pattern.clone(), 1_500, 6);
+        let tr = tree_sys.simulate(pattern, 1_500, 6);
         let mr = mesh.simulate(pattern, 1_500, 6);
         assert!(tr.is_correct() && mr.is_correct());
         for (fabric, r) in [("binary tree", tr), ("XY mesh", mr)] {
@@ -878,7 +878,7 @@ pub fn e14() -> String {
         .expect("valid");
     let pattern = TrafficPattern::uniform(0.2);
     let run = |traced: bool| {
-        let patterns = vec![pattern.clone(); 16];
+        let patterns = vec![pattern; 16];
         let mut net = sys.network(&patterns, 2_014);
         if traced {
             net.enable_counters();

@@ -384,9 +384,9 @@ impl Cli {
             }
             "explore" => {
                 let server = flags.take_opt_string("server");
-                let priority = flags.take_u64("priority", 0)? as u32;
+                let priority = flags.take_u32("priority", 0)?;
                 let jobs_flag = flags.take_opt_string("jobs");
-                let jobs = match &jobs_flag {
+                let jobs: usize = match &jobs_flag {
                     None => 1,
                     Some(v) => v
                         .parse()
@@ -397,10 +397,18 @@ impl Cli {
                 }
                 let workers = match flags.take_opt_string("workers") {
                     None => None,
-                    Some(v) => Some(v.parse().map_err(|_| {
+                    Some(v) => Some(v.parse::<u32>().map_err(|_| {
                         CliError(format!("--workers expects an integer, got {v:?}"))
                     })?),
                 };
+                // Each of the `jobs` concurrent jobs runs its own
+                // `workers` threads; 0 means one per core.
+                let per_job = match workers {
+                    None => 1,
+                    Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                    Some(w) => w as usize,
+                };
+                check_threads("--jobs times --workers", jobs.saturating_mul(per_job))?;
                 let cache_dir = flags.take_opt_string("cache-dir");
                 let resume = flags.take_bool("resume")?;
                 let profile = flags.take_bool("profile")?;
@@ -439,6 +447,7 @@ impl Cli {
                 if workers == 0 {
                     return Err(CliError("--workers must be at least 1".to_owned()));
                 }
+                check_threads("--workers", workers)?;
                 let queue_limit = flags.take_usize("queue-limit", 256)?;
                 if queue_limit == 0 {
                     return Err(CliError("--queue-limit must be at least 1".to_owned()));
@@ -506,6 +515,11 @@ pub fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
             if f < 0.0 {
                 return Err(CliError(format!("{profile} scale {f} must be >= 0")));
             }
+            if !f.is_finite() {
+                return Err(CliError(format!(
+                    "{profile} scale {factor:?} must be finite"
+                )));
+            }
             return Ok(FaultSpec {
                 rates: rates().scaled(f),
                 window: None,
@@ -562,6 +576,21 @@ pub fn parse_fault_spec(spec: &str) -> Result<FaultSpec, CliError> {
         }
     }
     Ok(FaultSpec { rates, window })
+}
+
+/// The most threads one process may ask for: `--workers` on the
+/// simulating subcommands and `serve`, and `explore`'s `--jobs` times its
+/// `--workers`. A thread the OS refuses to spawn would panic mid-run.
+const MAX_THREADS: usize = 1024;
+
+/// Rejects a thread count above [`MAX_THREADS`]; `what` names its flags.
+fn check_threads(what: &str, threads: usize) -> Result<(), CliError> {
+    if threads > MAX_THREADS {
+        return Err(CliError(format!(
+            "{what} asks for {threads} threads; at most {MAX_THREADS} are allowed"
+        )));
+    }
+    Ok(())
 }
 
 /// The most points `fig7` samples.
@@ -647,6 +676,14 @@ impl Flags {
         }
     }
 
+    /// `--name`: an integer that fits a `u32`, rejected rather than
+    /// wrapped when it does not.
+    fn take_u32(&mut self, name: &str, default: u32) -> Result<u32, CliError> {
+        let v = self.take_u64(name, u64::from(default))?;
+        u32::try_from(v)
+            .map_err(|_| CliError(format!("--{name} must be at most {}, got {v}", u32::MAX)))
+    }
+
     fn take_usize(&mut self, name: &str, default: usize) -> Result<usize, CliError> {
         self.take_u64(name, default as u64).map(|v| v as usize)
     }
@@ -719,6 +756,7 @@ impl Flags {
                 let workers: u32 = v
                     .parse()
                     .map_err(|_| CliError(format!("--workers expects an integer, got {v:?}")))?;
+                check_threads("--workers", workers as usize)?;
                 match kernel {
                     SimKernel::Parallel { .. } => Ok(SimKernel::Parallel { workers }),
                     _ => Err(CliError("--workers requires --kernel parallel".to_owned())),
@@ -761,7 +799,7 @@ impl Flags {
             // Non-positive values are the builder's `InvalidConfig`.
             freq: self.take_f64("freq", defaults.freq, |_| true, "a finite number")?,
             die: self.take_f64("die", defaults.die, |_| true, "a finite number")?,
-            width: self.take_usize("width", defaults.width as usize)? as u32,
+            width: self.take_u32("width", defaults.width)?,
             clock,
         })
     }
@@ -1128,6 +1166,24 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_fault_scales_are_rejected() {
+        for profile in ["soak", "clock-soak"] {
+            for scale in ["nan", "NaN", "inf", "infinity", "1e309"] {
+                let spec = format!("{profile}*{scale}");
+                let err = parse_fault_spec(&spec).expect_err(&spec);
+                assert!(err.0.contains("finite"), "{spec}: {err}");
+            }
+            assert!(parse_fault_spec(&format!("{profile}*-inf")).is_err());
+        }
+        assert!(Cli::parse(["faults", "--spec", "soak*nan"]).is_err());
+        assert!(Cli::parse(["sim", "--faults", "clock-soak*NaN"]).is_err());
+        // The largest finite scale saturates every nonzero rate at 1.
+        let huge = parse_fault_spec("soak*1e308").expect("parses");
+        assert_eq!(huge.rates.link_jitter, 1.0);
+        assert_eq!(huge.rates.clock_outage, 0.0);
+    }
+
+    #[test]
     fn clock_fault_specs_parse_and_unknown_keys_name_the_valid_set() {
         let clock = parse_fault_spec("clock-soak").expect("parses");
         assert_eq!(clock.rates, FaultRates::clock_soak());
@@ -1354,6 +1410,63 @@ mod tests {
     }
 
     #[test]
+    fn integer_flags_past_u32_are_rejected_not_wrapped() {
+        // 4294967328 is 2^32 + 32: a wrapping cast read it as width 32.
+        let err = Cli::parse(["info", "--width", "4294967328"]).expect_err("wraps");
+        assert_eq!(err.0, "--width must be at most 4294967295, got 4294967328");
+        assert!(Cli::parse(["sim", "--width", "4294967296"]).is_err());
+        assert!(Cli::parse(["info", "--width", "4294967295"]).is_ok());
+        // 2^32 wrapped to priority 0, which passed the no-server check.
+        let err = Cli::parse(["explore", "--priority", "4294967296"]).expect_err("wraps");
+        assert!(err.0.contains("at most 4294967295"), "{err}");
+        let cli = Cli::parse([
+            "explore",
+            "--server",
+            "127.0.0.1:7070",
+            "--priority",
+            "4294967295",
+        ])
+        .expect("parses");
+        assert!(matches!(
+            cli.command,
+            Command::Explore {
+                priority: u32::MAX,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn thread_counts_past_the_cap_are_rejected() {
+        // Parsed only: no test starts these threads.
+        let over = (MAX_THREADS + 1).to_string();
+        let cap = MAX_THREADS.to_string();
+        for sub in ["sim", "profile", "faults", "stats", "trace"] {
+            let args = [sub, "--kernel", "parallel", "--workers", over.as_str()];
+            let err = Cli::parse(args).expect_err(sub);
+            assert!(err.0.contains("at most 1024"), "{sub}: {err}");
+            let args = [sub, "--kernel", "parallel", "--workers", cap.as_str()];
+            assert!(Cli::parse(args).is_ok(), "{sub}");
+        }
+        assert!(Cli::parse(["serve", "--workers", over.as_str()]).is_err());
+        assert!(Cli::parse(["serve", "--workers", cap.as_str()]).is_ok());
+        // `explore` runs `--jobs` jobs of `--workers` threads each.
+        for (jobs, workers, ok) in [
+            ("1024", None, true),
+            ("1025", None, false),
+            ("32", Some("32"), true),
+            ("64", Some("32"), false),
+            ("1", Some("0"), true),
+            ("2", Some("4294967295"), false),
+            ("18446744073709551615", Some("2"), false),
+        ] {
+            let mut args = vec!["explore", "--jobs", jobs];
+            args.extend(workers.map(|w| ["--workers", w]).into_iter().flatten());
+            assert_eq!(Cli::parse(args.clone()).is_ok(), ok, "{args:?}");
+        }
+    }
+
+    #[test]
     fn kernel_flag_selects_the_stepper() {
         let cli = Cli::parse(["sim", "--kernel", "dense"]).expect("parses");
         assert!(matches!(
@@ -1449,6 +1562,133 @@ mod tests {
                 "{sub}"
             );
             assert!(Cli::parse([sub, "--ports", "128", "--pattern", spec]).is_ok());
+        }
+    }
+
+    /// Grammar-aware fuzzing of [`parse_fault_spec`]: valid specs from
+    /// the key list, both profiles, scales and windows, then truncated,
+    /// spliced, byte-flipped or given `nan`/`inf`/huge numbers.
+    mod fault_spec_grammar {
+        use super::*;
+        use icnoc_sim::FaultPlan;
+        use proptest::prelude::*;
+        use proptest::TestRng;
+
+        const KEYS: [&str; 13] = [
+            "jitter",
+            "spike",
+            "corrupt",
+            "drop",
+            "stuck",
+            "lost",
+            "outage",
+            "clock-outage",
+            "clock_outage",
+            "pulse-drop",
+            "pulse_drop",
+            "skew-drift",
+            "skew_drift",
+        ];
+
+        const ODD_NUMBERS: [&str; 12] = [
+            "nan",
+            "NaN",
+            "inf",
+            "-inf",
+            "infinity",
+            "1e309",
+            "1e308",
+            "-0",
+            "5e-324",
+            "-1",
+            "18446744073709551616",
+            "340282366920938463463374607431768211456",
+        ];
+
+        fn below(rng: &mut TestRng, n: usize) -> usize {
+            (rng.next_u64() % n as u64) as usize
+        }
+
+        fn valid_spec(rng: &mut TestRng) -> String {
+            let profile = ["soak", "clock-soak"][below(rng, 2)];
+            match below(rng, 3) {
+                0 => profile.to_owned(),
+                1 => format!("{profile}*{}", rng.next_f64() * 4.0),
+                _ => {
+                    let mut entries: Vec<String> = (0..1 + below(rng, 4))
+                        .map(|_| format!("{}={}", KEYS[below(rng, KEYS.len())], rng.next_f64()))
+                        .collect();
+                    if below(rng, 2) == 0 {
+                        let start = rng.next_u64() % 10_000;
+                        let end = start + 1 + rng.next_u64() % 10_000;
+                        entries.insert(
+                            below(rng, entries.len() + 1),
+                            format!("window={start}:{end}"),
+                        );
+                    }
+                    entries.join(",")
+                }
+            }
+        }
+
+        /// Replaces the number after a random `=`, `*` or `:` with an odd one.
+        fn substitute_number(rng: &mut TestRng, spec: &str) -> String {
+            let marks: Vec<usize> = spec
+                .match_indices(['=', '*', ':'])
+                .map(|(i, _)| i + 1)
+                .collect();
+            if marks.is_empty() {
+                return spec.to_owned();
+            }
+            let start = marks[below(rng, marks.len())];
+            let end = spec[start..]
+                .find([',', ':'])
+                .map_or(spec.len(), |n| start + n);
+            let odd = ODD_NUMBERS[below(rng, ODD_NUMBERS.len())];
+            format!("{}{odd}{}", &spec[..start], &spec[end..])
+        }
+
+        fn mutate(rng: &mut TestRng, mut spec: String) -> String {
+            for _ in 0..below(rng, 4) {
+                let mut bytes = spec.into_bytes();
+                match below(rng, 4) {
+                    0 => bytes.truncate(below(rng, bytes.len() + 1)),
+                    1 => {
+                        let other = valid_spec(rng).into_bytes();
+                        let from = below(rng, other.len() + 1);
+                        let at = below(rng, bytes.len() + 1);
+                        bytes.splice(at..at, other[from..].iter().copied());
+                    }
+                    2 if !bytes.is_empty() => {
+                        let i = below(rng, bytes.len());
+                        bytes[i] ^= 1 << below(rng, 8);
+                    }
+                    _ => {
+                        let text = String::from_utf8_lossy(&bytes).into_owned();
+                        bytes = substitute_number(rng, &text).into_bytes();
+                    }
+                }
+                spec = String::from_utf8_lossy(&bytes).into_owned();
+            }
+            spec
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+            #[test]
+            fn parsed_specs_build_fault_plans_and_the_rest_are_errors(seed in any::<u64>()) {
+                let mut rng = TestRng::from_name(&seed.to_string());
+                let spec = valid_spec(&mut rng);
+                let spec = mutate(&mut rng, spec);
+                // `Ok` or `Err(CliError)`: a panic fails the case.
+                if let Ok(parsed) = parse_fault_spec(&spec) {
+                    let plan = FaultPlan::new(seed).with_rates(parsed.rates);
+                    if let Some((start, end)) = parsed.window {
+                        let _ = plan.with_window(start, end);
+                    }
+                }
+            }
         }
     }
 }

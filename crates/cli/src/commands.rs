@@ -553,7 +553,7 @@ fn build_network(
     packet_len: u32,
     kernel: SimKernel,
 ) -> Network {
-    let patterns = vec![pattern.clone(); sys.tree().num_ports()];
+    let patterns = vec![*pattern; sys.tree().num_ports()];
     let mut net = match tiles {
         Some((max_outstanding, service_cycles)) => sys.tile_network_with_kernel(
             &patterns,

@@ -55,11 +55,12 @@ pub use system::{System, SystemBuilder, SystemConfig, SystemSummary};
 pub use verify::{SegmentCheck, TimingVerification};
 pub use yield_mc::YieldAnalysis;
 
-// Observability types, re-exported so downstream code can attach sinks and
-// consume reports without depending on `icnoc_sim` directly.
+// Observability types, re-exported so downstream code can read a
+// network's counters, event buffer and reports without depending on
+// `icnoc_sim` directly.
 pub use icnoc_sim::{
     CountersSink, ElementCounters, ElementUtilisation, FlowLatency, ObservabilityReport,
-    RingBufferSink, SimKernel, TraceEvent, TraceEventKind, TraceSink, TraceTotals,
+    RingBufferSink, SimKernel, TraceEvent, TraceEventKind, TraceTotals,
 };
 
 // One-stop re-exports of the substrate crates so downstream users need a

@@ -605,7 +605,7 @@ impl System {
             cfg = cfg.with_tiles(tiles);
         }
         for (i, p) in patterns.iter().enumerate() {
-            cfg = cfg.with_port_pattern(icnoc_topology::PortId(i as u32), p.clone());
+            cfg = cfg.with_port_pattern(icnoc_topology::PortId(i as u32), *p);
         }
         cfg.build()
     }

@@ -138,12 +138,7 @@ impl GridSpec {
                 }
                 "ports" => grid.ports = parse_ints(name, values)?,
                 "die" => grid.die_mm = parse_floats(name, values)?,
-                "width" => {
-                    grid.width_bits = parse_ints::<u64>(name, values)?
-                        .into_iter()
-                        .map(|w| w as u32)
-                        .collect();
-                }
+                "width" => grid.width_bits = parse_ints(name, values)?,
                 "freq" => {
                     saw_freq = true;
                     grid.freq_ghz = parse_floats(name, values)?;
@@ -517,6 +512,15 @@ mod tests {
         let err = GridSpec::parse("ports=8;cycles=100,9223372036854775808").expect_err("rejects");
         assert!(err.0.contains("exceeds the longest run"), "{err:?}");
         assert!(GridSpec::parse("cycles=4611686018427387904").is_ok());
+    }
+
+    #[test]
+    fn widths_past_u32_are_rejected_not_wrapped() {
+        // 2^32 + 32 used to wrap to a 32-bit datapath.
+        let err = GridSpec::parse("width=32,4294967328").expect_err("rejects");
+        assert_eq!(err.0, "width value 4294967328 out of range");
+        let grid = GridSpec::parse("width=4294967295").expect("parses");
+        assert_eq!(grid.width_bits, vec![u32::MAX]);
     }
 
     #[test]

@@ -371,6 +371,10 @@ fn grids_whose_jobs_would_panic_are_rejected_and_the_daemon_stays_up() {
     for (grid, message) in [
         ("thalf=0;cycles=10", "thalf value 0 must be positive"),
         ("freq=nan;cycles=10", "freq value NaN must be finite"),
+        (
+            "width=4294967328;cycles=10",
+            "width value 4294967328 out of range",
+        ),
     ] {
         let body = format!("{{\"grid\":\"{grid}\"}}");
         let response = icnoc_serve::http::client_request(&addr, "POST", "/sweeps", &body, None)

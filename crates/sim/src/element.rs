@@ -185,21 +185,17 @@ pub(crate) struct SourceState {
     pub packets_sent: u64,
     /// In-progress multi-flit emission: destination and flits remaining.
     pub emitting: Option<(PortId, u32)>,
-    /// Replay-pattern position.
-    pub cursor: usize,
-    /// Recorded injections `(cycle, dest)`, when tracing is on.
-    pub trace: Option<Vec<(u64, u32)>>,
 }
 
 impl SourceState {
     /// The flit this source presents on an edge at `tick` with its
     /// register free: the next body or tail of an open worm (a started
     /// worm completes even while draining), else, if enabled, the single
-    /// flit or head its pattern injects. Records the replay trace and
-    /// advances the sequence, packet and sent counters. Always inlined,
-    /// and callers write their register only when it returns a flit: a
-    /// pinned source calls it on every free edge, and without both
-    /// idle-source visits cost 20–49% more (EXPERIMENTS.md E31).
+    /// flit or head its pattern injects. Advances the sequence, packet
+    /// and sent counters. Always inlined, and callers write their
+    /// register only when it returns a flit: a pinned source calls it on
+    /// every free edge, and without both idle-source visits cost 20–49%
+    /// more (EXPERIMENTS.md E31).
     #[inline(always)]
     pub(crate) fn next_flit(&mut self, tick: u64, num_ports: u32) -> Option<Flit> {
         let (dest, kind) = match self.emitting {
@@ -217,18 +213,12 @@ impl SourceState {
                 // derived rather than stored so elements the activity
                 // list leaves asleep cannot drift.
                 let cycle = tick / 2;
-                let TrafficPhase::Inject(dest) = self.pattern.decide(
-                    self.port,
-                    num_ports,
-                    cycle,
-                    &mut self.rng,
-                    &mut self.cursor,
-                ) else {
+                let TrafficPhase::Inject(dest) =
+                    self.pattern
+                        .decide(self.port, num_ports, cycle, &mut self.rng)
+                else {
                     return None;
                 };
-                if let Some(trace) = &mut self.trace {
-                    trace.push((cycle, dest.0));
-                }
                 if self.packet_len == 1 {
                     (dest, FlitKind::Single)
                 } else {
@@ -283,8 +273,6 @@ pub(crate) struct TileState {
     pub round_trip: LatencyStats,
     /// Processor: responses received.
     pub responses: u64,
-    /// Replay-pattern position.
-    pub cursor: usize,
 }
 
 impl TileState {
@@ -335,7 +323,7 @@ impl TileState {
                 if !self.enabled || in_flight >= *max_outstanding {
                     return None;
                 }
-                match pattern.decide(self.port, num_ports, cycle, &mut self.rng, &mut self.cursor) {
+                match pattern.decide(self.port, num_ports, cycle, &mut self.rng) {
                     TrafficPhase::Inject(dest) => {
                         self.outstanding.entry(dest.0).or_default().push_back(tick);
                         dest

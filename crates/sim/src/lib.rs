@@ -56,7 +56,7 @@ pub use profile::{EpochSample, PerfReport, PerfWall, ShardCounters, WorkerProfil
 pub use report::{LatencyHistogram, LatencyStats, ReportDigest, SimReport};
 pub use trace::{
     CountersSink, DropCause, ElementCounters, ElementUtilisation, FlowLatency, ObservabilityReport,
-    RingBufferSink, TraceEvent, TraceEventKind, TraceSink, TraceTotals,
+    RingBufferSink, TraceEvent, TraceEventKind, TraceTotals,
 };
 pub use traffic::{TrafficPattern, TrafficPhase};
 pub use tree_net::{TileTraffic, TreeNetworkConfig};

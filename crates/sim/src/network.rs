@@ -8,9 +8,7 @@ use crate::label::LabelTable;
 use crate::parallel::{self, ParState};
 use crate::profile::{KernelProfiler, PerfReport, PerfWall, ShardCounters};
 use crate::report::Scoreboard;
-use crate::trace::{
-    CountersSink, DropCause, RingBufferSink, TraceEvent, TraceEventKind, TraceSink,
-};
+use crate::trace::{CountersSink, DropCause, RingBufferSink, Sinks, TraceEvent, TraceEventKind};
 use crate::{
     Arbitration, ElementId, FaultPlan, Flit, LatencyStats, RecoveryReport, RouteFilter, SimReport,
     SinkMode, TrafficPattern,
@@ -115,10 +113,9 @@ pub struct Network {
     num_ports: u32,
     scoreboard: Scoreboard,
     finalized: bool,
-    /// Attached observability sinks. Empty by default; every
-    /// instrumentation site checks emptiness before building an event, so
-    /// the untraced hot path pays one predictable branch.
-    sinks: Vec<Box<dyn TraceSink>>,
+    /// Attached observability sinks, at most one of each kind. Empty by
+    /// default.
+    sinks: Sinks,
     /// Fault injection and recovery state, if a [`FaultPlan`] is attached.
     /// Boxed: the fault-free hot path pays one pointer of state.
     faults: Option<Box<FaultState>>,
@@ -169,7 +166,7 @@ impl Network {
             num_ports,
             scoreboard: Scoreboard::default(),
             finalized: false,
-            sinks: Vec::new(),
+            sinks: Sinks::default(),
             faults: None,
             kernel: SimKernel::default(),
             par: None,
@@ -316,39 +313,45 @@ impl Network {
         self.faults.as_ref().map(|f| f.report())
     }
 
-    /// Attaches a flit-lifecycle trace sink. Several sinks may coexist
-    /// (e.g. counters plus an event buffer); each receives every event.
-    ///
-    /// # Panics
-    ///
     /// Panics if the network has already stepped on the event or parallel
     /// kernel: a traced run keeps every element holding a blocked flit
     /// armed from its first step, so the sinks hear about every blocked
     /// edge.
     #[track_caller]
-    pub fn add_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+    fn assert_unstepped(&self) {
         assert!(
             self.par.is_none(),
             "attach trace sinks before stepping an event- or parallel-kernel network"
         );
-        self.sinks.push(sink);
     }
 
     /// Attaches a [`CountersSink`], enabling the per-element utilisation
-    /// and per-flow latency sections of [`SimReport`].
-    pub fn enable_counters(&mut self) {
-        self.add_trace_sink(Box::new(CountersSink::new()));
-    }
-
-    /// Attaches a [`RingBufferSink`] retaining the last `capacity` events
-    /// for post-mortem dumps.
+    /// and per-flow latency sections of [`SimReport`]. A second call
+    /// keeps the first sink.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if the network has already stepped on the event or parallel
+    /// kernel.
+    #[track_caller]
+    pub fn enable_counters(&mut self) {
+        self.assert_unstepped();
+        self.sinks.counters.get_or_insert_with(CountersSink::new);
+    }
+
+    /// Attaches a [`RingBufferSink`] retaining the last `capacity` events
+    /// for post-mortem dumps. A second call keeps the first buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero, or if the network has already
+    /// stepped on the event or parallel kernel.
     #[track_caller]
     pub fn enable_event_buffer(&mut self, capacity: usize) {
-        self.add_trace_sink(Box::new(RingBufferSink::new(capacity)));
+        self.assert_unstepped();
+        self.sinks
+            .events
+            .get_or_insert(RingBufferSink::new(capacity));
     }
 
     /// Whether any trace sink is attached.
@@ -360,13 +363,13 @@ impl Network {
     /// The attached [`CountersSink`], if any.
     #[must_use]
     pub fn counters(&self) -> Option<&CountersSink> {
-        self.sinks.iter().find_map(|s| s.as_any().downcast_ref())
+        self.sinks.counters.as_ref()
     }
 
     /// The attached [`RingBufferSink`], if any.
     #[must_use]
     pub fn event_buffer(&self) -> Option<&RingBufferSink> {
-        self.sinks.iter().find_map(|s| s.as_any().downcast_ref())
+        self.sinks.events.as_ref()
     }
 
     /// The label of element `id`, if it exists.
@@ -396,9 +399,7 @@ impl Network {
             kind,
             flit,
         };
-        for sink in &mut self.sinks {
-            sink.record(&event);
-        }
+        self.sinks.record(&event);
     }
 
     /// Builds the straight handshake pipeline of Fig. 4: one source,
@@ -479,8 +480,6 @@ impl Network {
             next_packet: 0,
             packets_sent: 0,
             emitting: None,
-            cursor: 0,
-            trace: None,
         };
         let label = self.labels.intern(format!("src{}", port.0));
         self.push(Element::new(label, Kind::Source(state), polarity))
@@ -515,7 +514,6 @@ impl Network {
             outstanding: std::collections::HashMap::new(),
             round_trip: LatencyStats::new(),
             responses: 0,
-            cursor: 0,
         };
         let label = self.labels.intern(format!("tile{}", port.0));
         self.push(Element::new(label, Kind::Tile(state), polarity))
@@ -1309,28 +1307,6 @@ impl Network {
         (None, None)
     }
 
-    /// Turns injection-trace recording on (or off) for every source.
-    /// Recorded traces are retrieved with
-    /// [`recorded_trace`](Self::recorded_trace) and replayed with
-    /// [`TrafficPattern::Replay`].
-    pub fn record_traces(&mut self, on: bool) {
-        for el in &mut self.elements {
-            if let Kind::Source(s) = &mut el.kind {
-                s.trace = on.then(Vec::new);
-            }
-        }
-    }
-
-    /// The recorded injection schedule of `port`'s source, if tracing was
-    /// enabled. `None` for unknown ports or disabled tracing.
-    #[must_use]
-    pub fn recorded_trace(&self, port: PortId) -> Option<Vec<(u64, u32)>> {
-        self.elements.iter().find_map(|el| match &el.kind {
-            Kind::Source(s) if s.port == port => s.trace.clone(),
-            _ => None,
-        })
-    }
-
     /// Active edges a fixed-polarity element has seen after `self.tick`
     /// half-cycles: rising edges land on even ticks, falling on odd ones.
     fn edges_elapsed(&self, polarity: ClockPolarity) -> u64 {
@@ -1472,8 +1448,8 @@ impl Network {
         }
         let observability = self
             .sinks
-            .iter()
-            .find_map(|s| s.as_any().downcast_ref::<CountersSink>())
+            .counters
+            .as_ref()
             .map(|c| c.report(self.tick / 2, &self.element_labels()));
         // `enable_profiling` requires tick 0, so every tick is a profiled
         // barrier epoch.

@@ -125,7 +125,7 @@ use crate::element::{Arbitration, Element, ElementFaults, Kind, RouteFilter, Til
 use crate::fault::{arrival_event, ArrivalVerdict, CaptureEffect, FaultCtx, FaultOp, FaultState};
 use crate::profile::{CoreProf, EpochSample};
 use crate::report::Scoreboard;
-use crate::trace::{DropCause, TraceEvent, TraceEventKind, TraceSink};
+use crate::trace::{DropCause, Sinks, TraceEvent, TraceEventKind};
 use crate::{ElementId, Flit, TrafficPattern};
 use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_timing::Direction;
@@ -1004,7 +1004,7 @@ pub(crate) struct ParRunCtx<'a> {
     pub scoreboard: &'a mut Scoreboard,
     pub par: &'a mut ParState,
     pub faults: Option<&'a mut FaultState>,
-    pub sinks: &'a mut [Box<dyn TraceSink>],
+    pub sinks: &'a mut Sinks,
     pub num_ports: u32,
     pub base_tick: u64,
 }
@@ -1287,13 +1287,12 @@ fn fold_logs(
     logs: &mut [Vec<Logged>],
     scoreboard: &mut Scoreboard,
     mut faults: Option<&mut FaultState>,
-    sinks: &mut [Box<dyn TraceSink>],
+    sinks: &mut Sinks,
 ) {
     if logs.iter().all(Vec::is_empty) {
         return;
     }
     let key = |&(tick, element, _): &Logged| (tick, element);
-    let mut record = |event: &TraceEvent| sinks.iter_mut().for_each(|s| s.record(event));
     let mut rest: Vec<&[Logged]> = logs.iter().map(Vec::as_slice).collect();
     // Carries a DFS backoff from a capture's `Violation` op to its
     // `TimingViolation` event.
@@ -1317,7 +1316,7 @@ fn fold_logs(
                 }
                 LogEntry::Event(kind, flit) => {
                     let element = ElementId(element);
-                    record(&TraceEvent {
+                    sinks.record(&TraceEvent {
                         tick,
                         element,
                         kind,
@@ -1325,7 +1324,7 @@ fn fold_logs(
                     });
                     if kind == TraceEventKind::TimingViolation && std::mem::take(&mut backoff) {
                         let kind = TraceEventKind::FrequencyBackoff;
-                        record(&TraceEvent {
+                        sinks.record(&TraceEvent {
                             tick,
                             element,
                             kind,

@@ -20,9 +20,10 @@
 //! measured with a clock lives in the optional [`PerfWall`] — the same
 //! isolation discipline the explore crate applies to `wall_ms`.
 //!
-//! Like [`TraceSink`](crate::TraceSink) attachment, profiling is
-//! feature-guarded: a network without a profiler pays one predictable
-//! branch per tick and never reads the clock.
+//! Like the trace sinks ([`Network::enable_counters`](crate::Network::enable_counters),
+//! [`Network::enable_event_buffer`](crate::Network::enable_event_buffer)),
+//! profiling is opt-in: a network without a profiler pays one
+//! predictable branch per tick and never reads the clock.
 
 use serde::{Deserialize, Serialize};
 

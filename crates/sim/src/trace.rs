@@ -2,7 +2,7 @@
 //!
 //! The simulator core stays uninstrumented by default — a network starts
 //! with no trace sinks attached. Every instrumentation site in the dense
-//! loop is guarded by an is-empty check on the sink list, so its disabled
+//! loop is guarded by an is-empty check on the sinks, so its disabled
 //! path costs one branch per potential event (the `trace_overhead` bench
 //! in `icnoc-bench` holds this to within noise of the uninstrumented
 //! baseline), and the activity-list kernel compiles its trace lane only
@@ -32,15 +32,15 @@
 //! * [`FrequencyBackoff`](TraceEventKind::FrequencyBackoff) — the DFS
 //!   controller stepped the clock down after repeated violations.
 //!
-//! Two sinks ship with the crate: [`RingBufferSink`] keeps the last N
-//! events for post-mortem dumps (allocation-free once full), and
-//! [`CountersSink`] folds the stream into per-element utilisation and
-//! per-flow latency percentiles, surfaced through
-//! [`ObservabilityReport`] inside [`SimReport`](crate::SimReport).
+//! A network holds at most one sink of each of two kinds:
+//! [`RingBufferSink`] keeps the last N events for post-mortem dumps
+//! (allocation-free once full), and [`CountersSink`] folds the stream
+//! into per-element utilisation and per-flow latency percentiles,
+//! surfaced through [`ObservabilityReport`] inside
+//! [`SimReport`](crate::SimReport).
 
 use crate::{ElementId, Flit, LatencyHistogram, LatencyStats};
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Why a flit left the network undelivered.
@@ -151,28 +151,30 @@ pub struct TraceEvent {
     pub flit: Flit,
 }
 
-/// A consumer of [`TraceEvent`]s.
-///
-/// Implementations must be cheap per event — `record` runs inside the
-/// simulation hot loop whenever tracing is enabled. The `Debug` bound and
-/// [`box_clone`](TraceSink::box_clone) keep
-/// [`Network`](crate::Network) derivable (`Debug`, `Clone`);
-/// [`as_any`](TraceSink::as_any) lets callers recover a concrete sink
-/// (e.g. the counters) after a run.
-pub trait TraceSink: std::fmt::Debug {
-    /// Consumes one event.
-    fn record(&mut self, event: &TraceEvent);
-
-    /// Clones this sink behind a fresh box.
-    fn box_clone(&self) -> Box<dyn TraceSink>;
-
-    /// Downcast support for retrieving concrete sinks from a network.
-    fn as_any(&self) -> &dyn Any;
+/// The sinks a [`Network`](crate::Network) feeds: at most one of each
+/// kind. Every instrumentation site checks [`is_empty`](Self::is_empty)
+/// before building an event, so the untraced hot path pays one
+/// predictable branch.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Sinks {
+    pub counters: Option<CountersSink>,
+    pub events: Option<RingBufferSink>,
 }
 
-impl Clone for Box<dyn TraceSink> {
-    fn clone(&self) -> Self {
-        self.box_clone()
+impl Sinks {
+    /// Whether no sink is attached.
+    pub fn is_empty(&self) -> bool {
+        self.counters.is_none() && self.events.is_none()
+    }
+
+    /// Hands one event to every attached sink.
+    pub fn record(&mut self, event: &TraceEvent) {
+        if let Some(c) = &mut self.counters {
+            c.record(event);
+        }
+        if let Some(b) = &mut self.events {
+            b.record(event);
+        }
     }
 }
 
@@ -237,10 +239,10 @@ impl RingBufferSink {
     pub fn overwritten(&self) -> u64 {
         self.overwritten
     }
-}
 
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: &TraceEvent) {
+    /// Appends one event, overwriting the oldest once full. Must stay
+    /// cheap: it runs inside the simulation loop of a traced run.
+    pub fn record(&mut self, event: &TraceEvent) {
         if self.buf.len() < self.capacity {
             self.buf.push(*event);
         } else {
@@ -248,14 +250,6 @@ impl TraceSink for RingBufferSink {
             self.head = (self.head + 1) % self.capacity;
             self.overwritten += 1;
         }
-    }
-
-    fn box_clone(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -316,7 +310,7 @@ impl FlowCounters {
     }
 }
 
-/// A [`TraceSink`] folding events into per-element counters and per-flow
+/// A sink folding events into per-element counters and per-flow
 /// latency histograms — constant memory, no event log.
 #[derive(Debug, Clone, Default)]
 pub struct CountersSink {
@@ -412,10 +406,10 @@ impl CountersSink {
             flows,
         }
     }
-}
 
-impl TraceSink for CountersSink {
-    fn record(&mut self, event: &TraceEvent) {
+    /// Folds one event into the counters. Must stay cheap: it runs
+    /// inside the simulation loop of a traced run.
+    pub fn record(&mut self, event: &TraceEvent) {
         let slot = self.slot(event.element);
         match event.kind {
             TraceEventKind::Injected => {
@@ -466,14 +460,6 @@ impl TraceSink for CountersSink {
                 self.totals.backoffs += 1;
             }
         }
-    }
-
-    fn box_clone(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -22,7 +22,7 @@ pub enum TrafficPhase {
 /// An open-loop traffic pattern, evaluated once per source edge.
 ///
 /// Rates are per *cycle* (one active edge per cycle per stage), in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TrafficPattern {
     /// Inject every cycle, round-robining over all other ports. Used to
     /// saturate a pipeline or measure peak throughput.
@@ -62,17 +62,6 @@ pub enum TrafficPattern {
     RandomMemory {
         /// Injection probability per cycle.
         rate: f64,
-    },
-    /// Replays a recorded injection schedule: `(cycle, destination)` pairs
-    /// sorted by cycle. Produced by
-    /// [`Network::record_traces`](crate::Network::record_traces) /
-    /// [`Network::recorded_trace`](crate::Network::recorded_trace), letting
-    /// a measured workload be re-run bit-exactly on a modified network.
-    /// Entries whose cycle has passed (e.g. due to back pressure) inject
-    /// as soon as the port unblocks.
-    Replay {
-        /// Sorted `(cycle, destination port)` injection schedule.
-        schedule: Vec<(u64, u32)>,
     },
     /// Never inject (pure sink port, e.g. a memory that only replies — or
     /// in open-loop form, does nothing).
@@ -174,15 +163,13 @@ impl TrafficPattern {
     }
 
     /// Decides this edge's action for the source on `port` of an
-    /// `num_ports`-port network, at local cycle `cycle`. `cursor` is the
-    /// source's replay position (unused by the stochastic patterns).
+    /// `num_ports`-port network, at local cycle `cycle`.
     pub(crate) fn decide(
         &self,
         port: PortId,
         num_ports: u32,
         cycle: u64,
         rng: &mut StdRng,
-        cursor: &mut usize,
     ) -> TrafficPhase {
         match *self {
             TrafficPattern::Saturate => {
@@ -244,15 +231,6 @@ impl TrafficPattern {
                 };
                 TrafficPhase::Inject(PortId(2 * pick + 1))
             }
-            TrafficPattern::Replay { ref schedule } => {
-                if let Some(&(when, dest)) = schedule.get(*cursor) {
-                    if when <= cycle {
-                        *cursor += 1;
-                        return TrafficPhase::Inject(PortId(dest));
-                    }
-                }
-                TrafficPhase::Idle
-            }
             TrafficPattern::Silent => TrafficPhase::Idle,
         }
     }
@@ -294,7 +272,7 @@ mod tests {
     fn saturate_always_injects_to_someone_else() {
         let mut r = rng();
         for cycle in 0..100 {
-            match TrafficPattern::Saturate.decide(PortId(3), 8, cycle, &mut r, &mut 0) {
+            match TrafficPattern::Saturate.decide(PortId(3), 8, cycle, &mut r) {
                 TrafficPhase::Inject(d) => assert_ne!(d, PortId(3)),
                 TrafficPhase::Idle => panic!("saturate must inject"),
             }
@@ -306,11 +284,11 @@ mod tests {
         let mut r = rng();
         for cycle in 0..50 {
             assert_eq!(
-                TrafficPattern::uniform(0.0).decide(PortId(0), 8, cycle, &mut r, &mut 0),
+                TrafficPattern::uniform(0.0).decide(PortId(0), 8, cycle, &mut r),
                 TrafficPhase::Idle
             );
             assert!(matches!(
-                TrafficPattern::uniform(1.0).decide(PortId(0), 8, cycle, &mut r, &mut 0),
+                TrafficPattern::uniform(1.0).decide(PortId(0), 8, cycle, &mut r),
                 TrafficPhase::Inject(_)
             ));
         }
@@ -321,7 +299,7 @@ mod tests {
         let mut r = rng();
         for cycle in 0..1000 {
             if let TrafficPhase::Inject(d) =
-                TrafficPattern::uniform(1.0).decide(PortId(5), 8, cycle, &mut r, &mut 0)
+                TrafficPattern::uniform(1.0).decide(PortId(5), 8, cycle, &mut r)
             {
                 assert_ne!(d, PortId(5));
                 assert!(d.0 < 8);
@@ -334,11 +312,11 @@ mod tests {
         let mut r = rng();
         let p = TrafficPattern::Neighbor { rate: 1.0 };
         assert_eq!(
-            p.decide(PortId(6), 8, 0, &mut r, &mut 0),
+            p.decide(PortId(6), 8, 0, &mut r),
             TrafficPhase::Inject(PortId(7))
         );
         assert_eq!(
-            p.decide(PortId(7), 8, 0, &mut r, &mut 0),
+            p.decide(PortId(7), 8, 0, &mut r),
             TrafficPhase::Inject(PortId(6))
         );
     }
@@ -348,12 +326,7 @@ mod tests {
         let mut r = rng();
         let p = TrafficPattern::Bursty { burst: 2, idle: 3 };
         let decisions: Vec<bool> = (0..10)
-            .map(|c| {
-                matches!(
-                    p.decide(PortId(0), 8, c, &mut r, &mut 0),
-                    TrafficPhase::Inject(_)
-                )
-            })
+            .map(|c| matches!(p.decide(PortId(0), 8, c, &mut r), TrafficPhase::Inject(_)))
             .collect();
         assert_eq!(
             decisions,
@@ -370,9 +343,7 @@ mod tests {
             fraction: 0.9,
         };
         let hits = (0..1000)
-            .filter(|&c| {
-                p.decide(PortId(5), 8, c, &mut r, &mut 0) == TrafficPhase::Inject(PortId(0))
-            })
+            .filter(|&c| p.decide(PortId(5), 8, c, &mut r) == TrafficPhase::Inject(PortId(0)))
             .count();
         assert!(hits > 800, "expected ~900 hotspot hits, got {hits}");
     }
@@ -387,7 +358,7 @@ mod tests {
         };
         for cycle in 0..500 {
             assert_eq!(
-                p.decide(PortId(5), 8, cycle, &mut r, &mut 0),
+                p.decide(PortId(5), 8, cycle, &mut r),
                 TrafficPhase::Inject(PortId(2))
             );
         }
@@ -403,7 +374,7 @@ mod tests {
         };
         let mut seen = [0usize; 8];
         for cycle in 0..4_000 {
-            let TrafficPhase::Inject(d) = p.decide(PortId(5), 8, cycle, &mut r, &mut 0) else {
+            let TrafficPhase::Inject(d) = p.decide(PortId(5), 8, cycle, &mut r) else {
                 panic!("rate 1.0 must inject");
             };
             assert_ne!(d, PortId(5), "never self");
@@ -428,7 +399,7 @@ mod tests {
             fraction: 1.0,
         };
         for cycle in 0..1_000 {
-            let TrafficPhase::Inject(d) = p.decide(PortId(3), 8, cycle, &mut r, &mut 0) else {
+            let TrafficPhase::Inject(d) = p.decide(PortId(3), 8, cycle, &mut r) else {
                 panic!("rate 1.0 must inject");
             };
             assert_ne!(d, PortId(3), "the hotspot itself must pick another port");
@@ -443,8 +414,7 @@ mod tests {
         for port in [1, 3, 7] {
             let mut seen = [0usize; 8];
             for cycle in 0..1_000 {
-                let TrafficPhase::Inject(d) = p.decide(PortId(port), 8, cycle, &mut r, &mut 0)
-                else {
+                let TrafficPhase::Inject(d) = p.decide(PortId(port), 8, cycle, &mut r) else {
                     panic!("rate 1.0 must inject while another memory exists");
                 };
                 assert_ne!(d, PortId(port), "a memory port must pick another memory");
@@ -459,10 +429,7 @@ mod tests {
         }
         // A 2-port fabric has one memory: its own port stays idle.
         for cycle in 0..100 {
-            assert_eq!(
-                p.decide(PortId(1), 2, cycle, &mut r, &mut 0),
-                TrafficPhase::Idle
-            );
+            assert_eq!(p.decide(PortId(1), 2, cycle, &mut r), TrafficPhase::Idle);
         }
     }
 
@@ -475,10 +442,7 @@ mod tests {
             fraction: 1.0,
         };
         for cycle in 0..100 {
-            assert_eq!(
-                p.decide(PortId(5), 8, cycle, &mut r, &mut 0),
-                TrafficPhase::Idle
-            );
+            assert_eq!(p.decide(PortId(5), 8, cycle, &mut r), TrafficPhase::Idle);
         }
     }
 
@@ -487,7 +451,7 @@ mod tests {
         let mut r = rng();
         for cycle in 0..10 {
             assert_eq!(
-                TrafficPattern::Silent.decide(PortId(0), 8, cycle, &mut r, &mut 0),
+                TrafficPattern::Silent.decide(PortId(0), 8, cycle, &mut r),
                 TrafficPhase::Idle
             );
         }

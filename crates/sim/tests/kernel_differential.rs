@@ -613,7 +613,7 @@ fn trace_event_streams_are_bit_identical() {
     for pattern in patterns {
         for seed in [3, 17, 404] {
             let cfg = TreeNetworkConfig::new(binary(8))
-                .with_pattern(pattern.clone())
+                .with_pattern(pattern)
                 .with_packet_length(3)
                 .with_event_buffer(1 << 14)
                 .with_seed(seed);

@@ -48,7 +48,7 @@ fn main() -> Result<(), SystemError> {
         ("neighbour", TrafficPattern::Neighbor { rate: 0.05 }),
     ];
     for (name, pattern) in workloads {
-        let tr = tree.simulate(pattern.clone(), 2_000, 11);
+        let tr = tree.simulate(pattern, 2_000, 11);
         let mr = mesh.simulate(pattern, 2_000, 11);
         assert!(tr.is_correct() && mr.is_correct());
         for (fabric, r) in [("binary tree", &tr), ("XY mesh", &mr)] {
