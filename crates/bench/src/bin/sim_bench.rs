@@ -133,7 +133,7 @@ struct Workload {
     /// this rate: port `p` sends only to port `ports - 1 - p`, the
     /// address-complement pairing, so **every** flit crosses the root
     /// cut and the parallel kernel's conservative lookahead collapses
-    /// to 0: one synchronized mailbox tick per tick.
+    /// to 0: a one-tick window per tick.
     mirror_rate: Option<f64>,
 }
 
@@ -224,8 +224,8 @@ fn workloads() -> Vec<Workload> {
     };
     // Cut-crossing regime: every port mirrors to its address complement,
     // so all traffic crosses the root cut, conservative lookahead pins
-    // at 0 and the parallel kernel pays one synchronized mailbox tick
-    // per tick. The rate is sparse, so the boundary stays armed with
+    // at 0 and the parallel kernel pays a one-tick window, and its
+    // coordinator rendezvous, per tick. The rate is sparse, so the boundary stays armed with
     // little work between rendezvous: the run isolates the kernel's
     // synchronisation cost under the exact bit-identity and step gates.
     let mirror256 = Workload {

@@ -2,6 +2,7 @@
 //! handful of subcommands of `--key value` flags).
 
 use icnoc_clock::ClockBackend;
+use icnoc_explore::GridSpec;
 use icnoc_sim::{FaultRates, SimKernel, TrafficPattern, MAX_CYCLES};
 use icnoc_topology::TreeKind;
 
@@ -428,8 +429,12 @@ impl Cli {
                 if server.is_none() && priority != 0 {
                     return Err(CliError("--priority requires --server".to_owned()));
                 }
+                // A malformed grid is a usage error, whether it runs here
+                // or on a daemon.
+                let grid = flags.take_string("grid", "");
+                GridSpec::parse(&grid).map_err(|e| CliError(e.to_string()))?;
                 Command::Explore {
-                    grid: flags.take_string("grid", ""),
+                    grid,
                     jobs,
                     workers,
                     cache_dir,
@@ -1367,6 +1372,18 @@ mod tests {
         }
         // Priority only means something to a daemon.
         assert!(Cli::parse(["explore", "--priority", "3"]).is_err());
+    }
+
+    #[test]
+    fn explore_rejects_a_malformed_grid_at_parse_time() {
+        for grid in ["freq=nan", "width=4294967328;cycles=10"] {
+            for server in [&[][..], &["--server", "127.0.0.1:7070"][..]] {
+                let mut args = vec!["explore", "--grid", grid];
+                args.extend_from_slice(server);
+                let err = Cli::parse(args).expect_err("malformed grid");
+                assert!(err.0.contains(grid.split('=').next().unwrap()), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -952,7 +952,16 @@ mod tests {
 
     #[test]
     fn explore_rejects_bad_grids() {
-        let err = run_line(&["explore", "--grid", "teapots=4"]).unwrap_err();
+        // The parser rejects a bad grid with the other flags (exit 2)...
+        let err = Cli::parse(["explore", "--grid", "teapots=4"]).unwrap_err();
+        assert!(err.0.contains("teapots"), "{err}");
+        // ...and `run` still rejects one in a command built by hand.
+        let mut cli = Cli::parse(["explore"]).expect("parses");
+        let Command::Explore { grid, .. } = &mut cli.command else {
+            panic!("expected explore");
+        };
+        *grid = "teapots=4".to_owned();
+        let err = run(&cli).unwrap_err();
         assert!(err.0.contains("teapots"), "{err}");
     }
 

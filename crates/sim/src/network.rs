@@ -52,10 +52,11 @@ pub enum SimKernel {
     EventDriven,
     /// Multi-threaded stepping: the element graph is partitioned into
     /// per-worker shards along subtree boundaries and each shard runs the
-    /// event kernel's step on its own thread, exchanging cross-shard
-    /// wakes through mailboxes flushed at a two-phase barrier aligned
-    /// with the clock polarity. Reports and element-visit counts stay
-    /// identical to the event kernel at any worker count.
+    /// event kernel's step on its own thread. A cross-shard wake made on
+    /// one tick is needed only on the next (every connection joins
+    /// opposite clock polarities), so the coordinating thread routes it
+    /// between windows. Reports and element-visit counts stay identical
+    /// to the event kernel at any worker count.
     Parallel {
         /// Worker thread count; `0` means auto-detect from the host's
         /// available parallelism.
@@ -122,12 +123,9 @@ pub struct Network {
     /// Which stepping kernel [`step`](Self::step) runs.
     kernel: SimKernel,
     /// Activity-list kernel state (shard plan, per-shard ready sets and
-    /// mailboxes), built lazily at the first event or parallel step.
+    /// outboxes), built lazily at the first event or parallel step.
     /// `None` for the dense kernel.
     par: Option<ParState>,
-    /// Builder-provided subtree id per element, steering the parallel
-    /// shard cut (set by the tree builder; contiguous ranges otherwise).
-    shard_hints: Option<Vec<u32>>,
     /// Clock-distribution topology (per-element and per-port clock
     /// domains plus the active backend), set by tree builders. Handed to
     /// the fault layer when a plan attaches, so clock-domain faults can
@@ -170,7 +168,6 @@ impl Network {
             faults: None,
             kernel: SimKernel::default(),
             par: None,
-            shard_hints: None,
             clock_domains: None,
             dense_steps: 0,
             prof: None,
@@ -563,15 +560,6 @@ impl Network {
         self.finalized = true;
     }
 
-    /// Sets the per-element subtree hints steering the parallel shard cut
-    /// (whole hint groups stay on one worker). Tree builders derive these
-    /// from the root router's child subtrees; `u32::MAX` marks elements
-    /// with no subtree affinity (the root itself).
-    pub(crate) fn set_shard_hints(&mut self, hints: Vec<u32>) {
-        assert_eq!(hints.len(), self.elements.len(), "one hint per element");
-        self.shard_hints = Some(hints);
-    }
-
     /// Records the clock-distribution topology (per-element/per-port
     /// domains and the active backend). Tree builders call this; manual
     /// fabrics without it simply have no clock domains to fault.
@@ -597,7 +585,11 @@ impl Network {
             SimKernel::Parallel { workers } => workers as usize,
         };
         if self.par.is_none() {
-            let mut par = ParState::build(&self.elements, requested, self.shard_hints.as_deref());
+            // Each clock domain is one root-child subtree, so its element
+            // map doubles as the shard hints (whole groups stay on one
+            // worker; builders without one get contiguous ranges).
+            let hints = self.clock_domains.as_ref().map(|c| c.elements.as_slice());
+            let mut par = ParState::build(&self.elements, requested, hints);
             if self.prof.is_some() {
                 par.enable_profiling();
             }
@@ -1463,13 +1455,14 @@ impl Network {
                     .shard_elements()
                     .iter()
                     .zip(par.cores())
+                    .zip(par.wakes_received())
                     .enumerate()
-                    .map(|(w, (&elements, core))| ShardCounters {
+                    .map(|(w, ((&elements, core), &wakes_received))| ShardCounters {
                         worker: w as u32,
                         elements,
                         steps: core.steps,
                         wakes_sent: core.wakes_sent,
-                        wakes_received: core.wakes_received,
+                        wakes_received,
                     })
                     .collect(),
                 wall: Some(PerfWall {

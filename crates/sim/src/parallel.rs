@@ -33,7 +33,7 @@
 //! Every structure a batch shares between threads is one
 //! [`SharedSlice`]: a slice whose slots each sit in an `UnsafeCell`,
 //! guarded by no lock. Phase ownership is the aliasing proof behind every
-//! `unsafe` access:
+//! `unsafe` access. There are two phases:
 //!
 //! * **Visit phase** (each tick of a window): the worker owning element
 //!   `i`'s shard is the unique mutator of `i` — its `Element` and its
@@ -41,13 +41,12 @@
 //!   `i`'s polarity. Every other access reads an opposite-parity
 //!   neighbour, frozen for the tick; inside a batched window no element
 //!   with a cross-shard neighbour is visited at all. Worker `w` owns
-//!   mailbox row `w`, log `w` and armed list `w`. The fault state is
+//!   outbox `w`, log `w` and armed list `w`. The fault state is
 //!   read-only.
-//! * **Merge phase** (after a mailbox tick's `visit_done` exchange):
-//!   worker `w` owns mailbox column `w`.
 //! * **Between windows** (every worker has reported done and waits on the
 //!   next serial): the coordinator owns every slot. It folds the logs,
-//!   runs the fault state's `begin_step`, and queues released
+//!   routes the outboxes' cross-shard wakes into the armed lists, runs
+//!   the fault state's `begin_step`, and queues released
 //!   retransmissions into the elements and armed lists.
 //!
 //! Three mechanisms keep the constant factor small:
@@ -73,32 +72,37 @@
 //!   synchronisation at all. The coordinator computes `m` as the minimum
 //!   over all ready-set bits of a precomputed BFS distance-to-boundary
 //!   map and publishes it as the window size; `m == 0` degenerates to a
-//!   single synchronised mailbox tick. In a tree fabric the cut is the
-//!   root link, so the safe window is exactly the paper's root-link
-//!   latency: idle phases collapse into one long window instead of
-//!   thousands of barrier crossings. A window with armed elements is
-//!   also capped at [`FOLD_TICKS`] ([`TRACE_FOLD_TICKS`] on a traced
-//!   run), so a shard with no cut at all (the event kernel) still folds
-//!   its log at a fixed interval instead of buffering a whole run's
-//!   deliveries.
+//!   one-tick window. In a tree fabric the cut is the root link, so the
+//!   safe window is exactly the paper's root-link latency: idle phases
+//!   collapse into one long window instead of thousands of barrier
+//!   crossings. A window with armed elements is also capped at
+//!   [`FOLD_TICKS`] ([`TRACE_FOLD_TICKS`] on a traced run), so a shard
+//!   with no cut at all (the event kernel) still folds its log at a fixed
+//!   interval instead of buffering a whole run's deliveries.
 //!
-//! * **Per-edge flags + parking instead of a global spin barrier.**
-//!   Windows are published through a seqlock-free serial counter; each
-//!   worker reports completion in its own padded slot and sleeps
-//!   (`thread::park`) when it has nothing to do. During a mailbox tick a
-//!   worker only waits for the shards it actually shares a cut edge with
-//!   (their `visit_done` stamps), not for the whole fleet — PALS-style
-//!   neighbour signalling rather than a global rendezvous.
+//! * **Cross-shard wakes through the coordinator, parking instead of a
+//!   spin barrier.** Every connection joins opposite clock polarities, so
+//!   a wake made on one tick is needed only on the next, and the
+//!   coordinator already owns every slot between two windows. A worker
+//!   pushes a cross-shard wake into its own outbox; after the wait for
+//!   every worker's `done`, the coordinator moves it into the target
+//!   shard's armed list ([`route_wakes`]), which the target drains into
+//!   its ready sets when the next window starts. A window's only
+//!   rendezvous is that wait. Windows are published through a
+//!   seqlock-free serial counter; each worker reports completion in its
+//!   own padded slot and sleeps (`thread::park`) when it has nothing to
+//!   do.
 //!
-//! Determinism is preserved exactly: inside a batched window no
-//! cross-shard interaction exists (enforced by a tripwire assert on the
-//! mailbox path), and mailbox ticks replay the original two-phase
-//! protocol. Every worker keeps one log of `(tick, element)`-stamped
-//! entries — sink and tile deliveries, and on fault or traced runs
-//! recovery-layer operations and trace events — and the coordinator
-//! folds the logs in that order at every window end. Each consumer
-//! records at most one arrival per tick, so the fold reproduces the
-//! sequential kernel's scoreboard order bit for bit at any worker count.
+//! Determinism is preserved exactly: only a one-tick window may wake
+//! across a shard cut (a tripwire assert enforces it), and ready-set
+//! inserts are idempotent and commutative, so the order in which the
+//! coordinator routes wakes cannot matter. Every worker keeps one log of
+//! `(tick, element)`-stamped entries — sink and tile deliveries, and on
+//! fault or traced runs recovery-layer operations and trace events — and
+//! the coordinator folds the logs in that order at every window end. Each
+//! consumer records at most one arrival per tick, so the fold reproduces
+//! the sequential kernel's scoreboard order bit for bit at any worker
+//! count.
 //!
 //! Fault plans run here at every worker count. Every fault is a pure hash
 //! of `(seed, tick, element, slot)`, and no fault changes an element that
@@ -208,8 +212,8 @@ fn pol_idx(p: ClockPolarity) -> usize {
 
 /// Persistent state of the activity-list kernel: the shard plan, the dense
 /// SoA mirrors of graph and handshake state, the boundary-distance map
-/// driving lookahead windows, and each worker's ready sets, mailboxes
-/// and log. Plain data — worker threads are scoped per batch,
+/// driving lookahead windows, and each worker's ready sets, outbox, log
+/// and armed list. Plain data — worker threads are scoped per batch,
 /// so the network stays `Clone`.
 #[derive(Debug, Clone)]
 pub(crate) struct ParState {
@@ -227,24 +231,25 @@ pub(crate) struct ParState {
     /// BFS hop distance from each element to the nearest boundary
     /// element (`u32::MAX` when no boundary is reachable).
     dist: Vec<u32>,
-    /// For each worker, the sorted list of workers it shares at least
-    /// one cut edge with — the only shards it ever exchanges mailbox
-    /// traffic or mid-tick waits with.
-    cut_peers: Vec<Vec<usize>>,
     /// Largest finite boundary distance: the deepest safe window this
     /// shard cut can ever produce. `None` when no cut edges exist
     /// (single shard), i.e. only [`FOLD_TICKS`] bounds the window.
     lookahead: Option<u64>,
     /// Per-worker kernel state.
     cores: Vec<ShardCore>,
-    /// Cross-shard wake mailboxes, row-major: `mail[from * workers + to]`
-    /// holds element indices worker `from` wants woken in shard `to`.
-    mail: Vec<Vec<u32>>,
+    /// Per-worker cross-shard wakes of the current window: element
+    /// indices worker `w` woke in other shards, routed by the coordinator
+    /// after the window ([`route_wakes`]).
+    outbox: Vec<Vec<u32>>,
+    /// Cross-shard wakes routed into each shard since the shard plan was
+    /// built. Counted by the coordinator, like `ShardCore::steps` for
+    /// visits.
+    wakes_received: Vec<u64>,
     /// Per-worker stamped logs, folded into the scoreboard, the fault
     /// state and the trace sinks at each window end.
     logs: Vec<Vec<Logged>>,
-    /// Per-worker elements the coordinator armed between windows (the
-    /// injectors of released retransmissions).
+    /// Per-worker elements the coordinator armed between windows: routed
+    /// cross-shard wakes and the injectors of released retransmissions.
     armed: Vec<Vec<u32>>,
 }
 
@@ -263,16 +268,24 @@ pub(crate) struct ShardCore {
     /// Element visits executed by this worker since the shard plan was
     /// built.
     pub(crate) steps: u64,
-    /// Cross-shard wakes pushed into mailboxes, counted like `steps`.
+    /// Cross-shard wakes pushed into the outbox, counted like `steps`.
     pub(crate) wakes_sent: u64,
-    /// Cross-shard wakes folded out of this worker's mailbox column,
-    /// counted like `steps`.
-    pub(crate) wakes_received: u64,
     /// Per-epoch wall profiling, worker-owned during batches. `None`
     /// unless [`Network::enable_profiling`](crate::Network) was called.
     pub(crate) prof: Option<CoreProf>,
     /// Fault-run state private to the shard.
     fx: FaultShard,
+}
+
+impl ShardCore {
+    /// Moves the elements the coordinator armed for this shard into its
+    /// ready sets.
+    fn take_armed(&mut self, armed: &mut Vec<u32>, pol: &[u8]) {
+        for i in armed.drain(..) {
+            let i = i as usize;
+            self.ready[usize::from(pol[i])].insert(i);
+        }
+    }
 }
 
 /// A shard's private state in a fault run.
@@ -298,7 +311,6 @@ impl ParState {
         let shard_of = plan_shards(n, workers, hints);
         let topo = SoaTopo::build(elements);
         let dist = boundary_distances(&topo, &shard_of);
-        let cut_peers = cut_peer_lists(&topo, &shard_of, workers);
         let lookahead = dist
             .iter()
             .copied()
@@ -314,7 +326,6 @@ impl ParState {
                 scratch: vec![0; n.div_ceil(64)],
                 steps: 0,
                 wakes_sent: 0,
-                wakes_received: 0,
                 prof: None,
                 fx: FaultShard::default(),
             };
@@ -327,10 +338,10 @@ impl ParState {
             topo,
             soa: SoaDyn::default(),
             dist,
-            cut_peers,
             lookahead,
             cores,
-            mail: vec![Vec::new(); workers * workers],
+            outbox: vec![Vec::new(); workers],
+            wakes_received: vec![0; workers],
             logs: vec![Vec::new(); workers],
             armed: vec![Vec::new(); workers],
         };
@@ -388,6 +399,12 @@ impl ParState {
     /// The per-worker cores, for counter and profile snapshots.
     pub(crate) fn cores(&self) -> &[ShardCore] {
         &self.cores
+    }
+
+    /// Cross-shard wakes routed into each shard since the shard plan was
+    /// built.
+    pub(crate) fn wakes_received(&self) -> &[u64] {
+        &self.wakes_received
     }
 
     /// Element visits executed by every worker since the shard plan was
@@ -669,23 +686,6 @@ fn boundary_distances(topo: &SoaTopo, shard_of: &[u16]) -> Vec<u32> {
     dist
 }
 
-/// For every worker, the sorted set of workers it shares a cut edge
-/// with. Mailbox traffic and mid-tick waits are confined to these pairs.
-fn cut_peer_lists(topo: &SoaTopo, shard_of: &[u16], workers: usize) -> Vec<Vec<usize>> {
-    let mut sets = vec![std::collections::BTreeSet::new(); workers];
-    for i in 0..topo.len() {
-        let home = shard_of[i] as usize;
-        for &j in topo.ups(i).iter().chain(topo.downs(i)) {
-            let other = shard_of[j as usize] as usize;
-            if other != home {
-                sets[home].insert(other);
-                sets[other].insert(home);
-            }
-        }
-    }
-    sets.into_iter().map(|s| s.into_iter().collect()).collect()
-}
-
 /// A shard's post-window activity summary: the minimum boundary
 /// distance over its armed bits, and whether any bit is armed at all.
 /// Packed into one `u64` so a single atomic publishes both.
@@ -720,25 +720,23 @@ impl ShardActivity {
     }
 }
 
-/// Decides the next window from the fleet-wide activity summary. With
-/// nothing armed anywhere no visit can ever happen, so the rest of the
-/// batch is one window. Otherwise: minimum distance `0` forces a single
-/// synchronised mailbox tick; drain mode clamps windows to one tick so
-/// the between-tick drain check fires at exactly the dense loop's tick
+/// Decides the next window's tick count from the fleet-wide activity
+/// summary. With nothing armed anywhere no visit can ever happen, so the
+/// rest of the batch is one window. Otherwise: minimum distance `0`
+/// forces a one-tick window, whose cross-shard wakes the coordinator
+/// routes before the next; drain mode clamps windows to one tick so the
+/// between-tick drain check fires at exactly the dense loop's tick
 /// boundaries; anything else batches up to `min_dist` barrier-free ticks
 /// and at most `fold` ticks ([`FOLD_TICKS`], or [`TRACE_FOLD_TICKS`] on a
 /// traced run; `u32::MAX` — no reachable boundary — leaves only the fold
 /// interval).
-fn plan_window(activity: ShardActivity, remaining: u64, drain: bool, fold: u64) -> (u64, bool) {
+fn plan_window(activity: ShardActivity, remaining: u64, drain: bool, fold: u64) -> u64 {
     if !activity.any_armed {
-        (remaining, false)
-    } else if activity.min_dist == 0 {
-        (1, true)
-    } else if drain {
-        (1, false)
+        remaining
+    } else if activity.min_dist == 0 || drain {
+        1
     } else {
-        let window = remaining.min(u64::from(activity.min_dist));
-        (window.min(fold), false)
+        remaining.min(u64::from(activity.min_dist)).min(fold)
     }
 }
 
@@ -781,7 +779,7 @@ fn ready_activity(core: &ShardCore, dist: &[u32], lone: bool) -> ShardActivity {
 }
 
 /// A batch-shared view of a slice, each slot in its own [`UnsafeCell`]:
-/// the element array, every [`SoaDyn`] column, the mailbox matrix, the
+/// the element array, every [`SoaDyn`] column, the outboxes, the
 /// stamped logs and armed lists, and a fault run's [`FaultState`] as a
 /// one-slot slice. Nothing locks a slot; the module doc's
 /// phase-ownership rule says who may touch which slot when, and each
@@ -869,9 +867,6 @@ impl<'a> SoaView<'a> {
 struct Peer {
     /// Serial of the last window this worker finished.
     done: AtomicU64,
-    /// Serial of the last mailbox tick whose visit phase this worker
-    /// finished — the per-edge flag cut peers wait on before merging.
-    visit_done: AtomicU64,
     /// Packed [`ShardActivity`] over this worker's ready sets after its
     /// last window, published before `done`.
     activity: AtomicU64,
@@ -896,18 +891,12 @@ struct SyncShared {
     /// Tick offset (from the batch base) of the current window's first
     /// tick. Published so workers never track tick positions locally.
     base: AtomicU64,
-    /// Tick count of the current window.
+    /// Tick count of the current window; `0` ends the batch, and the
+    /// workers exit.
     ticks: AtomicU64,
-    /// [`FLAG_MAILBOX`] | [`FLAG_STOP`].
-    flags: AtomicU64,
     /// Per-worker slots.
     peers: Vec<PadPeer>,
 }
-
-/// The window ends with one synchronised mailbox tick.
-const FLAG_MAILBOX: u64 = 1;
-/// The batch is over; workers exit.
-const FLAG_STOP: u64 = 2;
 
 impl SyncShared {
     fn new(workers: usize) -> Self {
@@ -915,7 +904,6 @@ impl SyncShared {
             .map(|_| {
                 PadPeer(Peer {
                     done: AtomicU64::new(0),
-                    visit_done: AtomicU64::new(0),
                     activity: AtomicU64::new(ShardActivity::IDLE.pack()),
                     parked: AtomicBool::new(false),
                     thread: OnceLock::new(),
@@ -926,7 +914,6 @@ impl SyncShared {
             serial: AtomicU64::new(0),
             base: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
-            flags: AtomicU64::new(0),
             peers,
         }
     }
@@ -939,23 +926,21 @@ impl SyncShared {
 
     /// Publishes window `serial`. The window registers are only
     /// rewritten after every worker reported `done == serial - 1`, so
-    /// readers of the current serial always see a consistent tuple.
-    fn publish(&self, serial: u64, base: u64, ticks: u64, flags: u64) {
+    /// readers of the current serial always see a consistent pair.
+    fn publish(&self, serial: u64, base: u64, ticks: u64) {
         self.base.store(base, Ordering::SeqCst);
         self.ticks.store(ticks, Ordering::SeqCst);
-        self.flags.store(flags, Ordering::SeqCst);
         self.serial.store(serial, Ordering::SeqCst);
         for w in 1..self.peers.len() {
             self.wake(w);
         }
     }
 
-    /// The `(base, ticks, flags)` tuple of the published window.
-    fn window(&self) -> (u64, u64, u64) {
+    /// The `(base, ticks)` pair of the published window.
+    fn window(&self) -> (u64, u64) {
         let base = self.base.load(Ordering::SeqCst);
         let ticks = self.ticks.load(Ordering::SeqCst);
-        let flags = self.flags.load(Ordering::SeqCst);
-        (base, ticks, flags)
+        (base, ticks)
     }
 
     /// Unparks worker `w` if it is (or is about to go) parked. A stale
@@ -1016,7 +1001,7 @@ struct WindowCtx<'a> {
     shared: SharedSlice<'a, Element>,
     view: SoaView<'a>,
     topo: &'a SoaTopo,
-    mail: SharedSlice<'a, Vec<u32>>,
+    outbox: SharedSlice<'a, Vec<u32>>,
     /// A fault run's state, as a one-slot slice.
     faults: Option<SharedSlice<'a, FaultState>>,
     /// Whether trace sinks are attached: visits then log their events.
@@ -1040,10 +1025,11 @@ struct WindowCtx<'a> {
 ///
 /// After each window the coordinator folds the shards' stamped logs —
 /// deliveries, recovery-layer operations and trace events — in
-/// `(tick, element)` order. A fault run steps one tick per window: before
-/// each tick the coordinator runs the fault state's `begin_step` and
-/// queues the retransmissions it releases at their injectors, arming
-/// them.
+/// `(tick, element)` order, and routes the window's cross-shard wakes
+/// into their shards' armed lists. A fault run steps one tick per
+/// window: before each tick the coordinator runs the fault state's
+/// `begin_step` and queues the retransmissions it releases at their
+/// injectors, arming them.
 pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: bool) -> u64 {
     let ParRunCtx {
         elements,
@@ -1058,18 +1044,18 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     let workers = par.workers;
     let shared = SharedSlice::new(elements);
     let view = SoaView::new(&mut par.soa);
-    let mail = SharedSlice::new(&mut par.mail);
+    let outbox = SharedSlice::new(&mut par.outbox);
     let faults = faults.map(|f| SharedSlice::new(std::slice::from_mut(f)));
     let tracing = !sinks.is_empty();
     let logs = SharedSlice::new(&mut par.logs);
     let armed = SharedSlice::new(&mut par.armed);
     let dist: &[u32] = &par.dist;
-    let cut_peers: &[Vec<usize>] = &par.cut_peers;
+    let wakes_received = &mut par.wakes_received;
     let wctx = WindowCtx {
         shared,
         view,
         topo: &par.topo,
-        mail,
+        outbox,
         faults,
         tracing,
         logs,
@@ -1108,62 +1094,46 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         for (offset, core) in core_iter.enumerate() {
             let w = offset + 1;
             let sync = &sync;
-            let peers = &cut_peers[w];
             scope.spawn(move || {
                 sync.register(w);
                 let profiling = core.prof.is_some();
                 let mut seen = 0u64;
-                let mut phases = 0u64;
                 loop {
                     let t0 = profiling.then(Instant::now);
                     sync.wait_until(w, || sync.serial.load(Ordering::SeqCst) > seen);
                     seen += 1;
-                    let (base, ticks, flags) = sync.window();
-                    if flags & FLAG_STOP != 0 {
+                    let (base, ticks) = sync.window();
+                    if ticks == 0 {
                         break;
                     }
                     let t1 = profiling.then(Instant::now);
-                    let counters0 = (core.steps, core.wakes_sent, core.wakes_received);
-                    let (activity, prof_marks) = run_window(
-                        wctx,
-                        base,
-                        ticks,
-                        flags,
-                        w,
-                        core,
-                        peers,
-                        sync,
-                        &mut phases,
-                        profiling,
-                    );
+                    let steps0 = core.steps;
+                    let (activity, t2) = run_window(wctx, base, ticks, w, core, profiling);
                     let peer = &sync.peers[w].0;
                     peer.activity.store(activity.pack(), Ordering::SeqCst);
                     peer.done.store(seen, Ordering::SeqCst);
                     sync.wake(0);
-                    if let (Some(t0), Some(t1), Some((t2, blocked))) = (t0, t1, prof_marks) {
+                    if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
+                        let marks = [t0, t1, t2, Instant::now()];
                         record_epoch_at(
                             core,
-                            counters0,
+                            steps0,
                             base_tick + base,
                             ticks,
                             batch_base,
-                            t0,
-                            t1,
-                            t2,
-                            Instant::now(),
-                            blocked,
+                            marks,
+                            0,
                         );
                     }
                 }
             });
         }
         // The coordinating thread is worker 0: it decides and publishes
-        // windows, runs its own shard, then folds the shard logs and
-        // evaluates the stop condition once every worker has reported
-        // done.
+        // windows, runs its own shard, then folds the shard logs, routes
+        // the cross-shard wakes and evaluates the stop condition once
+        // every worker has reported done.
         let profiling = coordinator_core.prof.is_some();
         let mut serial = 0u64;
-        let mut phases = 0u64;
         let mut k = 0u64;
         let mut activity_next = init_activity;
         // All workers are parked before the first window, so the
@@ -1178,7 +1148,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             let t0 = profiling.then(Instant::now);
             serial += 1;
             if stop {
-                sync.publish(serial, k, 0, FLAG_STOP);
+                sync.publish(serial, k, 0);
                 break;
             }
             if let Some(f) = faults {
@@ -1209,41 +1179,29 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             } else {
                 FOLD_TICKS
             };
-            let (mut ticks, mailbox) =
-                plan_window(activity_next, max_ticks - k, stop_when_drained, fold);
+            let mut ticks = plan_window(activity_next, max_ticks - k, stop_when_drained, fold);
             if faults.is_some() {
                 ticks = ticks.min(1);
             }
-            let flags = if mailbox { FLAG_MAILBOX } else { 0 };
-            sync.publish(serial, k, ticks, flags);
+            sync.publish(serial, k, ticks);
             let t1 = profiling.then(Instant::now);
-            let counters0 = (
-                coordinator_core.steps,
-                coordinator_core.wakes_sent,
-                coordinator_core.wakes_received,
-            );
-            let (own_activity, prof_marks) = run_window(
-                wctx,
-                k,
-                ticks,
-                flags,
-                0,
-                coordinator_core,
-                &cut_peers[0],
-                &sync,
-                &mut phases,
-                profiling,
-            );
+            let steps0 = coordinator_core.steps;
+            let (own_activity, t2) = run_window(wctx, k, ticks, 0, coordinator_core, profiling);
             let wait0 = profiling.then(Instant::now);
             for w in 1..workers {
                 sync.wait_until(0, || sync.peers[w].0.done.load(Ordering::SeqCst) >= serial);
             }
             let wait_ns = wait0.map_or(0, |t| dur_ns(t, Instant::now()));
             // SAFETY: every worker is done and parked on the next serial:
-            // the coordinator owns the logs and the fault state.
-            let (logs, f) = unsafe { (logs.all_mut(), faults.as_ref().map(|f| f.get_mut(0))) };
+            // the coordinator owns the logs, the outboxes, the armed lists
+            // and the fault state.
+            let (logs, outboxes, armed_lists, f) = unsafe {
+                let f = faults.as_ref().map(|f| f.get_mut(0));
+                (logs.all_mut(), outbox.all_mut(), armed.all_mut(), f)
+            };
             fold_logs(logs, scoreboard, f, sinks);
-            activity_next = (1..workers).fold(own_activity, |a, w| {
+            let routed = route_wakes(outboxes, armed_lists, wakes_received, wctx.shard_of, dist);
+            activity_next = (1..workers).fold(own_activity.fold(routed), |a, w| {
                 a.fold(ShardActivity::unpack(
                     sync.peers[w].0.activity.load(Ordering::SeqCst),
                 ))
@@ -1251,24 +1209,28 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             k += ticks;
             executed = k;
             stop = k >= max_ticks || (stop_when_drained && drained());
-            // The coordinator's flush phase includes the log fold and
-            // stop evaluation above, so its sample is recorded last.
-            if let (Some(t0), Some(t1), Some((t2, blocked))) = (t0, t1, prof_marks) {
+            // The coordinator's flush phase includes the log fold, the
+            // wake routing and stop evaluation above, so its sample is
+            // recorded last.
+            if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
+                let marks = [t0, t1, t2, Instant::now()];
+                let tick = base_tick + k - ticks;
                 record_epoch_at(
                     coordinator_core,
-                    counters0,
-                    base_tick + k - ticks,
+                    steps0,
+                    tick,
                     ticks,
                     batch_base,
-                    t0,
-                    t1,
-                    t2,
-                    Instant::now(),
-                    blocked + wait_ns,
+                    marks,
+                    wait_ns,
                 );
             }
         }
     });
+    // Wakes routed after the last window join their ready sets now.
+    for (core, armed) in par.cores.iter_mut().zip(&mut par.armed) {
+        core.take_armed(armed, &par.topo.pol);
+    }
     par.settle_sleepers(elements, base_tick + executed);
     par.store_dyn(elements);
     executed
@@ -1341,42 +1303,26 @@ fn fold_logs(
     }
 }
 
-/// Executes one published window for one shard: `ticks` back-to-back
-/// visit phases. A mailbox window (`FLAG_MAILBOX`) then ends with the
-/// per-edge `visit_done` exchange and the mailbox merge with this shard's
-/// cut peers (the coordinator's done-wait is the merge barrier before
-/// the next window's visits).
-///
-/// The `phases` counter numbers rendezvous points monotonically; every
-/// worker processes the identical window sequence, so the counters stay
-/// in lockstep without carrying serials. Returns the shard's post-window
-/// activity summary and, when profiling, `(visit-phase end mark, ns
-/// blocked on peers after it)`.
-#[allow(clippy::too_many_arguments)]
+/// Executes one published window for one shard: drains the shard's
+/// armed list into its ready sets, then runs `ticks` back-to-back visit
+/// phases. Only a one-tick window may wake across the shard cut; the
+/// coordinator routes those wakes before the next window. Returns the
+/// shard's post-window activity summary and, when profiling, the mark at
+/// which its visits ended.
 fn run_window(
     ctx: WindowCtx<'_>,
     base: u64,
     ticks: u64,
-    flags: u64,
     w: usize,
     core: &mut ShardCore,
-    cut_peers: &[usize],
-    sync: &SyncShared,
-    phases: &mut u64,
     profiling: bool,
-) -> (ShardActivity, Option<(Instant, u64)>) {
-    let mailbox = flags & FLAG_MAILBOX != 0;
-    if ctx.faults.is_some() {
-        // SAFETY: the coordinator filled this list between windows; it
-        // belongs to this worker during the window.
-        for i in unsafe { ctx.armed.get_mut(w) }.drain(..) {
-            let i = i as usize;
-            core.ready[usize::from(ctx.topo.pol[i])].insert(i);
-        }
-    }
+) -> (ShardActivity, Option<Instant>) {
+    // SAFETY: the coordinator filled this list between windows; it
+    // belongs to this worker during the window.
+    core.take_armed(unsafe { ctx.armed.get_mut(w) }, &ctx.topo.pol);
     for dt in 0..ticks {
         let tick = ctx.base_tick + base + dt;
-        visit_tick(ctx, tick, (tick % 2) as usize, w, core, mailbox);
+        visit_tick(ctx, tick, (tick % 2) as usize, w, core, ticks == 1);
     }
     if ctx.faults.is_some() {
         // Timed wakes due on the next tick join the ready sets now, so
@@ -1398,30 +1344,32 @@ fn run_window(
         }
     }
     let t2 = profiling.then(Instant::now);
-    let mut blocked = 0u64;
-    if mailbox {
-        *phases += 1;
-        let phase = *phases;
-        sync.peers[w].0.visit_done.store(phase, Ordering::SeqCst);
-        for &v in cut_peers {
-            sync.wake(v);
-        }
-        let tw = profiling.then(Instant::now);
-        for &v in cut_peers {
-            sync.wait_until(w, || {
-                sync.peers[v].0.visit_done.load(Ordering::SeqCst) >= phase
-            });
-        }
-        if let Some(tw) = tw {
-            blocked = dur_ns(tw, Instant::now());
-        }
-        let p = ((ctx.base_tick + base) % 2) as usize;
-        merge_shard(ctx.mail, w, ctx.workers, p, core, cut_peers);
+    (ready_activity(core, ctx.dist, ctx.workers == 1), t2)
+}
+
+/// Routes one window's cross-shard wakes, between windows: moves every
+/// outbox entry into its target shard's armed list, which the target
+/// drains into its ready sets when the next window starts, and counts it
+/// in the target's `wakes_received`. Returns the activity the wakes add
+/// to the next window's summary.
+fn route_wakes(
+    outboxes: &mut [Vec<u32>],
+    armed: &mut [Vec<u32>],
+    wakes_received: &mut [u64],
+    shard_of: &[u16],
+    dist: &[u32],
+) -> ShardActivity {
+    let mut activity = ShardActivity::IDLE;
+    for i in outboxes.iter_mut().flat_map(|outbox| outbox.drain(..)) {
+        let target = usize::from(shard_of[i as usize]);
+        armed[target].push(i);
+        wakes_received[target] += 1;
+        activity = activity.fold(ShardActivity {
+            min_dist: dist[i as usize],
+            any_armed: true,
+        });
     }
-    (
-        ready_activity(core, ctx.dist, ctx.workers == 1),
-        t2.map(|t| (t, blocked)),
-    )
+    activity
 }
 
 /// Nanoseconds from `a` to `b` (saturating to zero if reordered).
@@ -1430,37 +1378,28 @@ fn dur_ns(a: Instant, b: Instant) -> u64 {
     b.duration_since(a).as_nanos() as u64
 }
 
-/// Folds one profiled window into a worker's [`CoreProf`]: counter
-/// deltas since `counters0`, the window's tick span, and the phase times
-/// (`t0` wait start, `t1` window acquired, `t2` visits done, `t_end`
-/// window fully processed). `blocked` is the peer-wait time after the
-/// visits (mailbox merge, coordinator done-wait); it moves from the flush
-/// phase into `barrier_ns`.
-#[allow(clippy::too_many_arguments)]
+/// Folds one profiled window into a worker's [`CoreProf`]: the step
+/// count since `steps0`, the window's tick span, and the phase times from
+/// `marks` (wait start, window acquired, visits done, window fully
+/// processed). `blocked` is the coordinator's wait for the other workers
+/// after its visits; it moves from the flush phase into `barrier_ns`.
 fn record_epoch_at(
     core: &mut ShardCore,
-    counters0: (u64, u64, u64),
+    steps0: u64,
     tick: u64,
     ticks: u64,
     batch_base: Instant,
-    t0: Instant,
-    t1: Instant,
-    t2: Instant,
-    t_end: Instant,
+    marks: [Instant; 4],
     blocked: u64,
 ) {
-    let (steps0, sent0, recv0) = counters0;
+    let [t0, t1, t2, t_end] = marks;
     let steps = core.steps - steps0;
-    let wakes_sent = core.wakes_sent - sent0;
-    let wakes_received = core.wakes_received - recv0;
     let prof = core.prof.as_mut().expect("profiling enabled");
     let start_ns = prof.base_ns + dur_ns(batch_base, t0);
     prof.record(EpochSample {
         tick,
         ticks: ticks.min(u64::from(u32::MAX)) as u32,
         steps,
-        wakes_sent,
-        wakes_received,
         start_ns,
         step_ns: dur_ns(t1, t2),
         flush_ns: dur_ns(t2, t_end).saturating_sub(blocked),
@@ -1485,9 +1424,9 @@ fn nothing_in_flight(shared: SharedSlice<'_, Element>, view: SoaView<'_>, topo: 
 /// The visit phase of one tick for one shard: drain the parity-`p` ready
 /// set in ascending element order, stepping each element and re-arming
 /// it and its neighbours (see [`soa_rearm`]). With `allow_cross` false
-/// (a batched window), the lookahead guarantee makes cross-shard wakes
-/// impossible; a tripwire assert enforces it. A fault run steps through
-/// a [`FaultLane`], everything else through a [`Lane`].
+/// (a window of more than one tick), the lookahead guarantee makes
+/// cross-shard wakes impossible; a tripwire assert enforces it. A fault
+/// run steps through a [`FaultLane`], everything else through a [`Lane`].
 fn visit_tick(
     ctx: WindowCtx<'_>,
     tick: u64,
@@ -1543,11 +1482,10 @@ fn visit_tick_with<H: Hooks>(
         shared,
         view,
         topo,
-        mail,
+        outbox,
         shard_of,
         pinned,
         num_ports,
-        workers,
         ..
     } = ctx;
     std::mem::swap(&mut core.ready[p].words, &mut core.scratch);
@@ -1593,9 +1531,8 @@ fn visit_tick_with<H: Hooks>(
                 pinned,
                 shard_of,
                 w,
-                workers,
                 core,
-                mail,
+                outbox,
                 allow_cross,
             );
         }
@@ -1788,35 +1725,9 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
     }
 }
 
-/// The merge phase of a mailbox tick: fold the mailbox columns addressed
-/// to worker `w` by its cut peers into its next-parity ready set. Bitset
-/// inserts are idempotent and commutative, so the result is independent
-/// of mailbox order — the determinism anchor for cross-shard wakes.
-/// Non-peer mailboxes are provably empty (wakes only target graph
-/// neighbours) and are skipped.
-fn merge_shard(
-    mail: SharedSlice<'_, Vec<u32>>,
-    w: usize,
-    workers: usize,
-    p: usize,
-    core: &mut ShardCore,
-    cut_peers: &[usize],
-) {
-    for &from in cut_peers {
-        // SAFETY: mailbox column `w` belongs to this worker during the
-        // merge phase, and `from` has published `visit_done`.
-        let inbox = unsafe { mail.get_mut(from * workers + w) };
-        core.wakes_received += inbox.len() as u64;
-        for &idx in inbox.iter() {
-            core.ready[p ^ 1].insert(idx as usize);
-        }
-        inbox.clear();
-    }
-}
-
 /// Post-visit re-arm: decide whether element `i` (parity index `p`) stays
 /// armed and wake the neighbours its new state can affect; cross-shard
-/// wakes go through the mailboxes. `before` is the flit `i` presented
+/// wakes go into this worker's outbox. `before` is the flit `i` presented
 /// pre-visit: a drain-and-reinject visit leaves `out` occupied
 /// throughout, so "newly presented" must compare flit identity, not
 /// occupancy.
@@ -1856,9 +1767,8 @@ fn soa_rearm(
     pinned: &[bool],
     shard_of: &[u16],
     w: usize,
-    workers: usize,
     core: &mut ShardCore,
-    mail: SharedSlice<'_, Vec<u32>>,
+    outbox: SharedSlice<'_, Vec<u32>>,
     allow_cross: bool,
 ) {
     // SAFETY: `i` belongs to this worker this tick.
@@ -1884,9 +1794,9 @@ fn soa_rearm(
                 "cross-shard wake inside a batched lookahead window"
             );
             core.wakes_sent += 1;
-            // SAFETY: mailbox row `w` belongs to this worker during the
-            // visit phase.
-            unsafe { mail.get_mut(w * workers + target) }.push(idx as u32);
+            // SAFETY: outbox `w` belongs to this worker during the visit
+            // phase.
+            unsafe { outbox.get_mut(w) }.push(idx as u32);
         }
     };
     if captured != NONE_U32 {
@@ -2334,10 +2244,10 @@ unsafe fn soa_step_tile<H: Hooks>(
 /// With builder-provided subtree hints, elements are grouped by hint and
 /// whole groups are placed longest-processing-time-first onto the least
 /// loaded shard — subtrees stay intact, so in a tree fabric almost all
-/// handshake traffic is shard-internal and only root crossings use the
-/// mailboxes. Without hints, contiguous index ranges are used (builders
-/// allocate neighbouring elements contiguously, so ranges approximate
-/// locality for meshes and pipelines).
+/// handshake traffic is shard-internal and only root crossings wake
+/// across the shard cut. Without hints, contiguous index ranges are used
+/// (builders allocate neighbouring elements contiguously, so ranges
+/// approximate locality for meshes and pipelines).
 fn plan_shards(n: usize, workers: usize, hints: Option<&[u32]>) -> Vec<u16> {
     let mut shard_of = vec![0u16; n];
     match hints {
@@ -2455,12 +2365,30 @@ mod tests {
     }
 
     #[test]
-    fn cut_peers_connect_exactly_the_cut() {
+    fn routed_wake_arms_its_target_shard() {
         let (topo, shard_of) = chain_topo();
-        let peers = cut_peer_lists(&topo, &shard_of, 2);
-        assert_eq!(peers, vec![vec![1], vec![0]]);
-        let lone = cut_peer_lists(&topo, &[0u16; 7], 1);
-        assert_eq!(lone, vec![Vec::<usize>::new()]);
+        let dist = boundary_distances(&topo, &shard_of);
+        // Shard 0 woke element 4, across the 3-4 cut.
+        let mut outboxes = vec![vec![4u32], Vec::new()];
+        let mut armed = vec![Vec::new(); 2];
+        let mut wakes_received = vec![0u64; 2];
+        let activity = route_wakes(
+            &mut outboxes,
+            &mut armed,
+            &mut wakes_received,
+            &shard_of,
+            &dist,
+        );
+        assert_eq!(armed, vec![Vec::new(), vec![4]]);
+        assert_eq!(wakes_received, vec![0, 1]);
+        assert_eq!(
+            activity,
+            ShardActivity {
+                min_dist: 0,
+                any_armed: true,
+            }
+        );
+        assert!(outboxes.iter().all(Vec::is_empty), "{outboxes:?}");
     }
 
     #[test]
@@ -2470,39 +2398,40 @@ mod tests {
             any_armed: true,
         };
         let plan = |activity, remaining, drain| plan_window(activity, remaining, drain, FOLD_TICKS);
-        // Boundary armed: one synchronised mailbox tick.
-        assert_eq!(plan(armed(0), 100, false), (1, true));
+        // Boundary armed: one tick, whose cross-shard wakes the
+        // coordinator routes before the next window.
+        assert_eq!(plan(armed(0), 100, false), 1);
         // Finite lookahead: that many barrier-free ticks, clamped.
-        assert_eq!(plan(armed(3), 100, false), (3, false));
-        assert_eq!(plan(armed(7), 4, false), (4, false));
+        assert_eq!(plan(armed(3), 100, false), 3);
+        assert_eq!(plan(armed(7), 4, false), 4);
         // Armed but no reachable boundary (e.g. a single shard): the
         // rest of the batch is barrier-free, but drain mode must still
         // single-step — state changes every tick.
-        assert_eq!(plan(armed(u32::MAX), 100, false), (100, false));
-        assert_eq!(plan(armed(u32::MAX), 100, true), (1, false));
+        assert_eq!(plan(armed(u32::MAX), 100, false), 100);
+        assert_eq!(plan(armed(u32::MAX), 100, true), 1);
         // Nothing in the lookahead bounds that window, so the fold
         // interval does: the shard logs stay bounded between folds
         // however long the batch. A deep finite lookahead obeys
         // the same cap.
-        assert_eq!(plan(armed(u32::MAX), 120_000, false), (FOLD_TICKS, false));
-        assert_eq!(plan(armed(5_000), 120_000, false), (FOLD_TICKS, false));
+        assert_eq!(plan(armed(u32::MAX), 120_000, false), FOLD_TICKS);
+        assert_eq!(plan(armed(5_000), 120_000, false), FOLD_TICKS);
         // Nothing armed anywhere: no visit can occur, so the rest of
         // the batch collapses into one window even in drain mode.
-        assert_eq!(plan(ShardActivity::IDLE, 100, false), (100, false));
-        assert_eq!(plan(ShardActivity::IDLE, 100, true), (100, false));
+        assert_eq!(plan(ShardActivity::IDLE, 100, false), 100);
+        assert_eq!(plan(ShardActivity::IDLE, 100, true), 100);
         // Drain mode pins finite windows to single ticks so the drain
         // check fires at sequential tick boundaries.
-        assert_eq!(plan(armed(3), 100, true), (1, false));
-        assert_eq!(plan(armed(0), 100, true), (1, true));
+        assert_eq!(plan(armed(3), 100, true), 1);
+        assert_eq!(plan(armed(0), 100, true), 1);
         // A traced run folds its event logs at its own, shorter interval;
         // an idle traced batch still collapses into one window.
         assert_eq!(
             plan_window(armed(u32::MAX), 100, false, TRACE_FOLD_TICKS),
-            (TRACE_FOLD_TICKS, false)
+            TRACE_FOLD_TICKS
         );
         assert_eq!(
             plan_window(ShardActivity::IDLE, 100, false, TRACE_FOLD_TICKS),
-            (100, false)
+            100
         );
     }
 
@@ -2542,8 +2471,8 @@ mod tests {
                     loop {
                         sync.wait_until(w, || sync.serial.load(Ordering::SeqCst) > seen);
                         seen += 1;
-                        let (base, ticks, flags) = sync.window();
-                        if flags & FLAG_STOP != 0 {
+                        let (base, ticks) = sync.window();
+                        if ticks == 0 {
                             break;
                         }
                         // Echo the window's payload through done so the
@@ -2557,12 +2486,12 @@ mod tests {
                 });
             }
             for serial in 1..=rounds {
-                sync.publish(serial, serial * 7, serial * 3, 0);
+                sync.publish(serial, serial * 7, serial * 3);
                 for w in 1..workers {
                     sync.wait_until(0, || sync.peers[w].0.done.load(Ordering::SeqCst) >= serial);
                 }
             }
-            sync.publish(rounds + 1, 0, 0, FLAG_STOP);
+            sync.publish(rounds + 1, 0, 0);
         });
     }
 }

@@ -8,13 +8,15 @@
 //! per epoch, its wall time split into three phases:
 //!
 //! * **step** — draining the shard's ready set and visiting elements;
-//! * **flush** — folding cross-shard mailboxes and (on the coordinator)
-//!   the shard logs, and evaluating the stop condition;
-//! * **barrier** — waiting at the two sense-reversing barriers.
+//! * **flush** — computing the shard's activity summary and, on the
+//!   coordinator, folding the shard logs, routing the cross-shard wakes
+//!   and evaluating the stop condition;
+//! * **barrier** — waiting for the next window and, on the coordinator,
+//!   for every other worker to finish the current one.
 //!
 //! The aggregate lands in the `perf` section of
 //! [`SimReport`](crate::SimReport) as a [`PerfReport`]. Deterministic
-//! counters (steps, mailbox wakes, epochs, shard sizes) are kept strictly
+//! counters (steps, cross-shard wakes, epochs, shard sizes) are kept strictly
 //! apart from nondeterministic wall times: the counters are bit-identical
 //! for a given configuration and kernel on every run, while everything
 //! measured with a clock lives in the optional [`PerfWall`] — the same
@@ -41,18 +43,16 @@ pub struct EpochSample {
     pub ticks: u32,
     /// Element visits executed.
     pub steps: u64,
-    /// Cross-shard wakes this worker pushed into mailboxes.
-    pub wakes_sent: u64,
-    /// Cross-shard wakes this worker folded out of its mailbox column.
-    pub wakes_received: u64,
     /// Wall-clock offset of the sample's start from the profiler's
     /// time base, in nanoseconds.
     pub start_ns: u64,
     /// Wall time spent visiting elements.
     pub step_ns: u64,
-    /// Wall time spent merging mailboxes / folding the shard logs.
+    /// Wall time spent after the visits: the activity summary and, on
+    /// the coordinator, the log fold and the wake routing.
     pub flush_ns: u64,
-    /// Wall time spent waiting at the epoch's two barriers.
+    /// Wall time spent waiting for the window and, on the coordinator,
+    /// for the other workers.
     pub barrier_ns: u64,
 }
 
@@ -62,8 +62,6 @@ impl EpochSample {
     fn merge(&mut self, other: &EpochSample) {
         self.ticks += other.ticks;
         self.steps += other.steps;
-        self.wakes_sent += other.wakes_sent;
-        self.wakes_received += other.wakes_received;
         self.step_ns += other.step_ns;
         self.flush_ns += other.flush_ns;
         self.barrier_ns += other.barrier_ns;
@@ -217,8 +215,6 @@ impl KernelProfiler {
             tick,
             ticks: 1,
             steps,
-            wakes_sent: 0,
-            wakes_received: 0,
             start_ns,
             step_ns,
             flush_ns: 0,
@@ -237,9 +233,9 @@ pub struct ShardCounters {
     pub elements: u64,
     /// Element visits this shard executed.
     pub steps: u64,
-    /// Cross-shard wakes this shard pushed into mailboxes.
+    /// Cross-shard wakes this shard's visits made.
     pub wakes_sent: u64,
-    /// Cross-shard wakes this shard folded out of its mailbox column.
+    /// Cross-shard wakes the coordinator routed into this shard.
     pub wakes_received: u64,
 }
 
@@ -423,7 +419,7 @@ impl PerfReport {
                     // Lay the phases out consecutively from the sample's
                     // start, in their real order within an epoch: the
                     // barrier wait opens the tick, the visit follows, the
-                    // mailbox flush closes it.
+                    // flush closes it.
                     let mut ts = s.start_ns;
                     for (name, dur) in [
                         ("barrier", s.barrier_ns),
@@ -466,8 +462,6 @@ mod tests {
             tick,
             ticks: 1,
             steps,
-            wakes_sent: 1,
-            wakes_received: 2,
             start_ns: tick * 100,
             step_ns,
             flush_ns: 5,

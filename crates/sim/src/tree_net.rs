@@ -537,14 +537,12 @@ impl Builder {
             .map(|p| self.subtree_of_port(p as u32))
             .collect();
         let topology = crate::fault::ClockTopology {
-            elements: self.hints.clone(),
+            elements: std::mem::take(&mut self.hints),
             ports,
             count: self.root_child_ranges.len() as u32,
             backend: self.cfg.clock_backend,
         };
         self.net.set_clock_domains(topology);
-        let hints = std::mem::take(&mut self.hints);
-        self.net.set_shard_hints(hints);
         self.net.finalize();
         self.net
     }

@@ -236,7 +236,7 @@ proptest! {
     /// The epoch-batching worst case, fuzzed: mirror traffic sends every
     /// flit through the root cut, so armed elements sit on the shard
     /// boundary almost every tick and the lookahead window collapses to
-    /// single mailbox ticks. Bit-identity with dense — report, trace
+    /// single ticks. Bit-identity with dense — report, trace
     /// stream, recovery ledger — and the event kernel's element-update
     /// count must survive the collapse at every worker count, also when
     /// the full fault soak or the clock soak rides along on the sharded
@@ -281,7 +281,7 @@ proptest! {
             if workers > 1 {
                 // A real shard cut exists, so the static lookahead bound
                 // is finite — the collapse under test is the *dynamic*
-                // window shrinking to mailbox ticks, not the bound.
+                // window shrinking to single ticks, not the bound.
                 prop_assert!(
                     par.parallel_lookahead().is_some(),
                     "workers={} must report a finite lookahead bound",
@@ -309,7 +309,7 @@ proptest! {
 /// flit crosses the root router and therefore a shard boundary in both
 /// directions. With two workers the root cut splits the fabric exactly
 /// between the root's children, so all forward progress depends on the
-/// mailbox exchange at the polarity barrier.
+/// coordinator routing cross-shard wakes between windows.
 #[test]
 fn all_traffic_crossing_the_root_survives_the_shard_cut() {
     for seed in [5u64, 19, 77] {

@@ -45,14 +45,22 @@ fn assert_conserved(net: &Network, context: &str) {
         net.element_count() as u64,
         "{context}: the shard plan must cover every element exactly once"
     );
-    // Mailbox conservation: every cross-shard wake sent is received by
-    // exactly one shard (batches always flush their mailboxes).
+    // Wake conservation: every cross-shard wake sent is received by
+    // exactly one shard (the coordinator routes every window's wakes).
     let sent: u64 = perf.shards.iter().map(|s| s.wakes_sent).sum();
     let received: u64 = perf.shards.iter().map(|s| s.wakes_received).sum();
     assert_eq!(
         sent, received,
         "{context}: cross-shard wakes sent and received must balance"
     );
+    // With two shards, each one's wakes can only land in the other.
+    if let [a, b] = perf.shards.as_slice() {
+        assert_eq!(
+            (a.wakes_received, b.wakes_received),
+            (b.wakes_sent, a.wakes_sent),
+            "{context}: each shard must receive exactly the other's wakes"
+        );
+    }
     // The wall side mirrors the deterministic side's shape: one profile
     // per worker, each having participated in every epoch.
     let wall = perf.wall.as_ref().expect("fresh reports carry wall data");
