@@ -5,10 +5,15 @@
 //! Each element registers into a per-polarity ready set when a handshake
 //! edge can change its state, and a tick visits only that set — the
 //! software mirror of the paper's handshake-derived clock gating
-//! (Section 5). Enabled traffic generators are pinned — their pattern
-//! may act on any cycle — except while blocked: on a fault-free, untraced
-//! run a source, or a tile with no queued responses, whose visit counts a stall
-//! sleeps like a blocked stage until the drain of its flit wakes it. The
+//! (Section 5). On a fault-free run a stage is visited only to capture a
+//! flit or to observe its drain: a freshly presented flit wakes only the
+//! downstreams that could take it, and an accept marker carries the tick
+//! it was set, so it reads as a drain on the next tick only and no visit
+//! is spent clearing it ([`soa_rearm`]). Enabled traffic generators are
+//! pinned — their pattern may act on any cycle — except while blocked: on
+//! a fault-free, untraced run a source, or a tile with no queued
+//! responses, whose visit counts a stall sleeps like a blocked stage
+//! until the drain of its flit wakes it. The
 //! stalls its skipped visits would have counted follow from one stamp,
 //! `asleep_since`: the waking visit adds them, and the end of every batch
 //! settles and re-arms each generator still asleep, so counters are exact
@@ -25,8 +30,9 @@
 //! any per-element locking: every connection joins **opposite** clock
 //! polarities, so within one tick a worker only mutates current-parity
 //! elements of its own shard, and every cross-element read (an upstream's
-//! presented flit, a downstream's `accepted_from` marker) touches an
-//! opposite-parity element whose state is frozen for the whole tick — the
+//! presented flit, a downstream's stamped `accepted_from` marker, held
+//! flit and lock) touches an opposite-parity element whose state is
+//! frozen for the whole tick — the
 //! software form of the half-period propagation budget the paper's
 //! handshake enjoys in hardware (Section 5).
 //!
@@ -430,9 +436,11 @@ impl ParState {
     }
 
     /// Loads the dense handshake arrays from the element graph at batch
-    /// start. The gating column starts at zero and accumulates enabled
-    /// edges as a delta.
-    fn load_dyn(&mut self, elements: &[Element]) {
+    /// start, before tick `base`. The gating column starts at zero and
+    /// accumulates enabled edges as a delta. A held accept marker was set
+    /// on its element's last edge before `base`, so that edge is its
+    /// stamp.
+    fn load_dyn(&mut self, elements: &[Element], base: u64) {
         let n = elements.len();
         let s = &mut self.soa;
         s.out.clear();
@@ -440,6 +448,13 @@ impl ParState {
         s.acc.clear();
         s.acc
             .extend(elements.iter().map(|e| pack_id(e.accepted_from)));
+        s.acc_at.clear();
+        s.acc_at.extend(
+            self.topo
+                .pol
+                .iter()
+                .map(|&p| last_edge_before(usize::from(p), base)),
+        );
         s.lock.clear();
         s.lock.extend(elements.iter().map(|e| pack_id(e.lock)));
         s.rr.clear();
@@ -452,12 +467,15 @@ impl ParState {
     }
 
     /// Stores the dense handshake arrays back into the element graph at
-    /// batch end, folding the gating delta into each element's
-    /// accumulator.
-    fn store_dyn(&self, elements: &mut [Element]) {
+    /// batch end, before tick `end`, folding the gating delta into each
+    /// element's accumulator. An accept marker survives only if its stamp
+    /// is its element's last edge before `end`: the dense loop cleared
+    /// every older one on a visit the batch skipped.
+    fn store_dyn(&self, elements: &mut [Element], end: u64) {
         for (i, el) in elements.iter_mut().enumerate() {
             el.out_flit = self.soa.out[i];
-            el.accepted_from = unpack_id(self.soa.acc[i]);
+            let last = last_edge_before(usize::from(self.topo.pol[i]), end);
+            el.accepted_from = unpack_id(self.soa.acc[i]).filter(|_| self.soa.acc_at[i] == last);
             el.lock = unpack_id(self.soa.lock[i]);
             el.rr_next = self.soa.rr[i] as usize;
             el.upset_at = self.soa.upset[i];
@@ -493,6 +511,14 @@ impl ParState {
 /// `asleep_since` marker of an element that is not a sleeping generator.
 const AWAKE: u64 = u64::MAX;
 
+/// The last tick before `tick` whose parity is `p` (wrapping below tick
+/// 0, where no accept marker can have been set).
+#[inline]
+fn last_edge_before(p: usize, tick: u64) -> u64 {
+    let back = if tick % 2 == p as u64 { 2 } else { 1 };
+    tick.wrapping_sub(back)
+}
+
 /// The stalls a generator that counted one at tick `since` and then slept
 /// would have counted on its own-parity ticks strictly before `tick`. It
 /// holds its flit undrained the whole time: the drain is what wakes it,
@@ -512,11 +538,10 @@ enum Stay {
     /// A kind-specific condition keeps the element armed.
     Armed,
     /// A fault-free, untraced generator counted a stall and is stamped
-    /// asleep: it
-    /// sleeps even when pinned, until the drain of its flit wakes it. A
-    /// tile that also consumed a flit this visit stays armed by the
-    /// capture rule; its next visit, one own-parity tick later, then adds
-    /// no skipped stalls.
+    /// asleep: it sleeps even when pinned, until the drain of its flit
+    /// or a fresh offer wakes it. A tile that took an offer from one of
+    /// several upstreams stays [`Armed`](Self::Armed) instead, unstamped:
+    /// another upstream's offer may be waiting.
     Stalled,
 }
 
@@ -636,8 +661,12 @@ impl SoaTopo {
 struct SoaDyn {
     /// `Element::out_flit`.
     out: Vec<Option<Flit>>,
-    /// `Element::accepted_from`, `u32::MAX` = none.
+    /// The upstream whose flit this element last took (`u32::MAX` =
+    /// none): `Element::accepted_from` while `acc_at` is the element's
+    /// last edge, stale after it ([`soa_drained`]).
     acc: Vec<u32>,
+    /// The tick `acc` was set.
+    acc_at: Vec<u64>,
     /// `Element::lock`, `u32::MAX` = none.
     lock: Vec<u32>,
     /// `Element::rr_next`.
@@ -842,6 +871,7 @@ impl<'a, T> SharedSlice<'a, T> {
 struct SoaView<'a> {
     out: SharedSlice<'a, Option<Flit>>,
     acc: SharedSlice<'a, u32>,
+    acc_at: SharedSlice<'a, u64>,
     lock: SharedSlice<'a, u32>,
     rr: SharedSlice<'a, u32>,
     enabled: SharedSlice<'a, u32>,
@@ -854,6 +884,7 @@ impl<'a> SoaView<'a> {
         Self {
             out: SharedSlice::new(&mut soa.out),
             acc: SharedSlice::new(&mut soa.acc),
+            acc_at: SharedSlice::new(&mut soa.acc_at),
             lock: SharedSlice::new(&mut soa.lock),
             rr: SharedSlice::new(&mut soa.rr),
             enabled: SharedSlice::new(&mut soa.enabled),
@@ -1040,7 +1071,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         num_ports,
         base_tick,
     } = ctx;
-    par.load_dyn(elements);
+    par.load_dyn(elements, base_tick);
     let workers = par.workers;
     let shared = SharedSlice::new(elements);
     let view = SoaView::new(&mut par.soa);
@@ -1232,7 +1263,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         core.take_armed(armed, &par.topo.pol);
     }
     par.settle_sleepers(elements, base_tick + executed);
-    par.store_dyn(elements);
+    par.store_dyn(elements, base_tick + executed);
     executed
 }
 
@@ -1526,8 +1557,10 @@ fn visit_tick_with<H: Hooks>(
                 topo,
                 i,
                 p,
+                tick,
                 before,
                 stay,
+                H::REVISIT_CAPTURES,
                 pinned,
                 shard_of,
                 w,
@@ -1556,6 +1589,11 @@ trait Hooks {
     /// pinned (a frozen edge counts no stall), and traced runs too: each
     /// stalled edge emits a `Blocked` event.
     const LAZY_STALLS: bool = !Self::ON && !Self::TRACE;
+    /// Whether an element that captured stays armed one more edge, on
+    /// top of its stamped accept marker ([`soa_drained`]). Fault runs keep
+    /// that edge: it is the visit where a stage left blocked schedules its
+    /// register upset's timed wake ([`sleep_holding`](Self::sleep_holding)).
+    const REVISIT_CAPTURES: bool = Self::ON;
     /// The shard's stamped log.
     fn log(&mut self) -> &mut Vec<Logged>;
     /// Element `i` is frozen this tick (clock domain or outage epoch).
@@ -1733,25 +1771,35 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
 /// occupancy.
 ///
 /// Invariants this maintains (the correctness core of the kernel):
-/// * an element that just *captured* wakes the drained upstream (it
-///   must observe the drain on its very next edge) and itself stays
-///   armed one more edge, so the stale `accepted_from` marker is cleared
-///   before the upstream could misread a later presentation as already
-///   drained;
-/// * a *newly presented* flit wakes every downstream (they may capture).
+/// * an element that just *captured* wakes the drained upstream: it must
+///   observe the drain on its very next edge. Only a capture writes the
+///   accept marker, stamped with its tick, and it reads as a drain only
+///   on the next tick ([`soa_drained`]), the one tick on which the dense
+///   loop still holds it; so no visit is spent clearing it. Fault runs
+///   still revisit the capturing element (`revisit_captures`,
+///   [`Hooks::REVISIT_CAPTURES`]);
+/// * a *newly presented* flit wakes every downstream that could take it
+///   on its next edge ([`soa_may_capture`]): sinks and tiles always, a
+///   stage only while it holds no flit and is locked to `i`, or unlocked
+///   and routing the flit as a worm's opening flit. A stage holding a
+///   flit is woken by that flit's drain and then arbitrates afresh; a
+///   lock to another upstream changes only on the stage's own visits,
+///   and a route filter never does.
 ///   A blocked element then sleeps: its state next changes at the
 ///   drain, and the capture-wake above covers exactly that edge (a
 ///   traced run keeps a stage holding a flit armed instead, through
 ///   `stay`, so each blocked edge emits its `Blocked` event);
 /// * `stay` carries the kind-specific stay conditions computed during
 ///   the step: a source while mid-worm, a tile while it presents or has
-///   queued responses, a sink while an upstream holds an offer (its
-///   accept mode may open on any later cycle); pinned elements stay
-///   unless the visit counted a stall. A fault-free, untraced source, or
-///   a tile with no queued responses, that counted a stall sleeps even when
-///   pinned ([`Stay::Stalled`]): its flit is held until the drain, whose
-///   capture-wake above covers it, and the stalls of the skipped visits
-///   are counted lazily ([`skipped_stalls`]).
+///   queued responses, a sink or tile while an offer it did not take may
+///   still be presented (its accept mode may open on any later cycle, or
+///   another upstream's offer waits behind the one it took); pinned
+///   elements stay unless the visit counted a stall. A fault-free,
+///   untraced source, or a tile with no queued responses, that counted
+///   a stall sleeps even when pinned ([`Stay::Stalled`]): its flit is
+///   held until the drain, whose capture-wake above covers it, and the
+///   stalls of the skipped visits are counted lazily
+///   ([`skipped_stalls`]).
 ///
 /// Every connection joins opposite clock polarities, so both the drained
 /// upstream and all downstreams land in the other parity's ready set.
@@ -1762,8 +1810,10 @@ fn soa_rearm(
     topo: &SoaTopo,
     i: usize,
     p: usize,
+    tick: u64,
     before: Option<Flit>,
     stay: Stay,
+    revisit_captures: bool,
     pinned: &[bool],
     shard_of: &[u16],
     w: usize,
@@ -1772,16 +1822,21 @@ fn soa_rearm(
     allow_cross: bool,
 ) {
     // SAFETY: `i` belongs to this worker this tick.
-    let out = unsafe { *view.out.get(i) };
+    let out = unsafe { view.out.get(i) };
     // SAFETY: as above.
-    let captured = unsafe { *view.acc.get(i) };
-    let presenting = out.is_some();
+    let captured = unsafe {
+        if *view.acc_at.get(i) == tick {
+            *view.acc.get(i)
+        } else {
+            NONE_U32
+        }
+    };
     let armed = match stay {
         Stay::Pin => pinned[i],
         Stay::Armed => true,
         Stay::Stalled => false,
     };
-    if captured != NONE_U32 || armed {
+    if armed || (revisit_captures && captured != NONE_U32) {
         core.ready[p].insert(i);
     }
     let wake = |idx: usize, core: &mut ShardCore| {
@@ -1802,26 +1857,72 @@ fn soa_rearm(
     if captured != NONE_U32 {
         wake(captured as usize, core);
     }
-    if presenting && out != before {
+    if let Some(flit) = out.as_ref().filter(|_| *out != before) {
         for &d in topo.downs(i) {
-            wake(d as usize, core);
+            // SAFETY: downstreams are frozen opposite-parity reads.
+            if unsafe { soa_may_capture(view, topo, d as usize, i as u32, flit) } {
+                wake(d as usize, core);
+            }
         }
     }
 }
 
-/// `Network::was_drained` against the dense state.
+/// Whether `d` could take `flit`, freshly presented by its upstream `u`,
+/// on its next edge. Sinks and tiles take any offer. A stage holding a
+/// flit cannot (that flit's drain wakes it, and it then arbitrates
+/// afresh); an empty one can if it is locked to `u`, or unlocked and its
+/// route filter wants `flit` as a worm's opening flit — the stage step's
+/// own arbitration test.
+///
+/// # Safety
+/// `d` must be a frozen opposite-parity neighbour this tick.
+#[inline]
+unsafe fn soa_may_capture(
+    view: SoaView<'_>,
+    topo: &SoaTopo,
+    d: usize,
+    u: u32,
+    flit: &Flit,
+) -> bool {
+    if topo.kind[d] != K_STAGE {
+        return true;
+    }
+    // SAFETY: per the function contract.
+    let (held, lock) = unsafe { (view.out.get(d).is_some(), *view.lock.get(d)) };
+    !held && (lock == u || (lock == NONE_U32 && flit.opens_route() && topo.filter[d].wants(flit)))
+}
+
+/// `Network::was_drained` against the dense state: a downstream took
+/// `i`'s flit on the previous tick. An accept marker counts only on the
+/// tick after its stamp; the dense loop clears it on the capturing
+/// element's next edge.
 ///
 /// # Safety
 /// The caller must own element `i` this tick; downstreams are frozen
 /// opposite-parity reads.
 #[inline]
-unsafe fn soa_drained(view: SoaView<'_>, topo: &SoaTopo, i: usize) -> bool {
+unsafe fn soa_drained(view: SoaView<'_>, topo: &SoaTopo, i: usize, tick: u64) -> bool {
     // SAFETY: per the function contract.
     unsafe { view.out.get(i) }.is_some()
         && topo.downs(i).iter().any(|&d| {
+            let d = d as usize;
             // SAFETY: downstreams are neighbour reads.
-            *unsafe { view.acc.get(d as usize) } == i as u32
+            unsafe { *view.acc.get(d) == i as u32 && view.acc_at.get(d).wrapping_add(1) == tick }
         })
+}
+
+/// Element `i` takes the flit its upstream `up` presents at `tick`: sets
+/// its accept marker and stamps it.
+///
+/// # Safety
+/// The caller must own element `i` this tick.
+#[inline]
+unsafe fn soa_accept(view: SoaView<'_>, i: usize, up: u32, tick: u64) {
+    // SAFETY: per the function contract.
+    unsafe {
+        *view.acc.get_mut(i) = up;
+        *view.acc_at.get_mut(i) = tick;
+    }
 }
 
 /// `Network::first_offer` against the dense state: the first upstream
@@ -1857,11 +1958,11 @@ unsafe fn soa_step_stage<H: Hooks>(
 ) -> bool {
     if H::ON && hooks.frozen(i, tick) {
         // SAFETY: per the function contract.
-        unsafe { soa_freeze(view, topo, i) };
+        unsafe { soa_freeze(view, topo, i, tick) };
         return true;
     }
     // SAFETY: per the function contract.
-    let mut drained = unsafe { soa_drained(view, topo, i) };
+    let mut drained = unsafe { soa_drained(view, topo, i, tick) };
     if H::ON && drained {
         // SAFETY: own element.
         let held = unsafe { *view.out.get(i) }.expect("drained implies held");
@@ -1875,27 +1976,27 @@ unsafe fn soa_step_stage<H: Hooks>(
     let locked = unsafe { *view.lock.get(i) };
     if locked != NONE_U32 {
         // SAFETY: the locked upstream is a neighbour read.
-        if let Some(flit) = *unsafe { view.out.get(locked as usize) } {
+        if let Some(flit) = unsafe { view.out.get(locked as usize) } {
             let slot = ups
                 .iter()
                 .position(|&u| u == locked)
                 .expect("lock always names an upstream");
-            winner = Some((slot, flit));
+            winner = Some((slot, *flit));
         }
     } else if n > 0 {
-        let start = match topo.arb[i] {
+        let mut slot = match topo.arb[i] {
             // SAFETY: own element.
-            Arbitration::RoundRobin => (unsafe { *view.rr.get(i) }) as usize % n,
+            Arbitration::RoundRobin => (unsafe { *view.rr.get(i) }) as usize,
             Arbitration::Priority => 0,
         };
-        for k in 0..n {
-            let slot = (start + k) % n;
+        debug_assert!(slot < n, "round-robin pointer past the upstreams");
+        for _ in 0..n {
             let u = ups[slot];
             // SAFETY: upstreams are neighbour reads.
-            if let Some(flit) = *unsafe { view.out.get(u as usize) } {
-                if flit.opens_route() && topo.filter[i].wants(&flit) {
+            if let Some(flit) = unsafe { view.out.get(u as usize) } {
+                if flit.opens_route() && topo.filter[i].wants(flit) {
                     if winner.is_none() {
-                        winner = Some((slot, flit));
+                        winner = Some((slot, *flit));
                         if !H::TRACE {
                             break;
                         }
@@ -1905,6 +2006,7 @@ unsafe fn soa_step_stage<H: Hooks>(
                     contenders += 1;
                 }
             }
+            slot = next_slot(slot, n);
         }
     }
     // SAFETY: own element.
@@ -1922,10 +2024,10 @@ unsafe fn soa_step_stage<H: Hooks>(
             let latched = effect.flit;
             // SAFETY: own element (every column).
             unsafe {
-                *view.acc.get_mut(i) = upstream;
+                soa_accept(view, i, upstream, tick);
                 *out = latched;
                 if flit.opens_route() {
-                    *view.rr.get_mut(i) = ((slot + 1) % n.max(1)) as u32;
+                    *view.rr.get_mut(i) = next_slot(slot, n) as u32;
                 }
                 *view.lock.get_mut(i) = if flit.closes_route() {
                     NONE_U32
@@ -1969,8 +2071,6 @@ unsafe fn soa_step_stage<H: Hooks>(
             } else if let Some(held) = out.filter(|_| H::TRACE) {
                 hooks.event(i, tick, TraceEventKind::Blocked, held);
             }
-            // SAFETY: own element.
-            unsafe { *view.acc.get_mut(i) = NONE_U32 };
         }
     }
     if H::ON && out.is_some() {
@@ -1984,7 +2084,7 @@ unsafe fn soa_step_stage<H: Hooks>(
                 hooks.event(i, tick, TraceEventKind::Dropped { cause }, flit);
             }
             stay = true;
-        } else if !stay && !H::TRACE && unsafe { *view.acc.get(i) } == NONE_U32 {
+        } else if !stay && !H::TRACE && unsafe { *view.acc_at.get(i) } != tick {
             // Blocked: the stage sleeps holding the flit until a drain
             // wakes it — or its upset does.
             hooks.sleep_holding(i, tick, upset);
@@ -1993,18 +2093,28 @@ unsafe fn soa_step_stage<H: Hooks>(
     stay || (H::TRACE && out.is_some())
 }
 
-/// Clears a frozen element's handshake state: it observes its drain,
-/// captures nothing and presents nothing new.
+/// The round-robin slot after `slot` among `n` upstreams, without a
+/// division.
+#[inline]
+fn next_slot(slot: usize, n: usize) -> usize {
+    if slot + 1 == n {
+        0
+    } else {
+        slot + 1
+    }
+}
+
+/// A frozen element's edge: it observes its drain, captures nothing and
+/// presents nothing new.
 ///
 /// # Safety
 /// The caller must own element `i` this tick.
-unsafe fn soa_freeze(view: SoaView<'_>, topo: &SoaTopo, i: usize) {
+unsafe fn soa_freeze(view: SoaView<'_>, topo: &SoaTopo, i: usize, tick: u64) {
     // SAFETY: per the function contract.
     unsafe {
-        if soa_drained(view, topo, i) {
+        if soa_drained(view, topo, i, tick) {
             *view.out.get_mut(i) = None;
         }
-        *view.acc.get_mut(i) = NONE_U32;
     }
 }
 
@@ -2027,18 +2137,16 @@ unsafe fn soa_step_source<H: Hooks>(
 ) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
         // SAFETY: per the function contract.
-        unsafe { soa_freeze(view, topo, i) };
+        unsafe { soa_freeze(view, topo, i, tick) };
         return Stay::Armed;
     }
     // SAFETY: per the function contract.
-    let drained = unsafe { soa_drained(view, topo, i) };
+    let drained = unsafe { soa_drained(view, topo, i, tick) };
     // SAFETY: own element.
     let out = unsafe { view.out.get_mut(i) };
     if drained {
         *out = None;
     }
-    // SAFETY: own element.
-    unsafe { *view.acc.get_mut(i) = NONE_U32 };
     let Kind::Source(state) = &mut el.kind else {
         unreachable!("soa_step_source called on non-source")
     };
@@ -2103,8 +2211,9 @@ fn emit_endpoint_events<H: Hooks>(
 }
 
 /// The dense loop's sink step; the scoreboard arrival is deferred into
-/// this worker's log. Returns the kind-specific stay condition (an
-/// upstream still presents an offer, or frozen).
+/// this worker's log. Returns the kind-specific stay condition (it
+/// refused an offer, or took one while another upstream may still
+/// offer, or frozen).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
@@ -2118,8 +2227,6 @@ unsafe fn soa_step_sink<H: Hooks>(
     hooks: &mut H,
 ) -> bool {
     if H::ON && hooks.frozen(i, tick) {
-        // SAFETY: own element.
-        unsafe { *view.acc.get_mut(i) = NONE_U32 };
         return true;
     }
     // SAFETY: per the function contract.
@@ -2129,31 +2236,29 @@ unsafe fn soa_step_sink<H: Hooks>(
     };
     let accepts = state.mode.accepts(tick / 2);
     let port = state.port;
-    match (accepts, offered) {
-        (true, Some(flit)) => {
-            // SAFETY: own element.
-            unsafe { *view.acc.get_mut(i) = up };
-            // The consumer gate: corrupt and duplicate flits are consumed
-            // but never reach the scoreboard.
-            let verdict = hooks.arrival(i, tick, &flit, port, &mut el.faults);
-            if verdict == ArrivalVerdict::Deliver {
-                hooks.deliver(i, tick, flit, port);
-            }
-            if H::TRACE {
-                hooks.event(i, tick, arrival_event(verdict, &flit, port), flit);
-            }
+    if let (true, Some(flit)) = (accepts, offered) {
+        // SAFETY: own element.
+        unsafe { soa_accept(view, i, up, tick) };
+        // The consumer gate: corrupt and duplicate flits are consumed but
+        // never reach the scoreboard.
+        let verdict = hooks.arrival(i, tick, &flit, port, &mut el.faults);
+        if verdict == ArrivalVerdict::Deliver {
+            hooks.deliver(i, tick, flit, port);
         }
-        _ => {
-            // SAFETY: own element.
-            unsafe { *view.acc.get_mut(i) = NONE_U32 };
+        if H::TRACE {
+            hooks.event(i, tick, arrival_event(verdict, &flit, port), flit);
         }
     }
-    offered.is_some()
+    // An offer it took is drained, and the upstream's next one wakes the
+    // sink; another upstream's may already wait (a ring-shortcut sink
+    // has two).
+    offered.is_some() && (!accepts || topo.ups(i).len() > 1)
 }
 
 /// The dense loop's tile step; the scoreboard arrival is deferred into
 /// this worker's log. Returns the kind-specific stay condition
-/// (presenting, responses still queued, or frozen); a visit that counts
+/// (presenting, responses still queued, another upstream may still
+/// offer, or frozen); a visit that counts
 /// a stall with no responses queued on a fault-free, untraced run sleeps
 /// instead (see [`soa_rearm`]).
 ///
@@ -2171,11 +2276,11 @@ unsafe fn soa_step_tile<H: Hooks>(
 ) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
         // SAFETY: per the function contract.
-        unsafe { soa_freeze(view, topo, i) };
+        unsafe { soa_freeze(view, topo, i, tick) };
         return Stay::Armed;
     }
     // SAFETY: per the function contract.
-    let drained = unsafe { soa_drained(view, topo, i) };
+    let drained = unsafe { soa_drained(view, topo, i, tick) };
     // SAFETY: per the function contract.
     let (up, offered) = unsafe { soa_first_offer(view, topo, i) };
     // SAFETY: own element.
@@ -2192,9 +2297,9 @@ unsafe fn soa_step_tile<H: Hooks>(
         state.stalled_edges += unsafe { wake_stalls(view, i, tick) };
     }
     let port = state.port;
-    // SAFETY: own element.
-    unsafe {
-        *view.acc.get_mut(i) = if offered.is_some() { up } else { NONE_U32 };
+    if offered.is_some() {
+        // SAFETY: own element.
+        unsafe { soa_accept(view, i, up, tick) };
     }
     // Only flits the consumer gate clears are processed: a memory never
     // double-serves and a processor never double-counts.
@@ -2232,11 +2337,14 @@ unsafe fn soa_step_tile<H: Hooks>(
         }
         emit_endpoint_events(hooks, i, tick, injected, retransmitted, *out, stalled);
     }
-    if H::LAZY_STALLS && stalled && state.pending.is_empty() {
+    // Another upstream's offer may wait behind the one it took (a
+    // ring-shortcut tile has two upstreams).
+    let recheck = offered.is_some() && topo.ups(i).len() > 1;
+    if H::LAZY_STALLS && stalled && state.pending.is_empty() && !recheck {
         // SAFETY: own element.
         return unsafe { sleep_stalled(view, i, tick) };
     }
-    Stay::from(out.is_some() || !state.pending.is_empty())
+    Stay::from(recheck || out.is_some() || !state.pending.is_empty())
 }
 
 /// Assigns every element to a shard.
