@@ -41,8 +41,7 @@ use icnoc_timing::{Direction, FlipFlopTiming, LinkTiming};
 use icnoc_topology::PortId;
 use icnoc_units::{Gigahertz, Picoseconds};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{HashSet, VecDeque};
 
 /// The kinds of fault the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -789,6 +788,189 @@ struct Outstanding {
     retx_due: Option<u64>,
 }
 
+/// The identity of a tracked flit: `(source port, sequence)`.
+type FlitKey = (u32, u64);
+
+/// One source port's un-acknowledged flits, indexed by `seq - base`.
+/// Sequence numbers are consecutive per source, so the window spans only
+/// the sequences from its oldest to its newest tracked flit; resolved
+/// slots at either end are trimmed away. Flits resolve out of order, so
+/// a window also spans resolved sequences; boxing the entries keeps such
+/// a hole at one pointer.
+#[derive(Debug, Clone, Default)]
+struct SeqWindow {
+    /// Sequence number of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Option<Box<Outstanding>>>,
+}
+
+impl SeqWindow {
+    fn index(&self, seq: u64) -> Option<usize> {
+        let k = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        (k < self.slots.len()).then_some(k)
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut Outstanding> {
+        let k = self.index(seq)?;
+        self.slots[k].as_deref_mut()
+    }
+
+    /// Tracks `entry` under `seq`, replacing any entry already there.
+    /// Returns whether `seq` was untracked.
+    fn insert(&mut self, seq: u64, entry: Outstanding) -> bool {
+        if self.slots.is_empty() {
+            self.base = seq;
+        }
+        while seq < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let k = usize::try_from(seq - self.base).expect("window fits in memory");
+        if k >= self.slots.len() {
+            self.slots.resize_with(k + 1, || None);
+        }
+        self.slots[k].replace(Box::new(entry)).is_none()
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<Outstanding> {
+        let k = self.index(seq)?;
+        let entry = *self.slots[k].take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+        Some(entry)
+    }
+}
+
+/// The recovery layer's un-acknowledged flits: one [`SeqWindow`] per
+/// source port, so every lookup is two indexings. Walking the ports, then
+/// each window, visits the flits in `(source, sequence)` order.
+#[derive(Debug, Clone, Default)]
+struct Tracker {
+    ports: Vec<SeqWindow>,
+    len: usize,
+}
+
+impl Tracker {
+    fn get_mut(&mut self, (src, seq): FlitKey) -> Option<&mut Outstanding> {
+        self.ports.get_mut(src as usize)?.get_mut(seq)
+    }
+
+    fn insert(&mut self, (src, seq): FlitKey, entry: Outstanding) {
+        let port = src as usize;
+        if port >= self.ports.len() {
+            self.ports.resize_with(port + 1, SeqWindow::default);
+        }
+        self.len += usize::from(self.ports[port].insert(seq, entry));
+    }
+
+    fn remove(&mut self, (src, seq): FlitKey) -> Option<Outstanding> {
+        let entry = self.ports.get_mut(src as usize)?.remove(seq)?;
+        self.len -= 1;
+        Some(entry)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Outstanding> {
+        self.ports
+            .iter()
+            .flat_map(|w| w.slots.iter().flatten().map(|e| &**e))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Outstanding> {
+        self.ports
+            .iter_mut()
+            .flat_map(|w| w.slots.iter_mut().flatten().map(|e| &mut **e))
+    }
+}
+
+/// Flits written off as lost, with their charged faults: per source
+/// port, a list sorted by sequence. Write-offs are rare and never expire
+/// (a stalled copy may still arrive), so a sparse list beats a window.
+#[derive(Debug, Clone, Default)]
+struct WrittenOff {
+    ports: Vec<Vec<(u64, u64)>>,
+}
+
+impl WrittenOff {
+    fn insert(&mut self, (src, seq): FlitKey, faults: u64) {
+        let port = src as usize;
+        if port >= self.ports.len() {
+            self.ports.resize_with(port + 1, Vec::new);
+        }
+        let list = &mut self.ports[port];
+        match list.binary_search_by_key(&seq, |&(s, _)| s) {
+            Ok(k) => list[k].1 = faults,
+            Err(k) => list.insert(k, (seq, faults)),
+        }
+    }
+
+    fn remove(&mut self, (src, seq): FlitKey) -> Option<u64> {
+        let list = self.ports.get_mut(src as usize)?;
+        let k = list.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
+        Some(list.remove(k).1)
+    }
+}
+
+/// Slots of the [`TimerWheel`]: the power of two at or above the longest
+/// delay the recovery layer arms routinely (the acknowledgement timeout),
+/// so nearly every timer is swept exactly once, on its due tick.
+const WHEEL_SLOTS: usize = TIMEOUT_EDGES.next_power_of_two() as usize;
+
+/// Acknowledgement deadlines and scheduled retransmissions, as
+/// `(due tick, key)` entries hashed into slot `due mod WHEEL_SLOTS`.
+/// Sweeping a tick visits its one slot and takes the entries due by then;
+/// an entry due a turn or more later stays in its slot until its turn.
+/// Entries are validated lazily against the live [`Outstanding`] state,
+/// so re-arming simply adds a fresh entry and lets the stale one fizzle
+/// when swept.
+#[derive(Debug, Clone)]
+struct TimerWheel {
+    slots: Vec<Vec<(u64, FlitKey)>>,
+    /// The first tick not yet swept.
+    next: u64,
+}
+
+impl TimerWheel {
+    fn new() -> Self {
+        Self {
+            slots: vec![Vec::new(); WHEEL_SLOTS],
+            next: 0,
+        }
+    }
+
+    fn arm(&mut self, key: FlitKey, due: u64) {
+        debug_assert!(due >= self.next, "timer armed in the past");
+        self.slots[due as usize % WHEEL_SLOTS].push((due, key));
+    }
+
+    /// Moves every entry due at or before `tick` into `fired`, sweeping
+    /// each tick since the last sweep (at most one turn of slots).
+    fn sweep(&mut self, tick: u64, fired: &mut Vec<(u64, FlitKey)>) {
+        let from = self.next.max((tick + 1).saturating_sub(WHEEL_SLOTS as u64));
+        for t in from..=tick {
+            let slot = &mut self.slots[t as usize % WHEEL_SLOTS];
+            let mut k = 0;
+            while k < slot.len() {
+                if slot[k].0 <= tick {
+                    fired.push(slot.swap_remove(k));
+                } else {
+                    k += 1;
+                }
+            }
+            // Slots fill at different ticks: a kept buffer per slot
+            // would hold the sum of their peaks.
+            if slot.is_empty() {
+                *slot = Vec::new();
+            }
+        }
+        self.next = self.next.max(tick + 1);
+    }
+}
+
 /// What the injector decided about a stage capture.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CaptureEffect {
@@ -1058,6 +1240,12 @@ pub(crate) struct FaultCtx {
     clock: Option<ClockTopology>,
     /// Per-domain live state, indexed by domain id.
     domains: Vec<DomainState>,
+    /// Per domain and tick parity, the ticks so far on which the domain
+    /// was frozen. A generator sleeping through a stall reads its
+    /// domain's count when it falls asleep and again when it wakes: the
+    /// difference is the frozen edges it slept through, which count no
+    /// stall.
+    frozen_edges: Vec<[u64; 2]>,
 }
 
 impl FaultCtx {
@@ -1091,6 +1279,19 @@ impl FaultCtx {
     pub(crate) fn frozen(&self, i: usize, tick: u64) -> bool {
         debug_assert_eq!(tick, self.base.0, "frozen state is built per tick");
         self.freezing && self.frozen_now[i >> 6] & (1u64 << (i & 63)) != 0
+    }
+
+    /// The ticks of parity `parity` on which element `i`'s clock domain
+    /// has been frozen so far, up to the current tick (zero outside any
+    /// domain). A traffic generator is never an outage-epoch member, so
+    /// this counts every freeze it can see.
+    #[inline]
+    pub(crate) fn frozen_edges(&self, i: usize, parity: usize) -> u64 {
+        self.clock
+            .as_ref()
+            .and_then(|c| c.elements.get(i))
+            .and_then(|&d| self.frozen_edges.get(d as usize))
+            .map_or(0, |count| count[parity])
     }
 
     /// Rebuilds `frozen_now` for `tick` if the window state or a domain's
@@ -1316,29 +1517,27 @@ impl FaultCtx {
 
 /// Live fault-injection/recovery state attached to a network.
 ///
-/// All collections with order-dependent iteration are `BTreeMap`s so that
-/// same-seed runs are bit-identical across processes.
+/// Every collection iterates in an order fixed by its keys — source port,
+/// then sequence, for the tracked flits; timer keys are sorted before they
+/// act — so same-seed runs are bit-identical across processes.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     ctx: FaultCtx,
     dfs: Dfs,
     /// Un-acknowledged flits keyed by `(source port, sequence)`.
-    outstanding: BTreeMap<(u32, u64), Outstanding>,
+    outstanding: Tracker,
     /// Flits written off as lost, with their charged faults — kept so a
     /// copy that arrives intact *after* the write-off can be reclassified
     /// as recovered instead of staying a phantom loss.
-    abandoned: BTreeMap<(u32, u64), u64>,
-    /// Timer event queue: `(due tick, outstanding key)` for every pending
-    /// acknowledgement deadline or scheduled retransmission, as a
-    /// min-heap. [`begin_step`] pops elapsed entries instead of polling
-    /// the whole `outstanding` map every edge. Entries are validated
-    /// lazily against the live `Outstanding` state, so re-arming simply
-    /// pushes a fresh timer and lets the stale one fizzle on pop.
+    abandoned: WrittenOff,
+    /// Every pending acknowledgement deadline and scheduled
+    /// retransmission. [`begin_step`] sweeps one slot per edge instead of
+    /// polling the whole `outstanding` table.
     ///
     /// [`begin_step`]: FaultState::begin_step
-    timers: BinaryHeap<Reverse<(u64, (u32, u64))>>,
-    /// Scratch for the keys whose timers fire on one edge.
-    fired: Vec<(u32, u64)>,
+    timers: TimerWheel,
+    /// Scratch for the timers that fire on one edge.
+    fired: Vec<(u64, FlitKey)>,
     ledger: Ledger,
     /// Injecting element (source or tile) of each port, where released
     /// retransmissions queue (`u32::MAX`: none).
@@ -1393,12 +1592,13 @@ impl FaultState {
                 slowdown: dfs.slowdown,
                 clock: None,
                 domains: Vec::new(),
+                frozen_edges: Vec::new(),
                 plan,
             },
             dfs,
-            outstanding: BTreeMap::new(),
-            abandoned: BTreeMap::new(),
-            timers: BinaryHeap::new(),
+            outstanding: Tracker::default(),
+            abandoned: WrittenOff::default(),
+            timers: TimerWheel::new(),
             fired: Vec::new(),
             ledger: Ledger::default(),
             injectors: Vec::new(),
@@ -1421,6 +1621,7 @@ impl FaultState {
         }
         self.ctx.domain_bits = bits;
         self.ctx.domains = vec![DomainState::default(); clock.count as usize];
+        self.ctx.frozen_edges = vec![[0; 2]; clock.count as usize];
         self.ctx.clock = Some(clock);
     }
 
@@ -1463,7 +1664,7 @@ impl FaultState {
                 self.ledger.violations += 1;
                 return self.dfs.on_violation(tick);
             }
-            FaultOp::Charge(src, seq) => match self.outstanding.get_mut(&(src, seq)) {
+            FaultOp::Charge(src, seq) => match self.outstanding.get_mut((src, seq)) {
                 Some(entry) => entry.faults += 1,
                 // The flit already resolved (e.g. a stray duplicate copy):
                 // harming it cannot harm the payload.
@@ -1476,9 +1677,9 @@ impl FaultState {
                 let key = (src, seq);
                 // The clean delivery acknowledges the flit: every fault
                 // charged to it has been recovered.
-                if let Some(entry) = self.outstanding.remove(&key) {
+                if let Some(entry) = self.outstanding.remove(key) {
                     self.ledger.recovered += entry.faults;
-                } else if let Some(faults) = self.abandoned.remove(&key) {
+                } else if let Some(faults) = self.abandoned.remove(key) {
                     // A copy the timeout had already written off arrived
                     // intact after all (it was stalled, not dropped):
                     // reclassify its charges — the loss was never real.
@@ -1491,11 +1692,11 @@ impl FaultState {
                 self.ledger.retransmissions += 1;
                 let key = (src, seq);
                 let deadline = tick + TIMEOUT_EDGES;
-                if let Some(entry) = self.outstanding.get_mut(&key) {
+                if let Some(entry) = self.outstanding.get_mut(key) {
                     // The queue wait may have eaten into the timeout;
                     // re-arm it from the actual injection tick.
                     entry.deadline = deadline;
-                    self.arm_timer(key, deadline);
+                    self.timers.arm(key, deadline);
                 }
             }
         }
@@ -1504,11 +1705,11 @@ impl FaultState {
 
     /// A corrupt arrival of `key`: schedule its retransmission under the
     /// backoff policy, or write it off once the retry budget is spent.
-    fn nack(&mut self, key: (u32, u64), tick: u64) {
+    fn nack(&mut self, key: FlitKey, tick: u64) {
         self.ledger.corruptions_detected += 1;
         if self
             .outstanding
-            .get(&key)
+            .get_mut(key)
             .is_some_and(|entry| entry.retx_due.is_none())
         {
             self.retry_or_abandon(key, tick);
@@ -1519,18 +1720,18 @@ impl FaultState {
     /// the tracked flit `key`'s retransmission after a bounded exponential
     /// backoff (`BACKOFF_BASE_EDGES << attempts`, saturating well below
     /// overflow), or write it off once it has spent [`MAX_RETRIES`].
-    fn retry_or_abandon(&mut self, key: (u32, u64), tick: u64) {
-        let entry = self.outstanding.get_mut(&key).expect("tracked");
+    fn retry_or_abandon(&mut self, key: FlitKey, tick: u64) {
+        let entry = self.outstanding.get_mut(key).expect("tracked");
         if entry.attempts >= MAX_RETRIES {
             let faults = entry.faults;
-            self.outstanding.remove(&key);
+            self.outstanding.remove(key);
             self.ledger.lost += faults;
             self.ledger.flits_abandoned += 1;
             self.abandoned.insert(key, faults);
         } else {
             let due = tick + BACKOFF_BASE_EDGES.saturating_mul(1u64 << entry.attempts.min(10));
             entry.retx_due = Some(due);
-            self.arm_timer(key, due);
+            self.timers.arm(key, due);
         }
     }
 
@@ -1560,9 +1761,9 @@ impl FaultState {
         let victim = self
             .outstanding
             .iter_mut()
-            .find(|(_, e)| in_domain(e.flit.src.0) || in_domain(e.flit.dest.0));
+            .find(|e| in_domain(e.flit.src.0) || in_domain(e.flit.dest.0));
         match victim {
-            Some((_, entry)) => entry.faults += 1,
+            Some(entry) => entry.faults += 1,
             None => self.ledger.absorbed += 1,
         }
     }
@@ -1714,60 +1915,45 @@ impl FaultState {
 
     // ----- per-step hooks -------------------------------------------------
 
-    /// Arms the timer queue for `key`'s next scheduled action.
-    fn arm_timer(&mut self, key: (u32, u64), due: u64) {
-        self.timers.push(Reverse((due, key)));
-    }
-
     /// Runs the per-edge machinery before any visit of `tick`: clock
     /// domains, outage epochs, DFS creep-up bookkeeping (then freezes the
     /// tick's slowdown), acknowledgement timeouts, and retransmission
     /// scheduling. Released retransmissions wait in
     /// [`released`](Self::released) for the stepping loop to queue at
-    /// their injectors. Timer wakeups are *enqueued* (a `BTreeSet` keyed
-    /// by due tick), so an edge with nothing due costs one head peek
-    /// instead of a scan over every un-acknowledged flit.
+    /// their injectors. Timers sit in a wheel, so an edge sweeps one slot
+    /// instead of scanning every un-acknowledged flit.
     pub(crate) fn begin_step(&mut self, tick: u64) {
         self.clock_step(tick);
         let epoch = self.outage_epoch(tick);
         let ctx = &mut self.ctx;
         ctx.base = (tick, tick_base(ctx.plan.seed, tick));
         ctx.refresh_frozen(tick, epoch);
+        let parity = (tick % 2) as usize;
+        for (d, count) in ctx.domains.iter().zip(&mut ctx.frozen_edges) {
+            count[parity] += u64::from(d.frozen(tick));
+        }
         ctx.drifting = ctx
             .domains
             .iter()
             .any(|d| tick >= d.drift_start && tick < d.drift_until);
         self.dfs.on_edge(tick);
         self.ctx.slowdown = self.dfs.slowdown;
-        if self
-            .timers
-            .peek()
-            .is_none_or(|&Reverse((due, _))| due > tick)
-        {
-            return;
-        }
-        // Pop every elapsed timer, dropping stale entries (the flit
+        // Sweep the elapsed timers, dropping stale entries (the flit
         // resolved, or was re-armed to a different due tick since).
         let mut fired = std::mem::take(&mut self.fired);
-        while let Some(&Reverse((due, key))) = self.timers.peek() {
-            if due > tick {
-                break;
-            }
-            self.timers.pop();
-            let Some(entry) = self.outstanding.get(&key) else {
-                continue;
-            };
-            if entry.retx_due.unwrap_or(entry.deadline) != due {
-                continue;
-            }
-            fired.push(key);
-        }
+        self.timers.sweep(tick, &mut fired);
+        let outstanding = &mut self.outstanding;
+        fired.retain(|&(due, key)| {
+            outstanding
+                .get_mut(key)
+                .is_some_and(|entry| entry.retx_due.unwrap_or(entry.deadline) == due)
+        });
         // Process in key order, so queue contents (and with them every
         // downstream report) do not depend on timer order.
-        fired.sort_unstable();
-        fired.dedup();
-        for key in fired.drain(..) {
-            let entry = self.outstanding.get_mut(&key).expect("validated above");
+        fired.sort_unstable_by_key(|&(_, key)| key);
+        fired.dedup_by_key(|&mut (_, key)| key);
+        for (_, key) in fired.drain(..) {
+            let entry = self.outstanding.get_mut(key).expect("validated above");
             if entry.retx_due.is_some() {
                 // Back-off elapsed: materialise the retransmission.
                 entry.attempts += 1;
@@ -1781,7 +1967,7 @@ impl FaultState {
                     .copied()
                     .unwrap_or(u32::MAX);
                 self.released.push((injector, flit));
-                self.arm_timer(key, due);
+                self.timers.arm(key, due);
             } else {
                 // No acknowledgement: presume the flit dropped.
                 self.ledger.drops_detected += 1;
@@ -1811,35 +1997,35 @@ impl FaultState {
                 retx_due: None,
             },
         );
-        self.arm_timer(key, deadline);
+        self.timers.arm(key, deadline);
     }
 
     /// Whether the recovery layer still tracks un-acknowledged flits —
     /// the drain loop keeps stepping while this holds. (Queued
     /// retransmissions sit at their injectors and count as in flight.)
     pub(crate) fn recovery_busy(&self) -> bool {
-        !self.outstanding.is_empty()
+        self.outstanding.len > 0
     }
 
     /// Fault hazards still unresolved (for drain diagnostics).
     pub(crate) fn pending_hazards(&self) -> u64 {
-        self.outstanding.values().map(|e| e.faults).sum()
+        self.outstanding.iter().map(|e| e.faults).sum()
     }
 
     /// Diagnostic lines folded into
     /// [`Network::diagnose_stall`](crate::Network::diagnose_stall).
     pub(crate) fn stall_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
-        if !self.outstanding.is_empty() {
+        if self.outstanding.len > 0 {
             let next = self
                 .outstanding
-                .values()
+                .iter()
                 .map(|e| e.retx_due.unwrap_or(e.deadline))
                 .min()
                 .expect("non-empty");
             lines.push(format!(
                 "recovery tracks {} un-acked flit(s), next action at tick {next}",
-                self.outstanding.len()
+                self.outstanding.len
             ));
         }
         for (d, st) in self.ctx.domains.iter().enumerate() {
@@ -2101,6 +2287,101 @@ mod tests {
         assert_eq!(report.pending, 0);
         assert!(report.conserves());
         assert!(!state.recovery_busy());
+    }
+
+    #[test]
+    fn a_retry_longer_than_one_wheel_turn_fires_on_its_due_tick() {
+        let mut state = FaultState::new(FaultPlan::new(3), &[]);
+        state.set_injectors(vec![5]);
+        state.apply(0, FaultOp::Injection(Flit::new(PortId(0), PortId(1), 0, 0)));
+        // The longest backoff the policy can arm spans many wheel turns.
+        let due = BACKOFF_BASE_EDGES << 10;
+        assert!(due > WHEEL_SLOTS as u64);
+        let key = (0, 0);
+        state.outstanding.get_mut(key).expect("tracked").retx_due = Some(due);
+        state.timers.arm(key, due);
+        for tick in 1..due {
+            state.begin_step(tick);
+            assert_eq!(state.released().count(), 0, "released early at {tick}");
+        }
+        state.begin_step(due);
+        let released: Vec<(u32, Flit)> = state.released().collect();
+        let [(5, retx)] = released[..] else {
+            panic!("one retransmission released at port 0's injector: {released:?}");
+        };
+        assert_eq!(retx.retry, 1);
+        // The deadline the backoff replaced went stale and never fired.
+        assert_eq!(state.report().drops_detected, 0);
+    }
+
+    /// Steps `state` over `ticks`, returning each released retransmission
+    /// as `(tick, injector, attempt)`.
+    fn releases(
+        state: &mut FaultState,
+        ticks: std::ops::RangeInclusive<u64>,
+    ) -> Vec<(u64, u32, u8)> {
+        let mut released = Vec::new();
+        for tick in ticks {
+            state.begin_step(tick);
+            released.extend(state.released().map(|(at, f)| (tick, at, f.retry)));
+        }
+        released
+    }
+
+    #[test]
+    fn a_nack_and_a_timeout_on_one_tick_act_once() {
+        let mut state = FaultState::new(FaultPlan::new(4), &[]);
+        state.set_injectors(vec![6, 7]);
+        state.apply(0, FaultOp::Injection(Flit::new(PortId(1), PortId(0), 3, 0)));
+        assert_eq!(releases(&mut state, 1..=TIMEOUT_EDGES), []);
+        // The deadline elapsed at the start of the tick, and a corrupt
+        // copy arrives during it: one backoff, one retransmission.
+        state.apply(TIMEOUT_EDGES, FaultOp::Corrupt(1, 3));
+        let due = TIMEOUT_EDGES + BACKOFF_BASE_EDGES;
+        let later = due + 4 * BACKOFF_BASE_EDGES;
+        assert_eq!(
+            releases(&mut state, TIMEOUT_EDGES + 1..=later),
+            [(due, 7, 1)]
+        );
+        let report = state.report();
+        assert_eq!((report.drops_detected, report.corruptions_detected), (1, 1));
+        // Injected on its release tick, the retransmission re-arms the
+        // deadline its release armed: two timers, one timeout.
+        state.apply(due, FaultOp::Retransmitted(1, 3));
+        let retry = due + TIMEOUT_EDGES + (BACKOFF_BASE_EDGES << 1);
+        assert_eq!(releases(&mut state, later + 1..=retry), [(retry, 7, 2)]);
+        assert_eq!(state.report().drops_detected, 2);
+    }
+
+    #[test]
+    fn a_clock_fault_charges_the_lowest_tracked_flit_of_its_domain() {
+        let mut state = FaultState::new(FaultPlan::new(8), &[]);
+        // Ports 0 and 1 clock from domain 0, ports 2 and 3 from domain 1.
+        state.set_clock_topology(ClockTopology {
+            elements: Vec::new(),
+            ports: vec![0, 0, 1, 1],
+            count: 2,
+            backend: ClockBackend::Forwarded,
+        });
+        for (src, dest, seq) in [(3, 1, 2), (3, 1, 7), (2, 3, 4), (2, 0, 5), (0, 1, 9)] {
+            let flit = Flit::new(PortId(src), PortId(dest), seq, 0);
+            state.apply(0, FaultOp::Injection(flit));
+        }
+        let faults = |state: &mut FaultState, key| state.outstanding.get_mut(key).unwrap().faults;
+        // Port order first: (2, 4) precedes (3, 2).
+        state.charge_clock_fault(1);
+        assert_eq!(faults(&mut state, (2, 4)), 1);
+        // Port 0's flit has its source in domain 0.
+        state.charge_clock_fault(0);
+        assert_eq!(faults(&mut state, (0, 9)), 1);
+        // With it delivered, the lowest flit bound for domain 0 is next;
+        // (2, 4) touches only domain 1.
+        state.apply(1, FaultOp::Delivered(0, 9));
+        state.charge_clock_fault(0);
+        assert_eq!(faults(&mut state, (2, 5)), 1);
+        assert_eq!(faults(&mut state, (2, 4)), 1);
+        assert_eq!(faults(&mut state, (3, 2)), 0);
+        assert_eq!(state.report().pending, 2);
     }
 
     #[test]

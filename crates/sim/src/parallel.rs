@@ -11,17 +11,18 @@
 //! it was set, so it reads as a drain on the next tick only and no visit
 //! is spent clearing it ([`soa_rearm`]). Enabled traffic generators are
 //! pinned — their pattern may act on any cycle — except while blocked: on
-//! a fault-free, untraced run a source, or a tile with no queued
-//! responses, whose visit counts a stall sleeps like a blocked stage
-//! until the drain of its flit wakes it. The
-//! stalls its skipped visits would have counted follow from one stamp,
-//! `asleep_since`: the waking visit adds them, and the end of every batch
-//! settles and re-arms each generator still asleep, so counters are exact
-//! whenever a batch is not running. Fault runs keep generators pinned: a
-//! frozen edge counts no stall, and clock-domain freezes are stateful
-//! (`FaultState::begin_step`), so a skipped tick's freeze cannot be
-//! recomputed at wake-up. Traced runs keep them pinned too: each stalled
-//! edge emits a `Blocked` event.
+//! an untraced run a source, or a tile with no queued responses, whose
+//! visit counts a stall sleeps like a blocked stage until the drain of
+//! its flit wakes it. The stalls its skipped visits would have counted
+//! follow from one stamp, `asleep_since`: the waking visit adds them, and
+//! the end of every batch settles and re-arms each generator still
+//! asleep, so counters are exact whenever a batch is not running. Under a
+//! fault plan a frozen edge counts no stall: a second stamp,
+//! `asleep_frozen`, holds the number of ticks on which the generator's
+//! clock domain had been frozen (`FaultCtx::frozen_edges`, kept by
+//! `FaultState::begin_step`), and the edges frozen since are subtracted.
+//! Traced runs keep generators pinned: each stalled edge emits a
+//! `Blocked` event.
 //!
 //! The parallel kernel partitions the element graph into
 //! per-worker shards and runs each shard's visits on its own thread (the
@@ -225,8 +226,8 @@ fn pol_idx(p: ClockPolarity) -> usize {
 pub(crate) struct ParState {
     /// Worker count (= shard count).
     workers: usize,
-    /// Elements re-armed after every visit except a fault-free, untraced
-    /// one that counts a stall (see [`repin`](Self::repin) and [`Stay::Stalled`]).
+    /// Elements re-armed after every visit except an untraced one that
+    /// counts a stall (see [`repin`](Self::repin) and [`Stay::Stalled`]).
     pinned: Vec<bool>,
     /// Shard owning each element.
     shard_of: Vec<u16>,
@@ -358,8 +359,7 @@ impl ParState {
     /// Re-reads which elements are pinned — enabled non-silent traffic
     /// generators, whose pattern consumes RNG or follows a schedule every
     /// cycle — and arms them. A pinned generator still sleeps while its
-    /// flit is blocked on a fault-free, untraced run ([`Stay::Stalled`]);
-    /// batches
+    /// flit is blocked on an untraced run ([`Stay::Stalled`]); batches
     /// settle such sleepers before returning, so none exists here. Called
     /// at build and whenever sources are enabled or disabled: a re-enabled
     /// generator must be woken, a disabled one falls asleep on its own
@@ -440,7 +440,7 @@ impl ParState {
     /// accumulates enabled edges as a delta. A held accept marker was set
     /// on its element's last edge before `base`, so that edge is its
     /// stamp.
-    fn load_dyn(&mut self, elements: &[Element], base: u64) {
+    fn load_dyn(&mut self, elements: &[Element], base: u64, faulted: bool) {
         let n = elements.len();
         let s = &mut self.soa;
         s.out.clear();
@@ -464,6 +464,7 @@ impl ParState {
         s.upset.clear();
         s.upset.extend(elements.iter().map(|e| e.upset_at));
         s.asleep_since.resize(n, AWAKE);
+        s.asleep_frozen.resize(if faulted { n } else { 0 }, 0);
     }
 
     /// Stores the dense handshake arrays back into the element graph at
@@ -490,20 +491,23 @@ impl ParState {
     /// Settles every generator still asleep when a batch ends at tick
     /// `end`: adds the stalls its skipped visits before `end` would have
     /// counted, clears its stamp and re-arms it, so nothing lazy outlives
-    /// the batch.
-    fn settle_sleepers(&mut self, elements: &mut [Element], end: u64) {
+    /// the batch. A fault run's context, if any, supplies the frozen
+    /// edges each one slept through.
+    fn settle_sleepers(&mut self, elements: &mut [Element], end: u64, faults: Option<&FaultCtx>) {
         for (i, since) in self.soa.asleep_since.iter_mut().enumerate() {
             if *since == AWAKE {
                 continue;
             }
-            let skipped = skipped_stalls(std::mem::replace(since, AWAKE), end);
+            let p = usize::from(self.topo.pol[i]);
+            let frozen = faults.map_or(0, |f| f.frozen_edges(i, p) - self.soa.asleep_frozen[i]);
+            let skipped = skipped_stalls(std::mem::replace(since, AWAKE), end, frozen);
             match &mut elements[i].kind {
                 Kind::Source(s) => s.stalled_edges += skipped,
                 Kind::Tile(t) => t.stalled_edges += skipped,
                 Kind::Stage | Kind::Sink(_) => unreachable!("only generators sleep stalled"),
             }
             let core = &mut self.cores[self.shard_of[i] as usize];
-            core.ready[usize::from(self.topo.pol[i])].insert(i);
+            core.ready[p].insert(i);
         }
     }
 }
@@ -520,12 +524,14 @@ fn last_edge_before(p: usize, tick: u64) -> u64 {
 }
 
 /// The stalls a generator that counted one at tick `since` and then slept
-/// would have counted on its own-parity ticks strictly before `tick`. It
-/// holds its flit undrained the whole time: the drain is what wakes it,
-/// and `enabled` only changes between batches.
+/// would have counted on its own-parity ticks strictly before `tick`, of
+/// which its clock domain was frozen on `frozen`. It holds its flit
+/// undrained the whole time: the drain is what wakes it, and `enabled`
+/// only changes between batches. A generator is never an outage-epoch
+/// member, so a domain freeze is the only one it can see.
 #[inline]
-fn skipped_stalls(since: u64, tick: u64) -> u64 {
-    (tick - 1 - since) / 2
+fn skipped_stalls(since: u64, tick: u64, frozen: u64) -> u64 {
+    (tick - 1 - since) / 2 - frozen
 }
 
 /// A visit's own re-arm verdict for [`soa_rearm`], on top of the capture
@@ -537,7 +543,7 @@ enum Stay {
     Pin,
     /// A kind-specific condition keeps the element armed.
     Armed,
-    /// A fault-free, untraced generator counted a stall and is stamped
+    /// An untraced generator counted a stall and is stamped
     /// asleep: it sleeps even when pinned, until the drain of its flit
     /// or a fresh offer wakes it. A tile that took an offer from one of
     /// several upstreams stays [`Armed`](Self::Armed) instead, unstamped:
@@ -555,32 +561,42 @@ impl From<bool> for Stay {
     }
 }
 
-/// Ends a fault-free, untraced generator visit that counted a stall:
-/// stamps `i` asleep at `tick`.
+/// Ends an untraced generator visit that counted a stall: stamps `i`
+/// asleep at `tick`, with its domain's frozen-edge count on a fault run.
 ///
 /// # Safety
 /// The caller must own element `i` this tick.
 #[inline]
-unsafe fn sleep_stalled(view: SoaView<'_>, i: usize, tick: u64) -> Stay {
+unsafe fn sleep_stalled<H: Hooks>(view: SoaView<'_>, hooks: &H, i: usize, tick: u64) -> Stay {
     // SAFETY: per the function contract.
-    unsafe { *view.asleep_since.get_mut(i) = tick };
+    unsafe {
+        *view.asleep_since.get_mut(i) = tick;
+        if H::ON {
+            *view.asleep_frozen.get_mut(i) = hooks.frozen_edges(i, tick);
+        }
+    }
     Stay::Stalled
 }
 
-/// The stalls a generator skipped while asleep, added when a visit wakes
-/// it at `tick`; clears its stamp.
+/// The stalls a generator skipped while asleep, added when an unfrozen
+/// visit wakes it at `tick`; clears its stamp.
 ///
 /// # Safety
 /// The caller must own element `i` this tick.
 #[inline]
-unsafe fn wake_stalls(view: SoaView<'_>, i: usize, tick: u64) -> u64 {
+unsafe fn wake_stalls<H: Hooks>(view: SoaView<'_>, hooks: &H, i: usize, tick: u64) -> u64 {
     // SAFETY: per the function contract.
     let since = std::mem::replace(unsafe { view.asleep_since.get_mut(i) }, AWAKE);
     if since == AWAKE {
-        0
-    } else {
-        skipped_stalls(since, tick)
+        return 0;
     }
+    let frozen = if H::ON {
+        // SAFETY: per the function contract.
+        hooks.frozen_edges(i, tick) - unsafe { *view.asleep_frozen.get(i) }
+    } else {
+        0
+    };
+    skipped_stalls(since, tick, frozen)
 }
 
 #[inline]
@@ -679,6 +695,10 @@ struct SoaDyn {
     /// every other element); see [`skipped_stalls`]. All [`AWAKE`]
     /// between batches.
     asleep_since: Vec<u64>,
+    /// On a fault run, a sleeping generator's domain frozen-edge count at
+    /// its `asleep_since` stamp ([`FaultCtx::frozen_edges`]); empty on
+    /// every other run.
+    asleep_frozen: Vec<u64>,
 }
 
 /// Multi-source BFS over the undirected element adjacency from every
@@ -877,6 +897,7 @@ struct SoaView<'a> {
     enabled: SharedSlice<'a, u32>,
     upset: SharedSlice<'a, u64>,
     asleep_since: SharedSlice<'a, u64>,
+    asleep_frozen: SharedSlice<'a, u64>,
 }
 
 impl<'a> SoaView<'a> {
@@ -890,6 +911,7 @@ impl<'a> SoaView<'a> {
             enabled: SharedSlice::new(&mut soa.enabled),
             upset: SharedSlice::new(&mut soa.upset),
             asleep_since: SharedSlice::new(&mut soa.asleep_since),
+            asleep_frozen: SharedSlice::new(&mut soa.asleep_frozen),
         }
     }
 }
@@ -1071,7 +1093,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         num_ports,
         base_tick,
     } = ctx;
-    par.load_dyn(elements, base_tick);
+    par.load_dyn(elements, base_tick, faults.is_some());
     let workers = par.workers;
     let shared = SharedSlice::new(elements);
     let view = SoaView::new(&mut par.soa);
@@ -1153,7 +1175,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                             ticks,
                             batch_base,
                             marks,
-                            0,
+                            (0, 0),
                         );
                     }
                 }
@@ -1218,7 +1240,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             let t1 = profiling.then(Instant::now);
             let steps0 = coordinator_core.steps;
             let (own_activity, t2) = run_window(wctx, k, ticks, 0, coordinator_core, profiling);
-            let wait0 = profiling.then(Instant::now);
+            let wait0 = (profiling && workers > 1).then(Instant::now);
             for w in 1..workers {
                 sync.wait_until(0, || sync.peers[w].0.done.load(Ordering::SeqCst) >= serial);
             }
@@ -1240,12 +1262,14 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             k += ticks;
             executed = k;
             stop = k >= max_ticks || (stop_when_drained && drained());
-            // The coordinator's flush phase includes the log fold, the
-            // wake routing and stop evaluation above, so its sample is
-            // recorded last.
+            // The coordinator's flush phase includes its serial work
+            // before the window (the fault state's step and the
+            // retransmission release) and the log fold, the wake routing
+            // and stop evaluation above, so its sample is recorded last.
             if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
                 let marks = [t0, t1, t2, Instant::now()];
                 let tick = base_tick + k - ticks;
+                let serial_ns = dur_ns(t0, t1);
                 record_epoch_at(
                     coordinator_core,
                     steps0,
@@ -1253,7 +1277,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                     ticks,
                     batch_base,
                     marks,
-                    wait_ns,
+                    (serial_ns, wait_ns),
                 );
             }
         }
@@ -1262,7 +1286,10 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     for (core, armed) in par.cores.iter_mut().zip(&mut par.armed) {
         core.take_armed(armed, &par.topo.pol);
     }
-    par.settle_sleepers(elements, base_tick + executed);
+    // SAFETY: the workers have exited; nothing else touches the fault
+    // state.
+    let fault_ctx = faults.as_ref().map(|f| unsafe { f.get(0) }.ctx());
+    par.settle_sleepers(elements, base_tick + executed, fault_ctx);
     par.store_dyn(elements, base_tick + executed);
     executed
 }
@@ -1270,8 +1297,9 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
 /// Folds one window's shard logs and clears them. Each shard logged in
 /// `(tick, element)` order and no element spans two shards, so merging
 /// the logs by that key — each element's entries kept in the order its
-/// visit made them — reproduces the dense loop's order. Arrivals go to
-/// the scoreboard, operations to the fault state, events to every sink.
+/// visit made them — reproduces the dense loop's order; a lone non-empty
+/// log is already in it. Arrivals go to the scoreboard, operations to the
+/// fault state, events to every sink.
 /// A violation that makes the DFS controller back off is decided here,
 /// not in the visit, so its `FrequencyBackoff` event joins the stream
 /// right after the capture's `TimingViolation`, where the dense loop
@@ -1282,52 +1310,54 @@ fn fold_logs(
     mut faults: Option<&mut FaultState>,
     sinks: &mut Sinks,
 ) {
-    if logs.iter().all(Vec::is_empty) {
-        return;
-    }
-    let key = |&(tick, element, _): &Logged| (tick, element);
-    let mut rest: Vec<&[Logged]> = logs.iter().map(Vec::as_slice).collect();
     // Carries a DFS backoff from a capture's `Violation` op to its
     // `TimingViolation` event.
     let mut backoff = false;
-    // Each round folds the earliest pending `(tick, element)` run.
-    while let Some((first, w)) = rest
-        .iter()
-        .enumerate()
-        .filter_map(|(w, log)| log.first().map(|e| (key(e), w)))
-        .min()
-    {
-        let run = rest[w].iter().take_while(|e| key(e) == first).count();
-        for &(tick, element, entry) in &rest[w][..run] {
-            match entry {
-                LogEntry::Arrival(flit, port) => scoreboard.record_arrival(&flit, tick, port),
-                LogEntry::Op(op) => {
-                    let f = faults
-                        .as_deref_mut()
-                        .expect("only fault runs log operations");
-                    backoff |= f.apply(tick, op);
-                }
-                LogEntry::Event(kind, flit) => {
-                    let element = ElementId(element);
-                    sinks.record(&TraceEvent {
-                        tick,
-                        element,
-                        kind,
-                        flit,
-                    });
-                    if kind == TraceEventKind::TimingViolation && std::mem::take(&mut backoff) {
-                        let kind = TraceEventKind::FrequencyBackoff;
-                        sinks.record(&TraceEvent {
-                            tick,
-                            element,
-                            kind,
-                            flit,
-                        });
-                    }
-                }
+    let mut fold = |&(tick, element, entry): &Logged| match entry {
+        LogEntry::Arrival(flit, port) => scoreboard.record_arrival(&flit, tick, port),
+        LogEntry::Op(op) => {
+            let f = faults
+                .as_deref_mut()
+                .expect("only fault runs log operations");
+            backoff |= f.apply(tick, op);
+        }
+        LogEntry::Event(kind, flit) => {
+            let element = ElementId(element);
+            sinks.record(&TraceEvent {
+                tick,
+                element,
+                kind,
+                flit,
+            });
+            if kind == TraceEventKind::TimingViolation && std::mem::take(&mut backoff) {
+                let kind = TraceEventKind::FrequencyBackoff;
+                sinks.record(&TraceEvent {
+                    tick,
+                    element,
+                    kind,
+                    flit,
+                });
             }
         }
-        rest[w] = &rest[w][run..];
+    };
+    match logs.iter().filter(|log| !log.is_empty()).count() {
+        0 => return,
+        1 => logs.iter().flatten().for_each(&mut fold),
+        _ => {
+            let key = |&(tick, element, _): &Logged| (tick, element);
+            let mut rest: Vec<&[Logged]> = logs.iter().map(Vec::as_slice).collect();
+            // Each round folds the earliest pending `(tick, element)` run.
+            while let Some((first, w)) = rest
+                .iter()
+                .enumerate()
+                .filter_map(|(w, log)| log.first().map(|e| (key(e), w)))
+                .min()
+            {
+                let run = rest[w].iter().take_while(|e| key(e) == first).count();
+                rest[w][..run].iter().for_each(&mut fold);
+                rest[w] = &rest[w][run..];
+            }
+        }
     }
     for log in logs {
         log.clear();
@@ -1412,8 +1442,11 @@ fn dur_ns(a: Instant, b: Instant) -> u64 {
 /// Folds one profiled window into a worker's [`CoreProf`]: the step
 /// count since `steps0`, the window's tick span, and the phase times from
 /// `marks` (wait start, window acquired, visits done, window fully
-/// processed). `blocked` is the coordinator's wait for the other workers
-/// after its visits; it moves from the flush phase into `barrier_ns`.
+/// processed). `(serial, blocked)` are zero except for the coordinator:
+/// `serial` is its own work before the window, which it waits on no one
+/// for, and moves from the barrier phase into `flush_ns`; `blocked` is
+/// its wait for the other workers after its visits, and moves from the
+/// flush phase into `barrier_ns`.
 fn record_epoch_at(
     core: &mut ShardCore,
     steps0: u64,
@@ -1421,7 +1454,7 @@ fn record_epoch_at(
     ticks: u64,
     batch_base: Instant,
     marks: [Instant; 4],
-    blocked: u64,
+    (serial, blocked): (u64, u64),
 ) {
     let [t0, t1, t2, t_end] = marks;
     let steps = core.steps - steps0;
@@ -1433,8 +1466,8 @@ fn record_epoch_at(
         steps,
         start_ns,
         step_ns: dur_ns(t1, t2),
-        flush_ns: dur_ns(t2, t_end).saturating_sub(blocked),
-        barrier_ns: dur_ns(t0, t1) + blocked,
+        flush_ns: dur_ns(t2, t_end).saturating_sub(blocked) + serial,
+        barrier_ns: dur_ns(t0, t1).saturating_sub(serial) + blocked,
     });
 }
 
@@ -1585,10 +1618,11 @@ trait Hooks {
     /// Whether visits emit trace events; guards every trace-only branch.
     const TRACE: bool = false;
     /// Whether a generator that counts a stall sleeps until its drain,
-    /// its stalls counted lazily ([`Stay::Stalled`]). Fault runs keep it
-    /// pinned (a frozen edge counts no stall), and traced runs too: each
-    /// stalled edge emits a `Blocked` event.
-    const LAZY_STALLS: bool = !Self::ON && !Self::TRACE;
+    /// its stalls counted lazily ([`Stay::Stalled`]). On a fault run the
+    /// edges its clock domain was frozen on are subtracted
+    /// ([`frozen_edges`](Self::frozen_edges)). Traced runs keep it pinned:
+    /// each stalled edge emits a `Blocked` event.
+    const LAZY_STALLS: bool = !Self::TRACE;
     /// Whether an element that captured stays armed one more edge, on
     /// top of its stamped accept marker ([`soa_drained`]). Fault runs keep
     /// that edge: it is the visit where a stage left blocked schedules its
@@ -1600,6 +1634,12 @@ trait Hooks {
     #[inline(always)]
     fn frozen(&self, _i: usize, _tick: u64) -> bool {
         false
+    }
+    /// The ticks of `tick`'s parity, up to `tick`, on which element `i`'s
+    /// clock domain was frozen ([`FaultCtx::frozen_edges`]).
+    #[inline(always)]
+    fn frozen_edges(&self, _i: usize, _tick: u64) -> u64 {
+        0
     }
     /// The drain of `flit` out of `i` loses its `accept`.
     #[inline(always)]
@@ -1706,6 +1746,9 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
     fn frozen(&self, i: usize, tick: u64) -> bool {
         self.ctx.frozen(i, tick)
     }
+    fn frozen_edges(&self, i: usize, tick: u64) -> u64 {
+        self.ctx.frozen_edges(i, (tick % 2) as usize)
+    }
     fn stuck_valid(&mut self, i: usize, tick: u64, flit: &Flit) -> bool {
         let stuck = self.ctx.stuck_valid(i, tick, flit, self.ops);
         self.stamp(tick, i);
@@ -1794,12 +1837,11 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
 ///   queued responses, a sink or tile while an offer it did not take may
 ///   still be presented (its accept mode may open on any later cycle, or
 ///   another upstream's offer waits behind the one it took); pinned
-///   elements stay unless the visit counted a stall. A fault-free,
-///   untraced source, or a tile with no queued responses, that counted
-///   a stall sleeps even when pinned ([`Stay::Stalled`]): its flit is
-///   held until the drain, whose capture-wake above covers it, and the
-///   stalls of the skipped visits are counted lazily
-///   ([`skipped_stalls`]).
+///   elements stay unless the visit counted a stall. An untraced source,
+///   or a tile with no queued responses, that counted a stall sleeps
+///   even when pinned ([`Stay::Stalled`]): its flit is held until the
+///   drain, whose capture-wake above covers it, and the stalls of the
+///   skipped visits are counted lazily ([`skipped_stalls`]).
 ///
 /// Every connection joins opposite clock polarities, so both the drained
 /// upstream and all downstreams land in the other parity's ready set.
@@ -2120,8 +2162,7 @@ unsafe fn soa_freeze(view: SoaView<'_>, topo: &SoaTopo, i: usize, tick: u64) {
 
 /// The dense loop's source step. Returns the kind-specific stay
 /// condition (worm still emitting, or frozen); a visit that counts a
-/// stall on a fault-free, untraced run sleeps instead (see
-/// [`soa_rearm`]).
+/// stall on an untraced run sleeps instead (see [`soa_rearm`]).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
@@ -2152,7 +2193,7 @@ unsafe fn soa_step_source<H: Hooks>(
     };
     if H::LAZY_STALLS {
         // SAFETY: own element.
-        state.stalled_edges += unsafe { wake_stalls(view, i, tick) };
+        state.stalled_edges += unsafe { wake_stalls(view, hooks, i, tick) };
     }
     // Retransmissions take the idle slot between packets — never
     // mid-worm.
@@ -2182,7 +2223,7 @@ unsafe fn soa_step_source<H: Hooks>(
     }
     if H::LAZY_STALLS && stalled {
         // SAFETY: own element.
-        return unsafe { sleep_stalled(view, i, tick) };
+        return unsafe { sleep_stalled(view, hooks, i, tick) };
     }
     Stay::from(state.emitting.is_some())
 }
@@ -2258,9 +2299,8 @@ unsafe fn soa_step_sink<H: Hooks>(
 /// The dense loop's tile step; the scoreboard arrival is deferred into
 /// this worker's log. Returns the kind-specific stay condition
 /// (presenting, responses still queued, another upstream may still
-/// offer, or frozen); a visit that counts
-/// a stall with no responses queued on a fault-free, untraced run sleeps
-/// instead (see [`soa_rearm`]).
+/// offer, or frozen); a visit that counts a stall with no responses
+/// queued on an untraced run sleeps instead (see [`soa_rearm`]).
 ///
 /// # Safety
 /// The caller must own element `i` this tick, and `el` must be `i`'s
@@ -2294,7 +2334,7 @@ unsafe fn soa_step_tile<H: Hooks>(
     };
     if H::LAZY_STALLS {
         // SAFETY: own element.
-        state.stalled_edges += unsafe { wake_stalls(view, i, tick) };
+        state.stalled_edges += unsafe { wake_stalls(view, hooks, i, tick) };
     }
     let port = state.port;
     if offered.is_some() {
@@ -2342,7 +2382,7 @@ unsafe fn soa_step_tile<H: Hooks>(
     let recheck = offered.is_some() && topo.ups(i).len() > 1;
     if H::LAZY_STALLS && stalled && state.pending.is_empty() && !recheck {
         // SAFETY: own element.
-        return unsafe { sleep_stalled(view, i, tick) };
+        return unsafe { sleep_stalled(view, hooks, i, tick) };
     }
     Stay::from(recheck || out.is_some() || !state.pending.is_empty())
 }

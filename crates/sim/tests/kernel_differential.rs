@@ -661,6 +661,73 @@ fn lazily_counted_stalls_settle_at_every_batch_boundary() {
     }
 }
 
+/// A saturated fabric whose two clock domains go dark on a schedule, one
+/// outage starting on an even tick and one on an odd tick. Its blocked
+/// generators sleep on the activity list under the fault plan, and the
+/// stalls they skip must leave out every edge their domain was frozen on.
+/// Dense, event and parallel runs must match bit for bit,
+/// `source_stall_edges` included: in one batch, and when per-tick
+/// stretches put batch ends inside the outages. The event kernel's step
+/// count is pinned, so generators that stop sleeping show up.
+#[test]
+fn generators_sleep_through_scheduled_clock_outages() {
+    let plan = FaultPlan::new(5)
+        .with_clock_outage_window(0, 300, 1_100)
+        .with_clock_outage_window(1, 701, 1_501);
+    let cfg = TreeNetworkConfig::new(binary(64))
+        .with_pattern(TrafficPattern::Saturate)
+        .with_packet_length(2)
+        .with_faults(plan)
+        .with_seed(8);
+    let (dense, event) = assert_kernels_agree(&cfg, 1_000, "scheduled clock outages");
+    let report = dense.report();
+    assert!(report.source_stall_edges > 0, "the generators must stall");
+    let ledger = dense.fault_report().expect("fault run");
+    assert_eq!(ledger.injected.clock_outage, 2);
+    assert_eq!(ledger.resyncs, 2, "both domains must come back");
+    assert!(ledger.conserves() && ledger.pending == 0, "{ledger:?}");
+    assert_eq!(event.element_steps(), 115_717);
+
+    let schedule = [
+        Drive::Cycles(170),
+        Drive::Ticks(7),
+        Drive::Cycles(120),
+        Drive::Ticks(5),
+        Drive::Cycles(250),
+        Drive::Ticks(3),
+        Drive::Cycles(200),
+        Drive::Sources(false),
+        Drive::Drain(4_000),
+    ];
+    let mut kernels = vec![SimKernel::Dense, SimKernel::EventDriven];
+    kernels.extend(PARALLEL_WORKERS.map(|workers| SimKernel::Parallel { workers }));
+    let mut nets: Vec<Network> = kernels
+        .iter()
+        .map(|&k| cfg.clone().with_kernel(k).build())
+        .collect();
+    for (at, drive) in schedule.iter().enumerate() {
+        for net in &mut nets {
+            match *drive {
+                Drive::Cycles(cycles) => {
+                    net.run_cycles(cycles);
+                }
+                Drive::Ticks(ticks) => (0..ticks).for_each(|_| net.step()),
+                Drive::Sources(on) => net.set_sources_enabled(on),
+                Drive::Drain(budget) => assert!(net.drain(budget), "must drain"),
+            }
+        }
+        let dense = nets[0].report();
+        for (net, kernel) in nets.iter().zip(&kernels).skip(1) {
+            assert_eq!(
+                dense,
+                net.report(),
+                "{} diverged from dense after {drive:?} (step {at})",
+                kernel.label()
+            );
+        }
+    }
+}
+
 /// Every run steps the SoA kernel: neither a fault plan (hashed draws)
 /// nor trace sinks (a stamped event merge) keep the parallel kernel from
 /// sharding.

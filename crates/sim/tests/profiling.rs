@@ -5,7 +5,7 @@
 //! and enabling the profiler must not change a single bit of the
 //! simulation outcome on any kernel at any worker count.
 
-use icnoc_sim::{FaultPlan, Network, SimKernel, TrafficPattern, TreeNetworkConfig};
+use icnoc_sim::{FaultPlan, FaultRates, Network, SimKernel, TrafficPattern, TreeNetworkConfig};
 use icnoc_topology::TreeTopology;
 use proptest::prelude::*;
 
@@ -182,6 +182,33 @@ fn traced_and_faulted_runs_shard_in_the_perf_section() {
     for kernel in [SimKernel::Dense, SimKernel::EventDriven] {
         let net = run_one(&base().with_counters(true), kernel, 200, true);
         assert_eq!(net.report().perf.expect("profiled").fallback, None);
+    }
+}
+
+/// A one-worker run has no other worker to wait for: the coordinator's
+/// serial work between windows (the fault state's step, the
+/// retransmission release and the log fold) is flush time, and no epoch
+/// books any barrier time.
+#[test]
+fn a_one_worker_fault_run_spends_no_time_at_the_barrier() {
+    let cfg = TreeNetworkConfig::new(binary(16))
+        .with_pattern(TrafficPattern::Uniform { rate: 0.4 })
+        .with_faults(FaultPlan::new(2).with_rates(FaultRates::clock_soak()))
+        .with_seed(2);
+    for kernel in [SimKernel::EventDriven, SimKernel::Parallel { workers: 1 }] {
+        let net = run_one(&cfg, kernel, 300, true);
+        let perf = net.report().perf.expect("profiled");
+        let wall = perf.wall.as_ref().expect("fresh reports carry wall data");
+        let [worker] = wall.workers.as_slice() else {
+            panic!("{kernel:?}: one worker profile, got {}", wall.workers.len());
+        };
+        assert_eq!(worker.barrier_ns, 0, "{kernel:?}: no barrier time");
+        assert!(worker.flush_ns > 0, "{kernel:?}: the serial work is flush");
+        assert!(
+            worker.samples.iter().all(|s| s.barrier_ns == 0),
+            "{kernel:?}"
+        );
+        assert_eq!(perf.barrier_fraction(), Some(0.0), "{kernel:?}");
     }
 }
 
