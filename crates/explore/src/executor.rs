@@ -1,22 +1,20 @@
-//! A deterministic work-stealing executor over `std::thread`.
+//! A deterministic parallel executor over `std::thread`.
 //!
-//! Jobs are identified by their **index** in the resolved job list. Each
-//! worker owns a deque pre-loaded with a contiguous shard of indices; it
-//! pops work from the front of its own deque and, when empty, steals from
-//! the *back* of the other workers' deques. Results are returned in a
-//! vector slot per index, so the output is a pure function of the job
-//! list — never of the worker count, scheduling order or steal pattern.
-//! (Per-job randomness is seeded from the job config's stable hash for
-//! the same reason; see [`crate::JobConfig::stable_hash`].)
+//! Jobs are identified by their **index** in the resolved job list. The
+//! workers share one atomic cursor: each claims the next unclaimed index
+//! with a `fetch_add` until the cursor passes the end of the list, so a
+//! worker that draws cheap jobs simply claims more of them. Results are
+//! returned in a vector slot per index, so the output is a pure function
+//! of the job list — never of the worker count or of which worker ran
+//! which index. (Per-job randomness is seeded from the job config's
+//! stable hash for the same reason; see [`crate::JobConfig::stable_hash`].)
 //!
 //! Each job runs under [`std::panic::catch_unwind`]: a panicking job
 //! becomes an `Err(message)` in its slot and the remaining jobs keep
 //! running, so one diverged simulation cannot take down a sweep.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Runs jobs `0..total` across `workers` threads and returns one result
 /// slot per index, in index order. `Err` carries the panic message of a
@@ -43,28 +41,26 @@ where
     }
     let workers = workers.clamp(1, total);
 
-    // Contiguous shards: worker w owns indices [w*chunk, ...). The last
-    // worker's shard absorbs the remainder.
-    let chunk = total.div_ceil(workers);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(total);
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
+    // `Relaxed` suffices for the cursor: an atomic read-modify-write
+    // hands out each index once under any ordering, and the results come
+    // back through the scope's joins.
+    let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
 
     let mut per_worker: Vec<Vec<(usize, Result<T, String>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
+            .map(|_| {
+                let next = &next;
                 let job = &job;
                 let progress = &progress;
                 let done = &done;
                 s.spawn(move || {
                     let mut out = Vec::new();
-                    while let Some(idx) = next_index(queues, w) {
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= total {
+                            break;
+                        }
                         let result = run_isolated(|| job(idx));
                         out.push((idx, result));
                         let n = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -80,8 +76,9 @@ where
             .collect()
     });
 
-    // Scatter into index slots. Every index was queued exactly once and
-    // every queued index was executed, so all slots fill.
+    // Scatter into index slots. The cursor hands out every index below
+    // `total` exactly once and each claimed index is executed, so all
+    // slots fill.
     let mut slots: Vec<Option<Result<T, String>>> = (0..total).map(|_| None).collect();
     for results in &mut per_worker {
         for (idx, result) in results.drain(..) {
@@ -93,23 +90,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("every job index executed"))
         .collect()
-}
-
-/// Pops the next index for worker `w`: front of its own deque, else a
-/// steal from the back of the first non-empty victim (scanning `w+1`,
-/// `w+2`, … cyclically). Returns `None` when every deque is empty.
-fn next_index(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(idx) = queues[w].lock().expect("queue lock").pop_front() {
-        return Some(idx);
-    }
-    let n = queues.len();
-    for off in 1..n {
-        let victim = (w + off) % n;
-        if let Some(idx) = queues[victim].lock().expect("queue lock").pop_back() {
-            return Some(idx);
-        }
-    }
-    None
 }
 
 /// Runs `job` under [`catch_unwind`], turning a panic into an
@@ -202,8 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn uneven_job_costs_still_complete_via_stealing() {
-        // Worker 0's shard is all the slow jobs; the others must steal.
+    fn uneven_job_costs_still_complete() {
+        // The slow jobs are the first four indices; the other workers
+        // keep claiming the cheap ones while those run.
         let results = run_indexed(
             16,
             4,

@@ -10,10 +10,11 @@
 //!   die size, data-path width, clock frequency or half-period, process
 //!   corner, traffic pattern, cycle budget, fault-soak level) parsed
 //!   from a compact text grammar and resolved into an ordered job list;
-//! * [`run_indexed`] — a deterministic work-stealing executor over
-//!   `std::thread`: results land in per-index slots and every job's
-//!   seed is the [`stable_hash`] of its own config, so output is
-//!   bit-identical for 1 worker or 64;
+//! * [`run_indexed`] — a deterministic executor over `std::thread`
+//!   whose workers claim job indices from one shared cursor: results
+//!   land in per-index slots and every job's seed is the
+//!   [`stable_hash`] of its own config, so output is bit-identical for
+//!   1 worker or 64;
 //! * [`ResultCache`] — a content-addressed on-disk cache keyed by the
 //!   canonical config **plus** the crate and report schema versions, so
 //!   re-runs are instant and stale formats self-invalidate;

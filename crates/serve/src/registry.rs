@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use icnoc_explore::{
     pareto_dominates, pareto_objectives, run_isolated, run_job, Analysis, GridSpec, JobConfig,
@@ -330,6 +330,10 @@ impl Registry {
                 Class::Dedup => {
                     ticket.deduped += 1;
                     state.deduped_jobs += 1;
+                    // Resident: a `Dedup` key was either in `state.jobs`
+                    // when classified, under this same lock hold, or is an
+                    // earlier `New` of this submission, inserted above;
+                    // nothing in this loop removes a job.
                     let entry = state.jobs.get_mut(&key).expect("deduped jobs are resident");
                     entry.subscribers.push((id.clone(), index));
                     // A higher-priority subscriber drags the shared job
@@ -476,10 +480,7 @@ impl Registry {
                 let events = sweep.events.get(cursor..).unwrap_or_default().to_vec();
                 return Some((events, sweep.terminal || shutdown));
             }
-            state = self
-                .progress
-                .wait(state)
-                .expect("registry lock not poisoned");
+            state = Self::wait(&self.progress, state);
         }
     }
 
@@ -499,6 +500,8 @@ impl Registry {
                 return Some(Err("sweep cancelled".to_owned()));
             }
             if sweep.done == sweep.slots.len() {
+                // `complete_slot` bumps `done` only when it fills an
+                // empty slot, so `done == len` means every slot is full.
                 let outcomes: Vec<JobOutcome> = sweep
                     .slots
                     .iter()
@@ -512,10 +515,7 @@ impl Registry {
             if shutdown {
                 return Some(Err("daemon shut down before completion".to_owned()));
             }
-            state = self
-                .progress
-                .wait(state)
-                .expect("registry lock not poisoned");
+            state = Self::wait(&self.progress, state);
         }
     }
 
@@ -551,6 +551,10 @@ impl Registry {
                         .map(|(i, _)| i);
                     if let Some(i) = best {
                         let entry = state.queue.swap_remove(i);
+                        // Every queue entry is pushed with its `jobs`
+                        // insert, and a queued job leaves `jobs` only
+                        // together with its queue entry (here, or when a
+                        // cancellation orphans it).
                         let job = state
                             .jobs
                             .get_mut(&entry.key)
@@ -560,7 +564,7 @@ impl Registry {
                         state.busy_workers += 1;
                         break (entry.key, config);
                     }
-                    state = self.work.wait(state).expect("registry lock not poisoned");
+                    state = Self::wait(&self.work, state);
                 }
             };
 
@@ -664,9 +668,20 @@ impl Registry {
         }
     }
 
+    /// Takes the state lock. Poisoning is unreachable: job bodies, the
+    /// only code that runs a client's grid, execute under
+    /// [`run_isolated`] with the lock released, and the code that does
+    /// run under the lock panics only on a broken invariant, each named
+    /// at its `expect`.
     #[allow(clippy::mut_mutex_lock)]
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("registry lock not poisoned")
+    }
+
+    /// Blocks on `cond`, releasing the state lock until woken. Poisoning
+    /// is unreachable for the reason given on [`lock`](Self::lock).
+    fn wait<'a>(cond: &Condvar, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        cond.wait(state).expect("registry lock not poisoned")
     }
 }
 
