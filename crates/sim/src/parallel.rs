@@ -42,13 +42,17 @@
 //! guarded by no lock. Phase ownership is the aliasing proof behind every
 //! `unsafe` access. There are two phases:
 //!
-//! * **Visit phase** (each tick of a window): the worker owning element
-//!   `i`'s shard is the unique mutator of `i` — its `Element` and its
-//!   slot in every [`SoaDyn`] column — on ticks whose parity matches
-//!   `i`'s polarity. Every other access reads an opposite-parity
-//!   neighbour, frozen for the tick; inside a batched window no element
-//!   with a cross-shard neighbour is visited at all. Worker `w` owns
-//!   outbox `w`, log `w` and armed list `w`. The fault state is
+//! * **Visit phase** (each tick of a window): worker `w` owns the slot
+//!   range `Slots::range(w)` ([`Slots`]). It is the unique
+//!   mutator of every slot `i` in that range — its entry in every
+//!   [`SoaDyn`] column and the `Element` behind it — on ticks whose
+//!   parity matches `i`'s polarity. Every other access reads an
+//!   opposite-parity neighbour, frozen for the tick; inside a batched
+//!   window no slot with a cross-shard neighbour is visited at all.
+//!   Whether a wake stays in the shard is one range compare, and debug
+//!   builds assert that every visit, same-shard wake, armed-list drain
+//!   and timed wake stays in the range. Worker `w` owns its
+//!   [`WorkerBufs`] (outbox, log and armed list). The fault state is
 //!   read-only.
 //! * **Between windows** (every worker has reported done and waits on the
 //!   next serial): the coordinator owns every slot. It folds the logs,
@@ -58,7 +62,7 @@
 //!
 //! Three mechanisms keep the constant factor small:
 //!
-//! * **Struct-of-arrays shard state.** The per-element fields the
+//! * **Shard-major struct-of-arrays state.** The per-element fields the
 //!   handshake actually touches every tick (`out_flit`, `accepted_from`,
 //!   `lock`, `rr_next`, the gating counter) live in dense [`SoaDyn`]
 //!   arrays for the duration of a batch, alongside a CSR copy of the
@@ -66,9 +70,19 @@
 //!   `u32` indices with no pointer chasing through `Element`; endpoint
 //!   kinds (sources, sinks, tiles) keep their bulky state in the element
 //!   itself but read and write the handshake fields through the same
-//!   arrays. The arrays are loaded from the elements when a batch starts
-//!   and stored back when it ends, so everything outside `par_run` keeps
-//!   seeing ordinary `Element`s.
+//!   arrays. The arrays are indexed by *slot*, not element id: each shard
+//!   owns one contiguous slot range, its elements in ascending id order
+//!   inside it ([`Slots`]), so two workers share at most the one cache
+//!   line of each column that straddles their range boundary (in element
+//!   order the tree builders' level-by-level numbering interleaves the
+//!   subtrees near the root, so they would share many), and each
+//!   worker's ready sets cover only its own range. Slots become element ids only
+//!   at the edges: loading and storing the arrays, the hooks' fault draws
+//!   and log stamps, and endpoint visits. The arrays are loaded from the
+//!   elements when a batch starts and stored back when it ends, so
+//!   everything outside `par_run` keeps seeing ordinary `Element`s. The
+//!   buffers a worker's visits write — log, outbox, armed list — sit on
+//!   a cache line of their own ([`WorkerBufs`]).
 //!
 //! * **Epoch batching via conservative lookahead.** Influence travels
 //!   exactly one graph hop per tick (a visit only reads its direct
@@ -144,6 +158,7 @@ use icnoc_topology::PortId;
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::thread::Thread;
@@ -171,7 +186,7 @@ const K_SOURCE: u8 = 1;
 const K_SINK: u8 = 2;
 const K_TILE: u8 = 3;
 
-/// "No element" marker in the dense `u32` element-index encoding.
+/// "No element" marker in the dense `u32` slot encoding.
 const NONE_U32: u32 = u32::MAX;
 
 /// The longest window a batch runs while any element is armed. The shard
@@ -186,16 +201,17 @@ const FOLD_TICKS: u64 = 128;
 /// few ticks keeps them small and cache-resident (EXPERIMENTS.md E30).
 const TRACE_FOLD_TICKS: u64 = 8;
 
-/// A per-polarity activity list: one bit per element, drained in ascending
-/// element-index order (matching the dense kernel's iteration order, which
-/// scoreboard accounting and the trace stream depend on).
+/// A per-polarity activity list: one bit per slot of a shard's range,
+/// drained in ascending slot order — ascending element order inside the
+/// shard, matching the dense kernel's iteration order, which scoreboard
+/// accounting and the trace stream depend on.
 #[derive(Debug, Clone, Default)]
 struct ReadySet {
     words: Vec<u64>,
 }
 
 impl ReadySet {
-    fn with_element_count(n: usize) -> Self {
+    fn with_len(n: usize) -> Self {
         Self {
             words: vec![0; n.div_ceil(64)],
         }
@@ -219,24 +235,27 @@ fn pol_idx(p: ClockPolarity) -> usize {
 
 /// Persistent state of the activity-list kernel: the shard plan, the dense
 /// SoA mirrors of graph and handshake state, the boundary-distance map
-/// driving lookahead windows, and each worker's ready sets, outbox, log
-/// and armed list. Plain data — worker threads are scoped per batch,
-/// so the network stays `Clone`.
+/// driving lookahead windows, and each worker's ready sets and buffers.
+/// Plain data — worker threads are scoped per batch, so the network stays
+/// `Clone`.
+///
+/// Everything below `slots` is indexed by slot, not element id: shard
+/// `w` owns one contiguous slot range ([`Slots`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ParState {
     /// Worker count (= shard count).
     workers: usize,
-    /// Elements re-armed after every visit except an untraced one that
+    /// The shard-major slot plan and its maps to and from element ids.
+    slots: Slots,
+    /// Slots re-armed after every visit except an untraced one that
     /// counts a stall (see [`repin`](Self::repin) and [`Stay::Stalled`]).
     pinned: Vec<bool>,
-    /// Shard owning each element.
-    shard_of: Vec<u16>,
     /// Immutable dense mirror of the element graph.
     topo: SoaTopo,
     /// Dense handshake state, live only between `load_dyn`/`store_dyn`.
     soa: SoaDyn,
-    /// BFS hop distance from each element to the nearest boundary
-    /// element (`u32::MAX` when no boundary is reachable).
+    /// BFS hop distance from each slot to the nearest boundary slot
+    /// (`u32::MAX` when no boundary is reachable).
     dist: Vec<u32>,
     /// Largest finite boundary distance: the deepest safe window this
     /// shard cut can ever produce. `None` when no cut edges exist
@@ -244,30 +263,93 @@ pub(crate) struct ParState {
     lookahead: Option<u64>,
     /// Per-worker kernel state.
     cores: Vec<ShardCore>,
-    /// Per-worker cross-shard wakes of the current window: element
-    /// indices worker `w` woke in other shards, routed by the coordinator
-    /// after the window ([`route_wakes`]).
-    outbox: Vec<Vec<u32>>,
+    /// Per-worker buffers the visit phase writes.
+    bufs: Vec<WorkerBufs>,
     /// Cross-shard wakes routed into each shard since the shard plan was
     /// built. Counted by the coordinator, like `ShardCore::steps` for
     /// visits.
     wakes_received: Vec<u64>,
-    /// Per-worker stamped logs, folded into the scoreboard, the fault
-    /// state and the trace sinks at each window end.
-    logs: Vec<Vec<Logged>>,
-    /// Per-worker elements the coordinator armed between windows: routed
-    /// cross-shard wakes and the injectors of released retransmissions.
-    armed: Vec<Vec<u32>>,
+}
+
+/// The SoA kernel's index space. Shard `w` owns slots
+/// `bounds[w]..bounds[w + 1]`, holding its elements in ascending
+/// element-id order, so a shard visits (and logs) in `(tick, element)`
+/// order and writes only its own stretch of every dense column. The tree
+/// builders number elements level by level, which interleaves the
+/// root-child subtrees near the root; in element order two workers would
+/// write the same cache lines there. One shard is the identity layout.
+#[derive(Debug, Clone)]
+struct Slots {
+    /// Shard range boundaries, `workers + 1` of them; an empty shard has
+    /// an empty range.
+    bounds: Vec<u32>,
+    /// The slot of each element.
+    slot_of: Vec<u32>,
+    /// The element of each slot.
+    elem_of: Vec<u32>,
+}
+
+impl Slots {
+    /// Lays out the shards of `shard_of` (indexed by element) shard-major,
+    /// each shard's elements in ascending id order — a stable counting
+    /// sort.
+    fn plan(shard_of: &[u16], workers: usize) -> Self {
+        let mut bounds = vec![0u32; workers + 1];
+        for &s in shard_of {
+            bounds[usize::from(s) + 1] += 1;
+        }
+        for w in 0..workers {
+            bounds[w + 1] += bounds[w];
+        }
+        let mut next = bounds[..workers].to_vec();
+        let mut slot_of = vec![0u32; shard_of.len()];
+        let mut elem_of = vec![0u32; shard_of.len()];
+        for (e, &s) in shard_of.iter().enumerate() {
+            let slot = &mut next[usize::from(s)];
+            slot_of[e] = *slot;
+            elem_of[*slot as usize] = e as u32;
+            *slot += 1;
+        }
+        Self {
+            bounds,
+            slot_of,
+            elem_of,
+        }
+    }
+
+    /// Shard `w`'s slot range.
+    fn range(&self, w: usize) -> Range<usize> {
+        self.bounds[w] as usize..self.bounds[w + 1] as usize
+    }
+
+    /// The shard owning slot `s`.
+    fn shard_of(&self, s: usize) -> usize {
+        self.bounds.partition_point(|&b| b as usize <= s) - 1
+    }
+
+    /// An element reference as a slot (`u32::MAX` = none).
+    #[inline]
+    fn pack(&self, id: Option<ElementId>) -> u32 {
+        id.map_or(NONE_U32, |e| self.slot_of[e.0 as usize])
+    }
+
+    /// A slot (`u32::MAX` = none) as an element reference.
+    #[inline]
+    fn unpack(&self, raw: u32) -> Option<ElementId> {
+        (raw != NONE_U32).then(|| ElementId(self.elem_of[raw as usize]))
+    }
 }
 
 /// One worker's slice of the activity-list kernel. Cache-line aligned:
 /// adjacent cores in `ParState::cores` belong to different threads, and
-/// each bumps its counters on every visit.
+/// each bumps its counters on every visit. Its slot range `own` is not
+/// stored here: [`Slots::range`] is the one record of the plan, and the
+/// callers pass it in.
 #[derive(Debug, Clone)]
 #[repr(align(128))]
 pub(crate) struct ShardCore {
-    /// Per-polarity ready sets over the **full** element index space
-    /// (only this shard's bits are ever set).
+    /// Per-polarity ready sets over this shard's slot range (bit `b` is
+    /// slot `own.start + b`).
     ready: [ReadySet; 2],
     /// Agenda swap buffer: the current tick's ready set is swapped in
     /// here, so same-parity re-arms land on the *next* matching edge.
@@ -285,14 +367,52 @@ pub(crate) struct ShardCore {
 }
 
 impl ShardCore {
-    /// Moves the elements the coordinator armed for this shard into its
-    /// ready sets.
-    fn take_armed(&mut self, armed: &mut Vec<u32>, pol: &[u8]) {
-        for i in armed.drain(..) {
-            let i = i as usize;
-            self.ready[usize::from(pol[i])].insert(i);
+    fn new(len: usize) -> Self {
+        Self {
+            ready: [ReadySet::with_len(len), ReadySet::with_len(len)],
+            scratch: vec![0; len.div_ceil(64)],
+            steps: 0,
+            wakes_sent: 0,
+            prof: None,
+            fx: FaultShard::default(),
         }
     }
+
+    /// Arms slot `s`, which must lie in this shard's range `own`, in the
+    /// parity-`p` ready set.
+    #[inline]
+    fn arm(&mut self, own: &Range<usize>, p: usize, s: usize) {
+        debug_assert!(own.contains(&s), "slot {s} armed outside {own:?}");
+        self.ready[p].insert(s - own.start);
+    }
+
+    /// Moves the slots the coordinator armed for this shard into its
+    /// ready sets.
+    fn take_armed(&mut self, own: &Range<usize>, armed: &mut Vec<u32>, pol: &[u8]) {
+        for s in armed.drain(..) {
+            let s = s as usize;
+            self.arm(own, usize::from(pol[s]), s);
+        }
+    }
+}
+
+/// The buffers one worker's visits write, padded to a cache line of its
+/// own: every log push and wake writes a `Vec` header's `len`, and side
+/// by side in one allocation two workers' headers would share a line.
+/// The worker owns them during a window, the coordinator between windows.
+#[derive(Debug, Clone, Default)]
+#[repr(align(128))]
+struct WorkerBufs {
+    /// Stamped log, folded into the scoreboard, the fault state and the
+    /// trace sinks at each window end.
+    log: Vec<Logged>,
+    /// Cross-shard wakes of the current window: slots this worker woke in
+    /// other shards, routed by the coordinator after the window
+    /// ([`route_wakes`]).
+    outbox: Vec<u32>,
+    /// Slots the coordinator armed between windows: routed cross-shard
+    /// wakes and the injectors of released retransmissions.
+    armed: Vec<u32>,
 }
 
 /// A shard's private state in a fault run.
@@ -300,57 +420,44 @@ impl ShardCore {
 struct FaultShard {
     /// Scratch for the operations one hook logs.
     ops: Vec<FaultOp>,
-    /// Timed wakes `(tick, element)`, earliest first: the upset ticks of
+    /// Timed wakes `(tick, slot)`, earliest first: the upset ticks of
     /// flits held by sleeping stages.
     timed: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl ParState {
-    /// Builds the shard plan, the dense graph mirror and the
-    /// boundary-distance map, and arms every pinned element in its shard.
-    /// Built before the first step, when no handshake is in flight, so
-    /// the pinned generators are the only elements that can change state
-    /// on the first edges.
+    /// Builds the shard plan, the slot layout, the dense graph mirror and
+    /// the boundary-distance map, and arms every pinned element in its
+    /// shard. Built before the first step, when no handshake is in flight,
+    /// so the pinned generators are the only elements that can change
+    /// state on the first edges.
     pub(crate) fn build(elements: &[Element], workers: usize, hints: Option<&[u32]>) -> Self {
         let n = elements.len();
         debug_assert!(n < NONE_U32 as usize, "element space fits u32 encoding");
         let workers = workers.clamp(1, n.max(1)).min(u16::MAX as usize);
-        let shard_of = plan_shards(n, workers, hints);
-        let topo = SoaTopo::build(elements);
-        let dist = boundary_distances(&topo, &shard_of);
+        let slots = Slots::plan(&plan_shards(n, workers, hints), workers);
+        let topo = SoaTopo::build(elements, &slots);
+        let dist = boundary_distances(&topo, &slots);
         let lookahead = dist
             .iter()
             .copied()
             .filter(|&d| d != u32::MAX)
             .max()
             .map(u64::from);
-        let cores = vec![
-            ShardCore {
-                ready: [
-                    ReadySet::with_element_count(n),
-                    ReadySet::with_element_count(n),
-                ],
-                scratch: vec![0; n.div_ceil(64)],
-                steps: 0,
-                wakes_sent: 0,
-                prof: None,
-                fx: FaultShard::default(),
-            };
-            workers
-        ];
+        let cores = (0..workers)
+            .map(|w| ShardCore::new(slots.range(w).len()))
+            .collect();
         let mut par = Self {
             workers,
+            slots,
             pinned: vec![false; n],
-            shard_of,
             topo,
             soa: SoaDyn::default(),
             dist,
             lookahead,
             cores,
-            outbox: vec![Vec::new(); workers],
+            bufs: vec![WorkerBufs::default(); workers],
             wakes_received: vec![0; workers],
-            logs: vec![Vec::new(); workers],
-            armed: vec![Vec::new(); workers],
         };
         par.repin(elements);
         par
@@ -366,22 +473,27 @@ impl ParState {
     /// once its in-flight work (held flit, open worm, pending responses)
     /// clears.
     pub(crate) fn repin(&mut self, elements: &[Element]) {
-        for (i, el) in elements.iter().enumerate() {
-            self.pinned[i] = match &el.kind {
-                Kind::Source(s) => s.enabled && !matches!(s.pattern, TrafficPattern::Silent),
-                Kind::Tile(t) => {
-                    t.enabled
-                        && matches!(
-                            &t.role,
-                            TileRole::Processor { pattern, .. }
-                                if !matches!(pattern, TrafficPattern::Silent)
-                        )
+        for (w, core) in self.cores.iter_mut().enumerate() {
+            let own = self.slots.range(w);
+            for s in own.clone() {
+                let el = &elements[self.slots.elem_of[s] as usize];
+                self.pinned[s] = match &el.kind {
+                    Kind::Source(src) => {
+                        src.enabled && !matches!(src.pattern, TrafficPattern::Silent)
+                    }
+                    Kind::Tile(t) => {
+                        t.enabled
+                            && matches!(
+                                &t.role,
+                                TileRole::Processor { pattern, .. }
+                                    if !matches!(pattern, TrafficPattern::Silent)
+                            )
+                    }
+                    Kind::Stage | Kind::Sink(_) => false,
+                };
+                if self.pinned[s] {
+                    core.arm(&own, pol_idx(el.polarity), s);
                 }
-                Kind::Stage | Kind::Sink(_) => false,
-            };
-            if self.pinned[i] {
-                let s = self.shard_of[i] as usize;
-                self.cores[s].ready[pol_idx(el.polarity)].insert(i);
             }
         }
     }
@@ -428,26 +540,25 @@ impl ParState {
 
     /// Elements assigned to each shard under the current plan.
     pub(crate) fn shard_elements(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.workers];
-        for &s in &self.shard_of {
-            counts[s as usize] += 1;
-        }
-        counts
+        (0..self.workers)
+            .map(|w| self.slots.range(w).len() as u64)
+            .collect()
     }
 
     /// Loads the dense handshake arrays from the element graph at batch
-    /// start, before tick `base`. The gating column starts at zero and
-    /// accumulates enabled edges as a delta. A held accept marker was set
-    /// on its element's last edge before `base`, so that edge is its
-    /// stamp.
+    /// start, before tick `base`, in slot order. The gating column starts
+    /// at zero and accumulates enabled edges as a delta. A held accept
+    /// marker was set on its element's last edge before `base`, so that
+    /// edge is its stamp.
     fn load_dyn(&mut self, elements: &[Element], base: u64, faulted: bool) {
         let n = elements.len();
+        let slots = &self.slots;
+        let by_slot = || slots.elem_of.iter().map(|&e| &elements[e as usize]);
         let s = &mut self.soa;
         s.out.clear();
-        s.out.extend(elements.iter().map(|e| e.out_flit));
+        s.out.extend(by_slot().map(|e| e.out_flit));
         s.acc.clear();
-        s.acc
-            .extend(elements.iter().map(|e| pack_id(e.accepted_from)));
+        s.acc.extend(by_slot().map(|e| slots.pack(e.accepted_from)));
         s.acc_at.clear();
         s.acc_at.extend(
             self.topo
@@ -456,13 +567,13 @@ impl ParState {
                 .map(|&p| last_edge_before(usize::from(p), base)),
         );
         s.lock.clear();
-        s.lock.extend(elements.iter().map(|e| pack_id(e.lock)));
+        s.lock.extend(by_slot().map(|e| slots.pack(e.lock)));
         s.rr.clear();
-        s.rr.extend(elements.iter().map(|e| e.rr_next as u32));
+        s.rr.extend(by_slot().map(|e| e.rr_next as u32));
         s.enabled.clear();
         s.enabled.resize(n, 0);
         s.upset.clear();
-        s.upset.extend(elements.iter().map(|e| e.upset_at));
+        s.upset.extend(by_slot().map(|e| e.upset_at));
         s.asleep_since.resize(n, AWAKE);
         s.asleep_frozen.resize(if faulted { n } else { 0 }, 0);
     }
@@ -473,14 +584,18 @@ impl ParState {
     /// is its element's last edge before `end`: the dense loop cleared
     /// every older one on a visit the batch skipped.
     fn store_dyn(&self, elements: &mut [Element], end: u64) {
-        for (i, el) in elements.iter_mut().enumerate() {
-            el.out_flit = self.soa.out[i];
-            let last = last_edge_before(usize::from(self.topo.pol[i]), end);
-            el.accepted_from = unpack_id(self.soa.acc[i]).filter(|_| self.soa.acc_at[i] == last);
-            el.lock = unpack_id(self.soa.lock[i]);
-            el.rr_next = self.soa.rr[i] as usize;
-            el.upset_at = self.soa.upset[i];
-            let enabled = self.soa.enabled[i];
+        let slots = &self.slots;
+        for (s, &e) in slots.elem_of.iter().enumerate() {
+            let el = &mut elements[e as usize];
+            el.out_flit = self.soa.out[s];
+            let last = last_edge_before(usize::from(self.topo.pol[s]), end);
+            el.accepted_from = slots
+                .unpack(self.soa.acc[s])
+                .filter(|_| self.soa.acc_at[s] == last);
+            el.lock = slots.unpack(self.soa.lock[s]);
+            el.rr_next = self.soa.rr[s] as usize;
+            el.upset_at = self.soa.upset[s];
+            let enabled = self.soa.enabled[s];
             if enabled != 0 {
                 el.gating
                     .merge(&ClockGatingStats::from_counts(u64::from(enabled), 0));
@@ -494,20 +609,24 @@ impl ParState {
     /// the batch. A fault run's context, if any, supplies the frozen
     /// edges each one slept through.
     fn settle_sleepers(&mut self, elements: &mut [Element], end: u64, faults: Option<&FaultCtx>) {
-        for (i, since) in self.soa.asleep_since.iter_mut().enumerate() {
-            if *since == AWAKE {
-                continue;
+        for (w, core) in self.cores.iter_mut().enumerate() {
+            let own = self.slots.range(w);
+            for s in own.clone() {
+                let since = &mut self.soa.asleep_since[s];
+                if *since == AWAKE {
+                    continue;
+                }
+                let e = self.slots.elem_of[s] as usize;
+                let p = usize::from(self.topo.pol[s]);
+                let frozen = faults.map_or(0, |f| f.frozen_edges(e, p) - self.soa.asleep_frozen[s]);
+                let skipped = skipped_stalls(std::mem::replace(since, AWAKE), end, frozen);
+                match &mut elements[e].kind {
+                    Kind::Source(src) => src.stalled_edges += skipped,
+                    Kind::Tile(t) => t.stalled_edges += skipped,
+                    Kind::Stage | Kind::Sink(_) => unreachable!("only generators sleep stalled"),
+                }
+                core.arm(&own, p, s);
             }
-            let p = usize::from(self.topo.pol[i]);
-            let frozen = faults.map_or(0, |f| f.frozen_edges(i, p) - self.soa.asleep_frozen[i]);
-            let skipped = skipped_stalls(std::mem::replace(since, AWAKE), end, frozen);
-            match &mut elements[i].kind {
-                Kind::Source(s) => s.stalled_edges += skipped,
-                Kind::Tile(t) => t.stalled_edges += skipped,
-                Kind::Stage | Kind::Sink(_) => unreachable!("only generators sleep stalled"),
-            }
-            let core = &mut self.cores[self.shard_of[i] as usize];
-            core.ready[p].insert(i);
         }
     }
 }
@@ -599,18 +718,9 @@ unsafe fn wake_stalls<H: Hooks>(view: SoaView<'_>, hooks: &H, i: usize, tick: u6
     skipped_stalls(since, tick, frozen)
 }
 
-#[inline]
-fn pack_id(id: Option<ElementId>) -> u32 {
-    id.map_or(NONE_U32, |e| e.0)
-}
-
-#[inline]
-fn unpack_id(raw: u32) -> Option<ElementId> {
-    (raw != NONE_U32).then_some(ElementId(raw))
-}
-
 /// Immutable dense mirror of the element graph: kind tags, routing
-/// filters, arbitration policy and CSR adjacency, all indexed by element.
+/// filters, arbitration policy and CSR adjacency, all indexed by slot
+/// and naming neighbours by slot.
 #[derive(Debug, Clone, Default)]
 struct SoaTopo {
     kind: Vec<u8>,
@@ -625,7 +735,7 @@ struct SoaTopo {
 }
 
 impl SoaTopo {
-    fn build(elements: &[Element]) -> Self {
+    fn build(elements: &[Element], slots: &Slots) -> Self {
         let n = elements.len();
         let mut topo = Self {
             kind: Vec::with_capacity(n),
@@ -639,7 +749,8 @@ impl SoaTopo {
         };
         topo.up_off.push(0);
         topo.down_off.push(0);
-        for el in elements {
+        for &e in &slots.elem_of {
+            let el = &elements[e as usize];
             topo.kind.push(match el.kind {
                 Kind::Stage => K_STAGE,
                 Kind::Source(_) => K_SOURCE,
@@ -649,9 +760,10 @@ impl SoaTopo {
             topo.pol.push(pol_idx(el.polarity) as u8);
             topo.filter.push(el.filter);
             topo.arb.push(el.arb);
-            topo.up_list.extend(el.upstreams.iter().map(|u| u.0));
+            let slot = |id: &ElementId| slots.slot_of[id.0 as usize];
+            topo.up_list.extend(el.upstreams.iter().map(slot));
             topo.up_off.push(topo.up_list.len() as u32);
-            topo.down_list.extend(el.downstreams.iter().map(|d| d.0));
+            topo.down_list.extend(el.downstreams.iter().map(slot));
             topo.down_off.push(topo.down_list.len() as u32);
         }
         topo
@@ -672,18 +784,18 @@ impl SoaTopo {
     }
 }
 
-/// Dense per-element handshake state, live during a batch.
+/// Dense per-slot handshake state, live during a batch.
 #[derive(Debug, Clone, Default)]
 struct SoaDyn {
     /// `Element::out_flit`.
     out: Vec<Option<Flit>>,
-    /// The upstream whose flit this element last took (`u32::MAX` =
+    /// The upstream slot whose flit this element last took (`u32::MAX` =
     /// none): `Element::accepted_from` while `acc_at` is the element's
     /// last edge, stale after it ([`soa_drained`]).
     acc: Vec<u32>,
     /// The tick `acc` was set.
     acc_at: Vec<u64>,
-    /// `Element::lock`, `u32::MAX` = none.
+    /// `Element::lock` as a slot, `u32::MAX` = none.
     lock: Vec<u32>,
     /// `Element::rr_next`.
     rr: Vec<u32>,
@@ -701,23 +813,23 @@ struct SoaDyn {
     asleep_frozen: Vec<u64>,
 }
 
-/// Multi-source BFS over the undirected element adjacency from every
-/// boundary element (one with a neighbour in another shard). `dist[i]`
-/// is then the minimum number of ticks before a visit of `i` can cause a
-/// boundary element to be visited — the per-element lookahead bound.
-fn boundary_distances(topo: &SoaTopo, shard_of: &[u16]) -> Vec<u32> {
+/// Multi-source BFS over the undirected slot adjacency from every
+/// boundary slot (one with a neighbour in another shard). `dist[i]` is
+/// then the minimum number of ticks before a visit of `i` can cause a
+/// boundary slot to be visited — the per-slot lookahead bound.
+fn boundary_distances(topo: &SoaTopo, slots: &Slots) -> Vec<u32> {
     let n = topo.len();
     let mut dist = vec![u32::MAX; n];
     let mut queue = VecDeque::new();
-    for i in 0..n {
-        let home = shard_of[i];
+    for (i, d) in dist.iter_mut().enumerate() {
+        let home = slots.shard_of(i);
         let cross = topo
             .ups(i)
             .iter()
             .chain(topo.downs(i))
-            .any(|&j| shard_of[j as usize] != home);
+            .any(|&j| slots.shard_of(j as usize) != home);
         if cross {
-            dist[i] = 0;
+            *d = 0;
             queue.push_back(i as u32);
         }
     }
@@ -789,10 +901,10 @@ fn plan_window(activity: ShardActivity, remaining: u64, drain: bool, fold: u64) 
     }
 }
 
-/// Activity summary over a core's armed bits (both parities). A lone
-/// shard has no cut, so every distance is infinite and only whether any
-/// bit is armed matters.
-fn ready_activity(core: &ShardCore, dist: &[u32], lone: bool) -> ShardActivity {
+/// Activity summary over a core's armed bits (both parities); its ready
+/// sets start at slot `lo`. A lone shard has no cut, so every distance
+/// is infinite and only whether any bit is armed matters.
+fn ready_activity(core: &ShardCore, lo: usize, dist: &[u32], lone: bool) -> ShardActivity {
     if lone {
         return ShardActivity {
             min_dist: u32::MAX,
@@ -808,7 +920,7 @@ fn ready_activity(core: &ShardCore, dist: &[u32], lone: bool) -> ShardActivity {
         for (word, &bits) in set.words.iter().enumerate() {
             let mut bits = bits;
             while bits != 0 {
-                let i = (word << 6) | bits.trailing_zeros() as usize;
+                let i = lo + ((word << 6) | bits.trailing_zeros() as usize);
                 bits &= bits - 1;
                 any = true;
                 m = m.min(dist[i]);
@@ -828,11 +940,10 @@ fn ready_activity(core: &ShardCore, dist: &[u32], lone: bool) -> ShardActivity {
 }
 
 /// A batch-shared view of a slice, each slot in its own [`UnsafeCell`]:
-/// the element array, every [`SoaDyn`] column, the outboxes, the
-/// stamped logs and armed lists, and a fault run's [`FaultState`] as a
-/// one-slot slice. Nothing locks a slot; the module doc's
-/// phase-ownership rule says who may touch which slot when, and each
-/// accessor's safety contract is a case of it.
+/// the element array, every [`SoaDyn`] column, the workers' buffers, and
+/// a fault run's [`FaultState`] as a one-slot slice. Nothing locks a
+/// slot; the module doc's phase-ownership rule says who may touch which
+/// slot when, and each accessor's safety contract is a case of it.
 struct SharedSlice<'a, T> {
     cells: &'a [UnsafeCell<T>],
 }
@@ -1054,14 +1165,12 @@ struct WindowCtx<'a> {
     shared: SharedSlice<'a, Element>,
     view: SoaView<'a>,
     topo: &'a SoaTopo,
-    outbox: SharedSlice<'a, Vec<u32>>,
+    bufs: SharedSlice<'a, WorkerBufs>,
     /// A fault run's state, as a one-slot slice.
     faults: Option<SharedSlice<'a, FaultState>>,
     /// Whether trace sinks are attached: visits then log their events.
     tracing: bool,
-    logs: SharedSlice<'a, Vec<Logged>>,
-    armed: SharedSlice<'a, Vec<u32>>,
-    shard_of: &'a [u16],
+    slots: &'a Slots,
     pinned: &'a [bool],
     dist: &'a [u32],
     num_ports: u32,
@@ -1097,23 +1206,19 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     let workers = par.workers;
     let shared = SharedSlice::new(elements);
     let view = SoaView::new(&mut par.soa);
-    let outbox = SharedSlice::new(&mut par.outbox);
+    let bufs = SharedSlice::new(&mut par.bufs);
     let faults = faults.map(|f| SharedSlice::new(std::slice::from_mut(f)));
     let tracing = !sinks.is_empty();
-    let logs = SharedSlice::new(&mut par.logs);
-    let armed = SharedSlice::new(&mut par.armed);
     let dist: &[u32] = &par.dist;
     let wakes_received = &mut par.wakes_received;
     let wctx = WindowCtx {
         shared,
         view,
         topo: &par.topo,
-        outbox,
+        bufs,
         faults,
         tracing,
-        logs,
-        armed,
-        shard_of: &par.shard_of,
+        slots: &par.slots,
         pinned: &par.pinned,
         dist,
         num_ports,
@@ -1137,7 +1242,8 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     let init_activity = par
         .cores
         .iter()
-        .map(|core| ready_activity(core, dist, workers == 1))
+        .enumerate()
+        .map(|(w, core)| ready_activity(core, par.slots.range(w).start, dist, workers == 1))
         .fold(ShardActivity::IDLE, ShardActivity::fold);
 
     let mut core_iter = par.cores.iter_mut();
@@ -1194,7 +1300,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         let drained = || {
             // SAFETY: workers are parked whenever this runs.
             faults.is_none_or(|f| !unsafe { f.get(0) }.recovery_busy())
-                && nothing_in_flight(shared, view, wctx.topo)
+                && nothing_in_flight(shared, view, wctx.topo, wctx.slots)
         };
         let mut stop = max_ticks == 0 || (stop_when_drained && drained());
         loop {
@@ -1206,23 +1312,25 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             }
             if let Some(f) = faults {
                 // SAFETY: every worker is done: the coordinator owns the
-                // fault state, every element and every armed list.
+                // fault state, every element and every worker's buffers.
                 let f = unsafe { f.get_mut(0) };
                 f.begin_step(base_tick + k);
                 for (injector, flit) in f.released() {
-                    let i = injector as usize;
-                    if i >= wctx.topo.len() {
+                    let e = injector as usize;
+                    if e >= wctx.topo.len() {
                         continue;
                     }
                     // SAFETY: as above.
-                    let Some(gate) = &mut unsafe { shared.get_mut(i) }.faults else {
+                    let Some(gate) = &mut unsafe { shared.get_mut(e) }.faults else {
                         continue;
                     };
                     gate.retx.push_back(flit);
+                    let s = wctx.slots.slot_of[e];
+                    let target = wctx.slots.shard_of(s as usize);
                     // SAFETY: as above.
-                    unsafe { armed.get_mut(wctx.shard_of[i] as usize) }.push(injector);
+                    unsafe { bufs.get_mut(target) }.armed.push(s);
                     activity_next = activity_next.fold(ShardActivity {
-                        min_dist: dist[i],
+                        min_dist: dist[s as usize],
                         any_armed: true,
                     });
                 }
@@ -1246,14 +1354,11 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             }
             let wait_ns = wait0.map_or(0, |t| dur_ns(t, Instant::now()));
             // SAFETY: every worker is done and parked on the next serial:
-            // the coordinator owns the logs, the outboxes, the armed lists
-            // and the fault state.
-            let (logs, outboxes, armed_lists, f) = unsafe {
-                let f = faults.as_ref().map(|f| f.get_mut(0));
-                (logs.all_mut(), outbox.all_mut(), armed.all_mut(), f)
-            };
-            fold_logs(logs, scoreboard, f, sinks);
-            let routed = route_wakes(outboxes, armed_lists, wakes_received, wctx.shard_of, dist);
+            // the coordinator owns every worker's buffers and the fault
+            // state.
+            let (all_bufs, f) = unsafe { (bufs.all_mut(), faults.as_ref().map(|f| f.get_mut(0))) };
+            fold_logs(all_bufs, scoreboard, f, sinks);
+            let routed = route_wakes(all_bufs, wakes_received, wctx.slots, dist);
             activity_next = (1..workers).fold(own_activity.fold(routed), |a, w| {
                 a.fold(ShardActivity::unpack(
                     sync.peers[w].0.activity.load(Ordering::SeqCst),
@@ -1283,8 +1388,8 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         }
     });
     // Wakes routed after the last window join their ready sets now.
-    for (core, armed) in par.cores.iter_mut().zip(&mut par.armed) {
-        core.take_armed(armed, &par.topo.pol);
+    for (w, (core, bufs)) in par.cores.iter_mut().zip(&mut par.bufs).enumerate() {
+        core.take_armed(&par.slots.range(w), &mut bufs.armed, &par.topo.pol);
     }
     // SAFETY: the workers have exited; nothing else touches the fault
     // state.
@@ -1305,7 +1410,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
 /// right after the capture's `TimingViolation`, where the dense loop
 /// emits it: the capture logs its `Violation` op before its events.
 fn fold_logs(
-    logs: &mut [Vec<Logged>],
+    bufs: &mut [WorkerBufs],
     scoreboard: &mut Scoreboard,
     mut faults: Option<&mut FaultState>,
     sinks: &mut Sinks,
@@ -1340,12 +1445,12 @@ fn fold_logs(
             }
         }
     };
-    match logs.iter().filter(|log| !log.is_empty()).count() {
+    match bufs.iter().filter(|b| !b.log.is_empty()).count() {
         0 => return,
-        1 => logs.iter().flatten().for_each(&mut fold),
+        1 => bufs.iter().flat_map(|b| &b.log).for_each(&mut fold),
         _ => {
             let key = |&(tick, element, _): &Logged| (tick, element);
-            let mut rest: Vec<&[Logged]> = logs.iter().map(Vec::as_slice).collect();
+            let mut rest: Vec<&[Logged]> = bufs.iter().map(|b| b.log.as_slice()).collect();
             // Each round folds the earliest pending `(tick, element)` run.
             while let Some((first, w)) = rest
                 .iter()
@@ -1359,8 +1464,8 @@ fn fold_logs(
             }
         }
     }
-    for log in logs {
-        log.clear();
+    for b in bufs {
+        b.log.clear();
     }
 }
 
@@ -1378,12 +1483,14 @@ fn run_window(
     core: &mut ShardCore,
     profiling: bool,
 ) -> (ShardActivity, Option<Instant>) {
-    // SAFETY: the coordinator filled this list between windows; it
-    // belongs to this worker during the window.
-    core.take_armed(unsafe { ctx.armed.get_mut(w) }, &ctx.topo.pol);
+    // SAFETY: the coordinator filled the armed list between windows;
+    // worker `w`'s buffers belong to it during the window.
+    let bufs = unsafe { ctx.bufs.get_mut(w) };
+    let own = ctx.slots.range(w);
+    core.take_armed(&own, &mut bufs.armed, &ctx.topo.pol);
     for dt in 0..ticks {
         let tick = ctx.base_tick + base + dt;
-        visit_tick(ctx, tick, (tick % 2) as usize, w, core, ticks == 1);
+        visit_tick(ctx, tick, (tick % 2) as usize, core, &own, bufs, ticks == 1);
     }
     if ctx.faults.is_some() {
         // Timed wakes due on the next tick join the ready sets now, so
@@ -1397,15 +1504,19 @@ fn run_window(
             }
             core.fx.timed.pop();
             let i = i as usize;
+            debug_assert!(own.contains(&i), "timed wake of slot {i} outside its shard");
             // SAFETY: `i` is in this shard and no visit of it is running.
             let live = unsafe { *ctx.view.upset.get(i) == due && ctx.view.out.get(i).is_some() };
             if live {
-                core.ready[usize::from(ctx.topo.pol[i])].insert(i);
+                core.arm(&own, usize::from(ctx.topo.pol[i]), i);
             }
         }
     }
     let t2 = profiling.then(Instant::now);
-    (ready_activity(core, ctx.dist, ctx.workers == 1), t2)
+    (
+        ready_activity(core, own.start, ctx.dist, ctx.workers == 1),
+        t2,
+    )
 }
 
 /// Routes one window's cross-shard wakes, between windows: moves every
@@ -1414,21 +1525,25 @@ fn run_window(
 /// in the target's `wakes_received`. Returns the activity the wakes add
 /// to the next window's summary.
 fn route_wakes(
-    outboxes: &mut [Vec<u32>],
-    armed: &mut [Vec<u32>],
+    bufs: &mut [WorkerBufs],
     wakes_received: &mut [u64],
-    shard_of: &[u16],
+    slots: &Slots,
     dist: &[u32],
 ) -> ShardActivity {
     let mut activity = ShardActivity::IDLE;
-    for i in outboxes.iter_mut().flat_map(|outbox| outbox.drain(..)) {
-        let target = usize::from(shard_of[i as usize]);
-        armed[target].push(i);
-        wakes_received[target] += 1;
-        activity = activity.fold(ShardActivity {
-            min_dist: dist[i as usize],
-            any_armed: true,
-        });
+    for w in 0..bufs.len() {
+        let mut outbox = std::mem::take(&mut bufs[w].outbox);
+        for &s in &outbox {
+            let target = slots.shard_of(s as usize);
+            bufs[target].armed.push(s);
+            wakes_received[target] += 1;
+            activity = activity.fold(ShardActivity {
+                min_dist: dist[s as usize],
+                any_armed: true,
+            });
+        }
+        outbox.clear();
+        bufs[w].outbox = outbox;
     }
     activity
 }
@@ -1476,36 +1591,47 @@ fn record_epoch_at(
 /// dense `out` column is scanned first, so a fabric still holding flits
 /// answers without touching any element. Only callable while all workers
 /// are quiescent (before the first window or after all reported done).
-fn nothing_in_flight(shared: SharedSlice<'_, Element>, view: SoaView<'_>, topo: &SoaTopo) -> bool {
+fn nothing_in_flight(
+    shared: SharedSlice<'_, Element>,
+    view: SoaView<'_>,
+    topo: &SoaTopo,
+    slots: &Slots,
+) -> bool {
     // SAFETY: no worker is in a visit phase.
-    (0..topo.len()).all(|i| unsafe { view.out.get(i) }.is_none())
+    (0..topo.len()).all(|s| unsafe { view.out.get(s) }.is_none())
         && (0..topo.len())
-            .filter(|&i| matches!(topo.kind[i], K_SOURCE | K_TILE))
+            .filter(|&s| matches!(topo.kind[s], K_SOURCE | K_TILE))
             // SAFETY: as above.
-            .all(|i| unsafe { shared.get(i) }.queued() == 0)
+            .all(|s| unsafe { shared.get(slots.elem_of[s] as usize) }.queued() == 0)
 }
 
 /// The visit phase of one tick for one shard: drain the parity-`p` ready
-/// set in ascending element order, stepping each element and re-arming
-/// it and its neighbours (see [`soa_rearm`]). With `allow_cross` false
-/// (a window of more than one tick), the lookahead guarantee makes
-/// cross-shard wakes impossible; a tripwire assert enforces it. A fault
-/// run steps through a [`FaultLane`], everything else through a [`Lane`].
+/// set in ascending slot (so element) order, stepping each element and
+/// re-arming it and its neighbours (see [`soa_rearm`]). With
+/// `allow_cross` false (a window of more than one tick), the lookahead
+/// guarantee makes cross-shard wakes impossible; a tripwire assert
+/// enforces it. A fault run steps through a [`FaultLane`], everything
+/// else through a [`Lane`].
 fn visit_tick(
     ctx: WindowCtx<'_>,
     tick: u64,
     p: usize,
-    w: usize,
     core: &mut ShardCore,
+    own: &Range<usize>,
+    bufs: &mut WorkerBufs,
     allow_cross: bool,
 ) {
-    // SAFETY: log `w` belongs to this worker during the visit phase.
-    let log = unsafe { ctx.logs.get_mut(w) };
+    let WorkerBufs { log, outbox, .. } = bufs;
+    let elem_of = ctx.slots.elem_of.as_slice();
     match (ctx.faults, ctx.tracing) {
         (None, false) => {
-            visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut Lane::<false>(log))
+            let mut lane = Lane::<false> { log, elem_of };
+            visit_tick_with(ctx, tick, p, core, own, outbox, allow_cross, &mut lane);
         }
-        (None, true) => visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut Lane::<true>(log)),
+        (None, true) => {
+            let mut lane = Lane::<true> { log, elem_of };
+            visit_tick_with(ctx, tick, p, core, own, outbox, allow_cross, &mut lane);
+        }
         (Some(faults), tracing) => {
             let mut fx = std::mem::take(&mut core.fx);
             // SAFETY: the fault state is read-only during visit phases.
@@ -1515,30 +1641,34 @@ fn visit_tick(
                 let mut lane = FaultLane::<true> {
                     ctx: fault_ctx,
                     log,
+                    elem_of,
                     ops,
                     timed,
                 };
-                visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut lane);
+                visit_tick_with(ctx, tick, p, core, own, outbox, allow_cross, &mut lane);
             } else {
                 let mut lane = FaultLane::<false> {
                     ctx: fault_ctx,
                     log,
+                    elem_of,
                     ops,
                     timed,
                 };
-                visit_tick_with(ctx, tick, p, w, core, allow_cross, &mut lane);
+                visit_tick_with(ctx, tick, p, core, own, outbox, allow_cross, &mut lane);
             }
             core.fx = fx;
         }
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn visit_tick_with<H: Hooks>(
     ctx: WindowCtx<'_>,
     tick: u64,
     p: usize,
-    w: usize,
     core: &mut ShardCore,
+    own: &Range<usize>,
+    outbox: &mut Vec<u32>,
     allow_cross: bool,
     hooks: &mut H,
 ) {
@@ -1546,41 +1676,45 @@ fn visit_tick_with<H: Hooks>(
         shared,
         view,
         topo,
-        outbox,
-        shard_of,
+        slots,
         pinned,
         num_ports,
         ..
     } = ctx;
+    // A local copy, so the range stays in registers across the loop.
+    let own = &own.clone();
     std::mem::swap(&mut core.ready[p].words, &mut core.scratch);
     for word in 0..core.scratch.len() {
         let mut bits = std::mem::take(&mut core.scratch[word]);
         while bits != 0 {
-            let i = (word << 6) | bits.trailing_zeros() as usize;
+            let i = own.start + ((word << 6) | bits.trailing_zeros() as usize);
             bits &= bits - 1;
+            debug_assert!(own.contains(&i), "visit of slot {i} outside its shard");
             core.steps += 1;
-            // SAFETY: `i` is in shard `w` with parity `p` — this worker
-            // is its unique owner for this tick, and all its neighbour
-            // reads touch frozen opposite-parity state.
+            // The element behind an endpoint slot.
+            let e = || slots.elem_of[i] as usize;
+            // SAFETY: slot `i` is in this worker's shard with parity `p`
+            // — this worker is its unique owner for this tick, and all
+            // its neighbour reads touch frozen opposite-parity state.
             let before = unsafe { *view.out.get(i) };
             let stay = match topo.kind[i] {
                 // SAFETY: as above.
                 K_STAGE => Stay::from(unsafe { soa_step_stage(view, topo, i, tick, hooks) }),
                 K_SOURCE => {
                     // SAFETY: as above.
-                    let el = unsafe { shared.get_mut(i) };
+                    let el = unsafe { shared.get_mut(e()) };
                     // SAFETY: as above.
                     unsafe { soa_step_source(view, topo, el, i, tick, num_ports, hooks) }
                 }
                 K_SINK => {
                     // SAFETY: as above.
-                    let el = unsafe { shared.get_mut(i) };
+                    let el = unsafe { shared.get_mut(e()) };
                     // SAFETY: as above.
                     Stay::from(unsafe { soa_step_sink(view, topo, el, i, tick, hooks) })
                 }
                 _ => {
                     // SAFETY: as above.
-                    let el = unsafe { shared.get_mut(i) };
+                    let el = unsafe { shared.get_mut(e()) };
                     // SAFETY: as above.
                     unsafe { soa_step_tile(view, topo, el, i, tick, num_ports, hooks) }
                 }
@@ -1595,9 +1729,8 @@ fn visit_tick_with<H: Hooks>(
                 stay,
                 H::REVISIT_CAPTURES,
                 pinned,
-                shard_of,
-                w,
                 core,
+                own,
                 outbox,
                 allow_cross,
             );
@@ -1610,7 +1743,9 @@ fn visit_tick_with<H: Hooks>(
 /// fault default is the plain handshake step's constant, so an untraced
 /// [`Lane`] visit compiles to that step plus one log push per delivery;
 /// [`FaultLane`] routes the fault hooks to the run's fault plan, and a
-/// traced lane logs each event for the window-end fold.
+/// traced lane logs each event for the window-end fold. Each hook takes
+/// the visited slot `i`; fault draws and log stamps use its element id
+/// ([`element`](Self::element)).
 trait Hooks {
     /// Whether fault hooks can fire at all; guards every fault-only
     /// branch.
@@ -1630,6 +1765,8 @@ trait Hooks {
     const REVISIT_CAPTURES: bool = Self::ON;
     /// The shard's stamped log.
     fn log(&mut self) -> &mut Vec<Logged>;
+    /// The element id of slot `i`.
+    fn element(&self, i: usize) -> u32;
     /// Element `i` is frozen this tick (clock domain or outage epoch).
     #[inline(always)]
     fn frozen(&self, _i: usize, _tick: u64) -> bool {
@@ -1689,15 +1826,15 @@ trait Hooks {
     /// The consumer `i` delivers `flit`, cleared by its gate, at `port`.
     #[inline(always)]
     fn deliver(&mut self, i: usize, tick: u64, flit: Flit, port: PortId) {
-        self.log()
-            .push((tick, i as u32, LogEntry::Arrival(flit, port)));
+        let e = self.element(i);
+        self.log().push((tick, e, LogEntry::Arrival(flit, port)));
     }
     /// `i` emits a trace event about `flit`.
     #[inline(always)]
     fn event(&mut self, i: usize, tick: u64, kind: TraceEventKind, flit: Flit) {
         if Self::TRACE {
-            self.log()
-                .push((tick, i as u32, LogEntry::Event(kind, flit)));
+            let e = self.element(i);
+            self.log().push((tick, e, LogEntry::Event(kind, flit)));
         }
     }
 }
@@ -1705,13 +1842,20 @@ trait Hooks {
 /// The hooks of a fault-free run: deliveries, and with `TRACE` events,
 /// go to the shard's log, stamped `(tick, element)` for the window-end
 /// fold.
-struct Lane<'a, const TRACE: bool>(&'a mut Vec<Logged>);
+struct Lane<'a, const TRACE: bool> {
+    log: &'a mut Vec<Logged>,
+    elem_of: &'a [u32],
+}
 
 impl<const TRACE: bool> Hooks for Lane<'_, TRACE> {
     const TRACE: bool = TRACE;
     #[inline(always)]
     fn log(&mut self) -> &mut Vec<Logged> {
-        self.0
+        self.log
+    }
+    #[inline(always)]
+    fn element(&self, i: usize) -> u32 {
+        self.elem_of[i]
     }
 }
 
@@ -1722,18 +1866,24 @@ impl<const TRACE: bool> Hooks for Lane<'_, TRACE> {
 struct FaultLane<'a, const TRACE: bool> {
     ctx: &'a FaultCtx,
     log: &'a mut Vec<Logged>,
+    elem_of: &'a [u32],
     ops: &'a mut Vec<FaultOp>,
+    /// Timed wakes `(tick, slot)` of this shard.
     timed: &'a mut BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl<const TRACE: bool> FaultLane<'_, TRACE> {
     /// Moves the operations a hook just logged into the shard log.
     fn stamp(&mut self, tick: u64, i: usize) {
-        self.log.extend(
-            self.ops
-                .drain(..)
-                .map(|op| (tick, i as u32, LogEntry::Op(op))),
-        );
+        let e = self.element(i);
+        self.log
+            .extend(self.ops.drain(..).map(|op| (tick, e, LogEntry::Op(op))));
+    }
+
+    /// Slot `i`'s element id as a fault-draw key.
+    #[inline]
+    fn key(&self, i: usize) -> usize {
+        self.element(i) as usize
     }
 }
 
@@ -1743,19 +1893,22 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
     fn log(&mut self) -> &mut Vec<Logged> {
         self.log
     }
+    fn element(&self, i: usize) -> u32 {
+        self.elem_of[i]
+    }
     fn frozen(&self, i: usize, tick: u64) -> bool {
-        self.ctx.frozen(i, tick)
+        self.ctx.frozen(self.key(i), tick)
     }
     fn frozen_edges(&self, i: usize, tick: u64) -> u64 {
-        self.ctx.frozen_edges(i, (tick % 2) as usize)
+        self.ctx.frozen_edges(self.key(i), (tick % 2) as usize)
     }
     fn stuck_valid(&mut self, i: usize, tick: u64, flit: &Flit) -> bool {
-        let stuck = self.ctx.stuck_valid(i, tick, flit, self.ops);
+        let stuck = self.ctx.stuck_valid(self.key(i), tick, flit, self.ops);
         self.stamp(tick, i);
         stuck
     }
     fn lost_valid(&mut self, i: usize, tick: u64) -> bool {
-        let lost = self.ctx.lost_valid(i, tick, self.ops);
+        let lost = self.ctx.lost_valid(self.key(i), tick, self.ops);
         self.stamp(tick, i);
         lost
     }
@@ -1767,12 +1920,14 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
         } else {
             Direction::Upstream
         };
-        let effect = self.ctx.on_capture(i, tick, flit, direction, self.ops);
+        let effect = self
+            .ctx
+            .on_capture(self.key(i), tick, flit, direction, self.ops);
         self.stamp(tick, i);
         effect
     }
     fn latch(&mut self, i: usize, tick: u64, flit: &Flit) -> u64 {
-        self.ctx.upset_tick(i, tick, flit)
+        self.ctx.upset_tick(self.key(i), tick, flit)
     }
     fn sleep_holding(&mut self, i: usize, tick: u64, upset: u64) {
         if upset != u64::MAX {
@@ -1800,15 +1955,17 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
         verdict
     }
     fn endpoint(&mut self, i: usize, tick: u64, injected: Option<Flit>, retx: Option<Flit>) {
+        let e = self.element(i);
         FaultOp::endpoint(injected, retx, |op| {
-            self.log.push((tick, i as u32, LogEntry::Op(op)));
+            self.log.push((tick, e, LogEntry::Op(op)));
         });
     }
 }
 
-/// Post-visit re-arm: decide whether element `i` (parity index `p`) stays
-/// armed and wake the neighbours its new state can affect; cross-shard
-/// wakes go into this worker's outbox. `before` is the flit `i` presented
+/// Post-visit re-arm: decide whether slot `i` (parity index `p`) stays
+/// armed and wake the neighbours its new state can affect; a neighbour
+/// outside this shard's slot range is a cross-shard wake and goes into
+/// this worker's outbox. `before` is the flit `i` presented
 /// pre-visit: a drain-and-reinject visit leaves `out` occupied
 /// throughout, so "newly presented" must compare flit identity, not
 /// occupancy.
@@ -1857,10 +2014,9 @@ fn soa_rearm(
     stay: Stay,
     revisit_captures: bool,
     pinned: &[bool],
-    shard_of: &[u16],
-    w: usize,
     core: &mut ShardCore,
-    outbox: SharedSlice<'_, Vec<u32>>,
+    own: &Range<usize>,
+    outbox: &mut Vec<u32>,
     allow_cross: bool,
 ) {
     // SAFETY: `i` belongs to this worker this tick.
@@ -1879,21 +2035,18 @@ fn soa_rearm(
         Stay::Stalled => false,
     };
     if armed || (revisit_captures && captured != NONE_U32) {
-        core.ready[p].insert(i);
+        core.arm(own, p, i);
     }
-    let wake = |idx: usize, core: &mut ShardCore| {
-        let target = shard_of[idx] as usize;
-        if target == w {
-            core.ready[p ^ 1].insert(idx);
+    let mut wake = |idx: usize, core: &mut ShardCore| {
+        if own.contains(&idx) {
+            core.arm(own, p ^ 1, idx);
         } else {
             assert!(
                 allow_cross,
                 "cross-shard wake inside a batched lookahead window"
             );
             core.wakes_sent += 1;
-            // SAFETY: outbox `w` belongs to this worker during the visit
-            // phase.
-            unsafe { outbox.get_mut(w) }.push(idx as u32);
+            outbox.push(idx as u32);
         }
     };
     if captured != NONE_U32 {
@@ -2472,10 +2625,43 @@ mod tests {
         assert_eq!(counts, [6, 6], "{plan:?}");
     }
 
+    #[test]
+    fn slot_plan_is_shard_major_and_invertible() {
+        // Level-order numbering interleaves shards near the root; shard 2
+        // and shard 4 are empty.
+        let shard_of = [0u16, 1, 0, 1, 3, 0, 1, 1, 3, 0];
+        let workers = 5;
+        let slots = Slots::plan(&shard_of, workers);
+        assert_eq!(slots.bounds, vec![0, 4, 8, 8, 10, 10]);
+        for w in 0..workers {
+            let range = slots.range(w);
+            let members: Vec<u32> = range.clone().map(|s| slots.elem_of[s]).collect();
+            let want: Vec<u32> = (0..shard_of.len() as u32)
+                .filter(|&e| usize::from(shard_of[e as usize]) == w)
+                .collect();
+            // One contiguous range per shard, in ascending element order.
+            assert_eq!(members, want, "shard {w}");
+            assert!(range.clone().all(|s| slots.shard_of(s) == w), "shard {w}");
+        }
+        assert!(slots.range(2).is_empty() && slots.range(4).is_empty());
+        for (e, &s) in slots.slot_of.iter().enumerate() {
+            assert_eq!(slots.elem_of[s as usize] as usize, e);
+            assert_eq!(
+                slots.unpack(slots.pack(Some(ElementId(e as u32)))),
+                Some(ElementId(e as u32))
+            );
+        }
+        assert_eq!(slots.unpack(slots.pack(None)), None);
+        // One shard is the identity layout.
+        let lone = Slots::plan(&[0; 6], 1);
+        assert_eq!(lone.slot_of, (0..6).collect::<Vec<u32>>());
+        assert_eq!(lone.elem_of, lone.slot_of);
+    }
+
     /// A 7-element chain `0-1-2-3-4-5-6` split 0..=3 / 4..=6: the cut
     /// edge is 3-4, so 3 and 4 are boundary and distances fan out from
-    /// there.
-    fn chain_topo() -> (SoaTopo, Vec<u16>) {
+    /// there. The split is already shard-major, so slots are elements.
+    fn chain_topo() -> (SoaTopo, Slots) {
         let n = 7usize;
         let mut topo = SoaTopo::default();
         topo.up_off.push(0);
@@ -2494,40 +2680,34 @@ mod tests {
             }
             topo.down_off.push(topo.down_list.len() as u32);
         }
-        let shard_of = vec![0, 0, 0, 0, 1, 1, 1];
-        (topo, shard_of)
+        (topo, Slots::plan(&[0, 0, 0, 0, 1, 1, 1], 2))
     }
 
     #[test]
     fn boundary_distances_fan_out_from_cut() {
-        let (topo, shard_of) = chain_topo();
-        let dist = boundary_distances(&topo, &shard_of);
+        let (topo, slots) = chain_topo();
+        let dist = boundary_distances(&topo, &slots);
         assert_eq!(dist, vec![3, 2, 1, 0, 0, 1, 2]);
     }
 
     #[test]
     fn single_shard_has_unbounded_distances() {
         let (topo, _) = chain_topo();
-        let dist = boundary_distances(&topo, &[0u16; 7]);
+        let dist = boundary_distances(&topo, &Slots::plan(&[0u16; 7], 1));
         assert!(dist.iter().all(|&d| d == u32::MAX), "{dist:?}");
     }
 
     #[test]
     fn routed_wake_arms_its_target_shard() {
-        let (topo, shard_of) = chain_topo();
-        let dist = boundary_distances(&topo, &shard_of);
-        // Shard 0 woke element 4, across the 3-4 cut.
-        let mut outboxes = vec![vec![4u32], Vec::new()];
-        let mut armed = vec![Vec::new(); 2];
+        let (topo, slots) = chain_topo();
+        let dist = boundary_distances(&topo, &slots);
+        // Shard 0 woke slot 4, across the 3-4 cut.
+        let mut bufs = vec![WorkerBufs::default(); 2];
+        bufs[0].outbox.push(4);
         let mut wakes_received = vec![0u64; 2];
-        let activity = route_wakes(
-            &mut outboxes,
-            &mut armed,
-            &mut wakes_received,
-            &shard_of,
-            &dist,
-        );
-        assert_eq!(armed, vec![Vec::new(), vec![4]]);
+        let activity = route_wakes(&mut bufs, &mut wakes_received, &slots, &dist);
+        let armed: Vec<&[u32]> = bufs.iter().map(|b| b.armed.as_slice()).collect();
+        assert_eq!(armed, vec![&[][..], &[4][..]]);
         assert_eq!(wakes_received, vec![0, 1]);
         assert_eq!(
             activity,
@@ -2536,7 +2716,7 @@ mod tests {
                 any_armed: true,
             }
         );
-        assert!(outboxes.iter().all(Vec::is_empty), "{outboxes:?}");
+        assert!(bufs.iter().all(|b| b.outbox.is_empty()), "{bufs:?}");
     }
 
     #[test]

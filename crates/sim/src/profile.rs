@@ -331,13 +331,14 @@ impl PerfReport {
         );
         let _ = writeln!(
             out,
-            "  {:>5}  {:>8}  {:>12}  {:>10}  {:>10}  {:>9}  {:>9}  {:>10}",
+            "  {:>5}  {:>8}  {:>12}  {:>10}  {:>10}  {:>9}  {:>7}  {:>9}  {:>10}",
             "shard",
             "elements",
             "steps",
             "wakes-out",
             "wakes-in",
             "step-ms",
+            "ns/step",
             "flush-ms",
             "barrier-ms"
         );
@@ -347,14 +348,29 @@ impl PerfReport {
                 .as_ref()
                 .and_then(|w| w.workers.iter().find(|p| p.worker == s.worker));
             let ms = |ns: u64| ns as f64 / 1e6;
-            let (step, flush, barrier) = match wall {
-                Some(w) => (ms(w.step_ns), ms(w.flush_ns), ms(w.barrier_ns)),
-                None => (0.0, 0.0, 0.0),
+            let (step_ns, flush, barrier) = match wall {
+                Some(w) => (w.step_ns, ms(w.flush_ns), ms(w.barrier_ns)),
+                None => (0, 0.0, 0.0),
+            };
+            // The visit cost per element step; a shard with no steps has
+            // none.
+            let per_step = if s.steps == 0 {
+                0.0
+            } else {
+                step_ns as f64 / s.steps as f64
             };
             let _ = writeln!(
                 out,
-                "  {:>5}  {:>8}  {:>12}  {:>10}  {:>10}  {:>9.2}  {:>9.2}  {:>10.2}",
-                s.worker, s.elements, s.steps, s.wakes_sent, s.wakes_received, step, flush, barrier
+                "  {:>5}  {:>8}  {:>12}  {:>10}  {:>10}  {:>9.2}  {:>7.1}  {:>9.2}  {:>10.2}",
+                s.worker,
+                s.elements,
+                s.steps,
+                s.wakes_sent,
+                s.wakes_received,
+                ms(step_ns),
+                per_step,
+                flush,
+                barrier
             );
         }
         let _ = writeln!(
@@ -529,6 +545,48 @@ mod tests {
         let summary = perf.summary();
         assert!(summary.contains("load imbalance: 1.50x"), "{summary}");
         assert!(summary.contains("barrier overhead: 50.0%"), "{summary}");
+    }
+
+    #[test]
+    fn summary_reports_ns_per_step() {
+        let shard = |worker, steps| ShardCounters {
+            worker,
+            elements: 4,
+            steps,
+            wakes_sent: 0,
+            wakes_received: 0,
+        };
+        let wall_worker = |worker, step_ns| WorkerProfile {
+            worker,
+            epochs: 1,
+            step_ns,
+            flush_ns: 0,
+            barrier_ns: 0,
+            stride: 1,
+            samples: Vec::new(),
+        };
+        let perf = PerfReport {
+            kernel: "parallel".into(),
+            workers: 2,
+            epochs: 10,
+            fallback: None,
+            // Shard 1 is empty: no steps, so no cost per step.
+            shards: vec![shard(0, 400), shard(1, 0)],
+            wall: Some(PerfWall {
+                workers: vec![wall_worker(0, 50_000), wall_worker(1, 0)],
+            }),
+        };
+        let summary = perf.summary();
+        let lines: Vec<&str> = summary.lines().collect();
+        let column = |line: &str, name: &str| {
+            let header: Vec<&str> = lines[1].split_whitespace().collect();
+            let at = header.iter().position(|&h| h == name).expect("column");
+            line.split_whitespace().nth(at).expect("cell").to_owned()
+        };
+        // 50 µs over 400 steps.
+        assert_eq!(column(lines[2], "ns/step"), "125.0", "{summary}");
+        assert_eq!(column(lines[2], "step-ms"), "0.05", "{summary}");
+        assert_eq!(column(lines[3], "ns/step"), "0.0", "{summary}");
     }
 
     #[test]

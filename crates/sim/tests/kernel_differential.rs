@@ -22,9 +22,10 @@ fn binary(ports: usize) -> TreeTopology {
 }
 
 /// The worker counts every parallel-kernel differential runs at: the
-/// degenerate single shard, a root cut in two, and more shards than most
-/// test fabrics have subtrees (exercising the LPT rebalance).
-const PARALLEL_WORKERS: [u32; 3] = [1, 2, 8];
+/// degenerate single shard, a root cut in two, an uneven cut in three,
+/// and more shards than most test fabrics have subtrees (exercising the
+/// LPT rebalance and empty shards, whose slot ranges are empty).
+const PARALLEL_WORKERS: [u32; 4] = [1, 2, 3, 8];
 
 fn run_one(cfg: &TreeNetworkConfig, kernel: SimKernel, cycles: u64) -> Network {
     let mut net = cfg.clone().with_kernel(kernel).build();
