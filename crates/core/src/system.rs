@@ -436,28 +436,17 @@ impl System {
     /// the graceful-degradation curve of experiment E10.
     #[must_use]
     pub fn max_safe_frequency(&self, variation: ProcessVariation, k_sigma: f64) -> Gigahertz {
-        let hi = variation.worst_case_factor(k_sigma);
+        let segments = self.segment_delays();
         let ff = self.pipeline.flip_flop();
-        let mut required = Picoseconds::ZERO;
-        // Link-timing corners.
-        let lo = variation.best_case_factor(k_sigma);
-        for (dir, d, c) in self.segment_delays() {
-            let (delta_max, delta_min) = match dir {
-                Direction::Downstream => (d * hi - c * lo, d * lo - c * hi),
-                Direction::Upstream => ((d + c) * hi, (d + c) * lo),
-            };
-            for delta in [delta_max, delta_min] {
-                required = required.max(LinkTiming::required_half_period(ff, delta));
-            }
-        }
+        let links = icnoc_timing::required_half_period(ff, &segments, variation, k_sigma);
         // Forward path: logic and wire both inflate at the slow corner.
-        let wire = self.pipeline.wire();
-        for geo in self.link_geometries() {
-            let fwd = (self.pipeline.stage_overhead() + wire.delay(geo.segment_length())) * hi;
-            required = required.max(fwd);
-        }
-        let half = Picoseconds::new(required.value() * (1.0 + 1e-12) + 1e-9);
-        Gigahertz::from_half_period(half)
+        let hi = variation.worst_case_factor(k_sigma);
+        let overhead = self.pipeline.stage_overhead();
+        let required = segments
+            .iter()
+            .map(|&(_, data, _)| (overhead + data) * hi)
+            .fold(links.unwrap_or(Picoseconds::ZERO), Picoseconds::max);
+        LinkTiming::clock_for(required)
     }
 
     /// A [`FaultPlan`] matched to this system's physics: the timing guard
@@ -468,11 +457,10 @@ impl System {
     /// Rates start at zero; chain [`FaultPlan::with_rates`] to arm it.
     #[must_use]
     pub fn fault_plan(&self, seed: u64) -> FaultPlan {
-        let wire = self.pipeline.wire();
         let worst = self
-            .link_geometries()
+            .segment_delays()
             .iter()
-            .map(|g| wire.delay(g.segment_length()))
+            .flat_map(|&(_, data, clock)| [data, clock])
             .fold(Picoseconds::ZERO, Picoseconds::max);
         FaultPlan::new(seed)
             .with_frequency(self.frequency)

@@ -40,44 +40,30 @@ impl TimingVerification {
     /// hold-side skew; a segment only passes if **all** corners pass.
     #[must_use]
     pub(crate) fn run(system: &System, variation: ProcessVariation, k_sigma: f64) -> Self {
-        let hi = variation.worst_case_factor(k_sigma);
-        let lo = variation.best_case_factor(k_sigma);
         let link_timing = LinkTiming::new(system.pipeline_model().flip_flop(), system.frequency());
         let wire = system.pipeline_model().wire();
         let mut checks = Vec::new();
         for geo in system.link_geometries() {
-            let nominal = wire.delay(geo.segment_length());
+            let interval = variation.interval(wire.delay(geo.segment_length()), k_sigma);
             for segment in 0..geo.segment_count {
                 for direction in Direction::ALL {
-                    // The two corners that stress each bound.
-                    let corners: [(Picoseconds, Picoseconds); 2] = match direction {
-                        Direction::Downstream => {
-                            [(nominal * hi, nominal * lo), (nominal * lo, nominal * hi)]
-                        }
-                        Direction::Upstream => {
-                            [(nominal * hi, nominal * hi), (nominal * lo, nominal * lo)]
-                        }
+                    // Report the worse outcome of the setup and hold corners.
+                    let [setup, hold] = direction
+                        .corners(interval, interval)
+                        .map(|(d, c)| link_timing.check(direction, d, c));
+                    let result = match (setup, hold) {
+                        (Err(e), _) | (Ok(_), Err(e)) => Err(e),
+                        (Ok(a), Ok(b)) => Ok(if b.worst_margin() < a.worst_margin() {
+                            b
+                        } else {
+                            a
+                        }),
                     };
-                    // Report the worst corner's outcome.
-                    let mut worst: Option<Result<TimingReport, TimingViolation>> = None;
-                    for (d, c) in corners {
-                        let r = link_timing.check(direction, d, c);
-                        worst = Some(match (worst, r) {
-                            (None, r) => r,
-                            (Some(Err(e)), _) => Err(e),
-                            (Some(Ok(_)), Err(e)) => Err(e),
-                            (Some(Ok(a)), Ok(b)) => Ok(if b.worst_margin() < a.worst_margin() {
-                                b
-                            } else {
-                                a
-                            }),
-                        });
-                    }
                     checks.push(SegmentCheck {
                         link: geo.link,
                         segment,
                         direction,
-                        result: worst.expect("two corners were checked"),
+                        result,
                     });
                 }
             }
@@ -209,6 +195,7 @@ mod tests {
     use crate::SystemBuilder;
     use icnoc_topology::TreeKind;
     use icnoc_units::Gigahertz;
+    use proptest::prelude::*;
 
     #[test]
     fn demonstrator_is_timing_safe_at_1_ghz() {
@@ -279,16 +266,30 @@ mod tests {
         assert!(first.result.is_err(), "violations rank first");
     }
 
-    #[test]
-    fn safe_frequency_verifies_at_its_own_corner_and_is_tight() {
-        let sys = SystemBuilder::new(TreeKind::Binary, 16)
-            .build()
-            .expect("valid");
-        let var = ProcessVariation::new(0.4, 0.08);
-        let f = sys.max_safe_frequency(var, 3.0);
-        assert!(sys.derated(f).verify_under(var, 3.0).is_timing_safe());
-        // 5% faster must fail somewhere (the bound is tight, not padded).
-        let faster = sys.derated(Gigahertz::new(f.value() * 1.05));
-        assert!(!faster.verify_under(var, 3.0).is_timing_safe());
+    proptest! {
+        /// The safe clock verifies at its own corner for any tree kind, size
+        /// and variation. When the link term, not the forward path, sets it,
+        /// the bound is tight: 5% faster fails somewhere.
+        #[test]
+        fn safe_frequency_verifies_at_its_own_corner_and_is_tight(
+            quad in any::<bool>(),
+            levels in 1u32..9,
+            systematic in 0.0f64..1.0,
+            sigma in 0.0f64..0.2,
+        ) {
+            let kind = if quad { TreeKind::Quad } else { TreeKind::Binary };
+            let ports = kind.arity().pow(levels).min(256);
+            let sys = SystemBuilder::new(kind, ports).build().expect("valid");
+            let var = ProcessVariation::new(systematic, sigma);
+            let f = sys.max_safe_frequency(var, 3.0);
+            prop_assert!(sys.derated(f).verify_under(var, 3.0).is_timing_safe());
+            let ff = sys.pipeline_model().flip_flop();
+            let links = icnoc_timing::required_half_period(ff, &sys.segment_delays(), var, 3.0)
+                .expect("a tree has links");
+            if LinkTiming::clock_for(links) == f {
+                let faster = sys.derated(Gigahertz::new(f.value() * 1.05));
+                prop_assert!(!faster.verify_under(var, 3.0).is_timing_safe());
+            }
+        }
     }
 }

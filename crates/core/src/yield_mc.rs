@@ -12,7 +12,7 @@
 //! frequency.
 
 use crate::System;
-use icnoc_timing::{LinkTiming, ProcessVariation};
+use icnoc_timing::{Direction, LinkTiming, ProcessVariation};
 use icnoc_units::{Gigahertz, Picoseconds};
 
 /// The result of a Monte-Carlo yield run: per-die maximum frequencies.
@@ -49,8 +49,9 @@ impl YieldAnalysis {
                         let data = draw.apply(nominal);
                         let clock = draw.apply(nominal);
                         // Downstream (Δdiff) and upstream (Δsum) bounds.
-                        required = required.max(LinkTiming::required_half_period(ff, data - clock));
-                        required = required.max(LinkTiming::required_half_period(ff, data + clock));
+                        for delta in Direction::ALL.map(|dir| dir.skew_quantity(data, clock)) {
+                            required = required.max(LinkTiming::required_half_period(ff, delta));
+                        }
                         // Forward path: logic inflates with its own factor.
                         let logic = draw.apply(overhead);
                         required = required.max(logic + data);

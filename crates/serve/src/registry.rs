@@ -528,12 +528,6 @@ impl Registry {
         self.progress.notify_all();
     }
 
-    /// Whether [`shutdown`](Self::shutdown) was called.
-    #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.lock().shutdown
-    }
-
     fn worker_loop(&self) {
         loop {
             let (key, config) = {

@@ -424,29 +424,20 @@ impl FaultPlan {
         self.frequency
     }
 
-    /// The worst skew quantity injection can produce on an upstream link:
-    /// `Δsum = data + clock + max positive excursion`. A slowdown at which
-    /// this passes [`LinkTiming::check_delta`] silences the guard for
-    /// good — the DFS convergence target.
-    #[must_use]
-    pub fn worst_case_delta(&self) -> Picoseconds {
-        self.data_delay + self.clock_delay + max_excursion()
-    }
-
     /// Whether a `slowdown` derating is safe against every excursion this
-    /// plan can inject (both link directions).
+    /// plan can inject: both link directions' [`Direction::corners`] of the
+    /// guard's data interval `[max(d − e, 0), d + e]` against the clock `c`.
+    /// Such a slowdown silences the guard for good — the DFS target.
     #[must_use]
     pub fn slowdown_is_safe(&self, slowdown: f64) -> bool {
         let link = LinkTiming::new(self.flip_flop, self.frequency).derated(slowdown);
-        let excursion = max_excursion();
-        let down_hi = self.data_delay - self.clock_delay + excursion;
-        let down_lo = self.data_delay - self.clock_delay - excursion;
-        link.check_delta(Direction::Upstream, self.worst_case_delta())
-            .is_ok()
-            && link.check_delta(Direction::Downstream, down_hi).is_ok()
-            && link
-                .check_delta(Direction::Downstream, down_lo.max(-self.clock_delay))
-                .is_ok()
+        let (nominal, e) = (self.data_delay, max_excursion());
+        let data = ((nominal - e).max(Picoseconds::ZERO), nominal + e);
+        let clock = (self.clock_delay, self.clock_delay);
+        Direction::ALL.into_iter().all(|dir| {
+            let corners = dir.corners(data, clock);
+            corners.iter().all(|&(d, c)| link.check(dir, d, c).is_ok())
+        })
     }
 }
 
@@ -2109,9 +2100,10 @@ mod tests {
     #[test]
     fn worst_case_safety_threshold_matches_the_paper_algebra() {
         // nominal_90nm at 1 GHz: setup bound = 500·s − 120; worst Δsum =
-        // 150 + 150 + 600 = 900 ⇒ safe iff s ≥ 2.04.
+        // (150 + 600) + 150 = 900 ⇒ T_half > 1020 ps ⇒ safe iff s ≥ 2.04.
         let plan = FaultPlan::soak(1);
-        assert_eq!(plan.worst_case_delta(), Picoseconds::new(900.0));
+        let required = LinkTiming::required_half_period(plan.flip_flop, Picoseconds::new(900.0));
+        assert_eq!(required, Picoseconds::new(1020.0));
         assert!(!plan.slowdown_is_safe(1.0));
         assert!(!plan.slowdown_is_safe(2.0));
         assert!(plan.slowdown_is_safe(2.05));

@@ -238,12 +238,6 @@ impl Network {
         self.prof = Some(Box::new(KernelProfiler::default()));
     }
 
-    /// Whether the kernel profiler is attached.
-    #[must_use]
-    pub fn profiling_enabled(&self) -> bool {
-        self.prof.is_some()
-    }
-
     /// Ignored: speculate-and-replay no longer exists, and the parallel
     /// kernel always runs its conservative lookahead windows. Kept only so
     /// the `benchmark/` package builds unchanged; the next change to that

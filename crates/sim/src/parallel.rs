@@ -1760,8 +1760,12 @@ trait Hooks {
     const LAZY_STALLS: bool = !Self::TRACE;
     /// Whether an element that captured stays armed one more edge, on
     /// top of its stamped accept marker ([`soa_drained`]). Fault runs keep
-    /// that edge: it is the visit where a stage left blocked schedules its
-    /// register upset's timed wake ([`sleep_holding`](Self::sleep_holding)).
+    /// that edge for three things no other wake covers: a stage left
+    /// blocked schedules its register upset's timed wake
+    /// ([`sleep_holding`](Self::sleep_holding)); a consumer takes the
+    /// duplicate a stuck `valid` re-presents, which is the same flit and so
+    /// not "newly presented"; and a stage whose capture latched nothing
+    /// under metastability is re-armed, since no drain wakes an empty stage.
     const REVISIT_CAPTURES: bool = Self::ON;
     /// The shard's stamped log.
     fn log(&mut self) -> &mut Vec<Logged>;
@@ -1976,8 +1980,9 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
 ///   accept marker, stamped with its tick, and it reads as a drain only
 ///   on the next tick ([`soa_drained`]), the one tick on which the dense
 ///   loop still holds it; so no visit is spent clearing it. Fault runs
-///   still revisit the capturing element (`revisit_captures`,
-///   [`Hooks::REVISIT_CAPTURES`]);
+///   still revisit the capturing element (`revisit_captures`): a blocked
+///   stage's upset wake, a stuck `valid`'s duplicate and an empty
+///   metastable capture all need that edge ([`Hooks::REVISIT_CAPTURES`]);
 /// * a *newly presented* flit wakes every downstream that could take it
 ///   on its next edge ([`soa_may_capture`]): sinks and tiles always, a
 ///   stage only while it holds no flit and is locked to `i`, or unlocked

@@ -11,14 +11,34 @@
 
 use icnoc_clock::ClockBackend;
 use icnoc_sim::{
-    FaultPlan, FaultRates, Network, SimKernel, SimReport, SinkMode, TraceEventKind, TrafficPattern,
-    TreeNetworkConfig,
+    FaultKind, FaultPlan, FaultRates, Network, SimKernel, SimReport, SinkMode, TraceEventKind,
+    TrafficPattern, TreeNetworkConfig,
 };
 use icnoc_topology::{PortId, TreeTopology};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn binary(ports: usize) -> TreeTopology {
     TreeTopology::binary(ports).expect("power of 2")
+}
+
+/// `rates` with every fault kind but `kind` silenced.
+fn only(kind: FaultKind, rates: FaultRates) -> FaultRates {
+    let mut out = FaultRates::ZERO;
+    let (to, from) = match kind {
+        FaultKind::LinkJitter => (&mut out.link_jitter, rates.link_jitter),
+        FaultKind::SkewSpike => (&mut out.skew_spike, rates.skew_spike),
+        FaultKind::BitCorruption => (&mut out.bit_corruption, rates.bit_corruption),
+        FaultKind::FlitDrop => (&mut out.flit_drop, rates.flit_drop),
+        FaultKind::StuckValid => (&mut out.stuck_valid, rates.stuck_valid),
+        FaultKind::LostValid => (&mut out.lost_valid, rates.lost_valid),
+        FaultKind::ElementOutage => (&mut out.outage, rates.outage),
+        FaultKind::ClockOutage => (&mut out.clock_outage, rates.clock_outage),
+        FaultKind::PulseDrop => (&mut out.pulse_drop, rates.pulse_drop),
+        FaultKind::SkewDrift => (&mut out.skew_drift, rates.skew_drift),
+    };
+    *to = from;
+    out
 }
 
 /// The worker counts every parallel-kernel differential runs at: the
@@ -164,13 +184,20 @@ proptest! {
             .with_seed(seed);
         assert_kernels_agree(&cfg, cycles, "closed-loop");
     }
+}
+
+proptest! {
+    // Twice the cases of its neighbours: the single-kind profiles take half.
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The fault soak — every fault kind at a nonzero rate, hashed
     /// draws, retransmission timers, DFS frequency backoff — the clock
     /// soak on both clock backends (clock-domain outages, dropped pulses,
-    /// drift ramps on top), the soak at four times its rates, and a
-    /// windowed spec all run on the activity list at every worker count
-    /// and stay bit-identical to dense, ledger included, while the event
+    /// drift ramps on top), the soak at four times its rates, a windowed
+    /// spec, and each fault kind alone at ten times its clock-soak rate
+    /// (so no other kind masks a path one kind needs) all run on the
+    /// activity list at every worker count and stay bit-identical to
+    /// dense, ledger included, while the event
     /// kernel visits no more elements than dense and the parallel kernel
     /// exactly as many as the event kernel (`assert_kernels_agree`),
     /// with counters (a traced fault run) and without, on open-loop
@@ -181,7 +208,7 @@ proptest! {
     fn kernels_agree_under_fault_injection(
         seed in any::<u64>(),
         rate in 0.05f64..0.5,
-        profile in 0u32..5,
+        profile in 0u32..10,
         counters in 0u32..2,
         tiles in 0u32..2,
         packet_len in 1u32..4,
@@ -204,13 +231,20 @@ proptest! {
                 ClockBackend::Forwarded,
                 "soak*4",
             ),
-            _ => (
+            4 => (
                 FaultPlan::new(seed)
                     .with_rates(FaultRates::clock_soak())
                     .with_window(cycles / 2, cycles * 3 / 2),
                 ClockBackend::Forwarded,
                 "windowed clock soak",
             ),
+            _ => {
+                // Cycle through the kinds so that each one runs alone.
+                static NEXT: AtomicUsize = AtomicUsize::new(0);
+                let kind = FaultKind::ALL[NEXT.fetch_add(1, Ordering::Relaxed) % 10];
+                let rates = only(kind, FaultRates::clock_soak().scaled(10.0));
+                (FaultPlan::new(seed).with_rates(rates), ClockBackend::Forwarded, kind.label())
+            }
         };
         let mut cfg = TreeNetworkConfig::new(binary(16))
             .with_pattern(TrafficPattern::Uniform { rate })
@@ -233,6 +267,10 @@ proptest! {
         );
         prop_assert!(dense.fault_report().is_some());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The epoch-batching worst case, fuzzed: mirror traffic sends every
     /// flit through the root cut, so armed elements sit on the shard

@@ -15,9 +15,10 @@
 //!   operating points;
 //! * [`PipelineTimingModel`] — the frequency-vs-wire-length curve of
 //!   Figure 7, anchored at 1.8 GHz for head-to-head stages;
-//! * [`ProcessVariation`] and [`safe_frequency`] — the "graceful
-//!   performance degradation" property: for **any** bounded delay variation
-//!   there exists a clock frequency at which all link timing holds.
+//! * [`ProcessVariation`] and [`required_half_period`] / [`safe_frequency`]
+//!   — the "graceful performance degradation" property: for **any** bounded
+//!   delay variation there exists a clock frequency at which all link
+//!   timing holds.
 //!
 //! # Example: the paper's 1 GHz skew windows
 //!
@@ -49,5 +50,7 @@ pub use flipflop::FlipFlopTiming;
 pub use link::{Direction, LinkTiming, SkewWindow, TimingReport, TimingViolation, ViolationKind};
 pub use pipeline::{FrequencyPoint, PipelineConstraint, PipelineTimingModel};
 pub use router_model::RouterTimingModel;
-pub use variation::{safe_frequency, ProcessVariation, VariationCorner, VariationDraw};
+pub use variation::{
+    required_half_period, safe_frequency, ProcessVariation, VariationCorner, VariationDraw,
+};
 pub use wire::WireModel;

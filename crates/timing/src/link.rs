@@ -34,6 +34,21 @@ impl Direction {
             Direction::Upstream => data_delay + clock_delay,
         }
     }
+
+    /// The `(data_delay, clock_delay)` corners of each wire's `(lo, hi)`
+    /// delay interval that stress this direction's bounds: the setup corner
+    /// (largest skew quantity) first, then the hold corner (smallest).
+    #[must_use]
+    pub fn corners(
+        self,
+        data: (Picoseconds, Picoseconds),
+        clock: (Picoseconds, Picoseconds),
+    ) -> [(Picoseconds, Picoseconds); 2] {
+        match self {
+            Direction::Downstream => [(data.1, clock.0), (data.0, clock.1)],
+            Direction::Upstream => [(data.1, clock.1), (data.0, clock.0)],
+        }
+    }
 }
 
 impl core::fmt::Display for Direction {
@@ -484,29 +499,13 @@ impl LinkTiming {
         setup_bound.max(hold_bound)
     }
 
-    /// The highest clock frequency at which a transfer with the given wire
-    /// delays meets timing in `direction`, or `None` if no positive-period
-    /// clock can (cannot happen for physical, non-negative parameters).
-    ///
-    /// This is the "graceful degradation" knob of Section 4: the result is
-    /// finite and positive for any delays, so slowing the clock always
-    /// recovers timing safety.
+    /// The clock whose half period just exceeds a positive `required`: the
+    /// paper's bounds are strict, so every solver backs off by this one
+    /// vanishing epsilon and its frequency itself passes [`check`](Self::check).
     #[must_use]
-    pub fn max_frequency(
-        flip_flop: FlipFlopTiming,
-        direction: Direction,
-        data_delay: Picoseconds,
-        clock_delay: Picoseconds,
-    ) -> Option<Gigahertz> {
-        let delta = direction.skew_quantity(data_delay, clock_delay);
-        let needed = Self::required_half_period(flip_flop, delta);
-        if needed.value() <= 0.0 {
-            return None; // unconstrained: any frequency satisfies timing
-        }
-        // Strict inequality: back off by a vanishing epsilon so that the
-        // returned frequency itself passes `check`.
-        let half = Picoseconds::new(needed.value() * (1.0 + 1e-12) + 1e-9);
-        Some(Gigahertz::from_half_period(half))
+    pub fn clock_for(required: Picoseconds) -> Gigahertz {
+        let half = Picoseconds::new(required.value() * (1.0 + 1e-12) + 1e-9);
+        Gigahertz::from_half_period(half)
     }
 }
 
@@ -558,7 +557,8 @@ mod tests {
         assert_eq!(err.excess(), Picoseconds::new(20.0));
 
         // Graceful degradation: the solver finds a slower clock that passes.
-        let f = LinkTiming::max_frequency(ff, Direction::Upstream, d, d).expect("bounded");
+        let none = crate::ProcessVariation::none();
+        let f = crate::safe_frequency(ff, &[(Direction::Upstream, d, d)], none, 0.0).unwrap();
         assert!(f.value() < 1.0);
         let slower = LinkTiming::new(ff, f);
         assert!(slower.check(Direction::Upstream, d, d).is_ok());
@@ -775,10 +775,9 @@ mod tests {
         ) {
             let ff = FlipFlopTiming::nominal_90nm();
             for dir in Direction::ALL {
-                let f = LinkTiming::max_frequency(
-                    ff, dir, Picoseconds::new(data), Picoseconds::new(clk),
-                );
-                let f = f.expect("nominal FF always bounds the frequency");
+                let link = [(dir, Picoseconds::new(data), Picoseconds::new(clk))];
+                let none = crate::ProcessVariation::none();
+                let f = crate::safe_frequency(ff, &link, none, 0.0).unwrap();
                 let link = LinkTiming::new(ff, f);
                 prop_assert!(
                     link.check(dir, Picoseconds::new(data), Picoseconds::new(clk)).is_ok(),

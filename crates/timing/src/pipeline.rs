@@ -1,6 +1,6 @@
 //! The pipeline-stage frequency model behind Figure 7 of the paper.
 
-use crate::{FlipFlopTiming, WireModel};
+use crate::{Direction, FlipFlopTiming, LinkTiming, WireModel};
 use icnoc_units::{Gigahertz, Millimeters, Picoseconds};
 use serde::{Deserialize, Serialize};
 
@@ -160,7 +160,10 @@ impl PipelineTimingModel {
     pub fn required_half_period(&self, length: Millimeters) -> (Picoseconds, PipelineConstraint) {
         let w = self.wire.delay(length);
         let forward = self.stage_overhead() + w;
-        let handshake = self.flip_flop.register_overhead() + w * 2.0;
+        let handshake = LinkTiming::required_half_period(
+            self.flip_flop,
+            Direction::Upstream.skew_quantity(w, w),
+        );
         if forward >= handshake {
             (forward, PipelineConstraint::ForwardPath)
         } else {
@@ -178,16 +181,6 @@ impl PipelineTimingModel {
     pub fn max_frequency(&self, length: Millimeters) -> Gigahertz {
         let (half, _) = self.required_half_period(length);
         Gigahertz::from_half_period(half)
-    }
-
-    /// The constraint that binds at the given wire length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `length` is negative.
-    #[must_use]
-    pub fn binding_constraint(&self, length: Millimeters) -> PipelineConstraint {
-        self.required_half_period(length).1
     }
 
     /// The wire length at which the binding constraint flips from
@@ -293,11 +286,11 @@ mod tests {
     fn short_segments_forward_limited_long_segments_handshake_limited() {
         let m = model();
         assert_eq!(
-            m.binding_constraint(Millimeters::new(0.2)),
+            m.required_half_period(Millimeters::new(0.2)).1,
             PipelineConstraint::ForwardPath
         );
         assert_eq!(
-            m.binding_constraint(Millimeters::new(2.0)),
+            m.required_half_period(Millimeters::new(2.0)).1,
             PipelineConstraint::UpstreamHandshake
         );
         let x = m.constraint_crossover();

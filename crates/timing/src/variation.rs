@@ -9,8 +9,9 @@
 //!   (systematic/global corner shift plus random per-element mismatch);
 //! * [`VariationDraw`] — a seeded sampler producing concrete per-wire delay
 //!   factors for Monte-Carlo simulation;
-//! * [`safe_frequency`] — the worst-case solver that proves the claim for a
-//!   given link set, returning the fastest provably-safe clock.
+//! * [`required_half_period`] and [`safe_frequency`] — the worst-case
+//!   solver that proves the claim for a given link set, returning the
+//!   fastest provably-safe clock.
 
 use crate::{Direction, FlipFlopTiming, LinkTiming};
 use icnoc_units::{Gigahertz, Picoseconds};
@@ -86,6 +87,17 @@ impl ProcessVariation {
     #[must_use]
     pub fn best_case_factor(&self, k_sigma: f64) -> f64 {
         (1.0 + self.systematic) * (1.0 - k_sigma * self.sigma).max(0.05)
+    }
+
+    /// The `(lo, hi)` interval a `nominal` delay spans at `k_sigma`
+    /// deviations: its best- and worst-case factors applied. The corners of
+    /// [`Direction::corners`] are drawn from it.
+    #[must_use]
+    pub fn interval(&self, nominal: Picoseconds, k_sigma: f64) -> (Picoseconds, Picoseconds) {
+        (
+            nominal * self.best_case_factor(k_sigma),
+            nominal * self.worst_case_factor(k_sigma),
+        )
     }
 
     /// Creates a seeded sampler of concrete delay factors.
@@ -223,16 +235,38 @@ impl VariationDraw {
     }
 }
 
-/// Finds the fastest clock that is provably timing-safe for every link in
-/// `links` under worst-case `k_sigma` variation — the paper's graceful-
-/// degradation guarantee made executable.
+/// The smallest `T_half` under which every link in `links` meets timing
+/// at worst-case `k_sigma` variation: eqs. (1)/(2) (via
+/// [`LinkTiming::required_half_period`]) at both [`Direction::corners`] of
+/// each link's [`ProcessVariation::interval`]s.
 ///
 /// Each link is `(direction, data_delay, clock_delay)` at nominal silicon.
-/// For setup bounds the data wire is inflated to the worst-case factor while
-/// the clock wire (downstream) deflates to the best case; for hold bounds
-/// the corners swap. The returned frequency satisfies
-/// [`LinkTiming::check`] for every corner of every link; `None` is returned
-/// only for an empty link set (nothing constrains the clock).
+/// `None` only for an empty link set (nothing constrains the clock).
+#[must_use]
+pub fn required_half_period(
+    flip_flop: FlipFlopTiming,
+    links: &[(Direction, Picoseconds, Picoseconds)],
+    variation: ProcessVariation,
+    k_sigma: f64,
+) -> Option<Picoseconds> {
+    links
+        .iter()
+        .flat_map(|&(direction, data, clock)| {
+            let data = variation.interval(data, k_sigma);
+            let clock = variation.interval(clock, k_sigma);
+            direction.corners(data, clock).map(|(d, c)| {
+                LinkTiming::required_half_period(flip_flop, direction.skew_quantity(d, c))
+            })
+        })
+        .reduce(Picoseconds::max)
+}
+
+/// Finds the fastest clock that is provably timing-safe for every link in
+/// `links` under worst-case `k_sigma` variation — the paper's graceful-
+/// degradation guarantee made executable: [`required_half_period`] backed
+/// off by [`LinkTiming::clock_for`]. The returned frequency satisfies
+/// [`LinkTiming::check`] at every corner of every link; `None` is returned
+/// only for an empty link set.
 ///
 /// ```
 /// use icnoc_timing::{safe_frequency, Direction, FlipFlopTiming, ProcessVariation};
@@ -252,28 +286,7 @@ pub fn safe_frequency(
     variation: ProcessVariation,
     k_sigma: f64,
 ) -> Option<Gigahertz> {
-    let hi = variation.worst_case_factor(k_sigma);
-    let lo = variation.best_case_factor(k_sigma);
-    let mut required = Picoseconds::NEG_INFINITY;
-    let mut any = false;
-    for &(direction, data, clk) in links {
-        any = true;
-        // Worst corners of the skew quantity for setup (max delta) and hold
-        // (min delta).
-        let (delta_max, delta_min) = match direction {
-            Direction::Downstream => (data * hi - clk * lo, data * lo - clk * hi),
-            Direction::Upstream => ((data + clk) * hi, (data + clk) * lo),
-        };
-        for delta in [delta_max, delta_min] {
-            required = required.max(LinkTiming::required_half_period(flip_flop, delta));
-        }
-    }
-    if !any {
-        return None;
-    }
-    // required > 0 always holds for physical flip-flops (clk→Q + setup > 0).
-    let half = Picoseconds::new(required.value() * (1.0 + 1e-12) + 1e-9);
-    Some(Gigahertz::from_half_period(half))
+    required_half_period(flip_flop, links, variation, k_sigma).map(LinkTiming::clock_for)
 }
 
 #[cfg(test)]
@@ -379,14 +392,8 @@ mod tests {
             Picoseconds::new(190.0),
         )];
         let f = safe_frequency(ff, &links, ProcessVariation::none(), 3.0).expect("non-empty");
-        let single = LinkTiming::max_frequency(
-            ff,
-            Direction::Upstream,
-            Picoseconds::new(190.0),
-            Picoseconds::new(190.0),
-        )
-        .expect("bounded");
-        assert!((f.value() - single.value()).abs() < 1e-9);
+        // Eq. (7) alone: Δsum = 380 ps needs T_half > 380 + 60 + 60 ps.
+        assert!((f.value() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -410,14 +417,8 @@ mod tests {
             assert!(f.value() > 0.0, "systematic {systematic} gave {f}");
             // Verify every worst-corner delta actually passes at f.
             let link = LinkTiming::new(ff, f);
-            let hi = var.worst_case_factor(3.0);
-            let lo = var.best_case_factor(3.0);
             for &(dir, d, c) in &links {
-                let corners = match dir {
-                    Direction::Downstream => [(d * hi, c * lo), (d * lo, c * hi)],
-                    Direction::Upstream => [(d * hi, c * hi), (d * lo, c * lo)],
-                };
-                for (dd, cc) in corners {
+                for (dd, cc) in dir.corners(var.interval(d, 3.0), var.interval(c, 3.0)) {
                     assert!(link.check(dir, dd, cc).is_ok());
                 }
             }
@@ -457,14 +458,8 @@ mod tests {
             let var = ProcessVariation::new(sys, sigma);
             let f = safe_frequency(ff, &links, var, 3.0).expect("non-empty");
             let link = LinkTiming::new(ff, f);
-            let hi = var.worst_case_factor(3.0);
-            let lo = var.best_case_factor(3.0);
             for (dir, d, c) in links {
-                let corners = match dir {
-                    Direction::Downstream => [(d * hi, c * lo), (d * lo, c * hi)],
-                    Direction::Upstream => [(d * hi, c * hi), (d * lo, c * lo)],
-                };
-                for (dd, cc) in corners {
+                for (dd, cc) in dir.corners(var.interval(d, 3.0), var.interval(c, 3.0)) {
                     prop_assert!(link.check(dir, dd, cc).is_ok());
                 }
             }

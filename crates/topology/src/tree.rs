@@ -323,16 +323,6 @@ impl TreeTopology {
         }
     }
 
-    /// The router a port attaches to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::PortOutOfRange`] for unknown ports.
-    pub fn leaf_router(&self, port: PortId) -> Result<NodeId, TopologyError> {
-        let leaf = self.leaf(port)?;
-        Ok(self.parent(leaf).expect("leaves always have a parent"))
-    }
-
     /// Iterates over all router node ids, breadth-first from the root.
     pub fn routers(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.router_count).map(|i| NodeId(i as u32))

@@ -145,3 +145,16 @@ fn e13_all_four_ablations_render() {
     // Staggering must reduce the peak.
     assert!(out.contains("0.06x") || out.contains("0.05x"), "{out}");
 }
+
+/// Every table E1–E16, byte for byte, against the committed golden output.
+/// Regenerate it only for an intended change to the numbers:
+/// `cargo run --release -p icnoc-bench --bin tables > tests/golden/tables.txt`.
+#[test]
+fn tables_match_the_golden_output() {
+    let golden = include_str!("golden/tables.txt");
+    let out = icnoc_bench::run_all();
+    for (i, (got, want)) in out.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "line {} of tests/golden/tables.txt", i + 1);
+    }
+    assert_eq!(out, golden);
+}
