@@ -28,6 +28,7 @@
 //! explore crate's deterministic executor; its output is byte-identical
 //! to the serial [`run_all`] for any worker count.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiments;

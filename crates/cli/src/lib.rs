@@ -13,6 +13,7 @@
 //! icnoc explore [--grid SPEC] [--jobs N] [--cache-dir DIR] [--resume]
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod args;

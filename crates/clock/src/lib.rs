@@ -44,6 +44,7 @@
 //! # Ok::<(), icnoc_topology::TopologyError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod distribution;

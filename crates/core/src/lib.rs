@@ -38,6 +38,7 @@
 //! # Ok::<(), icnoc::SystemError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod demonstrator;

@@ -38,6 +38,7 @@
 //! # Ok::<(), icnoc_explore::GridError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

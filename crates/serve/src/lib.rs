@@ -28,6 +28,7 @@
 //! returns the exact offline `icnoc explore` document, byte-identical
 //! up to `wall_ms` lines.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

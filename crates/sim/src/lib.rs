@@ -32,6 +32,7 @@
 //! assert!(report.throughput_per_cycle() > 0.9);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod element;

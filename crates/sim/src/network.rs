@@ -638,6 +638,12 @@ impl Network {
         self.elements.len()
     }
 
+    /// The element graph, for the kernels' unit tests.
+    #[cfg(test)]
+    pub(crate) fn elements(&self) -> &[Element] {
+        &self.elements
+    }
+
     /// The current half-cycle tick.
     #[must_use]
     pub fn tick(&self) -> u64 {

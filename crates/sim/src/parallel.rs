@@ -37,32 +37,36 @@
 //! software form of the half-period propagation budget the paper's
 //! handshake enjoys in hardware (Section 5).
 //!
-//! Every structure a batch shares between threads is one
-//! [`SharedSlice`]: a slice whose slots each sit in an `UnsafeCell`,
-//! guarded by no lock. Phase ownership is the aliasing proof behind every
-//! `unsafe` access. There are two phases:
+//! The borrow checker holds each worker to that rule. Slots are laid
+//! out parity-major, then shard-major ([`Slots`]), so every neighbour of
+//! a slot lies in the other polarity half, and each window lends its
+//! workers plain borrows ([`Lease`]):
 //!
-//! * **Visit phase** (each tick of a window): worker `w` owns the slot
-//!   range `Slots::range(w)` ([`Slots`]). It is the unique
-//!   mutator of every slot `i` in that range — its entry in every
-//!   [`SoaDyn`] column and the `Element` behind it — on ticks whose
-//!   parity matches `i`'s polarity. Every other access reads an
-//!   opposite-parity neighbour, frozen for the tick; inside a batched
-//!   window no slot with a cross-shard neighbour is visited at all.
-//!   Whether a wake stays in the shard is one range compare, and debug
-//!   builds assert that every visit, same-shard wake, armed-list drain
-//!   and timed wake stays in the range. Worker `w` owns its
-//!   [`WorkerBufs`] (outbox, log and armed list). The fault state is
-//!   read-only.
-//! * **Between windows** (every worker has reported done and waits on the
-//!   next serial): the coordinator owns every slot. It folds the logs,
-//!   routes the outboxes' cross-shard wakes into the armed lists, runs
-//!   the fault state's `begin_step`, and queues released
-//!   retransmissions into the elements and armed lists.
+//! * **One-tick window** of parity `p`: worker `w` gets `&mut` over its
+//!   shard's range of half `p` — every [`SoaDyn`] column and the
+//!   `Element`s behind it — and a shared `&` over all of half `1 − p`,
+//!   frozen for the tick. Its visits mutate only their own slots and read
+//!   neighbours only through the frozen half; a wake outside its range
+//!   goes to its outbox.
+//! * **Batched window**: worker `w` gets `&mut` over its ranges of both
+//!   halves. No visit in it has a cross-shard neighbour, so reading or
+//!   waking one would be an out-of-range slice index.
+//!
+//! Either way a worker also gets its own [`WorkerBufs`] (outbox, log and
+//! armed list) and, on a fault run, the fault state's read-only
+//! [`FaultCtx`]. **Between windows** (every worker has handed its lease
+//! back) the coordinator holds every slot, element, buffer and the
+//! `&mut FaultState` as ordinary borrows. It folds the logs, routes the
+//! outboxes' cross-shard wakes into the armed lists, runs the fault
+//! state's `begin_step`, and queues released retransmissions into the
+//! elements and armed lists. The coordinator cuts each window's leases
+//! with `split_at_mut`; the only `unsafe` in the crate hands them to the
+//! parked worker threads, in the `lease` module, whose [`Desk::lend`]
+//! does not return until every lease is back.
 //!
 //! Three mechanisms keep the constant factor small:
 //!
-//! * **Shard-major struct-of-arrays state.** The per-element fields the
+//! * **Parity-major struct-of-arrays state.** The per-element fields the
 //!   handshake actually touches every tick (`out_flit`, `accepted_from`,
 //!   `lock`, `rr_next`, the gating counter) live in dense [`SoaDyn`]
 //!   arrays for the duration of a batch, alongside a CSR copy of the
@@ -71,12 +75,13 @@
 //!   kinds (sources, sinks, tiles) keep their bulky state in the element
 //!   itself but read and write the handshake fields through the same
 //!   arrays. The arrays are indexed by *slot*, not element id: each shard
-//!   owns one contiguous slot range, its elements in ascending id order
-//!   inside it ([`Slots`]), so two workers share at most the one cache
-//!   line of each column that straddles their range boundary (in element
-//!   order the tree builders' level-by-level numbering interleaves the
-//!   subtrees near the root, so they would share many), and each
-//!   worker's ready sets cover only its own range. Slots become element ids only
+//!   owns one contiguous slot range in each polarity half, its elements
+//!   in ascending id order inside it ([`Slots`]), so two workers share at
+//!   most the one cache line of each column that straddles a range
+//!   boundary (in element order the tree builders' level-by-level
+//!   numbering interleaves the subtrees near the root, so they would
+//!   share many), and each worker's two ready sets cover only its own
+//!   ranges. Slots become element ids only
 //!   at the edges: loading and storing the arrays, the hooks' fault draws
 //!   and log stamps, and endpoint visits. The arrays are loaded from the
 //!   elements when a batch starts and stored back when it ends, so
@@ -105,22 +110,22 @@
 //!   spin barrier.** Every connection joins opposite clock polarities, so
 //!   a wake made on one tick is needed only on the next, and the
 //!   coordinator already owns every slot between two windows. A worker
-//!   pushes a cross-shard wake into its own outbox; after the wait for
-//!   every worker's `done`, the coordinator moves it into the target
+//!   pushes a cross-shard wake into its own outbox; once every worker
+//!   has handed its lease back, the coordinator moves it into the target
 //!   shard's armed list ([`route_wakes`]), which the target drains into
 //!   its ready sets when the next window starts. A window's only
 //!   rendezvous is that wait. Windows are published through a
-//!   seqlock-free serial counter; each worker reports completion in its
-//!   own padded slot and sleeps (`thread::park`) when it has nothing to
-//!   do.
+//!   seqlock-free serial counter; each worker counts its lease back and
+//!   sleeps (`thread::park`) when it has nothing to do.
 //!
 //! Determinism is preserved exactly: only a one-tick window may wake
-//! across a shard cut (a tripwire assert enforces it), and ready-set
-//! inserts are idempotent and commutative, so the order in which the
-//! coordinator routes wakes cannot matter. Every worker keeps one log of
-//! `(tick, element)`-stamped entries — sink and tile deliveries, and on
-//! fault or traced runs recovery-layer operations and trace events — and
-//! the coordinator folds the logs in that order at every window end. Each
+//! across a shard cut (a batched window lends no other shard's slot),
+//! and ready-set inserts are idempotent and commutative, so the order in
+//! which the coordinator routes wakes cannot matter. Every worker keeps
+//! one log of `(tick, element)`-stamped entries — sink and tile
+//! deliveries, and on fault or traced runs recovery-layer operations and
+//! trace events — and the coordinator folds the logs in that order at
+//! every window end. Each
 //! consumer records at most one arrival per tick, so the fold reproduces
 //! the sequential kernel's scoreboard order bit for bit at any worker
 //! count.
@@ -155,7 +160,7 @@ use crate::{ElementId, Flit, TrafficPattern};
 use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_timing::Direction;
 use icnoc_topology::PortId;
-use std::cell::UnsafeCell;
+use lease::{carve, Desk, Split};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
@@ -163,6 +168,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::thread::Thread;
 use std::time::Instant;
+
+#[allow(unsafe_code)]
+mod lease;
 
 /// An entry of a shard's stamped log: `(tick, element, entry)`. The
 /// coordinator folds every shard's log in that order at each window end.
@@ -240,12 +248,10 @@ fn pol_idx(p: ClockPolarity) -> usize {
 /// `Clone`.
 ///
 /// Everything below `slots` is indexed by slot, not element id: shard
-/// `w` owns one contiguous slot range ([`Slots`]).
+/// `w` owns one contiguous slot range in each polarity half ([`Slots`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ParState {
-    /// Worker count (= shard count).
-    workers: usize,
-    /// The shard-major slot plan and its maps to and from element ids.
+    /// The parity-major slot plan and its maps to and from element ids.
     slots: Slots,
     /// Slots re-armed after every visit except an untraced one that
     /// counts a stall (see [`repin`](Self::repin) and [`Stay::Stalled`]).
@@ -271,17 +277,23 @@ pub(crate) struct ParState {
     wakes_received: Vec<u64>,
 }
 
-/// The SoA kernel's index space. Shard `w` owns slots
-/// `bounds[w]..bounds[w + 1]`, holding its elements in ascending
-/// element-id order, so a shard visits (and logs) in `(tick, element)`
-/// order and writes only its own stretch of every dense column. The tree
-/// builders number elements level by level, which interleaves the
-/// root-child subtrees near the root; in element order two workers would
-/// write the same cache lines there. One shard is the identity layout.
+/// The SoA kernel's index space, parity-major then shard-major:
+/// `[even: shard 0..W | odd: shard 0..W]`. Range `h·W + w` holds shard
+/// `w`'s elements of polarity half `h` (ready-set index, so rising edges
+/// are half 0) in ascending element-id order, so a shard visits (and
+/// logs) in `(tick, element)` order and writes only its own stretch of
+/// every dense column. Every connection joins opposite polarities, so
+/// every neighbour of a slot lies in the other half: a tick's visits
+/// write one half and read only the other. The tree builders number
+/// elements level by level, which interleaves the root-child subtrees
+/// near the root; in element order two workers would write the same
+/// cache lines there.
 #[derive(Debug, Clone)]
 struct Slots {
-    /// Shard range boundaries, `workers + 1` of them; an empty shard has
-    /// an empty range.
+    /// Worker count (= shard count).
+    workers: usize,
+    /// Range boundaries, `2·workers + 1` of them; an empty range is
+    /// empty.
     bounds: Vec<u32>,
     /// The slot of each element.
     slot_of: Vec<u32>,
@@ -290,41 +302,54 @@ struct Slots {
 }
 
 impl Slots {
-    /// Lays out the shards of `shard_of` (indexed by element) shard-major,
-    /// each shard's elements in ascending id order — a stable counting
-    /// sort.
-    fn plan(shard_of: &[u16], workers: usize) -> Self {
-        let mut bounds = vec![0u32; workers + 1];
-        for &s in shard_of {
-            bounds[usize::from(s) + 1] += 1;
+    /// Lays out the elements by polarity half `half` (indexed by element),
+    /// then by shard `shard_of`, each range in ascending id order — a
+    /// stable counting sort.
+    fn plan(shard_of: &[u16], half: &[u8], workers: usize) -> Self {
+        let key = |e: usize| usize::from(half[e]) * workers + usize::from(shard_of[e]);
+        let mut bounds = vec![0u32; 2 * workers + 1];
+        for e in 0..shard_of.len() {
+            bounds[key(e) + 1] += 1;
         }
-        for w in 0..workers {
-            bounds[w + 1] += bounds[w];
+        for k in 0..2 * workers {
+            bounds[k + 1] += bounds[k];
         }
-        let mut next = bounds[..workers].to_vec();
+        let mut next = bounds[..2 * workers].to_vec();
         let mut slot_of = vec![0u32; shard_of.len()];
         let mut elem_of = vec![0u32; shard_of.len()];
-        for (e, &s) in shard_of.iter().enumerate() {
-            let slot = &mut next[usize::from(s)];
+        for e in 0..shard_of.len() {
+            let slot = &mut next[key(e)];
             slot_of[e] = *slot;
             elem_of[*slot as usize] = e as u32;
             *slot += 1;
         }
         Self {
+            workers,
             bounds,
             slot_of,
             elem_of,
         }
     }
 
-    /// Shard `w`'s slot range.
-    fn range(&self, w: usize) -> Range<usize> {
-        self.bounds[w] as usize..self.bounds[w + 1] as usize
+    /// Shard `w`'s slot range in half `h`.
+    fn range(&self, h: usize, w: usize) -> Range<usize> {
+        let k = h * self.workers + w;
+        self.bounds[k] as usize..self.bounds[k + 1] as usize
+    }
+
+    /// Shard `w`'s slot ranges in both halves.
+    fn ranges(&self, w: usize) -> [Range<usize>; 2] {
+        [self.range(0, w), self.range(1, w)]
+    }
+
+    /// The half holding slot `s`: its ready-set index.
+    fn half_of(&self, s: usize) -> usize {
+        usize::from(s >= self.bounds[self.workers] as usize)
     }
 
     /// The shard owning slot `s`.
     fn shard_of(&self, s: usize) -> usize {
-        self.bounds.partition_point(|&b| b as usize <= s) - 1
+        (self.bounds.partition_point(|&b| b as usize <= s) - 1) % self.workers
     }
 
     /// An element reference as a slot (`u32::MAX` = none).
@@ -342,14 +367,14 @@ impl Slots {
 
 /// One worker's slice of the activity-list kernel. Cache-line aligned:
 /// adjacent cores in `ParState::cores` belong to different threads, and
-/// each bumps its counters on every visit. Its slot range `own` is not
-/// stored here: [`Slots::range`] is the one record of the plan, and the
-/// callers pass it in.
+/// each bumps its counters on every visit. Its slot ranges `own` are not
+/// stored here: [`Slots::ranges`] is the one record of the plan, and the
+/// callers pass them in.
 #[derive(Debug, Clone)]
 #[repr(align(128))]
 pub(crate) struct ShardCore {
-    /// Per-polarity ready sets over this shard's slot range (bit `b` is
-    /// slot `own.start + b`).
+    /// Per-polarity ready sets, each over this shard's range of its half
+    /// (bit `b` of set `h` is slot `own[h].start + b`).
     ready: [ReadySet; 2],
     /// Agenda swap buffer: the current tick's ready set is swapped in
     /// here, so same-parity re-arms land on the *next* matching edge.
@@ -367,10 +392,10 @@ pub(crate) struct ShardCore {
 }
 
 impl ShardCore {
-    fn new(len: usize) -> Self {
+    fn new(own: [Range<usize>; 2]) -> Self {
         Self {
-            ready: [ReadySet::with_len(len), ReadySet::with_len(len)],
-            scratch: vec![0; len.div_ceil(64)],
+            ready: own.map(|r| ReadySet::with_len(r.len())),
+            scratch: Vec::new(),
             steps: 0,
             wakes_sent: 0,
             prof: None,
@@ -378,20 +403,19 @@ impl ShardCore {
         }
     }
 
-    /// Arms slot `s`, which must lie in this shard's range `own`, in the
-    /// parity-`p` ready set.
+    /// Arms slot `s`, which must lie in this shard's range `own[h]`, in
+    /// the parity-`h` ready set.
     #[inline]
-    fn arm(&mut self, own: &Range<usize>, p: usize, s: usize) {
-        debug_assert!(own.contains(&s), "slot {s} armed outside {own:?}");
-        self.ready[p].insert(s - own.start);
+    fn arm(&mut self, own: &[Range<usize>; 2], h: usize, s: usize) {
+        self.ready[h].insert(s - own[h].start);
     }
 
     /// Moves the slots the coordinator armed for this shard into its
     /// ready sets.
-    fn take_armed(&mut self, own: &Range<usize>, armed: &mut Vec<u32>, pol: &[u8]) {
+    fn take_armed(&mut self, own: &[Range<usize>; 2], armed: &mut Vec<u32>, slots: &Slots) {
         for s in armed.drain(..) {
             let s = s as usize;
-            self.arm(own, usize::from(pol[s]), s);
+            self.arm(own, slots.half_of(s), s);
         }
     }
 }
@@ -413,6 +437,8 @@ struct WorkerBufs {
     /// Slots the coordinator armed between windows: routed cross-shard
     /// wakes and the injectors of released retransmissions.
     armed: Vec<u32>,
+    /// The shard's activity summary after its last window.
+    activity: ShardActivity,
 }
 
 /// A shard's private state in a fault run.
@@ -435,7 +461,8 @@ impl ParState {
         let n = elements.len();
         debug_assert!(n < NONE_U32 as usize, "element space fits u32 encoding");
         let workers = workers.clamp(1, n.max(1)).min(u16::MAX as usize);
-        let slots = Slots::plan(&plan_shards(n, workers, hints), workers);
+        let half: Vec<u8> = elements.iter().map(|e| pol_idx(e.polarity) as u8).collect();
+        let slots = Slots::plan(&plan_shards(n, workers, hints), &half, workers);
         let topo = SoaTopo::build(elements, &slots);
         let dist = boundary_distances(&topo, &slots);
         let lookahead = dist
@@ -445,10 +472,9 @@ impl ParState {
             .max()
             .map(u64::from);
         let cores = (0..workers)
-            .map(|w| ShardCore::new(slots.range(w).len()))
+            .map(|w| ShardCore::new(slots.ranges(w)))
             .collect();
         let mut par = Self {
-            workers,
             slots,
             pinned: vec![false; n],
             topo,
@@ -474,8 +500,8 @@ impl ParState {
     /// clears.
     pub(crate) fn repin(&mut self, elements: &[Element]) {
         for (w, core) in self.cores.iter_mut().enumerate() {
-            let own = self.slots.range(w);
-            for s in own.clone() {
+            let own = self.slots.ranges(w);
+            for s in own[0].clone().chain(own[1].clone()) {
                 let el = &elements[self.slots.elem_of[s] as usize];
                 self.pinned[s] = match &el.kind {
                     Kind::Source(src) => {
@@ -500,7 +526,7 @@ impl ParState {
 
     /// The number of worker shards.
     pub(crate) fn workers(&self) -> usize {
-        self.workers
+        self.slots.workers
     }
 
     /// The deepest safe batching window the shard cut admits (`None` =
@@ -540,65 +566,51 @@ impl ParState {
 
     /// Elements assigned to each shard under the current plan.
     pub(crate) fn shard_elements(&self) -> Vec<u64> {
-        (0..self.workers)
-            .map(|w| self.slots.range(w).len() as u64)
+        (0..self.slots.workers)
+            .map(|w| self.slots.ranges(w).map(|r| r.len() as u64).iter().sum())
             .collect()
     }
 
-    /// Loads the dense handshake arrays from the element graph at batch
-    /// start, before tick `base`, in slot order. The gating column starts
-    /// at zero and accumulates enabled edges as a delta. A held accept
-    /// marker was set on its element's last edge before `base`, so that
-    /// edge is its stamp.
-    fn load_dyn(&mut self, elements: &[Element], base: u64, faulted: bool) {
-        let n = elements.len();
-        let slots = &self.slots;
-        let by_slot = || slots.elem_of.iter().map(|&e| &elements[e as usize]);
-        let s = &mut self.soa;
+    /// Loads the dense handshake arrays at batch start, before tick
+    /// `base`, from the elements in slot order. The gating count starts at
+    /// zero and accumulates enabled edges as a delta. A held accept marker
+    /// was set on its element's last edge before `base`, so that edge is
+    /// its stamp.
+    fn load_dyn(&mut self, els: &[&mut Element], base: u64) {
+        let (slots, s) = (&self.slots, &mut self.soa);
         s.out.clear();
-        s.out.extend(by_slot().map(|e| e.out_flit));
-        s.acc.clear();
-        s.acc.extend(by_slot().map(|e| slots.pack(e.accepted_from)));
-        s.acc_at.clear();
-        s.acc_at.extend(
-            self.topo
-                .pol
-                .iter()
-                .map(|&p| last_edge_before(usize::from(p), base)),
-        );
-        s.lock.clear();
-        s.lock.extend(by_slot().map(|e| slots.pack(e.lock)));
-        s.rr.clear();
-        s.rr.extend(by_slot().map(|e| e.rr_next as u32));
-        s.enabled.clear();
-        s.enabled.resize(n, 0);
-        s.upset.clear();
-        s.upset.extend(by_slot().map(|e| e.upset_at));
-        s.asleep_since.resize(n, AWAKE);
-        s.asleep_frozen.resize(if faulted { n } else { 0 }, 0);
+        s.out.extend(els.iter().map(|e| e.out_flit));
+        s.regs.clear();
+        s.regs.extend(els.iter().enumerate().map(|(i, e)| Regs {
+            acc: slots.pack(e.accepted_from),
+            acc_at: last_edge_before(slots.half_of(i), base),
+            lock: slots.pack(e.lock),
+            rr: e.rr_next as u32,
+            enabled: 0,
+            upset: e.upset_at,
+            asleep_since: AWAKE,
+            asleep_frozen: 0,
+        }));
     }
 
-    /// Stores the dense handshake arrays back into the element graph at
-    /// batch end, before tick `end`, folding the gating delta into each
-    /// element's accumulator. An accept marker survives only if its stamp
-    /// is its element's last edge before `end`: the dense loop cleared
-    /// every older one on a visit the batch skipped.
-    fn store_dyn(&self, elements: &mut [Element], end: u64) {
+    /// Stores the dense handshake arrays back into the elements, in slot
+    /// order, at batch end, before tick `end`, folding the gating delta
+    /// into each element's accumulator. An accept marker survives only if
+    /// its stamp is its element's last edge before `end`: the dense loop
+    /// cleared every older one on a visit the batch skipped.
+    fn store_dyn(&self, els: &mut [&mut Element], end: u64) {
         let slots = &self.slots;
-        for (s, &e) in slots.elem_of.iter().enumerate() {
-            let el = &mut elements[e as usize];
+        for (s, el) in els.iter_mut().enumerate() {
             el.out_flit = self.soa.out[s];
-            let last = last_edge_before(usize::from(self.topo.pol[s]), end);
-            el.accepted_from = slots
-                .unpack(self.soa.acc[s])
-                .filter(|_| self.soa.acc_at[s] == last);
-            el.lock = slots.unpack(self.soa.lock[s]);
-            el.rr_next = self.soa.rr[s] as usize;
-            el.upset_at = self.soa.upset[s];
-            let enabled = self.soa.enabled[s];
-            if enabled != 0 {
+            let last = last_edge_before(slots.half_of(s), end);
+            let regs = &self.soa.regs[s];
+            el.accepted_from = slots.unpack(regs.acc).filter(|_| regs.acc_at == last);
+            el.lock = slots.unpack(regs.lock);
+            el.rr_next = regs.rr as usize;
+            el.upset_at = regs.upset;
+            if regs.enabled != 0 {
                 el.gating
-                    .merge(&ClockGatingStats::from_counts(u64::from(enabled), 0));
+                    .merge(&ClockGatingStats::from_counts(u64::from(regs.enabled), 0));
             }
         }
     }
@@ -608,25 +620,22 @@ impl ParState {
     /// counted, clears its stamp and re-arms it, so nothing lazy outlives
     /// the batch. A fault run's context, if any, supplies the frozen
     /// edges each one slept through.
-    fn settle_sleepers(&mut self, elements: &mut [Element], end: u64, faults: Option<&FaultCtx>) {
-        for (w, core) in self.cores.iter_mut().enumerate() {
-            let own = self.slots.range(w);
-            for s in own.clone() {
-                let since = &mut self.soa.asleep_since[s];
-                if *since == AWAKE {
-                    continue;
-                }
-                let e = self.slots.elem_of[s] as usize;
-                let p = usize::from(self.topo.pol[s]);
-                let frozen = faults.map_or(0, |f| f.frozen_edges(e, p) - self.soa.asleep_frozen[s]);
-                let skipped = skipped_stalls(std::mem::replace(since, AWAKE), end, frozen);
-                match &mut elements[e].kind {
-                    Kind::Source(src) => src.stalled_edges += skipped,
-                    Kind::Tile(t) => t.stalled_edges += skipped,
-                    Kind::Stage | Kind::Sink(_) => unreachable!("only generators sleep stalled"),
-                }
-                core.arm(&own, p, s);
+    fn settle_sleepers(&mut self, els: &mut [&mut Element], end: u64, faults: Option<&FaultCtx>) {
+        for (s, regs) in self.soa.regs.iter_mut().enumerate() {
+            let since = std::mem::replace(&mut regs.asleep_since, AWAKE);
+            if since == AWAKE {
+                continue;
             }
+            let (h, w) = (self.slots.half_of(s), self.slots.shard_of(s));
+            let e = self.slots.elem_of[s] as usize;
+            let frozen = faults.map_or(0, |f| f.frozen_edges(e, h) - regs.asleep_frozen);
+            let skipped = skipped_stalls(since, end, frozen);
+            match &mut els[s].kind {
+                Kind::Source(src) => src.stalled_edges += skipped,
+                Kind::Tile(t) => t.stalled_edges += skipped,
+                Kind::Stage | Kind::Sink(_) => unreachable!("only generators sleep stalled"),
+            }
+            self.cores[w].arm(&self.slots.ranges(w), h, s);
         }
     }
 }
@@ -680,38 +689,28 @@ impl From<bool> for Stay {
     }
 }
 
-/// Ends an untraced generator visit that counted a stall: stamps `i`
-/// asleep at `tick`, with its domain's frozen-edge count on a fault run.
-///
-/// # Safety
-/// The caller must own element `i` this tick.
+/// Ends an untraced generator visit that counted a stall: stamps slot
+/// `i`, whose registers are `regs`, asleep at `tick`, with its domain's
+/// frozen-edge count on a fault run.
 #[inline]
-unsafe fn sleep_stalled<H: Hooks>(view: SoaView<'_>, hooks: &H, i: usize, tick: u64) -> Stay {
-    // SAFETY: per the function contract.
-    unsafe {
-        *view.asleep_since.get_mut(i) = tick;
-        if H::ON {
-            *view.asleep_frozen.get_mut(i) = hooks.frozen_edges(i, tick);
-        }
+fn sleep_stalled<H: Hooks>(regs: &mut Regs, hooks: &H, i: usize, tick: u64) -> Stay {
+    regs.asleep_since = tick;
+    if H::ON {
+        regs.asleep_frozen = hooks.frozen_edges(i, tick);
     }
     Stay::Stalled
 }
 
 /// The stalls a generator skipped while asleep, added when an unfrozen
-/// visit wakes it at `tick`; clears its stamp.
-///
-/// # Safety
-/// The caller must own element `i` this tick.
+/// visit wakes slot `i` at `tick`; clears its stamp.
 #[inline]
-unsafe fn wake_stalls<H: Hooks>(view: SoaView<'_>, hooks: &H, i: usize, tick: u64) -> u64 {
-    // SAFETY: per the function contract.
-    let since = std::mem::replace(unsafe { view.asleep_since.get_mut(i) }, AWAKE);
+fn wake_stalls<H: Hooks>(regs: &mut Regs, hooks: &H, i: usize, tick: u64) -> u64 {
+    let since = std::mem::replace(&mut regs.asleep_since, AWAKE);
     if since == AWAKE {
         return 0;
     }
     let frozen = if H::ON {
-        // SAFETY: per the function contract.
-        hooks.frozen_edges(i, tick) - unsafe { *view.asleep_frozen.get(i) }
+        hooks.frozen_edges(i, tick) - regs.asleep_frozen
     } else {
         0
     };
@@ -724,8 +723,6 @@ unsafe fn wake_stalls<H: Hooks>(view: SoaView<'_>, hooks: &H, i: usize, tick: u6
 #[derive(Debug, Clone, Default)]
 struct SoaTopo {
     kind: Vec<u8>,
-    /// Ready-set index of each element's clock polarity.
-    pol: Vec<u8>,
     filter: Vec<RouteFilter>,
     arb: Vec<Arbitration>,
     up_off: Vec<u32>,
@@ -739,7 +736,6 @@ impl SoaTopo {
         let n = elements.len();
         let mut topo = Self {
             kind: Vec::with_capacity(n),
-            pol: Vec::with_capacity(n),
             filter: Vec::with_capacity(n),
             arb: Vec::with_capacity(n),
             up_off: Vec::with_capacity(n + 1),
@@ -757,7 +753,6 @@ impl SoaTopo {
                 Kind::Sink(_) => K_SINK,
                 Kind::Tile(_) => K_TILE,
             });
-            topo.pol.push(pol_idx(el.polarity) as u8);
             topo.filter.push(el.filter);
             topo.arb.push(el.arb);
             let slot = |id: &ElementId| slots.slot_of[id.0 as usize];
@@ -784,33 +779,93 @@ impl SoaTopo {
     }
 }
 
-/// Dense per-slot handshake state, live during a batch.
+/// Dense per-slot handshake state, live during a batch: the flit each
+/// slot presents, the column neighbour visits scan most, and the rest of
+/// its registers.
 #[derive(Debug, Clone, Default)]
 struct SoaDyn {
     /// `Element::out_flit`.
     out: Vec<Option<Flit>>,
+    regs: Vec<Regs>,
+}
+
+impl SoaDyn {
+    /// Every slot's columns, with the elements behind them in slot order.
+    fn cols<'a, 'e>(&'a mut self, els: &'a mut [&'e mut Element]) -> Cols<'a, 'e> {
+        Cols {
+            start: 0,
+            out: &mut self.out,
+            regs: &mut self.regs,
+            els,
+        }
+    }
+}
+
+/// A slot's handshake registers besides its presented flit.
+#[derive(Debug, Clone, Copy)]
+struct Regs {
     /// The upstream slot whose flit this element last took (`u32::MAX` =
     /// none): `Element::accepted_from` while `acc_at` is the element's
     /// last edge, stale after it ([`soa_drained`]).
-    acc: Vec<u32>,
-    /// The tick `acc` was set.
-    acc_at: Vec<u64>,
+    acc: u32,
     /// `Element::lock` as a slot, `u32::MAX` = none.
-    lock: Vec<u32>,
+    lock: u32,
     /// `Element::rr_next`.
-    rr: Vec<u32>,
+    rr: u32,
     /// Enabled clock edges accumulated this batch (stages only).
-    enabled: Vec<u32>,
+    enabled: u32,
+    /// The tick `acc` was set.
+    acc_at: u64,
     /// `Element::upset_at`.
-    upset: Vec<u64>,
+    upset: u64,
     /// The tick a sleeping generator last counted a stall ([`AWAKE`] for
-    /// every other element); see [`skipped_stalls`]. All [`AWAKE`]
-    /// between batches.
-    asleep_since: Vec<u64>,
+    /// every other element); see [`skipped_stalls`]. [`AWAKE`] between
+    /// batches.
+    asleep_since: u64,
     /// On a fault run, a sleeping generator's domain frozen-edge count at
-    /// its `asleep_since` stamp ([`FaultCtx::frozen_edges`]); empty on
-    /// every other run.
-    asleep_frozen: Vec<u64>,
+    /// its `asleep_since` stamp ([`FaultCtx::frozen_edges`]).
+    asleep_frozen: u64,
+}
+
+/// A stretch of slots' [`SoaDyn`] columns from slot `start` on, and the
+/// elements behind them: what a window lends one worker to write, or
+/// every worker to read.
+#[derive(Default)]
+struct Cols<'a, 'e> {
+    start: usize,
+    out: &'a mut [Option<Flit>],
+    regs: &'a mut [Regs],
+    els: &'a mut [&'e mut Element],
+}
+
+impl Cols<'_, '_> {
+    /// The flit slot `j` presents.
+    #[inline]
+    fn out(&self, j: u32) -> &Option<Flit> {
+        &self.out[j as usize - self.start]
+    }
+}
+
+impl Split for Cols<'_, '_> {
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (out, out_r) = self.out.split_at_mut(mid);
+        let (regs, regs_r) = self.regs.split_at_mut(mid);
+        let (els, els_r) = self.els.split_at_mut(mid);
+        let start = self.start;
+        let head = Self {
+            start,
+            out,
+            regs,
+            els,
+        };
+        let tail = Self {
+            start: start + mid,
+            out: out_r,
+            regs: regs_r,
+            els: els_r,
+        };
+        (head, tail)
+    }
 }
 
 /// Multi-source BFS over the undirected slot adjacency from every
@@ -849,8 +904,7 @@ fn boundary_distances(topo: &SoaTopo, slots: &Slots) -> Vec<u32> {
 
 /// A shard's post-window activity summary: the minimum boundary
 /// distance over its armed bits, and whether any bit is armed at all.
-/// Packed into one `u64` so a single atomic publishes both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ShardActivity {
     min_dist: u32,
     any_armed: bool,
@@ -866,17 +920,6 @@ impl ShardActivity {
         Self {
             min_dist: self.min_dist.min(other.min_dist),
             any_armed: self.any_armed || other.any_armed,
-        }
-    }
-
-    fn pack(self) -> u64 {
-        (u64::from(self.any_armed) << 32) | u64::from(self.min_dist)
-    }
-
-    fn unpack(raw: u64) -> Self {
-        Self {
-            min_dist: raw as u32,
-            any_armed: raw & (1 << 32) != 0,
         }
     }
 }
@@ -902,9 +945,14 @@ fn plan_window(activity: ShardActivity, remaining: u64, drain: bool, fold: u64) 
 }
 
 /// Activity summary over a core's armed bits (both parities); its ready
-/// sets start at slot `lo`. A lone shard has no cut, so every distance
-/// is infinite and only whether any bit is armed matters.
-fn ready_activity(core: &ShardCore, lo: usize, dist: &[u32], lone: bool) -> ShardActivity {
+/// sets cover its slot ranges `own`. A lone shard has no cut, so every
+/// distance is infinite and only whether any bit is armed matters.
+fn ready_activity(
+    core: &ShardCore,
+    own: &[Range<usize>; 2],
+    dist: &[u32],
+    lone: bool,
+) -> ShardActivity {
     if lone {
         return ShardActivity {
             min_dist: u32::MAX,
@@ -916,11 +964,11 @@ fn ready_activity(core: &ShardCore, lo: usize, dist: &[u32], lone: bool) -> Shar
     }
     let mut m = u32::MAX;
     let mut any = false;
-    for set in &core.ready {
+    for (set, own) in core.ready.iter().zip(own) {
         for (word, &bits) in set.words.iter().enumerate() {
             let mut bits = bits;
             while bits != 0 {
-                let i = lo + ((word << 6) | bits.trailing_zeros() as usize);
+                let i = own.start + ((word << 6) | bits.trailing_zeros() as usize);
                 bits &= bits - 1;
                 any = true;
                 m = m.min(dist[i]);
@@ -939,101 +987,65 @@ fn ready_activity(core: &ShardCore, lo: usize, dist: &[u32], lone: bool) -> Shar
     }
 }
 
-/// A batch-shared view of a slice, each slot in its own [`UnsafeCell`]:
-/// the element array, every [`SoaDyn`] column, the workers' buffers, and
-/// a fault run's [`FaultState`] as a one-slot slice. Nothing locks a
-/// slot; the module doc's phase-ownership rule says who may touch which
-/// slot when, and each accessor's safety contract is a case of it.
-struct SharedSlice<'a, T> {
-    cells: &'a [UnsafeCell<T>],
+/// What one window lends one worker, through the batch's [`Desk`].
+struct Lease<'w, 'e> {
+    /// Tick offset (from the batch base) of the window's first tick.
+    base: u64,
+    /// The window's tick count.
+    ticks: u64,
+    span: Span<'w, 'e>,
+    bufs: &'w mut WorkerBufs,
+    /// A fault run's read-only state.
+    faults: Option<&'w FaultCtx>,
 }
 
-// SAFETY: the phase-ownership rule gives each slot at most one mutator
-// at a time and lets others read only slots no one mutates; workers move
-// and share slots across threads, hence `T: Send + Sync`.
-unsafe impl<T: Send + Sync> Send for SharedSlice<'_, T> {}
-unsafe impl<T: Send + Sync> Sync for SharedSlice<'_, T> {}
-
-impl<T> Clone for SharedSlice<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    fn new(data: &'a mut [T]) -> Self {
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`.
-        let cells = unsafe { &*(data as *mut [T] as *const [UnsafeCell<T>]) };
-        Self { cells }
-    }
-
-    /// # Safety
-    /// The caller must own slot `i` in the current phase, with no other
-    /// reference to it live.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut T {
-        unsafe { &mut *self.cells[i].get() }
-    }
-
-    /// # Safety
-    /// No one may mutate slot `i` in the current phase.
-    #[inline]
-    unsafe fn get(&self, i: usize) -> &T {
-        unsafe { &*self.cells[i].get() }
-    }
-
-    /// # Safety
-    /// The caller must own every slot (the coordinator between windows),
-    /// with no other reference to any of them live.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn all_mut(&self) -> &mut [T] {
-        let first = UnsafeCell::raw_get(self.cells.as_ptr());
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
-        // cells are `len` contiguous `T`s, and the caller holds every one
-        // exclusively.
-        unsafe { std::slice::from_raw_parts_mut(first, self.cells.len()) }
-    }
+/// The slots a window lends one worker.
+enum Span<'w, 'e> {
+    /// A one-tick window: the shard's range of the ticking half, and all
+    /// of the other half, frozen.
+    Tick(Cols<'w, 'e>, &'w Cols<'w, 'e>),
+    /// A batched window: the shard's ranges of both halves. Its visits
+    /// reach no other shard's slot.
+    Batch([Cols<'w, 'e>; 2]),
 }
 
-/// The batch-shared view over every [`SoaDyn`] column.
-#[derive(Clone, Copy)]
-struct SoaView<'a> {
-    out: SharedSlice<'a, Option<Flit>>,
-    acc: SharedSlice<'a, u32>,
-    acc_at: SharedSlice<'a, u64>,
-    lock: SharedSlice<'a, u32>,
-    rr: SharedSlice<'a, u32>,
-    enabled: SharedSlice<'a, u32>,
-    upset: SharedSlice<'a, u64>,
-    asleep_since: SharedSlice<'a, u64>,
-    asleep_frozen: SharedSlice<'a, u64>,
-}
-
-impl<'a> SoaView<'a> {
-    fn new(soa: &'a mut SoaDyn) -> Self {
-        Self {
-            out: SharedSlice::new(&mut soa.out),
-            acc: SharedSlice::new(&mut soa.acc),
-            acc_at: SharedSlice::new(&mut soa.acc_at),
-            lock: SharedSlice::new(&mut soa.lock),
-            rr: SharedSlice::new(&mut soa.rr),
-            enabled: SharedSlice::new(&mut soa.enabled),
-            upset: SharedSlice::new(&mut soa.upset),
-            asleep_since: SharedSlice::new(&mut soa.asleep_since),
-            asleep_frozen: SharedSlice::new(&mut soa.asleep_frozen),
-        }
+/// Cuts one window's [`Span`]s, shard by shard, out of the two halves of
+/// the slot space: on a one-tick window at `tick`, each shard's range of
+/// the ticking half, all sharing the other half frozen; on a batched
+/// window, each shard's ranges of both halves.
+fn window_spans<'w, 'e>(
+    halves: &'w mut [Cols<'_, 'e>; 2],
+    slots: &Slots,
+    tick: u64,
+    ticks: u64,
+) -> Vec<Span<'w, 'e>> {
+    let cut = |h: usize, cols: Cols<'w, 'e>| {
+        let start = cols.start;
+        carve(
+            cols,
+            start,
+            (0..slots.workers).map(move |w| slots.range(h, w)),
+        )
+    };
+    let [even, odd] = halves;
+    if ticks == 1 {
+        let p = (tick % 2) as usize;
+        let (mine, other) = if p == 0 { (even, &*odd) } else { (odd, &*even) };
+        cut(p, std::mem::take(mine))
+            .map(|cols| Span::Tick(cols, other))
+            .collect()
+    } else {
+        let (even, odd) = (std::mem::take(even), std::mem::take(odd));
+        cut(0, even)
+            .zip(cut(1, odd))
+            .map(|(e, o)| Span::Batch([e, o]))
+            .collect()
     }
 }
 
 /// One worker's synchronisation slot, padded to its own cache line.
+#[repr(align(128))]
 struct Peer {
-    /// Serial of the last window this worker finished.
-    done: AtomicU64,
-    /// Packed [`ShardActivity`] over this worker's ready sets after its
-    /// last window, published before `done`.
-    activity: AtomicU64,
     /// Whether this worker may be parked (set before parking, cleared by
     /// wakers and on wake-up).
     parked: AtomicBool,
@@ -1041,43 +1053,30 @@ struct Peer {
     thread: OnceLock<Thread>,
 }
 
-#[repr(align(128))]
-struct PadPeer(Peer);
-
 /// Window-publication state shared by all workers of one batch. All
 /// accesses are `SeqCst`: the single total order makes the park/unpark
 /// handshake auditable (a waker's state store and `parked` swap either
 /// precede the waiter's re-check, which then sees the state, or follow
 /// its `parked` store, which the swap then sees).
 struct SyncShared {
-    /// Monotonic serial of the currently published window.
+    /// Monotonic serial of the currently published window. The window
+    /// itself travels in each worker's [`Lease`]; a window that lends a
+    /// worker nothing ends the batch, and the workers exit.
     serial: AtomicU64,
-    /// Tick offset (from the batch base) of the current window's first
-    /// tick. Published so workers never track tick positions locally.
-    base: AtomicU64,
-    /// Tick count of the current window; `0` ends the batch, and the
-    /// workers exit.
-    ticks: AtomicU64,
     /// Per-worker slots.
-    peers: Vec<PadPeer>,
+    peers: Vec<Peer>,
 }
 
 impl SyncShared {
     fn new(workers: usize) -> Self {
         let peers = (0..workers)
-            .map(|_| {
-                PadPeer(Peer {
-                    done: AtomicU64::new(0),
-                    activity: AtomicU64::new(ShardActivity::IDLE.pack()),
-                    parked: AtomicBool::new(false),
-                    thread: OnceLock::new(),
-                })
+            .map(|_| Peer {
+                parked: AtomicBool::new(false),
+                thread: OnceLock::new(),
             })
             .collect();
         Self {
             serial: AtomicU64::new(0),
-            base: AtomicU64::new(0),
-            ticks: AtomicU64::new(0),
             peers,
         }
     }
@@ -1085,33 +1084,23 @@ impl SyncShared {
     /// Registers the calling thread as worker `w`, so others can unpark
     /// it.
     fn register(&self, w: usize) {
-        let _ = self.peers[w].0.thread.set(std::thread::current());
+        let _ = self.peers[w].thread.set(std::thread::current());
     }
 
-    /// Publishes window `serial`. The window registers are only
-    /// rewritten after every worker reported `done == serial - 1`, so
-    /// readers of the current serial always see a consistent pair.
-    fn publish(&self, serial: u64, base: u64, ticks: u64) {
-        self.base.store(base, Ordering::SeqCst);
-        self.ticks.store(ticks, Ordering::SeqCst);
+    /// Publishes window `serial`, once every worker is done with window
+    /// `serial - 1`.
+    fn publish(&self, serial: u64) {
         self.serial.store(serial, Ordering::SeqCst);
         for w in 1..self.peers.len() {
             self.wake(w);
         }
     }
 
-    /// The `(base, ticks)` pair of the published window.
-    fn window(&self) -> (u64, u64) {
-        let base = self.base.load(Ordering::SeqCst);
-        let ticks = self.ticks.load(Ordering::SeqCst);
-        (base, ticks)
-    }
-
     /// Unparks worker `w` if it is (or is about to go) parked. A stale
     /// unpark token at worst makes the next `park` return spuriously;
     /// every wait re-checks its condition in a loop.
     fn wake(&self, w: usize) {
-        let peer = &self.peers[w].0;
+        let peer = &self.peers[w];
         if peer.parked.swap(false, Ordering::SeqCst) {
             if let Some(thread) = peer.thread.get() {
                 thread.unpark();
@@ -1134,7 +1123,7 @@ impl SyncShared {
             } else if rounds < 160 {
                 std::thread::yield_now();
             } else {
-                let peer = &self.peers[me].0;
+                let peer = &self.peers[me];
                 peer.parked.store(true, Ordering::SeqCst);
                 if cond() {
                     peer.parked.store(false, Ordering::SeqCst);
@@ -1158,16 +1147,11 @@ pub(crate) struct ParRunCtx<'a> {
     pub base_tick: u64,
 }
 
-/// Everything a worker needs to execute one published window; bundled so
-/// the per-window call is a single dispatch.
+/// What every window of a batch shares, read-only; bundled so the
+/// per-window call is a single dispatch.
 #[derive(Clone, Copy)]
 struct WindowCtx<'a> {
-    shared: SharedSlice<'a, Element>,
-    view: SoaView<'a>,
     topo: &'a SoaTopo,
-    bufs: SharedSlice<'a, WorkerBufs>,
-    /// A fault run's state, as a one-slot slice.
-    faults: Option<SharedSlice<'a, FaultState>>,
     /// Whether trace sinks are attached: visits then log their events.
     tracing: bool,
     slots: &'a Slots,
@@ -1175,7 +1159,6 @@ struct WindowCtx<'a> {
     dist: &'a [u32],
     num_ports: u32,
     base_tick: u64,
-    workers: usize,
 }
 
 /// Runs up to `max_ticks` half-cycles across all workers, returning the
@@ -1185,50 +1168,59 @@ struct WindowCtx<'a> {
 /// so tick counts (and the gating statistics derived from them) match
 /// the dense kernel bit for bit.
 ///
-/// After each window the coordinator folds the shards' stamped logs —
-/// deliveries, recovery-layer operations and trace events — in
-/// `(tick, element)` order, and routes the window's cross-shard wakes
-/// into their shards' armed lists. A fault run steps one tick per
-/// window: before each tick the coordinator runs the fault state's
-/// `begin_step` and queues the retransmissions it releases at their
-/// injectors, arming them.
+/// Between windows the coordinator holds every slot, element and buffer
+/// as a plain `&mut`; each window lends them out through the batch's
+/// [`Desk`] ([`window_spans`]). After each window the coordinator folds
+/// the shards' stamped logs — deliveries, recovery-layer operations and
+/// trace events — in `(tick, element)` order, and routes the window's
+/// cross-shard wakes into their shards' armed lists. A fault run steps
+/// one tick per window: before each tick the coordinator runs the fault
+/// state's `begin_step` and queues the retransmissions it releases at
+/// their injectors, arming them.
 pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: bool) -> u64 {
     let ParRunCtx {
         elements,
         scoreboard,
         par,
-        faults,
+        mut faults,
         sinks,
         num_ports,
         base_tick,
     } = ctx;
-    par.load_dyn(elements, base_tick, faults.is_some());
-    let workers = par.workers;
-    let shared = SharedSlice::new(elements);
-    let view = SoaView::new(&mut par.soa);
-    let bufs = SharedSlice::new(&mut par.bufs);
-    let faults = faults.map(|f| SharedSlice::new(std::slice::from_mut(f)));
-    let tracing = !sinks.is_empty();
-    let dist: &[u32] = &par.dist;
-    let wakes_received = &mut par.wakes_received;
-    let wctx = WindowCtx {
-        shared,
-        view,
-        topo: &par.topo,
+    // The elements in slot order, as the dense columns see them.
+    let mut by_slot: Vec<Option<&mut Element>> = elements.iter().map(|_| None).collect();
+    for (el, &s) in elements.iter_mut().zip(&par.slots.slot_of) {
+        by_slot[s as usize] = Some(el);
+    }
+    let mut els: Vec<&mut Element> = by_slot
+        .into_iter()
+        .map(|e| e.expect("a slot per element"))
+        .collect();
+    par.load_dyn(&els, base_tick);
+    let ParState {
+        slots,
+        pinned,
+        topo,
+        soa,
+        dist,
+        cores,
         bufs,
-        faults,
-        tracing,
-        slots: &par.slots,
-        pinned: &par.pinned,
+        wakes_received,
+        ..
+    } = par;
+    let workers = slots.workers;
+    let wctx = WindowCtx {
+        topo,
+        tracing: !sinks.is_empty(),
+        slots,
+        pinned,
         dist,
         num_ports,
         base_tick,
-        workers,
     };
-
     let sync = SyncShared::new(workers);
     sync.register(0);
-    let mut executed = 0u64;
+    let desk = Desk::new(workers);
 
     // Wall-clock origin of this batch; per-epoch samples are offset from
     // it (plus the profiler's cumulative base) so timelines stay
@@ -1239,20 +1231,18 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     // All cores are quiescent before the first window, so the
     // coordinator may scan every ready set for the initial activity
     // summary.
-    let init_activity = par
-        .cores
+    let mut activity_next = cores
         .iter()
         .enumerate()
-        .map(|(w, core)| ready_activity(core, par.slots.range(w).start, dist, workers == 1))
+        .map(|(w, core)| ready_activity(core, &slots.ranges(w), dist, workers == 1))
         .fold(ShardActivity::IDLE, ShardActivity::fold);
 
-    let mut core_iter = par.cores.iter_mut();
-    let coordinator_core = core_iter.next().expect("at least one worker");
-
+    let (coordinator_core, worker_cores) = cores.split_first_mut().expect("at least one worker");
+    let mut k = 0u64;
     std::thread::scope(|scope| {
-        for (offset, core) in core_iter.enumerate() {
+        for (offset, core) in worker_cores.iter_mut().enumerate() {
             let w = offset + 1;
-            let sync = &sync;
+            let (sync, desk) = (&sync, &desk);
             scope.spawn(move || {
                 sync.register(w);
                 let profiling = core.prof.is_some();
@@ -1261,16 +1251,12 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                     let t0 = profiling.then(Instant::now);
                     sync.wait_until(w, || sync.serial.load(Ordering::SeqCst) > seen);
                     seen += 1;
-                    let (base, ticks) = sync.window();
-                    if ticks == 0 {
-                        break;
-                    }
                     let t1 = profiling.then(Instant::now);
                     let steps0 = core.steps;
-                    let (activity, t2) = run_window(wctx, base, ticks, w, core, profiling);
-                    let peer = &sync.peers[w].0;
-                    peer.activity.store(activity.pack(), Ordering::SeqCst);
-                    peer.done.store(seen, Ordering::SeqCst);
+                    let window = desk.serve(w, |lease| run_window(wctx, lease, w, core, profiling));
+                    let Some((base, ticks, t2)) = window else {
+                        break;
+                    };
                     sync.wake(0);
                     if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
                         let marks = [t0, t1, t2, Instant::now()];
@@ -1290,52 +1276,40 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         // The coordinating thread is worker 0: it decides and publishes
         // windows, runs its own shard, then folds the shard logs, routes
         // the cross-shard wakes and evaluates the stop condition once
-        // every worker has reported done.
+        // every worker has handed its lease back. Its serial work before the
+        // window (the stop check, the fault state's step and the
+        // retransmission release) counts as flush time.
         let profiling = coordinator_core.prof.is_some();
         let mut serial = 0u64;
-        let mut k = 0u64;
-        let mut activity_next = init_activity;
-        // All workers are parked before the first window, so the
-        // coordinator may read every element.
-        let drained = || {
-            // SAFETY: workers are parked whenever this runs.
-            faults.is_none_or(|f| !unsafe { f.get(0) }.recovery_busy())
-                && nothing_in_flight(shared, view, wctx.topo, wctx.slots)
-        };
-        let mut stop = max_ticks == 0 || (stop_when_drained && drained());
         loop {
             let t0 = profiling.then(Instant::now);
             serial += 1;
-            if stop {
-                sync.publish(serial, k, 0);
+            let drained = || {
+                faults.as_deref().is_none_or(|f| !f.recovery_busy())
+                    && nothing_in_flight(&soa.out, &els, topo)
+            };
+            if k >= max_ticks || (stop_when_drained && drained()) {
+                sync.publish(serial);
                 break;
             }
-            if let Some(f) = faults {
-                // SAFETY: every worker is done: the coordinator owns the
-                // fault state, every element and every worker's buffers.
-                let f = unsafe { f.get_mut(0) };
+            if let Some(f) = faults.as_deref_mut() {
                 f.begin_step(base_tick + k);
                 for (injector, flit) in f.released() {
-                    let e = injector as usize;
-                    if e >= wctx.topo.len() {
+                    let Some(&s) = slots.slot_of.get(injector as usize) else {
                         continue;
-                    }
-                    // SAFETY: as above.
-                    let Some(gate) = &mut unsafe { shared.get_mut(e) }.faults else {
+                    };
+                    let Some(gate) = &mut els[s as usize].faults else {
                         continue;
                     };
                     gate.retx.push_back(flit);
-                    let s = wctx.slots.slot_of[e];
-                    let target = wctx.slots.shard_of(s as usize);
-                    // SAFETY: as above.
-                    unsafe { bufs.get_mut(target) }.armed.push(s);
+                    bufs[slots.shard_of(s as usize)].armed.push(s);
                     activity_next = activity_next.fold(ShardActivity {
                         min_dist: dist[s as usize],
                         any_armed: true,
                     });
                 }
             }
-            let fold = if tracing {
+            let fold = if wctx.tracing {
                 TRACE_FOLD_TICKS
             } else {
                 FOLD_TICKS
@@ -1344,33 +1318,37 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             if faults.is_some() {
                 ticks = ticks.min(1);
             }
-            sync.publish(serial, k, ticks);
             let t1 = profiling.then(Instant::now);
             let steps0 = coordinator_core.steps;
-            let (own_activity, t2) = run_window(wctx, k, ticks, 0, coordinator_core, profiling);
-            let wait0 = (profiling && workers > 1).then(Instant::now);
-            for w in 1..workers {
-                sync.wait_until(0, || sync.peers[w].0.done.load(Ordering::SeqCst) >= serial);
-            }
-            let wait_ns = wait0.map_or(0, |t| dur_ns(t, Instant::now()));
-            // SAFETY: every worker is done and parked on the next serial:
-            // the coordinator owns every worker's buffers and the fault
-            // state.
-            let (all_bufs, f) = unsafe { (bufs.all_mut(), faults.as_ref().map(|f| f.get_mut(0))) };
-            fold_logs(all_bufs, scoreboard, f, sinks);
-            let routed = route_wakes(all_bufs, wakes_received, wctx.slots, dist);
-            activity_next = (1..workers).fold(own_activity.fold(routed), |a, w| {
-                a.fold(ShardActivity::unpack(
-                    sync.peers[w].0.activity.load(Ordering::SeqCst),
-                ))
+            let (even, odd) = soa.cols(&mut els).split_at(slots.range(1, 0).start);
+            let mut halves = [even, odd];
+            let fault_ctx = faults.as_deref().map(FaultState::ctx);
+            let leases = window_spans(&mut halves, slots, base_tick + k, ticks)
+                .into_iter()
+                .zip(bufs.iter_mut())
+                .map(|(span, bufs)| Lease {
+                    base: k,
+                    ticks,
+                    span,
+                    bufs,
+                    faults: fault_ctx,
+                });
+            let (t2, wait_ns) = desk.lend(leases, |lease| {
+                sync.publish(serial);
+                let (_, _, t2) = run_window(wctx, lease, 0, coordinator_core, profiling);
+                let wait0 = (profiling && workers > 1).then(Instant::now);
+                sync.wait_until(0, || desk.returned());
+                (t2, wait0.map_or(0, |t| dur_ns(t, Instant::now())))
             });
+            fold_logs(bufs, scoreboard, faults.as_deref_mut(), sinks);
+            let routed = route_wakes(bufs, wakes_received, slots, dist);
+            activity_next = bufs
+                .iter()
+                .map(|b| b.activity)
+                .fold(routed, ShardActivity::fold);
             k += ticks;
-            executed = k;
-            stop = k >= max_ticks || (stop_when_drained && drained());
-            // The coordinator's flush phase includes its serial work
-            // before the window (the fault state's step and the
-            // retransmission release) and the log fold, the wake routing
-            // and stop evaluation above, so its sample is recorded last.
+            // The coordinator's sample is recorded last: its flush phase
+            // includes the log fold and the wake routing above.
             if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
                 let marks = [t0, t1, t2, Instant::now()];
                 let tick = base_tick + k - ticks;
@@ -1388,15 +1366,13 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         }
     });
     // Wakes routed after the last window join their ready sets now.
-    for (w, (core, bufs)) in par.cores.iter_mut().zip(&mut par.bufs).enumerate() {
-        core.take_armed(&par.slots.range(w), &mut bufs.armed, &par.topo.pol);
+    for (w, (core, bufs)) in cores.iter_mut().zip(bufs.iter_mut()).enumerate() {
+        core.take_armed(&slots.ranges(w), &mut bufs.armed, slots);
     }
-    // SAFETY: the workers have exited; nothing else touches the fault
-    // state.
-    let fault_ctx = faults.as_ref().map(|f| unsafe { f.get(0) }.ctx());
-    par.settle_sleepers(elements, base_tick + executed, fault_ctx);
-    par.store_dyn(elements, base_tick + executed);
-    executed
+    let fault_ctx = faults.as_deref().map(FaultState::ctx);
+    par.settle_sleepers(&mut els, base_tick + k, fault_ctx);
+    par.store_dyn(&mut els, base_tick + k);
+    k
 }
 
 /// Folds one window's shard logs and clears them. Each shard logged in
@@ -1471,52 +1447,69 @@ fn fold_logs(
 
 /// Executes one published window for one shard: drains the shard's
 /// armed list into its ready sets, then runs `ticks` back-to-back visit
-/// phases. Only a one-tick window may wake across the shard cut; the
-/// coordinator routes those wakes before the next window. Returns the
-/// shard's post-window activity summary and, when profiling, the mark at
-/// which its visits ended.
+/// phases on the slots its lease lends it. Only a one-tick window lends
+/// other shards' slots, so only it may wake across the shard cut; the
+/// coordinator routes those wakes before the next window. Leaves the
+/// shard's post-window activity summary in its buffers, and returns the
+/// window's base and tick count and, when profiling, the mark at which
+/// its visits ended.
 fn run_window(
     ctx: WindowCtx<'_>,
-    base: u64,
-    ticks: u64,
+    lease: Lease<'_, '_>,
     w: usize,
     core: &mut ShardCore,
     profiling: bool,
-) -> (ShardActivity, Option<Instant>) {
-    // SAFETY: the coordinator filled the armed list between windows;
-    // worker `w`'s buffers belong to it during the window.
-    let bufs = unsafe { ctx.bufs.get_mut(w) };
-    let own = ctx.slots.range(w);
-    core.take_armed(&own, &mut bufs.armed, &ctx.topo.pol);
-    for dt in 0..ticks {
-        let tick = ctx.base_tick + base + dt;
-        visit_tick(ctx, tick, (tick % 2) as usize, core, &own, bufs, ticks == 1);
-    }
-    if ctx.faults.is_some() {
-        // Timed wakes due on the next tick join the ready sets now, so
-        // the activity summary below accounts for them. A wake whose
-        // flit has left, or was replaced by one with a later upset, is
-        // stale and dropped.
-        let next = ctx.base_tick + base + ticks;
-        while let Some(&Reverse((due, i))) = core.fx.timed.peek() {
-            if due > next {
-                break;
+) -> (u64, u64, Option<Instant>) {
+    let (ticks, bufs, faults) = (lease.ticks, lease.bufs, lease.faults);
+    let own = ctx.slots.ranges(w);
+    core.take_armed(&own, &mut bufs.armed, ctx.slots);
+    let first = ctx.base_tick + lease.base;
+    let visit = if ctx.tracing {
+        visit_tick::<true>
+    } else {
+        visit_tick::<false>
+    };
+    match lease.span {
+        Span::Tick(mut cols, other) => {
+            visit(ctx, first, &mut cols, other, core, &own, bufs, faults);
+            // Timed wakes due on the next tick join the ready sets now,
+            // so the activity summary below accounts for them. A wake
+            // whose flit has left, or was replaced by one with a later
+            // upset, is stale and dropped.
+            let halves = if first.is_multiple_of(2) {
+                [&cols, other]
+            } else {
+                [other, &cols]
+            };
+            while let Some(&Reverse((due, i))) = core.fx.timed.peek() {
+                if due > first + 1 {
+                    break;
+                }
+                core.fx.timed.pop();
+                let h = ctx.slots.half_of(i as usize);
+                let j = i as usize - halves[h].start;
+                if halves[h].regs[j].upset == due && halves[h].out[j].is_some() {
+                    core.arm(&own, h, i as usize);
+                }
             }
-            core.fx.timed.pop();
-            let i = i as usize;
-            debug_assert!(own.contains(&i), "timed wake of slot {i} outside its shard");
-            // SAFETY: `i` is in this shard and no visit of it is running.
-            let live = unsafe { *ctx.view.upset.get(i) == due && ctx.view.out.get(i).is_some() };
-            if live {
-                core.arm(&own, usize::from(ctx.topo.pol[i]), i);
+        }
+        Span::Batch(mut halves) => {
+            // Fault runs step one-tick windows only, so no timed wake is
+            // scheduled here.
+            for tick in first..first + ticks {
+                let [even, odd] = &mut halves;
+                let (cols, other) = if tick.is_multiple_of(2) {
+                    (even, &*odd)
+                } else {
+                    (odd, &*even)
+                };
+                visit(ctx, tick, cols, other, core, &own, bufs, faults);
             }
         }
     }
     let t2 = profiling.then(Instant::now);
-    (
-        ready_activity(core, own.start, ctx.dist, ctx.workers == 1),
-        t2,
-    )
+    bufs.activity = ready_activity(core, &own, ctx.dist, ctx.slots.workers == 1);
+    (lease.base, ticks, t2)
 }
 
 /// Routes one window's cross-shard wakes, between windows: moves every
@@ -1589,150 +1582,89 @@ fn record_epoch_at(
 /// Whether no element holds a flit, no tile queues a response and no
 /// injector queues a retransmission — `Network::in_flight() == 0`. The
 /// dense `out` column is scanned first, so a fabric still holding flits
-/// answers without touching any element. Only callable while all workers
-/// are quiescent (before the first window or after all reported done).
-fn nothing_in_flight(
-    shared: SharedSlice<'_, Element>,
-    view: SoaView<'_>,
-    topo: &SoaTopo,
-    slots: &Slots,
-) -> bool {
-    // SAFETY: no worker is in a visit phase.
-    (0..topo.len()).all(|s| unsafe { view.out.get(s) }.is_none())
+/// answers without touching any element. Only the coordinator calls it,
+/// between windows.
+fn nothing_in_flight(out: &[Option<Flit>], els: &[&mut Element], topo: &SoaTopo) -> bool {
+    out.iter().all(Option::is_none)
         && (0..topo.len())
             .filter(|&s| matches!(topo.kind[s], K_SOURCE | K_TILE))
-            // SAFETY: as above.
-            .all(|s| unsafe { shared.get(slots.elem_of[s] as usize) }.queued() == 0)
+            .all(|s| els[s].queued() == 0)
 }
 
-/// The visit phase of one tick for one shard: drain the parity-`p` ready
-/// set in ascending slot (so element) order, stepping each element and
-/// re-arming it and its neighbours (see [`soa_rearm`]). With
-/// `allow_cross` false (a window of more than one tick), the lookahead
-/// guarantee makes cross-shard wakes impossible; a tripwire assert
-/// enforces it. A fault run steps through a [`FaultLane`], everything
-/// else through a [`Lane`].
-fn visit_tick(
+/// The visit phase of one tick for one shard: drain the tick's ready set
+/// in ascending slot (so element) order, stepping each element on the
+/// shard's slots `cols` of the ticking half — reading the other half
+/// through `other` — and re-arming it and its neighbours (see
+/// [`soa_rearm`]). A fault run steps through a [`FaultLane`], everything
+/// else through a [`Lane`]; `TRACE` says whether trace sinks are attached.
+#[allow(clippy::too_many_arguments)]
+fn visit_tick<const TRACE: bool>(
     ctx: WindowCtx<'_>,
     tick: u64,
-    p: usize,
+    cols: &mut Cols<'_, '_>,
+    other: &Cols<'_, '_>,
     core: &mut ShardCore,
-    own: &Range<usize>,
+    own: &[Range<usize>; 2],
     bufs: &mut WorkerBufs,
-    allow_cross: bool,
+    faults: Option<&FaultCtx>,
 ) {
     let WorkerBufs { log, outbox, .. } = bufs;
     let elem_of = ctx.slots.elem_of.as_slice();
-    match (ctx.faults, ctx.tracing) {
-        (None, false) => {
-            let mut lane = Lane::<false> { log, elem_of };
-            visit_tick_with(ctx, tick, p, core, own, outbox, allow_cross, &mut lane);
-        }
-        (None, true) => {
-            let mut lane = Lane::<true> { log, elem_of };
-            visit_tick_with(ctx, tick, p, core, own, outbox, allow_cross, &mut lane);
-        }
-        (Some(faults), tracing) => {
-            let mut fx = std::mem::take(&mut core.fx);
-            // SAFETY: the fault state is read-only during visit phases.
-            let fault_ctx = unsafe { faults.get(0) }.ctx();
-            let (ops, timed) = (&mut fx.ops, &mut fx.timed);
-            if tracing {
-                let mut lane = FaultLane::<true> {
-                    ctx: fault_ctx,
-                    log,
-                    elem_of,
-                    ops,
-                    timed,
-                };
-                visit_tick_with(ctx, tick, p, core, own, outbox, allow_cross, &mut lane);
-            } else {
-                let mut lane = FaultLane::<false> {
-                    ctx: fault_ctx,
-                    log,
-                    elem_of,
-                    ops,
-                    timed,
-                };
-                visit_tick_with(ctx, tick, p, core, own, outbox, allow_cross, &mut lane);
-            }
-            core.fx = fx;
-        }
-    }
+    let Some(fault_ctx) = faults else {
+        let mut lane = Lane::<TRACE> { log, elem_of };
+        return visit_tick_with(ctx, tick, cols, other, core, own, outbox, &mut lane);
+    };
+    let mut fx = std::mem::take(&mut core.fx);
+    let mut lane = FaultLane::<TRACE> {
+        ctx: fault_ctx,
+        log,
+        elem_of,
+        ops: &mut fx.ops,
+        timed: &mut fx.timed,
+    };
+    visit_tick_with(ctx, tick, cols, other, core, own, outbox, &mut lane);
+    core.fx = fx;
 }
 
 #[allow(clippy::too_many_arguments)]
 fn visit_tick_with<H: Hooks>(
     ctx: WindowCtx<'_>,
     tick: u64,
-    p: usize,
+    cols: &mut Cols<'_, '_>,
+    other: &Cols<'_, '_>,
     core: &mut ShardCore,
-    own: &Range<usize>,
+    own: &[Range<usize>; 2],
     outbox: &mut Vec<u32>,
-    allow_cross: bool,
     hooks: &mut H,
 ) {
     let WindowCtx {
-        shared,
-        view,
         topo,
-        slots,
         pinned,
         num_ports,
         ..
     } = ctx;
-    // A local copy, so the range stays in registers across the loop.
-    let own = &own.clone();
+    let p = (tick % 2) as usize;
+    // The swap buffer is all zeros; sized to this half's set, it takes
+    // the tick's ready set, so same-parity re-arms land on the next
+    // matching edge.
+    core.scratch.resize(core.ready[p].words.len(), 0);
     std::mem::swap(&mut core.ready[p].words, &mut core.scratch);
     for word in 0..core.scratch.len() {
         let mut bits = std::mem::take(&mut core.scratch[word]);
         while bits != 0 {
-            let i = own.start + ((word << 6) | bits.trailing_zeros() as usize);
+            let b = (word << 6) | bits.trailing_zeros() as usize;
+            let i = cols.start + b;
             bits &= bits - 1;
-            debug_assert!(own.contains(&i), "visit of slot {i} outside its shard");
             core.steps += 1;
-            // The element behind an endpoint slot.
-            let e = || slots.elem_of[i] as usize;
-            // SAFETY: slot `i` is in this worker's shard with parity `p`
-            // — this worker is its unique owner for this tick, and all
-            // its neighbour reads touch frozen opposite-parity state.
-            let before = unsafe { *view.out.get(i) };
+            let before = cols.out[b];
             let stay = match topo.kind[i] {
-                // SAFETY: as above.
-                K_STAGE => Stay::from(unsafe { soa_step_stage(view, topo, i, tick, hooks) }),
-                K_SOURCE => {
-                    // SAFETY: as above.
-                    let el = unsafe { shared.get_mut(e()) };
-                    // SAFETY: as above.
-                    unsafe { soa_step_source(view, topo, el, i, tick, num_ports, hooks) }
-                }
-                K_SINK => {
-                    // SAFETY: as above.
-                    let el = unsafe { shared.get_mut(e()) };
-                    // SAFETY: as above.
-                    Stay::from(unsafe { soa_step_sink(view, topo, el, i, tick, hooks) })
-                }
-                _ => {
-                    // SAFETY: as above.
-                    let el = unsafe { shared.get_mut(e()) };
-                    // SAFETY: as above.
-                    unsafe { soa_step_tile(view, topo, el, i, tick, num_ports, hooks) }
-                }
+                K_STAGE => Stay::from(soa_step_stage(cols, other, topo, i, tick, hooks)),
+                K_SOURCE => soa_step_source(cols, other, topo, i, tick, num_ports, hooks),
+                K_SINK => Stay::from(soa_step_sink(cols, other, topo, i, tick, hooks)),
+                _ => soa_step_tile(cols, other, topo, i, tick, num_ports, hooks),
             };
-            soa_rearm(
-                view,
-                topo,
-                i,
-                p,
-                tick,
-                before,
-                stay,
-                H::REVISIT_CAPTURES,
-                pinned,
-                core,
-                own,
-                outbox,
-                allow_cross,
+            soa_rearm::<H>(
+                cols, other, topo, i, tick, before, stay, pinned, core, own, outbox,
             );
         }
     }
@@ -2009,47 +1941,38 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
 /// upstream and all downstreams land in the other parity's ready set.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn soa_rearm(
-    view: SoaView<'_>,
+fn soa_rearm<H: Hooks>(
+    cols: &Cols<'_, '_>,
+    other: &Cols<'_, '_>,
     topo: &SoaTopo,
     i: usize,
-    p: usize,
     tick: u64,
     before: Option<Flit>,
     stay: Stay,
-    revisit_captures: bool,
     pinned: &[bool],
     core: &mut ShardCore,
-    own: &Range<usize>,
+    own: &[Range<usize>; 2],
     outbox: &mut Vec<u32>,
-    allow_cross: bool,
 ) {
-    // SAFETY: `i` belongs to this worker this tick.
-    let out = unsafe { view.out.get(i) };
-    // SAFETY: as above.
-    let captured = unsafe {
-        if *view.acc_at.get(i) == tick {
-            *view.acc.get(i)
-        } else {
-            NONE_U32
-        }
+    let (b, p) = (i - cols.start, (tick % 2) as usize);
+    let (out, regs) = (&cols.out[b], &cols.regs[b]);
+    let captured = if regs.acc_at == tick {
+        regs.acc
+    } else {
+        NONE_U32
     };
     let armed = match stay {
         Stay::Pin => pinned[i],
         Stay::Armed => true,
         Stay::Stalled => false,
     };
-    if armed || (revisit_captures && captured != NONE_U32) {
+    if armed || (H::REVISIT_CAPTURES && captured != NONE_U32) {
         core.arm(own, p, i);
     }
     let mut wake = |idx: usize, core: &mut ShardCore| {
-        if own.contains(&idx) {
+        if own[p ^ 1].contains(&idx) {
             core.arm(own, p ^ 1, idx);
         } else {
-            assert!(
-                allow_cross,
-                "cross-shard wake inside a batched lookahead window"
-            );
             core.wakes_sent += 1;
             outbox.push(idx as u32);
         }
@@ -2059,8 +1982,7 @@ fn soa_rearm(
     }
     if let Some(flit) = out.as_ref().filter(|_| *out != before) {
         for &d in topo.downs(i) {
-            // SAFETY: downstreams are frozen opposite-parity reads.
-            if unsafe { soa_may_capture(view, topo, d as usize, i as u32, flit) } {
+            if soa_may_capture(other, topo, d, i as u32, flit) {
                 wake(d as usize, core);
             }
         }
@@ -2073,22 +1995,16 @@ fn soa_rearm(
 /// afresh); an empty one can if it is locked to `u`, or unlocked and its
 /// route filter wants `flit` as a worm's opening flit — the stage step's
 /// own arbitration test.
-///
-/// # Safety
-/// `d` must be a frozen opposite-parity neighbour this tick.
 #[inline]
-unsafe fn soa_may_capture(
-    view: SoaView<'_>,
-    topo: &SoaTopo,
-    d: usize,
-    u: u32,
-    flit: &Flit,
-) -> bool {
+fn soa_may_capture(other: &Cols<'_, '_>, topo: &SoaTopo, d: u32, u: u32, flit: &Flit) -> bool {
+    let d = d as usize;
     if topo.kind[d] != K_STAGE {
         return true;
     }
-    // SAFETY: per the function contract.
-    let (held, lock) = unsafe { (view.out.get(d).is_some(), *view.lock.get(d)) };
+    let (held, lock) = (
+        other.out(d as u32).is_some(),
+        other.regs[d - other.start].lock,
+    );
     !held && (lock == u || (lock == NONE_U32 && flit.opens_route() && topo.filter[d].wants(flit)))
 }
 
@@ -2096,45 +2012,28 @@ unsafe fn soa_may_capture(
 /// `i`'s flit on the previous tick. An accept marker counts only on the
 /// tick after its stamp; the dense loop clears it on the capturing
 /// element's next edge.
-///
-/// # Safety
-/// The caller must own element `i` this tick; downstreams are frozen
-/// opposite-parity reads.
 #[inline]
-unsafe fn soa_drained(view: SoaView<'_>, topo: &SoaTopo, i: usize, tick: u64) -> bool {
-    // SAFETY: per the function contract.
-    unsafe { view.out.get(i) }.is_some()
-        && topo.downs(i).iter().any(|&d| {
-            let d = d as usize;
-            // SAFETY: downstreams are neighbour reads.
-            unsafe { *view.acc.get(d) == i as u32 && view.acc_at.get(d).wrapping_add(1) == tick }
-        })
-}
-
-/// Element `i` takes the flit its upstream `up` presents at `tick`: sets
-/// its accept marker and stamps it.
-///
-/// # Safety
-/// The caller must own element `i` this tick.
-#[inline]
-unsafe fn soa_accept(view: SoaView<'_>, i: usize, up: u32, tick: u64) {
-    // SAFETY: per the function contract.
-    unsafe {
-        *view.acc.get_mut(i) = up;
-        *view.acc_at.get_mut(i) = tick;
-    }
+fn soa_drained(
+    cols: &Cols<'_, '_>,
+    other: &Cols<'_, '_>,
+    topo: &SoaTopo,
+    i: usize,
+    tick: u64,
+) -> bool {
+    let took = |r: &Regs| r.acc == i as u32 && r.acc_at.wrapping_add(1) == tick;
+    cols.out[i - cols.start].is_some()
+        && topo
+            .downs(i)
+            .iter()
+            .any(|&d| took(&other.regs[d as usize - other.start]))
 }
 
 /// `Network::first_offer` against the dense state: the first upstream
 /// presenting a flit, as `(upstream index, flit)`.
-///
-/// # Safety
-/// As [`soa_drained`].
 #[inline]
-unsafe fn soa_first_offer(view: SoaView<'_>, topo: &SoaTopo, i: usize) -> (u32, Option<Flit>) {
+fn soa_first_offer(other: &Cols<'_, '_>, topo: &SoaTopo, i: usize) -> (u32, Option<Flit>) {
     for &u in topo.ups(i) {
-        // SAFETY: upstreams are neighbour reads.
-        if let Some(flit) = *unsafe { view.out.get(u as usize) } {
+        if let Some(flit) = *other.out(u) {
             return (u, Some(flit));
         }
     }
@@ -2146,37 +2045,32 @@ unsafe fn soa_first_offer(view: SoaView<'_>, topo: &SoaTopo, i: usize) -> (u32, 
 /// — a frozen edge, a lost offer, an upset — keep the stage armed, and
 /// so does a held flit on a traced run, whose every blocked edge emits a
 /// `Blocked` event. Returns that stay condition.
-///
-/// # Safety
-/// The caller must own element `i` this tick.
-unsafe fn soa_step_stage<H: Hooks>(
-    view: SoaView<'_>,
+fn soa_step_stage<H: Hooks>(
+    cols: &mut Cols<'_, '_>,
+    other: &Cols<'_, '_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
     hooks: &mut H,
 ) -> bool {
     if H::ON && hooks.frozen(i, tick) {
-        // SAFETY: per the function contract.
-        unsafe { soa_freeze(view, topo, i, tick) };
+        soa_freeze(cols, other, topo, i, tick);
         return true;
     }
-    // SAFETY: per the function contract.
-    let mut drained = unsafe { soa_drained(view, topo, i, tick) };
+    let b = i - cols.start;
+    let mut drained = soa_drained(cols, other, topo, i, tick);
     if H::ON && drained {
-        // SAFETY: own element.
-        let held = unsafe { *view.out.get(i) }.expect("drained implies held");
+        let held = cols.out[b].expect("drained implies held");
         drained = !hooks.stuck_valid(i, tick, &held);
     }
     let ups = topo.ups(i);
     let n = ups.len();
     let mut winner: Option<(usize, Flit)> = None;
     let mut contenders = 0u32;
-    // SAFETY: own element.
-    let locked = unsafe { *view.lock.get(i) };
+    let (out, regs) = (&mut cols.out[b], &mut cols.regs[b]);
+    let locked = regs.lock;
     if locked != NONE_U32 {
-        // SAFETY: the locked upstream is a neighbour read.
-        if let Some(flit) = unsafe { view.out.get(locked as usize) } {
+        if let Some(flit) = other.out(locked) {
             let slot = ups
                 .iter()
                 .position(|&u| u == locked)
@@ -2185,15 +2079,12 @@ unsafe fn soa_step_stage<H: Hooks>(
         }
     } else if n > 0 {
         let mut slot = match topo.arb[i] {
-            // SAFETY: own element.
-            Arbitration::RoundRobin => (unsafe { *view.rr.get(i) }) as usize,
+            Arbitration::RoundRobin => regs.rr as usize,
             Arbitration::Priority => 0,
         };
         debug_assert!(slot < n, "round-robin pointer past the upstreams");
         for _ in 0..n {
-            let u = ups[slot];
-            // SAFETY: upstreams are neighbour reads.
-            if let Some(flit) = unsafe { view.out.get(u as usize) } {
+            if let Some(flit) = other.out(ups[slot]) {
                 if flit.opens_route() && topo.filter[i].wants(flit) {
                     if winner.is_none() {
                         winner = Some((slot, *flit));
@@ -2209,8 +2100,6 @@ unsafe fn soa_step_stage<H: Hooks>(
             slot = next_slot(slot, n);
         }
     }
-    // SAFETY: own element.
-    let out = unsafe { view.out.get_mut(i) };
     let new_empty = out.is_none() || drained;
     let mut stay = false;
     if H::ON && new_empty && winner.is_some() && hooks.lost_valid(i, tick) {
@@ -2222,23 +2111,20 @@ unsafe fn soa_step_stage<H: Hooks>(
             let upstream = ups[slot];
             let effect = hooks.capture(i, tick, flit);
             let latched = effect.flit;
-            // SAFETY: own element (every column).
-            unsafe {
-                soa_accept(view, i, upstream, tick);
-                *out = latched;
-                if flit.opens_route() {
-                    *view.rr.get_mut(i) = next_slot(slot, n) as u32;
-                }
-                *view.lock.get_mut(i) = if flit.closes_route() {
-                    NONE_U32
-                } else {
-                    upstream
-                };
-                *view.enabled.get_mut(i) += 1;
-                if H::ON {
-                    if let Some(latched) = latched {
-                        *view.upset.get_mut(i) = hooks.latch(i, tick, &latched);
-                    }
+            (regs.acc, regs.acc_at) = (upstream, tick);
+            *out = latched;
+            if flit.opens_route() {
+                regs.rr = next_slot(slot, n) as u32;
+            }
+            regs.lock = if flit.closes_route() {
+                NONE_U32
+            } else {
+                upstream
+            };
+            regs.enabled += 1;
+            if H::ON {
+                if let Some(latched) = latched {
+                    regs.upset = hooks.latch(i, tick, &latched);
                 }
             }
             if H::TRACE {
@@ -2274,8 +2160,7 @@ unsafe fn soa_step_stage<H: Hooks>(
         }
     }
     if H::ON && out.is_some() {
-        // SAFETY: own element.
-        let upset = unsafe { *view.upset.get(i) };
+        let upset = regs.upset;
         if tick >= upset {
             let flit = out.take().expect("checked above");
             hooks.upset(i, tick, &flit);
@@ -2284,7 +2169,7 @@ unsafe fn soa_step_stage<H: Hooks>(
                 hooks.event(i, tick, TraceEventKind::Dropped { cause }, flit);
             }
             stay = true;
-        } else if !stay && !H::TRACE && unsafe { *view.acc_at.get(i) } != tick {
+        } else if !stay && !H::TRACE && regs.acc_at != tick {
             // Blocked: the stage sleeps holding the flit until a drain
             // wakes it — or its upset does.
             hooks.sleep_holding(i, tick, upset);
@@ -2306,43 +2191,31 @@ fn next_slot(slot: usize, n: usize) -> usize {
 
 /// A frozen element's edge: it observes its drain, captures nothing and
 /// presents nothing new.
-///
-/// # Safety
-/// The caller must own element `i` this tick.
-unsafe fn soa_freeze(view: SoaView<'_>, topo: &SoaTopo, i: usize, tick: u64) {
-    // SAFETY: per the function contract.
-    unsafe {
-        if soa_drained(view, topo, i, tick) {
-            *view.out.get_mut(i) = None;
-        }
+fn soa_freeze(cols: &mut Cols<'_, '_>, other: &Cols<'_, '_>, topo: &SoaTopo, i: usize, tick: u64) {
+    if soa_drained(cols, other, topo, i, tick) {
+        cols.out[i - cols.start] = None;
     }
 }
 
 /// The dense loop's source step. Returns the kind-specific stay
 /// condition (worm still emitting, or frozen); a visit that counts a
 /// stall on an untraced run sleeps instead (see [`soa_rearm`]).
-///
-/// # Safety
-/// The caller must own element `i` this tick, and `el` must be `i`'s
-/// element.
-unsafe fn soa_step_source<H: Hooks>(
-    view: SoaView<'_>,
+fn soa_step_source<H: Hooks>(
+    cols: &mut Cols<'_, '_>,
+    other: &Cols<'_, '_>,
     topo: &SoaTopo,
-    el: &mut Element,
     i: usize,
     tick: u64,
     num_ports: u32,
     hooks: &mut H,
 ) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
-        // SAFETY: per the function contract.
-        unsafe { soa_freeze(view, topo, i, tick) };
+        soa_freeze(cols, other, topo, i, tick);
         return Stay::Armed;
     }
-    // SAFETY: per the function contract.
-    let drained = unsafe { soa_drained(view, topo, i, tick) };
-    // SAFETY: own element.
-    let out = unsafe { view.out.get_mut(i) };
+    let drained = soa_drained(cols, other, topo, i, tick);
+    let b = i - cols.start;
+    let (out, regs, el) = (&mut cols.out[b], &mut cols.regs[b], &mut *cols.els[b]);
     if drained {
         *out = None;
     }
@@ -2350,8 +2223,7 @@ unsafe fn soa_step_source<H: Hooks>(
         unreachable!("soa_step_source called on non-source")
     };
     if H::LAZY_STALLS {
-        // SAFETY: own element.
-        state.stalled_edges += unsafe { wake_stalls(view, hooks, i, tick) };
+        state.stalled_edges += wake_stalls(regs, hooks, i, tick);
     }
     // Retransmissions take the idle slot between packets — never
     // mid-worm.
@@ -2380,8 +2252,7 @@ unsafe fn soa_step_source<H: Hooks>(
         emit_endpoint_events(hooks, i, tick, injected, retransmitted, *out, stalled);
     }
     if H::LAZY_STALLS && stalled {
-        // SAFETY: own element.
-        return unsafe { sleep_stalled(view, hooks, i, tick) };
+        return sleep_stalled(regs, hooks, i, tick);
     }
     Stay::from(state.emitting.is_some())
 }
@@ -2413,14 +2284,10 @@ fn emit_endpoint_events<H: Hooks>(
 /// this worker's log. Returns the kind-specific stay condition (it
 /// refused an offer, or took one while another upstream may still
 /// offer, or frozen).
-///
-/// # Safety
-/// The caller must own element `i` this tick, and `el` must be `i`'s
-/// element.
-unsafe fn soa_step_sink<H: Hooks>(
-    view: SoaView<'_>,
+fn soa_step_sink<H: Hooks>(
+    cols: &mut Cols<'_, '_>,
+    other: &Cols<'_, '_>,
     topo: &SoaTopo,
-    el: &mut Element,
     i: usize,
     tick: u64,
     hooks: &mut H,
@@ -2428,16 +2295,16 @@ unsafe fn soa_step_sink<H: Hooks>(
     if H::ON && hooks.frozen(i, tick) {
         return true;
     }
-    // SAFETY: per the function contract.
-    let (up, offered) = unsafe { soa_first_offer(view, topo, i) };
+    let (up, offered) = soa_first_offer(other, topo, i);
+    let b = i - cols.start;
+    let el = &mut *cols.els[b];
     let Kind::Sink(state) = &mut el.kind else {
         unreachable!("soa_step_sink called on non-sink")
     };
     let accepts = state.mode.accepts(tick / 2);
     let port = state.port;
     if let (true, Some(flit)) = (accepts, offered) {
-        // SAFETY: own element.
-        unsafe { soa_accept(view, i, up, tick) };
+        (cols.regs[b].acc, cols.regs[b].acc_at) = (up, tick);
         // The consumer gate: corrupt and duplicate flits are consumed but
         // never reach the scoreboard.
         let verdict = hooks.arrival(i, tick, &flit, port, &mut el.faults);
@@ -2459,30 +2326,23 @@ unsafe fn soa_step_sink<H: Hooks>(
 /// (presenting, responses still queued, another upstream may still
 /// offer, or frozen); a visit that counts a stall with no responses
 /// queued on an untraced run sleeps instead (see [`soa_rearm`]).
-///
-/// # Safety
-/// The caller must own element `i` this tick, and `el` must be `i`'s
-/// element.
-unsafe fn soa_step_tile<H: Hooks>(
-    view: SoaView<'_>,
+fn soa_step_tile<H: Hooks>(
+    cols: &mut Cols<'_, '_>,
+    other: &Cols<'_, '_>,
     topo: &SoaTopo,
-    el: &mut Element,
     i: usize,
     tick: u64,
     num_ports: u32,
     hooks: &mut H,
 ) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
-        // SAFETY: per the function contract.
-        unsafe { soa_freeze(view, topo, i, tick) };
+        soa_freeze(cols, other, topo, i, tick);
         return Stay::Armed;
     }
-    // SAFETY: per the function contract.
-    let drained = unsafe { soa_drained(view, topo, i, tick) };
-    // SAFETY: per the function contract.
-    let (up, offered) = unsafe { soa_first_offer(view, topo, i) };
-    // SAFETY: own element.
-    let out = unsafe { view.out.get_mut(i) };
+    let drained = soa_drained(cols, other, topo, i, tick);
+    let (up, offered) = soa_first_offer(other, topo, i);
+    let b = i - cols.start;
+    let (out, regs, el) = (&mut cols.out[b], &mut cols.regs[b], &mut *cols.els[b]);
     if drained {
         *out = None;
     }
@@ -2491,13 +2351,11 @@ unsafe fn soa_step_tile<H: Hooks>(
         unreachable!("soa_step_tile called on non-tile")
     };
     if H::LAZY_STALLS {
-        // SAFETY: own element.
-        state.stalled_edges += unsafe { wake_stalls(view, hooks, i, tick) };
+        state.stalled_edges += wake_stalls(regs, hooks, i, tick);
     }
     let port = state.port;
     if offered.is_some() {
-        // SAFETY: own element.
-        unsafe { soa_accept(view, i, up, tick) };
+        (regs.acc, regs.acc_at) = (up, tick);
     }
     // Only flits the consumer gate clears are processed: a memory never
     // double-serves and a processor never double-counts.
@@ -2539,8 +2397,7 @@ unsafe fn soa_step_tile<H: Hooks>(
     // ring-shortcut tile has two upstreams).
     let recheck = offered.is_some() && topo.ups(i).len() > 1;
     if H::LAZY_STALLS && stalled && state.pending.is_empty() && !recheck {
-        // SAFETY: own element.
-        return unsafe { sleep_stalled(view, hooks, i, tick) };
+        return sleep_stalled(regs, hooks, i, tick);
     }
     Stay::from(recheck || out.is_some() || !state.pending.is_empty())
 }
@@ -2632,23 +2489,34 @@ mod tests {
 
     #[test]
     fn slot_plan_is_shard_major_and_invertible() {
-        // Level-order numbering interleaves shards near the root; shard 2
-        // and shard 4 are empty.
+        // Level-order numbering interleaves shards near the root; shards 2
+        // and 4 are empty, and shard 3 has no odd element.
         let shard_of = [0u16, 1, 0, 1, 3, 0, 1, 1, 3, 0];
+        let half = [0u8, 1, 1, 0, 0, 0, 1, 1, 0, 0];
         let workers = 5;
-        let slots = Slots::plan(&shard_of, workers);
-        assert_eq!(slots.bounds, vec![0, 4, 8, 8, 10, 10]);
-        for w in 0..workers {
-            let range = slots.range(w);
-            let members: Vec<u32> = range.clone().map(|s| slots.elem_of[s]).collect();
-            let want: Vec<u32> = (0..shard_of.len() as u32)
-                .filter(|&e| usize::from(shard_of[e as usize]) == w)
-                .collect();
-            // One contiguous range per shard, in ascending element order.
-            assert_eq!(members, want, "shard {w}");
-            assert!(range.clone().all(|s| slots.shard_of(s) == w), "shard {w}");
+        let slots = Slots::plan(&shard_of, &half, workers);
+        // Parity-major, then shard-major.
+        assert_eq!(slots.bounds, vec![0, 3, 4, 4, 6, 6, 7, 10, 10, 10, 10]);
+        for h in 0..2 {
+            for w in 0..workers {
+                let range = slots.range(h, w);
+                let members: Vec<u32> = range.clone().map(|s| slots.elem_of[s]).collect();
+                let want: Vec<u32> = (0..shard_of.len() as u32)
+                    .filter(|&e| usize::from(shard_of[e as usize]) == w)
+                    .filter(|&e| usize::from(half[e as usize]) == h)
+                    .collect();
+                // One contiguous range per half and shard, in ascending
+                // element order.
+                assert_eq!(members, want, "half {h} shard {w}");
+                assert!(
+                    range
+                        .clone()
+                        .all(|s| slots.shard_of(s) == w && slots.half_of(s) == h),
+                    "half {h} shard {w}"
+                );
+            }
         }
-        assert!(slots.range(2).is_empty() && slots.range(4).is_empty());
+        assert!(slots.range(0, 2).is_empty() && slots.range(1, 3).is_empty());
         for (e, &s) in slots.slot_of.iter().enumerate() {
             assert_eq!(slots.elem_of[s as usize] as usize, e);
             assert_eq!(
@@ -2657,62 +2525,68 @@ mod tests {
             );
         }
         assert_eq!(slots.unpack(slots.pack(None)), None);
-        // One shard is the identity layout.
-        let lone = Slots::plan(&[0; 6], 1);
-        assert_eq!(lone.slot_of, (0..6).collect::<Vec<u32>>());
-        assert_eq!(lone.elem_of, lone.slot_of);
+        // One shard is the two polarity halves, each in element order.
+        let lone = Slots::plan(&[0; 6], &[0, 1, 0, 1, 1, 0], 1);
+        assert_eq!(lone.elem_of, vec![0, 2, 5, 1, 3, 4]);
+        assert_eq!(lone.bounds, vec![0, 3, 6]);
+        // Every CSR neighbour of every slot lies in the opposite half, on
+        // a tree fabric with processor tiles, cut three ways.
+        let tree = icnoc_topology::TreeTopology::binary(16).expect("power of 2");
+        let tiles = crate::TileTraffic {
+            max_outstanding: 2,
+            service_cycles: 3,
+        };
+        let net = crate::TreeNetworkConfig::new(tree)
+            .with_tiles(tiles)
+            .build();
+        let par = ParState::build(net.elements(), 3, None);
+        for s in 0..par.topo.len() {
+            let mut neighbours = par.topo.ups(s).iter().chain(par.topo.downs(s));
+            let h = par.slots.half_of(s);
+            assert!(
+                neighbours.all(|&j| par.slots.half_of(j as usize) != h),
+                "slot {s}"
+            );
+        }
     }
 
-    /// A 7-element chain `0-1-2-3-4-5-6` split 0..=3 / 4..=6: the cut
-    /// edge is 3-4, so 3 and 4 are boundary and distances fan out from
-    /// there. The split is already shard-major, so slots are elements.
-    fn chain_topo() -> (SoaTopo, Slots) {
-        let n = 7usize;
-        let mut topo = SoaTopo::default();
-        topo.up_off.push(0);
-        topo.down_off.push(0);
-        for i in 0..n {
-            topo.kind.push(K_STAGE);
-            topo.pol.push((i % 2) as u8);
-            topo.filter.push(RouteFilter::Any);
-            topo.arb.push(Arbitration::Priority);
-            if i > 0 {
-                topo.up_list.push(i as u32 - 1);
-            }
-            topo.up_off.push(topo.up_list.len() as u32);
-            if i + 1 < n {
-                topo.down_list.push(i as u32 + 1);
-            }
-            topo.down_off.push(topo.down_list.len() as u32);
-        }
-        (topo, Slots::plan(&[0, 0, 0, 0, 1, 1, 1], 2))
+    /// A 7-element chain `0-1-2-3-4-5-6` of alternating polarity (a
+    /// source, five stages and a sink) split 0..=3 / 4..=6: the cut edge
+    /// is 3-4, so 3 and 4 are boundary and distances fan out from there.
+    /// Returns the plan and each element's slot.
+    fn chain_par(workers: usize) -> (ParState, Vec<usize>) {
+        let sink = crate::SinkMode::AlwaysAccept;
+        let net = crate::Network::pipeline(5, TrafficPattern::Silent, sink, 1);
+        let hints = [0, 0, 0, 0, 1, 1, 1];
+        let par = ParState::build(net.elements(), workers, Some(&hints));
+        let slot_of = par.slots.slot_of.iter().map(|&s| s as usize).collect();
+        (par, slot_of)
     }
 
     #[test]
     fn boundary_distances_fan_out_from_cut() {
-        let (topo, slots) = chain_topo();
-        let dist = boundary_distances(&topo, &slots);
-        assert_eq!(dist, vec![3, 2, 1, 0, 0, 1, 2]);
+        let (par, slot_of) = chain_par(2);
+        let by_element: Vec<u32> = slot_of.iter().map(|&s| par.dist[s]).collect();
+        assert_eq!(by_element, vec![3, 2, 1, 0, 0, 1, 2]);
     }
 
     #[test]
     fn single_shard_has_unbounded_distances() {
-        let (topo, _) = chain_topo();
-        let dist = boundary_distances(&topo, &Slots::plan(&[0u16; 7], 1));
-        assert!(dist.iter().all(|&d| d == u32::MAX), "{dist:?}");
+        let (par, _) = chain_par(1);
+        assert!(par.dist.iter().all(|&d| d == u32::MAX), "{:?}", par.dist);
     }
 
     #[test]
     fn routed_wake_arms_its_target_shard() {
-        let (topo, slots) = chain_topo();
-        let dist = boundary_distances(&topo, &slots);
-        // Shard 0 woke slot 4, across the 3-4 cut.
+        let (par, slot_of) = chain_par(2);
+        // Shard 0 woke element 4, across the 3-4 cut.
+        let s4 = slot_of[4] as u32;
         let mut bufs = vec![WorkerBufs::default(); 2];
-        bufs[0].outbox.push(4);
+        bufs[0].outbox.push(s4);
         let mut wakes_received = vec![0u64; 2];
-        let activity = route_wakes(&mut bufs, &mut wakes_received, &slots, &dist);
+        let activity = route_wakes(&mut bufs, &mut wakes_received, &par.slots, &par.dist);
         let armed: Vec<&[u32]> = bufs.iter().map(|b| b.armed.as_slice()).collect();
-        assert_eq!(armed, vec![&[][..], &[4][..]]);
+        assert_eq!(armed, vec![&[][..], &[s4][..]]);
         assert_eq!(wakes_received, vec![0, 1]);
         assert_eq!(
             activity,
@@ -2769,62 +2643,40 @@ mod tests {
     }
 
     #[test]
-    fn activity_packs_round_trip() {
-        for a in [
-            ShardActivity::IDLE,
-            ShardActivity {
-                min_dist: 0,
-                any_armed: true,
-            },
-            ShardActivity {
-                min_dist: 17,
-                any_armed: true,
-            },
-            ShardActivity {
-                min_dist: u32::MAX,
-                any_armed: true,
-            },
-        ] {
-            assert_eq!(ShardActivity::unpack(a.pack()), a);
-        }
-    }
-
-    #[test]
     fn parking_sync_delivers_windows_in_order() {
         let workers = 4;
         let sync = SyncShared::new(workers);
         sync.register(0);
         let rounds = 200u64;
+        let done: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
         std::thread::scope(|scope| {
             for w in 1..workers {
-                let sync = &sync;
+                let (sync, done) = (&sync, &done);
                 scope.spawn(move || {
                     sync.register(w);
                     let mut seen = 0u64;
                     loop {
                         sync.wait_until(w, || sync.serial.load(Ordering::SeqCst) > seen);
                         seen += 1;
-                        let (base, ticks) = sync.window();
-                        if ticks == 0 {
+                        if seen > rounds {
                             break;
                         }
-                        // Echo the window's payload through done so the
-                        // coordinator can check each worker saw the
-                        // right registers for the right serial.
-                        assert_eq!(base, seen * 7);
-                        assert_eq!(ticks, seen * 3);
-                        sync.peers[w].0.done.store(seen, Ordering::SeqCst);
+                        // Each window is seen once, in order: the next is
+                        // published only after every worker echoed this
+                        // one through done.
+                        assert_eq!(sync.serial.load(Ordering::SeqCst), seen);
+                        done[w].store(seen, Ordering::SeqCst);
                         sync.wake(0);
                     }
                 });
             }
             for serial in 1..=rounds {
-                sync.publish(serial, serial * 7, serial * 3);
-                for w in 1..workers {
-                    sync.wait_until(0, || sync.peers[w].0.done.load(Ordering::SeqCst) >= serial);
+                sync.publish(serial);
+                for echo in &done[1..] {
+                    sync.wait_until(0, || echo.load(Ordering::SeqCst) >= serial);
                 }
             }
-            sync.publish(rounds + 1, 0, 0);
+            sync.publish(rounds + 1);
         });
     }
 }

@@ -37,6 +37,7 @@
 //! assert_eq!(link.upstream_window().max(), Picoseconds::new(380.0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod flipflop;

@@ -414,28 +414,7 @@ impl LinkTiming {
         data_delay: Picoseconds,
         clock_delay: Picoseconds,
     ) -> Result<TimingReport, TimingViolation> {
-        self.check_delta(direction, direction.skew_quantity(data_delay, clock_delay))
-    }
-
-    /// Checks a pre-computed skew quantity (`Δdiff` or `Δsum`) against the
-    /// direction's window, with the same slack-≥-0 semantics as
-    /// [`check`](Self::check).
-    ///
-    /// This is the entry point for runtime guards that perturb the skew
-    /// directly — e.g. the simulator's per-transfer timing guard, which
-    /// adds injected jitter/spike excursions to a nominal delta rather
-    /// than re-deriving wire delays.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TimingViolation`] naming the broken bound when `delta`
-    /// falls outside the direction's window.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn check_delta(
-        &self,
-        direction: Direction,
-        delta: Picoseconds,
-    ) -> Result<TimingReport, TimingViolation> {
+        let delta = direction.skew_quantity(data_delay, clock_delay);
         const TOLERANCE: f64 = 1e-9;
         let window = self.window(direction);
         let setup_margin = window.setup_margin(delta);
@@ -618,18 +597,17 @@ mod tests {
     }
 
     #[test]
-    fn check_delta_agrees_with_check_on_derived_quantities() {
+    fn check_reports_the_derived_quantity() {
         let link = link_1ghz();
         let (data, clock) = (Picoseconds::new(210.0), Picoseconds::new(140.0));
         for dir in [Direction::Downstream, Direction::Upstream] {
-            let via_delays = link.check(dir, data, clock);
-            let via_delta = link.check_delta(dir, dir.skew_quantity(data, clock));
-            assert_eq!(via_delays, via_delta);
+            let report = link.check(dir, data, clock).unwrap();
+            assert_eq!(report.delta, dir.skew_quantity(data, clock));
         }
-        // And a perturbed delta fails exactly where the window says.
-        let err = link
-            .check_delta(Direction::Upstream, Picoseconds::new(500.0))
-            .unwrap_err();
+        // And a perturbed delta (Δsum = 500 ps) fails exactly where the
+        // window says.
+        let (data, clock) = (Picoseconds::new(300.0), Picoseconds::new(200.0));
+        let err = link.check(Direction::Upstream, data, clock).unwrap_err();
         assert_eq!(err.kind, ViolationKind::Setup);
         assert_eq!(err.excess(), Picoseconds::new(120.0));
     }
@@ -637,13 +615,14 @@ mod tests {
     #[test]
     fn derated_link_widens_the_window_and_recovers_a_failing_delta() {
         let link = link_1ghz();
-        let delta = Picoseconds::new(500.0); // fails at 1 GHz (bound: 380 ps)
-        assert!(link.check_delta(Direction::Upstream, delta).is_err());
+        // Δsum = 500 ps fails at 1 GHz (bound: 380 ps).
+        let (data, clock) = (Picoseconds::new(300.0), Picoseconds::new(200.0));
+        assert!(link.check(Direction::Upstream, data, clock).is_err());
         // Halving the clock widens eq. (7)'s bound to 880 ps.
         let slow = link.derated(2.0);
         assert_eq!(slow.frequency(), Gigahertz::new(0.5));
         assert_eq!(slow.upstream_window().max(), Picoseconds::new(880.0));
-        assert!(slow.check_delta(Direction::Upstream, delta).is_ok());
+        assert!(slow.check(Direction::Upstream, data, clock).is_ok());
         // Duty and jitter settings survive derating.
         let shaped = link
             .with_duty_cycle(0.4)

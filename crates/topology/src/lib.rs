@@ -30,6 +30,7 @@
 //! # Ok::<(), icnoc_topology::TopologyError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -25,6 +25,7 @@
 //! constructors reject NaN (see [`Picoseconds::new`] for the policy shared by
 //! every type).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Defines an `f64`-backed physical quantity newtype with the standard set

@@ -3,7 +3,6 @@
 
 use icnoc::SystemBuilder;
 use icnoc_sim::{Network, SinkMode, TileTraffic, TrafficPattern, TreeNetworkConfig};
-use icnoc_timing::ProcessVariation;
 use icnoc_topology::{TreeKind, TreeTopology};
 use proptest::prelude::*;
 
@@ -74,24 +73,6 @@ proptest! {
             .expect("powers of two build");
         let report = sys.simulate(TrafficPattern::uniform(rate), 500, seed);
         prop_assert!(report.is_correct(), "{report}");
-    }
-
-    /// The graceful-degradation solver always returns a frequency that
-    /// verifies, for arbitrary variation magnitudes.
-    #[test]
-    fn safe_frequency_always_exists_and_verifies(
-        systematic in 0.0f64..4.0,
-        sigma in 0.0f64..0.3,
-    ) {
-        let sys = SystemBuilder::new(TreeKind::Binary, 16)
-            .build()
-            .expect("valid");
-        let variation = ProcessVariation::new(systematic, sigma);
-        let f = sys.max_safe_frequency(variation, 3.0);
-        prop_assert!(f.value() > 0.0);
-        prop_assert!(
-            sys.derated(f).verify_under(variation, 3.0).is_timing_safe()
-        );
     }
 
     /// Wormhole switching never loses, interleaves or reorders packets,
