@@ -43,14 +43,16 @@
 //! workers plain borrows ([`Lease`]):
 //!
 //! * **One-tick window** of parity `p`: worker `w` gets `&mut` over its
-//!   shard's range of half `p` — every [`SoaDyn`] column and the
-//!   `Element`s behind it — and a shared `&` over all of half `1 − p`,
+//!   shard's range of half `p` — its [`Regs`] and the `Element`s behind
+//!   them — and a shared `&` over all of half `1 − p`,
 //!   frozen for the tick. Its visits mutate only their own slots and read
 //!   neighbours only through the frozen half; a wake outside its range
 //!   goes to its outbox.
 //! * **Batched window**: worker `w` gets `&mut` over its ranges of both
-//!   halves. No visit in it has a cross-shard neighbour, so reading or
-//!   waking one would be an out-of-range slice index.
+//!   halves and no outbox. No visit in it has a cross-shard neighbour:
+//!   reading one would be an out-of-range slice index, and waking one
+//!   panics for want of an outbox, so a lookahead planning error fails
+//!   the run instead of waking a shard a window late.
 //!
 //! Either way a worker also gets its own [`WorkerBufs`] (outbox, log and
 //! armed list) and, on a fault run, the fault state's read-only
@@ -68,8 +70,8 @@
 //!
 //! * **Parity-major struct-of-arrays state.** The per-element fields the
 //!   handshake actually touches every tick (`out_flit`, `accepted_from`,
-//!   `lock`, `rr_next`, the gating counter) live in dense [`SoaDyn`]
-//!   arrays for the duration of a batch, alongside a CSR copy of the
+//!   `lock`, `rr_next`, the gating counter) live in one dense [`Regs`]
+//!   entry per slot for the duration of a batch, alongside a CSR copy of the
 //!   adjacency ([`SoaTopo`]). A stage visit is then a tight loop over
 //!   `u32` indices with no pointer chasing through `Element`; endpoint
 //!   kinds (sources, sinks, tiles) keep their bulky state in the element
@@ -77,8 +79,8 @@
 //!   arrays. The arrays are indexed by *slot*, not element id: each shard
 //!   owns one contiguous slot range in each polarity half, its elements
 //!   in ascending id order inside it ([`Slots`]), so two workers share at
-//!   most the one cache line of each column that straddles a range
-//!   boundary (in element order the tree builders' level-by-level
+//!   most the one cache line that straddles a range boundary (in element
+//!   order the tree builders' level-by-level
 //!   numbering interleaves the subtrees near the root, so they would
 //!   share many), and each worker's two ready sets cover only its own
 //!   ranges. Slots become element ids only
@@ -114,9 +116,10 @@
 //!   has handed its lease back, the coordinator moves it into the target
 //!   shard's armed list ([`route_wakes`]), which the target drains into
 //!   its ready sets when the next window starts. A window's only
-//!   rendezvous is that wait. Windows are published through a
-//!   seqlock-free serial counter; each worker counts its lease back and
-//!   sleeps (`thread::park`) when it has nothing to do.
+//!   rendezvous is that wait. Posting a worker's lease is what publishes
+//!   the window to it: each worker waits at its own mailbox, hands the
+//!   lease back by clearing its flag, and sleeps (`thread::park`) when it
+//!   has nothing to do.
 //!
 //! Determinism is preserved exactly: only a one-tick window may wake
 //! across a shard cut (a batched window lends no other shard's slot),
@@ -164,9 +167,6 @@ use lease::{carve, Desk, Split};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::thread::Thread;
 use std::time::Instant;
 
 #[allow(unsafe_code)]
@@ -282,7 +282,7 @@ pub(crate) struct ParState {
 /// `w`'s elements of polarity half `h` (ready-set index, so rising edges
 /// are half 0) in ascending element-id order, so a shard visits (and
 /// logs) in `(tick, element)` order and writes only its own stretch of
-/// every dense column. Every connection joins opposite polarities, so
+/// the dense registers. Every connection joins opposite polarities, so
 /// every neighbour of a slot lies in the other half: a tick's visits
 /// write one half and read only the other. The tree builders number
 /// elements level by level, which interleaves the root-child subtrees
@@ -374,7 +374,8 @@ impl Slots {
 #[repr(align(128))]
 pub(crate) struct ShardCore {
     /// Per-polarity ready sets, each over this shard's range of its half
-    /// (bit `b` of set `h` is slot `own[h].start + b`).
+    /// (bit `b` of set `h` is slot `own[h].start + b`) and sized to the
+    /// longer range, so either swaps with `scratch`.
     ready: [ReadySet; 2],
     /// Agenda swap buffer: the current tick's ready set is swapped in
     /// here, so same-parity re-arms land on the *next* matching edge.
@@ -393,9 +394,10 @@ pub(crate) struct ShardCore {
 
 impl ShardCore {
     fn new(own: [Range<usize>; 2]) -> Self {
+        let len = own[0].len().max(own[1].len());
         Self {
-            ready: own.map(|r| ReadySet::with_len(r.len())),
-            scratch: Vec::new(),
+            ready: [ReadySet::with_len(len), ReadySet::with_len(len)],
+            scratch: vec![0; len.div_ceil(64)],
             steps: 0,
             wakes_sent: 0,
             prof: None,
@@ -578,10 +580,9 @@ impl ParState {
     /// its stamp.
     fn load_dyn(&mut self, els: &[&mut Element], base: u64) {
         let (slots, s) = (&self.slots, &mut self.soa);
-        s.out.clear();
-        s.out.extend(els.iter().map(|e| e.out_flit));
         s.regs.clear();
         s.regs.extend(els.iter().enumerate().map(|(i, e)| Regs {
+            out: e.out_flit,
             acc: slots.pack(e.accepted_from),
             acc_at: last_edge_before(slots.half_of(i), base),
             lock: slots.pack(e.lock),
@@ -601,9 +602,9 @@ impl ParState {
     fn store_dyn(&self, els: &mut [&mut Element], end: u64) {
         let slots = &self.slots;
         for (s, el) in els.iter_mut().enumerate() {
-            el.out_flit = self.soa.out[s];
-            let last = last_edge_before(slots.half_of(s), end);
             let regs = &self.soa.regs[s];
+            el.out_flit = regs.out;
+            let last = last_edge_before(slots.half_of(s), end);
             el.accepted_from = slots.unpack(regs.acc).filter(|_| regs.acc_at == last);
             el.lock = slots.unpack(regs.lock);
             el.rr_next = regs.rr as usize;
@@ -779,31 +780,31 @@ impl SoaTopo {
     }
 }
 
-/// Dense per-slot handshake state, live during a batch: the flit each
-/// slot presents, the column neighbour visits scan most, and the rest of
-/// its registers.
+/// Dense per-slot handshake state, live during a batch: one [`Regs`]
+/// entry per slot, the flit it presents beside the registers a visit
+/// reads with it.
 #[derive(Debug, Clone, Default)]
 struct SoaDyn {
-    /// `Element::out_flit`.
-    out: Vec<Option<Flit>>,
     regs: Vec<Regs>,
 }
 
 impl SoaDyn {
-    /// Every slot's columns, with the elements behind them in slot order.
+    /// Every slot's registers, with the elements behind them in slot
+    /// order.
     fn cols<'a, 'e>(&'a mut self, els: &'a mut [&'e mut Element]) -> Cols<'a, 'e> {
         Cols {
             start: 0,
-            out: &mut self.out,
             regs: &mut self.regs,
             els,
         }
     }
 }
 
-/// A slot's handshake registers besides its presented flit.
+/// A slot's handshake registers.
 #[derive(Debug, Clone, Copy)]
 struct Regs {
+    /// `Element::out_flit`: the flit the slot presents.
+    out: Option<Flit>,
     /// The upstream slot whose flit this element last took (`u32::MAX` =
     /// none): `Element::accepted_from` while `acc_at` is the element's
     /// last edge, stale after it ([`soa_drained`]).
@@ -827,44 +828,59 @@ struct Regs {
     asleep_frozen: u64,
 }
 
-/// A stretch of slots' [`SoaDyn`] columns from slot `start` on, and the
-/// elements behind them: what a window lends one worker to write, or
-/// every worker to read.
+/// A stretch of slots' [`Regs`] from slot `start` on, and the
+/// elements behind them: what a window lends one worker to write.
 #[derive(Default)]
 struct Cols<'a, 'e> {
     start: usize,
-    out: &'a mut [Option<Flit>],
     regs: &'a mut [Regs],
     els: &'a mut [&'e mut Element],
 }
 
 impl Cols<'_, '_> {
+    /// These slots' registers, read-only.
+    fn frozen(&self) -> Frozen<'_> {
+        Frozen {
+            start: self.start,
+            regs: self.regs,
+        }
+    }
+}
+
+/// A stretch of slots' registers, read-only: the frozen half a tick's
+/// visits read their neighbours in.
+#[derive(Clone, Copy)]
+struct Frozen<'a> {
+    start: usize,
+    regs: &'a [Regs],
+}
+
+impl Frozen<'_> {
     /// The flit slot `j` presents.
     #[inline]
     fn out(&self, j: u32) -> &Option<Flit> {
-        &self.out[j as usize - self.start]
+        &self.regs[j as usize - self.start].out
     }
 }
 
 impl Split for Cols<'_, '_> {
     fn split_at(self, mid: usize) -> (Self, Self) {
-        let (out, out_r) = self.out.split_at_mut(mid);
         let (regs, regs_r) = self.regs.split_at_mut(mid);
         let (els, els_r) = self.els.split_at_mut(mid);
-        let start = self.start;
+        let start = self.start + mid;
         let head = Self {
-            start,
-            out,
+            start: self.start,
             regs,
             els,
         };
-        let tail = Self {
-            start: start + mid,
-            out: out_r,
-            regs: regs_r,
-            els: els_r,
-        };
-        (head, tail)
+        (
+            head,
+            Self {
+                start,
+                regs: regs_r,
+                els: els_r,
+            },
+        )
     }
 }
 
@@ -1003,7 +1019,7 @@ struct Lease<'w, 'e> {
 enum Span<'w, 'e> {
     /// A one-tick window: the shard's range of the ticking half, and all
     /// of the other half, frozen.
-    Tick(Cols<'w, 'e>, &'w Cols<'w, 'e>),
+    Tick(Cols<'w, 'e>, Frozen<'w>),
     /// A batched window: the shard's ranges of both halves. Its visits
     /// reach no other shard's slot.
     Batch([Cols<'w, 'e>; 2]),
@@ -1014,126 +1030,35 @@ enum Span<'w, 'e> {
 /// the ticking half, all sharing the other half frozen; on a batched
 /// window, each shard's ranges of both halves.
 fn window_spans<'w, 'e>(
-    halves: &'w mut [Cols<'_, 'e>; 2],
-    slots: &Slots,
+    halves: &'w mut [Cols<'w, 'e>; 2],
+    slots: &'w Slots,
     tick: u64,
     ticks: u64,
-) -> Vec<Span<'w, 'e>> {
-    let cut = |h: usize, cols: Cols<'w, 'e>| {
+) -> impl Iterator<Item = Span<'w, 'e>> + 'w {
+    let cut = move |h: usize, cols: &mut Cols<'w, 'e>| {
         let start = cols.start;
-        carve(
-            cols,
-            start,
-            (0..slots.workers).map(move |w| slots.range(h, w)),
-        )
+        let ranges = (0..slots.workers).map(move |w| slots.range(h, w));
+        carve(std::mem::take(cols), start, ranges)
     };
+    let p = (tick % 2) as usize;
     let [even, odd] = halves;
-    if ticks == 1 {
-        let p = (tick % 2) as usize;
-        let (mine, other) = if p == 0 { (even, &*odd) } else { (odd, &*even) };
-        cut(p, std::mem::take(mine))
-            .map(|cols| Span::Tick(cols, other))
-            .collect()
+    let (mine, other) = if p == 0 { (even, odd) } else { (odd, even) };
+    let (frozen, mut others) = if ticks == 1 {
+        let other: &'w Cols<'w, 'e> = other;
+        (Some(other.frozen()), None)
     } else {
-        let (even, odd) = (std::mem::take(even), std::mem::take(odd));
-        cut(0, even)
-            .zip(cut(1, odd))
-            .map(|(e, o)| Span::Batch([e, o]))
-            .collect()
-    }
-}
-
-/// One worker's synchronisation slot, padded to its own cache line.
-#[repr(align(128))]
-struct Peer {
-    /// Whether this worker may be parked (set before parking, cleared by
-    /// wakers and on wake-up).
-    parked: AtomicBool,
-    /// This worker's thread handle, registered once at batch start.
-    thread: OnceLock<Thread>,
-}
-
-/// Window-publication state shared by all workers of one batch. All
-/// accesses are `SeqCst`: the single total order makes the park/unpark
-/// handshake auditable (a waker's state store and `parked` swap either
-/// precede the waiter's re-check, which then sees the state, or follow
-/// its `parked` store, which the swap then sees).
-struct SyncShared {
-    /// Monotonic serial of the currently published window. The window
-    /// itself travels in each worker's [`Lease`]; a window that lends a
-    /// worker nothing ends the batch, and the workers exit.
-    serial: AtomicU64,
-    /// Per-worker slots.
-    peers: Vec<Peer>,
-}
-
-impl SyncShared {
-    fn new(workers: usize) -> Self {
-        let peers = (0..workers)
-            .map(|_| Peer {
-                parked: AtomicBool::new(false),
-                thread: OnceLock::new(),
-            })
-            .collect();
-        Self {
-            serial: AtomicU64::new(0),
-            peers,
+        (None, Some(cut(1 - p, other)))
+    };
+    cut(p, mine).map(move |cols| match &mut others {
+        None => Span::Tick(
+            cols,
+            frozen.expect("a one-tick window freezes the other half"),
+        ),
+        Some(others) => {
+            let other = others.next().expect("a range per shard in each half");
+            Span::Batch(if p == 0 { [cols, other] } else { [other, cols] })
         }
-    }
-
-    /// Registers the calling thread as worker `w`, so others can unpark
-    /// it.
-    fn register(&self, w: usize) {
-        let _ = self.peers[w].thread.set(std::thread::current());
-    }
-
-    /// Publishes window `serial`, once every worker is done with window
-    /// `serial - 1`.
-    fn publish(&self, serial: u64) {
-        self.serial.store(serial, Ordering::SeqCst);
-        for w in 1..self.peers.len() {
-            self.wake(w);
-        }
-    }
-
-    /// Unparks worker `w` if it is (or is about to go) parked. A stale
-    /// unpark token at worst makes the next `park` return spuriously;
-    /// every wait re-checks its condition in a loop.
-    fn wake(&self, w: usize) {
-        let peer = &self.peers[w];
-        if peer.parked.swap(false, Ordering::SeqCst) {
-            if let Some(thread) = peer.thread.get() {
-                thread.unpark();
-            }
-        }
-    }
-
-    /// Spins briefly, then parks worker `me` until `cond` holds. The
-    /// park timeout is a belt-and-braces bound, not a correctness
-    /// requirement: every state change is followed by a `wake`.
-    fn wait_until(&self, me: usize, cond: impl Fn() -> bool) {
-        let mut rounds = 0u32;
-        loop {
-            if cond() {
-                return;
-            }
-            rounds += 1;
-            if rounds < 128 {
-                std::hint::spin_loop();
-            } else if rounds < 160 {
-                std::thread::yield_now();
-            } else {
-                let peer = &self.peers[me];
-                peer.parked.store(true, Ordering::SeqCst);
-                if cond() {
-                    peer.parked.store(false, Ordering::SeqCst);
-                    return;
-                }
-                std::thread::park_timeout(std::time::Duration::from_millis(1));
-                peer.parked.store(false, Ordering::SeqCst);
-            }
-        }
-    }
+    })
 }
 
 /// Everything a parallel batch borrows from the network.
@@ -1187,7 +1112,7 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         num_ports,
         base_tick,
     } = ctx;
-    // The elements in slot order, as the dense columns see them.
+    // The elements in slot order, as the dense registers see them.
     let mut by_slot: Vec<Option<&mut Element>> = elements.iter().map(|_| None).collect();
     for (el, &s) in elements.iter_mut().zip(&par.slots.slot_of) {
         by_slot[s as usize] = Some(el);
@@ -1218,9 +1143,8 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         num_ports,
         base_tick,
     };
-    let sync = SyncShared::new(workers);
-    sync.register(0);
     let desk = Desk::new(workers);
+    desk.register(0);
 
     // Wall-clock origin of this batch; per-epoch samples are offset from
     // it (plus the profiler's cumulative base) so timelines stay
@@ -1242,22 +1166,20 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
     std::thread::scope(|scope| {
         for (offset, core) in worker_cores.iter_mut().enumerate() {
             let w = offset + 1;
-            let (sync, desk) = (&sync, &desk);
+            let desk = &desk;
             scope.spawn(move || {
-                sync.register(w);
+                desk.register(w);
                 let profiling = core.prof.is_some();
-                let mut seen = 0u64;
                 loop {
                     let t0 = profiling.then(Instant::now);
-                    sync.wait_until(w, || sync.serial.load(Ordering::SeqCst) > seen);
-                    seen += 1;
-                    let t1 = profiling.then(Instant::now);
                     let steps0 = core.steps;
-                    let window = desk.serve(w, |lease| run_window(wctx, lease, w, core, profiling));
-                    let Some((base, ticks, t2)) = window else {
+                    let window = desk.serve(w, |lease| {
+                        let t1 = profiling.then(Instant::now);
+                        (t1, run_window(wctx, lease, w, core, profiling))
+                    });
+                    let Some((t1, (base, ticks, t2))) = window else {
                         break;
                     };
-                    sync.wake(0);
                     if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
                         let marks = [t0, t1, t2, Instant::now()];
                         record_epoch_at(
@@ -1280,16 +1202,14 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
         // window (the stop check, the fault state's step and the
         // retransmission release) counts as flush time.
         let profiling = coordinator_core.prof.is_some();
-        let mut serial = 0u64;
         loop {
             let t0 = profiling.then(Instant::now);
-            serial += 1;
             let drained = || {
                 faults.as_deref().is_none_or(|f| !f.recovery_busy())
-                    && nothing_in_flight(&soa.out, &els, topo)
+                    && nothing_in_flight(&soa.regs, &els, topo)
             };
             if k >= max_ticks || (stop_when_drained && drained()) {
-                sync.publish(serial);
+                desk.close();
                 break;
             }
             if let Some(f) = faults.as_deref_mut() {
@@ -1324,7 +1244,6 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
             let mut halves = [even, odd];
             let fault_ctx = faults.as_deref().map(FaultState::ctx);
             let leases = window_spans(&mut halves, slots, base_tick + k, ticks)
-                .into_iter()
                 .zip(bufs.iter_mut())
                 .map(|(span, bufs)| Lease {
                     base: k,
@@ -1333,13 +1252,11 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                     bufs,
                     faults: fault_ctx,
                 });
-            let (t2, wait_ns) = desk.lend(leases, |lease| {
-                sync.publish(serial);
+            let (t2, wait0) = desk.lend(leases, |lease| {
                 let (_, _, t2) = run_window(wctx, lease, 0, coordinator_core, profiling);
-                let wait0 = (profiling && workers > 1).then(Instant::now);
-                sync.wait_until(0, || desk.returned());
-                (t2, wait0.map_or(0, |t| dur_ns(t, Instant::now())))
+                (t2, (profiling && workers > 1).then(Instant::now))
             });
+            let wait_ns = wait0.map_or(0, |t| dur_ns(t, Instant::now()));
             fold_logs(bufs, scoreboard, faults.as_deref_mut(), sinks);
             let routed = route_wakes(bufs, wakes_received, slots, dist);
             activity_next = bufs
@@ -1471,15 +1388,26 @@ fn run_window(
     };
     match lease.span {
         Span::Tick(mut cols, other) => {
-            visit(ctx, first, &mut cols, other, core, &own, bufs, faults);
+            let outbox = Some(&mut bufs.outbox);
+            visit(
+                ctx,
+                first,
+                &mut cols,
+                &other,
+                core,
+                &own,
+                &mut bufs.log,
+                outbox,
+                faults,
+            );
             // Timed wakes due on the next tick join the ready sets now,
             // so the activity summary below accounts for them. A wake
             // whose flit has left, or was replaced by one with a later
             // upset, is stale and dropped.
             let halves = if first.is_multiple_of(2) {
-                [&cols, other]
+                [cols.frozen(), other]
             } else {
-                [other, &cols]
+                [other, cols.frozen()]
             };
             while let Some(&Reverse((due, i))) = core.fx.timed.peek() {
                 if due > first + 1 {
@@ -1488,7 +1416,7 @@ fn run_window(
                 core.fx.timed.pop();
                 let h = ctx.slots.half_of(i as usize);
                 let j = i as usize - halves[h].start;
-                if halves[h].regs[j].upset == due && halves[h].out[j].is_some() {
+                if halves[h].regs[j].upset == due && halves[h].regs[j].out.is_some() {
                     core.arm(&own, h, i as usize);
                 }
             }
@@ -1499,11 +1427,23 @@ fn run_window(
             for tick in first..first + ticks {
                 let [even, odd] = &mut halves;
                 let (cols, other) = if tick.is_multiple_of(2) {
-                    (even, &*odd)
+                    (even, odd.frozen())
                 } else {
-                    (odd, &*even)
+                    (odd, even.frozen())
                 };
-                visit(ctx, tick, cols, other, core, &own, bufs, faults);
+                // No outbox: a wake across the shard cut would be a
+                // lookahead planning error.
+                visit(
+                    ctx,
+                    tick,
+                    cols,
+                    &other,
+                    core,
+                    &own,
+                    &mut bufs.log,
+                    None,
+                    faults,
+                );
             }
         }
     }
@@ -1581,11 +1521,11 @@ fn record_epoch_at(
 
 /// Whether no element holds a flit, no tile queues a response and no
 /// injector queues a retransmission — `Network::in_flight() == 0`. The
-/// dense `out` column is scanned first, so a fabric still holding flits
+/// dense registers' flits are scanned first, so a fabric still holding flits
 /// answers without touching any element. Only the coordinator calls it,
 /// between windows.
-fn nothing_in_flight(out: &[Option<Flit>], els: &[&mut Element], topo: &SoaTopo) -> bool {
-    out.iter().all(Option::is_none)
+fn nothing_in_flight(regs: &[Regs], els: &[&mut Element], topo: &SoaTopo) -> bool {
+    regs.iter().all(|r| r.out.is_none())
         && (0..topo.len())
             .filter(|&s| matches!(topo.kind[s], K_SOURCE | K_TILE))
             .all(|s| els[s].queued() == 0)
@@ -1602,13 +1542,14 @@ fn visit_tick<const TRACE: bool>(
     ctx: WindowCtx<'_>,
     tick: u64,
     cols: &mut Cols<'_, '_>,
-    other: &Cols<'_, '_>,
+    other: &Frozen<'_>,
     core: &mut ShardCore,
     own: &[Range<usize>; 2],
-    bufs: &mut WorkerBufs,
+    log: &mut Vec<Logged>,
+    mut outbox: Option<&mut Vec<u32>>,
     faults: Option<&FaultCtx>,
 ) {
-    let WorkerBufs { log, outbox, .. } = bufs;
+    let outbox = &mut outbox;
     let elem_of = ctx.slots.elem_of.as_slice();
     let Some(fault_ctx) = faults else {
         let mut lane = Lane::<TRACE> { log, elem_of };
@@ -1631,10 +1572,10 @@ fn visit_tick_with<H: Hooks>(
     ctx: WindowCtx<'_>,
     tick: u64,
     cols: &mut Cols<'_, '_>,
-    other: &Cols<'_, '_>,
+    other: &Frozen<'_>,
     core: &mut ShardCore,
     own: &[Range<usize>; 2],
-    outbox: &mut Vec<u32>,
+    outbox: &mut Option<&mut Vec<u32>>,
     hooks: &mut H,
 ) {
     let WindowCtx {
@@ -1644,10 +1585,8 @@ fn visit_tick_with<H: Hooks>(
         ..
     } = ctx;
     let p = (tick % 2) as usize;
-    // The swap buffer is all zeros; sized to this half's set, it takes
-    // the tick's ready set, so same-parity re-arms land on the next
-    // matching edge.
-    core.scratch.resize(core.ready[p].words.len(), 0);
+    // The swap buffer is all zeros and takes the tick's ready set, so
+    // same-parity re-arms land on the next matching edge.
     std::mem::swap(&mut core.ready[p].words, &mut core.scratch);
     for word in 0..core.scratch.len() {
         let mut bits = std::mem::take(&mut core.scratch[word]);
@@ -1656,7 +1595,7 @@ fn visit_tick_with<H: Hooks>(
             let i = cols.start + b;
             bits &= bits - 1;
             core.steps += 1;
-            let before = cols.out[b];
+            let before = cols.regs[b].out;
             let stay = match topo.kind[i] {
                 K_STAGE => Stay::from(soa_step_stage(cols, other, topo, i, tick, hooks)),
                 K_SOURCE => soa_step_source(cols, other, topo, i, tick, num_ports, hooks),
@@ -1943,7 +1882,7 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
 #[inline(always)]
 fn soa_rearm<H: Hooks>(
     cols: &Cols<'_, '_>,
-    other: &Cols<'_, '_>,
+    other: &Frozen<'_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
@@ -1952,10 +1891,10 @@ fn soa_rearm<H: Hooks>(
     pinned: &[bool],
     core: &mut ShardCore,
     own: &[Range<usize>; 2],
-    outbox: &mut Vec<u32>,
+    outbox: &mut Option<&mut Vec<u32>>,
 ) {
     let (b, p) = (i - cols.start, (tick % 2) as usize);
-    let (out, regs) = (&cols.out[b], &cols.regs[b]);
+    let regs = &cols.regs[b];
     let captured = if regs.acc_at == tick {
         regs.acc
     } else {
@@ -1974,13 +1913,16 @@ fn soa_rearm<H: Hooks>(
             core.arm(own, p ^ 1, idx);
         } else {
             core.wakes_sent += 1;
-            outbox.push(idx as u32);
+            let outbox = outbox.as_mut();
+            outbox
+                .expect("cross-shard wake inside a batched lookahead window")
+                .push(idx as u32);
         }
     };
     if captured != NONE_U32 {
         wake(captured as usize, core);
     }
-    if let Some(flit) = out.as_ref().filter(|_| *out != before) {
+    if let Some(flit) = regs.out.as_ref().filter(|_| regs.out != before) {
         for &d in topo.downs(i) {
             if soa_may_capture(other, topo, d, i as u32, flit) {
                 wake(d as usize, core);
@@ -1996,15 +1938,13 @@ fn soa_rearm<H: Hooks>(
 /// route filter wants `flit` as a worm's opening flit — the stage step's
 /// own arbitration test.
 #[inline]
-fn soa_may_capture(other: &Cols<'_, '_>, topo: &SoaTopo, d: u32, u: u32, flit: &Flit) -> bool {
+fn soa_may_capture(other: &Frozen<'_>, topo: &SoaTopo, d: u32, u: u32, flit: &Flit) -> bool {
     let d = d as usize;
     if topo.kind[d] != K_STAGE {
         return true;
     }
-    let (held, lock) = (
-        other.out(d as u32).is_some(),
-        other.regs[d - other.start].lock,
-    );
+    let r = &other.regs[d - other.start];
+    let (held, lock) = (r.out.is_some(), r.lock);
     !held && (lock == u || (lock == NONE_U32 && flit.opens_route() && topo.filter[d].wants(flit)))
 }
 
@@ -2015,13 +1955,13 @@ fn soa_may_capture(other: &Cols<'_, '_>, topo: &SoaTopo, d: u32, u: u32, flit: &
 #[inline]
 fn soa_drained(
     cols: &Cols<'_, '_>,
-    other: &Cols<'_, '_>,
+    other: &Frozen<'_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
 ) -> bool {
     let took = |r: &Regs| r.acc == i as u32 && r.acc_at.wrapping_add(1) == tick;
-    cols.out[i - cols.start].is_some()
+    cols.regs[i - cols.start].out.is_some()
         && topo
             .downs(i)
             .iter()
@@ -2031,7 +1971,7 @@ fn soa_drained(
 /// `Network::first_offer` against the dense state: the first upstream
 /// presenting a flit, as `(upstream index, flit)`.
 #[inline]
-fn soa_first_offer(other: &Cols<'_, '_>, topo: &SoaTopo, i: usize) -> (u32, Option<Flit>) {
+fn soa_first_offer(other: &Frozen<'_>, topo: &SoaTopo, i: usize) -> (u32, Option<Flit>) {
     for &u in topo.ups(i) {
         if let Some(flit) = *other.out(u) {
             return (u, Some(flit));
@@ -2047,7 +1987,7 @@ fn soa_first_offer(other: &Cols<'_, '_>, topo: &SoaTopo, i: usize) -> (u32, Opti
 /// `Blocked` event. Returns that stay condition.
 fn soa_step_stage<H: Hooks>(
     cols: &mut Cols<'_, '_>,
-    other: &Cols<'_, '_>,
+    other: &Frozen<'_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
@@ -2060,14 +2000,14 @@ fn soa_step_stage<H: Hooks>(
     let b = i - cols.start;
     let mut drained = soa_drained(cols, other, topo, i, tick);
     if H::ON && drained {
-        let held = cols.out[b].expect("drained implies held");
+        let held = cols.regs[b].out.expect("drained implies held");
         drained = !hooks.stuck_valid(i, tick, &held);
     }
     let ups = topo.ups(i);
     let n = ups.len();
     let mut winner: Option<(usize, Flit)> = None;
     let mut contenders = 0u32;
-    let (out, regs) = (&mut cols.out[b], &mut cols.regs[b]);
+    let regs = &mut cols.regs[b];
     let locked = regs.lock;
     if locked != NONE_U32 {
         if let Some(flit) = other.out(locked) {
@@ -2100,7 +2040,7 @@ fn soa_step_stage<H: Hooks>(
             slot = next_slot(slot, n);
         }
     }
-    let new_empty = out.is_none() || drained;
+    let new_empty = regs.out.is_none() || drained;
     let mut stay = false;
     if H::ON && new_empty && winner.is_some() && hooks.lost_valid(i, tick) {
         winner = None;
@@ -2112,7 +2052,7 @@ fn soa_step_stage<H: Hooks>(
             let effect = hooks.capture(i, tick, flit);
             let latched = effect.flit;
             (regs.acc, regs.acc_at) = (upstream, tick);
-            *out = latched;
+            regs.out = latched;
             if flit.opens_route() {
                 regs.rr = next_slot(slot, n) as u32;
             }
@@ -2153,16 +2093,16 @@ fn soa_step_stage<H: Hooks>(
         }
         _ => {
             if drained {
-                *out = None;
-            } else if let Some(held) = out.filter(|_| H::TRACE) {
+                regs.out = None;
+            } else if let Some(held) = regs.out.filter(|_| H::TRACE) {
                 hooks.event(i, tick, TraceEventKind::Blocked, held);
             }
         }
     }
-    if H::ON && out.is_some() {
+    if H::ON && regs.out.is_some() {
         let upset = regs.upset;
         if tick >= upset {
-            let flit = out.take().expect("checked above");
+            let flit = regs.out.take().expect("checked above");
             hooks.upset(i, tick, &flit);
             if H::TRACE {
                 let cause = DropCause::FaultUpset;
@@ -2175,7 +2115,7 @@ fn soa_step_stage<H: Hooks>(
             hooks.sleep_holding(i, tick, upset);
         }
     }
-    stay || (H::TRACE && out.is_some())
+    stay || (H::TRACE && regs.out.is_some())
 }
 
 /// The round-robin slot after `slot` among `n` upstreams, without a
@@ -2191,9 +2131,9 @@ fn next_slot(slot: usize, n: usize) -> usize {
 
 /// A frozen element's edge: it observes its drain, captures nothing and
 /// presents nothing new.
-fn soa_freeze(cols: &mut Cols<'_, '_>, other: &Cols<'_, '_>, topo: &SoaTopo, i: usize, tick: u64) {
+fn soa_freeze(cols: &mut Cols<'_, '_>, other: &Frozen<'_>, topo: &SoaTopo, i: usize, tick: u64) {
     if soa_drained(cols, other, topo, i, tick) {
-        cols.out[i - cols.start] = None;
+        cols.regs[i - cols.start].out = None;
     }
 }
 
@@ -2202,7 +2142,7 @@ fn soa_freeze(cols: &mut Cols<'_, '_>, other: &Cols<'_, '_>, topo: &SoaTopo, i: 
 /// stall on an untraced run sleeps instead (see [`soa_rearm`]).
 fn soa_step_source<H: Hooks>(
     cols: &mut Cols<'_, '_>,
-    other: &Cols<'_, '_>,
+    other: &Frozen<'_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
@@ -2215,9 +2155,9 @@ fn soa_step_source<H: Hooks>(
     }
     let drained = soa_drained(cols, other, topo, i, tick);
     let b = i - cols.start;
-    let (out, regs, el) = (&mut cols.out[b], &mut cols.regs[b], &mut *cols.els[b]);
+    let (regs, el) = (&mut cols.regs[b], &mut *cols.els[b]);
     if drained {
-        *out = None;
+        regs.out = None;
     }
     let Kind::Source(state) = &mut el.kind else {
         unreachable!("soa_step_source called on non-source")
@@ -2228,16 +2168,16 @@ fn soa_step_source<H: Hooks>(
     // Retransmissions take the idle slot between packets — never
     // mid-worm.
     let mut retransmitted = None;
-    if H::ON && out.is_none() && state.emitting.is_none() {
+    if H::ON && regs.out.is_none() && state.emitting.is_none() {
         retransmitted = el.faults.as_mut().and_then(|f| f.retx.pop_front());
-        *out = retransmitted;
+        regs.out = retransmitted;
     }
     let mut injected = None;
     let mut stalled = false;
     if state.enabled || state.emitting.is_some() {
-        if out.is_none() {
+        if regs.out.is_none() {
             if let Some(flit) = state.next_flit(tick, num_ports) {
-                *out = Some(flit);
+                regs.out = Some(flit);
                 injected = Some(flit);
             }
         } else if retransmitted.is_none() {
@@ -2249,7 +2189,7 @@ fn soa_step_source<H: Hooks>(
         hooks.endpoint(i, tick, injected, retransmitted);
     }
     if H::TRACE {
-        emit_endpoint_events(hooks, i, tick, injected, retransmitted, *out, stalled);
+        emit_endpoint_events(hooks, i, tick, injected, retransmitted, regs.out, stalled);
     }
     if H::LAZY_STALLS && stalled {
         return sleep_stalled(regs, hooks, i, tick);
@@ -2286,7 +2226,7 @@ fn emit_endpoint_events<H: Hooks>(
 /// offer, or frozen).
 fn soa_step_sink<H: Hooks>(
     cols: &mut Cols<'_, '_>,
-    other: &Cols<'_, '_>,
+    other: &Frozen<'_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
@@ -2328,7 +2268,7 @@ fn soa_step_sink<H: Hooks>(
 /// queued on an untraced run sleeps instead (see [`soa_rearm`]).
 fn soa_step_tile<H: Hooks>(
     cols: &mut Cols<'_, '_>,
-    other: &Cols<'_, '_>,
+    other: &Frozen<'_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
@@ -2342,11 +2282,11 @@ fn soa_step_tile<H: Hooks>(
     let drained = soa_drained(cols, other, topo, i, tick);
     let (up, offered) = soa_first_offer(other, topo, i);
     let b = i - cols.start;
-    let (out, regs, el) = (&mut cols.out[b], &mut cols.regs[b], &mut *cols.els[b]);
+    let (regs, el) = (&mut cols.regs[b], &mut *cols.els[b]);
     if drained {
-        *out = None;
+        regs.out = None;
     }
-    let out_empty = out.is_none();
+    let out_empty = regs.out.is_none();
     let Kind::Tile(state) = &mut el.kind else {
         unreachable!("soa_step_tile called on non-tile")
     };
@@ -2368,13 +2308,13 @@ fn soa_step_tile<H: Hooks>(
     let mut retransmitted = None;
     if H::ON && out_empty {
         retransmitted = el.faults.as_mut().and_then(|f| f.retx.pop_front());
-        *out = retransmitted;
+        regs.out = retransmitted;
     }
     let mut injected = None;
     let mut stalled = false;
     if out_empty && retransmitted.is_none() {
         if let Some(flit) = state.next_flit(tick, num_ports) {
-            *out = Some(flit);
+            regs.out = Some(flit);
             injected = Some(flit);
         }
     } else if !out_empty && state.enabled {
@@ -2391,7 +2331,7 @@ fn soa_step_tile<H: Hooks>(
         if let (Some(flit), Some(verdict)) = (offered, verdict) {
             hooks.event(i, tick, arrival_event(verdict, &flit, port), flit);
         }
-        emit_endpoint_events(hooks, i, tick, injected, retransmitted, *out, stalled);
+        emit_endpoint_events(hooks, i, tick, injected, retransmitted, regs.out, stalled);
     }
     // Another upstream's offer may wait behind the one it took (a
     // ring-shortcut tile has two upstreams).
@@ -2399,7 +2339,7 @@ fn soa_step_tile<H: Hooks>(
     if H::LAZY_STALLS && stalled && state.pending.is_empty() && !recheck {
         return sleep_stalled(regs, hooks, i, tick);
     }
-    Stay::from(recheck || out.is_some() || !state.pending.is_empty())
+    Stay::from(recheck || regs.out.is_some() || !state.pending.is_empty())
 }
 
 /// Assigns every element to a shard.
@@ -2645,38 +2585,66 @@ mod tests {
     #[test]
     fn parking_sync_delivers_windows_in_order() {
         let workers = 4;
-        let sync = SyncShared::new(workers);
-        sync.register(0);
+        let desk = Desk::new(workers);
+        desk.register(0);
         let rounds = 200u64;
-        let done: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+        let mut bufs = vec![WorkerBufs::default(); workers];
         std::thread::scope(|scope| {
             for w in 1..workers {
-                let (sync, done) = (&sync, &done);
+                let desk = &desk;
                 scope.spawn(move || {
-                    sync.register(w);
-                    let mut seen = 0u64;
-                    loop {
-                        sync.wait_until(w, || sync.serial.load(Ordering::SeqCst) > seen);
+                    desk.register(w);
+                    let mut seen = 0;
+                    while let Some(base) = desk.serve(w, |lease| {
+                        lease.bufs.armed.push(w as u32);
+                        lease.base
+                    }) {
+                        // Each window is served once, in order.
                         seen += 1;
-                        if seen > rounds {
-                            break;
-                        }
-                        // Each window is seen once, in order: the next is
-                        // published only after every worker echoed this
-                        // one through done.
-                        assert_eq!(sync.serial.load(Ordering::SeqCst), seen);
-                        done[w].store(seen, Ordering::SeqCst);
-                        sync.wake(0);
+                        assert_eq!(base, seen);
                     }
+                    assert_eq!(seen, rounds);
                 });
             }
-            for serial in 1..=rounds {
-                sync.publish(serial);
-                for echo in &done[1..] {
-                    sync.wait_until(0, || echo.load(Ordering::SeqCst) >= serial);
+            for base in 1..=rounds {
+                let leases = bufs.iter_mut().map(|bufs| Lease {
+                    base,
+                    ticks: 1,
+                    span: Span::Batch(Default::default()),
+                    bufs,
+                    faults: None,
+                });
+                desk.lend(leases, drop);
+                // Every lease is back, its worker's writes with it.
+                for (w, b) in bufs.iter_mut().enumerate().skip(1) {
+                    assert_eq!(b.armed.pop(), Some(w as u32));
                 }
             }
-            sync.publish(rounds + 1);
+            desk.close();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a worker panicked inside a window")]
+    fn a_worker_panic_fails_the_window() {
+        let desk = Desk::new(2);
+        desk.register(0);
+        let mut bufs = vec![WorkerBufs::default(); 2];
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                desk.register(1);
+                desk.serve(1, |_| {
+                    panic!("cross-shard wake inside a batched lookahead window")
+                })
+            });
+            let leases = bufs.iter_mut().map(|bufs| Lease {
+                base: 0,
+                ticks: 2,
+                span: Span::Batch(Default::default()),
+                bufs,
+                faults: None,
+            });
+            desk.lend(leases, drop);
         });
     }
 }
