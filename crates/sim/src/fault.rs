@@ -1142,9 +1142,10 @@ fn fires(h: u64, rate: f64) -> bool {
 /// which always gives zero).
 #[inline]
 fn geometric(h: u64, survive_ln: f64) -> u64 {
-    // `1 − u` lies in (0, 1], so the logarithm is finite or zero.
+    // `1 − u` lies in (0, 1], so the logarithm is finite or zero and the
+    // quotient is never negative: the cast truncates it as `floor` would.
     let u = 1.0 - unit(h);
-    (u.ln() / survive_ln).floor() as u64
+    (u.ln() / survive_ln) as u64
 }
 
 /// One recovery-layer operation a visit performs. Visits only log these;

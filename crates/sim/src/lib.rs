@@ -53,7 +53,7 @@ pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultRates, RecoveryReport};
 pub use flit::{Flit, FlitKind};
 pub use label::{LabelId, LabelTable};
 pub use network::{DrainTimeout, Network, SimKernel, MAX_CYCLES};
-pub use profile::{EpochSample, PerfReport, PerfWall, ShardCounters, WorkerProfile};
+pub use profile::{EpochSample, PerfReport, PerfWall, ShardCounters, TimedWakes, WorkerProfile};
 pub use report::{LatencyHistogram, LatencyStats, ReportDigest, SimReport};
 pub use trace::{
     CountersSink, DropCause, ElementCounters, ElementUtilisation, FlowLatency, ObservabilityReport,

@@ -6,7 +6,7 @@ use crate::fault::{
 };
 use crate::label::LabelTable;
 use crate::parallel::{self, ParState};
-use crate::profile::{KernelProfiler, PerfReport, PerfWall, ShardCounters};
+use crate::profile::{KernelProfiler, PerfReport, PerfWall, ShardCounters, TimedWakes};
 use crate::report::Scoreboard;
 use crate::trace::{CountersSink, DropCause, RingBufferSink, Sinks, TraceEvent, TraceEventKind};
 use crate::{
@@ -1465,6 +1465,7 @@ impl Network {
                         wakes_received,
                     })
                     .collect(),
+                timed_wakes: par.timed_wakes(),
                 wall: Some(PerfWall {
                     workers: par
                         .cores()
@@ -1493,6 +1494,7 @@ impl Network {
                     wakes_sent: 0,
                     wakes_received: 0,
                 }],
+                timed_wakes: TimedWakes::default(),
                 wall: Some(PerfWall {
                     workers: vec![prof.seq.snapshot(0)],
                 }),

@@ -134,11 +134,15 @@
 //! count.
 //!
 //! Fault plans run here at every worker count. Every fault is a pure hash
-//! of `(seed, tick, element, slot)`, and no fault changes an element that
-//! neither a handshake nor a timed wake visits: a frozen element stays
-//! armed until it thaws, a lost offer re-arms its stage, and a held
-//! flit's register upset is drawn when the flit is latched and served by
-//! a timed wake on its shard. Fault runs use one-tick windows. Shards log
+//! of `(seed, tick, element, slot)`, and a fault run, too, visits an
+//! element only where a fault can act: a frozen element stays armed until
+//! it thaws; a lost offer, an upset and a capture that latched nothing
+//! under metastability keep their stage armed; a flit still presented
+//! after a downstream took it (a stuck `valid`'s duplicate) wakes that
+//! downstream again; and a held flit's register upset is drawn when the
+//! flit is latched, which schedules the stage's timed wake on its shard's
+//! [`Wheel`] in place of the wake of the flit it held before. Fault runs
+//! use one-tick windows. Shards log
 //! their recovery-layer operations; at each tick boundary the coordinator
 //! folds the logs — in the dense loop's order — runs
 //! `FaultState::begin_step` for the next tick, and arms every source or
@@ -156,7 +160,7 @@
 
 use crate::element::{Arbitration, Element, ElementFaults, Kind, RouteFilter, TileRole};
 use crate::fault::{arrival_event, ArrivalVerdict, CaptureEffect, FaultCtx, FaultOp, FaultState};
-use crate::profile::{CoreProf, EpochSample};
+use crate::profile::{CoreProf, EpochSample, TimedWakes};
 use crate::report::Scoreboard;
 use crate::trace::{DropCause, Sinks, TraceEvent, TraceEventKind};
 use crate::{ElementId, Flit, TrafficPattern};
@@ -164,8 +168,7 @@ use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_timing::Direction;
 use icnoc_topology::PortId;
 use lease::{carve, Desk, Split};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -443,14 +446,170 @@ struct WorkerBufs {
     activity: ShardActivity,
 }
 
-/// A shard's private state in a fault run.
+/// A shard's private state in a fault run. Moved out of its core and
+/// back on every tick ([`visit_tick`]), so its `Default` allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
 struct FaultShard {
     /// Scratch for the operations one hook logs.
     ops: Vec<FaultOp>,
-    /// Timed wakes `(tick, slot)`, earliest first: the upset ticks of
-    /// flits held by sleeping stages.
-    timed: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Timed wakes: the register-upset ticks of flits its stages hold.
+    wheel: Wheel,
+}
+
+/// The due tick of no wake.
+const NEVER: u64 = u64::MAX;
+
+/// The end of a [`Wheel`] bucket list.
+const NIL: u32 = u32::MAX;
+
+/// A shard's timed wakes in a hashed timing wheel (Varghese & Lauck,
+/// SOSP 1987) that holds at most one pending wake per slot. A wake due at
+/// tick `t` waits in bucket `t mod buckets`, doubly linked through its
+/// slot's [`Timer`], so a stage that latches a new flit replaces the wake
+/// of the flit it held before in O(1), and a tick sweeps the one bucket
+/// its cursor reaches. There are as many buckets as the shard has slots
+/// (rounded up to a power of two), so a bucket holds about one wake.
+/// Slots are numbered within the shard: its range of half 0, then its
+/// range of half 1. Storage is allocated by the first wake, so a run
+/// without register upsets never allocates.
+#[derive(Debug, Clone, Default)]
+struct Wheel {
+    /// Per shard slot: its pending wake, if any.
+    timers: Vec<Timer>,
+    /// Per bucket: its first slot, or [`NIL`].
+    heads: Vec<u32>,
+    /// The first tick not yet swept.
+    cursor: u64,
+    /// Wakes scheduled and fired so far.
+    counts: TimedWakes,
+}
+
+/// One slot's entry in a [`Wheel`].
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    /// The tick its wake falls due, [`NEVER`] if it has none.
+    due: u64,
+    /// The next and previous slot in its bucket, or [`NIL`].
+    next: u32,
+    prev: u32,
+}
+
+impl Wheel {
+    /// Slot `s`'s index within the shard owning `own`.
+    #[inline]
+    fn local(own: &[Range<usize>; 2], s: usize) -> usize {
+        if own[0].contains(&s) {
+            s - own[0].start
+        } else {
+            own[0].len() + s - own[1].start
+        }
+    }
+
+    /// The slot with index `at` within the shard owning `own`.
+    #[inline]
+    fn global(own: &[Range<usize>; 2], at: usize) -> usize {
+        match at.checked_sub(own[0].len()) {
+            Some(b) => own[1].start + b,
+            None => own[0].start + at,
+        }
+    }
+
+    #[inline]
+    fn bucket(&self, due: u64) -> usize {
+        (due & (self.heads.len() as u64 - 1)) as usize
+    }
+
+    /// Sets slot `s`'s pending wake, in the shard owning `own`, to fall
+    /// due at `due`, replacing the one it had; [`NEVER`] cancels it. A
+    /// wake may not fall due before the cursor.
+    fn schedule(&mut self, own: &[Range<usize>; 2], s: usize, due: u64) {
+        if self.timers.is_empty() {
+            if due == NEVER {
+                return;
+            }
+            let len = own[0].len() + own[1].len();
+            let idle = Timer {
+                due: NEVER,
+                next: NIL,
+                prev: NIL,
+            };
+            self.timers = vec![idle; len];
+            self.heads = vec![NIL; len.next_power_of_two()];
+        }
+        let at = Self::local(own, s);
+        self.unlink(at);
+        if due == NEVER {
+            return;
+        }
+        debug_assert!(
+            due >= self.cursor,
+            "a wake behind the cursor is never swept"
+        );
+        self.counts.scheduled += 1;
+        let b = self.bucket(due);
+        let head = self.heads[b];
+        self.timers[at] = Timer {
+            due,
+            next: head,
+            prev: NIL,
+        };
+        if head != NIL {
+            self.timers[head as usize].prev = at as u32;
+        }
+        self.heads[b] = at as u32;
+    }
+
+    /// Removes slot `at`'s pending wake, if any.
+    fn unlink(&mut self, at: usize) {
+        let Timer { due, next, prev } = self.timers[at];
+        if due == NEVER {
+            return;
+        }
+        self.timers[at].due = NEVER;
+        if prev == NIL {
+            let b = self.bucket(due);
+            self.heads[b] = next;
+        } else {
+            self.timers[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.timers[next as usize].prev = prev;
+        }
+    }
+
+    /// Fires every wake due by tick `upto`, sweeping the buckets of the
+    /// ticks from the cursor on (each bucket once, however many ticks
+    /// that is), and moves the cursor past `upto`. `fire` gets each
+    /// wake's slot, in the shard owning `own`, and due tick, and answers
+    /// whether the wake was live: whether it armed its slot.
+    fn sweep(
+        &mut self,
+        own: &[Range<usize>; 2],
+        upto: u64,
+        mut fire: impl FnMut(usize, u64) -> bool,
+    ) {
+        let from = std::mem::replace(&mut self.cursor, upto + 1);
+        if self.heads.is_empty() || upto < from {
+            return;
+        }
+        let turn = (upto - from + 1).min(self.heads.len() as u64);
+        for tick in from..from + turn {
+            let mut at = self.heads[self.bucket(tick)];
+            while at != NIL {
+                let Timer { due, next, .. } = self.timers[at as usize];
+                if due <= upto {
+                    self.unlink(at as usize);
+                    if fire(Self::global(own, at as usize), due) {
+                        self.counts.fired_live += 1;
+                    } else {
+                        self.counts.fired_stale += 1;
+                    }
+                }
+                at = next;
+            }
+        }
+    }
 }
 
 impl ParState {
@@ -557,6 +716,14 @@ impl ParState {
     /// built.
     pub(crate) fn steps(&self) -> u64 {
         self.cores.iter().map(|c| c.steps).sum()
+    }
+
+    /// Every shard's timed-wake counts, summed.
+    pub(crate) fn timed_wakes(&self) -> TimedWakes {
+        self.cores
+            .iter()
+            .map(|c| c.fx.wheel.counts)
+            .fold(TimedWakes::default(), TimedWakes::merge)
     }
 
     /// Switches on per-worker wall profiling for every shard.
@@ -826,6 +993,15 @@ struct Regs {
     /// On a fault run, a sleeping generator's domain frozen-edge count at
     /// its `asleep_since` stamp ([`FaultCtx::frozen_edges`]).
     asleep_frozen: u64,
+}
+
+impl Regs {
+    /// Whether a timed wake due at `due` is live: the slot still holds
+    /// the flit whose upset falls due then.
+    #[inline]
+    fn upset_due(&self, due: u64) -> bool {
+        self.upset == due && self.out.is_some()
+    }
 }
 
 /// A stretch of slots' [`Regs`] from slot `start` on, and the
@@ -1402,24 +1578,21 @@ fn run_window(
             );
             // Timed wakes due on the next tick join the ready sets now,
             // so the activity summary below accounts for them. A wake
-            // whose flit has left, or was replaced by one with a later
-            // upset, is stale and dropped.
+            // whose flit has left is stale and arms nothing.
             let halves = if first.is_multiple_of(2) {
                 [cols.frozen(), other]
             } else {
                 [other, cols.frozen()]
             };
-            while let Some(&Reverse((due, i))) = core.fx.timed.peek() {
-                if due > first + 1 {
-                    break;
+            let ShardCore { ready, fx, .. } = core;
+            fx.wheel.sweep(&own, first + 1, |s, due| {
+                let h = ctx.slots.half_of(s);
+                let live = halves[h].regs[s - halves[h].start].upset_due(due);
+                if live {
+                    ready[h].insert(s - own[h].start);
                 }
-                core.fx.timed.pop();
-                let h = ctx.slots.half_of(i as usize);
-                let j = i as usize - halves[h].start;
-                if halves[h].regs[j].upset == due && halves[h].regs[j].out.is_some() {
-                    core.arm(&own, h, i as usize);
-                }
-            }
+                live
+            });
         }
         Span::Batch(mut halves) => {
             // Fault runs step one-tick windows only, so no timed wake is
@@ -1560,8 +1733,9 @@ fn visit_tick<const TRACE: bool>(
         ctx: fault_ctx,
         log,
         elem_of,
+        own,
         ops: &mut fx.ops,
-        timed: &mut fx.timed,
+        wheel: &mut fx.wheel,
     };
     visit_tick_with(ctx, tick, cols, other, core, own, outbox, &mut lane);
     core.fx = fx;
@@ -1629,15 +1803,6 @@ trait Hooks {
     /// ([`frozen_edges`](Self::frozen_edges)). Traced runs keep it pinned:
     /// each stalled edge emits a `Blocked` event.
     const LAZY_STALLS: bool = !Self::TRACE;
-    /// Whether an element that captured stays armed one more edge, on
-    /// top of its stamped accept marker ([`soa_drained`]). Fault runs keep
-    /// that edge for three things no other wake covers: a stage left
-    /// blocked schedules its register upset's timed wake
-    /// ([`sleep_holding`](Self::sleep_holding)); a consumer takes the
-    /// duplicate a stuck `valid` re-presents, which is the same flit and so
-    /// not "newly presented"; and a stage whose capture latched nothing
-    /// under metastability is re-armed, since no drain wakes an empty stage.
-    const REVISIT_CAPTURES: bool = Self::ON;
     /// The shard's stamped log.
     fn log(&mut self) -> &mut Vec<Logged>;
     /// The element id of slot `i`.
@@ -1670,15 +1835,13 @@ trait Hooks {
     fn capture(&mut self, _i: usize, _tick: u64, flit: Flit) -> CaptureEffect {
         CaptureEffect::clean(flit)
     }
-    /// `i` latched `flit`: returns the tick its register upset fires.
+    /// `i` latched `flit`: returns the tick its register upset fires
+    /// and, if that is a later tick, schedules `i`'s timed wake for it in
+    /// place of the wake of the flit `i` held before.
     #[inline(always)]
     fn latch(&mut self, _i: usize, _tick: u64, _flit: &Flit) -> u64 {
-        u64::MAX
+        NEVER
     }
-    /// `i` goes to sleep holding a flit whose upset fires at `upset`:
-    /// schedules a timed wake for that tick.
-    #[inline(always)]
-    fn sleep_holding(&mut self, _i: usize, _tick: u64, _upset: u64) {}
     /// A register upset erased `flit` from `i`.
     #[inline(always)]
     fn upset(&mut self, _i: usize, _tick: u64, _flit: &Flit) {}
@@ -1742,14 +1905,19 @@ struct FaultLane<'a, const TRACE: bool> {
     ctx: &'a FaultCtx,
     log: &'a mut Vec<Logged>,
     elem_of: &'a [u32],
+    /// The shard's slot ranges.
+    own: &'a [Range<usize>; 2],
     ops: &'a mut Vec<FaultOp>,
-    /// Timed wakes `(tick, slot)` of this shard.
-    timed: &'a mut BinaryHeap<Reverse<(u64, u32)>>,
+    /// The shard's timed wakes.
+    wheel: &'a mut Wheel,
 }
 
 impl<const TRACE: bool> FaultLane<'_, TRACE> {
     /// Moves the operations a hook just logged into the shard log.
     fn stamp(&mut self, tick: u64, i: usize) {
+        if self.ops.is_empty() {
+            return;
+        }
         let e = self.element(i);
         self.log
             .extend(self.ops.drain(..).map(|op| (tick, e, LogEntry::Op(op))));
@@ -1802,13 +1970,11 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
         effect
     }
     fn latch(&mut self, i: usize, tick: u64, flit: &Flit) -> u64 {
-        self.ctx.upset_tick(self.key(i), tick, flit)
-    }
-    fn sleep_holding(&mut self, i: usize, tick: u64, upset: u64) {
-        if upset != u64::MAX {
-            debug_assert!(upset > tick, "a due upset fires in the visit");
-            self.timed.push(Reverse((upset, i as u32)));
-        }
+        let upset = self.ctx.upset_tick(self.key(i), tick, flit);
+        // An upset due now erases the flit in this visit.
+        let due = if upset > tick { upset } else { NEVER };
+        self.wheel.schedule(self.own, i, due);
+        upset
     }
     fn upset(&mut self, i: usize, tick: u64, flit: &Flit) {
         FaultCtx::held_drop(flit, self.ops);
@@ -1850,10 +2016,13 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
 ///   observe the drain on its very next edge. Only a capture writes the
 ///   accept marker, stamped with its tick, and it reads as a drain only
 ///   on the next tick ([`soa_drained`]), the one tick on which the dense
-///   loop still holds it; so no visit is spent clearing it. Fault runs
-///   still revisit the capturing element (`revisit_captures`): a blocked
-///   stage's upset wake, a stuck `valid`'s duplicate and an empty
-///   metastable capture all need that edge ([`Hooks::REVISIT_CAPTURES`]);
+///   loop still holds it; so no visit is spent clearing it, on a fault
+///   run either;
+/// * on a fault run, a flit `i` still presents after a downstream took it
+///   on the previous tick — a stuck `valid` lost the drain, or `i`
+///   recaptured the duplicate its own upstream re-presented — is not
+///   newly presented, so the downstream that took it is woken to take it
+///   again ([`took`]);
 /// * a *newly presented* flit wakes every downstream that could take it
 ///   on its next edge ([`soa_may_capture`]): sinks and tiles always, a
 ///   stage only while it holds no flit and is locked to `i`, or unlocked
@@ -1905,7 +2074,7 @@ fn soa_rearm<H: Hooks>(
         Stay::Armed => true,
         Stay::Stalled => false,
     };
-    if armed || (H::REVISIT_CAPTURES && captured != NONE_U32) {
+    if armed {
         core.arm(own, p, i);
     }
     let mut wake = |idx: usize, core: &mut ShardCore| {
@@ -1925,6 +2094,17 @@ fn soa_rearm<H: Hooks>(
     if let Some(flit) = regs.out.as_ref().filter(|_| regs.out != before) {
         for &d in topo.downs(i) {
             if soa_may_capture(other, topo, d, i as u32, flit) {
+                wake(d as usize, core);
+            }
+        }
+    } else if H::ON && regs.out.is_some() {
+        // Still presenting the flit a downstream took on the previous
+        // tick: a stuck `valid` re-presents it, or a stage recaptured the
+        // duplicate its own upstream's stuck `valid` re-presented. It is
+        // not newly presented, so the downstream that took it is woken
+        // to take it again.
+        for &d in topo.downs(i) {
+            if took(other, d, i, tick) {
                 wake(d as usize, core);
             }
         }
@@ -1948,10 +2128,17 @@ fn soa_may_capture(other: &Frozen<'_>, topo: &SoaTopo, d: u32, u: u32, flit: &Fl
     !held && (lock == u || (lock == NONE_U32 && flit.opens_route() && topo.filter[d].wants(flit)))
 }
 
+/// Whether `d` took `i`'s flit on the tick before `tick`. An accept
+/// marker counts only on the tick after its stamp; the dense loop clears
+/// it on the capturing element's next edge.
+#[inline]
+fn took(other: &Frozen<'_>, d: u32, i: usize, tick: u64) -> bool {
+    let r = &other.regs[d as usize - other.start];
+    r.acc == i as u32 && r.acc_at.wrapping_add(1) == tick
+}
+
 /// `Network::was_drained` against the dense state: a downstream took
-/// `i`'s flit on the previous tick. An accept marker counts only on the
-/// tick after its stamp; the dense loop clears it on the capturing
-/// element's next edge.
+/// `i`'s flit on the previous tick ([`took`]).
 #[inline]
 fn soa_drained(
     cols: &Cols<'_, '_>,
@@ -1960,12 +2147,8 @@ fn soa_drained(
     i: usize,
     tick: u64,
 ) -> bool {
-    let took = |r: &Regs| r.acc == i as u32 && r.acc_at.wrapping_add(1) == tick;
     cols.regs[i - cols.start].out.is_some()
-        && topo
-            .downs(i)
-            .iter()
-            .any(|&d| took(&other.regs[d as usize - other.start]))
+        && topo.downs(i).iter().any(|&d| took(other, d, i, tick))
 }
 
 /// `Network::first_offer` against the dense state: the first upstream
@@ -2063,8 +2246,12 @@ fn soa_step_stage<H: Hooks>(
             };
             regs.enabled += 1;
             if H::ON {
-                if let Some(latched) = latched {
-                    regs.upset = hooks.latch(i, tick, &latched);
+                match latched {
+                    Some(latched) => regs.upset = hooks.latch(i, tick, &latched),
+                    // Metastability resolved to a loss: no drain will
+                    // wake the empty stage, and another upstream's
+                    // offer may be waiting.
+                    None => stay = true,
                 }
             }
             if H::TRACE {
@@ -2099,21 +2286,14 @@ fn soa_step_stage<H: Hooks>(
             }
         }
     }
-    if H::ON && regs.out.is_some() {
-        let upset = regs.upset;
-        if tick >= upset {
-            let flit = regs.out.take().expect("checked above");
-            hooks.upset(i, tick, &flit);
-            if H::TRACE {
-                let cause = DropCause::FaultUpset;
-                hooks.event(i, tick, TraceEventKind::Dropped { cause }, flit);
-            }
-            stay = true;
-        } else if !stay && !H::TRACE && regs.acc_at != tick {
-            // Blocked: the stage sleeps holding the flit until a drain
-            // wakes it — or its upset does.
-            hooks.sleep_holding(i, tick, upset);
+    if let Some(flit) = regs.out.filter(|_| H::ON && tick >= regs.upset) {
+        regs.out = None;
+        hooks.upset(i, tick, &flit);
+        if H::TRACE {
+            let cause = DropCause::FaultUpset;
+            hooks.event(i, tick, TraceEventKind::Dropped { cause }, flit);
         }
+        stay = true;
     }
     stay || (H::TRACE && regs.out.is_some())
 }
@@ -2580,6 +2760,125 @@ mod tests {
             plan_window(ShardActivity::IDLE, 100, false, TRACE_FOLD_TICKS),
             100
         );
+    }
+
+    /// A shard owning slots 0..3 of half 0 and 10..15 of half 1: eight
+    /// slots, so an eight-bucket wheel.
+    const OWN: [Range<usize>; 2] = [0..3, 10..15];
+
+    /// Sweeps `wheel` up to `upto`, answering every wake live, and
+    /// returns the `(slot, due)` pairs fired, sorted.
+    fn sweep_all(wheel: &mut Wheel, upto: u64) -> Vec<(usize, u64)> {
+        let mut fired = Vec::new();
+        wheel.sweep(&OWN, upto, |s, due| {
+            fired.push((s, due));
+            true
+        });
+        fired.sort_unstable();
+        fired
+    }
+
+    #[test]
+    fn a_wake_turns_ahead_fires_on_exactly_its_tick() {
+        let mut wheel = Wheel::default();
+        // 8 buckets: tick 2 + 3·8 shares bucket 2 with ticks 2, 10, 18.
+        let due = 2 + 3 * 8;
+        wheel.schedule(&OWN, 11, due);
+        assert_eq!(wheel.heads.len(), 8);
+        for tick in 0..due {
+            assert_eq!(sweep_all(&mut wheel, tick), vec![], "tick {tick}");
+        }
+        assert_eq!(sweep_all(&mut wheel, due), vec![(11, due)]);
+        assert_eq!(sweep_all(&mut wheel, due + 8), vec![]);
+        assert_eq!(wheel.counts.scheduled, 1);
+        assert_eq!(wheel.counts.fired_live, 1);
+    }
+
+    #[test]
+    fn rescheduling_a_slot_replaces_its_wake() {
+        let mut wheel = Wheel::default();
+        // Slots 1 and 12 share bucket 4; slot 12 moves twice, then is
+        // cancelled and set again.
+        wheel.schedule(&OWN, 1, 4);
+        wheel.schedule(&OWN, 12, 4);
+        wheel.schedule(&OWN, 12, 12);
+        wheel.schedule(&OWN, 12, 6);
+        let pending = wheel.timers.iter().filter(|t| t.due != NEVER).count();
+        assert_eq!(pending, 2, "one wake per slot");
+        wheel.schedule(&OWN, 1, NEVER);
+        wheel.schedule(&OWN, 1, 9);
+        assert_eq!(sweep_all(&mut wheel, 5), vec![]);
+        assert_eq!(sweep_all(&mut wheel, 6), vec![(12, 6)]);
+        assert_eq!(sweep_all(&mut wheel, 20), vec![(1, 9)]);
+        assert_eq!(wheel.counts.scheduled, 5);
+        assert_eq!(wheel.counts.fired_live, 2);
+    }
+
+    #[test]
+    fn a_wake_whose_flit_left_arms_nothing() {
+        let flit = Flit::new(PortId(0), PortId(1), 0, 0);
+        let held = |out, upset| Regs {
+            out,
+            acc: NONE_U32,
+            lock: NONE_U32,
+            rr: 0,
+            enabled: 0,
+            acc_at: 0,
+            upset,
+            asleep_since: AWAKE,
+            asleep_frozen: 0,
+        };
+        // Slot 0 still holds its flit; slot 1's flit drained; slot 2
+        // holds a newer flit whose upset falls due later.
+        let regs = [held(Some(flit), 6), held(None, 6), held(Some(flit), 8)];
+        let mut wheel = Wheel::default();
+        for s in 0..3 {
+            wheel.schedule(&OWN, s, 6);
+        }
+        let mut armed = Vec::new();
+        wheel.sweep(&OWN, 6, |s, due| {
+            let live = regs[s].upset_due(due);
+            if live {
+                armed.push(s);
+            }
+            live
+        });
+        assert_eq!(armed, vec![0]);
+        assert_eq!(wheel.counts.fired_live, 1);
+        assert_eq!(wheel.counts.fired_stale, 2);
+        // A latch reschedules its slot: the replaced flit's wake is gone.
+        wheel.schedule(&OWN, 0, 10);
+        wheel.schedule(&OWN, 0, 14);
+        assert_eq!(sweep_all(&mut wheel, 13), vec![]);
+    }
+
+    #[test]
+    fn a_skipping_sweep_strands_no_wake() {
+        let mut wheel = Wheel::default();
+        let dues = [
+            (0, 3),
+            (1, 9),
+            (2, 17),
+            (10, 18),
+            (11, 30),
+            (12, 31),
+            (14, 70),
+        ];
+        for &(s, due) in &dues {
+            wheel.schedule(&OWN, s, due);
+        }
+        // Skips of less than a turn, of exactly a turn and of several.
+        let mut fired = Vec::new();
+        for upto in [4, 12, 20, 28, 69, 70] {
+            let got = sweep_all(&mut wheel, upto);
+            assert!(got.iter().all(|&(_, due)| due <= upto), "{got:?}");
+            fired.extend(got);
+        }
+        fired.sort_unstable();
+        assert_eq!(fired, dues);
+        assert_eq!(wheel.cursor, 71);
+        assert!(wheel.timers.iter().all(|t| t.due == NEVER));
+        assert!(wheel.heads.iter().all(|&h| h == NIL));
     }
 
     #[test]

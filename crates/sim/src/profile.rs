@@ -239,6 +239,34 @@ pub struct ShardCounters {
     pub wakes_received: u64,
 }
 
+/// Deterministic counts of a fault run's timed wakes, the register upsets
+/// of flits held by stages that no handshake revisits (see DESIGN.md §5).
+/// Identical on the event kernel and the parallel kernel at every worker
+/// count; zero on the dense kernel, which visits every stage on every
+/// edge instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TimedWakes {
+    /// Wakes scheduled: a stage latched a flit whose upset falls due on a
+    /// later tick.
+    pub scheduled: u64,
+    /// Wakes that fell due with their flit still held, arming its stage.
+    pub fired_live: u64,
+    /// Wakes that fell due after their flit had left, arming nothing.
+    pub fired_stale: u64,
+}
+
+impl TimedWakes {
+    /// Field-wise sum.
+    #[must_use]
+    pub fn merge(self, other: Self) -> Self {
+        Self {
+            scheduled: self.scheduled + other.scheduled,
+            fired_live: self.fired_live + other.fired_live,
+            fired_stale: self.fired_stale + other.fired_stale,
+        }
+    }
+}
+
 /// The nondeterministic half of a [`PerfReport`]: everything measured
 /// with a wall clock. Isolated from the deterministic counters so
 /// bit-identity proofs and cache keys can strip it wholesale, exactly as
@@ -267,6 +295,8 @@ pub struct PerfReport {
     pub fallback: Option<String>,
     /// Deterministic per-shard counters.
     pub shards: Vec<ShardCounters>,
+    /// Deterministic timed-wake counts, summed over the shards.
+    pub timed_wakes: TimedWakes,
     /// Wall-clock phase times — nondeterministic, excluded from every
     /// determinism guarantee.
     pub wall: Option<PerfWall>,
@@ -377,6 +407,12 @@ impl PerfReport {
             out,
             "  load imbalance: {:.2}x (max/mean shard steps)",
             self.load_imbalance()
+        );
+        let t = self.timed_wakes;
+        let _ = writeln!(
+            out,
+            "  timed wakes: {} scheduled, {} fired live, {} fired stale",
+            t.scheduled, t.fired_live, t.fired_stale
         );
         match self.barrier_fraction() {
             Some(frac) => {
@@ -532,6 +568,7 @@ mod tests {
             epochs: 10,
             fallback: None,
             shards: vec![shard(0, 30), shard(1, 10)],
+            timed_wakes: TimedWakes::default(),
             wall: Some(PerfWall {
                 workers: vec![wall_worker(0, 75, 25), wall_worker(1, 25, 75)],
             }),
@@ -572,6 +609,7 @@ mod tests {
             fallback: None,
             // Shard 1 is empty: no steps, so no cost per step.
             shards: vec![shard(0, 400), shard(1, 0)],
+            timed_wakes: TimedWakes::default(),
             wall: Some(PerfWall {
                 workers: vec![wall_worker(0, 50_000), wall_worker(1, 0)],
             }),
@@ -606,6 +644,7 @@ mod tests {
                 wakes_sent: 2,
                 wakes_received: 4,
             }],
+            timed_wakes: TimedWakes::default(),
             wall: Some(PerfWall {
                 workers: vec![prof.snapshot(0)],
             }),

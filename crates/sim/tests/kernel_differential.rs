@@ -584,6 +584,91 @@ fn soak1024_is_bit_identical_with_a_balanced_ledger() {
     }
 }
 
+/// A fault run visits a stage only where a fault can act, through three
+/// rules: a stage schedules its register upset's timed wake when it
+/// latches a flit; a flit still presented after a downstream took it (a
+/// stuck `valid`'s duplicate) wakes that downstream again; and a capture
+/// that latched nothing under metastability keeps its stage armed. Runs
+/// `rates` alone on a loaded 64-port tree under the dense oracle, the
+/// event kernel and the parallel kernel at 1, 2 and 3 workers, and
+/// asserts that every run drains with a balanced ledger, that the SoA
+/// kernels agree with dense and with each other on element steps and
+/// timed wakes, and that the event kernel takes `steps` steps. Each case
+/// below wedges or diverges when the rule it names is deleted.
+fn assert_fault_rule_case(rates: FaultRates, seed: u64, steps: u64, context: &str) {
+    let cycles = 1_200;
+    let cfg = TreeNetworkConfig::new(binary(64))
+        .with_pattern(TrafficPattern::Uniform { rate: 0.4 })
+        .with_faults(FaultPlan::new(seed).with_rates(rates))
+        .with_seed(seed);
+    let dense = run_one(&cfg, SimKernel::Dense, cycles);
+    let report = dense.report();
+    assert_eq!(report.in_flight, 0, "{context}: the dense run must drain");
+    let ledger = dense.fault_report().expect("fault run");
+    assert!(
+        ledger.conserves() && ledger.pending == 0,
+        "{context}: {ledger:?}"
+    );
+    let without_perf = |net: &Network| SimReport {
+        perf: None,
+        ..net.report()
+    };
+    let mut soa = vec![SimKernel::EventDriven];
+    soa.extend([1, 2, 3].map(|workers| SimKernel::Parallel { workers }));
+    let mut first = None;
+    for kernel in soa {
+        let net = run_one(&cfg.clone().with_profiling(true), kernel, cycles);
+        let context = format!("{context} ({kernel:?})");
+        assert_eq!(report, without_perf(&net), "{context}: report diverged");
+        assert_eq!(
+            Some(ledger),
+            net.fault_report(),
+            "{context}: ledger diverged"
+        );
+        let wakes = net.report().perf.expect("profiled").timed_wakes;
+        let counts = (net.element_steps(), wakes);
+        assert_eq!(
+            *first.get_or_insert(counts),
+            counts,
+            "{context}: work diverged"
+        );
+    }
+    let (event_steps, wakes) = first.expect("an SoA kernel ran");
+    assert!(event_steps <= dense.element_steps(), "{context}");
+    assert!(
+        wakes.fired_live + wakes.fired_stale <= wakes.scheduled,
+        "{context}: {wakes:?}"
+    );
+    assert_eq!(event_steps, steps, "{context}: event kernel steps");
+}
+
+/// A consumer that took a flit sleeps; when a stuck `valid` re-presents
+/// that flit, only the re-presenting stage's wake brings the consumer
+/// back to take the duplicate. Without it the fabric wedges.
+#[test]
+fn a_stuck_valid_duplicate_wakes_the_consumer_that_took_it() {
+    let rates = only(FaultKind::StuckValid, FaultRates::soak());
+    assert_fault_rule_case(rates, 7, 164_252, "stuck=0.005");
+}
+
+/// A stage holding a flit sleeps until its drain; the timed wake it
+/// scheduled when it latched the flit serves the register upset of a
+/// flit that is still blocked when the upset falls due.
+#[test]
+fn a_latched_flit_schedules_its_register_upset() {
+    let rates = only(FaultKind::FlitDrop, FaultRates::soak().scaled(4.0));
+    assert_fault_rule_case(rates, 7, 305_867, "drop=0.02");
+}
+
+/// A capture that latched nothing under metastability leaves its stage
+/// empty, so no drain will wake it while another upstream's offer waits:
+/// the capture keeps the stage armed.
+#[test]
+fn an_empty_metastable_capture_stays_armed() {
+    let rates = only(FaultKind::SkewDrift, FaultRates::clock_soak().scaled(10.0));
+    assert_fault_rule_case(rates, 7, 168_927, "skew-drift=0.01");
+}
+
 /// One step of the settlement schedule, applied to every kernel's network.
 #[derive(Debug, Clone, Copy)]
 enum Drive {
@@ -725,7 +810,7 @@ fn generators_sleep_through_scheduled_clock_outages() {
     assert_eq!(ledger.injected.clock_outage, 2);
     assert_eq!(ledger.resyncs, 2, "both domains must come back");
     assert!(ledger.conserves() && ledger.pending == 0, "{ledger:?}");
-    assert_eq!(event.element_steps(), 115_717);
+    assert_eq!(event.element_steps(), 87_386);
 
     let schedule = [
         Drive::Cycles(170),
