@@ -248,6 +248,12 @@ pub enum Command {
         /// the next change to that package deletes it.
         speculate: Option<u32>,
     },
+    /// `faults --profile`: the [`Faults`](Self::Faults) run it boxes,
+    /// with the kernel profiler attached and its perf section printed
+    /// after the ledger. A variant of its own, not a `profile` field of
+    /// `Faults`, only because the `benchmark/` package matches `Faults`
+    /// field by field; the next change to that package folds it in.
+    ProfiledFaults(Box<Command>),
     /// Print usage.
     Help,
 }
@@ -467,7 +473,7 @@ impl Cli {
             "faults" => {
                 let kernel = flags.take_kernel()?;
                 let build = flags.build_opts()?;
-                Command::Faults {
+                let faults = Command::Faults {
                     kernel,
                     pattern: flags.take_pattern(&build)?,
                     build,
@@ -476,6 +482,11 @@ impl Cli {
                     packet_len: flags.take_packet_len()?,
                     spec: parse_fault_spec(&flags.take_string("spec", "soak"))?,
                     speculate: None,
+                };
+                if flags.take_bool("profile")? {
+                    Command::ProfiledFaults(Box::new(faults))
+                } else {
+                    faults
                 }
             }
             "help" | "--help" | "-h" => Command::Help,
@@ -1250,6 +1261,18 @@ mod tests {
         assert_eq!(cycles, 10_000);
         assert_eq!(seed, 42);
         assert_eq!(spec.rates, FaultRates::soak().scaled(2.0));
+        // `--profile` attaches the kernel profiler to the same run.
+        let profiled = Cli::parse(["faults", "--ports", "16", "--spec", "soak*2", "--profile"])
+            .expect("parses");
+        assert_eq!(
+            profiled.command,
+            Command::ProfiledFaults(Box::new(
+                Cli::parse(["faults", "--ports", "16", "--spec", "soak*2"])
+                    .expect("parses")
+                    .command
+            ))
+        );
+        assert!(Cli::parse(["faults", "--profile", "--chrome-trace", "t.json"]).is_err());
         // `sim --faults` carries the same spec grammar.
         let cli = Cli::parse(["sim", "--faults", "drop=0.01"]).expect("parses");
         let Command::Sim { faults, .. } = cli.command else {

@@ -28,6 +28,7 @@ USAGE:
   icnoc trace  [build opts] [sim opts] [--capacity 4096] [--limit 40] [--vcd out.vcd]
   icnoc faults [build opts] [--pattern uniform:0.2] [--cycles 10000] [--seed 42]
                [--packet-len 1] [--spec soak] [--kernel event|dense|parallel] [--workers N]
+               [--profile]
   icnoc yield  [build opts] [--variation 0.2] [--sigma 0.05] [--samples 200] [--seed 42]
   icnoc fig7   [--max-mm 3.0] [--step-mm 0.1]
   icnoc explore [--grid SPEC] [--jobs 1] [--workers N] [--cache-dir DIR] [--resume]
@@ -56,8 +57,9 @@ KERNEL:   event (default, activity-list stepping on one shard), dense
 PROFILE:  sim --profile (or its alias, profile) attaches the kernel
           profiler: per-shard step/wake counters, a load-imbalance ratio
           and the barrier-overhead fraction. --chrome-trace FILE writes a
-          trace-event timeline loadable at ui.perfetto.dev. explore
-          --profile adds per-job perf telemetry to the sweep JSON
+          trace-event timeline loadable at ui.perfetto.dev. faults
+          --profile prints the same summary after the fault ledger.
+          explore --profile adds per-job perf telemetry to the sweep JSON
 SERVE:    `icnoc serve` runs a resident sweep daemon on a local TCP
           socket (writes the bound address to <state-dir>/endpoint);
           `icnoc explore --server ADDR` submits the grid there instead
@@ -319,53 +321,8 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             );
             Ok(out)
         }
-        Command::Faults {
-            build,
-            pattern,
-            cycles,
-            seed,
-            packet_len,
-            spec,
-            kernel,
-            speculate: _,
-        } => {
-            let sys = build_system(build)?;
-            let mut net = build_network(&sys, pattern, None, *seed, *packet_len, *kernel);
-            net.enable_faults(fault_plan(&sys, spec, *seed));
-            let drained = net.run_and_drain(*cycles);
-            let report = net.report();
-            let recovery = report.recovery.expect("faults were enabled");
-
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "fault soak: {} cycles at seed {}, {} flits delivered, {} explicitly lost",
-                cycles, seed, report.delivered, recovery.flits_abandoned
-            );
-            let _ = writeln!(out, "{recovery}");
-            let _ = writeln!(
-                out,
-                "integrity: {} silently corrupted payload(s) reached a consumer",
-                report.integrity_failures
-            );
-            if let Err(timeout) = &drained {
-                let _ = writeln!(out, "drain: {timeout}");
-            }
-            let accounted = drained.is_ok()
-                && recovery.conserves()
-                && recovery.pending == 0
-                && report.integrity_failures == 0;
-            let _ = write!(
-                out,
-                "verdict: {}",
-                if accounted {
-                    "PASS — every fault detected and recovered or explicitly lost"
-                } else {
-                    "FAIL — unaccounted faults remain"
-                }
-            );
-            Ok(out)
-        }
+        Command::Faults { .. } => run_faults(&cli.command, false),
+        Command::ProfiledFaults(faults) => run_faults(faults, true),
         Command::Explore {
             grid,
             jobs,
@@ -485,6 +442,67 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             Ok(out.trim_end().to_owned())
         }
     }
+}
+
+/// Runs `faults`, the [`Command::Faults`] in `command`: the fault soak's
+/// ledger and verdict and, with `profile`, the kernel profiler's perf
+/// section after them, every ledger byte unchanged.
+fn run_faults(command: &Command, profile: bool) -> Result<String, CliError> {
+    let Command::Faults {
+        build,
+        pattern,
+        cycles,
+        seed,
+        packet_len,
+        spec,
+        kernel,
+        speculate: _,
+    } = command
+    else {
+        unreachable!("run_faults runs the faults command")
+    };
+    let sys = build_system(build)?;
+    let mut net = build_network(&sys, pattern, None, *seed, *packet_len, *kernel);
+    net.enable_faults(fault_plan(&sys, spec, *seed));
+    if profile {
+        net.enable_profiling();
+    }
+    let drained = net.run_and_drain(*cycles);
+    let report = net.report();
+    let recovery = report.recovery.as_ref().expect("faults were enabled");
+
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "fault soak: {} cycles at seed {}, {} flits delivered, {} explicitly lost",
+        cycles, seed, report.delivered, recovery.flits_abandoned
+    );
+    let _ = writeln!(out, "{recovery}");
+    let _ = writeln!(
+        out,
+        "integrity: {} silently corrupted payload(s) reached a consumer",
+        report.integrity_failures
+    );
+    if let Err(timeout) = &drained {
+        let _ = writeln!(out, "drain: {timeout}");
+    }
+    let accounted = drained.is_ok()
+        && recovery.conserves()
+        && recovery.pending == 0
+        && report.integrity_failures == 0;
+    let _ = write!(
+        out,
+        "verdict: {}",
+        if accounted {
+            "PASS — every fault detected and recovered or explicitly lost"
+        } else {
+            "FAIL — unaccounted faults remain"
+        }
+    );
+    if let Some(perf) = &report.perf {
+        let _ = write!(out, "\n{}", perf.summary());
+    }
+    Ok(out)
 }
 
 /// `explore --server ADDR`: submits the grid to a resident daemon
@@ -745,6 +763,27 @@ mod tests {
         let out = run_line(&["profile", "--ports", "16", "--cycles", "200"]).expect("runs");
         assert!(out.contains("event kernel"), "{out}");
         assert!(out.contains("load imbalance:"), "{out}");
+    }
+
+    #[test]
+    fn faults_profile_appends_the_perf_section_to_an_unchanged_ledger() {
+        let args = [
+            "faults",
+            "--ports",
+            "16",
+            "--kernel",
+            "parallel",
+            "--workers",
+            "2",
+        ];
+        let plain = run_line(&args).expect("runs");
+        let profiled = run_line(&[&args[..], &["--profile"]].concat()).expect("runs");
+        let perf = profiled
+            .strip_prefix(&plain)
+            .expect("the ledger comes first");
+        assert!(perf.starts_with("\nperf: parallel kernel"), "{perf}");
+        assert!(perf.contains("load imbalance:"), "{perf}");
+        assert!(perf.contains("timed wakes:"), "{perf}");
     }
 
     #[test]

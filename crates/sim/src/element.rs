@@ -1,12 +1,13 @@
 //! Network elements: handshake stages, traffic sources and sinks.
 
+use crate::hash::FxHashSet;
 use crate::label::LabelId;
 use crate::{Flit, FlitKind, LatencyStats, TrafficPattern, TrafficPhase};
 use icnoc_clock::{ClockGatingStats, ClockPolarity};
 use icnoc_topology::PortId;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Index of an element inside a [`Network`](crate::Network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -260,8 +261,8 @@ pub(crate) struct TileState {
     pub role: TileRole,
     pub rng: StdRng,
     pub next_seq: u64,
+    /// Flits sent; every tile packet is one flit, so also packets sent.
     pub sent: u64,
-    pub packets_sent: u64,
     pub stalled_edges: u64,
     pub enabled: bool,
     /// Memory: responses waiting for their service latency, as
@@ -269,6 +270,9 @@ pub(crate) struct TileState {
     pub pending: VecDeque<(PortId, u64)>,
     /// Processor: send ticks of outstanding requests, FIFO per memory.
     pub outstanding: HashMap<u32, VecDeque<u64>>,
+    /// Processor: requests outstanding, the total length of
+    /// `outstanding`'s queues.
+    pub in_flight: usize,
     /// Processor: measured request→response round trips.
     pub round_trip: LatencyStats,
     /// Processor: responses received.
@@ -291,6 +295,7 @@ impl TileState {
             TileRole::Processor { .. } => {
                 let queue = self.outstanding.get_mut(&flit.src.0);
                 if let Some(sent_tick) = queue.and_then(VecDeque::pop_front) {
+                    self.in_flight -= 1;
                     self.round_trip.record(tick.saturating_sub(sent_tick));
                     self.responses += 1;
                 }
@@ -319,13 +324,13 @@ impl TileState {
                 pattern,
                 max_outstanding,
             } => {
-                let in_flight: usize = self.outstanding.values().map(VecDeque::len).sum();
-                if !self.enabled || in_flight >= *max_outstanding {
+                if !self.enabled || self.in_flight >= *max_outstanding {
                     return None;
                 }
                 match pattern.decide(self.port, num_ports, cycle, &mut self.rng) {
                     TrafficPhase::Inject(dest) => {
                         self.outstanding.entry(dest.0).or_default().push_back(tick);
+                        self.in_flight += 1;
                         dest
                     }
                     TrafficPhase::Idle => return None,
@@ -335,7 +340,6 @@ impl TileState {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.sent += 1;
-        self.packets_sent += 1;
         let flit = Flit::with_kind(self.port, dest, seq, seq, FlitKind::Single, tick);
         Some(flit)
     }
@@ -357,7 +361,7 @@ pub(crate) struct ElementFaults {
     pub retx: VecDeque<Flit>,
     /// `(source, sequence)` pairs this port's consumer received cleanly —
     /// the consumer gate's duplicate filter.
-    pub delivered: HashSet<(u32, u64)>,
+    pub delivered: FxHashSet<(u32, u64)>,
 }
 
 /// What an element is.

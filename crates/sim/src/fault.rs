@@ -35,13 +35,14 @@
 //! silent ones.
 
 use crate::flit::{Flit, FlitKind};
+use crate::hash::FxHashSet;
 use crate::trace::{DropCause, TraceEventKind};
 use icnoc_clock::ClockBackend;
 use icnoc_timing::{Direction, FlipFlopTiming, LinkTiming};
 use icnoc_topology::PortId;
 use icnoc_units::{Gigahertz, Picoseconds};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The kinds of fault the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -1463,7 +1464,7 @@ impl FaultCtx {
     pub(crate) fn on_arrival(
         flit: &Flit,
         port: PortId,
-        delivered: &mut HashSet<(u32, u64)>,
+        delivered: &mut FxHashSet<(u32, u64)>,
         log: &mut Vec<FaultOp>,
     ) -> ArrivalVerdict {
         if flit.dest != port {
@@ -2179,7 +2180,7 @@ mod tests {
         flit: &Flit,
         tick: u64,
         port: u32,
-        delivered: &mut HashSet<(u32, u64)>,
+        delivered: &mut FxHashSet<(u32, u64)>,
     ) -> ArrivalVerdict {
         state
             .hook(tick, |_, log| {
@@ -2192,7 +2193,7 @@ mod tests {
     fn arrival_gate_acks_nacks_and_dedups() {
         let mut state = FaultState::new(FaultPlan::new(9), &[]);
         state.set_injectors(vec![7, 8]);
-        let mut delivered = HashSet::new();
+        let mut delivered = FxHashSet::default();
         let flit = Flit::new(PortId(0), PortId(1), 4, 0);
         state.apply(0, FaultOp::Injection(flit));
         assert!(state.recovery_busy());
@@ -2383,7 +2384,7 @@ mod tests {
         let flit = Flit::new(PortId(0), PortId(1), 0, 0);
         // Arriving at the wrong port: the gate defers to the scoreboard.
         assert_eq!(
-            arrive(&mut state, &flit, 0, 2, &mut HashSet::new()),
+            arrive(&mut state, &flit, 0, 2, &mut FxHashSet::default()),
             ArrivalVerdict::Deliver
         );
         assert_eq!(state.report().corruptions_detected, 0);

@@ -168,31 +168,85 @@ impl Flit {
     }
 }
 
+/// The CRC-16/CCITT polynomial, `x^16 + x^12 + x^5 + 1`.
+const CRC_POLY: u16 = 0x1021;
+
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the register after
+/// shifting byte `b`, then `k` zero bytes, into a zero register. The
+/// register is linear in the message, so eight message bytes, the first
+/// two XORed with the register, shift through as the XOR of eight
+/// independent lookups, one per table ([`crc16`]).
+const CRC_TABLES: [[u16; 256]; 8] = {
+    let mut tables = [[0u16; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = (byte as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ CRC_POLY
+            } else {
+                crc << 1
+            };
+            bit += 1;
+        }
+        tables[0][byte] = crc;
+        byte += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// The bytes [`crc16`] covers, little-endian, in field order.
+fn crc_bytes(
+    src: PortId,
+    dest: PortId,
+    seq: u64,
+    packet: u64,
+    kind: FlitKind,
+    payload: u32,
+) -> [u8; 29] {
+    let mut bytes = [0u8; 29];
+    bytes[..4].copy_from_slice(&src.0.to_le_bytes());
+    bytes[4..8].copy_from_slice(&dest.0.to_le_bytes());
+    bytes[8..16].copy_from_slice(&seq.to_le_bytes());
+    bytes[16..24].copy_from_slice(&packet.to_le_bytes());
+    bytes[24] = kind.tag();
+    bytes[25..].copy_from_slice(&payload.to_le_bytes());
+    bytes
+}
+
 /// CRC-16/CCITT-FALSE over the flit's identity fields and payload. `retry`
 /// and `injected_tick` are deliberately excluded: a retransmission carries
 /// the original's checksum unchanged.
 fn crc16(src: PortId, dest: PortId, seq: u64, packet: u64, kind: FlitKind, payload: u32) -> u16 {
+    let bytes = crc_bytes(src, dest, seq, packet, kind, payload);
+    let mut chunks = bytes.chunks_exact(8);
     let mut crc: u16 = 0xFFFF;
-    let bytes = src
-        .0
-        .to_le_bytes()
-        .into_iter()
-        .chain(dest.0.to_le_bytes())
-        .chain(seq.to_le_bytes())
-        .chain(packet.to_le_bytes())
-        .chain([kind.tag()])
-        .chain(payload.to_le_bytes());
-    for b in bytes {
-        crc ^= u16::from(b) << 8;
-        for _ in 0..8 {
-            crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ 0x1021
-            } else {
-                crc << 1
-            };
-        }
+    for chunk in &mut chunks {
+        let [hi, lo] = crc.to_be_bytes();
+        let at = |k: usize, b: u8| CRC_TABLES[7 - k][usize::from(b)];
+        crc = at(0, chunk[0] ^ hi)
+            ^ at(1, chunk[1] ^ lo)
+            ^ at(2, chunk[2])
+            ^ at(3, chunk[3])
+            ^ at(4, chunk[4])
+            ^ at(5, chunk[5])
+            ^ at(6, chunk[6])
+            ^ at(7, chunk[7]);
     }
-    crc
+    chunks.remainder().iter().fold(crc, |crc, &b| {
+        (crc << 8) ^ CRC_TABLES[0][usize::from((crc >> 8) as u8 ^ b)]
+    })
 }
 
 impl core::fmt::Display for Flit {
@@ -204,6 +258,60 @@ impl core::fmt::Display for Flit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-serial CRC-16/CCITT-FALSE [`crc16`]'s tables stand for:
+    /// eight shifts per byte, over its own walk of the fields.
+    fn crc16_bitwise(
+        src: PortId,
+        dest: PortId,
+        seq: u64,
+        packet: u64,
+        kind: FlitKind,
+        payload: u32,
+    ) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        let bytes = src
+            .0
+            .to_le_bytes()
+            .into_iter()
+            .chain(dest.0.to_le_bytes())
+            .chain(seq.to_le_bytes())
+            .chain(packet.to_le_bytes())
+            .chain([kind.tag()])
+            .chain(payload.to_le_bytes());
+        for b in bytes {
+            crc ^= u16::from(b) << 8;
+            for _ in 0..8 {
+                crc = if crc & 0x8000 != 0 {
+                    (crc << 1) ^ CRC_POLY
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_crc_matches_the_bitwise_reference(
+            src in any::<u32>(),
+            dest in any::<u32>(),
+            seq in any::<u64>(),
+            packet in any::<u64>(),
+            kind in 0u8..4,
+            payload in any::<u32>(),
+        ) {
+            let kind = [FlitKind::Head, FlitKind::Body, FlitKind::Tail, FlitKind::Single]
+                [usize::from(kind)];
+            let (src, dest) = (PortId(src), PortId(dest));
+            prop_assert_eq!(
+                crc16(src, dest, seq, packet, kind, payload),
+                crc16_bitwise(src, dest, seq, packet, kind, payload)
+            );
+        }
+    }
 
     #[test]
     fn latency_is_measured_from_injection() {

@@ -38,6 +38,7 @@
 mod element;
 mod fault;
 mod flit;
+mod hash;
 mod label;
 mod network;
 mod parallel;

@@ -498,11 +498,11 @@ impl Network {
             rng: StdRng::seed_from_u64(seed ^ (u64::from(port.0) << 32) ^ 0x71E5),
             next_seq: 0,
             sent: 0,
-            packets_sent: 0,
             stalled_edges: 0,
             enabled: true,
             pending: std::collections::VecDeque::new(),
             outstanding: std::collections::HashMap::new(),
+            in_flight: 0,
             round_trip: LatencyStats::new(),
             responses: 0,
         };
@@ -1431,7 +1431,7 @@ impl Network {
                 Kind::Sink(_) => {}
                 Kind::Tile(t) => {
                     sent += t.sent;
-                    packets_sent += t.packets_sent;
+                    packets_sent += t.sent;
                     stalls += t.stalled_edges;
                     round_trip.merge(&t.round_trip);
                     responses += t.responses;

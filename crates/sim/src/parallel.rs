@@ -66,13 +66,16 @@
 //! parked worker threads, in the `lease` module, whose [`Desk::lend`]
 //! does not return until every lease is back.
 //!
-//! Three mechanisms keep the constant factor small:
+//! Four mechanisms keep the constant factor small:
 //!
 //! * **Parity-major struct-of-arrays state.** The per-element fields the
 //!   handshake actually touches every tick (`out_flit`, `accepted_from`,
 //!   `lock`, `rr_next`, the gating counter) live in one dense [`Regs`]
 //!   entry per slot for the duration of a batch, alongside a CSR copy of the
-//!   adjacency ([`SoaTopo`]). A stage visit is then a tight loop over
+//!   adjacency ([`SoaTopo`]). A `Regs` entry is one aligned 64-byte cache
+//!   line, so a neighbour read touches one line; the registers only fault
+//!   runs and sleeping generators use sit in a column of their own
+//!   ([`ColdRegs`]). A stage visit is then a tight loop over
 //!   `u32` indices with no pointer chasing through `Element`; endpoint
 //!   kinds (sources, sinks, tiles) keep their bulky state in the element
 //!   itself but read and write the handshake fields through the same
@@ -90,6 +93,14 @@
 //!   everything outside `par_run` keeps seeing ordinary `Element`s. The
 //!   buffers a worker's visits write — log, outbox, armed list — sit on
 //!   a cache line of their own ([`WorkerBufs`]).
+//!
+//! * **Drain bits.** In the paper's two-phase handshake the downstream's
+//!   accept is what tells an upstream its register is free. A capture
+//!   wakes the upstream it drained, and that wake sets the upstream's
+//!   drain bit beside its ready bit ([`ReadySet`]); a cross-shard wake
+//!   carries the bit on its outbox entry ([`Wake`]). The woken visit reads
+//!   its drain from the bit instead of scanning every downstream's accept
+//!   marker ([`soa_drained`]).
 //!
 //! * **Epoch batching via conservative lookahead.** Influence travels
 //!   exactly one graph hop per tick (a visit only reads its direct
@@ -216,15 +227,25 @@ const TRACE_FOLD_TICKS: u64 = 8;
 /// drained in ascending slot order — ascending element order inside the
 /// shard, matching the dense kernel's iteration order, which scoreboard
 /// accounting and the trace stream depend on.
+///
+/// Beside each ready bit sits a *drain bit*: set when a downstream took
+/// the slot's flit on the previous tick, so the visit that wakes the slot
+/// reads its drain from the bit instead of scanning its downstreams'
+/// accept markers ([`soa_drained`]). Only a capture sets one, together
+/// with the ready bit, and the visit clears both. Both persist between
+/// batches, so a capture on a batch's last tick reaches the visit on the
+/// next batch's first.
 #[derive(Debug, Clone, Default)]
 struct ReadySet {
     words: Vec<u64>,
+    drained: Vec<u64>,
 }
 
 impl ReadySet {
     fn with_len(n: usize) -> Self {
         Self {
             words: vec![0; n.div_ceil(64)],
+            drained: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -232,6 +253,14 @@ impl ReadySet {
     fn insert(&mut self, i: usize) {
         self.words[i >> 6] |= 1u64 << (i & 63);
     }
+}
+
+/// A wake routed between windows: the slot, and whether it carries the
+/// slot's drain bit ([`ReadySet`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Wake {
+    slot: u32,
+    drained: bool,
 }
 
 /// The ready-set index of a clock polarity: rising edges land on even
@@ -415,12 +444,21 @@ impl ShardCore {
         self.ready[h].insert(s - own[h].start);
     }
 
+    /// Arms slot `s`, which must lie in this shard's range `own[h]`, in
+    /// the parity-`h` ready set, with its drain bit if `drained`.
+    #[inline]
+    fn wake(&mut self, own: &[Range<usize>; 2], h: usize, s: usize, drained: bool) {
+        let (set, b) = (&mut self.ready[h], s - own[h].start);
+        set.insert(b);
+        set.drained[b >> 6] |= u64::from(drained) << (b & 63);
+    }
+
     /// Moves the slots the coordinator armed for this shard into its
     /// ready sets.
-    fn take_armed(&mut self, own: &[Range<usize>; 2], armed: &mut Vec<u32>, slots: &Slots) {
-        for s in armed.drain(..) {
-            let s = s as usize;
-            self.arm(own, slots.half_of(s), s);
+    fn take_armed(&mut self, own: &[Range<usize>; 2], armed: &mut Vec<Wake>, slots: &Slots) {
+        for Wake { slot, drained } in armed.drain(..) {
+            let s = slot as usize;
+            self.wake(own, slots.half_of(s), s, drained);
         }
     }
 }
@@ -438,10 +476,10 @@ struct WorkerBufs {
     /// Cross-shard wakes of the current window: slots this worker woke in
     /// other shards, routed by the coordinator after the window
     /// ([`route_wakes`]).
-    outbox: Vec<u32>,
+    outbox: Vec<Wake>,
     /// Slots the coordinator armed between windows: routed cross-shard
     /// wakes and the injectors of released retransmissions.
-    armed: Vec<u32>,
+    armed: Vec<Wake>,
     /// The shard's activity summary after its last window.
     activity: ShardActivity,
 }
@@ -755,6 +793,9 @@ impl ParState {
             lock: slots.pack(e.lock),
             rr: e.rr_next as u32,
             enabled: 0,
+        }));
+        s.cold.clear();
+        s.cold.extend(els.iter().map(|e| ColdRegs {
             upset: e.upset_at,
             asleep_since: AWAKE,
             asleep_frozen: 0,
@@ -775,7 +816,7 @@ impl ParState {
             el.accepted_from = slots.unpack(regs.acc).filter(|_| regs.acc_at == last);
             el.lock = slots.unpack(regs.lock);
             el.rr_next = regs.rr as usize;
-            el.upset_at = regs.upset;
+            el.upset_at = self.soa.cold[s].upset;
             if regs.enabled != 0 {
                 el.gating
                     .merge(&ClockGatingStats::from_counts(u64::from(regs.enabled), 0));
@@ -789,14 +830,14 @@ impl ParState {
     /// the batch. A fault run's context, if any, supplies the frozen
     /// edges each one slept through.
     fn settle_sleepers(&mut self, els: &mut [&mut Element], end: u64, faults: Option<&FaultCtx>) {
-        for (s, regs) in self.soa.regs.iter_mut().enumerate() {
-            let since = std::mem::replace(&mut regs.asleep_since, AWAKE);
+        for (s, cold) in self.soa.cold.iter_mut().enumerate() {
+            let since = std::mem::replace(&mut cold.asleep_since, AWAKE);
             if since == AWAKE {
                 continue;
             }
             let (h, w) = (self.slots.half_of(s), self.slots.shard_of(s));
             let e = self.slots.elem_of[s] as usize;
-            let frozen = faults.map_or(0, |f| f.frozen_edges(e, h) - regs.asleep_frozen);
+            let frozen = faults.map_or(0, |f| f.frozen_edges(e, h) - cold.asleep_frozen);
             let skipped = skipped_stalls(since, end, frozen);
             match &mut els[s].kind {
                 Kind::Source(src) => src.stalled_edges += skipped,
@@ -858,13 +899,13 @@ impl From<bool> for Stay {
 }
 
 /// Ends an untraced generator visit that counted a stall: stamps slot
-/// `i`, whose registers are `regs`, asleep at `tick`, with its domain's
-/// frozen-edge count on a fault run.
+/// `i`, whose cold registers are `cold`, asleep at `tick`, with its
+/// domain's frozen-edge count on a fault run.
 #[inline]
-fn sleep_stalled<H: Hooks>(regs: &mut Regs, hooks: &H, i: usize, tick: u64) -> Stay {
-    regs.asleep_since = tick;
+fn sleep_stalled<H: Hooks>(cold: &mut ColdRegs, hooks: &H, i: usize, tick: u64) -> Stay {
+    cold.asleep_since = tick;
     if H::ON {
-        regs.asleep_frozen = hooks.frozen_edges(i, tick);
+        cold.asleep_frozen = hooks.frozen_edges(i, tick);
     }
     Stay::Stalled
 }
@@ -872,13 +913,13 @@ fn sleep_stalled<H: Hooks>(regs: &mut Regs, hooks: &H, i: usize, tick: u64) -> S
 /// The stalls a generator skipped while asleep, added when an unfrozen
 /// visit wakes slot `i` at `tick`; clears its stamp.
 #[inline]
-fn wake_stalls<H: Hooks>(regs: &mut Regs, hooks: &H, i: usize, tick: u64) -> u64 {
-    let since = std::mem::replace(&mut regs.asleep_since, AWAKE);
+fn wake_stalls<H: Hooks>(cold: &mut ColdRegs, hooks: &H, i: usize, tick: u64) -> u64 {
+    let since = std::mem::replace(&mut cold.asleep_since, AWAKE);
     if since == AWAKE {
         return 0;
     }
     let frozen = if H::ON {
-        hooks.frozen_edges(i, tick) - regs.asleep_frozen
+        hooks.frozen_edges(i, tick) - cold.asleep_frozen
     } else {
         0
     };
@@ -947,12 +988,13 @@ impl SoaTopo {
     }
 }
 
-/// Dense per-slot handshake state, live during a batch: one [`Regs`]
-/// entry per slot, the flit it presents beside the registers a visit
-/// reads with it.
+/// Dense per-slot handshake state, live during a batch: two columns, one
+/// entry of each per slot — the [`Regs`] every visit reads and writes,
+/// and the [`ColdRegs`] only fault runs and sleeping generators touch.
 #[derive(Debug, Clone, Default)]
 struct SoaDyn {
     regs: Vec<Regs>,
+    cold: Vec<ColdRegs>,
 }
 
 impl SoaDyn {
@@ -962,19 +1004,23 @@ impl SoaDyn {
         Cols {
             start: 0,
             regs: &mut self.regs,
+            cold: &mut self.cold,
             els,
         }
     }
 }
 
-/// A slot's handshake registers.
+/// A slot's hot handshake registers: the flit it presents and the
+/// registers a visit reads with it, one cache line per slot, so a
+/// neighbour read touches one line.
 #[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
 struct Regs {
     /// `Element::out_flit`: the flit the slot presents.
     out: Option<Flit>,
     /// The upstream slot whose flit this element last took (`u32::MAX` =
     /// none): `Element::accepted_from` while `acc_at` is the element's
-    /// last edge, stale after it ([`soa_drained`]).
+    /// last edge, stale after it ([`took`]).
     acc: u32,
     /// `Element::lock` as a slot, `u32::MAX` = none.
     lock: u32,
@@ -984,6 +1030,13 @@ struct Regs {
     enabled: u32,
     /// The tick `acc` was set.
     acc_at: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Regs>() == 64);
+
+/// A slot's cold registers, in a column of their own beside [`Regs`].
+#[derive(Debug, Clone, Copy)]
+struct ColdRegs {
     /// `Element::upset_at`.
     upset: u64,
     /// The tick a sleeping generator last counted a stall ([`AWAKE`] for
@@ -995,21 +1048,13 @@ struct Regs {
     asleep_frozen: u64,
 }
 
-impl Regs {
-    /// Whether a timed wake due at `due` is live: the slot still holds
-    /// the flit whose upset falls due then.
-    #[inline]
-    fn upset_due(&self, due: u64) -> bool {
-        self.upset == due && self.out.is_some()
-    }
-}
-
-/// A stretch of slots' [`Regs`] from slot `start` on, and the
-/// elements behind them: what a window lends one worker to write.
+/// A stretch of slots' [`Regs`] and [`ColdRegs`] from slot `start` on,
+/// and the elements behind them: what a window lends one worker to write.
 #[derive(Default)]
 struct Cols<'a, 'e> {
     start: usize,
     regs: &'a mut [Regs],
+    cold: &'a mut [ColdRegs],
     els: &'a mut [&'e mut Element],
 }
 
@@ -1019,6 +1064,7 @@ impl Cols<'_, '_> {
         Frozen {
             start: self.start,
             regs: self.regs,
+            cold: self.cold,
         }
     }
 }
@@ -1029,6 +1075,7 @@ impl Cols<'_, '_> {
 struct Frozen<'a> {
     start: usize,
     regs: &'a [Regs],
+    cold: &'a [ColdRegs],
 }
 
 impl Frozen<'_> {
@@ -1037,16 +1084,26 @@ impl Frozen<'_> {
     fn out(&self, j: u32) -> &Option<Flit> {
         &self.regs[j as usize - self.start].out
     }
+
+    /// Whether a timed wake of slot `s` due at `due` is live: the slot
+    /// still holds the flit whose upset falls due then.
+    #[inline]
+    fn upset_due(&self, s: usize, due: u64) -> bool {
+        let at = s - self.start;
+        self.cold[at].upset == due && self.regs[at].out.is_some()
+    }
 }
 
 impl Split for Cols<'_, '_> {
     fn split_at(self, mid: usize) -> (Self, Self) {
         let (regs, regs_r) = self.regs.split_at_mut(mid);
+        let (cold, cold_r) = self.cold.split_at_mut(mid);
         let (els, els_r) = self.els.split_at_mut(mid);
         let start = self.start + mid;
         let head = Self {
             start: self.start,
             regs,
+            cold,
             els,
         };
         (
@@ -1054,6 +1111,7 @@ impl Split for Cols<'_, '_> {
             Self {
                 start,
                 regs: regs_r,
+                cold: cold_r,
                 els: els_r,
             },
         )
@@ -1398,7 +1456,11 @@ pub(crate) fn par_run(ctx: ParRunCtx<'_>, max_ticks: u64, stop_when_drained: boo
                         continue;
                     };
                     gate.retx.push_back(flit);
-                    bufs[slots.shard_of(s as usize)].armed.push(s);
+                    let wake = Wake {
+                        slot: s,
+                        drained: false,
+                    };
+                    bufs[slots.shard_of(s as usize)].armed.push(wake);
                     activity_next = activity_next.fold(ShardActivity {
                         min_dist: dist[s as usize],
                         any_armed: true,
@@ -1587,7 +1649,7 @@ fn run_window(
             let ShardCore { ready, fx, .. } = core;
             fx.wheel.sweep(&own, first + 1, |s, due| {
                 let h = ctx.slots.half_of(s);
-                let live = halves[h].regs[s - halves[h].start].upset_due(due);
+                let live = halves[h].upset_due(s, due);
                 if live {
                     ready[h].insert(s - own[h].start);
                 }
@@ -1639,12 +1701,13 @@ fn route_wakes(
     let mut activity = ShardActivity::IDLE;
     for w in 0..bufs.len() {
         let mut outbox = std::mem::take(&mut bufs[w].outbox);
-        for &s in &outbox {
-            let target = slots.shard_of(s as usize);
-            bufs[target].armed.push(s);
+        for &wake in &outbox {
+            let s = wake.slot as usize;
+            let target = slots.shard_of(s);
+            bufs[target].armed.push(wake);
             wakes_received[target] += 1;
             activity = activity.fold(ShardActivity {
-                min_dist: dist[s as usize],
+                min_dist: dist[s],
                 any_armed: true,
             });
         }
@@ -1719,7 +1782,7 @@ fn visit_tick<const TRACE: bool>(
     core: &mut ShardCore,
     own: &[Range<usize>; 2],
     log: &mut Vec<Logged>,
-    mut outbox: Option<&mut Vec<u32>>,
+    mut outbox: Option<&mut Vec<Wake>>,
     faults: Option<&FaultCtx>,
 ) {
     let outbox = &mut outbox;
@@ -1749,7 +1812,7 @@ fn visit_tick_with<H: Hooks>(
     other: &Frozen<'_>,
     core: &mut ShardCore,
     own: &[Range<usize>; 2],
-    outbox: &mut Option<&mut Vec<u32>>,
+    outbox: &mut Option<&mut Vec<Wake>>,
     hooks: &mut H,
 ) {
     let WindowCtx {
@@ -1760,21 +1823,27 @@ fn visit_tick_with<H: Hooks>(
     } = ctx;
     let p = (tick % 2) as usize;
     // The swap buffer is all zeros and takes the tick's ready set, so
-    // same-parity re-arms land on the next matching edge.
+    // same-parity re-arms land on the next matching edge. This tick's
+    // visits set drain bits of the other parity only, so the tick's own
+    // are taken word by word.
     std::mem::swap(&mut core.ready[p].words, &mut core.scratch);
     for word in 0..core.scratch.len() {
         let mut bits = std::mem::take(&mut core.scratch[word]);
+        let drains = std::mem::take(&mut core.ready[p].drained[word]);
+        debug_assert_eq!(drains & !bits, 0, "a drain bit without its ready bit");
         while bits != 0 {
-            let b = (word << 6) | bits.trailing_zeros() as usize;
+            let bit = bits.trailing_zeros();
+            let b = (word << 6) | bit as usize;
             let i = cols.start + b;
             bits &= bits - 1;
             core.steps += 1;
             let before = cols.regs[b].out;
+            let drained = soa_drained(cols, other, topo, i, tick, drains >> bit & 1 != 0);
             let stay = match topo.kind[i] {
-                K_STAGE => Stay::from(soa_step_stage(cols, other, topo, i, tick, hooks)),
-                K_SOURCE => soa_step_source(cols, other, topo, i, tick, num_ports, hooks),
+                K_STAGE => Stay::from(soa_step_stage(cols, other, topo, i, tick, drained, hooks)),
+                K_SOURCE => soa_step_source(cols, i, tick, drained, num_ports, hooks),
                 K_SINK => Stay::from(soa_step_sink(cols, other, topo, i, tick, hooks)),
-                _ => soa_step_tile(cols, other, topo, i, tick, num_ports, hooks),
+                _ => soa_step_tile(cols, other, topo, i, tick, drained, num_ports, hooks),
             };
             soa_rearm::<H>(
                 cols, other, topo, i, tick, before, stay, pinned, core, own, outbox,
@@ -2012,12 +2081,13 @@ impl<const TRACE: bool> Hooks for FaultLane<'_, TRACE> {
 /// occupancy.
 ///
 /// Invariants this maintains (the correctness core of the kernel):
-/// * an element that just *captured* wakes the drained upstream: it must
-///   observe the drain on its very next edge. Only a capture writes the
-///   accept marker, stamped with its tick, and it reads as a drain only
-///   on the next tick ([`soa_drained`]), the one tick on which the dense
-///   loop still holds it; so no visit is spent clearing it, on a fault
-///   run either;
+/// * an element that just *captured* wakes the drained upstream, with
+///   its drain bit: it must observe the drain on its very next edge. Only
+///   a capture writes the accept marker, stamped with its tick, and it
+///   reads as a drain only on the next tick ([`took`]), the one tick on
+///   which the dense loop still holds it; so no visit is spent clearing
+///   it, on a fault run either, and the drain bit is set exactly when the
+///   marker reads as a drain ([`soa_drained`]);
 /// * on a fault run, a flit `i` still presents after a downstream took it
 ///   on the previous tick — a stuck `valid` lost the drain, or `i`
 ///   recaptured the duplicate its own upstream re-presented — is not
@@ -2060,7 +2130,7 @@ fn soa_rearm<H: Hooks>(
     pinned: &[bool],
     core: &mut ShardCore,
     own: &[Range<usize>; 2],
-    outbox: &mut Option<&mut Vec<u32>>,
+    outbox: &mut Option<&mut Vec<Wake>>,
 ) {
     let (b, p) = (i - cols.start, (tick % 2) as usize);
     let regs = &cols.regs[b];
@@ -2077,24 +2147,27 @@ fn soa_rearm<H: Hooks>(
     if armed {
         core.arm(own, p, i);
     }
-    let mut wake = |idx: usize, core: &mut ShardCore| {
+    let mut wake = |idx: usize, drained: bool, core: &mut ShardCore| {
         if own[p ^ 1].contains(&idx) {
-            core.arm(own, p ^ 1, idx);
+            core.wake(own, p ^ 1, idx, drained);
         } else {
             core.wakes_sent += 1;
             let outbox = outbox.as_mut();
             outbox
                 .expect("cross-shard wake inside a batched lookahead window")
-                .push(idx as u32);
+                .push(Wake {
+                    slot: idx as u32,
+                    drained,
+                });
         }
     };
     if captured != NONE_U32 {
-        wake(captured as usize, core);
+        wake(captured as usize, true, core);
     }
     if let Some(flit) = regs.out.as_ref().filter(|_| regs.out != before) {
         for &d in topo.downs(i) {
             if soa_may_capture(other, topo, d, i as u32, flit) {
-                wake(d as usize, core);
+                wake(d as usize, false, core);
             }
         }
     } else if H::ON && regs.out.is_some() {
@@ -2105,7 +2178,7 @@ fn soa_rearm<H: Hooks>(
         // to take it again.
         for &d in topo.downs(i) {
             if took(other, d, i, tick) {
-                wake(d as usize, core);
+                wake(d as usize, false, core);
             }
         }
     }
@@ -2137,8 +2210,10 @@ fn took(other: &Frozen<'_>, d: u32, i: usize, tick: u64) -> bool {
     r.acc == i as u32 && r.acc_at.wrapping_add(1) == tick
 }
 
-/// `Network::was_drained` against the dense state: a downstream took
-/// `i`'s flit on the previous tick ([`took`]).
+/// `Network::was_drained` against the dense state: `i` holds a flit and
+/// its drain bit `drain` is set — a downstream took the flit on the
+/// previous tick. The bit stands for the scan of its downstreams' accept
+/// markers ([`took`]), which debug builds check it against.
 #[inline]
 fn soa_drained(
     cols: &Cols<'_, '_>,
@@ -2146,9 +2221,14 @@ fn soa_drained(
     topo: &SoaTopo,
     i: usize,
     tick: u64,
+    drain: bool,
 ) -> bool {
-    cols.regs[i - cols.start].out.is_some()
-        && topo.downs(i).iter().any(|&d| took(other, d, i, tick))
+    debug_assert_eq!(
+        drain,
+        topo.downs(i).iter().any(|&d| took(other, d, i, tick)),
+        "slot {i}'s drain bit disagrees with its downstreams' accept markers at tick {tick}"
+    );
+    drain && cols.regs[i - cols.start].out.is_some()
 }
 
 /// `Network::first_offer` against the dense state: the first upstream
@@ -2168,20 +2248,21 @@ fn soa_first_offer(other: &Frozen<'_>, topo: &SoaTopo, i: usize) -> (u32, Option
 /// — a frozen edge, a lost offer, an upset — keep the stage armed, and
 /// so does a held flit on a traced run, whose every blocked edge emits a
 /// `Blocked` event. Returns that stay condition.
+#[allow(clippy::too_many_arguments)]
 fn soa_step_stage<H: Hooks>(
     cols: &mut Cols<'_, '_>,
     other: &Frozen<'_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
+    mut drained: bool,
     hooks: &mut H,
 ) -> bool {
     if H::ON && hooks.frozen(i, tick) {
-        soa_freeze(cols, other, topo, i, tick);
+        soa_freeze(cols, i, drained);
         return true;
     }
     let b = i - cols.start;
-    let mut drained = soa_drained(cols, other, topo, i, tick);
     if H::ON && drained {
         let held = cols.regs[b].out.expect("drained implies held");
         drained = !hooks.stuck_valid(i, tick, &held);
@@ -2247,7 +2328,7 @@ fn soa_step_stage<H: Hooks>(
             regs.enabled += 1;
             if H::ON {
                 match latched {
-                    Some(latched) => regs.upset = hooks.latch(i, tick, &latched),
+                    Some(latched) => cols.cold[b].upset = hooks.latch(i, tick, &latched),
                     // Metastability resolved to a loss: no drain will
                     // wake the empty stage, and another upstream's
                     // offer may be waiting.
@@ -2286,7 +2367,7 @@ fn soa_step_stage<H: Hooks>(
             }
         }
     }
-    if let Some(flit) = regs.out.filter(|_| H::ON && tick >= regs.upset) {
+    if let Some(flit) = regs.out.filter(|_| H::ON && tick >= cols.cold[b].upset) {
         regs.out = None;
         hooks.upset(i, tick, &flit);
         if H::TRACE {
@@ -2311,8 +2392,8 @@ fn next_slot(slot: usize, n: usize) -> usize {
 
 /// A frozen element's edge: it observes its drain, captures nothing and
 /// presents nothing new.
-fn soa_freeze(cols: &mut Cols<'_, '_>, other: &Frozen<'_>, topo: &SoaTopo, i: usize, tick: u64) {
-    if soa_drained(cols, other, topo, i, tick) {
+fn soa_freeze(cols: &mut Cols<'_, '_>, i: usize, drained: bool) {
+    if drained {
         cols.regs[i - cols.start].out = None;
     }
 }
@@ -2322,20 +2403,18 @@ fn soa_freeze(cols: &mut Cols<'_, '_>, other: &Frozen<'_>, topo: &SoaTopo, i: us
 /// stall on an untraced run sleeps instead (see [`soa_rearm`]).
 fn soa_step_source<H: Hooks>(
     cols: &mut Cols<'_, '_>,
-    other: &Frozen<'_>,
-    topo: &SoaTopo,
     i: usize,
     tick: u64,
+    drained: bool,
     num_ports: u32,
     hooks: &mut H,
 ) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
-        soa_freeze(cols, other, topo, i, tick);
+        soa_freeze(cols, i, drained);
         return Stay::Armed;
     }
-    let drained = soa_drained(cols, other, topo, i, tick);
     let b = i - cols.start;
-    let (regs, el) = (&mut cols.regs[b], &mut *cols.els[b]);
+    let (regs, cold, el) = (&mut cols.regs[b], &mut cols.cold[b], &mut *cols.els[b]);
     if drained {
         regs.out = None;
     }
@@ -2343,7 +2422,7 @@ fn soa_step_source<H: Hooks>(
         unreachable!("soa_step_source called on non-source")
     };
     if H::LAZY_STALLS {
-        state.stalled_edges += wake_stalls(regs, hooks, i, tick);
+        state.stalled_edges += wake_stalls(cold, hooks, i, tick);
     }
     // Retransmissions take the idle slot between packets — never
     // mid-worm.
@@ -2372,7 +2451,7 @@ fn soa_step_source<H: Hooks>(
         emit_endpoint_events(hooks, i, tick, injected, retransmitted, regs.out, stalled);
     }
     if H::LAZY_STALLS && stalled {
-        return sleep_stalled(regs, hooks, i, tick);
+        return sleep_stalled(cold, hooks, i, tick);
     }
     Stay::from(state.emitting.is_some())
 }
@@ -2446,23 +2525,24 @@ fn soa_step_sink<H: Hooks>(
 /// (presenting, responses still queued, another upstream may still
 /// offer, or frozen); a visit that counts a stall with no responses
 /// queued on an untraced run sleeps instead (see [`soa_rearm`]).
+#[allow(clippy::too_many_arguments)]
 fn soa_step_tile<H: Hooks>(
     cols: &mut Cols<'_, '_>,
     other: &Frozen<'_>,
     topo: &SoaTopo,
     i: usize,
     tick: u64,
+    drained: bool,
     num_ports: u32,
     hooks: &mut H,
 ) -> Stay {
     if H::ON && hooks.frozen(i, tick) {
-        soa_freeze(cols, other, topo, i, tick);
+        soa_freeze(cols, i, drained);
         return Stay::Armed;
     }
-    let drained = soa_drained(cols, other, topo, i, tick);
     let (up, offered) = soa_first_offer(other, topo, i);
     let b = i - cols.start;
-    let (regs, el) = (&mut cols.regs[b], &mut *cols.els[b]);
+    let (regs, cold, el) = (&mut cols.regs[b], &mut cols.cold[b], &mut *cols.els[b]);
     if drained {
         regs.out = None;
     }
@@ -2471,7 +2551,7 @@ fn soa_step_tile<H: Hooks>(
         unreachable!("soa_step_tile called on non-tile")
     };
     if H::LAZY_STALLS {
-        state.stalled_edges += wake_stalls(regs, hooks, i, tick);
+        state.stalled_edges += wake_stalls(cold, hooks, i, tick);
     }
     let port = state.port;
     if offered.is_some() {
@@ -2517,7 +2597,7 @@ fn soa_step_tile<H: Hooks>(
     // ring-shortcut tile has two upstreams).
     let recheck = offered.is_some() && topo.ups(i).len() > 1;
     if H::LAZY_STALLS && stalled && state.pending.is_empty() && !recheck {
-        return sleep_stalled(regs, hooks, i, tick);
+        return sleep_stalled(cold, hooks, i, tick);
     }
     Stay::from(recheck || regs.out.is_some() || !state.pending.is_empty())
 }
@@ -2700,12 +2780,17 @@ mod tests {
     fn routed_wake_arms_its_target_shard() {
         let (par, slot_of) = chain_par(2);
         // Shard 0 woke element 4, across the 3-4 cut.
-        let s4 = slot_of[4] as u32;
+        // The wake carries element 4's drain bit: a capture in shard 0
+        // took its flit.
+        let s4 = Wake {
+            slot: slot_of[4] as u32,
+            drained: true,
+        };
         let mut bufs = vec![WorkerBufs::default(); 2];
         bufs[0].outbox.push(s4);
         let mut wakes_received = vec![0u64; 2];
         let activity = route_wakes(&mut bufs, &mut wakes_received, &par.slots, &par.dist);
-        let armed: Vec<&[u32]> = bufs.iter().map(|b| b.armed.as_slice()).collect();
+        let armed: Vec<&[Wake]> = bufs.iter().map(|b| b.armed.as_slice()).collect();
         assert_eq!(armed, vec![&[][..], &[s4][..]]);
         assert_eq!(wakes_received, vec![0, 1]);
         assert_eq!(
@@ -2817,27 +2902,35 @@ mod tests {
     #[test]
     fn a_wake_whose_flit_left_arms_nothing() {
         let flit = Flit::new(PortId(0), PortId(1), 0, 0);
-        let held = |out, upset| Regs {
+        let held = |out| Regs {
             out,
             acc: NONE_U32,
             lock: NONE_U32,
             rr: 0,
             enabled: 0,
             acc_at: 0,
+        };
+        let upset = |upset| ColdRegs {
             upset,
             asleep_since: AWAKE,
             asleep_frozen: 0,
         };
         // Slot 0 still holds its flit; slot 1's flit drained; slot 2
         // holds a newer flit whose upset falls due later.
-        let regs = [held(Some(flit), 6), held(None, 6), held(Some(flit), 8)];
+        let regs = [held(Some(flit)), held(None), held(Some(flit))];
+        let cold = [upset(6), upset(6), upset(8)];
+        let frozen = Frozen {
+            start: 0,
+            regs: &regs,
+            cold: &cold,
+        };
         let mut wheel = Wheel::default();
         for s in 0..3 {
             wheel.schedule(&OWN, s, 6);
         }
         let mut armed = Vec::new();
         wheel.sweep(&OWN, 6, |s, due| {
-            let live = regs[s].upset_due(due);
+            let live = frozen.upset_due(s, due);
             if live {
                 armed.push(s);
             }
@@ -2895,7 +2988,10 @@ mod tests {
                     desk.register(w);
                     let mut seen = 0;
                     while let Some(base) = desk.serve(w, |lease| {
-                        lease.bufs.armed.push(w as u32);
+                        lease.bufs.armed.push(Wake {
+                            slot: w as u32,
+                            drained: false,
+                        });
                         lease.base
                     }) {
                         // Each window is served once, in order.
@@ -2916,7 +3012,7 @@ mod tests {
                 desk.lend(leases, drop);
                 // Every lease is back, its worker's writes with it.
                 for (w, b) in bufs.iter_mut().enumerate().skip(1) {
-                    assert_eq!(b.armed.pop(), Some(w as u32));
+                    assert_eq!(b.armed.pop().map(|wake| wake.slot), Some(w as u32));
                 }
             }
             desk.close();

@@ -1,10 +1,10 @@
 //! Simulation statistics: the scoreboard and the run report.
 
+use crate::hash::FxHashMap;
 use crate::{Flit, FlitKind};
 use icnoc_clock::ClockGatingStats;
 use icnoc_topology::PortId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Accumulated delivery-latency statistics, in half-cycles internally,
 /// reported in cycles.
@@ -194,11 +194,11 @@ impl Default for LatencyHistogram {
 /// accounting.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scoreboard {
-    last_seen: HashMap<(u32, u32), u64>,
+    last_seen: FxHashMap<(u32, u32), u64>,
     /// Wormhole integrity: the packet currently streaming into each
     /// destination, `(src, packet)`. Arbitrated-stage locking must keep
     /// packets contiguous per destination.
-    open_worm: HashMap<u32, (u32, u64)>,
+    open_worm: FxHashMap<u32, (u32, u64)>,
     pub delivered: u64,
     pub duplicated: u64,
     pub reordered: u64,

@@ -785,6 +785,82 @@ fn lazily_counted_stalls_settle_at_every_batch_boundary() {
     }
 }
 
+/// A capture wakes the upstream it drained with that slot's drain bit,
+/// and the bits persist between batches beside the ready bits: a capture
+/// on a batch's last tick is read as a drain on the next batch's first.
+/// A `soak*4` fault plan and a counter-traced (`stats`) run of worms
+/// step in uneven `run_cycles` chunks and odd per-tick stretches, so
+/// batches end on both parities, with the generators disabled and
+/// re-enabled between chunks (a `repin`), under the event kernel and the
+/// parallel kernel at 1, 2 and 3 workers; a network's kernel is fixed
+/// once it steps, so the worker count varies across runs. Every chunk
+/// must leave the report and ledger exactly where the dense oracle has
+/// them, and debug builds check each drain bit against the accept-marker
+/// scan it replaces.
+#[test]
+fn drain_bits_survive_batch_boundaries() {
+    let open = |seed, packet_len| {
+        TreeNetworkConfig::new(binary(32))
+            .with_pattern(TrafficPattern::Uniform { rate: 0.4 })
+            .with_packet_length(packet_len)
+            .with_seed(seed)
+    };
+    // Single flits under the fault plan: worms wedge under faults on
+    // every kernel (ROADMAP item 2), and the drain must finish.
+    let soak = FaultPlan::new(13).with_rates(FaultRates::soak().scaled(4.0));
+    let scenarios = [
+        ("soak*4", open(13, 1).with_faults(soak)),
+        ("traced", open(17, 2).with_counters(true)),
+    ];
+    let schedule = [
+        Drive::Cycles(41),
+        Drive::Ticks(3),
+        Drive::Sources(false),
+        Drive::Cycles(17),
+        Drive::Ticks(1),
+        Drive::Sources(true),
+        Drive::Cycles(90),
+        Drive::Ticks(5),
+        Drive::Cycles(33),
+        Drive::Drain(20_000),
+    ];
+    for (name, cfg) in scenarios {
+        let mut kernels = vec![SimKernel::Dense, SimKernel::EventDriven];
+        kernels.extend([1, 2, 3].map(|workers| SimKernel::Parallel { workers }));
+        let mut nets: Vec<Network> = kernels
+            .iter()
+            .map(|&k| cfg.clone().with_kernel(k).build())
+            .collect();
+        for (at, drive) in schedule.iter().enumerate() {
+            for net in &mut nets {
+                match *drive {
+                    Drive::Cycles(cycles) => {
+                        net.run_cycles(cycles);
+                    }
+                    Drive::Ticks(ticks) => (0..ticks).for_each(|_| net.step()),
+                    Drive::Sources(on) => net.set_sources_enabled(on),
+                    Drive::Drain(budget) => assert!(net.drain(budget), "{name}: must drain"),
+                }
+            }
+            for (net, kernel) in nets.iter().zip(&kernels).skip(1) {
+                let context = format!("{name}: {} after {drive:?} (step {at})", kernel.label());
+                assert_eq!(nets[0].report(), net.report(), "{context}: report");
+                assert_eq!(
+                    nets[0].fault_report(),
+                    net.fault_report(),
+                    "{context}: ledger"
+                );
+            }
+        }
+        let report = nets[0].report();
+        assert!(report.delivered > 0 && report.in_flight == 0, "{name}");
+        let event_steps = nets[1].element_steps();
+        for net in &nets[2..] {
+            assert_eq!(net.element_steps(), event_steps, "{name}: element steps");
+        }
+    }
+}
+
 /// A saturated fabric whose two clock domains go dark on a schedule, one
 /// outage starting on an even tick and one on an odd tick. Its blocked
 /// generators sleep on the activity list under the fault plan, and the
